@@ -23,9 +23,10 @@ minimize
     values as CSV plus VTK files of the solution and of one nodal basis test
     field.  Exits 3 when the line search fails.
 
-Identical flags and seed produce byte-identical output files.  The
-environment variable GFE_THREADS caps element-level parallelism in the
-energy assembly (0 = auto).
+Identical flags and seed produce byte-identical output files.  Malformed
+input (a mesh or CSV that cannot be read, an index out of range, a value
+off the manifold) is reported as one ``error: <file>: ...`` line with exit
+code 2.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ import sys
 
 import numpy as np
 
-from . import _testhooks
 from .energy import equivalence_audit, minimize, simplex_quadrature
 from .errors import GFEError, LineSearchFailure, ProjectionUndefinedError
 from .geodesic import GeodesicInterpolant
@@ -73,8 +73,24 @@ def read_nodal_csv(path, embed_dim: int) -> dict[int, np.ndarray]:
                 raise ValueError(
                     f"{path}: expected {embed_dim + 1} comma-separated fields, got {len(parts)}"
                 )
-            out[int(parts[0])] = np.array([float(t) for t in parts[1:]])
+            try:
+                out[int(parts[0])] = np.array([float(t) for t in parts[1:]])
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from None
     return out
+
+
+def _read_nodal_values(path, man, n_nodes: int) -> dict[int, np.ndarray]:
+    """read_nodal_csv, with every index a node of the grid and every value on man."""
+    data = read_nodal_csv(path, man.embed_dim)
+    for index, value in data.items():
+        if not 0 <= index < n_nodes:
+            raise ValueError(f"{path}: node index {index} is outside 0..{n_nodes - 1}")
+        try:
+            man.check_point(value.reshape(man.point_shape))
+        except ValueError as exc:
+            raise ValueError(f"{path}: node {index}: {exc}") from None
+    return data
 
 
 def write_nodal_csv(path, values: np.ndarray) -> None:
@@ -103,7 +119,7 @@ def cmd_interpolate(args) -> int:
     try:
         dim, vertices, elements = read_mesh(args.mesh)
         grid = Grid(dim, vertices, elements, args.order)
-        data = read_nodal_csv(args.bc, man.embed_dim)
+        data = _read_nodal_values(args.bc, man, grid.n_nodes)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -205,27 +221,32 @@ def cmd_audit(args) -> int:
     elem = ReferenceElement(2, args.order)
     cls = GeodesicInterpolant if args.rule == "geodesic" else ProjectionInterpolant
 
-    if args.corrupt_ddv:
-        _testhooks.ddv_corruption = 1e-2
-    try:
-        values = random_configuration(man, elem.m, rng, radius=0.3)
-        interp = cls(elem, values, man)
-        xis = _audit_sample_xis(elem, rng)
+    values = random_configuration(man, elem.m, rng, radius=0.3)
+    interp = cls(elem, values, man)
+    if args.corrupt_ddv:  # negative control: shift entry (0, 0) of every nodal derivative
+        exact = interp.d_dv_all
 
-        e_ddv = _audit_ddv_error(interp, xis)
-        e_var = _audit_variation_error(interp, xis, rng)
+        def corrupted(xi, q0=None):
+            q, mats = exact(xi, q0)
+            mats = mats.copy()
+            mats[:, 0, 0] += 1e-2
+            return q, mats
 
-        square = Grid(
-            2,
-            np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
-            np.array([[0, 1, 2], [0, 2, 3]]),
-            args.order,
-        )
-        grid_values = random_configuration(man, square.n_nodes, rng, radius=0.3)
-        u = GFEFunction(square, man, args.rule, grid_values)
-        e_eq = equivalence_audit(u, trials=20, seed=int(rng.integers(2**31)))
-    finally:
-        _testhooks.ddv_corruption = 0.0
+        interp.d_dv_all = corrupted
+    xis = _audit_sample_xis(elem, rng)
+
+    e_ddv = _audit_ddv_error(interp, xis)
+    e_var = _audit_variation_error(interp, xis, rng)
+
+    square = Grid(
+        2,
+        np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
+        np.array([[0, 1, 2], [0, 2, 3]]),
+        args.order,
+    )
+    grid_values = random_configuration(man, square.n_nodes, rng, radius=0.3)
+    u = GFEFunction(square, man, args.rule, grid_values)
+    e_eq = equivalence_audit(u, trials=20, seed=int(rng.integers(2**31)))
 
     rows = [
         ("d_dv_vs_fd", e_ddv, _AUDIT_TOLS[0]),
@@ -281,7 +302,7 @@ def cmd_minimize(args) -> int:
     try:
         dim, vertices, elements = read_mesh(args.mesh)
         grid = Grid(dim, vertices, elements, args.order)
-        data = read_nodal_csv(args.bc, man.embed_dim)
+        data = _read_nodal_values(args.bc, man, grid.n_nodes)
         if not data:
             raise ValueError("boundary CSV fixes no nodes")
         fixed_values = {i: v for i, v in data.items()}

@@ -18,16 +18,10 @@ finite difference of the energy along the corresponding curve of nodal
 values against the directional derivative taken with the assembled test
 field; the two are discretizations of the same derivative and must agree up
 to finite-difference noise.
-
-Element loops may run thread-parallel; set GFE_THREADS (0 = one thread per
-CPU).  Partial results are reduced in element order either way, so results
-do not depend on the thread count.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,28 +83,6 @@ class EnergyReport:
 
 
 # ----------------------------------------------------------------------
-# threaded element loops
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("GFE_THREADS")
-    if raw is None:
-        return 1
-    n = int(raw)
-    if n == 0:
-        return os.cpu_count() or 1
-    return max(1, n)
-
-
-def _map_elements(fn, ne: int) -> list:
-    nt = _thread_count()
-    if nt <= 1 or ne <= 1:
-        return [fn(e) for e in range(ne)]
-    with ThreadPoolExecutor(max_workers=nt) as ex:
-        return list(ex.map(fn, range(ne)))
-
-
-# ----------------------------------------------------------------------
 # energy and first variation
 
 
@@ -118,6 +90,14 @@ def _physical_gradient(cols, Binv: np.ndarray) -> np.ndarray:
     """Map reference-derivative columns to physical space; shape (N, d)."""
     G = np.stack([tv.vec.reshape(-1) for tv in cols], axis=1)
     return G @ Binv
+
+
+def _solution_gradients(interp, xi, Binv: np.ndarray):
+    """Physical gradient of u and reference basis-field gradients at xi, from
+    one center solve: the stencil reuses the point of d_dxi and warm-starts from it."""
+    cols = interp.d_dxi(xi)
+    _, G = _basis_ref_gradients(interp, xi, h=_FIELD_FD_STEP, q=cols[0].base)
+    return _physical_gradient(cols, Binv), G
 
 
 def dirichlet_energy(u: GFEFunction, quad: QuadratureRule | None = None) -> float:
@@ -134,8 +114,7 @@ def dirichlet_energy(u: GFEFunction, quad: QuadratureRule | None = None) -> floa
             acc += w * float(np.sum(G * G))
         return grid._detB[e] * acc
 
-    parts = _map_elements(element_energy, grid.n_elements)
-    return 0.5 * float(sum(parts))
+    return 0.5 * float(sum(element_energy(e) for e in range(grid.n_elements)))
 
 
 def directional_derivative(
@@ -152,15 +131,13 @@ def directional_derivative(
         beta = _nodal_coefficients(interp, vectors)
         acc = 0.0
         for w, xi in zip(rule.weights, rule.points):
-            Gu = _physical_gradient(interp.d_dxi(xi), Binv)
-            _, G = _basis_ref_gradients(interp, xi, h=_FIELD_FD_STEP)
+            Gu, G = _solution_gradients(interp, xi, Binv)
             Feta_ref = np.einsum("injl,ij->nl", G, beta)
             Feta = Feta_ref @ Binv
             acc += w * float(np.sum(Gu * Feta))
         return grid._detB[e] * acc
 
-    parts = _map_elements(element_part, grid.n_elements)
-    return float(sum(parts))
+    return float(sum(element_part(e) for e in range(grid.n_elements)))
 
 
 def algebraic_gradient(
@@ -185,23 +162,18 @@ def algebraic_gradient(
         Binv = grid._Binv[e]
         local = np.zeros((grid.ref.m, dim))
         for w, xi in zip(rule.weights, rule.points):
-            Gu = _physical_gradient(interp.d_dxi(xi), Binv)
-            _, G = _basis_ref_gradients(interp, xi, h=_FIELD_FD_STEP)
+            Gu, G = _solution_gradients(interp, xi, Binv)
             # physical gradient of basis field (i, j): G[i, :, j, :] @ Binv
             local += w * np.einsum("nk,injl,lk->ij", Gu, G, Binv)
         return grid._detB[e] * local
 
-    parts = _map_elements(element_part, grid.n_elements)
     coeff = np.zeros((grid.n_nodes, dim))
-    for e, local in enumerate(parts):
-        for loc, g in enumerate(grid.element_nodes[e]):
-            coeff[g] += local[loc]
+    for e in range(grid.n_elements):
+        coeff[grid.element_nodes[e]] += element_part(e)
     for g in fixed_set:
         coeff[g] = 0.0
-    return [
-        TangentVector(man, u.values[i], np.tensordot(coeff[i], man.tangent_basis(u.values[i]), axes=1))
-        for i in range(grid.n_nodes)
-    ]
+    vecs = np.einsum("ij,ij...->i...", coeff, man.tangent_basis(u.values))
+    return [TangentVector(man, u.values[i], vecs[i]) for i in range(grid.n_nodes)]
 
 
 def _gradient_norm(grad: list[TangentVector]) -> float:
@@ -302,14 +274,14 @@ def equivalence_audit(
     n = u.grid.n_nodes
     dim = man.intrinsic_dim
     rng = np.random.default_rng(seed)
-    bases = [man.tangent_basis(v) for v in u.values]
+    bases = man.tangent_basis(u.values)
     h = 1e-5
 
     worst = 0.0
     for _ in range(trials):
         coeff = rng.standard_normal((n, dim))
         coeff /= np.linalg.norm(coeff)
-        vecs = [np.tensordot(coeff[i], bases[i], axes=1) for i in range(n)]
+        vecs = np.einsum("ij,ij...->i...", coeff, bases)
 
         plus = np.array([man.exp(u.values[i], h * vecs[i]) for i in range(n)])
         minus = np.array([man.exp(u.values[i], -h * vecs[i]) for i in range(n)])

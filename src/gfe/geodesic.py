@@ -30,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _testhooks
 from .errors import (
     AdmissibilityError,
     CutLocusError,
@@ -85,7 +84,7 @@ def karcher_check(manifold: Manifold, values: np.ndarray) -> KarcherCheck:
 @dataclass(frozen=True)
 class _Solution:
     q: np.ndarray
-    basis: np.ndarray        # (dim, embed_dim), rows are the tangent basis at q
+    basis: np.ndarray        # (dim, *point_shape), tangent_basis(q)
     hessian: np.ndarray      # (dim, dim)
     log_coeffs: np.ndarray   # (m, dim), log_q(v_i) in that basis
     weights: np.ndarray      # (m,)
@@ -130,40 +129,44 @@ class GeodesicInterpolant:
             return self.values[int(np.argmax(weights))].copy()
 
     def _residual(self, q: np.ndarray, weights: np.ndarray):
-        logs = np.array([self.manifold.log(q, v) for v in self.values])
-        r_vec = np.tensordot(weights, logs, axes=1)
-        return logs, float(np.linalg.norm(r_vec))
+        logs = self.manifold.log(q, self.values)
+        return logs, float(np.linalg.norm(weights @ logs.reshape(self.elem.m, -1)))
+
+    def _linearize(self, q, weights, logs):
+        """(basis at q, Hessian, log coefficients): one basis for all three."""
+        man = self.manifold
+        m, dim = self.elem.m, man.intrinsic_dim
+        basis = man.tangent_basis(q)
+        hessians = man.dist2_hess_q(self.values, q, basis_q=basis)     # (m, dim, dim)
+        H = (weights @ hessians.reshape(m, -1)).reshape(dim, dim)
+        L = logs.reshape(m, -1) @ basis.reshape(dim, -1).T
+        return basis, 0.5 * (H + H.T), L
 
     def _solve(self, xi, q0=None, max_iter: int = _MAX_NEWTON) -> _Solution:
         man = self.manifold
-        dim = man.intrinsic_dim
         weights = self.elem.shape_values(xi)
         q = np.asarray(q0, dtype=float) if q0 is not None else self._initial_guess(weights)
         logs, res = self._residual(q, weights)
 
         iterations = 0
-        while res > _RESIDUAL_TARGET:
+        while True:
+            basis, H, L = self._linearize(q, weights, logs)
+            if res <= _RESIDUAL_TARGET:
+                break
             if iterations >= max_iter:
                 raise NonConvergenceError(
                     f"Newton stalled at residual {res:.3e} after {iterations} iterations"
                 )
-            basis = man.tangent_basis(q).reshape(dim, -1)
-            L = logs.reshape(self.elem.m, -1) @ basis.T
-            H = np.zeros((dim, dim))
-            for wi, v in zip(weights, self.values):
-                H += wi * man.dist2_hess_q(v, q)
-            H = 0.5 * (H + H.T)
-            rhs = 2.0 * (weights @ L)
             try:
-                delta = np.linalg.solve(H, rhs)
+                delta = np.linalg.solve(H, 2.0 * (weights @ L))
             except np.linalg.LinAlgError as exc:
                 raise SingularSystemError("Newton system is singular") from exc
 
-            step = delta
+            step = (delta @ basis.reshape(len(delta), -1)).reshape(man.point_shape)
             improved = False
             for damping in range(_MAX_DAMPING + 1):
                 try:
-                    q_new = man.exp(q, np.tensordot(step, man.tangent_basis(q), axes=1))
+                    q_new = man.exp(q, step)
                     logs_new, res_new = self._residual(q_new, weights)
                 except CutLocusError:
                     if damping == _MAX_DAMPING:
@@ -185,12 +188,6 @@ class GeodesicInterpolant:
             q, logs, res = q_new, logs_new, res_new
             iterations += 1
 
-        basis = man.tangent_basis(q).reshape(dim, -1)
-        L = logs.reshape(self.elem.m, -1) @ basis.T
-        H = np.zeros((dim, dim))
-        for wi, v in zip(weights, self.values):
-            H += wi * man.dist2_hess_q(v, q)
-        H = 0.5 * (H + H.T)
         if float(np.linalg.eigvalsh(H)[0]) <= _MIN_EIG:
             raise IndefiniteHessianError(
                 "converged to a critical point whose Hessian is not positive definite"
@@ -218,34 +215,23 @@ class GeodesicInterpolant:
         except np.linalg.LinAlgError as exc:
             raise SingularSystemError("derivative system is singular") from exc
         return [
-            TangentVector(
-                self.manifold,
-                sol.q,
-                np.tensordot(X[:, k], sol.basis, axes=1).reshape(self.manifold.point_shape),
-            )
+            TangentVector(self.manifold, sol.q, np.tensordot(X[:, k], sol.basis, axes=1))
             for k in range(self.elem.dim)
         ]
 
-    def d_dv_all(self, xi):
+    def d_dv_all(self, xi, q0=None):
         """eval(xi) plus all m derivative matrices d(interpolant)/d(v_i).
 
         Matrix i maps tangent_basis(v_i) coefficients to tangent_basis(q)
-        coefficients; stacked shape (m, dim, dim).
+        coefficients; stacked shape (m, dim, dim).  ``q0`` warm-starts the
+        Newton solve, e.g. from the interpolant at a nearby point.
         """
-        sol = self._solve(xi)
-        man = self.manifold
-        dim = man.intrinsic_dim
-        rhs = np.empty((dim, self.elem.m * dim))
-        for i, (wi, v) in enumerate(zip(sol.weights, self.values)):
-            rhs[:, i * dim : (i + 1) * dim] = -wi * man.dist2_mixed(v, sol.q)
+        sol = self._solve(xi, q0)
+        mixed = self.manifold.dist2_mixed(self.values, sol.q, basis_q=sol.basis)
         try:
-            X = np.linalg.solve(sol.hessian, rhs)
+            mats = np.linalg.solve(sol.hessian, -sol.weights[:, None, None] * mixed)
         except np.linalg.LinAlgError as exc:
             raise SingularSystemError("derivative system is singular") from exc
-        mats = np.array([X[:, i * dim : (i + 1) * dim] for i in range(self.elem.m)])
-        if _testhooks.ddv_corruption != 0.0:
-            mats = mats.copy()
-            mats[:, 0, 0] += _testhooks.ddv_corruption
         return sol.q, mats
 
     def d_dv(self, xi, i: int) -> np.ndarray:

@@ -49,17 +49,23 @@ def read_mesh(path):
                 tokens.append(line)
     if not tokens or not tokens[0].startswith("gfe-mesh"):
         raise ValueError(f"{path}: missing 'gfe-mesh d' header")
-    dim = int(tokens[0].split()[1])
-    pos = 1
-    nv = int(tokens[pos]); pos += 1
-    vertices = np.array(
-        [[float(t) for t in tokens[pos + i].split()] for i in range(nv)]
-    ).reshape(nv, dim)
-    pos += nv
-    ne = int(tokens[pos]); pos += 1
-    elements = np.array(
-        [[int(t) for t in tokens[pos + i].split()] for i in range(ne)], dtype=int
-    ).reshape(ne, dim + 1)
+    try:
+        dim = int(tokens[0].split()[1])
+        pos = 1
+        nv = int(tokens[pos]); pos += 1
+        vertices = np.array(
+            [[float(t) for t in tokens[pos + i].split()] for i in range(nv)]
+        ).reshape(nv, dim)
+        pos += nv
+        ne = int(tokens[pos]); pos += 1
+        elements = np.array(
+            [[int(t) for t in tokens[pos + i].split()] for i in range(ne)], dtype=int
+        ).reshape(ne, dim + 1)
+    except (IndexError, ValueError) as exc:  # truncated file, bad number or row length
+        raise ValueError(f"{path}: malformed mesh: {exc}") from None
+    outside = np.flatnonzero(((elements < 0) | (elements >= nv)).any(axis=1))
+    if len(outside):
+        raise ValueError(f"{path}: element {outside[0]} has a vertex index outside 0..{nv - 1}")
     return dim, vertices, elements
 
 
@@ -319,7 +325,7 @@ def global_nodal_basis(u: GFEFunction) -> list[GlobalTestFunction]:
     zero vector at all other nodes; they form a basis of the test space.
     """
     man = u.manifold
-    bases = [man.tangent_basis(v) for v in u.values]
+    bases = man.tangent_basis(u.values)
     out = []
     for i in range(u.grid.n_nodes):
         for j in range(man.intrinsic_dim):

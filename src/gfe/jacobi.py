@@ -36,39 +36,41 @@ _FD_STEP = 1e-6
 _STENCIL_MARGIN = 1e-5
 
 
-def _basis_values(interp: Interpolant, xi):
+def _basis_values(interp: Interpolant, xi, q0=None):
     """Embedded values of all nodal-basis fields at xi.
 
     Returns ``(q, V)`` with V of shape (m, N, dim): column j of V[i] is the
     field that carries tangent_basis(v_i)[j] at node i and zero elsewhere.
+    ``q0`` warm-starts the center solve of the geodesic rule.
     """
     man = interp.manifold
     dim = man.intrinsic_dim
-    q, mats = interp.d_dv_all(xi)
+    q, mats = interp.d_dv_all(xi, q0)
     Eq = man.tangent_basis(q).reshape(dim, -1)
     # V[i, :, j] = sum_k mats[i][k, j] * Eq[k]
     V = np.einsum("kn,ikj->inj", Eq, mats)
     return q, V
 
 
-def _basis_ref_gradients(interp: Interpolant, xi, h: float = _FD_STEP):
+def _basis_ref_gradients(interp: Interpolant, xi, h: float = _FD_STEP, q=None):
     """Reference-space gradients of all nodal-basis fields at xi.
 
     Returns ``(q, G)`` with G of shape (m, N, dim, d); G[i, :, j, l] is the
     l-th reference derivative of basis field (i, j), tangentially projected
-    at q = eval(xi).
+    at q = eval(xi).  A caller that already has eval(xi) passes it as ``q``;
+    it also warm-starts the stencil solves.
     """
     man = interp.manifold
     elem = interp.elem
     d = elem.dim
     dim = man.intrinsic_dim
     N = man.embed_dim
+    q = interp.eval(xi) if q is None else q
 
     if isinstance(man, Euclidean):
         # flat fields are classical Lagrange combinations; differentiate exactly
-        q = interp.eval(xi)
         dphi = elem.shape_gradients(xi)                # (m, d)
-        B = np.stack([man.tangent_basis(v) for v in interp.values])  # (m, dim, k)
+        B = man.tangent_basis(interp.values)           # (m, dim, k)
         G = np.einsum("il,ijn->injl", dphi, B)
         return q, G
 
@@ -80,31 +82,25 @@ def _basis_ref_gradients(interp: Interpolant, xi, h: float = _FD_STEP):
             f"a step-{h:.0e} stencil needs a margin of {margin:.0e}"
         )
 
-    q = interp.eval(xi)
     xi = np.asarray(xi, dtype=float).reshape(d)
     G = np.empty((elem.m, N, dim, d))
     for l in range(d):
         step = np.zeros(d)
         step[l] = h
-        _, Vp = _basis_values(interp, xi + step)
-        _, Vm = _basis_values(interp, xi - step)
-        diff = (Vp - Vm) / (2.0 * h)                   # (m, N, dim)
-        for i in range(elem.m):
-            for j in range(dim):
-                vec = man.project_tangent(q, diff[i, :, j].reshape(man.point_shape))
-                G[i, :, j, l] = vec.reshape(-1)
+        _, Vp = _basis_values(interp, xi + step, q)
+        _, Vm = _basis_values(interp, xi - step, q)
+        diff = np.swapaxes((Vp - Vm) / (2.0 * h), 1, 2)   # (m, dim, N)
+        tangential = man.project_tangent(q, diff.reshape((elem.m, dim) + man.point_shape))
+        G[:, :, :, l] = np.swapaxes(tangential.reshape(elem.m, dim, N), 1, 2)
     return q, G
 
 
 def _nodal_coefficients(interp: Interpolant, vectors) -> np.ndarray:
     """Tangent-basis coefficients of the nodal vectors, shape (m, dim)."""
     man = interp.manifold
-    dim = man.intrinsic_dim
-    beta = np.empty((interp.elem.m, dim))
-    for i, tv in enumerate(vectors):
-        B = man.tangent_basis(interp.values[i]).reshape(dim, -1)
-        beta[i] = B @ tv.vec.reshape(-1)
-    return beta
+    B = man.tangent_basis(interp.values).reshape(interp.elem.m, man.intrinsic_dim, -1)
+    vecs = np.array([tv.vec.reshape(-1) for tv in vectors])
+    return np.einsum("ijn,in->ij", B, vecs)
 
 
 @dataclass(frozen=True)
@@ -133,12 +129,8 @@ class ElementTestField:
     def eval_field(self, xi) -> TangentVector:
         """Field value at xi, a tangent vector at the interpolated point."""
         man = self.interp.manifold
-        dim = man.intrinsic_dim
         q, mats = self.interp.d_dv_all(xi)
-        beta = _nodal_coefficients(self.interp, self.vectors)
-        coeff = np.zeros(dim)
-        for i in range(self.interp.elem.m):
-            coeff += mats[i] @ beta[i]
+        coeff = np.einsum("ikj,ij->k", mats, _nodal_coefficients(self.interp, self.vectors))
         vec = np.tensordot(coeff, man.tangent_basis(q), axes=1)
         return TangentVector(man, q, vec)
 
@@ -167,7 +159,7 @@ def nodal_basis_fields(interp: Interpolant) -> list[ElementTestField]:
     """
     man = interp.manifold
     fields = []
-    bases = [man.tangent_basis(v) for v in interp.values]
+    bases = man.tangent_basis(interp.values)
     for i in range(interp.elem.m):
         for j in range(man.intrinsic_dim):
             vectors = []

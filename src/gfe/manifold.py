@@ -10,14 +10,19 @@ distances come out as ``sqrt(2)`` times the rotation angle.
 Besides the metric operations (``dist``, ``exp``, ``log``, parallel
 ``transport``) each manifold provides
 
-- a deterministic orthonormal ``tangent_basis`` used to express all
-  matrix-valued derivative data in reproducible coordinates,
+- a closed-form orthonormal ``tangent_basis`` used to express all
+  matrix-valued derivative data in reproducible coordinates: the identity
+  rows for flat space, the rows of a Householder reflection for spheres and
+  ``Q @ hat(e_k) / sqrt(2)`` for rotations,
 - the two second-derivative blocks of squared distance,
   ``dist2_hess_q`` and ``dist2_mixed``, that drive the implicit derivative
   systems of the interpolation modules,
 - a closest-point projection ``project_point`` with its Jacobian
   ``projection_jacobian`` (normalization for spheres, the polar
   decomposition for rotations, the identity for flat space).
+
+``log``, ``transport``, ``tangent_basis`` and the two blocks broadcast over
+leading axes, so one call serves all nodal values of an element.
 
 All three geometries have constant sectional curvature, so the
 second-derivative blocks are evaluated from the closed forms of a constant
@@ -34,6 +39,7 @@ of their inputs; values are never mutated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,36 +56,40 @@ _CUT_TOL = 1e-8       # distance-to-cut-locus slack before log refuses
 _SERIES_CUTOFF = 1e-4  # switch to Taylor series below this angle
 
 
-def _sinc(t: float) -> float:
-    """sin(t)/t with a series branch near zero."""
-    if abs(t) < _SERIES_CUTOFF:
-        t2 = t * t
-        return 1.0 - t2 / 6.0 + t2 * t2 / 120.0
-    return np.sin(t) / t
+def _series_or(t, coeffs, closed):
+    """closed(t) elementwise, or c0 + c2*t**2 + c4*t**4 below _SERIES_CUTOFF."""
+    t = np.asarray(t, dtype=float)
+    small = np.abs(t) < _SERIES_CUTOFF
+    if not small.any():
+        return closed(t)
+    c0, c2, c4 = coeffs
+    t2 = t * t
+    return np.where(small, c0 + t2 * (c2 + t2 * c4), closed(np.where(small, 1.0, t)))
 
 
-def _one_minus_cos_over_sq(t: float) -> float:
-    """(1 - cos(t))/t**2 with a series branch near zero."""
-    if abs(t) < _SERIES_CUTOFF:
-        t2 = t * t
-        return 0.5 - t2 / 24.0 + t2 * t2 / 720.0
-    return (1.0 - np.cos(t)) / (t * t)
+def _sinc(t):
+    """sin(t)/t."""
+    return _series_or(t, (1.0, -1.0 / 6.0, 1.0 / 120.0), lambda t: np.sin(t) / t)
 
 
-def _t_over_sin(t: float) -> float:
-    """t/sin(t) with a series branch near zero."""
-    if abs(t) < _SERIES_CUTOFF:
-        t2 = t * t
-        return 1.0 + t2 / 6.0 + 7.0 * t2 * t2 / 360.0
-    return t / np.sin(t)
+def _one_minus_cos_over_sq(t):
+    """(1 - cos(t))/t**2."""
+    return _series_or(t, (0.5, -1.0 / 24.0, 1.0 / 720.0), lambda t: (1.0 - np.cos(t)) / (t * t))
 
 
-def _t_cot(t: float) -> float:
-    """t*cot(t) with a series branch near zero."""
-    if abs(t) < _SERIES_CUTOFF:
-        t2 = t * t
-        return 1.0 - t2 / 3.0 - t2 * t2 / 45.0
-    return t * np.cos(t) / np.sin(t)
+def _t_over_sin(t):
+    """t/sin(t)."""
+    return _series_or(t, (1.0, 1.0 / 6.0, 7.0 / 360.0), lambda t: t / np.sin(t))
+
+
+def _t_cot(t):
+    """t*cot(t)."""
+    return _series_or(t, (1.0, -1.0 / 3.0, -1.0 / 45.0), lambda t: t * np.cos(t) / np.sin(t))
+
+
+def _inner(a, b) -> np.ndarray:
+    """<a, b> over the last axis, kept as a length-1 axis; broadcasts."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0]
 
 
 class Manifold:
@@ -102,18 +112,24 @@ class Manifold:
 
     @property
     def embed_dim(self) -> int:
-        return int(np.prod(self.point_shape))
+        return math.prod(self.point_shape)
 
     @property
     def injectivity_radius(self) -> float:
         raise NotImplementedError
 
     def _check_pair(self, p, q) -> None:
-        if np.shape(p) != self.point_shape or np.shape(q) != self.point_shape:
+        k = len(self.point_shape)
+        if np.shape(p)[-k:] != self.point_shape or np.shape(q)[-k:] != self.point_shape:
             raise DimensionMismatchError(
                 f"expected two points of shape {self.point_shape} on {self.kind}, "
                 f"got {np.shape(p)} and {np.shape(q)}"
             )
+
+    def _flat(self, x) -> np.ndarray:
+        """Flatten the trailing point axes of x into one embedding axis."""
+        x = np.asarray(x, dtype=float)
+        return x.reshape(x.shape[: x.ndim - len(self.point_shape)] + (self.embed_dim,))
 
     def check_point(self, p) -> None:
         raise NotImplementedError
@@ -122,7 +138,7 @@ class Manifold:
         raise NotImplementedError
 
     def project_tangent(self, p, w) -> np.ndarray:
-        """Orthogonal projection of an embedding vector onto T_p M."""
+        """Orthogonal projection of embedding vectors onto T_p M; w may carry leading axes."""
         raise NotImplementedError
 
     # ------------------------------------------------------------------
@@ -151,90 +167,69 @@ class Manifold:
         raise NotImplementedError
 
     # ------------------------------------------------------------------
-    # deterministic tangent basis
+    # tangent basis
 
     def tangent_basis(self, p) -> np.ndarray:
-        """Deterministic orthonormal basis of T_p M, shape (dim, *point_shape).
+        """Orthonormal basis of T_p M, shape (..., dim, *point_shape).
 
-        Gram-Schmidt over the canonical embedding directions projected onto
-        the tangent space, in fixed index order; candidates with projected
-        norm below 1e-8 are skipped.  The same point always yields the
-        bitwise-identical basis.
+        A closed form in the entries of p, so the same point always yields
+        the bitwise-identical basis; p may carry leading axes.
         """
-        p = np.asarray(p, dtype=float)
-        basis: list[np.ndarray] = []
-        for k in range(self.embed_dim):
-            cand = np.zeros(self.embed_dim)
-            cand[k] = 1.0
-            w = self.project_tangent(p, cand.reshape(self.point_shape))
-            for b in basis:
-                w = w - np.vdot(b, w) * b
-            nrm = float(np.linalg.norm(w))
-            if nrm < 1e-8:
-                continue
-            w = w / nrm
-            # second pass kills the cancellation debris left by a barely
-            # accepted candidate; drop it if debris was most of its mass
-            w = self.project_tangent(p, w)
-            for b in basis:
-                w = w - np.vdot(b, w) * b
-            nrm = float(np.linalg.norm(w))
-            if nrm < 0.5:
-                continue
-            basis.append(w / nrm)
-            if len(basis) == self.intrinsic_dim:
-                break
-        if len(basis) != self.intrinsic_dim:
-            raise RuntimeError(f"could not build a tangent basis on {self.kind}")
-        return np.array(basis)
+        raise NotImplementedError
 
     # ------------------------------------------------------------------
     # second-derivative blocks of squared distance
 
-    def dist2_hess_q(self, v, q) -> np.ndarray:
+    def _curvature_factor(self, fn, r) -> np.ndarray:
+        """fn(sqrt(K)*r) for the model curvature K, and 1 on flat space."""
+        kappa = self._model_curvature
+        return fn(np.sqrt(kappa) * r) if kappa > 0.0 else np.ones_like(r)
+
+    def dist2_hess_q(self, v, q, basis_q=None) -> np.ndarray:
         """Hessian of q -> dist(v, q)**2 in the tangent_basis(q) coordinates.
 
-        Symmetric (dim x dim); equals 2*I at v = q.  Requires q within the
-        injectivity radius of v (raises CutLocusError otherwise).
+        v may carry leading (node) axes; the result has shape
+        (..., dim, dim), symmetric, and equals 2*I where v = q.  ``basis_q``
+        is tangent_basis(q) when the caller already has it.  Requires q
+        within the injectivity radius of v (raises CutLocusError otherwise).
         """
         self._check_pair(v, q)
         dim = self.intrinsic_dim
-        r = self.dist(v, q)
-        if r < 1e-15:
-            return 2.0 * np.eye(dim)
-        u = self.log(q, v) / r
-        E = self.tangent_basis(q).reshape(dim, -1)
-        c = E @ u.reshape(-1)
-        kappa = self._model_curvature
-        a = _t_cot(np.sqrt(kappa) * r) if kappa > 0.0 else 1.0
-        return 2.0 * (a * np.eye(dim) + (1.0 - a) * np.outer(c, c))
+        u = self._flat(self.log(q, v))                      # (..., N)
+        r = np.sqrt(_inner(u, u))[..., 0]
+        E = self._flat(self.tangent_basis(q) if basis_q is None else basis_q)
+        # unit direction coefficients, zero where v = q (and there a = 1)
+        c = np.matmul(E, u[..., None])[..., 0] / np.where(r < 1e-15, np.inf, r)[..., None]
+        a = self._curvature_factor(_t_cot, r)[..., None, None]
+        return 2.0 * (a * np.eye(dim) + (1.0 - a) * (c[..., :, None] * c[..., None, :]))
 
-    def dist2_mixed(self, v, q) -> np.ndarray:
+    def dist2_mixed(self, v, q, basis_q=None) -> np.ndarray:
         """Mixed second derivative of dist(v, q)**2, d/dv of the q-gradient.
 
-        Returned as a (dim x dim) matrix mapping tangent_basis(v)
+        Returned as a (..., dim, dim) array mapping tangent_basis(v)
         coefficients of a perturbation of v to tangent_basis(q) coefficients
-        of the change in the q-gradient.  Equals -2*I at v = q.
+        of the change in the q-gradient; v may carry leading (node) axes.
+        ``basis_q`` is tangent_basis(q) when the caller already has it.
+        Equals -2*I where v = q.
         """
         self._check_pair(v, q)
-        dim = self.intrinsic_dim
-        r = self.dist(v, q)
-        if r < 1e-15:
-            return -2.0 * np.eye(dim)
-        Bv = self.tangent_basis(v)
-        Eq = self.tangent_basis(q).reshape(dim, -1)
-        u_v = self.log(v, q) / r
-        u_q = self.log(q, v) / r
-        kappa = self._model_curvature
-        a = _t_over_sin(np.sqrt(kappa) * r) if kappa > 0.0 else 1.0
-        M = np.empty((dim, dim))
-        for j in range(dim):
-            b = Bv[j]
-            rad = float(np.vdot(b, u_v))
-            perp = b - rad * u_v
-            vec = 2.0 * rad * u_q - 2.0 * a * self.transport(v, q, perp)
-            M[:, j] = Eq @ vec.reshape(-1)
-        return M
+        v = np.asarray(v, dtype=float)
+        u_v = self._flat(self.log(v, q))                     # (..., N)
+        u_q = self._flat(self.log(q, v))
+        r = np.sqrt(_inner(u_q, u_q))                        # (..., 1)
+        at_q = r < 1e-15
+        u_v, u_q = (u[..., None, :] / np.where(at_q, np.inf, r)[..., None] for u in (u_v, u_q))
+        Bv = self._flat(self.tangent_basis(v))              # (..., dim, N)
+        Eq = self._flat(self.tangent_basis(q) if basis_q is None else basis_q)
+        # radial parts <b_j, u_v> of the basis columns, and the remainders,
+        # all dim columns transported in one call
+        rad = _inner(Bv, u_v)                                # (..., dim, 1)
+        perp = (Bv - rad * u_v).reshape(Bv.shape[:-1] + self.point_shape)
+        moved = self._flat(self.transport(np.expand_dims(v, -len(self.point_shape) - 1), q, perp))
+        a = self._curvature_factor(_t_over_sin, r)[..., None]
+        vec = 2.0 * rad * u_q - 2.0 * a * moved              # (..., dim_v, N)
+        M = np.matmul(Eq, np.swapaxes(vec, -1, -2))          # (..., dim_q, dim_v)
+        return np.where(at_q[..., None], -2.0 * np.eye(self.intrinsic_dim), M)
 
 
 # ----------------------------------------------------------------------
@@ -305,6 +300,10 @@ class Euclidean(Manifold):
     def project_tangent(self, p, w):
         return np.asarray(w, dtype=float).copy()
 
+    def tangent_basis(self, p) -> np.ndarray:
+        """The identity rows."""
+        return np.broadcast_to(np.eye(self.k), np.shape(p)[:-1] + (self.k, self.k)).copy()
+
     def dist(self, p, q) -> float:
         self._check_pair(p, q)
         return float(np.linalg.norm(np.subtract(q, p)))
@@ -374,7 +373,23 @@ class Sphere(Manifold):
 
     def project_tangent(self, p, w):
         w = np.asarray(w, dtype=float)
-        return w - float(np.dot(p, w)) * np.asarray(p, dtype=float)
+        p = np.asarray(p, dtype=float)
+        return w - _inner(p, w) * p
+
+    def tangent_basis(self, p) -> np.ndarray:
+        """Rows 1..n of the Householder reflection that swaps p and -s*e_{n+1}.
+
+        s = +-1 is the sign (bit) of p_{n+1}, the stable choice: the
+        reflection vector w = p + s*e_{n+1} has |w|**2 >= 2, so the frame is
+        well conditioned everywhere, including where p_{n+1} changes sign.
+        At +-e_{n+1} the rows are e_1..e_n.
+        """
+        p = np.asarray(p, dtype=float)
+        n = self.n
+        w = p.copy()
+        w[..., n] += np.copysign(1.0, p[..., n])
+        scale = 2.0 / _inner(w, w)
+        return np.eye(n, n + 1) - (scale * w[..., :n])[..., :, None] * w[..., None, :]
 
     def dist(self, p, q) -> float:
         self._check_pair(p, q)
@@ -399,24 +414,25 @@ class Sphere(Manifold):
         self._check_pair(p, q)
         p = np.asarray(p, dtype=float)
         q = np.asarray(q, dtype=float)
-        c = float(np.dot(p, q))
+        c = _inner(p, q)
         u = q - c * p
-        nrm = float(np.linalg.norm(u))
-        theta = float(np.arctan2(nrm, c))
-        if theta > np.pi - _CUT_TOL:
-            raise CutLocusError(f"points at distance {theta:.6f} are (numerically) antipodal")
-        if nrm < 1e-14:
-            return np.zeros_like(p)
-        return (theta / nrm) * u
+        nrm = np.sqrt(_inner(u, u))
+        theta = np.arctan2(nrm, c)
+        if theta.max() > np.pi - _CUT_TOL:
+            raise CutLocusError(
+                f"points at distance {float(theta.max()):.6f} are (numerically) antipodal"
+            )
+        # zero where the points (numerically) coincide
+        return (theta / np.where(nrm < 1e-14, np.inf, nrm)) * u
 
     def transport(self, p, q, w):
-        r = self.dist(p, q)
-        if r < 1e-15:
-            return np.asarray(w, dtype=float).copy()
-        u_p = self.log(p, q) / r
-        u_q = self.log(q, p) / r
-        a = float(np.vdot(w, u_p))
-        return np.asarray(w, dtype=float) - a * u_p - a * u_q
+        u_p = self.log(p, q)
+        u_q = self.log(q, p)
+        w = np.asarray(w, dtype=float)
+        r2 = _inner(u_p, u_p)
+        # zero where p = q (the logs vanish there)
+        a = _inner(w, u_p) / np.where(r2 < 1e-30, np.inf, r2)
+        return w - a * (u_p + u_q)
 
     def project_point(self, w):
         w = np.asarray(w, dtype=float).reshape(self.n + 1)
@@ -453,46 +469,53 @@ def _hat(w: np.ndarray) -> np.ndarray:
 
 
 def _vee(S: np.ndarray) -> np.ndarray:
-    """Inverse of _hat on skew matrices."""
-    return np.array([S[2, 1], S[0, 2], S[1, 0]])
+    """Inverse of _hat on skew matrices; broadcasts over leading axes."""
+    return np.stack([S[..., 2, 1], S[..., 0, 2], S[..., 1, 0]], axis=-1)
 
 
 def _skew_part(M: np.ndarray) -> np.ndarray:
-    return 0.5 * (M - M.T)
+    return 0.5 * (M - np.swapaxes(M, -1, -2))
+
+
+# hat(e_k)/sqrt(2): an orthonormal basis of the skew matrices, Frobenius product
+_SKEW_BASIS = np.array([_hat(e) for e in np.eye(3)]) / np.sqrt(2.0)
 
 
 def _expm_skew(S: np.ndarray) -> np.ndarray:
-    """Matrix exponential of a 3x3 skew matrix (Rodrigues form)."""
-    theta = float(np.linalg.norm(_vee(S)))
+    """Matrix exponential of 3x3 skew matrices (Rodrigues form)."""
+    theta = np.linalg.norm(_vee(S), axis=-1)[..., None, None]
     return np.eye(3) + _sinc(theta) * S + _one_minus_cos_over_sq(theta) * (S @ S)
 
 
-def _rotation_angle(R: np.ndarray) -> float:
-    """Rotation angle in [0, pi], via atan2 for uniform conditioning."""
+def _angle_parts(R: np.ndarray):
+    """(skew part A, |vee(A)| = sin(angle), angle in [0, pi] via atan2) of rotations R."""
     A = _skew_part(R)
-    s = float(np.linalg.norm(_vee(A)))
-    c = (float(np.trace(R)) - 1.0) / 2.0
-    return float(np.arctan2(s, c))
+    s = np.linalg.norm(_vee(A), axis=-1)
+    c = (np.trace(R, axis1=-2, axis2=-1) - 1.0) / 2.0
+    return A, s, np.arctan2(s, c)
+
+
+def _rotation_angle(R: np.ndarray) -> float:
+    """Rotation angle in [0, pi]."""
+    return float(_angle_parts(R)[2])
 
 
 def _logm_rotation(R: np.ndarray) -> np.ndarray:
-    """Principal matrix logarithm of a rotation; skew 3x3 result.
+    """Principal matrix logarithm of rotations; skew 3x3 results.
 
     Raises CutLocusError within _CUT_TOL of a half-turn, where the
     logarithm branches.
     """
-    A = _skew_part(R)
-    s = float(np.linalg.norm(_vee(A)))
-    c = (float(np.trace(R)) - 1.0) / 2.0
-    theta = float(np.arctan2(s, c))
-    if theta > np.pi - _CUT_TOL:
-        raise CutLocusError(f"rotation angle {theta:.6f} is (numerically) at the half-turn")
-    if theta < _SERIES_CUTOFF:
-        t2 = theta * theta
-        factor = 1.0 + t2 / 6.0 + 7.0 * t2 * t2 / 360.0
-    else:
-        factor = theta / s
-    return factor * A
+    A, s, theta = _angle_parts(R)
+    if theta.max() > np.pi - _CUT_TOL:
+        raise CutLocusError(
+            f"rotation angle {float(theta.max()):.6f} is (numerically) at the half-turn"
+        )
+    # theta/s rather than theta/sin(theta): s keeps its relative accuracy
+    # near the half-turn
+    factor = _series_or(theta, (1.0, 1.0 / 6.0, 7.0 / 360.0), lambda t: t)
+    factor = factor / np.where(theta < _SERIES_CUTOFF, 1.0, s)
+    return factor[..., None, None] * A
 
 
 def _polar_iterates(A: np.ndarray, tol: float = 1e-13, max_iter: int = 50):
@@ -582,6 +605,10 @@ class Rotation3(Manifold):
         Q = np.asarray(p, dtype=float)
         return Q @ _skew_part(Q.T @ np.asarray(w, dtype=float))
 
+    def tangent_basis(self, p) -> np.ndarray:
+        """Q @ hat(e_k) / sqrt(2) for k = 1, 2, 3."""
+        return np.asarray(p, dtype=float)[..., None, :, :] @ _SKEW_BASIS
+
     def dist(self, p, q) -> float:
         self._check_pair(p, q)
         p = np.asarray(p, dtype=float)
@@ -598,13 +625,13 @@ class Rotation3(Manifold):
     def log(self, p, q):
         self._check_pair(p, q)
         Q1 = np.asarray(p, dtype=float)
-        return Q1 @ _logm_rotation(Q1.T @ np.asarray(q, dtype=float))
+        return Q1 @ _logm_rotation(np.swapaxes(Q1, -1, -2) @ np.asarray(q, dtype=float))
 
     def transport(self, p, q, w):
         Q1 = np.asarray(p, dtype=float)
-        S = _logm_rotation(Q1.T @ np.asarray(q, dtype=float))
-        E = _expm_skew(0.5 * S)
-        Om = _skew_part(Q1.T @ np.asarray(w, dtype=float))
+        Q1t = np.swapaxes(Q1, -1, -2)
+        E = _expm_skew(0.5 * _logm_rotation(Q1t @ np.asarray(q, dtype=float)))
+        Om = _skew_part(Q1t @ np.asarray(w, dtype=float))
         return Q1 @ E @ Om @ E
 
     def project_point(self, w):

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import _testhooks
 from .manifold import Manifold, TangentVector
 from .reference_element import ReferenceElement
 
@@ -59,21 +58,16 @@ class ProjectionInterpolant:
             cols.append(TangentVector(man, q, vec))
         return cols
 
-    def d_dv_all(self, xi):
-        """eval(xi) plus all m nodal derivative matrices (tangent bases)."""
+    def d_dv_all(self, xi, q0=None):
+        """eval(xi) plus all m nodal derivative matrices (tangent bases); q0 is unused."""
         man = self.manifold
         dim = man.intrinsic_dim
         weights = self.elem.shape_values(xi)
         w = self._weighted_sum(xi)
         q = man.project_point(w)
-        J = man.projection_jacobian(w)
-        Eq = man.tangent_basis(q).reshape(dim, -1)
-        mats = np.empty((self.elem.m, dim, dim))
-        for i in range(self.elem.m):
-            Bv = man.tangent_basis(self.values[i]).reshape(dim, -1)
-            mats[i] = weights[i] * (Eq @ J @ Bv.T)
-        if _testhooks.ddv_corruption != 0.0:
-            mats[:, 0, 0] += _testhooks.ddv_corruption
+        EqJ = man.tangent_basis(q).reshape(dim, -1) @ man.projection_jacobian(w)
+        Bv = man.tangent_basis(self.values).reshape(self.elem.m, dim, -1)
+        mats = weights[:, None, None] * (EqJ @ np.swapaxes(Bv, -1, -2))
         return q, mats
 
     def d_dv(self, xi, i: int) -> np.ndarray:

@@ -104,6 +104,69 @@ def test_interpolate_missing_node_values_rejected(tmp_path, capsys):
     assert code == 2
 
 
+def assert_one_error_line(capsys, path):
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith(f"error: {path}: ")
+    return err
+
+
+def test_interpolate_non_unit_sphere_value_exits_2(tmp_path, capsys):
+    mesh = tmp_path / "m.mesh"
+    write_interval_mesh(mesh, 2)
+    bc = tmp_path / "bc.csv"
+    write_bc(bc, [(0, [1.0, 0.0, 0.0]), (1, [2.0, 0.0, 0.0]), (2, [0.0, 1.0, 0.0])])
+    code = main([
+        "--command", "interpolate", "--manifold", "sphere2",
+        "--mesh", str(mesh), "--bc", str(bc), "--out", str(tmp_path / "o.csv"),
+    ])
+    assert code == 2
+    assert "node 1" in assert_one_error_line(capsys, bc)
+
+
+@pytest.mark.parametrize("bad_vertex", [3, -1])
+def test_mesh_vertex_index_out_of_range_exits_2(tmp_path, capsys, bad_vertex):
+    mesh = tmp_path / "m.mesh"
+    mesh.write_text(f"gfe-mesh 1\n3\n0.0\n0.5\n1.0\n2\n0 1\n1 {bad_vertex}\n")
+    bc = tmp_path / "bc.csv"
+    write_bc(bc, [(i, [1.0, 0.0, 0.0]) for i in range(3)])
+    code = main([
+        "--command", "interpolate", "--manifold", "sphere2",
+        "--mesh", str(mesh), "--bc", str(bc), "--out", str(tmp_path / "o.csv"),
+    ])
+    assert code == 2
+    assert "element 1" in assert_one_error_line(capsys, mesh)
+
+
+@pytest.mark.parametrize("mesh_text, csv_text, broken", [
+    ("gfe-mesh 1\n3\n0.0\n0.5\n", "0,1,0,0\n1,0,1,0\n", "m.mesh"),  # 3 vertices announced, 2 listed
+    ("gfe-mesh 1\n2\n0.0\n1.0\n1\n0 1\n", "0,1,0,0\n1,0,1,x\n", "bc.csv"),  # a word for a number
+])
+def test_unparsable_input_exits_2(tmp_path, capsys, mesh_text, csv_text, broken):
+    (tmp_path / "m.mesh").write_text(mesh_text)
+    (tmp_path / "bc.csv").write_text(csv_text)
+    code = main([
+        "--command", "interpolate", "--manifold", "sphere2", "--mesh", str(tmp_path / "m.mesh"),
+        "--bc", str(tmp_path / "bc.csv"), "--out", str(tmp_path / "o.csv"),
+    ])
+    assert code == 2
+    assert_one_error_line(capsys, tmp_path / broken)
+
+
+@pytest.mark.parametrize("bad_node", [9, -1])
+def test_minimize_boundary_index_out_of_range_exits_2(tmp_path, capsys, bad_node):
+    mesh = tmp_path / "m.mesh"
+    write_interval_mesh(mesh, 4)
+    bc = tmp_path / "bc.csv"
+    write_bc(bc, [(0, [1.0, 0.0, 0.0]), (bad_node, [0.0, 1.0, 0.0])])
+    code = main([
+        "--command", "minimize", "--manifold", "sphere2",
+        "--mesh", str(mesh), "--bc", str(bc), "--out", str(tmp_path / "o.csv"),
+    ])
+    assert code == 2
+    assert f"node index {bad_node}" in assert_one_error_line(capsys, bc)
+
+
 # ----------------------------------------------------------------------
 # audit
 
@@ -134,10 +197,8 @@ def test_audit_corrupted_ddv_exits_1(capsys):
     ])
     assert code == 1
     assert "FAIL" in capsys.readouterr().out
-    # the hook resets afterwards
-    import gfe._testhooks as hooks
-
-    assert hooks.ddv_corruption == 0.0
+    # the corruption stays local to that run
+    assert main(["--command", "audit", "--manifold", "sphere2", "--seed", "42"]) == 0
 
 
 # ----------------------------------------------------------------------

@@ -315,17 +315,32 @@ def test_equivalence_sphere_two_element_grid(order, rule):
 
 
 # ----------------------------------------------------------------------
-# threading contract
+# basis invariance
 
 
-def test_thread_count_does_not_change_results(monkeypatch):
-    grid = unit_square_grid(2, 1)
-    u = sphere_function(grid, seed=13)
-    serial_E = dirichlet_energy(u)
-    serial_g = [tv.vec.copy() for tv in algebraic_gradient(u)]
-    monkeypatch.setenv("GFE_THREADS", "4")
-    assert dirichlet_energy(u) == serial_E
-    for a, b in zip(algebraic_gradient(u), serial_g):
-        assert np.array_equal(a.vec, b)
-    monkeypatch.setenv("GFE_THREADS", "0")
-    assert dirichlet_energy(u) == serial_E
+@pytest.mark.parametrize("man", [S2, gfe.Rotation3()], ids=lambda m: m.kind)
+def test_embedded_results_do_not_depend_on_the_tangent_basis(man, monkeypatch):
+    grid = unit_square_grid(1, 2)
+    values = random_configuration(man, grid.n_nodes, np.random.default_rng(41), radius=0.3)
+    u = GFEFunction(grid, man, "geodesic", values)
+    energy = dirichlet_energy(u)
+    grad = np.array([tv.vec for tv in algebraic_gradient(u, fixed=set())])
+
+    # replace every basis by a fixed random orthogonal mix of its rows
+    dim = man.intrinsic_dim
+    R = np.linalg.qr(np.random.default_rng(3).standard_normal((dim, dim)))[0]
+    closed_form = type(man).tangent_basis
+    k = len(man.point_shape)
+
+    def mixed(self, p):
+        B = closed_form(self, p)
+        return (R @ B.reshape(B.shape[:-k] + (-1,))).reshape(B.shape)
+
+    monkeypatch.setattr(type(man), "tangent_basis", mixed)
+    assert not np.allclose(man.tangent_basis(values[0]), closed_form(man, values[0]))
+    assert abs(dirichlet_energy(u) - energy) <= 1e-10
+    mixed_grad = np.array([tv.vec for tv in algebraic_gradient(u, fixed=set())])
+    # the 1e-6 stencil turns last-bit differences of the center solves into
+    # about 5e-11 of the gradient's size, so the bound scales with it
+    scale = max(1.0, float(np.max(np.abs(grad))))
+    assert np.max(np.abs(mixed_grad - grad)) <= 1e-10 * scale

@@ -167,6 +167,92 @@ def test_tangent_basis_near_degenerate_point_stays_orthogonal():
     assert np.max(np.abs(B @ q)) < 1e-14
 
 
+def rotation_about(axis, angle):
+    axis = np.asarray(axis, dtype=float) / np.linalg.norm(axis)
+    K = np.array([[0.0, -axis[2], axis[1]], [axis[2], 0.0, -axis[0]], [-axis[1], axis[0], 0.0]])
+    return np.eye(3) + np.sin(angle) * K + (1.0 - np.cos(angle)) * (K @ K)
+
+
+def tangency_defect(man, p, B):
+    """Largest normal component of the rows of B at p."""
+    if isinstance(man, gfe.Sphere):
+        return float(np.max(np.abs(B @ p)))
+    if isinstance(man, gfe.Rotation3):
+        S = p.T @ B
+        return float(np.max(np.abs(S + np.swapaxes(S, -1, -2))))
+    return 0.0
+
+
+def delicate_points(man):
+    """Points where a closed-form basis could lose accuracy or switch branch."""
+    if isinstance(man, gfe.Sphere):
+        pts = [E3, -E3, E1, E2, np.array([0.6, 0.8, 0.0]), np.array([0.6, -0.8, -0.0])]
+        for z in (1e-17, -1e-17, 1e-9, -1e-9):
+            pts.append(np.array([0.6, 0.8, z]) / np.linalg.norm([0.6, 0.8, z]))
+        return pts
+    if isinstance(man, gfe.Rotation3):
+        axis = np.array([1.0, -2.0, 0.5])
+        return [np.eye(3), rotation_about(axis, np.pi), rotation_about(axis, np.pi - 1e-9),
+                rotation_about(axis, 1e-9), rotation_about(E3, np.pi - 1e-12)]
+    return [np.zeros(man.k), np.ones(man.k)]
+
+
+@pytest.mark.parametrize("man", ALL, ids=lambda m: m.kind)
+def test_closed_form_basis_at_delicate_points(man):
+    rng = np.random.default_rng(5)
+    points = delicate_points(man) + [random_point(man, rng) for _ in range(20)]
+    dim = man.intrinsic_dim
+    for p in points:
+        B = man.tangent_basis(p)
+        assert B.shape == (dim,) + man.point_shape
+        flat = B.reshape(dim, -1)
+        assert np.max(np.abs(flat @ flat.T - np.eye(dim))) <= 1e-14
+        assert tangency_defect(man, p, B) <= 1e-14
+        assert np.array_equal(B, man.tangent_basis(p.copy()))
+    # one batched call gives the per-point bases bit for bit
+    stacked = man.tangent_basis(np.array(points))
+    assert np.array_equal(stacked, np.array([man.tangent_basis(p) for p in points]))
+
+
+def test_sphere_basis_at_south_pole_is_canonical():
+    assert np.array_equal(gfe.Sphere(2).tangent_basis(-E3), np.array([E1, E2]))
+
+
+def node_batch(man, rng, n=5):
+    """A center q and n nodal values around it, the first equal to q."""
+    q = random_point(man, rng)
+    vals = [q] + [man.exp(q, random_tangent(man, q, rng, scale=rng.uniform(0.2, 1.0)))
+                  for _ in range(n - 1)]
+    return np.array(vals), q
+
+
+@pytest.mark.parametrize("man", ALL, ids=lambda m: m.kind)
+def test_batched_dist2_blocks_equal_per_node(man):
+    rng = np.random.default_rng(29)
+    dim = man.intrinsic_dim
+    for _ in range(3):
+        V, q = node_batch(man, rng)
+        H = man.dist2_hess_q(V, q)
+        M = man.dist2_mixed(V, q)
+        assert H.shape == M.shape == (len(V), dim, dim)
+        assert np.allclose(H, [man.dist2_hess_q(v, q) for v in V], rtol=0.0, atol=1e-14)
+        assert np.allclose(M, [man.dist2_mixed(v, q) for v in V], rtol=0.0, atol=1e-14)
+        # passing the bases the blocks would compute changes nothing
+        assert np.array_equal(H, man.dist2_hess_q(V, q, man.tangent_basis(q)))
+        assert np.array_equal(M, man.dist2_mixed(V, q, man.tangent_basis(q)))
+        assert np.array_equal(H[0], 2.0 * np.eye(dim))
+        assert np.array_equal(M[0], -2.0 * np.eye(dim))
+        for v, Hv, Mv in zip(V[1:], H[1:], M[1:]):
+            assert rel_err(Hv, fd_hess_dist2(man, v, q)) <= 1e-5
+            assert rel_err(Mv, fd_mixed_dist2(man, v, q)) <= 1e-5
+
+
+def test_batched_log_raises_on_any_cut_locus_pair():
+    S = gfe.Sphere(2)
+    with pytest.raises(CutLocusError):
+        S.log(E3, np.array([E1, -E3]))
+
+
 @pytest.mark.parametrize("man", ALL, ids=lambda m: m.kind)
 def test_transport_is_isometric_and_maps_log(man):
     rng = np.random.default_rng(11)
