@@ -12,7 +12,7 @@ Q <- (Q + Q^-T)/2.
 import numpy as np
 
 from gfe import GeodesicInterpolant, ProjectionInterpolant, ReferenceElement, Rotation3, polar_decompose
-from gfe.manifold import _polar_iterates, _rotation_angle
+from gfe.manifold import _polar_iterates
 
 so3 = Rotation3()
 
@@ -34,7 +34,9 @@ print(f"{'t':>5} {'angle from A (geodesic)':>24} {'angle from A (projection)':>2
 for t in np.linspace(0.0, 1.0, 6):
     qg = geo.eval([t])
     qp = pro.eval([t])
-    print(f"{t:5.2f} {_rotation_angle(A.T @ qg):>24.6f} {_rotation_angle(A.T @ qp):>26.6f}")
+    # dist is sqrt(2) times the rotation angle
+    angle_g, angle_p = so3.dist(A, qg) / np.sqrt(2), so3.dist(A, qp) / np.sqrt(2)
+    print(f"{t:5.2f} {angle_g:>24.6f} {angle_p:>26.6f}")
 print("(the geodesic column is exactly linear in t)")
 
 # the polar iteration converges quadratically: residuals square each step

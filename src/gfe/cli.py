@@ -24,9 +24,9 @@ minimize
     field.  Exits 3 when the line search fails.
 
 Identical flags and seed produce byte-identical output files.  Malformed
-input (a mesh or CSV that cannot be read, an index out of range, a value
-off the manifold) is reported as one ``error: <file>: ...`` line with exit
-code 2.
+input (a mesh or CSV that cannot be read, a mesh without elements or with a
+degenerate element, an index out of range or listed twice, a value off the
+manifold) is reported as one ``error: <file>: ...`` line with exit code 2.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import numpy as np
 from .energy import equivalence_audit, minimize, simplex_quadrature
 from .errors import GFEError, LineSearchFailure, ProjectionUndefinedError
 from .geodesic import GeodesicInterpolant
-from .grid import GFEFunction, Grid, global_nodal_basis, read_mesh
+from .grid import GFEFunction, Grid, _batches, _nodal_basis_function, read_mesh
 from .jacobi import ElementTestField
 from .manifold import Euclidean, Rotation3, Sphere, TangentVector
 from .projection import ProjectionInterpolant
@@ -61,22 +61,31 @@ _AUDIT_TOLS = (1e-4, 1e-4, 5e-4)
 
 
 def read_nodal_csv(path, embed_dim: int) -> dict[int, np.ndarray]:
-    """CSV rows ``index, c1, ..., cN`` -> {index: coordinates}."""
+    """CSV rows ``index, c1, ..., cN`` -> {index: coordinates}; an index may appear once."""
     out: dict[int, np.ndarray] = {}
+    first_line: dict[int, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             parts = [t.strip() for t in line.split(",")]
             if len(parts) != embed_dim + 1:
                 raise ValueError(
-                    f"{path}: expected {embed_dim + 1} comma-separated fields, got {len(parts)}"
+                    f"{path}: line {lineno}: expected {embed_dim + 1} comma-separated fields, "
+                    f"got {len(parts)}"
                 )
             try:
-                out[int(parts[0])] = np.array([float(t) for t in parts[1:]])
+                index = int(parts[0])
+                out[index] = np.array([float(t) for t in parts[1:]])
             except ValueError as exc:
-                raise ValueError(f"{path}: {exc}") from None
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
+            if index in first_line:
+                raise ValueError(
+                    f"{path}: line {lineno}: node {index} is listed twice "
+                    f"(first on line {first_line[index]})"
+                )
+            first_line[index] = lineno
     return out
 
 
@@ -100,14 +109,19 @@ def write_nodal_csv(path, values: np.ndarray) -> None:
             fh.write(f"{i},{coords}\n")
 
 
-def _sample_points(dim: int):
+def _read_grid(path, order: int) -> Grid:
+    """read_mesh plus the Grid, whose errors (e.g. a degenerate element) name the file."""
+    dim, vertices, elements = read_mesh(path)
+    try:
+        return Grid(dim, vertices, elements, order)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _sample_points(dim: int) -> np.ndarray:
     if dim == 1:
-        return [np.array([i / 10.0]) for i in range(11)]
-    return [
-        np.array([i / 10.0, j / 10.0])
-        for i in range(11)
-        for j in range(11 - i)
-    ]
+        return np.arange(11).reshape(-1, 1) / 10.0
+    return np.array([[i / 10.0, j / 10.0] for i in range(11) for j in range(11 - i)])
 
 
 # ----------------------------------------------------------------------
@@ -117,8 +131,7 @@ def _sample_points(dim: int):
 def cmd_interpolate(args) -> int:
     man = _MANIFOLDS[args.manifold]()
     try:
-        dim, vertices, elements = read_mesh(args.mesh)
-        grid = Grid(dim, vertices, elements, args.order)
+        grid = _read_grid(args.mesh, args.order)
         data = _read_nodal_values(args.bc, man, grid.n_nodes)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -129,24 +142,29 @@ def cmd_interpolate(args) -> int:
         return 2
 
     values = np.array([data[i].reshape(man.point_shape) for i in range(grid.n_nodes)])
-    rows = []
     try:
         u = GFEFunction(grid, man, args.rule, values)
     except GFEError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    for e in range(grid.n_elements):
-        interp = u.local(e)
-        for xi in _sample_points(dim):
-            try:
-                q = interp.eval(xi)
-            except GFEError as exc:
-                print(f"error: element {e}: {exc}", file=sys.stderr)
-                return 2
-            fields = [str(e)] + [f"{x:.17g}" for x in xi] + [
-                f"{x:.17g}" for x in np.asarray(q).reshape(-1)
-            ]
-            rows.append(",".join(fields))
+    xis = _sample_points(grid.dim)
+    rows = []
+    pair_els, pair_xis = grid._pairs(len(xis))
+    for b in _batches(len(pair_els)):
+        els, k = pair_els[b], pair_xis[b]
+        try:
+            q = man._flat(u.local(els).eval(xis[k]))
+        except GFEError:
+            # name the first failing element, as an element-by-element loop would
+            for e in np.unique(els):
+                try:
+                    u.local(e).eval(xis)
+                except GFEError as exc:
+                    print(f"error: element {e}: {exc}", file=sys.stderr)
+                    return 2
+            raise
+        for e, xi, qi in zip(els, xis[k], q):
+            rows.append(",".join([str(e)] + [f"{x:.17g}" for x in (*xi, *qi)]))
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("\n".join(rows) + "\n")
     return 0
@@ -162,25 +180,35 @@ def _audit_sample_xis(elem: ReferenceElement, rng) -> list[np.ndarray]:
     return xis
 
 
-def _fd_d_dv(interp, xi, i: int, h: float = 1e-5) -> np.ndarray:
-    """Central differences of eval along exp curves through nodal value i."""
+def fd_variation(interp, vecs, xi, h: float = 1e-5):
+    """The variation of eval(xi) when every node moves along exp(t * vecs[i]).
+
+    Central differences, tangentially projected at q = eval(xi); returns
+    (q, derivative).  A finite-difference oracle for the test fields.
+    """
     man = interp.manifold
-    dim = man.intrinsic_dim
-    B = man.tangent_basis(interp.values[i])
-    q0 = interp.eval(xi)
-    E = man.tangent_basis(q0).reshape(dim, -1)
     cls = type(interp)
-    M = np.empty((dim, dim))
-    for j in range(dim):
-        vp = interp.values.copy()
-        vm = interp.values.copy()
-        vp[i] = man.exp(interp.values[i], h * B[j])
-        vm[i] = man.exp(interp.values[i], -h * B[j])
-        qp = cls(interp.elem, vp, man).eval(xi)
-        qm = cls(interp.elem, vm, man).eval(xi)
-        diff = man.project_tangent(q0, (qp - qm) / (2.0 * h))
-        M[:, j] = E @ diff.reshape(-1)
-    return M
+    vecs = np.asarray(vecs, dtype=float)
+    qp = cls(interp.elem, man.exp(interp.values, h * vecs), man).eval(xi)
+    qm = cls(interp.elem, man.exp(interp.values, -h * vecs), man).eval(xi)
+    q0 = interp.eval(xi)
+    return q0, man.project_tangent(q0, (qp - qm) / (2.0 * h))
+
+
+def fd_d_dv(interp, xi, i: int, h: float = 1e-5) -> np.ndarray:
+    """Central differences of eval along exp curves through nodal value i.
+
+    A finite-difference oracle for ``d_dv``: fd_variation with node i alone
+    moving along each of its tangent basis vectors, in the basis at eval(xi).
+    """
+    man = interp.manifold
+    cols = []
+    for b in man.tangent_basis(interp.values[i]):
+        vecs = np.zeros_like(interp.values)
+        vecs[i] = b
+        q0, fd = fd_variation(interp, vecs, xi, h)
+        cols.append(man._flat(man.tangent_basis(q0)) @ fd.reshape(-1))
+    return np.stack(cols, axis=1)
 
 
 def _audit_ddv_error(interp, xis) -> float:
@@ -188,15 +216,14 @@ def _audit_ddv_error(interp, xis) -> float:
     for xi in xis:
         for i in range(interp.elem.m):
             M = interp.d_dv(xi, i)
-            M_fd = _fd_d_dv(interp, xi, i)
+            M_fd = fd_d_dv(interp, xi, i)
             denom = max(np.linalg.norm(M_fd), 1e-6)
             worst = max(worst, np.linalg.norm(M - M_fd) / denom)
     return worst
 
 
-def _audit_variation_error(interp, xis, rng, h: float = 1e-5) -> float:
+def _audit_variation_error(interp, xis, rng) -> float:
     man = interp.manifold
-    cls = type(interp)
     worst = 0.0
     for _ in range(2):
         vecs = [random_tangent(man, v, rng, scale=1.0) for v in interp.values]
@@ -204,14 +231,9 @@ def _audit_variation_error(interp, xis, rng, h: float = 1e-5) -> float:
             interp, tuple(TangentVector(man, v, w) for v, w in zip(interp.values, vecs))
         )
         for xi in xis:
-            vp = np.array([man.exp(v, h * w) for v, w in zip(interp.values, vecs)])
-            vm = np.array([man.exp(v, -h * w) for v, w in zip(interp.values, vecs)])
-            qp = cls(interp.elem, vp, man).eval(xi)
-            qm = cls(interp.elem, vm, man).eval(xi)
-            tv = field.eval_field(xi)
-            fd = man.project_tangent(tv.base, (qp - qm) / (2.0 * h))
+            _, fd = fd_variation(interp, vecs, xi)
             denom = max(np.linalg.norm(fd), 1e-6)
-            worst = max(worst, np.linalg.norm(fd - tv.vec) / denom)
+            worst = max(worst, np.linalg.norm(fd - field.eval_field(xi).vec) / denom)
     return worst
 
 
@@ -300,8 +322,7 @@ def _relaxed_start(grid: Grid, man, fixed_values: dict[int, np.ndarray]) -> np.n
 def cmd_minimize(args) -> int:
     man = _MANIFOLDS[args.manifold]()
     try:
-        dim, vertices, elements = read_mesh(args.mesh)
-        grid = Grid(dim, vertices, elements, args.order)
+        grid = _read_grid(args.mesh, args.order)
         data = _read_nodal_values(args.bc, man, grid.n_nodes)
         if not data:
             raise ValueError("boundary CSV fixes no nodes")
@@ -311,7 +332,7 @@ def cmd_minimize(args) -> int:
     except (OSError, ValueError, GFEError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    quad = simplex_quadrature(dim)
+    quad = simplex_quadrature(grid.dim)
     try:
         u, report = minimize(
             u0,
@@ -331,8 +352,7 @@ def cmd_minimize(args) -> int:
 
     write_nodal_csv(args.out, u.values)
     free = [i for i in range(grid.n_nodes) if i not in fixed_values]
-    basis_index = (free[0] if free else 0) * man.intrinsic_dim
-    phi = global_nodal_basis(u)[basis_index]
+    phi = _nodal_basis_function(u, free[0] if free else 0, 0)
     stem = str(args.out)
     stem = stem[:-4] if stem.endswith(".csv") else stem
     write_vtk(stem + "_u.vtk", u, title="minimizer")

@@ -1,9 +1,9 @@
 """Harmonic-map Dirichlet energy on global functions, and its minimization.
 
 The energy of u is (1/2) * integral over the domain of |grad (iota o u)|^2,
-assembled element by element with a fixed order-4 simplex quadrature; the
-gradient of the embedded composition comes from the interpolants' reference
-derivatives mapped through the affine element geometry.
+assembled with a fixed order-4 simplex quadrature; the gradient of the
+embedded composition comes from the interpolants' reference derivatives
+mapped through the affine element geometry.
 
 The first variation in the direction of a test field eta is
 integral of <grad u, grad eta> (valid because eta is tangent along u), with
@@ -12,6 +12,16 @@ collects these directional derivatives against the global nodal basis into
 one tangent vector per Lagrange node, with fixed (by default: boundary)
 nodes zeroed; ``minimize`` runs Riemannian gradient descent with Armijo
 backtracking on the nodal values.
+
+Assembly is batched: all (element, quadrature point) pairs are evaluated
+together, element-major, in lockstep batches of at most ``grid._CHUNK``
+Newton points.  The energy makes one center solve per batch of quadrature
+points; the gradient and the directional derivative add one stencil solve
+per batch of _CHUNK / (2d) quadrature points (2d stencil points each), and
+reuse the center solves of the last energy evaluation of the same function
+under the same rule (which is how ``minimize`` gets its gradient from the
+accepted trial).  Per-point contributions are summed with ``math.fsum``, so
+results do not depend on the batch layout.
 
 ``equivalence_audit`` compares, for random nodal tangent directions, the
 finite difference of the energy along the corresponding curve of nodal
@@ -22,12 +32,13 @@ to finite-difference noise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import GFEError, LineSearchFailure
-from .grid import GFEFunction, GlobalTestFunction
+from .grid import _CHUNK, GFEFunction, GlobalTestFunction, _batches
 from .jacobi import _basis_ref_gradients, _nodal_coefficients
 from .manifold import TangentVector
 
@@ -86,98 +97,86 @@ class EnergyReport:
 # energy and first variation
 
 
-def _physical_gradient(cols, Binv: np.ndarray) -> np.ndarray:
-    """Map reference-derivative columns to physical space; shape (N, d)."""
-    G = np.stack([tv.vec.reshape(-1) for tv in cols], axis=1)
-    return G @ Binv
+def _rule(u: GFEFunction, quad: QuadratureRule | None) -> QuadratureRule:
+    return quad or simplex_quadrature(u.grid.dim)
 
 
-def _solution_gradients(interp, xi, Binv: np.ndarray):
-    """Physical gradient of u and reference basis-field gradients at xi, from
-    one center solve: the stencil reuses the point of d_dxi and warm-starts from it."""
-    cols = interp.d_dxi(xi)
-    _, G = _basis_ref_gradients(interp, xi, h=_FIELD_FD_STEP, q=cols[0].base)
-    return _physical_gradient(cols, Binv), G
+def _center_solves(u: GFEFunction, rule: QuadratureRule):
+    """(elements, quadrature indices, centers, physical gradients (P, N, d) of u)
+    at all P (element, quadrature point) pairs."""
+    grid = u.grid
+    els, k = grid._pairs(len(rule.weights))
+    q = np.empty((len(els),) + u.manifold.point_shape)
+    Gu = np.empty((len(els), u.manifold.embed_dim, grid.dim))
+    for b in _batches(len(els)):
+        q[b], cols = u.local(els[b])._d_dxi(rule.points[k[b]])
+        Gu[b] = np.swapaxes(u.manifold._flat(cols), 1, 2) @ grid._Binv[els[b]]
+    return els, k, q, Gu
 
 
 def dirichlet_energy(u: GFEFunction, quad: QuadratureRule | None = None) -> float:
     """(1/2) * integral of the squared embedded gradient of u."""
+    rule = _rule(u, quad)
+    els, k, q, Gu = centers = _center_solves(u, rule)
+    u._centers = (rule, centers)
+    return 0.5 * math.fsum(u.grid._detB[els] * rule.weights[k] * np.sum(Gu * Gu, axis=(1, 2)))
+
+
+def _gradient_terms(u: GFEFunction, rule: QuadratureRule):
+    """Per batch: (elements, terms (P, m, dim)); term (i, j) is the weighted
+    integrand of the directional derivative along basis field (i, j)."""
     grid = u.grid
-    rule = quad or simplex_quadrature(grid.dim)
-
-    def element_energy(e: int) -> float:
-        interp = u.local(e)
-        Binv = grid._Binv[e]
-        acc = 0.0
-        for w, xi in zip(rule.weights, rule.points):
-            G = _physical_gradient(interp.d_dxi(xi), Binv)
-            acc += w * float(np.sum(G * G))
-        return grid._detB[e] * acc
-
-    return 0.5 * float(sum(element_energy(e) for e in range(grid.n_elements)))
+    memo = u._centers
+    if memo is not None and np.array_equal(memo[0].points, rule.points) \
+            and np.array_equal(memo[0].weights, rule.weights):
+        els, k, q, Gu = memo[1]
+    else:
+        els, k, q, Gu = _center_solves(u, rule)
+    for b in _batches(len(els), _CHUNK // (2 * grid.dim)):
+        Binv = grid._Binv[els[b]]
+        _, G = _basis_ref_gradients(u.local(els[b]), rule.points[k[b]], h=_FIELD_FD_STEP, q=q[b])
+        # physical gradient of basis field (i, j): G[:, i, :, j, :] @ Binv
+        terms = np.einsum("pnk,pinjl,plk->pij", Gu[b], G, Binv)
+        yield els[b], terms * (grid._detB[els[b]] * rule.weights[k[b]])[:, None, None]
 
 
 def directional_derivative(
     u: GFEFunction, eta: GlobalTestFunction, quad: QuadratureRule | None = None
 ) -> float:
     """First variation of the Dirichlet energy in the direction of eta."""
-    grid = u.grid
-    rule = quad or simplex_quadrature(grid.dim)
-
-    def element_part(e: int) -> float:
-        interp = u.local(e)
-        Binv = grid._Binv[e]
-        vectors = tuple(eta.vectors[g] for g in grid.element_nodes[e])
-        beta = _nodal_coefficients(interp, vectors)
-        acc = 0.0
-        for w, xi in zip(rule.weights, rule.points):
-            Gu, G = _solution_gradients(interp, xi, Binv)
-            Feta_ref = np.einsum("injl,ij->nl", G, beta)
-            Feta = Feta_ref @ Binv
-            acc += w * float(np.sum(Gu * Feta))
-        return grid._detB[e] * acc
-
-    return float(sum(element_part(e) for e in range(grid.n_elements)))
+    beta = _nodal_coefficients(u.manifold, u.values, [tv.vec for tv in eta.vectors])
+    nodes = u.grid.element_nodes
+    parts = [
+        np.einsum("pij,pij->p", terms, beta[nodes[els]])
+        for els, terms in _gradient_terms(u, _rule(u, quad))
+    ]
+    return math.fsum(np.concatenate(parts))
 
 
 def algebraic_gradient(
     u: GFEFunction,
     quad: QuadratureRule | None = None,
     fixed: set[int] | None = None,
-) -> list[TangentVector]:
-    """Energy gradient as one tangent vector per Lagrange node.
+) -> np.ndarray:
+    """Energy gradient as one embedded tangent vector per Lagrange node.
 
-    Component (i, j) is the directional derivative along the global nodal
-    basis function carrying tangent_basis(u_i)[j] at node i.  Entries at
-    ``fixed`` nodes (grid boundary nodes by default) are zeroed.
+    Returns an (n, *point_shape) array.  Component (i, j) is the directional
+    derivative along the global nodal basis function carrying
+    tangent_basis(u_i)[j] at node i.  Entries at ``fixed`` nodes (grid
+    boundary nodes by default) are zeroed.
     """
     grid = u.grid
     man = u.manifold
-    dim = man.intrinsic_dim
-    rule = quad or simplex_quadrature(grid.dim)
     fixed_set = grid.boundary_nodes if fixed is None else set(fixed)
-
-    def element_part(e: int) -> np.ndarray:
-        interp = u.local(e)
-        Binv = grid._Binv[e]
-        local = np.zeros((grid.ref.m, dim))
-        for w, xi in zip(rule.weights, rule.points):
-            Gu, G = _solution_gradients(interp, xi, Binv)
-            # physical gradient of basis field (i, j): G[i, :, j, :] @ Binv
-            local += w * np.einsum("nk,injl,lk->ij", Gu, G, Binv)
-        return grid._detB[e] * local
-
-    coeff = np.zeros((grid.n_nodes, dim))
-    for e in range(grid.n_elements):
-        coeff[grid.element_nodes[e]] += element_part(e)
-    for g in fixed_set:
-        coeff[g] = 0.0
-    vecs = np.einsum("ij,ij...->i...", coeff, man.tangent_basis(u.values))
-    return [TangentVector(man, u.values[i], vecs[i]) for i in range(grid.n_nodes)]
+    coeff = np.zeros((grid.n_nodes, man.intrinsic_dim))
+    for els, terms in _gradient_terms(u, _rule(u, quad)):
+        np.add.at(coeff, grid.element_nodes[els], terms)
+    coeff[sorted(fixed_set)] = 0.0
+    return np.einsum("ij,ij...->i...", coeff, man.tangent_basis(u.values))
 
 
-def _gradient_norm(grad: list[TangentVector]) -> float:
-    return float(np.sqrt(sum(tv.norm() ** 2 for tv in grad)))
+def _gradient_norm(grad: np.ndarray) -> float:
+    return float(np.linalg.norm(grad))
 
 
 # ----------------------------------------------------------------------
@@ -202,7 +201,7 @@ def minimize(
     like an insufficient decrease.  Returns (minimizer, EnergyReport);
     raises LineSearchFailure when the step underflows below 1e-14.
     """
-    rule = quad or simplex_quadrature(u0.grid.dim)
+    rule = _rule(u0, quad)
     fixed_set = set(fixed)
     u = u0
     energy = dirichlet_energy(u, rule)
@@ -223,8 +222,7 @@ def minimize(
             trial = u.values.copy()
             ok = True
             try:
-                for i in free:
-                    trial[i] = u.manifold.exp(u.values[i], -alpha * grad[i].vec)
+                trial[free] = u.manifold.exp(u.values[free], -alpha * grad[free])
                 u_try = u.with_values(trial)
                 e_try = dirichlet_energy(u_try, rule)
             except GFEError:
@@ -269,7 +267,7 @@ def equivalence_audit(
     the assembled test field.  Discrepancies are relative when either route
     exceeds 1e-6 in magnitude and absolute otherwise.
     """
-    rule = quad or simplex_quadrature(u.grid.dim)
+    rule = _rule(u, quad)
     man = u.manifold
     n = u.grid.n_nodes
     dim = man.intrinsic_dim
@@ -283,8 +281,8 @@ def equivalence_audit(
         coeff /= np.linalg.norm(coeff)
         vecs = np.einsum("ij,ij...->i...", coeff, bases)
 
-        plus = np.array([man.exp(u.values[i], h * vecs[i]) for i in range(n)])
-        minus = np.array([man.exp(u.values[i], -h * vecs[i]) for i in range(n)])
+        plus = man.exp(u.values, h * vecs)
+        minus = man.exp(u.values, -h * vecs)
         route_a = (
             dirichlet_energy(u.with_values(plus), rule)
             - dirichlet_energy(u.with_values(minus), rule)

@@ -22,10 +22,20 @@ Newton starts from the projection-based interpolant where a projection
 exists and from the nodal value with the largest weight otherwise; steps are
 halved (up to 20 times) whenever the residual does not decrease, which keeps
 the iteration stable for second-order weights that take negative values.
+
+Every evaluation is batched: reference points may carry leading axes, and
+so may the nodal values of an interpolant built over several elements at
+once (``GFEFunction.local`` with an array of elements); the two broadcast.
+``_solve`` runs one Newton iteration over all points in lockstep, each
+point with its own convergence test, damping halvings and cut-locus trials,
+and each point takes exactly the steps it would take alone.  When points
+fail, the error of the lowest-index one is raised.  The per-point methods
+(``eval``, ``d_dxi``, ``d_dv_all``, ...) are that same path with one point.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +43,7 @@ import numpy as np
 from .errors import (
     AdmissibilityError,
     CutLocusError,
+    GFEError,
     IndefiniteHessianError,
     NonConvergenceError,
     ProjectionUndefinedError,
@@ -68,12 +79,16 @@ class KarcherCheck:
     satisfied: bool
 
 
-def karcher_check(manifold: Manifold, values: np.ndarray) -> KarcherCheck:
+def _max_spread(manifold: Manifold, values) -> np.ndarray:
+    """Largest pairwise distance among the m values (..., m, *point_shape)."""
     values = np.asarray(values, dtype=float)
-    maxd = 0.0
-    for i in range(len(values)):
-        for j in range(i + 1, len(values)):
-            maxd = max(maxd, manifold.dist(values[i], values[j]))
+    k = len(manifold.point_shape)
+    d = manifold.dist(np.expand_dims(values, -k - 1), np.expand_dims(values, -k - 2))
+    return np.max(d, axis=(-2, -1), initial=0.0)
+
+
+def karcher_check(manifold: Manifold, values: np.ndarray) -> KarcherCheck:
+    maxd = float(_max_spread(manifold, values))
     K = manifold.curvature_bound
     if K is None or K <= 0.0:
         return KarcherCheck(maxd, np.inf, True)
@@ -83,34 +98,197 @@ def karcher_check(manifold: Manifold, values: np.ndarray) -> KarcherCheck:
 
 @dataclass(frozen=True)
 class _Solution:
-    q: np.ndarray
-    basis: np.ndarray        # (dim, *point_shape), tangent_basis(q)
-    hessian: np.ndarray      # (dim, dim)
-    log_coeffs: np.ndarray   # (m, dim), log_q(v_i) in that basis
-    weights: np.ndarray      # (m,)
-    iterations: int
-    residual: float
+    """Centers of a batch of points; the arrays carry the batch's leading axes."""
+
+    q: np.ndarray            # (..., *point_shape)
+    basis: np.ndarray        # (..., dim, *point_shape), tangent_basis(q)
+    hessian: np.ndarray      # (..., dim, dim)
+    logs: np.ndarray         # (..., m, *point_shape), log_q(v_i)
+    log_coeffs: np.ndarray   # (..., m, dim), the logs in that basis
+    weights: np.ndarray      # (..., m)
+    iterations: int          # lockstep Newton sweeps: the most any point took
+    residual: np.ndarray     # (...,)
+
+
+def _solve_each(A, b, message: str) -> np.ndarray:
+    """np.linalg.solve over a stack, raising SingularSystemError."""
+    try:
+        return np.linalg.solve(A, b)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystemError(message) from exc
+
+
+# ----------------------------------------------------------------------
+# the lockstep Newton iteration over flat batches: values (P, m, *shape),
+# weights (P, m), centers (P, *shape)
+
+
+def _flat_rows(x, lead: int) -> np.ndarray:
+    return x.reshape(x.shape[:lead] + (-1,))
+
+
+def _batch_or_each(fn, shape, catch, errors: dict, index):
+    """fn(slice(None)) for all points at once; if that raises ``catch``, fn(p) point by point.
+
+    A point that fails records its exception in ``errors[index[p]]`` and gets
+    zero rows.  Returns (rows, failed mask).
+    """
+    n = len(index)
+    try:
+        return fn(slice(None)), np.zeros(n, dtype=bool)
+    except catch:
+        pass
+    rows, failed = np.zeros((n,) + shape), np.zeros(n, dtype=bool)
+    for p in range(n):
+        try:
+            rows[p] = fn(p)
+        except catch as exc:
+            failed[p] = True
+            errors[int(index[p])] = exc
+    return rows, failed
+
+
+def _logs(man: Manifold, q, values, errors: dict, index):
+    """log_q(v_i) for every point, and the mask of points at the cut locus."""
+    k = len(man.point_shape)
+    return _batch_or_each(
+        lambda s: man.log(np.expand_dims(q[s], -k - 1), values[s]),
+        values.shape[1:], CutLocusError, errors, index,
+    )
+
+
+def _residual(weights, logs) -> np.ndarray:
+    r = (weights[:, None, :] @ _flat_rows(logs, 2))[:, 0]
+    return np.sqrt(np.sum(r * r, axis=-1))
+
+
+def _initial_guess(man: Manifold, values, weights) -> np.ndarray:
+    """Projection of the weighted embedding sum, else the heaviest nodal value."""
+    P = len(weights)
+    sums = (weights[:, None, :] @ _flat_rows(values, 2))[:, 0].reshape(values[:, 0].shape)
+    q, undefined = _batch_or_each(
+        lambda s: man.project_point(sums[s]), sums.shape[1:], ProjectionUndefinedError, {},
+        np.arange(P),
+    )
+    q[undefined] = values[undefined, np.argmax(weights[undefined], axis=1)]
+    return q
+
+
+def _linearize(man: Manifold, values, weights, q, logs):
+    """(basis at q, Hessian, log coefficients): one basis for all three."""
+    basis = man.tangent_basis(q)                                       # (P, dim, *shape)
+    hessians = man.dist2_hess_q(values, q[:, None], basis_q=basis[:, None], log_qv=logs)
+    H = (weights[:, None, :] @ _flat_rows(hessians, 2))[:, 0].reshape(hessians[:, 0].shape)
+    L = _flat_rows(logs, 2) @ np.swapaxes(_flat_rows(basis, 2), 1, 2)  # (P, m, dim)
+    return basis, 0.5 * (H + np.swapaxes(H, 1, 2)), L
+
+
+def _newton(man: Manifold, values, weights, q, max_iter: int) -> _Solution:
+    P, m = weights.shape
+    dim = man.intrinsic_dim
+    errors: dict[int, GFEError] = {}
+    logs, cut = _logs(man, q, values, errors, np.arange(P))
+    res = _residual(weights, logs)
+    basis = np.zeros((P, dim) + man.point_shape)
+    H = np.zeros((P, dim, dim))
+    L = np.zeros((P, m, dim))
+    iterations = np.zeros(P, dtype=int)
+    active = ~cut
+
+    while active.any():
+        idx = np.flatnonzero(active)
+        basis[idx], H[idx], L[idx] = _linearize(man, values[idx], weights[idx], q[idx], logs[idx])
+        active[idx[res[idx] <= _RESIDUAL_TARGET]] = False
+        idx = np.flatnonzero(active)
+        for p in idx[iterations[idx] >= max_iter]:
+            errors[p] = NonConvergenceError(
+                f"Newton stalled at residual {res[p]:.3e} after {iterations[p]} iterations"
+            )
+            active[p] = False
+        idx = idx[iterations[idx] < max_iter]
+        if not len(idx):
+            continue
+        Hs, rhs = H[idx], np.swapaxes(2.0 * (weights[idx, None, :] @ L[idx]), 1, 2)
+        delta, singular = _batch_or_each(
+            lambda s: _solve_each(Hs[s], rhs[s], "Newton system is singular"),
+            rhs.shape[1:], SingularSystemError, errors, idx,
+        )
+        active[idx[singular]] = False
+        idx, delta = idx[~singular], delta[~singular]
+        step = (np.swapaxes(delta, 1, 2) @ _flat_rows(basis[idx], 2))[:, 0]
+        step = step.reshape(q[idx].shape)
+
+        # damping, in lockstep over the points still looking for a step
+        searching = np.ones(len(idx), dtype=bool)
+        for damping in range(_MAX_DAMPING + 1):
+            j = np.flatnonzero(searching)
+            if not len(j):
+                break
+            pts = idx[j]
+            q_new = man.exp(q[pts], step[j])
+            trial_errors: dict[int, GFEError] = {}
+            logs_new, cut = _logs(man, q_new, values[pts], trial_errors, pts)
+            res_new = _residual(weights[pts], logs_new)
+            better = ~cut & (res_new < res[pts])
+            q[pts[better]], logs[pts[better]] = q_new[better], logs_new[better]
+            res[pts[better]] = res_new[better]
+            iterations[pts[better]] += 1
+            searching[j[better]] = False
+            if damping == _MAX_DAMPING:
+                for p in pts[cut]:
+                    errors[p] = trial_errors[p]
+                    active[p] = False
+                searching[j[cut]] = False
+            else:
+                step[j[~better]] *= 0.5
+        for p in idx[searching]:
+            # stuck at the floating-point floor; fine if the contract holds
+            if res[p] > _RESIDUAL_TOL:
+                errors[p] = NonConvergenceError(
+                    f"Newton cannot reduce the residual below {res[p]:.3e}"
+                )
+            active[p] = False
+
+    ok = np.ones(P, dtype=bool)
+    ok[list(errors)] = False
+    ok = np.flatnonzero(ok)
+    for p in ok[np.linalg.eigvalsh(H[ok])[:, 0] <= _MIN_EIG]:
+        errors[p] = IndefiniteHessianError(
+            "converged to a critical point whose Hessian is not positive definite"
+        )
+    if errors:
+        raise errors[min(errors)]
+    return _Solution(q, basis, H, logs, L, weights, int(iterations.max(initial=0)), res)
+
+
+# ----------------------------------------------------------------------
 
 
 class GeodesicInterpolant:
-    """Weighted-center interpolation of m manifold values on a reference element."""
+    """Weighted-center interpolation of m manifold values on a reference element.
 
-    def __init__(self, elem: ReferenceElement, values, manifold: Manifold):
-        values = np.array(values, dtype=float)
-        if values.shape != (elem.m,) + manifold.point_shape:
-            raise ValueError(
-                f"expected {elem.m} values of shape {manifold.point_shape}, "
-                f"got array of shape {values.shape}"
-            )
-        for v in values:
-            manifold.check_point(v)
-        if isinstance(manifold, Sphere):
-            spread = karcher_check(manifold, values).max_pairwise_dist
-            if spread > _SPHERE_SPREAD_LIMIT:
-                raise AdmissibilityError(
-                    f"nodal values spread {spread:.4f} exceeds {_SPHERE_SPREAD_LIMIT:.4f}; "
-                    "interpolation refused to avoid cut-locus failures"
+    The constructor validates one element's values, shape (m, *point_shape).
+    With ``_checked=True`` it trusts already validated values, which may then
+    carry leading batch axes (one set of m values per point).
+    """
+
+    def __init__(self, elem: ReferenceElement, values, manifold: Manifold, *, _checked=False):
+        values = np.asarray(values, dtype=float)
+        if not _checked:
+            values = values.copy()
+            if values.shape != (elem.m,) + manifold.point_shape:
+                raise ValueError(
+                    f"expected {elem.m} values of shape {manifold.point_shape}, "
+                    f"got array of shape {values.shape}"
                 )
+            manifold.check_point(values)
+            if isinstance(manifold, Sphere):
+                spread = float(_max_spread(manifold, values))
+                if spread > _SPHERE_SPREAD_LIMIT:
+                    raise AdmissibilityError(
+                        f"nodal values spread {spread:.4f} exceeds {_SPHERE_SPREAD_LIMIT:.4f}; "
+                        "interpolation refused to avoid cut-locus failures"
+                    )
         self.elem = elem
         self.values = values
         self.manifold = manifold
@@ -120,79 +298,41 @@ class GeodesicInterpolant:
     def karcher_check(self) -> KarcherCheck:
         return karcher_check(self.manifold, self.values)
 
-    def _initial_guess(self, weights: np.ndarray) -> np.ndarray:
-        man = self.manifold
-        try:
-            w = np.tensordot(weights, self.values, axes=1)
-            return man.project_point(w)
-        except ProjectionUndefinedError:
-            return self.values[int(np.argmax(weights))].copy()
-
-    def _residual(self, q: np.ndarray, weights: np.ndarray):
-        logs = self.manifold.log(q, self.values)
-        return logs, float(np.linalg.norm(weights @ logs.reshape(self.elem.m, -1)))
-
-    def _linearize(self, q, weights, logs):
-        """(basis at q, Hessian, log coefficients): one basis for all three."""
-        man = self.manifold
-        m, dim = self.elem.m, man.intrinsic_dim
-        basis = man.tangent_basis(q)
-        hessians = man.dist2_hess_q(self.values, q, basis_q=basis)     # (m, dim, dim)
-        H = (weights @ hessians.reshape(m, -1)).reshape(dim, dim)
-        L = logs.reshape(m, -1) @ basis.reshape(dim, -1).T
-        return basis, 0.5 * (H + H.T), L
-
     def _solve(self, xi, q0=None, max_iter: int = _MAX_NEWTON) -> _Solution:
+        """Centers at the reference points xi (..., d), all in one lockstep batch.
+
+        ``q0`` (broadcast to every point) warm-starts the iteration.
+        """
         man = self.manifold
+        shape = man.point_shape
         weights = self.elem.shape_values(xi)
-        q = np.asarray(q0, dtype=float) if q0 is not None else self._initial_guess(weights)
-        logs, res = self._residual(q, weights)
+        lead = np.broadcast_shapes(weights.shape[:-1], self.values.shape[: -len(shape) - 1])
+        P = math.prod(lead)
+        values = np.broadcast_to(self.values, lead + self.values.shape[-len(shape) - 1:])
+        values = values.reshape((P, self.elem.m) + shape)
+        w = np.broadcast_to(weights, lead + weights.shape[-1:]).reshape(P, -1)
+        if q0 is None:
+            q = _initial_guess(man, values, w)
+        else:
+            q = np.broadcast_to(np.asarray(q0, dtype=float), lead + shape).reshape((P,) + shape)
+        sol = _newton(man, values, w, q.copy(), max_iter)
+        return _Solution(
+            *(x.reshape(lead + x.shape[1:]) for x in (sol.q, sol.basis, sol.hessian, sol.logs,
+                                                       sol.log_coeffs, sol.weights)),
+            sol.iterations,
+            sol.residual.reshape(lead),
+        )
 
-        iterations = 0
-        while True:
-            basis, H, L = self._linearize(q, weights, logs)
-            if res <= _RESIDUAL_TARGET:
-                break
-            if iterations >= max_iter:
-                raise NonConvergenceError(
-                    f"Newton stalled at residual {res:.3e} after {iterations} iterations"
-                )
-            try:
-                delta = np.linalg.solve(H, 2.0 * (weights @ L))
-            except np.linalg.LinAlgError as exc:
-                raise SingularSystemError("Newton system is singular") from exc
-
-            step = (delta @ basis.reshape(len(delta), -1)).reshape(man.point_shape)
-            improved = False
-            for damping in range(_MAX_DAMPING + 1):
-                try:
-                    q_new = man.exp(q, step)
-                    logs_new, res_new = self._residual(q_new, weights)
-                except CutLocusError:
-                    if damping == _MAX_DAMPING:
-                        raise
-                    step = 0.5 * step
-                    continue
-                if res_new < res:
-                    improved = True
-                    break
-                if damping < _MAX_DAMPING:
-                    step = 0.5 * step
-            if not improved:
-                # stuck at the floating-point floor; fine if the contract holds
-                if res <= _RESIDUAL_TOL:
-                    break
-                raise NonConvergenceError(
-                    f"Newton cannot reduce the residual below {res:.3e}"
-                )
-            q, logs, res = q_new, logs_new, res_new
-            iterations += 1
-
-        if float(np.linalg.eigvalsh(H)[0]) <= _MIN_EIG:
-            raise IndefiniteHessianError(
-                "converged to a critical point whose Hessian is not positive definite"
-            )
-        return _Solution(q, basis, H, L, weights, iterations, res)
+    def _d_dxi(self, xi, sol: _Solution | None = None):
+        """(centers, reference derivative columns (..., d, *point_shape))."""
+        man = self.manifold
+        sol = self._solve(xi) if sol is None else sol
+        dphi = self.elem.shape_gradients(xi)                            # (..., m, d)
+        rhs = 2.0 * (np.swapaxes(dphi, -1, -2) @ sol.log_coeffs)       # (..., d, dim)
+        X = _solve_each(sol.hessian, np.swapaxes(rhs, -1, -2), "derivative system is singular")
+        lead = sol.q.shape[: sol.q.ndim - len(man.point_shape)]
+        cols = np.swapaxes(X, -1, -2) @ man._flat(sol.basis)            # (..., d, N)
+        return sol.q, cols.reshape(lead + (self.elem.dim,) + man.point_shape)
 
     # ------------------------------------------------------------------
 
@@ -203,38 +343,34 @@ class GeodesicInterpolant:
     def eval_info(self, xi):
         """(point, Newton iterations, final residual) for diagnostics."""
         sol = self._solve(xi)
-        return sol.q, sol.iterations, sol.residual
+        return sol.q, sol.iterations, sol.residual[()]
 
     def d_dxi(self, xi) -> list[TangentVector]:
         """Columns d(interpolant)/d(xi_k) as tangent vectors at eval(xi)."""
-        sol = self._solve(xi)
-        dphi = self.elem.shape_gradients(xi)          # (m, d)
-        rhs = 2.0 * (dphi.T @ sol.log_coeffs)          # (d, dim)
-        try:
-            X = np.linalg.solve(sol.hessian, rhs.T)    # (dim, d)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystemError("derivative system is singular") from exc
-        return [
-            TangentVector(self.manifold, sol.q, np.tensordot(X[:, k], sol.basis, axes=1))
-            for k in range(self.elem.dim)
-        ]
+        q, cols = self._d_dxi(xi)
+        return [TangentVector(self.manifold, q, c) for c in cols]
 
     def d_dv_all(self, xi, q0=None):
         """eval(xi) plus all m derivative matrices d(interpolant)/d(v_i).
 
         Matrix i maps tangent_basis(v_i) coefficients to tangent_basis(q)
-        coefficients; stacked shape (m, dim, dim).  ``q0`` warm-starts the
-        Newton solve, e.g. from the interpolant at a nearby point.
+        coefficients; stacked shape (..., m, dim, dim).  ``q0`` warm-starts
+        the Newton solve, e.g. from the interpolant at a nearby point.
         """
+        man = self.manifold
+        k = len(man.point_shape)
         sol = self._solve(xi, q0)
-        mixed = self.manifold.dist2_mixed(self.values, sol.q, basis_q=sol.basis)
-        try:
-            mats = np.linalg.solve(sol.hessian, -sol.weights[:, None, None] * mixed)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystemError("derivative system is singular") from exc
+        mixed = man.dist2_mixed(
+            self.values, np.expand_dims(sol.q, -k - 1),
+            basis_q=np.expand_dims(sol.basis, -k - 2), log_qv=sol.logs,
+        )
+        mats = _solve_each(
+            sol.hessian[..., None, :, :], -sol.weights[..., None, None] * mixed,
+            "derivative system is singular",
+        )
         return sol.q, mats
 
     def d_dv(self, xi, i: int) -> np.ndarray:
         """Derivative of the interpolant with respect to nodal value i."""
         _, mats = self.d_dv_all(xi)
-        return mats[i]
+        return mats[..., i, :, :]

@@ -9,10 +9,13 @@ functions holds by construction; the test-suite additionally verifies it
 numerically with two-sided face evaluations.
 
 ``GFEFunction`` attaches one manifold value per global node and an
-interpolation rule (geodesic or projection); its restriction to an element
-is the corresponding local interpolant, evaluated after pulling domain
-points back to reference coordinates.  ``GlobalTestFunction`` attaches one
-tangent vector per node and evaluates through the element test fields.
+interpolation rule (geodesic or projection), validated once, as arrays; its
+restriction to an element is the corresponding local interpolant, evaluated
+after pulling domain points back to reference coordinates.  Restricted to an
+array of elements it is one interpolant stacked over them, which evaluates
+(element, reference point) pairs in one batch.  ``GlobalTestFunction``
+attaches one tangent vector per node and evaluates through the element test
+fields.
 
 Mesh files are plain text: a header line ``gfe-mesh d``, the vertex count
 followed by one coordinate line per vertex, then the element count followed
@@ -25,14 +28,22 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import AdmissibilityError, PointOutsideDomainError
-from .geodesic import GeodesicInterpolant, karcher_check
-from .jacobi import ElementTestField
+from .geodesic import _SPHERE_SPREAD_LIMIT, GeodesicInterpolant, _max_spread
+from .jacobi import ElementTestField, _check_nodal_vectors
 from .manifold import Manifold, Sphere, TangentVector
 from .projection import ProjectionInterpolant
 from .reference_element import ReferenceElement
 
 _RULES = ("geodesic", "projection")
 _LOCATE_TOL = 1e-12
+# points per lockstep batch: per-point kernel cost is lowest around here,
+# and batch temporaries stay small
+_CHUNK = 200
+
+
+def _batches(n: int, size: int = _CHUNK) -> list[slice]:
+    """Slices that cut range(n) into consecutive batches of at most ``size``."""
+    return [slice(start, min(start + size, n)) for start in range(0, n, max(size, 1))]
 
 
 # ----------------------------------------------------------------------
@@ -63,6 +74,8 @@ def read_mesh(path):
         ).reshape(ne, dim + 1)
     except (IndexError, ValueError) as exc:  # truncated file, bad number or row length
         raise ValueError(f"{path}: malformed mesh: {exc}") from None
+    if ne < 1:
+        raise ValueError(f"{path}: mesh has no elements")
     outside = np.flatnonzero(((elements < 0) | (elements >= nv)).any(axis=1))
     if len(outside):
         raise ValueError(f"{path}: element {outside[0]} has a vertex index outside 0..{nv - 1}")
@@ -109,21 +122,16 @@ class Grid:
         self.ref = ReferenceElement(dim, order)
 
         # affine maps x = V0 + B xi, with positive orientation required
-        ne = len(self.elements)
-        self._origin = np.empty((ne, dim))
-        self._B = np.empty((ne, dim, dim))
-        self._Binv = np.empty((ne, dim, dim))
-        self._detB = np.empty(ne)
-        for e, el in enumerate(self.elements):
-            V0 = self.vertices[el[0]]
-            B = np.column_stack([self.vertices[el[k]] - V0 for k in range(1, dim + 1)])
-            det = float(np.linalg.det(B))
-            if det <= 0.0:
-                raise ValueError(f"element {e} has non-positive orientation (det = {det:.3e})")
-            self._origin[e] = V0
-            self._B[e] = B
-            self._Binv[e] = np.linalg.inv(B)
-            self._detB[e] = det
+        self._origin = self.vertices[self.elements[:, 0]]
+        self._B = np.swapaxes(self.vertices[self.elements[:, 1:]] - self._origin[:, None], 1, 2)
+        self._detB = np.linalg.det(self._B)
+        flipped = np.flatnonzero(self._detB <= 0.0)
+        if len(flipped):
+            e = flipped[0]
+            raise ValueError(
+                f"element {e} has non-positive orientation (det = {self._detB[e]:.3e})"
+            )
+        self._Binv = np.linalg.inv(self._B)
 
         self._build_nodes()
         self._find_boundary()
@@ -170,11 +178,12 @@ class Grid:
 
     def _verify_node_coordinates(self) -> None:
         # shared nodes must receive the same coordinate from every element
-        for e in range(len(self.elements)):
-            mapped = self._origin[e] + self.ref.nodes @ self._B[e].T
-            stored = self.lagrange_nodes[self.element_nodes[e]]
-            if np.max(np.abs(mapped - stored)) > 1e-12:
-                raise ValueError(f"inconsistent Lagrange node coordinates on element {e}")
+        mapped = self._origin[:, None] + self.ref.nodes @ np.swapaxes(self._B, 1, 2)
+        off = np.abs(mapped - self.lagrange_nodes[self.element_nodes]).max(axis=(1, 2), initial=0)
+        if (off > 1e-12).any():
+            raise ValueError(
+                f"inconsistent Lagrange node coordinates on element {np.argmax(off > 1e-12)}"
+            )
 
     # ------------------------------------------------------------------
 
@@ -185,6 +194,13 @@ class Grid:
     @property
     def n_elements(self) -> int:
         return len(self.elements)
+
+    def _pairs(self, n_points: int):
+        """(elements, point indices) of all (element, point) pairs, element-major."""
+        return (
+            np.repeat(np.arange(self.n_elements), n_points),
+            np.tile(np.arange(n_points), self.n_elements),
+        )
 
     def xi_of(self, e: int, x) -> np.ndarray:
         """Reference coordinates of a domain point within element e."""
@@ -235,7 +251,8 @@ class GFEFunction:
 
     ``rule`` selects geodesic or projection interpolation for every element
     restriction.  Construction validates every nodal value and, for
-    geodesic interpolation on spheres, the per-element spread heuristic.
+    geodesic interpolation on spheres, the per-element spread heuristic;
+    ``values`` is then read-only, and restrictions are not validated again.
     """
 
     def __init__(self, grid: Grid, manifold: Manifold, rule: str, values):
@@ -246,30 +263,39 @@ class GFEFunction:
             raise ValueError(
                 f"expected {grid.n_nodes} nodal values of shape {manifold.point_shape}"
             )
-        for v in values:
-            manifold.check_point(v)
+        manifold.check_point(values)
         if rule == "geodesic" and isinstance(manifold, Sphere):
-            for e in range(grid.n_elements):
-                local = values[grid.element_nodes[e]]
-                spread = karcher_check(manifold, local).max_pairwise_dist
-                if spread > 0.9 * np.pi:
-                    raise AdmissibilityError(
-                        f"element {e}: nodal spread {spread:.4f} exceeds admissibility limit"
-                    )
+            spread = _max_spread(manifold, values[grid.element_nodes])
+            wide = np.flatnonzero(spread > _SPHERE_SPREAD_LIMIT)
+            if len(wide):
+                e = wide[0]
+                raise AdmissibilityError(
+                    f"element {e}: nodal spread {spread[e]:.4f} exceeds admissibility limit"
+                )
+        values.flags.writeable = False
         self.grid = grid
         self.manifold = manifold
         self.rule = rule
         self.values = values
+        # (quadrature rule, center solves) of the last energy evaluation, which
+        # the gradient reuses
+        self._centers = None
 
     @property
     def order(self) -> int:
         return self.grid.order
 
-    def local(self, e: int):
-        """The interpolant restricted to element e."""
-        local_values = self.values[self.grid.element_nodes[e]]
+    def local(self, e):
+        """The interpolant restricted to element e.
+
+        For an array of elements, one interpolant stacked over them: its
+        values have shape (len(e), m, *point_shape), and reference points
+        (len(e), d) evaluate pairwise.
+        """
         cls = GeodesicInterpolant if self.rule == "geodesic" else ProjectionInterpolant
-        return cls(self.grid.ref, local_values, self.manifold)
+        return cls(
+            self.grid.ref, self.values[self.grid.element_nodes[e]], self.manifold, _checked=True
+        )
 
     def evaluate(self, x, element: int | None = None) -> np.ndarray:
         """Value at a domain point (optionally within a prescribed element)."""
@@ -288,18 +314,8 @@ class GlobalTestFunction:
     """A continuous vector field along a GFEFunction, one vector per node."""
 
     def __init__(self, base: GFEFunction, vectors):
-        vectors = list(vectors)
-        if len(vectors) != base.grid.n_nodes:
-            raise ValueError(f"expected {base.grid.n_nodes} nodal vectors")
-        for i, tv in enumerate(vectors):
-            if not isinstance(tv, TangentVector):
-                raise TypeError("nodal vectors must be TangentVector instances")
-            if tv.manifold != base.manifold:
-                raise ValueError("nodal vector lives on a different manifold")
-            if not np.allclose(tv.base, base.values[i], atol=1e-12):
-                raise ValueError(f"nodal vector {i} is not based at nodal value {i}")
         self.base = base
-        self.vectors = vectors
+        self.vectors = list(_check_nodal_vectors(vectors, base.manifold, base.values))
 
     def local_field(self, e: int) -> ElementTestField:
         interp = self.base.local(e)
@@ -324,16 +340,13 @@ def global_nodal_basis(u: GFEFunction) -> list[GlobalTestFunction]:
     Function (i, j) equals tangent_basis(u_i)[j] at Lagrange node i and the
     zero vector at all other nodes; they form a basis of the test space.
     """
+    dim = u.manifold.intrinsic_dim
+    return [_nodal_basis_function(u, i, j) for i in range(u.grid.n_nodes) for j in range(dim)]
+
+
+def _nodal_basis_function(u: GFEFunction, i: int, j: int) -> GlobalTestFunction:
+    """The test function (i, j) of global_nodal_basis."""
     man = u.manifold
-    bases = man.tangent_basis(u.values)
-    out = []
-    for i in range(u.grid.n_nodes):
-        for j in range(man.intrinsic_dim):
-            vectors = [
-                TangentVector(
-                    man, u.values[r], bases[i][j] if r == i else np.zeros(man.point_shape)
-                )
-                for r in range(u.grid.n_nodes)
-            ]
-            out.append(GlobalTestFunction(u, vectors))
-    return out
+    vecs = np.zeros_like(u.values)
+    vecs[i] = man.tangent_basis(u.values[i])[j]
+    return GlobalTestFunction(u, [TangentVector(man, v, w) for v, w in zip(u.values, vecs)])

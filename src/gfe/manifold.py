@@ -21,8 +21,10 @@ Besides the metric operations (``dist``, ``exp``, ``log``, parallel
   ``projection_jacobian`` (normalization for spheres, the polar
   decomposition for rotations, the identity for flat space).
 
-``log``, ``transport``, ``tangent_basis`` and the two blocks broadcast over
-leading axes, so one call serves all nodal values of an element.
+Every operation broadcasts over leading axes, so one call serves all nodal
+values of all points of a batch; per-point results (``dist`` of two
+points) come back as floats.  Point checks and projections that fail on a
+batch report its first failing entry.
 
 All three geometries have constant sectional curvature, so the
 second-derivative blocks are evaluated from the closed forms of a constant
@@ -92,6 +94,18 @@ def _inner(a, b) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0]
 
 
+def _scalar(x):
+    """A float for a 0-d result, the array otherwise."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def _refuse_projection(bad, value, what: str) -> None:
+    if bad.any():
+        raise ProjectionUndefinedError(
+            f"projection undefined: {what} {float(value[bad].flat[0]):.3e}"
+        )
+
+
 class Manifold:
     """Shared interface and the constant-curvature derivative blocks.
 
@@ -144,7 +158,8 @@ class Manifold:
     # ------------------------------------------------------------------
     # metric operations
 
-    def dist(self, p, q) -> float:
+    def dist(self, p, q):
+        """Geodesic distance: a float for two points, an array for batches."""
         raise NotImplementedError
 
     def exp(self, p, v) -> np.ndarray:
@@ -185,17 +200,18 @@ class Manifold:
         kappa = self._model_curvature
         return fn(np.sqrt(kappa) * r) if kappa > 0.0 else np.ones_like(r)
 
-    def dist2_hess_q(self, v, q, basis_q=None) -> np.ndarray:
+    def dist2_hess_q(self, v, q, basis_q=None, log_qv=None) -> np.ndarray:
         """Hessian of q -> dist(v, q)**2 in the tangent_basis(q) coordinates.
 
         v may carry leading (node) axes; the result has shape
         (..., dim, dim), symmetric, and equals 2*I where v = q.  ``basis_q``
-        is tangent_basis(q) when the caller already has it.  Requires q
-        within the injectivity radius of v (raises CutLocusError otherwise).
+        is tangent_basis(q) and ``log_qv`` is log(q, v) when the caller
+        already has them.  Requires q within the injectivity radius of v
+        (raises CutLocusError otherwise).
         """
         self._check_pair(v, q)
         dim = self.intrinsic_dim
-        u = self._flat(self.log(q, v))                      # (..., N)
+        u = self._flat(self.log(q, v) if log_qv is None else log_qv)   # (..., N)
         r = np.sqrt(_inner(u, u))[..., 0]
         E = self._flat(self.tangent_basis(q) if basis_q is None else basis_q)
         # unit direction coefficients, zero where v = q (and there a = 1)
@@ -203,19 +219,19 @@ class Manifold:
         a = self._curvature_factor(_t_cot, r)[..., None, None]
         return 2.0 * (a * np.eye(dim) + (1.0 - a) * (c[..., :, None] * c[..., None, :]))
 
-    def dist2_mixed(self, v, q, basis_q=None) -> np.ndarray:
+    def dist2_mixed(self, v, q, basis_q=None, log_qv=None) -> np.ndarray:
         """Mixed second derivative of dist(v, q)**2, d/dv of the q-gradient.
 
         Returned as a (..., dim, dim) array mapping tangent_basis(v)
         coefficients of a perturbation of v to tangent_basis(q) coefficients
         of the change in the q-gradient; v may carry leading (node) axes.
-        ``basis_q`` is tangent_basis(q) when the caller already has it.
-        Equals -2*I where v = q.
+        ``basis_q`` is tangent_basis(q) and ``log_qv`` is log(q, v) when the
+        caller already has them.  Equals -2*I where v = q.
         """
         self._check_pair(v, q)
         v = np.asarray(v, dtype=float)
         u_v = self._flat(self.log(v, q))                     # (..., N)
-        u_q = self._flat(self.log(q, v))
+        u_q = self._flat(self.log(q, v) if log_qv is None else log_qv)
         r = np.sqrt(_inner(u_q, u_q))                        # (..., 1)
         at_q = r < 1e-15
         u_v, u_q = (u[..., None, :] / np.where(at_q, np.inf, r)[..., None] for u in (u_v, u_q))
@@ -224,11 +240,16 @@ class Manifold:
         # radial parts <b_j, u_v> of the basis columns, and the remainders,
         # all dim columns transported in one call
         rad = _inner(Bv, u_v)                                # (..., dim, 1)
-        perp = (Bv - rad * u_v).reshape(Bv.shape[:-1] + self.point_shape)
-        moved = self._flat(self.transport(np.expand_dims(v, -len(self.point_shape) - 1), q, perp))
+        perp = Bv - rad * u_v
+        perp = perp.reshape(perp.shape[:-1] + self.point_shape)
+        k = len(self.point_shape)
+        moved = self._flat(self.transport(
+            np.expand_dims(v, -k - 1), np.expand_dims(np.asarray(q, dtype=float), -k - 1), perp
+        ))
         a = self._curvature_factor(_t_over_sin, r)[..., None]
-        vec = 2.0 * rad * u_q - 2.0 * a * moved              # (..., dim_v, N)
-        M = np.matmul(Eq, np.swapaxes(vec, -1, -2))          # (..., dim_q, dim_v)
+        # 2*rad_j*u_q - 2*a*moved_j in the basis at q, one column j per basis vector
+        radial = np.matmul(Eq, np.swapaxes(u_q, -1, -2)) * np.swapaxes(rad, -1, -2)
+        M = 2.0 * (radial - a * np.matmul(Eq, np.swapaxes(moved, -1, -2)))  # (..., dim_q, dim_v)
         return np.where(at_q[..., None], -2.0 * np.eye(self.intrinsic_dim), M)
 
 
@@ -290,7 +311,7 @@ class Euclidean(Manifold):
         return np.inf
 
     def check_point(self, p) -> None:
-        if np.shape(p) != (self.k,):
+        if np.shape(p)[-1:] != (self.k,):
             raise DimensionMismatchError(f"expected a vector of length {self.k}")
 
     def check_tangent(self, p, v) -> None:
@@ -304,9 +325,10 @@ class Euclidean(Manifold):
         """The identity rows."""
         return np.broadcast_to(np.eye(self.k), np.shape(p)[:-1] + (self.k, self.k)).copy()
 
-    def dist(self, p, q) -> float:
+    def dist(self, p, q):
         self._check_pair(p, q)
-        return float(np.linalg.norm(np.subtract(q, p)))
+        d = np.subtract(q, p, dtype=float)
+        return float(np.linalg.norm(d)) if d.ndim == 1 else np.linalg.norm(d, axis=-1)
 
     def exp(self, p, v):
         return np.add(p, v, dtype=float)
@@ -319,10 +341,10 @@ class Euclidean(Manifold):
         return np.asarray(w, dtype=float).copy()
 
     def project_point(self, w):
-        return np.asarray(w, dtype=float).reshape(self.k).copy()
+        return np.array(w, dtype=float)
 
     def projection_jacobian(self, w):
-        return np.eye(self.k)
+        return np.broadcast_to(np.eye(self.k), np.shape(w) + (self.k,)).copy()
 
 
 # ----------------------------------------------------------------------
@@ -358,10 +380,12 @@ class Sphere(Manifold):
 
     def check_point(self, p) -> None:
         p = np.asarray(p)
-        if p.shape != (self.n + 1,):
+        if p.shape[-1:] != (self.n + 1,):
             raise DimensionMismatchError(f"expected a vector of length {self.n + 1}")
-        if abs(np.linalg.norm(p) - 1.0) > 1e-12:
-            raise ValueError(f"sphere point is not unit length: |p| = {np.linalg.norm(p)!r}")
+        nrm = np.linalg.norm(p, axis=-1)
+        bad = np.abs(nrm - 1.0) > 1e-12
+        if bad.any():
+            raise ValueError(f"sphere point is not unit length: |p| = {float(nrm[bad].flat[0])!r}")
 
     def check_tangent(self, p, v) -> None:
         v = np.asarray(v)
@@ -391,24 +415,23 @@ class Sphere(Manifold):
         scale = 2.0 / _inner(w, w)
         return np.eye(n, n + 1) - (scale * w[..., :n])[..., :, None] * w[..., None, :]
 
-    def dist(self, p, q) -> float:
+    def dist(self, p, q):
         self._check_pair(p, q)
         p = np.asarray(p, dtype=float)
         q = np.asarray(q, dtype=float)
-        if np.array_equal(p, q):
-            return 0.0
-        c = float(np.dot(p, q))
+        c = _inner(p, q)
+        u = q - c * p
         # atan2 of (sin, cos) stays well conditioned at all angles, unlike
         # arccos, which loses ~eps/theta accuracy near aligned points
-        s = float(np.linalg.norm(q - c * p))
-        return float(np.arctan2(s, c))
+        d = np.arctan2(np.sqrt(_inner(u, u)), c)[..., 0]
+        return _scalar(np.where(np.all(p == q, axis=-1), 0.0, d))
 
     def exp(self, p, v):
         p = np.asarray(p, dtype=float)
         v = np.asarray(v, dtype=float)
-        theta = float(np.linalg.norm(v))
+        theta = np.sqrt(_inner(v, v))
         q = np.cos(theta) * p + _sinc(theta) * v
-        return q / np.linalg.norm(q)
+        return q / np.sqrt(_inner(q, q))
 
     def log(self, p, q):
         self._check_pair(p, q)
@@ -434,23 +457,20 @@ class Sphere(Manifold):
         a = _inner(w, u_p) / np.where(r2 < 1e-30, np.inf, r2)
         return w - a * (u_p + u_q)
 
+    def _norm_checked(self, w):
+        w = np.asarray(w, dtype=float)
+        nrm = np.sqrt(_inner(w, w))
+        _refuse_projection(nrm <= 1e-12, nrm, "weighted embedding sum has norm")
+        return w, nrm
+
     def project_point(self, w):
-        w = np.asarray(w, dtype=float).reshape(self.n + 1)
-        nrm = float(np.linalg.norm(w))
-        if nrm <= 1e-12:
-            raise ProjectionUndefinedError(
-                f"projection undefined: weighted embedding sum has norm {nrm:.3e}"
-            )
+        w, nrm = self._norm_checked(w)
         return w / nrm
 
     def projection_jacobian(self, w):
-        w = np.asarray(w, dtype=float).reshape(self.n + 1)
-        nrm = float(np.linalg.norm(w))
-        if nrm <= 1e-12:
-            raise ProjectionUndefinedError(
-                f"projection undefined: weighted embedding sum has norm {nrm:.3e}"
-            )
-        return np.eye(self.n + 1) / nrm - np.outer(w, w) / nrm**3
+        w, nrm = self._norm_checked(w)
+        nrm = nrm[..., None]
+        return np.eye(self.n + 1) / nrm - (w[..., :, None] * w[..., None, :]) / nrm**3
 
 
 # ----------------------------------------------------------------------
@@ -477,8 +497,11 @@ def _skew_part(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M - np.swapaxes(M, -1, -2))
 
 
+_HATS = np.array([_hat(e) for e in np.eye(3)])
 # hat(e_k)/sqrt(2): an orthonormal basis of the skew matrices, Frobenius product
-_SKEW_BASIS = np.array([_hat(e) for e in np.eye(3)]) / np.sqrt(2.0)
+_SKEW_BASIS = _HATS / np.sqrt(2.0)
+# beyond this angle the rotation axis is read from the symmetric part
+_SYMMETRIC_AXIS_ANGLE = 0.75 * np.pi
 
 
 def _expm_skew(S: np.ndarray) -> np.ndarray:
@@ -495,11 +518,6 @@ def _angle_parts(R: np.ndarray):
     return A, s, np.arctan2(s, c)
 
 
-def _rotation_angle(R: np.ndarray) -> float:
-    """Rotation angle in [0, pi]."""
-    return float(_angle_parts(R)[2])
-
-
 def _logm_rotation(R: np.ndarray) -> np.ndarray:
     """Principal matrix logarithm of rotations; skew 3x3 results.
 
@@ -512,31 +530,57 @@ def _logm_rotation(R: np.ndarray) -> np.ndarray:
             f"rotation angle {float(theta.max()):.6f} is (numerically) at the half-turn"
         )
     # theta/s rather than theta/sin(theta): s keeps its relative accuracy
-    # near the half-turn
     factor = _series_or(theta, (1.0, 1.0 / 6.0, 7.0 / 360.0), lambda t: t)
     factor = factor / np.where(theta < _SERIES_CUTOFF, 1.0, s)
-    return factor[..., None, None] * A
+    out = factor[..., None, None] * A
+    # Near the half-turn the skew part, of size sin(theta), holds the axis
+    # only to eps/sin(theta); (R + R^T)/2 - cos(theta) I = (1 - cos(theta)) a a^T
+    # holds it to full accuracy, and the skew part still gives its sign.
+    wide = theta > _SYMMETRIC_AXIS_ANGLE
+    if wide.any():
+        t = theta[wide]
+        B = 0.5 * (R[wide] + np.swapaxes(R[wide], -1, -2)) - np.cos(t)[:, None, None] * np.eye(3)
+        j = np.argmax(np.diagonal(B, axis1=-2, axis2=-1), axis=-1)
+        a = B[np.arange(len(t)), :, j]
+        a = a / np.linalg.norm(a, axis=-1, keepdims=True)
+        a = np.where(np.sum(a * _vee(A[wide]), axis=-1, keepdims=True) < 0.0, -a, a)
+        out[wide] = t[:, None, None] * np.tensordot(a, _HATS, axes=1)
+    return out
 
 
-def _polar_iterates(A: np.ndarray, tol: float = 1e-13, max_iter: int = 50):
-    """Run Q <- (Q + Q^-T)/2 from Q = A; return (iterates, residuals).
+_POLAR_TOL = 1e-13
 
-    ``iterates[0]`` is A itself, ``iterates[k]`` the k-th update;
-    ``residuals[k-1]`` is the Frobenius norm of iterates[k]-iterates[k-1].
+
+def _as_matrices(w) -> np.ndarray:
+    """3x3 matrices from (..., 3, 3) input or flattened (..., 9) input."""
+    w = np.asarray(w, dtype=float)
+    return w if w.shape[-2:] == (3, 3) else w.reshape(w.shape[:-1] + (3, 3))
+
+
+def _polar_iterates(A: np.ndarray, max_iter: int = 50):
+    """Run Q <- (Q + Q^-T)/2 from Q = A, in lockstep over leading axes.
+
+    Returns (iterates, residuals): ``iterates[0]`` is A itself,
+    ``iterates[k]`` the k-th update and ``residuals[k-1]`` the Frobenius
+    norm of iterates[k]-iterates[k-1].  A matrix stops moving (its residual
+    is then 0) after the first update below _POLAR_TOL, so each one takes
+    exactly the steps it would take alone.
     """
-    Q = np.asarray(A, dtype=float).reshape(3, 3).copy()
-    iterates = [Q]
-    residuals: list[float] = []
+    Q = _as_matrices(A).copy()
+    iterates, residuals = [Q], []
+    active = np.ones(Q.shape[:-2], dtype=bool)
     for _ in range(max_iter):
         try:
-            Qn = 0.5 * (Q + np.linalg.inv(Q).T)
+            Qn = 0.5 * (Q + np.swapaxes(np.linalg.inv(Q), -1, -2))
         except np.linalg.LinAlgError as exc:
             raise SingularMatrixError("polar iterate became singular") from exc
-        res = float(np.linalg.norm(Qn - Q))
+        Qn = np.where(active[..., None, None], Qn, Q)
+        res = np.linalg.norm(Qn - Q, axis=(-2, -1))
         iterates.append(Qn)
         residuals.append(res)
+        active = active & (res > _POLAR_TOL)
         Q = Qn
-        if res <= tol:
+        if not active.any():
             return iterates, residuals
     raise NonConvergenceError(f"polar iteration did not converge in {max_iter} steps")
 
@@ -548,7 +592,7 @@ def polar_decompose(A: np.ndarray):
     Frobenius norm and ``iterations`` counts the update steps performed.
     Q^T A is symmetric positive definite for valid input.
     """
-    A = np.asarray(A, dtype=float).reshape(3, 3)
+    A = _as_matrices(A)
     det = float(np.linalg.det(A))
     if abs(det) < 1e-12:
         raise SingularMatrixError(f"matrix is numerically singular (det = {det:.3e})")
@@ -586,11 +630,11 @@ class Rotation3(Manifold):
 
     def check_point(self, p) -> None:
         Q = np.asarray(p)
-        if Q.shape != (3, 3):
+        if Q.shape[-2:] != (3, 3):
             raise DimensionMismatchError("expected a 3x3 matrix")
-        if np.linalg.norm(Q.T @ Q - np.eye(3)) > 1e-10:
+        if (np.linalg.norm(np.swapaxes(Q, -1, -2) @ Q - np.eye(3), axis=(-2, -1)) > 1e-10).any():
             raise ValueError("matrix is not orthogonal within 1e-10")
-        if np.linalg.det(Q) <= 0.0:
+        if (np.linalg.det(Q) <= 0.0).any():
             raise ValueError("matrix has non-positive determinant")
 
     def check_tangent(self, p, v) -> None:
@@ -603,23 +647,22 @@ class Rotation3(Manifold):
 
     def project_tangent(self, p, w):
         Q = np.asarray(p, dtype=float)
-        return Q @ _skew_part(Q.T @ np.asarray(w, dtype=float))
+        return Q @ _skew_part(np.swapaxes(Q, -1, -2) @ np.asarray(w, dtype=float))
 
     def tangent_basis(self, p) -> np.ndarray:
         """Q @ hat(e_k) / sqrt(2) for k = 1, 2, 3."""
         return np.asarray(p, dtype=float)[..., None, :, :] @ _SKEW_BASIS
 
-    def dist(self, p, q) -> float:
+    def dist(self, p, q):
         self._check_pair(p, q)
         p = np.asarray(p, dtype=float)
         q = np.asarray(q, dtype=float)
-        if np.array_equal(p, q):
-            return 0.0
-        return float(np.sqrt(2.0) * _rotation_angle(p.T @ q))
+        d = np.sqrt(2.0) * _angle_parts(np.swapaxes(p, -1, -2) @ q)[2]
+        return _scalar(np.where(np.all(p == q, axis=(-2, -1)), 0.0, d))
 
     def exp(self, p, v):
         Q = np.asarray(p, dtype=float)
-        S = _skew_part(Q.T @ np.asarray(v, dtype=float))
+        S = _skew_part(np.swapaxes(Q, -1, -2) @ np.asarray(v, dtype=float))
         return Q @ _expm_skew(S)
 
     def log(self, p, q):
@@ -634,28 +677,24 @@ class Rotation3(Manifold):
         Om = _skew_part(Q1t @ np.asarray(w, dtype=float))
         return Q1 @ E @ Om @ E
 
+    def _polar_of(self, w):
+        A = _as_matrices(w)
+        det = np.linalg.det(A)
+        _refuse_projection(det <= 1e-12, det, "weighted rotation sum has det =")
+        return A, _polar_iterates(A)
+
     def project_point(self, w):
-        A = np.asarray(w, dtype=float).reshape(3, 3)
-        det = float(np.linalg.det(A))
-        if det <= 1e-12:
-            raise ProjectionUndefinedError(
-                f"projection undefined: weighted rotation sum has det = {det:.3e}"
-            )
-        Q, _ = polar_decompose(A)
-        return Q
+        return self._polar_of(w)[1][0][-1]
 
     def projection_jacobian(self, w):
-        A = np.asarray(w, dtype=float).reshape(3, 3)
-        det = float(np.linalg.det(A))
-        if det <= 1e-12:
-            raise ProjectionUndefinedError(
-                f"projection undefined: weighted rotation sum has det = {det:.3e}"
-            )
-        iterates, _ = _polar_iterates(A)
+        A, (iterates, residuals) = self._polar_of(w)
         # Seed one derivative per embedding coordinate and push all nine
-        # through the primal's iterates: dQ' = (dQ - Q^-T dQ^T Q^-T)/2.
-        D = np.eye(9).reshape(9, 3, 3)
-        for Q in iterates[:-1]:
-            B = np.linalg.inv(Q).T
-            D = 0.5 * (D - B @ np.transpose(D, (0, 2, 1)) @ B)
-        return D.reshape(9, 9).T
+        # through the primal's iterates, dQ' = (dQ - Q^-T dQ^T Q^-T)/2, for
+        # as many steps as each matrix took.
+        D = np.broadcast_to(np.eye(9).reshape(9, 3, 3), A.shape[:-2] + (9, 3, 3))
+        active = np.ones(A.shape[:-2] + (1, 1, 1), dtype=bool)
+        for Q, res in zip(iterates[:-1], residuals):
+            B = np.swapaxes(np.linalg.inv(Q), -1, -2)[..., None, :, :]
+            D = np.where(active, 0.5 * (D - B @ np.swapaxes(D, -1, -2) @ B), D)
+            active = active & (res > _POLAR_TOL)[..., None, None, None]
+        return np.swapaxes(D.reshape(A.shape[:-2] + (9, 9)), -1, -2)

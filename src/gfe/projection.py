@@ -4,6 +4,10 @@ The interpolant is P(sum_i phi_i(xi) * v_i) with P the closest-point
 projection of the manifold (normalization for spheres, polar decomposition
 for rotations, identity for flat space).  Derivatives follow from the chain
 rule through the projection Jacobian; no nonlinear solve is involved.
+
+Evaluations are batched as in the geodesic module: reference points and the
+nodal values of an interpolant built over several elements at once may carry
+leading axes, which broadcast.
 """
 
 from __future__ import annotations
@@ -15,26 +19,44 @@ from .reference_element import ReferenceElement
 
 
 class ProjectionInterpolant:
-    """Embed-interpolate-project interpolation of m manifold values."""
+    """Embed-interpolate-project interpolation of m manifold values.
 
-    def __init__(self, elem: ReferenceElement, values, manifold: Manifold):
-        values = np.array(values, dtype=float)
-        if values.shape != (elem.m,) + manifold.point_shape:
-            raise ValueError(
-                f"expected {elem.m} values of shape {manifold.point_shape}, "
-                f"got array of shape {values.shape}"
-            )
-        for v in values:
-            manifold.check_point(v)
+    The constructor validates one element's values, shape (m, *point_shape).
+    With ``_checked=True`` it trusts already validated values, which may then
+    carry leading batch axes (one set of m values per point).
+    """
+
+    def __init__(self, elem: ReferenceElement, values, manifold: Manifold, *, _checked=False):
+        values = np.asarray(values, dtype=float)
+        if not _checked:
+            values = values.copy()
+            if values.shape != (elem.m,) + manifold.point_shape:
+                raise ValueError(
+                    f"expected {elem.m} values of shape {manifold.point_shape}, "
+                    f"got array of shape {values.shape}"
+                )
+            manifold.check_point(values)
         self.elem = elem
         self.values = values
         self.manifold = manifold
 
     # ------------------------------------------------------------------
 
+    def _combine(self, coeffs) -> np.ndarray:
+        """sum_i coeffs[..., i] * v_i with flat values: coeffs (..., r, m) -> (..., r, N)."""
+        return coeffs @ self.manifold._flat(self.values)
+
     def _weighted_sum(self, xi) -> np.ndarray:
-        weights = self.elem.shape_values(xi)
-        return np.tensordot(weights, self.values, axes=1)
+        w = self._combine(self.elem.shape_values(xi)[..., None, :])[..., 0, :]
+        return w.reshape(w.shape[:-1] + self.manifold.point_shape)
+
+    def _d_dxi(self, xi):
+        """(points, reference derivative columns (..., d, *point_shape)) by the chain rule."""
+        man = self.manifold
+        w = self._weighted_sum(xi)
+        dsum = self._combine(np.swapaxes(self.elem.shape_gradients(xi), -1, -2))  # (..., d, N)
+        cols = dsum @ np.swapaxes(man.projection_jacobian(w), -1, -2)
+        return man.project_point(w), cols.reshape(cols.shape[:-1] + man.point_shape)
 
     def eval(self, xi) -> np.ndarray:
         """P applied to the weighted embedding sum.
@@ -46,33 +68,23 @@ class ProjectionInterpolant:
 
     def d_dxi(self, xi) -> list[TangentVector]:
         """Chain rule: dP/dw at the weighted sum times the sum's xi-derivative."""
-        man = self.manifold
-        w = self._weighted_sum(xi)
-        q = man.project_point(w)
-        J = man.projection_jacobian(w)
-        dphi = self.elem.shape_gradients(xi)           # (m, d)
-        dsum = np.tensordot(dphi.T, self.values, axes=1)  # (d, *point_shape)
-        cols = []
-        for k in range(self.elem.dim):
-            vec = (J @ dsum[k].reshape(-1)).reshape(man.point_shape)
-            cols.append(TangentVector(man, q, vec))
-        return cols
+        q, cols = self._d_dxi(xi)
+        return [TangentVector(self.manifold, q, c) for c in cols]
 
     def d_dv_all(self, xi, q0=None):
-        """eval(xi) plus all m nodal derivative matrices (tangent bases); q0 is unused."""
+        """eval(xi) plus all m nodal derivative matrices (..., m, dim, dim); q0 is unused."""
         man = self.manifold
-        dim = man.intrinsic_dim
         weights = self.elem.shape_values(xi)
         w = self._weighted_sum(xi)
         q = man.project_point(w)
-        EqJ = man.tangent_basis(q).reshape(dim, -1) @ man.projection_jacobian(w)
-        Bv = man.tangent_basis(self.values).reshape(self.elem.m, dim, -1)
-        mats = weights[:, None, None] * (EqJ @ np.swapaxes(Bv, -1, -2))
+        EqJ = man._flat(man.tangent_basis(q)) @ man.projection_jacobian(w)   # (..., dim, N)
+        Bv = man._flat(man.tangent_basis(self.values))                     # (..., m, dim, N)
+        mats = weights[..., None, None] * (EqJ[..., None, :, :] @ np.swapaxes(Bv, -1, -2))
         return q, mats
 
     def d_dv(self, xi, i: int) -> np.ndarray:
         _, mats = self.d_dv_all(xi)
-        return mats[i]
+        return mats[..., i, :, :]
 
     # ------------------------------------------------------------------
 

@@ -10,6 +10,9 @@ closed forms, which satisfy the Kronecker property exactly as evaluated.
 Order 0 (single node at the barycenter, constant shape function) is
 supported as a degenerate case; the finite element orders used on grids are
 1 and 2.
+
+Reference points may carry leading axes: ``xi`` of shape (..., d) gives
+shape values (..., m) and gradients (..., m, d).
 """
 
 from __future__ import annotations
@@ -69,22 +72,31 @@ class ReferenceElement:
         self._alphas = np.array(
             [(self.order - sum(idx),) + idx for idx in lattice], dtype=int
         )
+        # per node: the first and last barycentric index in its support, and
+        # whether that support is a single vertex
+        support = [np.flatnonzero(alpha) for alpha in self._alphas]
+        self._first = np.array([s[0] if len(s) else 0 for s in support])
+        self._last = np.array([s[-1] if len(s) else 0 for s in support])
+        self._vertex = np.array([len(s) == 1 for s in support])
 
     # ------------------------------------------------------------------
 
     def barycentric(self, xi) -> np.ndarray:
-        xi = np.asarray(xi, dtype=float).reshape(self.dim)
-        return np.concatenate(([1.0 - xi.sum()], xi))
+        xi = np.asarray(xi, dtype=float)
+        if xi.shape[-1:] != (self.dim,):
+            xi = xi.reshape(self.dim)
+        return np.concatenate([1.0 - xi.sum(axis=-1, keepdims=True), xi], axis=-1)
 
     def contains(self, xi, tol: float = _INSIDE_TOL) -> bool:
+        """Whether xi (every point of a batch) lies in the simplex, up to tol."""
         return bool(self.barycentric(xi).min() >= -tol)
 
     def _require_inside(self, xi) -> np.ndarray:
         lam = self.barycentric(xi)
-        if lam.min() < -_INSIDE_TOL:
-            raise OutsideElementError(
-                f"reference point {np.asarray(xi)} lies outside the closed simplex"
-            )
+        outside = lam.min(axis=-1) < -_INSIDE_TOL
+        if outside.any():
+            first = lam[outside].reshape(-1, self.dim + 1)[0, 1:]
+            raise OutsideElementError(f"reference point {first} lies outside the closed simplex")
         return lam
 
     # ------------------------------------------------------------------
@@ -93,50 +105,27 @@ class ReferenceElement:
         """Values (phi_1(xi), ..., phi_m(xi)); sums to 1 by partition of unity."""
         lam = self._require_inside(xi)
         if self.order == 0:
-            return np.ones(1)
-        out = np.empty(self.m)
-        for i, alpha in enumerate(self._alphas):
-            if self.order == 1:
-                (k,) = np.nonzero(alpha)[0]
-                out[i] = lam[k]
-            else:
-                support = np.nonzero(alpha)[0]
-                if len(support) == 1:
-                    k = support[0]
-                    out[i] = lam[k] * (2.0 * lam[k] - 1.0)
-                else:
-                    k, l = support
-                    out[i] = 4.0 * lam[k] * lam[l]
-        return out
+            return np.ones(lam.shape[:-1] + (1,))
+        a, b = lam[..., self._first], lam[..., self._last]
+        if self.order == 1:
+            return a
+        return np.where(self._vertex, a * (2.0 * a - 1.0), 4.0 * a * b)
 
     def shape_gradients(self, xi) -> np.ndarray:
-        """Reference gradients, shape (m, d); rows sum to the zero vector."""
-        self._require_inside(xi)
-        lam = self.barycentric(xi)
+        """Reference gradients, shape (..., m, d); rows sum to the zero vector."""
+        lam = self._require_inside(xi)
+        lead = lam.shape[:-1]
+        if self.order == 0:
+            return np.zeros(lead + (1, self.dim))
         # gradients of the barycentric coordinates
         glam = np.vstack([-np.ones(self.dim), np.eye(self.dim)])
-        if self.order == 0:
-            return np.zeros((1, self.dim))
-        out = np.empty((self.m, self.dim))
-        for i, alpha in enumerate(self._alphas):
-            if self.order == 1:
-                (k,) = np.nonzero(alpha)[0]
-                out[i] = glam[k]
-            else:
-                support = np.nonzero(alpha)[0]
-                if len(support) == 1:
-                    k = support[0]
-                    out[i] = (4.0 * lam[k] - 1.0) * glam[k]
-                else:
-                    k, l = support
-                    out[i] = 4.0 * (lam[l] * glam[k] + lam[k] * glam[l])
-        return out
+        ga, gb = glam[self._first], glam[self._last]
+        if self.order == 1:
+            return np.broadcast_to(ga, lead + ga.shape).copy()
+        a, b = lam[..., self._first, None], lam[..., self._last, None]
+        return np.where(self._vertex[:, None], (4.0 * a - 1.0) * ga, 4.0 * (b * ga + a * gb))
 
     # ------------------------------------------------------------------
-
-    def local_nodes_on_face(self, opposite_vertex: int) -> list[int]:
-        """Indices of nodes on the face opposite the given barycentric vertex."""
-        return [i for i, a in enumerate(self._alphas) if a[opposite_vertex] == 0]
 
     def __repr__(self) -> str:
         return f"ReferenceElement(dim={self.dim}, order={self.order}, m={self.m})"

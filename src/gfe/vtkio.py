@@ -24,12 +24,16 @@ _CELLS = {
 }
 
 
+def _pad3(v) -> np.ndarray:
+    v = np.asarray(v, dtype=float).reshape(-1)
+    out = np.zeros(3)
+    out[: min(3, v.size)] = v[:3]
+    return out
+
+
 def _point3(manifold, value) -> np.ndarray:
-    if isinstance(manifold, Sphere) or isinstance(manifold, Euclidean):
-        v = np.asarray(value, dtype=float).reshape(-1)
-        out = np.zeros(3)
-        out[: min(3, v.size)] = v[:3]
-        return out
+    if isinstance(manifold, (Sphere, Euclidean)):
+        return _pad3(value)
     if isinstance(manifold, Rotation3):
         try:
             return _vee(_logm_rotation(np.asarray(value, dtype=float)))
@@ -39,11 +43,8 @@ def _point3(manifold, value) -> np.ndarray:
 
 
 def _vector3(manifold, base, vec) -> np.ndarray:
-    if isinstance(manifold, Sphere) or isinstance(manifold, Euclidean):
-        v = np.asarray(vec, dtype=float).reshape(-1)
-        out = np.zeros(3)
-        out[: min(3, v.size)] = v[:3]
-        return out
+    if isinstance(manifold, (Sphere, Euclidean)):
+        return _pad3(vec)
     if isinstance(manifold, Rotation3):
         S = np.asarray(base, dtype=float).T @ np.asarray(vec, dtype=float)
         return _vee(0.5 * (S - S.T))

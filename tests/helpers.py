@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 import gfe
+from gfe.cli import fd_d_dv, fd_variation  # noqa: F401  (shared with the audit command)
 from gfe.manifold import TangentVector
 
 
@@ -53,39 +54,6 @@ def fd_mixed_dist2(man, v, q, h=1e-4):
                 f(h, j, h, i) - f(h, j, -h, i) - f(-h, j, h, i) + f(-h, j, -h, i)
             ) / (4 * h * h)
     return M
-
-
-def fd_d_dv(interp, xi, i, h=1e-5):
-    """Central differences of eval along exp curves through nodal value i."""
-    man = interp.manifold
-    dim = man.intrinsic_dim
-    B = man.tangent_basis(interp.values[i])
-    q0 = interp.eval(xi)
-    E = man.tangent_basis(q0).reshape(dim, -1)
-    cls = type(interp)
-    M = np.empty((dim, dim))
-    for j in range(dim):
-        vp = interp.values.copy()
-        vm = interp.values.copy()
-        vp[i] = man.exp(interp.values[i], h * B[j])
-        vm[i] = man.exp(interp.values[i], -h * B[j])
-        qp = cls(interp.elem, vp, man).eval(xi)
-        qm = cls(interp.elem, vm, man).eval(xi)
-        diff = man.project_tangent(q0, (qp - qm) / (2.0 * h))
-        M[:, j] = E @ diff.reshape(-1)
-    return M
-
-
-def fd_variation(interp, vecs, xi, h=1e-5):
-    """The Def-of-variation derivative: move all nodes along exp curves."""
-    man = interp.manifold
-    cls = type(interp)
-    vp = np.array([man.exp(v, h * w) for v, w in zip(interp.values, vecs)])
-    vm = np.array([man.exp(v, -h * w) for v, w in zip(interp.values, vecs)])
-    qp = cls(interp.elem, vp, man).eval(xi)
-    qm = cls(interp.elem, vm, man).eval(xi)
-    q0 = interp.eval(xi)
-    return q0, man.project_tangent(q0, (qp - qm) / (2.0 * h))
 
 
 def rel_err(A, B, floor=1e-6):

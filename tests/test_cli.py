@@ -153,6 +153,45 @@ def test_unparsable_input_exits_2(tmp_path, capsys, mesh_text, csv_text, broken)
     assert_one_error_line(capsys, tmp_path / broken)
 
 
+def run_with(tmp_path, command, mesh_text, csv_rows):
+    mesh = tmp_path / "m.mesh"
+    mesh.write_text(mesh_text)
+    bc = tmp_path / "bc.csv"
+    write_bc(bc, csv_rows)
+    code = main([
+        "--command", command, "--manifold", "sphere2",
+        "--mesh", str(mesh), "--bc", str(bc), "--out", str(tmp_path / "o.csv"),
+    ])
+    return code, mesh, bc
+
+
+@pytest.mark.parametrize("command", ["interpolate", "minimize"])
+def test_csv_listing_a_node_twice_exits_2(tmp_path, capsys, command):
+    rows = [(0, [1.0, 0.0, 0.0]), (1, [0.0, 1.0, 0.0]), (2, [0.0, 0.0, 1.0]), (1, [1.0, 0.0, 0.0])]
+    code, _, bc = run_with(tmp_path, command, "gfe-mesh 1\n3\n0.0\n0.5\n1.0\n2\n0 1\n1 2\n", rows)
+    assert code == 2
+    err = assert_one_error_line(capsys, bc)
+    assert "line 4" in err and "node 1" in err and "twice" in err
+    assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["interpolate", "minimize"])
+def test_mesh_without_elements_exits_2(tmp_path, capsys, command):
+    code, mesh, _ = run_with(tmp_path, command, "gfe-mesh 1\n2\n0.0\n1.0\n0\n",
+                             [(0, [1.0, 0.0, 0.0]), (1, [0.0, 1.0, 0.0])])
+    assert code == 2
+    assert "no elements" in assert_one_error_line(capsys, mesh)
+    assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["interpolate", "minimize"])
+def test_degenerate_element_names_the_mesh_file(tmp_path, capsys, command):
+    code, mesh, _ = run_with(tmp_path, command, "gfe-mesh 1\n3\n0.0\n0.5\n0.5\n2\n0 1\n1 2\n",
+                             [(i, [1.0, 0.0, 0.0]) for i in range(3)])
+    assert code == 2
+    assert "element 1 has non-positive orientation" in assert_one_error_line(capsys, mesh)
+
+
 @pytest.mark.parametrize("bad_node", [9, -1])
 def test_minimize_boundary_index_out_of_range_exits_2(tmp_path, capsys, bad_node):
     mesh = tmp_path / "m.mesh"

@@ -1,0 +1,171 @@
+"""The batched (lockstep) evaluation path against the per-point one."""
+
+import math
+
+import numpy as np
+import pytest
+
+import gfe
+from gfe import GeodesicInterpolant, GFEFunction, ReferenceElement, unit_square_grid
+from gfe.energy import algebraic_gradient, dirichlet_energy, simplex_quadrature
+from gfe.errors import CutLocusError, IndefiniteHessianError, NonConvergenceError
+from gfe.grid import _CHUNK
+from gfe.jacobi import _basis_ref_gradients
+from gfe.sampling import random_configuration
+
+S2 = gfe.Sphere(2)
+SO3 = gfe.Rotation3()
+MANIFOLDS = [S2, SO3, gfe.Euclidean(2)]
+
+
+def two_element_function(man, rule, order, seed=3):
+    grid = unit_square_grid(1, order)
+    values = random_configuration(man, grid.n_nodes, np.random.default_rng(seed), radius=0.3)
+    return GFEFunction(grid, man, rule, values)
+
+
+def all_quadrature_pairs(u):
+    rule = simplex_quadrature(u.grid.dim)
+    nq = len(rule.weights)
+    els = np.repeat(np.arange(u.grid.n_elements), nq)
+    return els, np.tile(rule.points, (u.grid.n_elements, 1))
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("rule", ["geodesic", "projection"])
+@pytest.mark.parametrize("man", MANIFOLDS, ids=lambda m: m.kind)
+def test_batched_results_equal_per_point_results(man, rule, order):
+    u = two_element_function(man, rule, order)
+    els, xis = all_quadrature_pairs(u)
+    stacked = u.local(els)
+    q, cols = stacked._d_dxi(xis)
+    qv, mats = stacked.d_dv_all(xis)
+    for p, (e, xi) in enumerate(zip(els, xis)):
+        single = u.local(e)
+        assert np.max(np.abs(q[p] - single.eval(xi))) <= 1e-14
+        for k, tv in enumerate(single.d_dxi(xi)):
+            assert np.max(np.abs(cols[p, k] - tv.vec)) <= 1e-14
+        q1, mats1 = single.d_dv_all(xi)
+        assert np.max(np.abs(qv[p] - q1)) <= 1e-14
+        assert np.max(np.abs(mats[p] - mats1)) <= 1e-14
+
+
+@pytest.mark.parametrize("man", [S2, SO3], ids=lambda m: m.kind)
+def test_batched_stencil_equals_per_point_stencil(man):
+    u = two_element_function(man, "geodesic", 2)
+    els, xis = all_quadrature_pairs(u)
+    _, G = _basis_ref_gradients(u.local(els), xis)
+    for p, (e, xi) in enumerate(zip(els, xis)):
+        _, G1 = _basis_ref_gradients(u.local(e), xi)
+        # central differences divide last-bit noise of the solves by the step
+        assert np.max(np.abs(G[p] - G1)) <= 1e-14 / 1e-6
+
+
+def counting_exp(monkeypatch, man):
+    calls = []
+    real = type(man).exp
+
+    def exp(self, p, v):
+        calls.append(None)
+        return real(self, p, v)
+
+    monkeypatch.setattr(type(man), "exp", exp)
+    return calls
+
+
+def test_batch_mixing_an_easy_point_and_a_damped_one_converges_for_both(monkeypatch):
+    # near a vertex the order-2 weights go negative, and from the projection
+    # start Newton needs step halvings on wide data; constant data needs none
+    elem = ReferenceElement(1, 2)
+    a = 1.35
+    wide = np.array([[np.cos(a), np.sin(a), 0.0], [np.cos(a), -np.sin(a), 0.0],
+                     [np.cos(a), 0.0, np.sin(a)]])
+    easy = np.tile([1.0, 0.0, 0.0], (3, 1))
+    xi = np.array([[0.05], [0.05]])
+
+    trials = counting_exp(monkeypatch, S2)
+    hard = GeodesicInterpolant(elem, wide, S2)._solve(xi[1])
+    assert len(trials) > hard.iterations, "the hard point is expected to need damping"
+
+    batch = GeodesicInterpolant(elem, np.stack([easy, wide]), S2, _checked=True)._solve(xi)
+    assert np.all(batch.residual <= 1e-12)
+    assert np.max(np.abs(batch.q[1] - hard.q)) <= 1e-14
+    assert np.max(np.abs(batch.q[0] - easy[0])) <= 1e-15
+    assert batch.iterations == hard.iterations
+
+
+def saddle_batch(order_of_points):
+    """A stacked order-1 interval interpolant whose points are easy, an
+    engineered saddle (indefinite Hessian) or at the cut locus."""
+    a = 1.25
+    v1 = np.array([np.cos(a), np.sin(a), 0.0])
+    v2 = np.array([np.cos(a), -np.sin(a), 0.0])
+    cases = {
+        "easy": (np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), np.array([1.0, 1.0, 0.0]) / np.sqrt(2)),
+        "saddle": (np.array([v1, v2]), np.array([-1.0, 0.0, 0.0])),
+        "cut": (np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), np.array([-1.0, 0.0, 0.0])),
+    }
+    values = np.stack([cases[c][0] for c in order_of_points])
+    starts = np.stack([cases[c][1] for c in order_of_points])
+    interp = GeodesicInterpolant(ReferenceElement(1, 1), values, S2, _checked=True)
+    return interp, np.full((len(order_of_points), 1), 0.5), starts
+
+
+@pytest.mark.parametrize("points, error", [
+    (["easy", "saddle"], IndefiniteHessianError),
+    (["easy", "cut", "saddle"], CutLocusError),
+    (["saddle", "easy", "cut"], IndefiniteHessianError),
+])
+def test_batch_raises_the_error_of_its_lowest_failing_point(points, error):
+    interp, xi, starts = saddle_batch(points)
+    with pytest.raises(error):
+        interp._solve(xi, q0=starts)
+    # each failing point alone raises the same type
+    for p, name in enumerate(points):
+        single = GeodesicInterpolant(ReferenceElement(1, 1), interp.values[p], S2)
+        if name == "easy":
+            single._solve(xi[p], q0=starts[p])
+        else:
+            with pytest.raises((IndefiniteHessianError, CutLocusError)):
+                single._solve(xi[p], q0=starts[p])
+
+
+def test_newton_budget_applies_per_point():
+    interp, xi, _ = saddle_batch(["easy", "easy"])
+    q = interp._solve(xi).q
+    # the first point starts at its center, the second one off it
+    with pytest.raises(NonConvergenceError):
+        interp._solve(xi, q0=np.stack([q[0], interp.values[1, 0]]), max_iter=0)
+    interp._solve(xi, q0=q, max_iter=0)
+
+
+# ----------------------------------------------------------------------
+# work counts
+
+
+@pytest.mark.parametrize("n_side", [1, 2])
+def test_assembly_makes_one_lockstep_solve_per_batch(monkeypatch, n_side):
+    calls = []
+    real = GeodesicInterpolant._solve
+
+    def counting(self, *args, **kwargs):
+        calls.append(None)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(GeodesicInterpolant, "_solve", counting)
+    grid = unit_square_grid(n_side, 2)
+    values = random_configuration(SO3, grid.n_nodes, np.random.default_rng(n_side), radius=0.3)
+    u = GFEFunction(grid, SO3, "geodesic", values)
+    points = grid.n_elements * 6
+    center_batches = math.ceil(points / _CHUNK)
+    stencil_batches = math.ceil(points / (_CHUNK // 4))   # 4 stencil points per point
+    assert center_batches == stencil_batches == 1
+
+    dirichlet_energy(u)
+    assert len(calls) == center_batches
+    calls.clear()
+    algebraic_gradient(u)          # reuses the energy's center solves
+    assert len(calls) == stencil_batches
+    calls.clear()
+    algebraic_gradient(u.with_values(values))
+    assert len(calls) == center_batches + stencil_batches

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gfe
 from gfe.errors import (
@@ -9,7 +11,7 @@ from gfe.errors import (
     ProjectionUndefinedError,
     SingularMatrixError,
 )
-from gfe.manifold import TangentVector, _polar_iterates, polar_decompose
+from gfe.manifold import _SERIES_CUTOFF, TangentVector, _expm_skew, _hat, _polar_iterates, polar_decompose
 from gfe.sampling import random_point, random_tangent
 from helpers import fd_hess_dist2, fd_mixed_dist2, rel_err
 
@@ -437,6 +439,64 @@ def test_polar_quadratic_residual_decay():
         assert np.log(r3) / np.log(r2) >= 1.8
         assert np.log(r2) / np.log(r1) >= 1.8
     assert seen >= 10
+
+
+# ----------------------------------------------------------------------
+# batched exp / log round trips, property-based
+
+
+VECTOR = st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).map(np.array).filter(
+    lambda v: np.linalg.norm(v) > 0.1
+)
+# angles on both sides of the series cutoff and up to the cut locus at pi - 1e-8
+ANGLE = st.one_of(
+    st.floats(0.0, 3.0 * _SERIES_CUTOFF),
+    st.floats(0.0, np.pi - 1.01e-8),
+    st.floats(np.pi - 1e-5, np.pi - 1.01e-8),
+)
+CASES = st.lists(st.tuples(VECTOR, VECTOR, ANGLE), min_size=1, max_size=8)
+
+
+def check_round_trip(man, p, v, angle):
+    """exp/log of a batch, per point as alone, and the round trips."""
+    q = man.exp(p, v)
+    w = man.log(p, q)
+    for i in range(len(p)):
+        assert np.max(np.abs(man.exp(p[i], v[i]) - q[i])) <= 1e-15
+        assert np.max(np.abs(man.log(p[i], q[i]) - w[i])) <= 1e-15
+    axes = tuple(range(1, q.ndim))
+    scale = np.sqrt(2.0) if isinstance(man, gfe.Rotation3) else 1.0
+    assert np.max(np.abs(np.sqrt(np.sum(w * w, axis=axes)) - scale * angle)) <= 1e-12
+    assert np.max(np.abs(man.exp(p, w) - q)) <= 1e-12
+    # the direction of log is ill-conditioned only next to the cut locus
+    well = angle < 3.0
+    assert np.max(np.abs(w - v)[well], initial=0.0) <= 1e-14
+
+
+@settings(max_examples=60, deadline=None)
+@given(CASES)
+def test_sphere_batched_exp_log_round_trip(cases):
+    S = gfe.Sphere(2)
+    p = np.array([a / np.linalg.norm(a) for a, _, _ in cases])
+    d = np.array([b for _, b, _ in cases])
+    d = d - np.sum(d * p, axis=1, keepdims=True) * p
+    keep = np.linalg.norm(d, axis=1) > 0.1
+    if not keep.any():
+        return
+    angle = np.array([t for _, _, t in cases])[keep]
+    v = angle[:, None] * d[keep] / np.linalg.norm(d[keep], axis=1, keepdims=True)
+    check_round_trip(S, p[keep], v, angle)
+
+
+@settings(max_examples=60, deadline=None)
+@given(CASES)
+def test_so3_batched_exp_log_round_trip(cases):
+    R = gfe.Rotation3()
+    p = np.array([_expm_skew(_hat(3.0 * a)) for a, _, _ in cases])
+    axis = np.array([b / np.linalg.norm(b) for _, b, _ in cases])
+    angle = np.array([t for _, _, t in cases])
+    v = p @ np.array([_hat(t * a) for a, t in zip(axis, angle)])
+    check_round_trip(R, p, v, angle)
 
 
 # ----------------------------------------------------------------------
