@@ -9,14 +9,17 @@ The public surface re-exported here:
 - reference elements: ``ReferenceElement``
 - local interpolation: ``GeodesicInterpolant``, ``ProjectionInterpolant``,
   ``KarcherCheck``, ``karcher_check``
-- test fields: ``ElementTestField``, ``nodal_basis_fields``
+- test fields: ``ElementTestField``, ``nodal_basis_fields``; a test field
+  or ``GlobalTestFunction`` takes one (m or n, *point_shape) array of nodal
+  tangent vectors, row i based at the nodal value i
 - grids and global functions: ``Grid``, ``GFEFunction``,
   ``GlobalTestFunction``, ``global_nodal_basis``, ``read_mesh``,
   ``write_mesh``, ``unit_interval_grid``, ``unit_square_grid``,
   ``write_vtk``
 - energy: ``QuadratureRule``, ``simplex_quadrature``, ``EnergyReport``,
   ``dirichlet_energy``, ``directional_derivative``, ``algebraic_gradient``,
-  ``minimize``, ``equivalence_audit``
+  ``minimize``, ``equivalence_audit``; ``directional_derivative`` is the
+  pairing of the gradient, with no node fixed, with the nodal vectors
 """
 
 from . import errors

@@ -14,8 +14,8 @@ restriction to an element is the corresponding local interpolant, evaluated
 after pulling domain points back to reference coordinates.  Restricted to an
 array of elements it is one interpolant stacked over them, which evaluates
 (element, reference point) pairs in one batch.  ``GlobalTestFunction``
-attaches one tangent vector per node and evaluates through the element test
-fields.
+attaches an (n, *point_shape) array of nodal tangent vectors, row i based at
+the nodal value u_i, and evaluates through the element test fields.
 
 Mesh files are plain text: a header line ``gfe-mesh d``, the vertex count
 followed by one coordinate line per vertex, then the element count followed
@@ -29,12 +29,12 @@ import numpy as np
 
 from .errors import AdmissibilityError, PointOutsideDomainError
 from .geodesic import _SPHERE_SPREAD_LIMIT, GeodesicInterpolant, _max_spread
-from .jacobi import ElementTestField, _check_nodal_vectors
+from .jacobi import ElementTestField, _nodal_vectors
 from .manifold import Manifold, Sphere, TangentVector
 from .projection import ProjectionInterpolant
 from .reference_element import ReferenceElement
 
-_RULES = ("geodesic", "projection")
+_RULES = {"geodesic": GeodesicInterpolant, "projection": ProjectionInterpolant}
 _LOCATE_TOL = 1e-12
 # points per lockstep batch: per-point kernel cost is lowest around here,
 # and batch temporaries stay small
@@ -51,34 +51,41 @@ def _batches(n: int, size: int = _CHUNK) -> list[slice]:
 
 
 def read_mesh(path):
-    """Read a mesh file; returns (dim, vertices, elements)."""
+    """Read a mesh file; returns (dim, vertices, elements).  Errors name the line."""
     with open(path, "r", encoding="utf-8") as fh:
-        tokens = []
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if line:
-                tokens.append(line)
-    if not tokens or not tokens[0].startswith("gfe-mesh"):
+        rows = [(n, t) for n, line in enumerate(fh, 1) if (t := line.split("#", 1)[0].split())]
+    if not rows or not rows[0][1][0].startswith("gfe-mesh") or len(rows[0][1]) < 2:
         raise ValueError(f"{path}: missing 'gfe-mesh d' header")
+    pos = 0
+
+    def numbers(convert, count):
+        """The next line, as ``count`` numbers."""
+        nonlocal pos
+        pos += 1
+        tokens = rows[pos][1]
+        if len(tokens) != count:
+            raise ValueError(f"wrong number of entries: expected {count}, got {len(tokens)}")
+        return [convert(t) for t in tokens]
+
     try:
-        dim = int(tokens[0].split()[1])
-        pos = 1
-        nv = int(tokens[pos]); pos += 1
-        vertices = np.array(
-            [[float(t) for t in tokens[pos + i].split()] for i in range(nv)]
-        ).reshape(nv, dim)
-        pos += nv
-        ne = int(tokens[pos]); pos += 1
-        elements = np.array(
-            [[int(t) for t in tokens[pos + i].split()] for i in range(ne)], dtype=int
-        ).reshape(ne, dim + 1)
-    except (IndexError, ValueError) as exc:  # truncated file, bad number or row length
-        raise ValueError(f"{path}: malformed mesh: {exc}") from None
+        dim = int(rows[0][1][1])
+        (nv,) = numbers(int, 1)
+        vertices = np.array([numbers(float, dim) for _ in range(nv)]).reshape(nv, dim)
+        (ne,) = numbers(int, 1)
+        elements = np.array([numbers(int, dim + 1) for _ in range(ne)], dtype=int)
+    except IndexError:
+        raise ValueError(f"{path}: malformed mesh: the file ends at line {rows[-1][0]}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: line {rows[pos][0]}: malformed mesh: {exc}") from None
     if ne < 1:
         raise ValueError(f"{path}: mesh has no elements")
     outside = np.flatnonzero(((elements < 0) | (elements >= nv)).any(axis=1))
     if len(outside):
-        raise ValueError(f"{path}: element {outside[0]} has a vertex index outside 0..{nv - 1}")
+        e = outside[0]
+        raise ValueError(
+            f"{path}: line {rows[pos - ne + 1 + e][0]}: "   # the element rows end at pos
+            f"element {e} has a vertex index outside 0..{nv - 1}"
+        )
     return dim, vertices, elements
 
 
@@ -257,7 +264,7 @@ class GFEFunction:
 
     def __init__(self, grid: Grid, manifold: Manifold, rule: str, values):
         if rule not in _RULES:
-            raise ValueError(f"rule must be one of {_RULES}")
+            raise ValueError(f"rule must be one of {tuple(_RULES)}")
         values = np.array(values, dtype=float)
         if values.shape != (grid.n_nodes,) + manifold.point_shape:
             raise ValueError(
@@ -292,8 +299,7 @@ class GFEFunction:
         values have shape (len(e), m, *point_shape), and reference points
         (len(e), d) evaluate pairwise.
         """
-        cls = GeodesicInterpolant if self.rule == "geodesic" else ProjectionInterpolant
-        return cls(
+        return _RULES[self.rule](
             self.grid.ref, self.values[self.grid.element_nodes[e]], self.manifold, _checked=True
         )
 
@@ -311,16 +317,15 @@ class GFEFunction:
 
 
 class GlobalTestFunction:
-    """A continuous vector field along a GFEFunction, one vector per node."""
+    """A continuous vector field along a GFEFunction, one vector per node: ``vectors``
+    is a read-only (n, *point_shape) array, row i based at the nodal value u_i."""
 
     def __init__(self, base: GFEFunction, vectors):
         self.base = base
-        self.vectors = list(_check_nodal_vectors(vectors, base.manifold, base.values))
+        self.vectors = _nodal_vectors(base, vectors)
 
     def local_field(self, e: int) -> ElementTestField:
-        interp = self.base.local(e)
-        local_vectors = tuple(self.vectors[g] for g in self.base.grid.element_nodes[e])
-        return ElementTestField(interp, local_vectors)
+        return ElementTestField(self.base.local(e), self.vectors[self.base.grid.element_nodes[e]])
 
     def evaluate(self, x, element: int | None = None) -> TangentVector:
         grid = self.base.grid
@@ -329,9 +334,7 @@ class GlobalTestFunction:
 
 
 def zero_test_function(u: GFEFunction) -> GlobalTestFunction:
-    man = u.manifold
-    vectors = [TangentVector(man, v, np.zeros(man.point_shape)) for v in u.values]
-    return GlobalTestFunction(u, vectors)
+    return GlobalTestFunction(u, np.zeros_like(u.values))
 
 
 def global_nodal_basis(u: GFEFunction) -> list[GlobalTestFunction]:
@@ -346,7 +349,6 @@ def global_nodal_basis(u: GFEFunction) -> list[GlobalTestFunction]:
 
 def _nodal_basis_function(u: GFEFunction, i: int, j: int) -> GlobalTestFunction:
     """The test function (i, j) of global_nodal_basis."""
-    man = u.manifold
     vecs = np.zeros_like(u.values)
-    vecs[i] = man.tangent_basis(u.values[i])[j]
-    return GlobalTestFunction(u, [TangentVector(man, v, w) for v, w in zip(u.values, vecs)])
+    vecs[i] = u.manifold.tangent_basis(u.values[i])[j]
+    return GlobalTestFunction(u, vecs)

@@ -1,7 +1,7 @@
 """Test-function fields along an interpolant (generalized Jacobi fields).
 
-A set of nodal tangent vectors b_1..b_m (one per Lagrange node, based at the
-nodal values) determines a vector field along the interpolant,
+An (m, *point_shape) array of nodal tangent vectors b_1..b_m (row i based at
+the nodal value v_i) determines a vector field along the interpolant,
 
     field(xi) = sum_i d(interpolant)/d(v_i) . b_i,
 
@@ -37,20 +37,6 @@ _FD_STEP = 1e-6
 _STENCIL_MARGIN = 1e-5
 
 
-def _basis_values(interp: Interpolant, xi, q0=None):
-    """Embedded values of all nodal-basis fields at xi.
-
-    Returns ``(q, V)`` with V of shape (..., m, N, dim): column j of V[i] is
-    the field that carries tangent_basis(v_i)[j] at node i and zero
-    elsewhere.  ``q0`` warm-starts the center solve of the geodesic rule.
-    """
-    man = interp.manifold
-    q, mats = interp.d_dv_all(xi, q0)
-    # V[i, :, j] = sum_k mats[i][k, j] * Eq[k]
-    V = np.swapaxes(man._flat(man.tangent_basis(q)), -1, -2)[..., None, :, :] @ mats
-    return q, V
-
-
 def _basis_ref_gradients(interp: Interpolant, xi, h: float = _FD_STEP, q=None):
     """Reference-space gradients of all nodal-basis fields at xi (..., d).
 
@@ -83,7 +69,9 @@ def _basis_ref_gradients(interp: Interpolant, xi, h: float = _FD_STEP, q=None):
     # stencil axis before the node axis: points xi + h*e_l, then xi - h*e_l
     steps = h * np.concatenate([np.eye(d), -np.eye(d)])
     stencil = type(interp)(elem, np.expand_dims(interp.values, -k - 2), man, _checked=True)
-    _, V = _basis_values(stencil, xi[..., None, :] + steps, np.expand_dims(q, -k - 1))
+    qs, mats = stencil.d_dv_all(xi[..., None, :] + steps, np.expand_dims(q, -k - 1))
+    # embedded values of the basis fields: V[..., i, :, j] = sum_k mats[..., i, k, j] * Eq[k]
+    V = np.swapaxes(man._flat(man.tangent_basis(qs)), -1, -2)[..., None, :, :] @ mats
     diff = np.swapaxes((V[..., :d, :, :, :] - V[..., d:, :, :, :]) / (2.0 * h), -1, -2)
     lead = diff.shape[:-1]                                    # (..., d, m, dim)
     tangential = man.project_tangent(
@@ -94,42 +82,32 @@ def _basis_ref_gradients(interp: Interpolant, xi, h: float = _FD_STEP, q=None):
     return q, G
 
 
-def _nodal_coefficients(man, values, vecs) -> np.ndarray:
-    """tangent_basis(values[i]) coefficients of the embedded vectors vecs[i], shape (n, dim)."""
-    return np.einsum("ijn,in->ij", man._flat(man.tangent_basis(values)), man._flat(vecs))
-
-
-def _check_nodal_vectors(vectors, manifold, values) -> tuple:
-    """The vectors as a tuple, after checking they are TangentVectors based at the values."""
-    vectors = tuple(vectors)
-    if len(vectors) != len(values):
-        raise ValueError(f"expected {len(values)} nodal vectors, got {len(vectors)}")
-    for tv in vectors:
-        if not isinstance(tv, TangentVector):
-            raise TypeError("nodal vectors must be TangentVector instances")
-        if tv.manifold != manifold:
-            raise ValueError("nodal vector lives on a different manifold")
-    based = np.isclose([tv.base for tv in vectors], values, atol=1e-12)
-    off = np.flatnonzero(~based.reshape(len(vectors), -1).all(axis=1))
-    if len(off):
-        raise ValueError(f"nodal vector {off[0]} is not based at nodal value {off[0]}")
+def _nodal_vectors(base, vectors) -> np.ndarray:
+    """vectors as a read-only array, after checking that row i is tangent at base.values[i]."""
+    vectors = np.array(vectors, dtype=float)
+    if vectors.shape != base.values.shape:
+        raise ValueError(f"nodal vectors of shape {vectors.shape}, expected {base.values.shape}")
+    base.manifold.check_tangent(base.values, vectors)
+    vectors.flags.writeable = False
     return vectors
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ElementTestField:
-    """An interpolant together with one tangent vector per Lagrange node."""
+    """An interpolant together with one tangent vector per Lagrange node: ``vectors``
+    is an (m, *point_shape) array, row i based at the interpolant's nodal value i."""
 
     interp: Interpolant
-    vectors: tuple
+    vectors: np.ndarray
 
     def __post_init__(self):
-        vectors = _check_nodal_vectors(self.vectors, self.interp.manifold, self.interp.values)
-        object.__setattr__(self, "vectors", vectors)
+        object.__setattr__(self, "vectors", _nodal_vectors(self.interp, self.vectors))
 
     def _coefficients(self) -> np.ndarray:
-        interp = self.interp
-        return _nodal_coefficients(interp.manifold, interp.values, [tv.vec for tv in self.vectors])
+        """tangent_basis(v_i) coefficients of the nodal vectors, shape (m, dim)."""
+        man = self.interp.manifold
+        B = man._flat(man.tangent_basis(self.interp.values))
+        return np.einsum("ijn,in->ij", B, man._flat(self.vectors))
 
     # ------------------------------------------------------------------
 
@@ -161,13 +139,8 @@ def nodal_basis_fields(interp: Interpolant) -> list[ElementTestField]:
     the interpolant.
     """
     man = interp.manifold
-    fields = []
-    bases = man.tangent_basis(interp.values)
-    for i in range(interp.elem.m):
-        for j in range(man.intrinsic_dim):
-            vectors = []
-            for r in range(interp.elem.m):
-                vec = bases[i][j] if r == i else np.zeros(man.point_shape)
-                vectors.append(TangentVector(man, interp.values[r], vec))
-            fields.append(ElementTestField(interp, tuple(vectors)))
-    return fields
+    m, dim = interp.elem.m, man.intrinsic_dim
+    # vecs[i, j] holds the nodal vectors of field (i, j)
+    vecs = np.zeros((m, dim, m) + man.point_shape)
+    vecs[np.arange(m), :, np.arange(m)] = man.tangent_basis(interp.values)
+    return [ElementTestField(interp, v) for v in vecs.reshape((m * dim, m) + man.point_shape)]

@@ -149,6 +149,7 @@ class Manifold:
         raise NotImplementedError
 
     def check_tangent(self, p, v) -> None:
+        """Raise ValueError unless v is tangent at p; leading axes broadcast."""
         raise NotImplementedError
 
     def project_tangent(self, p, w) -> np.ndarray:
@@ -276,9 +277,6 @@ class TangentVector:
         self.manifold.check_point(self.base)
         self.manifold.check_tangent(self.base, self.vec)
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.vec))
-
 
 # ----------------------------------------------------------------------
 # flat space
@@ -315,7 +313,7 @@ class Euclidean(Manifold):
             raise DimensionMismatchError(f"expected a vector of length {self.k}")
 
     def check_tangent(self, p, v) -> None:
-        if np.shape(v) != (self.k,):
+        if np.shape(v)[-1:] != (self.k,):
             raise DimensionMismatchError(f"expected a vector of length {self.k}")
 
     def project_tangent(self, p, w):
@@ -388,11 +386,12 @@ class Sphere(Manifold):
             raise ValueError(f"sphere point is not unit length: |p| = {float(nrm[bad].flat[0])!r}")
 
     def check_tangent(self, p, v) -> None:
-        v = np.asarray(v)
-        if v.shape != (self.n + 1,):
+        v = np.asarray(v, dtype=float)
+        if v.shape[-1:] != (self.n + 1,):
             raise DimensionMismatchError(f"expected a vector of length {self.n + 1}")
         # scale-aware so that representation dust on large vectors passes
-        if abs(float(np.dot(p, v))) > 1e-10 * max(1.0, float(np.linalg.norm(v))):
+        dot = np.abs(np.sum(np.asarray(p, dtype=float) * v, axis=-1))
+        if (dot > 1e-10 * np.maximum(1.0, np.linalg.norm(v, axis=-1))).any():
             raise ValueError("vector is not tangent to the sphere at its base point")
 
     def project_tangent(self, p, w):
@@ -449,13 +448,13 @@ class Sphere(Manifold):
         return (theta / np.where(nrm < 1e-14, np.inf, nrm)) * u
 
     def transport(self, p, q, w):
-        u_p = self.log(p, q)
-        u_q = self.log(q, p)
+        # the component along u = log_p(q) turns with the great circle, the
+        # rest stays: w - <w, u> ((1 - cos t)/t**2 * u + sin(t)/t * p), t = |u|
+        u = self.log(p, q)
         w = np.asarray(w, dtype=float)
-        r2 = _inner(u_p, u_p)
-        # zero where p = q (the logs vanish there)
-        a = _inner(w, u_p) / np.where(r2 < 1e-30, np.inf, r2)
-        return w - a * (u_p + u_q)
+        t = np.sqrt(_inner(u, u))
+        turn = _one_minus_cos_over_sq(t) * u + _sinc(t) * np.asarray(p, dtype=float)
+        return w - _inner(w, u) * turn
 
     def _norm_checked(self, w):
         w = np.asarray(w, dtype=float)
@@ -638,11 +637,12 @@ class Rotation3(Manifold):
             raise ValueError("matrix has non-positive determinant")
 
     def check_tangent(self, p, v) -> None:
-        v = np.asarray(v)
-        if v.shape != (3, 3):
+        v = np.asarray(v, dtype=float)
+        if v.shape[-2:] != (3, 3):
             raise DimensionMismatchError("expected a 3x3 matrix")
-        S = np.asarray(p).T @ v
-        if np.linalg.norm(S + S.T) > 1e-10 * max(1.0, float(np.linalg.norm(v))):
+        S = np.swapaxes(np.asarray(p, dtype=float), -1, -2) @ v
+        scale = np.maximum(1.0, np.linalg.norm(v, axis=(-2, -1)))
+        if (np.linalg.norm(S + np.swapaxes(S, -1, -2), axis=(-2, -1)) > 1e-10 * scale).any():
             raise ValueError("vector is not tangent at its base rotation (Q^T W not skew)")
 
     def project_tangent(self, p, w):

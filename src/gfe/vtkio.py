@@ -87,8 +87,8 @@ def write_vtk(
     if field is not None:
         lines.append(f"POINT_DATA {grid.n_nodes}")
         lines.append(f"VECTORS {field_name} double")
-        for tv in field.vectors:
-            w = _vector3(u.manifold, tv.base, tv.vec)
+        for base, vec in zip(field.base.values, field.vectors):
+            w = _vector3(u.manifold, base, vec)
             lines.append(" ".join(f"{x:.12g}" for x in w))
 
     with open(path, "w", encoding="utf-8") as fh:

@@ -10,7 +10,6 @@ import numpy as np
 
 import gfe
 from gfe.cli import fd_d_dv, fd_variation  # noqa: F401  (shared with the audit command)
-from gfe.manifold import TangentVector
 
 
 # ----------------------------------------------------------------------
@@ -119,7 +118,3 @@ def random_field_vectors(man, values, rng, scale=1.0):
     from gfe.sampling import random_tangent
 
     return [random_tangent(man, v, rng, scale=scale) for v in values]
-
-
-def as_tangent_vectors(man, values, vecs):
-    return tuple(TangentVector(man, v, w) for v, w in zip(values, vecs))

@@ -192,6 +192,41 @@ def test_degenerate_element_names_the_mesh_file(tmp_path, capsys, command):
     assert "element 1 has non-positive orientation" in assert_one_error_line(capsys, mesh)
 
 
+def run_interpolate_on_text(tmp_path, mesh_text, csv_text):
+    (tmp_path / "m.mesh").write_text(mesh_text)
+    (tmp_path / "bc.csv").write_text(csv_text)
+    return main([
+        "--command", "interpolate", "--manifold", "sphere2", "--mesh", str(tmp_path / "m.mesh"),
+        "--bc", str(tmp_path / "bc.csv"), "--out", str(tmp_path / "o.csv"),
+    ])
+
+
+GOOD_MESH = "gfe-mesh 1\n# three vertices\n3\n0.0\n0.5\n1.0\n2\n0 1\n1 2\n"
+GOOD_CSV = "0,1,0,0\n1,0,1,0\n2,0,0,1\n"
+
+
+def test_mesh_vertex_index_error_names_the_line(tmp_path, capsys):
+    code = run_interpolate_on_text(tmp_path, GOOD_MESH.replace("1 2\n", "1 3\n"), GOOD_CSV)
+    assert code == 2
+    err = assert_one_error_line(capsys, tmp_path / "m.mesh")
+    assert "line 9: element 1 has a vertex index outside 0..2" in err
+
+
+def test_mesh_parse_error_names_the_line(tmp_path, capsys):
+    code = run_interpolate_on_text(tmp_path, GOOD_MESH.replace("0.5", "x"), GOOD_CSV)
+    assert code == 2
+    err = assert_one_error_line(capsys, tmp_path / "m.mesh")
+    assert "line 5: malformed mesh: could not convert string to float: 'x'" in err
+
+
+def test_csv_value_off_the_manifold_names_the_line(tmp_path, capsys):
+    csv_text = "# nodes\n" + GOOD_CSV.replace("2,0,0,1", "2,2,0,0")
+    code = run_interpolate_on_text(tmp_path, GOOD_MESH, csv_text)
+    assert code == 2
+    err = assert_one_error_line(capsys, tmp_path / "bc.csv")
+    assert "line 4: node 2: sphere point is not unit length" in err
+
+
 @pytest.mark.parametrize("bad_node", [9, -1])
 def test_minimize_boundary_index_out_of_range_exits_2(tmp_path, capsys, bad_node):
     mesh = tmp_path / "m.mesh"

@@ -15,7 +15,7 @@ from gfe import (
 from gfe.errors import AdmissibilityError, PointOutsideDomainError
 from gfe.sampling import random_configuration, random_point
 from gfe.vtkio import write_vtk
-from helpers import as_tangent_vectors, random_field_vectors
+from helpers import random_field_vectors
 
 S2 = gfe.Sphere(2)
 E1V = gfe.Euclidean(1)
@@ -175,7 +175,7 @@ def test_two_sided_test_function_continuity():
     u = sphere_function(grid, seed=7)
     rng = np.random.default_rng(8)
     vecs = random_field_vectors(S2, u.values, rng)
-    eta = GlobalTestFunction(u, list(as_tangent_vectors(S2, u.values, vecs)))
+    eta = GlobalTestFunction(u, vecs)
     checked = 0
     for (a, b), (ea, eb) in interior_faces(grid).items():
         for _ in range(13):
@@ -193,7 +193,7 @@ def test_test_function_at_nodes_and_zero_field():
     u = sphere_function(grid, seed=9)
     rng = np.random.default_rng(10)
     vecs = random_field_vectors(S2, u.values, rng)
-    eta = GlobalTestFunction(u, list(as_tangent_vectors(S2, u.values, vecs)))
+    eta = GlobalTestFunction(u, vecs)
     for i, x in enumerate(grid.lagrange_nodes):
         assert np.allclose(eta.evaluate(x).vec, vecs[i], atol=1e-10)
     zero = gfe.zero_test_function(u)
@@ -216,7 +216,7 @@ def test_global_nodal_basis_structure_and_reproduction():
     # arbitrary test function equals its nodal expansion
     rng = np.random.default_rng(12)
     vecs = random_field_vectors(S2, u.values, rng)
-    eta = GlobalTestFunction(u, list(as_tangent_vectors(S2, u.values, vecs)))
+    eta = GlobalTestFunction(u, vecs)
     coeffs = [bases[i].reshape(dim, -1) @ vecs[i].reshape(-1) for i in range(grid.n_nodes)]
     for _ in range(50):
         x = rng.uniform(0, 1, size=1)
@@ -236,7 +236,7 @@ def test_vtk_output_structure(tmp_path):
     u = sphere_function(grid, seed=13)
     rng = np.random.default_rng(14)
     vecs = random_field_vectors(S2, u.values, rng)
-    eta = GlobalTestFunction(u, list(as_tangent_vectors(S2, u.values, vecs)))
+    eta = GlobalTestFunction(u, vecs)
     path = tmp_path / "out.vtk"
     write_vtk(path, u, field=eta)
     lines = path.read_text().splitlines()

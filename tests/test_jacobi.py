@@ -10,9 +10,8 @@ from gfe import (
     nodal_basis_fields,
 )
 from gfe.errors import StencilOutsideElementError
-from gfe.manifold import TangentVector
 from gfe.sampling import random_configuration, random_point, random_tangent
-from helpers import as_tangent_vectors, fd_variation, random_field_vectors
+from helpers import fd_variation, random_field_vectors
 
 E1, E2, E3 = np.eye(3)
 S2 = gfe.Sphere(2)
@@ -25,7 +24,7 @@ def seeded_field(man, order, seed, rule=GeodesicInterpolant, radius=0.3, scale=1
     values = random_configuration(man, elem.m, rng, radius=radius)
     interp = rule(elem, values, man)
     vecs = random_field_vectors(man, values, rng, scale=scale)
-    return ElementTestField(interp, as_tangent_vectors(man, values, vecs)), vecs
+    return ElementTestField(interp, vecs), vecs
 
 
 # ----------------------------------------------------------------------
@@ -52,7 +51,7 @@ def test_flat_field_is_classical_lagrange_combination():
     values = np.array([[0.0], [0.5], [1.0]])
     interp = GeodesicInterpolant(elem, values, man)
     b = np.array([[2.0], [-1.0], [0.5]])
-    field = ElementTestField(interp, as_tangent_vectors(man, values, b))
+    field = ElementTestField(interp, b)
     for xi in np.linspace(0, 1, 7):
         expected = elem.shape_values([xi]) @ b
         assert np.allclose(field.eval_field([xi]).vec, expected, atol=1e-13)
@@ -68,10 +67,7 @@ def test_sphere_jacobi_field_closed_form():
     binormal = np.cross(p, q)
     binormal /= np.linalg.norm(binormal)
     interp = GeodesicInterpolant(ReferenceElement(1, 1), [p, q], S2)
-    field = ElementTestField(
-        interp,
-        (TangentVector(S2, p, np.zeros(3)), TangentVector(S2, q, binormal)),
-    )
+    field = ElementTestField(interp, np.array([np.zeros(3), binormal]))
     for t in np.linspace(0.0, 1.0, 21):
         tv = field.eval_field([t])
         expected = np.sin(t * theta) / np.sin(theta) * binormal
@@ -88,9 +84,9 @@ def test_linearity_of_field_in_nodal_data():
     c = random_field_vectors(man, values, rng)
     al, be = 0.7, -1.3
     combo = [al * bi + be * ci for bi, ci in zip(b, c)]
-    fb = ElementTestField(interp, as_tangent_vectors(man, values, b))
-    fc = ElementTestField(interp, as_tangent_vectors(man, values, c))
-    fcombo = ElementTestField(interp, as_tangent_vectors(man, values, combo))
+    fb = ElementTestField(interp, b)
+    fc = ElementTestField(interp, c)
+    fcombo = ElementTestField(interp, combo)
     for _ in range(5):
         xi = rng.dirichlet(np.ones(3))[1:]
         lhs = fcombo.eval_field(xi).vec
@@ -110,14 +106,25 @@ def test_variation_property(man, seed, rule):
         assert np.linalg.norm(tv.vec - fd) / max(np.linalg.norm(fd), 1e-6) <= 1e-4
 
 
-def test_nodal_vector_base_mismatch_rejected():
-    elem = ReferenceElement(1, 1)
-    interp = GeodesicInterpolant(elem, [E1, E2], S2)
+@pytest.mark.parametrize("vectors", [
+    [0.1 * E3, 0.1 * E2],        # 0.1*E2 at the nodal value E2 is not tangent
+    [0.1 * E3, 0.1 * E3, E3],    # one vector too many
+    [0.1 * E3, 0.1 * E3[:2]],    # ragged
+    [[0.1, 0.0], [0.0, 0.1]],    # vectors of the wrong length
+], ids=["not-tangent", "count", "ragged", "length"])
+def test_non_tangent_or_misshapen_nodal_vectors_rejected(vectors):
+    u = gfe.GFEFunction(gfe.unit_interval_grid(1, 1), S2, "geodesic", [E1, E2])
     with pytest.raises(ValueError):
-        ElementTestField(
-            interp,
-            (TangentVector(S2, E2, 0.1 * E3), TangentVector(S2, E2, 0.1 * E3)),
-        )
+        ElementTestField(u.local(0), vectors)
+    with pytest.raises(ValueError):
+        gfe.GlobalTestFunction(u, vectors)
+
+
+def test_fields_hash_and_compare_by_identity():
+    field, vecs = seeded_field(S2, 1, seed=4)
+    twin = ElementTestField(field.interp, vecs)
+    assert field == field and field != twin
+    assert len({field, twin}) == 2
 
 
 # ----------------------------------------------------------------------
@@ -136,7 +143,7 @@ def test_flat_field_gradient_exact():
     values = np.array([[0.0], [0.5], [1.0]])
     interp = GeodesicInterpolant(elem, values, man)
     b = np.array([[2.0], [-1.0], [0.5]])
-    field = ElementTestField(interp, as_tangent_vectors(man, values, b))
+    field = ElementTestField(interp, b)
     for xi in (0.21, 0.5, 0.77):
         expected = elem.shape_gradients([xi])[:, 0] @ b
         got = field.eval_field_gradient([xi])[0].vec
@@ -191,7 +198,7 @@ def test_any_field_is_reproduced_by_its_nodal_expansion():
     values = random_configuration(man, elem.m, rng, radius=0.3)
     interp = GeodesicInterpolant(elem, values, man)
     vecs = random_field_vectors(man, values, rng)
-    field = ElementTestField(interp, as_tangent_vectors(man, values, vecs))
+    field = ElementTestField(interp, vecs)
     basis_fields = nodal_basis_fields(interp)
     bases = [man.tangent_basis(v) for v in values]
     coeffs = [bases[i].reshape(2, -1) @ vecs[i].reshape(-1) for i in range(elem.m)]

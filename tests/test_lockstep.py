@@ -7,7 +7,7 @@ import pytest
 
 import gfe
 from gfe import GeodesicInterpolant, GFEFunction, ReferenceElement, unit_square_grid
-from gfe.energy import algebraic_gradient, dirichlet_energy, simplex_quadrature
+from gfe.energy import algebraic_gradient, dirichlet_energy, equivalence_audit, simplex_quadrature
 from gfe.errors import CutLocusError, IndefiniteHessianError, NonConvergenceError
 from gfe.grid import _CHUNK
 from gfe.jacobi import _basis_ref_gradients
@@ -169,3 +169,18 @@ def test_assembly_makes_one_lockstep_solve_per_batch(monkeypatch, n_side):
     calls.clear()
     algebraic_gradient(u.with_values(values))
     assert len(calls) == center_batches + stencil_batches
+
+
+def test_equivalence_audit_assembles_the_gradient_once(monkeypatch):
+    calls = []
+    real = GeodesicInterpolant._solve
+
+    def counting(self, *args, **kwargs):
+        calls.append(None)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(GeodesicInterpolant, "_solve", counting)
+    u = two_element_function(S2, "geodesic", 2)
+    assert equivalence_audit(u, trials=20) <= 5e-4
+    # two energies per trial, plus one center and one stencil solve for the gradient
+    assert len(calls) == 2 * 20 + 2

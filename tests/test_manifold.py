@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -11,6 +13,7 @@ from gfe.errors import (
     ProjectionUndefinedError,
     SingularMatrixError,
 )
+import gfe.manifold
 from gfe.manifold import _SERIES_CUTOFF, TangentVector, _expm_skew, _hat, _polar_iterates, polar_decompose
 from gfe.sampling import random_point, random_tangent
 from helpers import fd_hess_dist2, fd_mixed_dist2, rel_err
@@ -500,6 +503,75 @@ def test_so3_batched_exp_log_round_trip(cases):
 
 
 # ----------------------------------------------------------------------
+# parallel transport and the series switch, property-based
+
+
+def so3_pair(a, b, angle):
+    """A rotation p and q = p exp(angle * hat(unit b)), a turn by ``angle`` away."""
+    p = _expm_skew(_hat(3.0 * a))
+    return p, p @ _expm_skew(_hat(angle * b / np.linalg.norm(b)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(VECTOR, VECTOR, VECTOR, ANGLE), min_size=1, max_size=8))
+@pytest.mark.parametrize("man", [gfe.Sphere(2), gfe.Rotation3()], ids=lambda m: m.kind)
+def test_transport_keeps_norms_and_lands_tangent(man, cases):
+    angle = np.array([t for *_, t in cases])
+    if isinstance(man, gfe.Sphere):
+        p = np.array([a / np.linalg.norm(a) for a, _, _, _ in cases])
+        d = np.array([b for _, b, _, _ in cases])
+        d = d - np.sum(d * p, axis=1, keepdims=True) * p
+        keep = np.linalg.norm(d, axis=1) > 0.1
+        if not keep.any():
+            return
+        p, d, angle = p[keep], d[keep], angle[keep]
+        q = man.exp(p, angle[:, None] * d / np.linalg.norm(d, axis=1, keepdims=True))
+        w = np.array([c for _, _, c, _ in cases])[keep]
+        w = w - np.sum(w * p, axis=1, keepdims=True) * p
+        t = man.transport(p, q, w)
+        normal = np.abs(np.sum(q * t, axis=1))
+        # log_p(q), and so the geodesic, is ill-conditioned next to the antipode
+        bound = np.maximum(1e-12, 1e-14 / (np.pi - angle))
+    else:
+        p, q = map(np.array, zip(*(so3_pair(a, b, t) for a, b, _, t in cases)))
+        w = p @ np.array([_hat(c) for _, _, c, _ in cases])
+        t = man.transport(p, q, w)
+        S = np.swapaxes(q, 1, 2) @ t
+        normal = np.linalg.norm(S + np.swapaxes(S, 1, 2), axis=(1, 2))
+        bound = 1e-12
+    norm_w = np.linalg.norm(w.reshape(len(w), -1), axis=1)
+    stretch = np.abs(np.linalg.norm(t.reshape(len(t), -1), axis=1) - norm_w)
+    assert np.all(np.maximum(stretch, normal) <= bound * np.maximum(1.0, norm_w))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(VECTOR, VECTOR, st.floats(0.5, 2.0)), min_size=1, max_size=8))
+@pytest.mark.parametrize("man", [gfe.Sphere(2), gfe.Rotation3()], ids=lambda m: m.kind)
+def test_dist2_blocks_continuous_across_series_cutoff(man, cases):
+    """Both blocks agree to 1e-12 whether the kernels near the cutoff take
+    their series or their closed forms; ``f`` places the curvature-scaled
+    distance sqrt(K)*r at f times the cutoff."""
+    for a, b, f in cases:
+        if isinstance(man, gfe.Sphere):
+            q = a / np.linalg.norm(a)
+            d = b - np.dot(b, q) * q
+            if np.linalg.norm(d) <= 0.1:
+                continue
+            d /= np.linalg.norm(d)
+        else:
+            q = _expm_skew(_hat(3.0 * a))
+            d = q @ _hat(b / (np.sqrt(2.0) * np.linalg.norm(b)))   # unit in the Frobenius norm
+        v = man.exp(q, f * _SERIES_CUTOFF / np.sqrt(man._model_curvature) * d)
+        blocks = []
+        for cutoff in (8.0 * _SERIES_CUTOFF, _SERIES_CUTOFF / 8.0):   # all series, all closed
+            with mock.patch.object(gfe.manifold, "_SERIES_CUTOFF", cutoff):
+                blocks.append((man.dist2_hess_q(v, q), man.dist2_mixed(v, q)))
+        (H_series, M_series), (H_closed, M_closed) = blocks
+        assert np.max(np.abs(H_series - H_closed)) <= 1e-12
+        assert np.max(np.abs(M_series - M_closed)) <= 1e-12
+
+
+# ----------------------------------------------------------------------
 # validation
 
 
@@ -517,3 +589,36 @@ def test_tangent_vector_validation():
     TangentVector(S, E1, 0.3 * E2)
     with pytest.raises(ValueError):
         TangentVector(S, E1, E1)
+
+
+@pytest.mark.parametrize("man", ALL, ids=lambda m: m.kind)
+def test_batched_check_tangent_agrees_with_per_vector_calls(man):
+    rng = np.random.default_rng(31)
+    p = np.array([random_point(man, rng) for _ in range(16)])
+    tangent = np.array([random_tangent(man, x, rng, scale=rng.uniform(0.5, 5.0)) for x in p])
+    # normal parts p (sphere) and p times a symmetric matrix (rotations) at
+    # sizes well below and well above the 1e-10 tolerance
+    if isinstance(man, gfe.Sphere):
+        normal = p
+    elif isinstance(man, gfe.Rotation3):
+        sym = rng.standard_normal((16, 3, 3))
+        normal = p @ (sym + np.swapaxes(sym, 1, 2))
+    else:
+        normal = np.zeros_like(p)
+    size = np.array([0.0, 1e-14, 1e-6, 1.0] * 4).reshape((16,) + (1,) * (p.ndim - 1))
+    v = tangent + size * normal
+
+    def accepted(x, w):
+        try:
+            man.check_tangent(x, w)
+        except ValueError:
+            return False
+        return True
+
+    each = np.array([accepted(x, w) for x, w in zip(p, v)])
+    assert each.tolist() == [accepted(p[i : i + 1], v[i : i + 1]) for i in range(16)]
+    assert accepted(p, v) == each.all()
+    assert accepted(p[each], v[each])
+    assert each.all() if isinstance(man, gfe.Euclidean) else each.sum() == 8
+    with pytest.raises(DimensionMismatchError):
+        man.check_tangent(p, v[..., :-1])
