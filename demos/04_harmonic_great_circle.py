@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
-"""A discrete harmonic map into the sphere, by Riemannian gradient descent.
+"""A discrete harmonic map into the sphere, by H^1-preconditioned descent.
 
 Eight first-order elements discretize [0, 1]; the endpoints are pinned to
 two orthogonal unit vectors.  Minimizing the Dirichlet energy drives the
 free nodes onto the connecting great circle, equally spaced in angle, and
 the energy converges to (1/2)(pi/2)^2 — the energy of the constant-speed
-quarter arc.
+quarter arc.  Each step solves with the Gram matrix of the gradients of the
+nodal basis fields (the Gauss-Newton metric): from this start, already on the
+circle, one step lands on the minimizer, and starts off the circle take about
+ten steps however fine the grid.
 """
 
 import numpy as np
@@ -34,7 +37,10 @@ u, report = minimize(
 )
 
 print(f"{'iter':>5} {'energy':>20} {'|gradient|':>12}")
-for k, E, g in trace[:: max(1, len(trace) // 10)] + [trace[-1]]:
+rows = trace[:: max(1, len(trace) // 10)]
+if rows[-1] is not trace[-1]:
+    rows.append(trace[-1])
+for k, E, g in rows:
     print(f"{k:>5} {E:>20.14f} {g:>12.3e}")
 
 target = 0.5 * (np.pi / 2) ** 2

@@ -17,11 +17,15 @@ audit
     1 when any of them breaches its tolerance (1e-4, 1e-4, 5e-4).
 
 minimize
-    Read a mesh and Dirichlet data (CSV rows for the fixed nodes), build a
-    starting guess by projected neighbor averaging, run gradient descent,
-    print the energy report as key=value lines, and write the final nodal
-    values as CSV plus VTK files of the solution and of one nodal basis test
-    field.  Exits 3 when the line search fails.
+    Read a mesh and Dirichlet data (CSV rows for the fixed nodes; at least
+    one, since the descent metric is singular without a fixed node), build
+    a starting guess by projected neighbor averaging, run descent
+    preconditioned with the H^1 (Gauss-Newton) metric of the test space
+    (one dense Cholesky solve per iteration, memory growing as the square
+    of the free degrees of freedom), print the energy report as key=value
+    lines, and write the final nodal values as CSV plus VTK files of the
+    solution and of one nodal basis test field.  Exits 3 when the line
+    search fails.
 
 Identical flags and seed produce byte-identical output files.  Malformed
 input (a mesh or CSV that cannot be read, a mesh without elements or with a

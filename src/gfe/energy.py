@@ -11,8 +11,14 @@ the field gradients supplied by the jacobi module.  The algebraic gradient
 collects these directional derivatives against the global nodal basis into
 one tangent vector per Lagrange node, with fixed (by default: boundary)
 nodes zeroed; the directional derivative along eta pairs it, with no node
-fixed, with eta's nodal vectors.  ``minimize`` runs Riemannian gradient
-descent with Armijo backtracking on the nodal values.
+fixed, with eta's nodal vectors.  ``minimize`` runs Riemannian descent with
+Armijo backtracking on the nodal values, preconditioned with the H^1
+(Gauss-Newton) metric of the test space: the Gram matrix of the physical
+gradients of the nodal basis fields, assembled from the same basis-field
+gradients as the algebraic gradient (so it adds no Newton solve) and
+factored densely (Cholesky) on the free degrees of freedom.  On flat space
+the metric is the stiffness matrix and one step solves the problem; on
+curved targets the iteration count does not grow under mesh refinement.
 
 Assembly is batched: all (element, quadrature point) pairs are evaluated
 together, element-major, in lockstep batches of at most ``grid._CHUNK``
@@ -20,8 +26,8 @@ Newton points.  The energy makes one center solve per batch of quadrature
 points; the gradient and the directional derivative add one stencil solve
 per batch of _CHUNK / (2d) quadrature points (2d stencil points each), and
 reuse the center solves of the last energy evaluation of the same function
-under the same rule (which is how ``minimize`` gets its gradient from the
-accepted trial).  Per-point contributions are summed with ``math.fsum``, so
+under the same rule (which is how ``minimize`` gets its gradient and metric
+from the accepted trial).  Per-point contributions are summed with ``math.fsum``, so
 results do not depend on the batch layout.
 
 ``equivalence_audit`` compares, for random nodal tangent directions, the
@@ -38,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GFEError, LineSearchFailure
+from .errors import GFEError, LineSearchFailure, SingularSystemError
 from .grid import _CHUNK, GFEFunction, GlobalTestFunction, _batches
 from .jacobi import _basis_ref_gradients
 
@@ -130,6 +136,51 @@ def directional_derivative(
     return math.fsum((algebraic_gradient(u, quad, fixed=()) * eta.vectors).ravel())
 
 
+def _gradient_terms(u: GFEFunction, rule: QuadratureRule, metric: bool = False):
+    """Gradient coefficients (n, dim) in the tangent_basis(u_i) coordinates,
+    no node fixed, and with ``metric`` also the Gram matrix (n*dim, n*dim)
+
+        A[(i, j), (k, l)] = sum_q w_q <grad phi_ij, grad phi_kl>
+
+    of the physical gradients of the global nodal basis fields (the H^1
+    seminorm on the test space; the stiffness matrix on flat space), row
+    i*dim + j for field (i, j).  It comes from the same basis-field
+    gradients as the coefficients, so it adds no Newton solve."""
+    grid = u.grid
+    man = u.manifold
+    dim = man.intrinsic_dim
+    memo = u._centers
+    if memo is not None and np.array_equal(memo[0].points, rule.points) \
+            and np.array_equal(memo[0].weights, rule.weights):
+        els, k, q, Gu = memo[1]
+    else:
+        els, k, q, Gu = _center_solves(u, rule)
+    coeff = np.zeros((grid.n_nodes, dim))
+    A = np.zeros((grid.n_nodes * dim,) * 2) if metric else None
+    for b in _batches(len(els), _CHUNK // (2 * grid.dim)):
+        Binv = grid._Binv[els[b]]
+        w = grid._detB[els[b]] * rule.weights[k[b]]
+        nodes = grid.element_nodes[els[b]]
+        _, G = _basis_ref_gradients(u.local(els[b]), rule.points[k[b]], h=_FIELD_FD_STEP, q=q[b])
+        # term (i, j): the weighted integrand of the directional derivative
+        # along basis field (i, j), whose physical gradient is G[:, i, :, j, :] @ Binv
+        terms = np.einsum("pnk,pinjl,plk->pij", Gu[b], G, Binv)
+        np.add.at(coeff, nodes, terms * w[:, None, None])
+        if metric:
+            # F[p, i*dim + j] is the flattened physical gradient of field (i, j)
+            F = np.swapaxes(G @ Binv[:, None, None], 2, 3)
+            F = F.reshape(F.shape[0], -1, F.shape[3] * F.shape[4])
+            dofs = (nodes[:, :, None] * dim + np.arange(dim)).reshape(len(F), -1)
+            np.add.at(A, (dofs[:, :, None], dofs[:, None, :]),
+                      (F * w[:, None, None]) @ np.swapaxes(F, 1, 2))
+    return coeff, A
+
+
+def _embedded(man, values: np.ndarray, coeff: np.ndarray) -> np.ndarray:
+    """The tangent vectors at values (n, *point_shape) with tangent_basis coefficients coeff (n, dim)."""
+    return np.einsum("ij,ij...->i...", coeff, man.tangent_basis(values))
+
+
 def algebraic_gradient(
     u: GFEFunction,
     quad: QuadratureRule | None = None,
@@ -142,27 +193,9 @@ def algebraic_gradient(
     tangent_basis(u_i)[j] at node i.  Entries at ``fixed`` nodes (grid
     boundary nodes by default) are zeroed.
     """
-    grid = u.grid
-    man = u.manifold
-    rule = _rule(u, quad)
-    memo = u._centers
-    if memo is not None and np.array_equal(memo[0].points, rule.points) \
-            and np.array_equal(memo[0].weights, rule.weights):
-        els, k, q, Gu = memo[1]
-    else:
-        els, k, q, Gu = _center_solves(u, rule)
-    coeff = np.zeros((grid.n_nodes, man.intrinsic_dim))
-    for b in _batches(len(els), _CHUNK // (2 * grid.dim)):
-        Binv = grid._Binv[els[b]]
-        _, G = _basis_ref_gradients(u.local(els[b]), rule.points[k[b]], h=_FIELD_FD_STEP, q=q[b])
-        # term (i, j): the weighted integrand of the directional derivative
-        # along basis field (i, j), whose physical gradient is G[:, i, :, j, :] @ Binv
-        terms = np.einsum("pnk,pinjl,plk->pij", Gu[b], G, Binv)
-        terms = terms * (grid._detB[els[b]] * rule.weights[k[b]])[:, None, None]
-        np.add.at(coeff, grid.element_nodes[els[b]], terms)
-    fixed_set = grid.boundary_nodes if fixed is None else set(fixed)
-    coeff[sorted(fixed_set)] = 0.0
-    return np.einsum("ij,ij...->i...", coeff, man.tangent_basis(u.values))
+    coeff, _ = _gradient_terms(u, _rule(u, quad))
+    coeff[sorted(u.grid.boundary_nodes if fixed is None else set(fixed))] = 0.0
+    return _embedded(u.manifold, u.values, coeff)
 
 
 # ----------------------------------------------------------------------
@@ -178,42 +211,71 @@ def minimize(
     initial_step: float = 1.0,
     callback=None,
 ):
-    """Riemannian gradient descent with Armijo backtracking.
+    """Riemannian descent preconditioned with the H^1 (Gauss-Newton) metric,
+    with Armijo backtracking.
 
-    Nodal values outside ``fixed`` are updated by v <- exp_v(-alpha * grad);
-    each iteration's trial step doubles the previous accepted step and is
-    halved until the energy decreases sufficiently (c = 1e-4).  Trial states
-    that fail to evaluate (admissibility, cut locus, projection) are treated
-    like an insufficient decrease.  Returns (minimizer, EnergyReport);
-    raises LineSearchFailure when the step underflows below 1e-14.
+    Each iteration solves A_ff c = g_f on the free degrees of freedom, where
+    g holds the gradient coefficients in tangent_basis(u_i) and A is the
+    Gram matrix of the physical gradients of the nodal basis fields (one
+    dense Cholesky factorization; memory grows as the square of the number
+    of free degrees of freedom), and updates the nodal values outside
+    ``fixed`` by v_i <- exp_{v_i}(-alpha * sum_j c_ij tangent_basis(v_i)[j]).
+    The first trial step is min(initial_step, 2 * the previous accepted
+    step), so a full Gauss-Newton step is tried first and never exceeded; it
+    is halved until E_try <= E - 1e-4 * alpha * <g, c> and E_try < E.  Trial
+    states that fail to evaluate (admissibility, cut locus, projection) are
+    treated like an insufficient decrease.  Stops when the norm of the
+    algebraic gradient is at most ``tol``.  Returns (minimizer,
+    EnergyReport).  Raises ValueError for an empty ``fixed`` set (the metric
+    is then singular), SingularSystemError when the factorization fails and
+    LineSearchFailure when the step underflows below 1e-14.
     """
     rule = _rule(u0, quad)
     fixed_set = set(fixed)
+    if not fixed_set:
+        raise ValueError("minimize needs at least one fixed node (the H^1 metric is singular otherwise)")
+    fixed_nodes = sorted(fixed_set)
     u = u0
+    man = u.manifold
+    n, dim = u.grid.n_nodes, man.intrinsic_dim
+    free = [i for i in range(n) if i not in fixed_set]
     energy = dirichlet_energy(u, rule)
     alpha_prev = 0.5 * initial_step
     iterations = 0
-    free = [i for i in range(u.grid.n_nodes) if i not in fixed_set]
 
-    grad = algebraic_gradient(u, rule, fixed_set)
-    gnorm = float(np.linalg.norm(grad))
+    def gradient(u):
+        coeff, A = _gradient_terms(u, rule, metric=True)
+        coeff[fixed_nodes] = 0.0
+        return coeff, float(np.linalg.norm(_embedded(man, u.values, coeff))), A
+
+    coeff, gnorm, A = gradient(u)
     if callback is not None:
         callback(iterations, energy, gnorm)
 
     while gnorm > tol:
         if iterations >= max_iter:
             break
-        alpha = 2.0 * alpha_prev
+        g = coeff[free].ravel()
+        try:
+            L = np.linalg.cholesky(A.reshape(n, dim, n, dim)[free][:, :, free].reshape(len(g), -1))
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystemError(
+                f"H^1 metric is not positive definite at descent iteration {iterations}"
+            ) from exc
+        c = np.linalg.solve(L.T, np.linalg.solve(L, g))
+        slope = float(g @ c)
+        direction = _embedded(man, u.values[free], c.reshape(-1, dim))
+        alpha = min(initial_step, 2.0 * alpha_prev)
         while True:
             trial = u.values.copy()
             ok = True
             try:
-                trial[free] = u.manifold.exp(u.values[free], -alpha * grad[free])
+                trial[free] = man.exp(u.values[free], -alpha * direction)
                 u_try = u.with_values(trial)
                 e_try = dirichlet_energy(u_try, rule)
             except GFEError:
                 ok = False
-            if ok and e_try <= energy - _ARMIJO_C * alpha * gnorm**2 and e_try < energy:
+            if ok and e_try <= energy - _ARMIJO_C * alpha * slope and e_try < energy:
                 break
             alpha *= _ARMIJO_BACKTRACK
             if alpha < _MIN_STEP:
@@ -224,10 +286,9 @@ def minimize(
         u, energy, alpha_prev = u_try, e_try, alpha
         iterations += 1
         try:
-            grad = algebraic_gradient(u, rule, fixed_set)
+            coeff, gnorm, A = gradient(u)
         except GFEError as exc:
             raise type(exc)(f"at descent iteration {iterations}: {exc}") from exc
-        gnorm = float(np.linalg.norm(grad))
         if callback is not None:
             callback(iterations, energy, gnorm)
 

@@ -67,11 +67,17 @@ def read_mesh(path):
             raise ValueError(f"wrong number of entries: expected {count}, got {len(tokens)}")
         return [convert(t) for t in tokens]
 
+    def count():
+        (n,) = numbers(int, 1)
+        if n < 0:
+            raise ValueError(f"negative count {n}")
+        return n
+
     try:
         dim = int(rows[0][1][1])
-        (nv,) = numbers(int, 1)
+        nv = count()
         vertices = np.array([numbers(float, dim) for _ in range(nv)]).reshape(nv, dim)
-        (ne,) = numbers(int, 1)
+        ne = count()
         elements = np.array([numbers(int, dim + 1) for _ in range(ne)], dtype=int)
     except IndexError:
         raise ValueError(f"{path}: malformed mesh: the file ends at line {rows[-1][0]}") from None

@@ -32,11 +32,12 @@ curvature model: at distance r, the Hessian of ``q -> dist(v, q)**2`` has
 radial eigenvalue 2 and eigenvalue ``2*rho*cot(rho)`` on the orthogonal
 complement, and the mixed block maps a perturbation ``w`` of ``v`` to
 
-    2*<w, u_v>*u_q - 2*(rho/sin(rho)) * Pt(w - <w, u_v>*u_v),
+    -2*a*Pt(w) + 2*((1 - a)/r**2) * <w, log_v(q)> * log_q(v),
 
-where ``rho = sqrt(K)*r``, ``u_v = log_v(q)/r``, ``u_q = log_q(v)/r`` and
-``Pt`` is parallel transport from v to q.  All operations are pure functions
-of their inputs; values are never mutated.
+where ``a = rho/sin(rho)``, ``rho = sqrt(K)*r`` and ``Pt`` is parallel
+transport from v to q.  (1 - a)/r**2 is a series in rho near 0, so no log
+is divided by r, which would cost eps/r of accuracy near v = q.  All
+operations are pure functions of their inputs; values are never mutated.
 """
 
 from __future__ import annotations
@@ -82,6 +83,13 @@ def _one_minus_cos_over_sq(t):
 def _t_over_sin(t):
     """t/sin(t)."""
     return _series_or(t, (1.0, 1.0 / 6.0, 7.0 / 360.0), lambda t: t / np.sin(t))
+
+
+def _one_minus_t_over_sin_over_sq(t):
+    """(1 - t/sin(t))/t**2."""
+    return _series_or(
+        t, (-1.0 / 6.0, -7.0 / 360.0, -31.0 / 15120.0), lambda t: (1.0 - t / np.sin(t)) / (t * t)
+    )
 
 
 def _t_cot(t):
@@ -231,27 +239,24 @@ class Manifold:
         """
         self._check_pair(v, q)
         v = np.asarray(v, dtype=float)
-        u_v = self._flat(self.log(v, q))                     # (..., N)
-        u_q = self._flat(self.log(q, v) if log_qv is None else log_qv)
-        r = np.sqrt(_inner(u_q, u_q))                        # (..., 1)
-        at_q = r < 1e-15
-        u_v, u_q = (u[..., None, :] / np.where(at_q, np.inf, r)[..., None] for u in (u_v, u_q))
+        U_v = self._flat(self.log(v, q))                     # (..., N)
+        U_q = self._flat(self.log(q, v) if log_qv is None else log_qv)
+        r = np.sqrt(_inner(U_q, U_q))                        # (..., 1)
         Bv = self._flat(self.tangent_basis(v))              # (..., dim, N)
         Eq = self._flat(self.tangent_basis(q) if basis_q is None else basis_q)
-        # radial parts <b_j, u_v> of the basis columns, and the remainders,
-        # all dim columns transported in one call
-        rad = _inner(Bv, u_v)                                # (..., dim, 1)
-        perp = Bv - rad * u_v
-        perp = perp.reshape(perp.shape[:-1] + self.point_shape)
+        # all dim basis columns of v transported to q in one call
         k = len(self.point_shape)
         moved = self._flat(self.transport(
-            np.expand_dims(v, -k - 1), np.expand_dims(np.asarray(q, dtype=float), -k - 1), perp
+            np.expand_dims(v, -k - 1), np.expand_dims(np.asarray(q, dtype=float), -k - 1),
+            Bv.reshape(Bv.shape[:-1] + self.point_shape),
         ))
         a = self._curvature_factor(_t_over_sin, r)[..., None]
-        # 2*rad_j*u_q - 2*a*moved_j in the basis at q, one column j per basis vector
-        radial = np.matmul(Eq, np.swapaxes(u_q, -1, -2)) * np.swapaxes(rad, -1, -2)
-        M = 2.0 * (radial - a * np.matmul(Eq, np.swapaxes(moved, -1, -2)))  # (..., dim_q, dim_v)
-        return np.where(at_q[..., None], -2.0 * np.eye(self.intrinsic_dim), M)
+        # (1 - a)/r**2, so that no log is divided by r (which costs eps/r near v = q)
+        s = self._model_curvature * self._curvature_factor(_one_minus_t_over_sin_over_sq, r)
+        # -2*a*Pt(b_j) + 2*s*<b_j, U_v>*U_q in the basis at q, one column j per basis vector
+        radial = np.matmul(Eq, U_q[..., :, None]) * np.matmul(Bv, U_v[..., :, None])[..., None, :, 0]
+        M = 2.0 * (s[..., None] * radial - a * np.matmul(Eq, np.swapaxes(moved, -1, -2)))
+        return np.where((r < 1e-15)[..., None], -2.0 * np.eye(self.intrinsic_dim), M)
 
 
 # ----------------------------------------------------------------------

@@ -219,6 +219,17 @@ def test_mesh_parse_error_names_the_line(tmp_path, capsys):
     assert "line 5: malformed mesh: could not convert string to float: 'x'" in err
 
 
+@pytest.mark.parametrize("mesh_text, line", [
+    (GOOD_MESH.replace("\n3\n", "\n-1\n"), 3),        # vertex count
+    (GOOD_MESH.replace("\n2\n", "\n-2\n"), 7),        # element count
+], ids=["vertices", "elements"])
+def test_mesh_negative_count_names_the_line(tmp_path, capsys, mesh_text, line):
+    code = run_interpolate_on_text(tmp_path, mesh_text, GOOD_CSV)
+    assert code == 2
+    err = assert_one_error_line(capsys, tmp_path / "m.mesh")
+    assert f"line {line}: malformed mesh: negative count" in err
+
+
 def test_csv_value_off_the_manifold_names_the_line(tmp_path, capsys):
     csv_text = "# nodes\n" + GOOD_CSV.replace("2,0,0,1", "2,2,0,0")
     code = run_interpolate_on_text(tmp_path, GOOD_MESH, csv_text)

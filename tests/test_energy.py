@@ -281,6 +281,63 @@ def test_fixed_nodes_are_not_touched():
         assert np.array_equal(u.values[i], start[i])
 
 
+def bumped_great_circle(n_elements, order, amplitude=0.2):
+    """Quarter great circle from e_x to e_y with an out-of-plane bump, and the exact minimizer."""
+    grid = unit_interval_grid(n_elements, order)
+    x = grid.lagrange_nodes[:, 0]
+    start = np.stack([1.0 - x, x, amplitude * np.sin(np.pi * x)], axis=1)
+    start /= np.linalg.norm(start, axis=1)[:, None]
+    a = 0.5 * np.pi * x
+    return GFEFunction(grid, S2, "geodesic", start), np.stack([np.cos(a), np.sin(a), 0.0 * a], axis=1)
+
+
+@pytest.mark.parametrize("n_elements", [4, 8, 16, 32, 64])
+@pytest.mark.parametrize("order", [1, 2])
+def test_preconditioned_descent_iterations_do_not_grow_under_refinement(order, n_elements):
+    u0, exact = bumped_great_circle(n_elements, order)
+    u, report = minimize(u0, fixed=set(u0.grid.boundary_nodes), tol=1e-6)
+    assert report.converged
+    assert report.iterations <= 15
+    assert np.max(np.abs(u.values - exact)) <= 1e-5
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("make_grid", [lambda p: unit_interval_grid(4, p), lambda p: unit_square_grid(3, p)],
+                         ids=["1d", "2d"])
+def test_flat_preconditioned_descent_takes_one_step(make_grid, order):
+    # the H^1 metric of flat space is the stiffness matrix: one full step solves Laplace
+    grid = make_grid(order)
+    values = np.random.default_rng(12).standard_normal((grid.n_nodes, 1))
+    u, report = minimize(GFEFunction(grid, E1V, "geodesic", values), set(grid.boundary_nodes), tol=1e-9)
+    assert report.converged
+    assert report.iterations == 1
+
+
+def test_minimize_refuses_an_empty_fixed_set():
+    u0, _ = bumped_great_circle(4, 1)
+    with pytest.raises(ValueError, match="fixed"):
+        minimize(u0, fixed=set())
+
+
+def test_order2_geodesic_gradient_matches_energy_fd_per_node():
+    # the middle Gauss point coincides with the edge-midpoint node, so the
+    # stencil points sit 1e-6 from a nodal value (dist2_mixed near v = q)
+    u, _ = bumped_great_circle(2, 2)
+    grad = algebraic_gradient(u, fixed=())
+    h = 1e-4
+    for i in range(u.grid.n_nodes):
+        B = S2.tangent_basis(u.values[i])
+        coeff = B @ grad[i]
+        for j in range(2):
+            def energy_at(t):
+                vals = u.values.copy()
+                vals[i] = S2.exp(u.values[i], t * B[j])
+                return dirichlet_energy(u.with_values(vals))
+            # fourth-order central difference: truncation ~h^4, rounding ~eps/h
+            fd = (8.0 * (energy_at(h) - energy_at(-h)) - (energy_at(2 * h) - energy_at(-2 * h))) / (12 * h)
+            assert abs(coeff[j] - fd) <= 1e-8
+
+
 # ----------------------------------------------------------------------
 # equivalence of the two derivative routes
 

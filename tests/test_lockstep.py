@@ -7,7 +7,7 @@ import pytest
 
 import gfe
 from gfe import GeodesicInterpolant, GFEFunction, ReferenceElement, unit_square_grid
-from gfe.energy import algebraic_gradient, dirichlet_energy, equivalence_audit, simplex_quadrature
+from gfe.energy import algebraic_gradient, dirichlet_energy, equivalence_audit, minimize, simplex_quadrature
 from gfe.errors import CutLocusError, IndefiniteHessianError, NonConvergenceError
 from gfe.grid import _CHUNK
 from gfe.jacobi import _basis_ref_gradients
@@ -184,3 +184,31 @@ def test_equivalence_audit_assembles_the_gradient_once(monkeypatch):
     assert equivalence_audit(u, trials=20) <= 5e-4
     # two energies per trial, plus one center and one stencil solve for the gradient
     assert len(calls) == 2 * 20 + 2
+
+
+def test_preconditioned_descent_adds_no_solve(monkeypatch):
+    calls = []
+    real = GeodesicInterpolant._solve
+
+    def counting(self, *args, **kwargs):
+        calls.append(None)
+        return real(self, *args, **kwargs)
+
+    trials = []
+    real_energy = gfe.energy.dirichlet_energy
+
+    def counting_energy(*args, **kwargs):
+        trials.append(None)
+        return real_energy(*args, **kwargs)
+
+    monkeypatch.setattr(GeodesicInterpolant, "_solve", counting)
+    monkeypatch.setattr(gfe.energy, "dirichlet_energy", counting_energy)
+    u = two_element_function(S2, "geodesic", 2)
+    marks = []
+    minimize(u, set(u.grid.boundary_nodes), max_iter=1, tol=0.0,
+             callback=lambda k, e, g: marks.append((len(calls), len(trials))))
+    (calls0, trials0), (calls1, trials1) = marks
+    # one center solve per trial energy, and the accepted trial's centers
+    # serve the stencil solve of the gradient and its metric
+    assert trials1 - trials0 >= 1
+    assert calls1 - calls0 == (trials1 - trials0) + 1

@@ -544,6 +544,21 @@ def test_transport_keeps_norms_and_lands_tangent(man, cases):
     assert np.all(np.maximum(stretch, normal) <= bound * np.maximum(1.0, norm_w))
 
 
+@pytest.mark.parametrize("r", [1e-6, 1e-7])
+@pytest.mark.parametrize("man", [gfe.Sphere(2), gfe.Rotation3()], ids=lambda m: m.kind)
+def test_mixed_block_keeps_its_accuracy_near_coincident_points(man, r):
+    """Within C*r**2 of its leading-order block -2*E_q*Pt(B_v)^T at distance r."""
+    rng = np.random.default_rng(31)
+    for _ in range(10):
+        q = random_point(man, rng)
+        d = random_tangent(man, q, rng)
+        v = man.exp(q, r * d / np.linalg.norm(d))
+        k = len(man.point_shape)
+        moved = man.transport(np.expand_dims(v, -k - 1), np.expand_dims(q, -k - 1), man.tangent_basis(v))
+        lead = -2.0 * man._flat(man.tangent_basis(q)) @ man._flat(moved).T
+        assert np.max(np.abs(man.dist2_mixed(v, q) - lead)) <= r * r + 1e-14
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.tuples(VECTOR, VECTOR, st.floats(0.5, 2.0)), min_size=1, max_size=8))
 @pytest.mark.parametrize("man", [gfe.Sphere(2), gfe.Rotation3()], ids=lambda m: m.kind)
