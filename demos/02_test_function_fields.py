@@ -13,7 +13,7 @@ quadratic function on a small grid; open them in any VTK viewer.
 
 import numpy as np
 
-from gfe import GFEFunction, Sphere, global_nodal_basis, unit_square_grid, write_vtk
+from gfe import GFEFunction, GlobalTestFunction, Sphere, unit_square_grid, write_vtk
 from gfe.sampling import random_configuration
 
 sphere = Sphere(2)
@@ -21,14 +21,21 @@ grid = unit_square_grid(1, 2)  # two quadratic triangles, 9 nodes
 values = random_configuration(sphere, grid.n_nodes, np.random.default_rng(3), radius=0.35)
 u = GFEFunction(grid, sphere, "geodesic", values)
 
-basis = global_nodal_basis(u)
+
+def nodal_basis_function(i, j):
+    """The test function carrying tangent_basis(u_i)[j] at node i and zero elsewhere."""
+    vecs = np.zeros_like(u.values)
+    vecs[i] = sphere.tangent_basis(u.values[i])[j]
+    return GlobalTestFunction(u, vecs)
+
+
 print(f"{grid.n_nodes} Lagrange nodes x dim {sphere.intrinsic_dim} "
-      f"= {len(basis)} nodal basis fields")
+      f"= {grid.n_nodes * sphere.intrinsic_dim} nodal basis fields")
 
 # a vertex degree of freedom and an edge degree of freedom
-vertex_field = basis[0]
+vertex_field = nodal_basis_function(0, 0)
 edge_node = next(i for i in range(grid.n_nodes) if i >= len(grid.vertices))
-edge_field = basis[edge_node * sphere.intrinsic_dim]
+edge_field = nodal_basis_function(edge_node, 0)
 
 for name, field in (("vertex", vertex_field), ("edge", edge_field)):
     write_vtk(f"testfield_{name}.vtk", u, field=field, field_name=f"{name}_field")
@@ -39,5 +46,5 @@ for name, field in (("vertex", vertex_field), ("edge", edge_field)):
 print(f"\n{'x':<14}{'|field|':>10}")
 for t in np.linspace(0.02, 0.98, 9):
     x = np.array([t, 0.01])
-    tv = vertex_field.evaluate(x)
-    print(f"{np.array2string(x, precision=2):<14}{np.linalg.norm(tv.vec):>10.4f}")
+    _, vec = vertex_field.evaluate(x)
+    print(f"{np.array2string(x, precision=2):<14}{np.linalg.norm(vec):>10.4f}")

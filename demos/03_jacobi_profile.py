@@ -26,7 +26,7 @@ print(f"geodesic arc length theta = {theta}")
 print(f"\n{'t':>5} {'|field(t)|':>12} {'sin(t*theta)/sin(theta)':>24} {'deviation':>11}")
 worst = 0.0
 for t in np.linspace(0.0, 1.0, 11):
-    got = np.linalg.norm(field.eval_field([t]).vec)
+    got = np.linalg.norm(field.eval_field([t])[1])
     expected = np.sin(t * theta) / np.sin(theta)
     worst = max(worst, abs(got - expected))
     print(f"{t:5.2f} {got:12.8f} {expected:24.8f} {abs(got - expected):11.2e}")

@@ -2,20 +2,23 @@
 grids, test-function fields along the interpolants, and harmonic-map
 energies with Riemannian descent.
 
-The public surface re-exported here:
+The public surface re-exported here, as arrays: points and tangent vectors
+are plain numpy arrays in embedding coordinates, and point evaluations of
+derivatives and test fields return ``(q, vectors)``, the vectors tangent at
+the evaluated point q.
 
-- manifolds: ``Euclidean``, ``Sphere``, ``Rotation3``, ``TangentVector``,
-  ``polar_decompose``
-- reference elements: ``ReferenceElement``
+- exceptions: the ``errors`` module
+- manifolds: ``Euclidean``, ``Sphere``, ``Rotation3``, ``polar_decompose``
+- reference elements: ``ReferenceElement`` (orders 1 and 2)
 - local interpolation: ``GeodesicInterpolant``, ``ProjectionInterpolant``,
   ``KarcherCheck``, ``karcher_check``
-- test fields: ``ElementTestField``, ``nodal_basis_fields``; a test field
-  or ``GlobalTestFunction`` takes one (m or n, *point_shape) array of nodal
-  tangent vectors, row i based at the nodal value i
+- test fields: ``ElementTestField``; a test field or ``GlobalTestFunction``
+  takes one (m or n, *point_shape) array of nodal tangent vectors, row i
+  based at the nodal value i; the nodal basis field (i, j) is the one-hot
+  array carrying tangent_basis(v_i)[j] at node i
 - grids and global functions: ``Grid``, ``GFEFunction``,
-  ``GlobalTestFunction``, ``global_nodal_basis``, ``read_mesh``,
-  ``write_mesh``, ``unit_interval_grid``, ``unit_square_grid``,
-  ``write_vtk``
+  ``GlobalTestFunction``, ``read_mesh``, ``write_mesh``,
+  ``unit_interval_grid``, ``unit_square_grid``, ``write_vtk``
 - energy: ``QuadratureRule``, ``simplex_quadrature``, ``EnergyReport``,
   ``dirichlet_energy``, ``directional_derivative``, ``algebraic_gradient``,
   ``minimize``, ``equivalence_audit``; ``directional_derivative`` is the
@@ -38,15 +41,13 @@ from .grid import (
     GFEFunction,
     GlobalTestFunction,
     Grid,
-    global_nodal_basis,
     read_mesh,
     unit_interval_grid,
     unit_square_grid,
     write_mesh,
-    zero_test_function,
 )
-from .jacobi import ElementTestField, nodal_basis_fields
-from .manifold import Euclidean, Rotation3, Sphere, TangentVector, polar_decompose
+from .jacobi import ElementTestField
+from .manifold import Euclidean, Rotation3, Sphere, polar_decompose
 from .projection import ProjectionInterpolant
 from .reference_element import ReferenceElement
 from .vtkio import write_vtk
@@ -67,18 +68,14 @@ __all__ = [
     "GFEFunction",
     "GlobalTestFunction",
     "Grid",
-    "global_nodal_basis",
     "read_mesh",
     "unit_interval_grid",
     "unit_square_grid",
     "write_mesh",
-    "zero_test_function",
     "ElementTestField",
-    "nodal_basis_fields",
     "Euclidean",
     "Rotation3",
     "Sphere",
-    "TangentVector",
     "polar_decompose",
     "ProjectionInterpolant",
     "ReferenceElement",

@@ -28,10 +28,11 @@ minimize
     search fails.
 
 Identical flags and seed produce byte-identical output files.  Malformed
-input (a mesh or CSV that cannot be read, a mesh without elements or with a
-degenerate element, an index out of range or listed twice, a value off the
-manifold) is reported as one ``error: <file>: ...`` line with exit code 2;
-faults the file readers find name the line as well.
+input (a mesh or CSV that cannot be read, a mesh without elements, with a
+degenerate element or with a vertex that belongs to no element, an index
+out of range or listed twice, a value off the manifold) is reported as one
+``error: <file>: ...`` line with exit code 2; faults the file readers find
+name the line as well.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import numpy as np
 
 from .energy import equivalence_audit, minimize, simplex_quadrature
 from .errors import GFEError, LineSearchFailure, ProjectionUndefinedError
-from .grid import _RULES, GFEFunction, Grid, _batches, _nodal_basis_function, read_mesh
+from .grid import _RULES, GFEFunction, GlobalTestFunction, Grid, _batches, read_mesh
 from .jacobi import ElementTestField
 from .manifold import Euclidean, Rotation3, Sphere
 from .reference_element import ReferenceElement
@@ -207,8 +208,9 @@ def fd_variation(interp, vecs, xi, h: float = 1e-5):
 def fd_d_dv(interp, xi, i: int, h: float = 1e-5) -> np.ndarray:
     """Central differences of eval along exp curves through nodal value i.
 
-    A finite-difference oracle for ``d_dv``: fd_variation with node i alone
-    moving along each of its tangent basis vectors, in the basis at eval(xi).
+    A finite-difference oracle for matrix i of ``d_dv_all``: fd_variation with
+    node i alone moving along each of its tangent basis vectors, in the basis
+    at eval(xi).
     """
     man = interp.manifold
     cols = []
@@ -223,8 +225,8 @@ def fd_d_dv(interp, xi, i: int, h: float = 1e-5) -> np.ndarray:
 def _audit_ddv_error(interp, xis) -> float:
     worst = 0.0
     for xi in xis:
-        for i in range(interp.elem.m):
-            M = interp.d_dv(xi, i)
+        _, mats = interp.d_dv_all(xi)
+        for i, M in enumerate(mats):
             M_fd = fd_d_dv(interp, xi, i)
             denom = max(np.linalg.norm(M_fd), 1e-6)
             worst = max(worst, np.linalg.norm(M - M_fd) / denom)
@@ -240,7 +242,7 @@ def _audit_variation_error(interp, xis, rng) -> float:
         for xi in xis:
             _, fd = fd_variation(interp, vecs, xi)
             denom = max(np.linalg.norm(fd), 1e-6)
-            worst = max(worst, np.linalg.norm(fd - field.eval_field(xi).vec) / denom)
+            worst = max(worst, np.linalg.norm(fd - field.eval_field(xi)[1]) / denom)
     return worst
 
 
@@ -356,8 +358,11 @@ def cmd_minimize(args) -> int:
     print(f"converged={'true' if report.converged else 'false'}")
 
     write_nodal_csv(args.out, u.values)
-    free = [i for i in range(grid.n_nodes) if i not in fixed_values]
-    phi = _nodal_basis_function(u, free[0] if free else 0, 0)
+    # the nodal basis function carrying tangent_basis(u_i)[0] at the first free node i
+    i = next((i for i in range(grid.n_nodes) if i not in fixed_values), 0)
+    vecs = np.zeros_like(u.values)
+    vecs[i] = man.tangent_basis(u.values[i])[0]
+    phi = GlobalTestFunction(u, vecs)
     stem = str(args.out)
     stem = stem[:-4] if stem.endswith(".csv") else stem
     write_vtk(stem + "_u.vtk", u, title="minimizer")

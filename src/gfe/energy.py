@@ -48,7 +48,6 @@ from .errors import GFEError, LineSearchFailure, SingularSystemError
 from .grid import _CHUNK, GFEFunction, GlobalTestFunction, _batches
 from .jacobi import _basis_ref_gradients
 
-_FIELD_FD_STEP = 1e-6
 _ARMIJO_C = 1e-4
 _ARMIJO_BACKTRACK = 0.5
 _MIN_STEP = 1e-14
@@ -115,7 +114,7 @@ def _center_solves(u: GFEFunction, rule: QuadratureRule):
     q = np.empty((len(els),) + u.manifold.point_shape)
     Gu = np.empty((len(els), u.manifold.embed_dim, grid.dim))
     for b in _batches(len(els)):
-        q[b], cols = u.local(els[b])._d_dxi(rule.points[k[b]])
+        q[b], cols = u.local(els[b]).d_dxi(rule.points[k[b]])
         Gu[b] = np.swapaxes(u.manifold._flat(cols), 1, 2) @ grid._Binv[els[b]]
     return els, k, q, Gu
 
@@ -161,7 +160,7 @@ def _gradient_terms(u: GFEFunction, rule: QuadratureRule, metric: bool = False):
         Binv = grid._Binv[els[b]]
         w = grid._detB[els[b]] * rule.weights[k[b]]
         nodes = grid.element_nodes[els[b]]
-        _, G = _basis_ref_gradients(u.local(els[b]), rule.points[k[b]], h=_FIELD_FD_STEP, q=q[b])
+        _, G = _basis_ref_gradients(u.local(els[b]), rule.points[k[b]], q=q[b])
         # term (i, j): the weighted integrand of the directional derivative
         # along basis field (i, j), whose physical gradient is G[:, i, :, j, :] @ Binv
         terms = np.einsum("pnk,pinjl,plk->pij", Gu[b], G, Binv)

@@ -49,7 +49,7 @@ from .errors import (
     ProjectionUndefinedError,
     SingularSystemError,
 )
-from .manifold import Manifold, Sphere, TangentVector
+from .manifold import Manifold, Sphere
 from .reference_element import ReferenceElement
 
 # contract bound on the stationarity residual, and the tighter target the
@@ -323,17 +323,6 @@ class GeodesicInterpolant:
             sol.residual.reshape(lead),
         )
 
-    def _d_dxi(self, xi, sol: _Solution | None = None):
-        """(centers, reference derivative columns (..., d, *point_shape))."""
-        man = self.manifold
-        sol = self._solve(xi) if sol is None else sol
-        dphi = self.elem.shape_gradients(xi)                            # (..., m, d)
-        rhs = 2.0 * (np.swapaxes(dphi, -1, -2) @ sol.log_coeffs)       # (..., d, dim)
-        X = _solve_each(sol.hessian, np.swapaxes(rhs, -1, -2), "derivative system is singular")
-        lead = sol.q.shape[: sol.q.ndim - len(man.point_shape)]
-        cols = np.swapaxes(X, -1, -2) @ man._flat(sol.basis)            # (..., d, N)
-        return sol.q, cols.reshape(lead + (self.elem.dim,) + man.point_shape)
-
     # ------------------------------------------------------------------
 
     def eval(self, xi) -> np.ndarray:
@@ -345,10 +334,17 @@ class GeodesicInterpolant:
         sol = self._solve(xi)
         return sol.q, sol.iterations, sol.residual[()]
 
-    def d_dxi(self, xi) -> list[TangentVector]:
-        """Columns d(interpolant)/d(xi_k) as tangent vectors at eval(xi)."""
-        q, cols = self._d_dxi(xi)
-        return [TangentVector(self.manifold, q, c) for c in cols]
+    def d_dxi(self, xi):
+        """eval(xi) plus the columns d(interpolant)/d(xi_k), shape (..., d, *point_shape),
+        tangent at eval(xi)."""
+        man = self.manifold
+        sol = self._solve(xi)
+        dphi = self.elem.shape_gradients(xi)                            # (..., m, d)
+        rhs = 2.0 * (np.swapaxes(dphi, -1, -2) @ sol.log_coeffs)       # (..., d, dim)
+        X = _solve_each(sol.hessian, np.swapaxes(rhs, -1, -2), "derivative system is singular")
+        lead = sol.q.shape[: sol.q.ndim - len(man.point_shape)]
+        cols = np.swapaxes(X, -1, -2) @ man._flat(sol.basis)            # (..., d, N)
+        return sol.q, cols.reshape(lead + (self.elem.dim,) + man.point_shape)
 
     def d_dv_all(self, xi, q0=None):
         """eval(xi) plus all m derivative matrices d(interpolant)/d(v_i).
@@ -369,8 +365,3 @@ class GeodesicInterpolant:
             "derivative system is singular",
         )
         return sol.q, mats
-
-    def d_dv(self, xi, i: int) -> np.ndarray:
-        """Derivative of the interpolant with respect to nodal value i."""
-        _, mats = self.d_dv_all(xi)
-        return mats[..., i, :, :]

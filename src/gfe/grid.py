@@ -15,7 +15,9 @@ after pulling domain points back to reference coordinates.  Restricted to an
 array of elements it is one interpolant stacked over them, which evaluates
 (element, reference point) pairs in one batch.  ``GlobalTestFunction``
 attaches an (n, *point_shape) array of nodal tangent vectors, row i based at
-the nodal value u_i, and evaluates through the element test fields.
+the nodal value u_i, and evaluates through the element test fields; the
+nodal basis function (i, j) is the one-hot array carrying tangent_basis(u_i)[j]
+at node i.
 
 Mesh files are plain text: a header line ``gfe-mesh d``, the vertex count
 followed by one coordinate line per vertex, then the element count followed
@@ -30,7 +32,7 @@ import numpy as np
 from .errors import AdmissibilityError, PointOutsideDomainError
 from .geodesic import _SPHERE_SPREAD_LIMIT, GeodesicInterpolant, _max_spread
 from .jacobi import ElementTestField, _nodal_vectors
-from .manifold import Manifold, Sphere, TangentVector
+from .manifold import Manifold, Sphere
 from .projection import ProjectionInterpolant
 from .reference_element import ReferenceElement
 
@@ -121,6 +123,9 @@ class Grid:
     lagrange_nodes : ndarray (n, dim) of global node coordinates
     element_nodes : ndarray (ne, m) mapping local to global node indices
     boundary_nodes : frozenset of global node indices on the domain boundary
+
+    Every element must be positively oriented and every vertex must belong
+    to an element; otherwise the constructor raises ValueError.
     """
 
     def __init__(self, dim: int, vertices, elements, order: int):
@@ -145,6 +150,9 @@ class Grid:
                 f"element {e} has non-positive orientation (det = {self._detB[e]:.3e})"
             )
         self._Binv = np.linalg.inv(self._B)
+        uses = np.bincount(self.elements.ravel(), minlength=len(self.vertices))
+        if uses.min(initial=1) == 0:
+            raise ValueError(f"vertex {np.argmin(uses)} belongs to no element")
 
         self._build_nodes()
         self._find_boundary()
@@ -294,10 +302,6 @@ class GFEFunction:
         # the gradient reuses
         self._centers = None
 
-    @property
-    def order(self) -> int:
-        return self.grid.order
-
     def local(self, e):
         """The interpolant restricted to element e.
 
@@ -314,10 +318,6 @@ class GFEFunction:
         e, xi = self.grid.locate(x) if element is None else (element, self.grid.xi_of(element, x))
         return self.local(e).eval(xi)
 
-    def nodal_evaluate(self) -> np.ndarray:
-        """Values at the Lagrange nodes — the algebraic representation itself."""
-        return self.values.copy()
-
     def with_values(self, values) -> "GFEFunction":
         return GFEFunction(self.grid, self.manifold, self.rule, values)
 
@@ -333,28 +333,8 @@ class GlobalTestFunction:
     def local_field(self, e: int) -> ElementTestField:
         return ElementTestField(self.base.local(e), self.vectors[self.base.grid.element_nodes[e]])
 
-    def evaluate(self, x, element: int | None = None) -> TangentVector:
+    def evaluate(self, x, element: int | None = None):
+        """(q, vec): the field at a domain point, tangent at q = base.evaluate(x)."""
         grid = self.base.grid
         e, xi = grid.locate(x) if element is None else (element, grid.xi_of(element, x))
         return self.local_field(e).eval_field(xi)
-
-
-def zero_test_function(u: GFEFunction) -> GlobalTestFunction:
-    return GlobalTestFunction(u, np.zeros_like(u.values))
-
-
-def global_nodal_basis(u: GFEFunction) -> list[GlobalTestFunction]:
-    """The n*dim test functions carrying one basis vector at one node.
-
-    Function (i, j) equals tangent_basis(u_i)[j] at Lagrange node i and the
-    zero vector at all other nodes; they form a basis of the test space.
-    """
-    dim = u.manifold.intrinsic_dim
-    return [_nodal_basis_function(u, i, j) for i in range(u.grid.n_nodes) for j in range(dim)]
-
-
-def _nodal_basis_function(u: GFEFunction, i: int, j: int) -> GlobalTestFunction:
-    """The test function (i, j) of global_nodal_basis."""
-    vecs = np.zeros_like(u.values)
-    vecs[i] = u.manifold.tangent_basis(u.values[i])[j]
-    return GlobalTestFunction(u, vecs)

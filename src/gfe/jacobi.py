@@ -8,8 +8,10 @@ the nodal value v_i) determines a vector field along the interpolant,
 which is exactly the velocity field of any curve of interpolants whose nodal
 values move with velocities b_i.  Restricted to the Lagrange nodes the field
 reproduces the b_i, so fields are in linear one-to-one correspondence with
-their nodal data; ``nodal_basis_fields`` returns the m*dim fields carrying a
-single tangent basis vector at a single node.
+their nodal data.  The m*dim nodal basis fields carry a single tangent basis
+vector at a single node; ``_basis_ref_gradients`` differentiates all of them
+at once.  Field values and gradient columns come back as arrays, together
+with the base point q = eval(xi) they are tangent at.
 
 Reference-space gradients of fields are evaluated by central finite
 differences (default step 1e-6) with the columns projected back to the
@@ -28,7 +30,7 @@ import numpy as np
 
 from .errors import StencilOutsideElementError
 from .geodesic import GeodesicInterpolant
-from .manifold import Euclidean, TangentVector
+from .manifold import Euclidean
 from .projection import ProjectionInterpolant
 
 Interpolant = GeodesicInterpolant | ProjectionInterpolant
@@ -111,36 +113,21 @@ class ElementTestField:
 
     # ------------------------------------------------------------------
 
-    def eval_field(self, xi) -> TangentVector:
-        """Field value at xi, a tangent vector at the interpolated point."""
+    def eval_field(self, xi):
+        """(q, vec): the field value at xi, tangent at q = eval(xi)."""
         man = self.interp.manifold
         q, mats = self.interp.d_dv_all(xi)
         coeff = np.einsum("ikj,ij->k", mats, self._coefficients())
-        vec = np.tensordot(coeff, man.tangent_basis(q), axes=1)
-        return TangentVector(man, q, vec)
+        return q, np.tensordot(coeff, man.tangent_basis(q), axes=1)
 
-    def eval_field_gradient(self, xi, h: float = _FD_STEP) -> list[TangentVector]:
-        """Reference-space gradient columns of the field at xi.
+    def eval_field_gradient(self, xi):
+        """(q, cols): the reference-space gradient columns of the field at xi,
+        shape (d, *point_shape), tangent at q = eval(xi).
 
-        Central differences with step h; requires xi to sit at least
-        max(1e-5, 2h) inside the element in barycentric coordinates.
+        Central differences with step 1e-6; requires xi to sit at least 1e-5
+        inside the element in barycentric coordinates.
         """
         man = self.interp.manifold
-        q, G = _basis_ref_gradients(self.interp, xi, h=h)
+        q, G = _basis_ref_gradients(self.interp, xi)
         cols = np.einsum("injl,ij->ln", G, self._coefficients())
-        return [TangentVector(man, q, c.reshape(man.point_shape)) for c in cols]
-
-
-def nodal_basis_fields(interp: Interpolant) -> list[ElementTestField]:
-    """The m*dim fields carrying one tangent basis vector at one node.
-
-    Field (i, j) equals tangent_basis(v_i)[j] at Lagrange node i and the
-    zero vector at every other node; together they span all test fields of
-    the interpolant.
-    """
-    man = interp.manifold
-    m, dim = interp.elem.m, man.intrinsic_dim
-    # vecs[i, j] holds the nodal vectors of field (i, j)
-    vecs = np.zeros((m, dim, m) + man.point_shape)
-    vecs[np.arange(m), :, np.arange(m)] = man.tangent_basis(interp.values)
-    return [ElementTestField(interp, v) for v in vecs.reshape((m * dim, m) + man.point_shape)]
+        return q, cols.reshape((len(cols),) + man.point_shape)

@@ -260,30 +260,6 @@ class Manifold:
 
 
 # ----------------------------------------------------------------------
-# tangent vectors
-
-
-@dataclass(frozen=True, eq=False)
-class TangentVector:
-    """An embedded tangent vector anchored at a point of a manifold.
-
-    The constructor validates both the base point and tangency of ``vec``
-    at ``base`` (orthogonality for spheres, skewness of Q^T W for
-    rotations).
-    """
-
-    manifold: Manifold
-    base: np.ndarray
-    vec: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "base", np.array(self.base, dtype=float))
-        object.__setattr__(self, "vec", np.array(self.vec, dtype=float))
-        self.manifold.check_point(self.base)
-        self.manifold.check_tangent(self.base, self.vec)
-
-
-# ----------------------------------------------------------------------
 # flat space
 
 

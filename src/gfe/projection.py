@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .manifold import Manifold, TangentVector
+from .manifold import Manifold
 from .reference_element import ReferenceElement
 
 
@@ -50,8 +50,9 @@ class ProjectionInterpolant:
         w = self._combine(self.elem.shape_values(xi)[..., None, :])[..., 0, :]
         return w.reshape(w.shape[:-1] + self.manifold.point_shape)
 
-    def _d_dxi(self, xi):
-        """(points, reference derivative columns (..., d, *point_shape)) by the chain rule."""
+    def d_dxi(self, xi):
+        """eval(xi) plus the columns d(interpolant)/d(xi_k), shape (..., d, *point_shape):
+        dP/dw at the weighted sum times the sum's xi-derivative."""
         man = self.manifold
         w = self._weighted_sum(xi)
         dsum = self._combine(np.swapaxes(self.elem.shape_gradients(xi), -1, -2))  # (..., d, N)
@@ -66,11 +67,6 @@ class ProjectionInterpolant:
         """
         return self.manifold.project_point(self._weighted_sum(xi))
 
-    def d_dxi(self, xi) -> list[TangentVector]:
-        """Chain rule: dP/dw at the weighted sum times the sum's xi-derivative."""
-        q, cols = self._d_dxi(xi)
-        return [TangentVector(self.manifold, q, c) for c in cols]
-
     def d_dv_all(self, xi, q0=None):
         """eval(xi) plus all m nodal derivative matrices (..., m, dim, dim); q0 is unused."""
         man = self.manifold
@@ -81,26 +77,3 @@ class ProjectionInterpolant:
         Bv = man._flat(man.tangent_basis(self.values))                     # (..., m, dim, N)
         mats = weights[..., None, None] * (EqJ[..., None, :, :] @ np.swapaxes(Bv, -1, -2))
         return q, mats
-
-    def d_dv(self, xi, i: int) -> np.ndarray:
-        _, mats = self.d_dv_all(xi)
-        return mats[..., i, :, :]
-
-    # ------------------------------------------------------------------
-
-    def chordal_residual(self, xi, at_point=None) -> float:
-        """Stationarity residual of the chordal weighted least-squares problem.
-
-        Measures the tangential gradient of
-        q -> sum_i phi_i(xi) * |v_i - q|**2 at ``at_point`` (default: the
-        interpolant's own value).  For closest-point projections this is
-        zero at the interpolant, because the projected point is exactly the
-        chordal minimizer.
-        """
-        man = self.manifold
-        w = self._weighted_sum(xi)
-        q = man.project_point(w) if at_point is None else np.asarray(at_point, dtype=float)
-        # gradient of the chordal functional in the embedding: 2*(q - w),
-        # using that the weights sum to one
-        grad = 2.0 * (q - w)
-        return float(np.linalg.norm(man.project_tangent(q, grad)))

@@ -7,10 +7,6 @@ reference coordinate slowest, so the 1d quadratic element has nodes at
 0, 1/2, 1 in that order.  Shape functions are the classical barycentric
 closed forms, which satisfy the Kronecker property exactly as evaluated.
 
-Order 0 (single node at the barycenter, constant shape function) is
-supported as a degenerate case; the finite element orders used on grids are
-1 and 2.
-
 Reference points may carry leading axes: ``xi`` of shape (..., d) gives
 shape values (..., m) and gradients (..., m, d).
 """
@@ -35,7 +31,7 @@ class ReferenceElement:
     dim : int
         Spatial dimension d (1, 2 or 3).
     order : int
-        Polynomial order p (0, 1 or 2).
+        Polynomial order p (1 or 2).
     m : int
         Number of Lagrange nodes, binomial(d + p, p).
     nodes : ndarray, shape (m, d)
@@ -45,25 +41,16 @@ class ReferenceElement:
     def __init__(self, dim: int, order: int):
         if dim not in (1, 2, 3):
             raise ValueError(f"unsupported reference dimension {dim}")
-        if order not in (0, 1, 2):
+        if order not in (1, 2):
             raise ValueError(f"unsupported polynomial order {order}")
         self.dim = dim
         self.order = order
 
-        if order == 0:
-            lattice = [tuple([0] * dim)]
-            nodes = np.full((1, dim), 1.0 / (dim + 1))
-        else:
-            lattice = sorted(
-                (
-                    idx
-                    for idx in itertools.product(range(order + 1), repeat=dim)
-                    if sum(idx) <= order
-                ),
-                key=lambda idx: idx[::-1],
-            )
-            nodes = np.array(lattice, dtype=float) / order
-        self.nodes = nodes
+        lattice = sorted(
+            (idx for idx in itertools.product(range(order + 1), repeat=dim) if sum(idx) <= order),
+            key=lambda idx: idx[::-1],
+        )
+        self.nodes = np.array(lattice, dtype=float) / order
         self.m = len(lattice)
         assert self.m == comb(dim + order, order)
 
@@ -75,8 +62,8 @@ class ReferenceElement:
         # per node: the first and last barycentric index in its support, and
         # whether that support is a single vertex
         support = [np.flatnonzero(alpha) for alpha in self._alphas]
-        self._first = np.array([s[0] if len(s) else 0 for s in support])
-        self._last = np.array([s[-1] if len(s) else 0 for s in support])
+        self._first = np.array([s[0] for s in support])
+        self._last = np.array([s[-1] for s in support])
         self._vertex = np.array([len(s) == 1 for s in support])
 
     # ------------------------------------------------------------------
@@ -104,8 +91,6 @@ class ReferenceElement:
     def shape_values(self, xi) -> np.ndarray:
         """Values (phi_1(xi), ..., phi_m(xi)); sums to 1 by partition of unity."""
         lam = self._require_inside(xi)
-        if self.order == 0:
-            return np.ones(lam.shape[:-1] + (1,))
         a, b = lam[..., self._first], lam[..., self._last]
         if self.order == 1:
             return a
@@ -115,8 +100,6 @@ class ReferenceElement:
         """Reference gradients, shape (..., m, d); rows sum to the zero vector."""
         lam = self._require_inside(xi)
         lead = lam.shape[:-1]
-        if self.order == 0:
-            return np.zeros(lead + (1, self.dim))
         # gradients of the barycentric coordinates
         glam = np.vstack([-np.ones(self.dim), np.eye(self.dim)])
         ga, gb = glam[self._first], glam[self._last]

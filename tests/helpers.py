@@ -55,6 +55,22 @@ def fd_mixed_dist2(man, v, q, h=1e-4):
     return M
 
 
+def chordal_residual(interp, xi, at_point=None) -> float:
+    """Stationarity residual of the chordal weighted least-squares problem.
+
+    Measures the tangential gradient of q -> sum_i phi_i(xi) * |v_i - q|**2
+    at ``at_point`` (default: the projection interpolant's own value).  For
+    closest-point projections this is zero at the interpolant, because the
+    projected point is exactly the chordal minimizer.
+    """
+    man = interp.manifold
+    w = np.tensordot(interp.elem.shape_values(xi), interp.values, axes=1)
+    q = man.project_point(w) if at_point is None else np.asarray(at_point, dtype=float)
+    # gradient of the chordal functional in the embedding: 2*(q - w),
+    # using that the weights sum to one
+    return float(np.linalg.norm(man.project_tangent(q, 2.0 * (q - w))))
+
+
 def rel_err(A, B, floor=1e-6):
     A = np.asarray(A)
     B = np.asarray(B)
@@ -118,3 +134,11 @@ def random_field_vectors(man, values, rng, scale=1.0):
     from gfe.sampling import random_tangent
 
     return [random_tangent(man, v, rng, scale=scale) for v in values]
+
+
+def nodal_basis_vectors(man, values, i, j):
+    """Nodal vectors of the nodal basis field (i, j): the one-hot array carrying
+    tangent_basis(values[i])[j] at node i and zero at every other node."""
+    vecs = np.zeros_like(values)
+    vecs[i] = man.tangent_basis(values[i])[j]
+    return vecs

@@ -192,6 +192,15 @@ def test_degenerate_element_names_the_mesh_file(tmp_path, capsys, command):
     assert "element 1 has non-positive orientation" in assert_one_error_line(capsys, mesh)
 
 
+@pytest.mark.parametrize("command", ["interpolate", "minimize"])
+def test_unused_vertex_names_the_mesh_file(tmp_path, capsys, command):
+    code, mesh, _ = run_with(tmp_path, command, "gfe-mesh 1\n3\n0\n1\n2\n1\n0 1\n",
+                             [(0, [1.0, 0.0, 0.0]), (1, [0.0, 1.0, 0.0])])
+    assert code == 2
+    assert "vertex 2 belongs to no element" in assert_one_error_line(capsys, mesh)
+    assert not (tmp_path / "o.csv").exists()
+
+
 def run_interpolate_on_text(tmp_path, mesh_text, csv_text):
     (tmp_path / "m.mesh").write_text(mesh_text)
     (tmp_path / "bc.csv").write_text(csv_text)

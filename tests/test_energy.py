@@ -111,7 +111,7 @@ def test_flat_energy_matches_classical_assembly(order):
 def test_directional_derivative_zero_field():
     grid = unit_interval_grid(4, 1)
     u = sphere_function(grid, seed=2)
-    eta = gfe.zero_test_function(u)
+    eta = GlobalTestFunction(u, np.zeros_like(u.values))
     assert directional_derivative(u, eta) == 0.0
 
 

@@ -6,7 +6,6 @@ from gfe import (
     GFEFunction,
     GlobalTestFunction,
     Grid,
-    global_nodal_basis,
     read_mesh,
     unit_interval_grid,
     unit_square_grid,
@@ -15,7 +14,7 @@ from gfe import (
 from gfe.errors import AdmissibilityError, PointOutsideDomainError
 from gfe.sampling import random_configuration, random_point
 from gfe.vtkio import write_vtk
-from helpers import random_field_vectors
+from helpers import nodal_basis_vectors, random_field_vectors
 
 S2 = gfe.Sphere(2)
 E1V = gfe.Euclidean(1)
@@ -96,6 +95,11 @@ def test_negative_orientation_rejected():
         Grid(2, vertices, np.array([[0, 2, 1]]), 1)
 
 
+def test_unused_vertex_rejected():
+    with pytest.raises(ValueError, match="vertex 2 belongs to no element"):
+        Grid(1, np.array([[0.0], [1.0], [2.0]]), np.array([[0, 1]]), 1)
+
+
 def test_point_location():
     grid = unit_square_grid(2, 1)
     e, xi = grid.locate([0.2, 0.1])
@@ -124,12 +128,6 @@ def test_evaluation_at_lagrange_nodes_reproduces_values(rule):
     u = sphere_function(grid, seed=3, rule=rule)
     for i, x in enumerate(grid.lagrange_nodes):
         assert np.linalg.norm(u.evaluate(x) - u.values[i]) <= 1e-12
-
-
-def test_nodal_evaluate_roundtrip():
-    grid = unit_interval_grid(4, 2)
-    u = sphere_function(grid, seed=4)
-    assert np.array_equal(u.nodal_evaluate(), u.values)
 
 
 def test_flat_function_matches_classical_interpolation():
@@ -181,9 +179,11 @@ def test_two_sided_test_function_continuity():
         for _ in range(13):
             t = rng.uniform(0.05, 0.95)
             x = (1 - t) * grid.vertices[a] + t * grid.vertices[b]
-            va = eta.evaluate(x, element=ea)
-            vb = eta.evaluate(x, element=eb)
-            assert np.linalg.norm(va.vec - vb.vec) <= 1e-10
+            qa, va = eta.evaluate(x, element=ea)
+            qb, vb = eta.evaluate(x, element=eb)
+            S2.check_tangent(qa, va)
+            S2.check_tangent(qb, vb)
+            assert np.linalg.norm(va - vb) <= 1e-10
             checked += 1
     assert checked >= 100
 
@@ -195,16 +195,23 @@ def test_test_function_at_nodes_and_zero_field():
     vecs = random_field_vectors(S2, u.values, rng)
     eta = GlobalTestFunction(u, vecs)
     for i, x in enumerate(grid.lagrange_nodes):
-        assert np.allclose(eta.evaluate(x).vec, vecs[i], atol=1e-10)
-    zero = gfe.zero_test_function(u)
-    assert np.linalg.norm(zero.evaluate([0.37]).vec) <= 1e-14
+        q, vec = eta.evaluate(x)
+        S2.check_tangent(q, vec)
+        assert np.allclose(vec, vecs[i], atol=1e-10)
+    zero = GlobalTestFunction(u, np.zeros_like(u.values))
+    q, vec = zero.evaluate([0.37])
+    S2.check_tangent(q, vec)
+    assert np.linalg.norm(vec) <= 1e-14
 
 
 def test_global_nodal_basis_structure_and_reproduction():
     grid = unit_interval_grid(2, 1)
     u = sphere_function(grid, seed=11)
-    basis = global_nodal_basis(u)
     dim = S2.intrinsic_dim
+    basis = [
+        GlobalTestFunction(u, nodal_basis_vectors(S2, u.values, i, j))
+        for i in range(grid.n_nodes) for j in range(dim)
+    ]
     assert len(basis) == grid.n_nodes * dim
     bases = [S2.tangent_basis(v) for v in u.values]
     for i in range(grid.n_nodes):
@@ -212,7 +219,9 @@ def test_global_nodal_basis_structure_and_reproduction():
             f = basis[i * dim + j]
             for k, x in enumerate(grid.lagrange_nodes):
                 expected = bases[i][j] if k == i else np.zeros(3)
-                assert np.allclose(f.evaluate(x).vec, expected, atol=1e-10)
+                q, vec = f.evaluate(x)
+                S2.check_tangent(q, vec)
+                assert np.allclose(vec, expected, atol=1e-10)
     # arbitrary test function equals its nodal expansion
     rng = np.random.default_rng(12)
     vecs = random_field_vectors(S2, u.values, rng)
@@ -223,8 +232,10 @@ def test_global_nodal_basis_structure_and_reproduction():
         expansion = np.zeros(3)
         for i in range(grid.n_nodes):
             for j in range(dim):
-                expansion += coeffs[i][j] * basis[i * dim + j].evaluate(x).vec
-        assert np.linalg.norm(eta.evaluate(x).vec - expansion) <= 1e-12
+                expansion += coeffs[i][j] * basis[i * dim + j].evaluate(x)[1]
+        q, vec = eta.evaluate(x)
+        S2.check_tangent(q, vec)
+        assert np.linalg.norm(vec - expansion) <= 1e-12
 
 
 # ----------------------------------------------------------------------

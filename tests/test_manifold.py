@@ -14,7 +14,7 @@ from gfe.errors import (
     SingularMatrixError,
 )
 import gfe.manifold
-from gfe.manifold import _SERIES_CUTOFF, TangentVector, _expm_skew, _hat, _polar_iterates, polar_decompose
+from gfe.manifold import _SERIES_CUTOFF, _expm_skew, _hat, _polar_iterates, polar_decompose
 from gfe.sampling import random_point, random_tangent
 from helpers import fd_hess_dist2, fd_mixed_dist2, rel_err
 
@@ -601,9 +601,10 @@ def test_point_validation():
 
 def test_tangent_vector_validation():
     S = gfe.Sphere(2)
-    TangentVector(S, E1, 0.3 * E2)
+    S.check_point(E1)
+    S.check_tangent(E1, 0.3 * E2)
     with pytest.raises(ValueError):
-        TangentVector(S, E1, E1)
+        S.check_tangent(E1, E1)
 
 
 @pytest.mark.parametrize("man", ALL, ids=lambda m: m.kind)

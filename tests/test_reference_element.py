@@ -122,8 +122,7 @@ def test_outside_element_raises():
         elem.shape_gradients([-0.1, 0.2])
 
 
-def test_order_zero_degenerate_element():
-    elem = ReferenceElement(2, 0)
-    assert elem.m == 1
-    assert np.array_equal(elem.shape_values([0.2, 0.2]), [1.0])
-    assert np.array_equal(elem.shape_gradients([0.2, 0.2]), [[0.0, 0.0]])
+@pytest.mark.parametrize("order", [0, 3])
+def test_unsupported_order_rejected(order):
+    with pytest.raises(ValueError, match="order"):
+        ReferenceElement(2, order)
