@@ -12,7 +12,7 @@ Q <- (Q + Q^-T)/2.
 import numpy as np
 
 from gfe import GeodesicInterpolant, ProjectionInterpolant, ReferenceElement, Rotation3, polar_decompose
-from gfe.manifold import _polar_iterates
+from gfe.kernels import _polar_iterates
 
 so3 = Rotation3()
 

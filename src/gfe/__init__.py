@@ -47,7 +47,8 @@ from .grid import (
     write_mesh,
 )
 from .jacobi import ElementTestField
-from .manifold import Euclidean, Rotation3, Sphere, polar_decompose
+from .manifold import Euclidean, Rotation3, Sphere
+from .kernels import polar_decompose
 from .projection import ProjectionInterpolant
 from .reference_element import ReferenceElement
 from .vtkio import write_vtk

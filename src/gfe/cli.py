@@ -21,7 +21,7 @@ minimize
     one, since the descent metric is singular without a fixed node), build
     a starting guess by projected neighbor averaging, run descent
     preconditioned with the H^1 (Gauss-Newton) metric of the test space
-    (one dense Cholesky solve per iteration, memory growing as the square
+    (one dense linear solve per iteration, memory growing as the square
     of the free degrees of freedom), print the energy report as key=value
     lines, and write the final nodal values as CSV plus VTK files of the
     solution and of one nodal basis test field.  Exits 3 when the line
@@ -31,8 +31,8 @@ Identical flags and seed produce byte-identical output files.  Malformed
 input (a mesh or CSV that cannot be read, a mesh without elements, with a
 degenerate element or with a vertex that belongs to no element, an index
 out of range or listed twice, a value off the manifold) is reported as one
-``error: <file>: ...`` line with exit code 2; faults the file readers find
-name the line as well.
+``error: <file>: ...`` line with exit code 2; faults the file readers find,
+and a degenerate element, name the line as well.
 """
 
 from __future__ import annotations
@@ -120,10 +120,11 @@ def write_nodal_csv(path, values: np.ndarray) -> None:
 
 
 def _read_grid(path, order: int) -> Grid:
-    """read_mesh plus the Grid, whose errors (e.g. a degenerate element) name the file."""
-    dim, vertices, elements = read_mesh(path)
+    """read_mesh plus the Grid, whose errors name the file (and for a degenerate
+    element the line)."""
+    dim, vertices, elements, lines = read_mesh(path, lines=True)
     try:
-        return Grid(dim, vertices, elements, order)
+        return Grid(dim, vertices, elements, order, element_lines=lines)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 

@@ -16,19 +16,21 @@ Armijo backtracking on the nodal values, preconditioned with the H^1
 (Gauss-Newton) metric of the test space: the Gram matrix of the physical
 gradients of the nodal basis fields, assembled from the same basis-field
 gradients as the algebraic gradient (so it adds no Newton solve) and
-factored densely (Cholesky) on the free degrees of freedom.  On flat space
+solved densely on the free degrees of freedom.  On flat space
 the metric is the stiffness matrix and one step solves the problem; on
 curved targets the iteration count does not grow under mesh refinement.
 
 Assembly is batched: all (element, quadrature point) pairs are evaluated
 together, element-major, in lockstep batches of at most ``grid._CHUNK``
 Newton points.  The energy makes one center solve per batch of quadrature
-points; the gradient and the directional derivative add one stencil solve
-per batch of _CHUNK / (2d) quadrature points (2d stencil points each), and
-reuse the center solves of the last energy evaluation of the same function
-under the same rule (which is how ``minimize`` gets its gradient and metric
-from the accepted trial).  Per-point contributions are summed with ``math.fsum``, so
-results do not depend on the batch layout.
+points and keeps, per batch, what the exact basis-field gradients need of
+it.  The gradient and the directional derivative use that once: after an
+energy evaluation of the same function under the same rule they make no
+Newton solve (which is how ``minimize`` gets its gradient and metric from
+the accepted trial), and otherwise one center solve per batch.  Both are
+assembled in tangent_basis(q) coefficients, so no array of embedded
+basis-field gradients is formed.  Per-point contributions are summed with
+``math.fsum``, so results do not depend on the batch layout.
 
 ``equivalence_audit`` compares, for random nodal tangent directions, the
 finite difference of the energy along the corresponding curve of nodal
@@ -45,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GFEError, LineSearchFailure, SingularSystemError
-from .grid import _CHUNK, GFEFunction, GlobalTestFunction, _batches
+from .grid import GFEFunction, GlobalTestFunction, _batches
 from .jacobi import _basis_ref_gradients
 
 _ARMIJO_C = 1e-4
@@ -107,22 +109,24 @@ def _rule(u: GFEFunction, quad: QuadratureRule | None) -> QuadratureRule:
 
 
 def _center_solves(u: GFEFunction, rule: QuadratureRule):
-    """(elements, quadrature indices, centers, physical gradients (P, N, d) of u)
-    at all P (element, quadrature point) pairs."""
+    """(elements, quadrature indices, the center evaluation of each batch,
+    physical gradients (P, N, d) of u) at all P (element, quadrature point)
+    pairs; the centers keep what the exact basis-field gradients need."""
     grid = u.grid
     els, k = grid._pairs(len(rule.weights))
-    q = np.empty((len(els),) + u.manifold.point_shape)
+    centers = []
     Gu = np.empty((len(els), u.manifold.embed_dim, grid.dim))
     for b in _batches(len(els)):
-        q[b], cols = u.local(els[b]).d_dxi(rule.points[k[b]])
+        center, cols = u.local(els[b])._center(rule.points[k[b]])
+        centers.append(center)
         Gu[b] = np.swapaxes(u.manifold._flat(cols), 1, 2) @ grid._Binv[els[b]]
-    return els, k, q, Gu
+    return els, k, centers, Gu
 
 
 def dirichlet_energy(u: GFEFunction, quad: QuadratureRule | None = None) -> float:
     """(1/2) * integral of the squared embedded gradient of u."""
     rule = _rule(u, quad)
-    els, k, q, Gu = centers = _center_solves(u, rule)
+    els, k, _, Gu = centers = _center_solves(u, rule)
     u._centers = (rule, centers)
     return 0.5 * math.fsum(u.grid._detB[els] * rule.weights[k] * np.sum(Gu * Gu, axis=(1, 2)))
 
@@ -144,30 +148,34 @@ def _gradient_terms(u: GFEFunction, rule: QuadratureRule, metric: bool = False):
     of the physical gradients of the global nodal basis fields (the H^1
     seminorm on the test space; the stiffness matrix on flat space), row
     i*dim + j for field (i, j).  It comes from the same basis-field
-    gradients as the coefficients, so it adds no Newton solve."""
+    gradients as the coefficients, so it adds no Newton solve.  Both are
+    assembled in tangent_basis(q) coefficients at the quadrature points."""
     grid = u.grid
     man = u.manifold
     dim = man.intrinsic_dim
-    memo = u._centers
+    # the memo is used once: it hands the energy's center solves to the gradient
+    memo, u._centers = u._centers, None
     if memo is not None and np.array_equal(memo[0].points, rule.points) \
             and np.array_equal(memo[0].weights, rule.weights):
-        els, k, q, Gu = memo[1]
+        els, k, centers, Gu = memo[1]
     else:
-        els, k, q, Gu = _center_solves(u, rule)
+        els, k, centers, Gu = _center_solves(u, rule)
     coeff = np.zeros((grid.n_nodes, dim))
     A = np.zeros((grid.n_nodes * dim,) * 2) if metric else None
-    for b in _batches(len(els), _CHUNK // (2 * grid.dim)):
+    for b, center in zip(_batches(len(els)), centers):
         Binv = grid._Binv[els[b]]
         w = grid._detB[els[b]] * rule.weights[k[b]]
         nodes = grid.element_nodes[els[b]]
-        _, G = _basis_ref_gradients(u.local(els[b]), rule.points[k[b]], q=q[b])
+        _, G = _basis_ref_gradients(u.local(els[b]), rule.points[k[b]], center=center)
         # term (i, j): the weighted integrand of the directional derivative
-        # along basis field (i, j), whose physical gradient is G[:, i, :, j, :] @ Binv
-        terms = np.einsum("pnk,pinjl,plk->pij", Gu[b], G, Binv)
+        # along basis field (i, j), whose physical gradient is G[:, i, j] @ Binv;
+        # u's gradient enters through its tangent_basis(q) coefficients
+        EGu = man._flat(center.basis) @ Gu[b]                            # (P, dim, d)
+        terms = np.einsum("pak,pijal,plk->pij", EGu, G, Binv)
         np.add.at(coeff, nodes, terms * w[:, None, None])
         if metric:
             # F[p, i*dim + j] is the flattened physical gradient of field (i, j)
-            F = np.swapaxes(G @ Binv[:, None, None], 2, 3)
+            F = G @ Binv[:, None, None]
             F = F.reshape(F.shape[0], -1, F.shape[3] * F.shape[4])
             dofs = (nodes[:, :, None] * dim + np.arange(dim)).reshape(len(F), -1)
             np.add.at(A, (dofs[:, :, None], dofs[:, None, :]),
@@ -216,9 +224,9 @@ def minimize(
     Each iteration solves A_ff c = g_f on the free degrees of freedom, where
     g holds the gradient coefficients in tangent_basis(u_i) and A is the
     Gram matrix of the physical gradients of the nodal basis fields (one
-    dense Cholesky factorization; memory grows as the square of the number
-    of free degrees of freedom), and updates the nodal values outside
-    ``fixed`` by v_i <- exp_{v_i}(-alpha * sum_j c_ij tangent_basis(v_i)[j]).
+    dense ``np.linalg.solve`` on the free block; memory grows as the square
+    of the number of free degrees of freedom), and updates the nodal values
+    outside ``fixed`` by v_i <- exp_{v_i}(-alpha * sum_j c_ij tangent_basis(v_i)[j]).
     The first trial step is min(initial_step, 2 * the previous accepted
     step), so a full Gauss-Newton step is tried first and never exceeded; it
     is halved until E_try <= E - 1e-4 * alpha * <g, c> and E_try < E.  Trial
@@ -226,8 +234,9 @@ def minimize(
     treated like an insufficient decrease.  Stops when the norm of the
     algebraic gradient is at most ``tol``.  Returns (minimizer,
     EnergyReport).  Raises ValueError for an empty ``fixed`` set (the metric
-    is then singular), SingularSystemError when the factorization fails and
-    LineSearchFailure when the step underflows below 1e-14.
+    is then singular), SingularSystemError when the solve fails or gives no
+    descent direction (<g, c> <= 0), and LineSearchFailure when the step
+    underflows below 1e-14.
     """
     rule = _rule(u0, quad)
     fixed_set = set(fixed)
@@ -238,6 +247,8 @@ def minimize(
     man = u.manifold
     n, dim = u.grid.n_nodes, man.intrinsic_dim
     free = [i for i in range(n) if i not in fixed_set]
+    # the free degrees of freedom, node-major: rows i*dim + j of the metric
+    free_dofs = (np.array(free, dtype=int)[:, None] * dim + np.arange(dim)).ravel()
     energy = dirichlet_energy(u, rule)
     alpha_prev = 0.5 * initial_step
     iterations = 0
@@ -256,12 +267,13 @@ def minimize(
             break
         g = coeff[free].ravel()
         try:
-            L = np.linalg.cholesky(A.reshape(n, dim, n, dim)[free][:, :, free].reshape(len(g), -1))
+            c = np.linalg.solve(A[np.ix_(free_dofs, free_dofs)], g)
+            if not g @ c > 0.0:
+                raise np.linalg.LinAlgError("the step is no descent direction")
         except np.linalg.LinAlgError as exc:
             raise SingularSystemError(
-                f"H^1 metric is not positive definite at descent iteration {iterations}"
+                f"H^1 metric is singular or not positive definite at descent iteration {iterations}"
             ) from exc
-        c = np.linalg.solve(L.T, np.linalg.solve(L, g))
         slope = float(g @ c)
         direction = _embedded(man, u.values[free], c.reshape(-1, dim))
         alpha = min(initial_step, 2.0 * alpha_prev)

@@ -41,10 +41,6 @@ class OutsideElementError(GFEError):
     """Reference coordinate lies outside the closed reference element."""
 
 
-class StencilOutsideElementError(GFEError):
-    """A finite-difference stencil would leave the reference element."""
-
-
 class PointOutsideDomainError(GFEError):
     """Domain point is not contained in any grid element."""
 

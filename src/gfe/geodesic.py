@@ -16,7 +16,10 @@ from differentiating that condition: with the Hessian
 
 one solves H * dq/dxi_k = 2 * sum_i dphi_i/dxi_k * log-coefficients and
 H * dq/dv_i = -phi_i(xi) * dist2_mixed(v_i, q*), everything expressed in the
-deterministic tangent bases of the manifold module.
+deterministic tangent bases of the manifold module.  Differentiating the
+second relation once more in xi, with the third derivatives of squared
+distance (``dist2_third``), gives the exact reference gradients of the
+test-function fields dq/dv_i . b from the data of the solve at xi alone.
 
 Newton starts from the projection-based interpolant where a projection
 exists and from the nodal value with the largest weight otherwise; steps are
@@ -37,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -103,6 +107,7 @@ class _Solution:
     q: np.ndarray            # (..., *point_shape)
     basis: np.ndarray        # (..., dim, *point_shape), tangent_basis(q)
     hessian: np.ndarray      # (..., dim, dim)
+    node_hessians: np.ndarray  # (..., m, dim, dim), dist2_hess_q(v_i, q)
     logs: np.ndarray         # (..., m, *point_shape), log_q(v_i)
     log_coeffs: np.ndarray   # (..., m, dim), the logs in that basis
     weights: np.ndarray      # (..., m)
@@ -175,12 +180,12 @@ def _initial_guess(man: Manifold, values, weights) -> np.ndarray:
 
 
 def _linearize(man: Manifold, values, weights, q, logs):
-    """(basis at q, Hessian, log coefficients): one basis for all three."""
+    """(basis at q, Hessian, per-node Hessians, log coefficients): one basis for all."""
     basis = man.tangent_basis(q)                                       # (P, dim, *shape)
     hessians = man.dist2_hess_q(values, q[:, None], basis_q=basis[:, None], log_qv=logs)
     H = (weights[:, None, :] @ _flat_rows(hessians, 2))[:, 0].reshape(hessians[:, 0].shape)
     L = _flat_rows(logs, 2) @ np.swapaxes(_flat_rows(basis, 2), 1, 2)  # (P, m, dim)
-    return basis, 0.5 * (H + np.swapaxes(H, 1, 2)), L
+    return basis, 0.5 * (H + np.swapaxes(H, 1, 2)), hessians, L
 
 
 def _newton(man: Manifold, values, weights, q, max_iter: int) -> _Solution:
@@ -191,13 +196,16 @@ def _newton(man: Manifold, values, weights, q, max_iter: int) -> _Solution:
     res = _residual(weights, logs)
     basis = np.zeros((P, dim) + man.point_shape)
     H = np.zeros((P, dim, dim))
+    Hn = np.zeros((P, m, dim, dim))
     L = np.zeros((P, m, dim))
     iterations = np.zeros(P, dtype=int)
     active = ~cut
 
     while active.any():
         idx = np.flatnonzero(active)
-        basis[idx], H[idx], L[idx] = _linearize(man, values[idx], weights[idx], q[idx], logs[idx])
+        basis[idx], H[idx], Hn[idx], L[idx] = _linearize(
+            man, values[idx], weights[idx], q[idx], logs[idx]
+        )
         active[idx[res[idx] <= _RESIDUAL_TARGET]] = False
         idx = np.flatnonzero(active)
         for p in idx[iterations[idx] >= max_iter]:
@@ -258,7 +266,7 @@ def _newton(man: Manifold, values, weights, q, max_iter: int) -> _Solution:
         )
     if errors:
         raise errors[min(errors)]
-    return _Solution(q, basis, H, logs, L, weights, int(iterations.max(initial=0)), res)
+    return _Solution(q, basis, H, Hn, logs, L, weights, int(iterations.max(initial=0)), res)
 
 
 # ----------------------------------------------------------------------
@@ -317,7 +325,8 @@ class GeodesicInterpolant:
             q = np.broadcast_to(np.asarray(q0, dtype=float), lead + shape).reshape((P,) + shape)
         sol = _newton(man, values, w, q.copy(), max_iter)
         return _Solution(
-            *(x.reshape(lead + x.shape[1:]) for x in (sol.q, sol.basis, sol.hessian, sol.logs,
+            *(x.reshape(lead + x.shape[1:]) for x in (sol.q, sol.basis, sol.hessian,
+                                                       sol.node_hessians, sol.logs,
                                                        sol.log_coeffs, sol.weights)),
             sol.iterations,
             sol.residual.reshape(lead),
@@ -334,9 +343,9 @@ class GeodesicInterpolant:
         sol = self._solve(xi)
         return sol.q, sol.iterations, sol.residual[()]
 
-    def d_dxi(self, xi):
-        """eval(xi) plus the columns d(interpolant)/d(xi_k), shape (..., d, *point_shape),
-        tangent at eval(xi)."""
+    def _center(self, xi):
+        """(center, cols): the solve at xi reduced to what the exact basis-field
+        gradients need, and the columns d(interpolant)/d(xi_k) (..., d, *point_shape)."""
         man = self.manifold
         sol = self._solve(xi)
         dphi = self.elem.shape_gradients(xi)                            # (..., m, d)
@@ -344,7 +353,16 @@ class GeodesicInterpolant:
         X = _solve_each(sol.hessian, np.swapaxes(rhs, -1, -2), "derivative system is singular")
         lead = sol.q.shape[: sol.q.ndim - len(man.point_shape)]
         cols = np.swapaxes(X, -1, -2) @ man._flat(sol.basis)            # (..., d, N)
-        return sol.q, cols.reshape(lead + (self.elem.dim,) + man.point_shape)
+        # H's derivative in xi at fixed q, sum_j dphi_j/dxi_l dist2_hess_q(v_j, q)
+        H_xi = np.einsum("...jl,...jab->...lab", dphi, sol.node_hessians)
+        return _Center(sol.q, sol.basis, sol.hessian, H_xi, sol.log_coeffs, X), \
+            cols.reshape(lead + (self.elem.dim,) + man.point_shape)
+
+    def d_dxi(self, xi):
+        """eval(xi) plus the columns d(interpolant)/d(xi_k), shape (..., d, *point_shape),
+        tangent at eval(xi)."""
+        c, cols = self._center(xi)
+        return c.q, cols
 
     def d_dv_all(self, xi, q0=None):
         """eval(xi) plus all m derivative matrices d(interpolant)/d(v_i).
@@ -365,3 +383,51 @@ class GeodesicInterpolant:
             "derivative system is singular",
         )
         return sol.q, mats
+
+    def _basis_gradients(self, xi, c: "_Center") -> np.ndarray:
+        """Reference gradients of the nodal basis fields from the center c at xi:
+        (..., m, dim, dim, d), entry [i, j, a, l] the tangent_basis(q)[a]
+        coefficient of the l-th derivative of field (i, j).
+
+        Differentiates H V_i = -phi_i K_i along xi_l, with V_i = d_dv_all's
+        matrix i, K_i = dist2_mixed(v_i, q) and X_l = dq/dxi_l:
+
+            H dV_i = -dphi_il K_i - phi_i (d_X K_i) - (sum_j dphi_jl Hess_j + phi_j d_X Hess_j) V_i,
+
+        with the derivatives d_X along X_l from dist2_third.
+        """
+        man = self.manifold
+        phi = self.elem.shape_values(xi)                                # (..., m)
+        dphi = self.elem.shape_gradients(xi)                            # (..., m, d)
+        # shapes (..., m, dim, dim), (..., d, dim, dim) and (..., m, d, dim, dim)
+        mixed, hess_X, mixed_X = man.dist2_third(
+            self.values, c.q, np.swapaxes(c.dq, -1, -2), phi, basis_q=c.basis,
+            log_coeffs=c.log_coeffs,
+        )
+        try:
+            Hinv = np.linalg.inv(c.hessian)[..., None, :, :]
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystemError("derivative system is singular") from exc
+        V = -phi[..., :, None, None] * (Hinv @ mixed)                  # (..., m, dim, dim)
+        dH = c.hessian_xi + hess_X
+        # minus the right-hand side, (..., m, d, dim, dim), built in place
+        rhs = mixed_X
+        rhs *= phi[..., :, None, None, None]
+        rhs += dphi[..., :, :, None, None] * mixed[..., :, None, :, :]
+        rhs += dH[..., None, :, :, :] @ V[..., :, None, :, :]
+        G = np.negative(Hinv[..., None, :, :] @ rhs, out=rhs)
+        return np.swapaxes(G, -1, -3)                                    # (..., m, j, a, l)
+
+
+class _Center(NamedTuple):
+    """Of the solve at a batch of points: q, tangent_basis(q), the Hessian H,
+    its xi-derivative at fixed q (..., d, dim, dim) from the per-node Hessians,
+    the log coefficients (..., m, dim) and dq/dxi as tangent_basis(q)
+    coefficients (..., dim, d)."""
+
+    q: np.ndarray
+    basis: np.ndarray
+    hessian: np.ndarray
+    hessian_xi: np.ndarray
+    log_coeffs: np.ndarray
+    dq: np.ndarray

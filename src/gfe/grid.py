@@ -52,8 +52,9 @@ def _batches(n: int, size: int = _CHUNK) -> list[slice]:
 # mesh I/O
 
 
-def read_mesh(path):
-    """Read a mesh file; returns (dim, vertices, elements).  Errors name the line."""
+def read_mesh(path, lines: bool = False):
+    """Read a mesh file; returns (dim, vertices, elements), and with ``lines``
+    also the file line of each element row.  Errors name the line."""
     with open(path, "r", encoding="utf-8") as fh:
         rows = [(n, t) for n, line in enumerate(fh, 1) if (t := line.split("#", 1)[0].split())]
     if not rows or not rows[0][1][0].startswith("gfe-mesh") or len(rows[0][1]) < 2:
@@ -87,14 +88,14 @@ def read_mesh(path):
         raise ValueError(f"{path}: line {rows[pos][0]}: malformed mesh: {exc}") from None
     if ne < 1:
         raise ValueError(f"{path}: mesh has no elements")
+    element_lines = [n for n, _ in rows[pos - ne + 1: pos + 1]]   # the element rows end at pos
     outside = np.flatnonzero(((elements < 0) | (elements >= nv)).any(axis=1))
     if len(outside):
         e = outside[0]
         raise ValueError(
-            f"{path}: line {rows[pos - ne + 1 + e][0]}: "   # the element rows end at pos
-            f"element {e} has a vertex index outside 0..{nv - 1}"
+            f"{path}: line {element_lines[e]}: element {e} has a vertex index outside 0..{nv - 1}"
         )
-    return dim, vertices, elements
+    return (dim, vertices, elements, element_lines) if lines else (dim, vertices, elements)
 
 
 def write_mesh(path, dim, vertices, elements) -> None:
@@ -125,10 +126,12 @@ class Grid:
     boundary_nodes : frozenset of global node indices on the domain boundary
 
     Every element must be positively oriented and every vertex must belong
-    to an element; otherwise the constructor raises ValueError.
+    to an element; otherwise the constructor raises ValueError, naming the
+    file line of a degenerate element when ``element_lines`` (one per
+    element row, as ``read_mesh(path, lines=True)`` returns them) is given.
     """
 
-    def __init__(self, dim: int, vertices, elements, order: int):
+    def __init__(self, dim: int, vertices, elements, order: int, element_lines=None):
         if dim not in (1, 2):
             raise ValueError(f"grids support dim 1 and 2, got {dim}")
         if order not in (1, 2):
@@ -146,8 +149,9 @@ class Grid:
         flipped = np.flatnonzero(self._detB <= 0.0)
         if len(flipped):
             e = flipped[0]
+            where = "" if element_lines is None else f"line {element_lines[e]}: "
             raise ValueError(
-                f"element {e} has non-positive orientation (det = {self._detB[e]:.3e})"
+                f"{where}element {e} has non-positive orientation (det = {self._detB[e]:.3e})"
             )
         self._Binv = np.linalg.inv(self._B)
         uses = np.bincount(self.elements.ravel(), minlength=len(self.vertices))
@@ -299,7 +303,7 @@ class GFEFunction:
         self.rule = rule
         self.values = values
         # (quadrature rule, center solves) of the last energy evaluation, which
-        # the gradient reuses
+        # the next gradient takes
         self._centers = None
 
     def local(self, e):

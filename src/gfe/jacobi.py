@@ -13,13 +13,13 @@ vector at a single node; ``_basis_ref_gradients`` differentiates all of them
 at once.  Field values and gradient columns come back as arrays, together
 with the base point q = eval(xi) they are tangent at.
 
-Reference-space gradients of fields are evaluated by central finite
-differences (default step 1e-6) with the columns projected back to the
-tangent space at the field's base point.  All 2*d stencil points of all
-centers of a batch are solved in one lockstep batch, warm-started from the
-centers.  On flat space the fields are plain Lagrange combinations and the
-gradient is assembled exactly from the shape function gradients instead,
-which keeps the flat reduction accurate to machine precision.
+Reference-space gradients of fields are exact: the interpolant
+differentiates its own derivative relation in xi, from the data of its
+center evaluation (for the geodesic rule the Newton solve at xi and dq/dxi,
+with the third derivatives of squared distance; for the projection rule
+the weighted sum and the second derivative of the projection), so they add
+no Newton solve, hold on the closed element and are expressed in
+tangent_basis(q) coefficients.
 """
 
 from __future__ import annotations
@@ -28,60 +28,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StencilOutsideElementError
 from .geodesic import GeodesicInterpolant
-from .manifold import Euclidean
 from .projection import ProjectionInterpolant
 
 Interpolant = GeodesicInterpolant | ProjectionInterpolant
 
-_FD_STEP = 1e-6
-_STENCIL_MARGIN = 1e-5
 
-
-def _basis_ref_gradients(interp: Interpolant, xi, h: float = _FD_STEP, q=None):
+def _basis_ref_gradients(interp: Interpolant, xi, center=None):
     """Reference-space gradients of all nodal-basis fields at xi (..., d).
 
-    Returns ``(q, G)`` with G of shape (..., m, N, dim, d); G[i, :, j, l] is
-    the l-th reference derivative of basis field (i, j), tangentially
-    projected at q = eval(xi).  A caller that already has eval(xi) passes it
-    as ``q``; it also warm-starts the stencil solves.
+    Returns ``(center, G)``: the interpolant's center evaluation at xi
+    (with ``q`` and ``basis`` = tangent_basis(q)) and G of shape
+    (..., m, dim, dim, d), where G[..., i, j, :, l] holds the
+    tangent_basis(q) coefficients of the l-th reference derivative of basis
+    field (i, j).  A caller that already has the center at xi passes it, and
+    no Newton solve is made.
     """
-    man = interp.manifold
-    elem = interp.elem
-    d = elem.dim
-    k = len(man.point_shape)
     xi = np.asarray(xi, dtype=float)
-    q = interp.eval(xi) if q is None else q
-
-    if isinstance(man, Euclidean):
-        # flat fields are classical Lagrange combinations; differentiate exactly
-        dphi = elem.shape_gradients(xi)                # (..., m, d)
-        B = man.tangent_basis(interp.values)           # (..., m, dim, k)
-        return q, np.swapaxes(B, -1, -2)[..., None] * dphi[..., :, None, None, :]
-
-    lam_min = elem.barycentric(xi).min(axis=-1)
-    margin = max(_STENCIL_MARGIN, 2.0 * h)
-    if (lam_min < margin).any():
-        raise StencilOutsideElementError(
-            f"reference point is {float(lam_min[lam_min < margin].flat[0]):.2e} from the "
-            f"boundary; a step-{h:.0e} stencil needs a margin of {margin:.0e}"
-        )
-
-    # stencil axis before the node axis: points xi + h*e_l, then xi - h*e_l
-    steps = h * np.concatenate([np.eye(d), -np.eye(d)])
-    stencil = type(interp)(elem, np.expand_dims(interp.values, -k - 2), man, _checked=True)
-    qs, mats = stencil.d_dv_all(xi[..., None, :] + steps, np.expand_dims(q, -k - 1))
-    # embedded values of the basis fields: V[..., i, :, j] = sum_k mats[..., i, k, j] * Eq[k]
-    V = np.swapaxes(man._flat(man.tangent_basis(qs)), -1, -2)[..., None, :, :] @ mats
-    diff = np.swapaxes((V[..., :d, :, :, :] - V[..., d:, :, :, :]) / (2.0 * h), -1, -2)
-    lead = diff.shape[:-1]                                    # (..., d, m, dim)
-    tangential = man.project_tangent(
-        q.reshape(q.shape[: q.ndim - k] + (1, 1, 1) + man.point_shape),
-        diff.reshape(lead + man.point_shape),
-    )
-    G = np.moveaxis(np.swapaxes(man._flat(tangential), -1, -2), -4, -1)
-    return q, G
+    center = interp._center(xi)[0] if center is None else center
+    return center, interp._basis_gradients(xi, center)
 
 
 def _nodal_vectors(base, vectors) -> np.ndarray:
@@ -122,12 +87,9 @@ class ElementTestField:
 
     def eval_field_gradient(self, xi):
         """(q, cols): the reference-space gradient columns of the field at xi,
-        shape (d, *point_shape), tangent at q = eval(xi).
-
-        Central differences with step 1e-6; requires xi to sit at least 1e-5
-        inside the element in barycentric coordinates.
-        """
+        shape (d, *point_shape), tangent at q = eval(xi); exact, and valid on
+        the closed element."""
         man = self.interp.manifold
-        q, G = _basis_ref_gradients(self.interp, xi)
-        cols = np.einsum("injl,ij->ln", G, self._coefficients())
-        return q, cols.reshape((len(cols),) + man.point_shape)
+        c, G = _basis_ref_gradients(self.interp, xi)
+        coeff = np.einsum("ijal,ij->la", G, self._coefficients())
+        return c.q, (coeff @ man._flat(c.basis)).reshape((len(coeff),) + man.point_shape)

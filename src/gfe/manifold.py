@@ -16,9 +16,11 @@ Besides the metric operations (``dist``, ``exp``, ``log``, parallel
   ``Q @ hat(e_k) / sqrt(2)`` for rotations,
 - the two second-derivative blocks of squared distance,
   ``dist2_hess_q`` and ``dist2_mixed``, that drive the implicit derivative
-  systems of the interpolation modules,
+  systems of the interpolation modules, and ``dist2_third``, their
+  derivatives as q moves, which the exact gradients of test fields need,
 - a closest-point projection ``project_point`` with its Jacobian
-  ``projection_jacobian`` (normalization for spheres, the polar
+  ``projection_jacobian`` and the Jacobian's derivative
+  ``projection_jacobian_deriv`` (normalization for spheres, the polar
   decomposition for rotations, the identity for flat space).
 
 Every operation broadcasts over leading axes, so one call serves all nodal
@@ -36,7 +38,24 @@ complement, and the mixed block maps a perturbation ``w`` of ``v`` to
 
 where ``a = rho/sin(rho)``, ``rho = sqrt(K)*r`` and ``Pt`` is parallel
 transport from v to q.  (1 - a)/r**2 is a series in rho near 0, so no log
-is divided by r, which would cost eps/r of accuracy near v = q.  All
+is divided by r, which would cost eps/r of accuracy near v = q.
+
+The third derivatives follow from the same model (Sander, IMA J. Numer.
+Anal. 2016).  With n = -log_q(v)/r the gradient of r at q, P = I - n n^T,
+c = rho*cot(rho) and c' = dc/dr = (c - c**2 - rho**2)/r, the covariant
+derivative of the Hessian 2*(c*P + n n^T) along X is
+
+    2*(c' <n, X> P + ((1 - c)*c/r) * (PX n^T + n (PX)^T)),
+
+and, by the symmetry of third derivatives on M x M, the derivative of the
+mixed block along X, applied to a perturbation w of v, is
+
+    2*(c' <m, w> PX - ((1 - c)*a/r) * (<n, X> p + <p, X> n)),
+
+with m = -log_v(q)/r, a = rho/sin(rho) as above and p = P Pt(w).  c'/r
+and (1 - c)*a/r**2 are series in rho near 0 ((1 - c)*c/r**2 = c'/r + K),
+and every term carries a factor of order r, so the eps/r error of n near
+v = q costs nothing.  On flat space (K = 0) all of them vanish.  All
 operations are pure functions of their inputs; values are never mutated.
 """
 
@@ -47,55 +66,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CutLocusError,
-    DimensionMismatchError,
-    NonConvergenceError,
-    ProjectionUndefinedError,
-    SingularMatrixError,
+from .errors import CutLocusError, DimensionMismatchError, ProjectionUndefinedError
+from .kernels import (
+    _CUT_TOL,
+    _SKEW_BASIS,
+    _angle_parts,
+    _as_matrices,
+    _expm_skew,
+    _logm_rotation,
+    _one_minus_cos_over_sq,
+    _one_minus_t_cot_over_sq_times_t_over_sin,
+    _one_minus_t_over_sin_over_sq,
+    _polar_iterates,
+    _polar_jacobian,
+    _polar_jacobian_deriv,
+    _sinc,
+    _skew_part,
+    _t_cot,
+    _t_cot_slope_over_t,
+    _t_over_sin,
+    _vee,
 )
-
-_CUT_TOL = 1e-8       # distance-to-cut-locus slack before log refuses
-_SERIES_CUTOFF = 1e-4  # switch to Taylor series below this angle
-
-
-def _series_or(t, coeffs, closed):
-    """closed(t) elementwise, or c0 + c2*t**2 + c4*t**4 below _SERIES_CUTOFF."""
-    t = np.asarray(t, dtype=float)
-    small = np.abs(t) < _SERIES_CUTOFF
-    if not small.any():
-        return closed(t)
-    c0, c2, c4 = coeffs
-    t2 = t * t
-    return np.where(small, c0 + t2 * (c2 + t2 * c4), closed(np.where(small, 1.0, t)))
-
-
-def _sinc(t):
-    """sin(t)/t."""
-    return _series_or(t, (1.0, -1.0 / 6.0, 1.0 / 120.0), lambda t: np.sin(t) / t)
-
-
-def _one_minus_cos_over_sq(t):
-    """(1 - cos(t))/t**2."""
-    return _series_or(t, (0.5, -1.0 / 24.0, 1.0 / 720.0), lambda t: (1.0 - np.cos(t)) / (t * t))
-
-
-def _t_over_sin(t):
-    """t/sin(t)."""
-    return _series_or(t, (1.0, 1.0 / 6.0, 7.0 / 360.0), lambda t: t / np.sin(t))
-
-
-def _one_minus_t_over_sin_over_sq(t):
-    """(1 - t/sin(t))/t**2."""
-    return _series_or(
-        t, (-1.0 / 6.0, -7.0 / 360.0, -31.0 / 15120.0), lambda t: (1.0 - t / np.sin(t)) / (t * t)
-    )
-
-
-def _t_cot(t):
-    """t*cot(t)."""
-    return _series_or(t, (1.0, -1.0 / 3.0, -1.0 / 45.0), lambda t: t * np.cos(t) / np.sin(t))
-
 
 def _inner(a, b) -> np.ndarray:
     """<a, b> over the last axis, kept as a length-1 axis; broadcasts."""
@@ -177,8 +168,11 @@ class Manifold:
     def log(self, p, q) -> np.ndarray:
         raise NotImplementedError
 
-    def transport(self, p, q, w) -> np.ndarray:
-        """Parallel transport of w in T_p M to T_q M along the connecting geodesic."""
+    def transport(self, p, q, w, log_pq=None) -> np.ndarray:
+        """Parallel transport of w in T_p M to T_q M along the connecting geodesic.
+
+        ``log_pq`` is log(p, q) when the caller already has it.
+        """
         raise NotImplementedError
 
     # ------------------------------------------------------------------
@@ -188,6 +182,12 @@ class Manifold:
         raise NotImplementedError
 
     def projection_jacobian(self, w) -> np.ndarray:
+        raise NotImplementedError
+
+    def projection_jacobian_deriv(self, w, x) -> np.ndarray:
+        """The derivative of projection_jacobian(w) along each of the s
+        embedding directions x (..., s, N): shape (..., s, N, N), the second
+        derivative of project_point with its first slot filled by x."""
         raise NotImplementedError
 
     # ------------------------------------------------------------------
@@ -228,6 +228,33 @@ class Manifold:
         a = self._curvature_factor(_t_cot, r)[..., None, None]
         return 2.0 * (a * np.eye(dim) + (1.0 - a) * (c[..., :, None] * c[..., None, :]))
 
+    def _transported_basis(self, v, q, Eq):
+        """(log_v(q) in tangent_basis(v) coefficients, the tangent_basis(q)
+        coefficients (..., dim, dim) of tangent_basis(v) transported to q);
+        Eq is the flattened tangent_basis(q).  Makes one log(v, q)."""
+        v = np.asarray(v, dtype=float)
+        q = np.asarray(q, dtype=float)
+        log_vq = self.log(v, q)
+        Bv = self._flat(self.tangent_basis(v))              # (..., dim, N)
+        # all dim basis columns of v transported to q in one call
+        k = len(self.point_shape)
+        moved = self._flat(self.transport(
+            np.expand_dims(v, -k - 1), np.expand_dims(q, -k - 1),
+            Bv.reshape(Bv.shape[:-1] + self.point_shape), log_pq=np.expand_dims(log_vq, -k - 1),
+        ))
+        w = np.matmul(Bv, self._flat(log_vq)[..., :, None])[..., 0]
+        return w, np.matmul(Eq, np.swapaxes(moved, -1, -2))
+
+    def _mixed_from(self, r, u, w, T) -> np.ndarray:
+        """dist2_mixed from r = |log_q(v)| (..., 1), the coefficients u of log_q(v)
+        at q and (w, T) from _transported_basis."""
+        a = self._curvature_factor(_t_over_sin, r)[..., None]
+        # (1 - a)/r**2, so that no log is divided by r (which costs eps/r near v = q)
+        s = self._model_curvature * self._curvature_factor(_one_minus_t_over_sin_over_sq, r)
+        # -2*a*Pt(b_j) + 2*s*<b_j, log_v q>*log_q v in the basis at q, one column j per basis vector
+        M = 2.0 * (s[..., None] * (u[..., :, None] * w[..., None, :]) - a * T)
+        return np.where((r < 1e-15)[..., None], -2.0 * np.eye(self.intrinsic_dim), M)
+
     def dist2_mixed(self, v, q, basis_q=None, log_qv=None) -> np.ndarray:
         """Mixed second derivative of dist(v, q)**2, d/dv of the q-gradient.
 
@@ -238,25 +265,73 @@ class Manifold:
         caller already has them.  Equals -2*I where v = q.
         """
         self._check_pair(v, q)
-        v = np.asarray(v, dtype=float)
-        U_v = self._flat(self.log(v, q))                     # (..., N)
         U_q = self._flat(self.log(q, v) if log_qv is None else log_qv)
-        r = np.sqrt(_inner(U_q, U_q))                        # (..., 1)
-        Bv = self._flat(self.tangent_basis(v))              # (..., dim, N)
         Eq = self._flat(self.tangent_basis(q) if basis_q is None else basis_q)
-        # all dim basis columns of v transported to q in one call
+        u = np.matmul(Eq, U_q[..., :, None])[..., 0]
+        return self._mixed_from(np.sqrt(_inner(U_q, U_q)), u, *self._transported_basis(v, q, Eq))
+
+    def dist2_third(self, v, q, X, weights, basis_q=None, log_coeffs=None):
+        """Third derivatives of squared distance as q moves, for the weighted
+        sum f(q) = sum_i weights_i * dist(v_i, q)**2.
+
+        v (..., m, *point_shape) holds the m points v_i, weights (..., m)
+        their weights, and X (..., s, dim) the tangent_basis(q) coefficients
+        of s directions at q (..., *point_shape).  ``basis_q`` is
+        tangent_basis(q) and ``log_coeffs`` (..., m, dim) the coefficients of
+        log(q, v_i) in it, when the caller already has them.  Returns
+        ``(mixed, hess_X, mixed_X)``:
+
+        - mixed (..., m, dim, dim): dist2_mixed(v_i, q);
+        - hess_X (..., s, dim, dim): the covariant derivative of the Hessian
+          of f, sum_i weights_i * dist2_hess_q(v_i, q), along X[..., l, :];
+        - mixed_X (..., m, s, dim, dim): the covariant derivative of
+          dist2_mixed(v_i, q) along X[..., l, :].
+
+        Both derivatives vanish where v_i = q and on flat space.  One
+        log(v_i, q) serves the mixed block and its derivative.
+        """
         k = len(self.point_shape)
-        moved = self._flat(self.transport(
-            np.expand_dims(v, -k - 1), np.expand_dims(np.asarray(q, dtype=float), -k - 1),
-            Bv.reshape(Bv.shape[:-1] + self.point_shape),
-        ))
-        a = self._curvature_factor(_t_over_sin, r)[..., None]
-        # (1 - a)/r**2, so that no log is divided by r (which costs eps/r near v = q)
-        s = self._model_curvature * self._curvature_factor(_one_minus_t_over_sin_over_sq, r)
-        # -2*a*Pt(b_j) + 2*s*<b_j, U_v>*U_q in the basis at q, one column j per basis vector
-        radial = np.matmul(Eq, U_q[..., :, None]) * np.matmul(Bv, U_v[..., :, None])[..., None, :, 0]
-        M = 2.0 * (s[..., None] * radial - a * np.matmul(Eq, np.swapaxes(moved, -1, -2)))
-        return np.where((r < 1e-15)[..., None], -2.0 * np.eye(self.intrinsic_dim), M)
+        q = np.expand_dims(np.asarray(q, dtype=float), -k - 1)
+        self._check_pair(v, q)
+        Eq = self._flat(self.tangent_basis(q) if basis_q is None
+                        else np.expand_dims(basis_q, -k - 2))
+        if log_coeffs is None:
+            u = np.matmul(Eq, self._flat(self.log(q, v))[..., :, None])[..., 0]
+        else:
+            u = np.asarray(log_coeffs, dtype=float)                         # (..., m, dim)
+        r = np.sqrt(_inner(u, u))                                           # (..., m, 1)
+        w, T = self._transported_basis(v, q, Eq)
+        mixed = self._mixed_from(r, u, w, T)
+        K = self._model_curvature
+        # c'/r and (1 - c)*a/r**2 of the module docstring, c = rho*cot(rho) and
+        # a = rho/sin(rho), as series in rho times K; (1 - c)*c/r**2 = c'/r + K
+        g1 = K * self._curvature_factor(_t_cot_slope_over_t, r)
+        g3 = K * self._curvature_factor(_one_minus_t_cot_over_sq_times_t_over_sin, r)
+        # n = u/r (0 where v = q) enters only through the projection P = I - n n^T
+        # and terms of order r, so its eps/r error near v = q costs nothing
+        n = u / np.where(r < 1e-15, np.inf, r)
+        P = np.eye(self.intrinsic_dim) - n[..., :, None] * n[..., None, :]
+        X = np.expand_dims(np.asarray(X, dtype=float), -3)                  # (..., 1, s, dim)
+        uX = np.matmul(X, u[..., :, None])[..., 0]                          # (..., m, s)
+        PX = X @ P                                                          # (..., m, s, dim)
+        # hess_X = -2 sum_i weights_i (g1 <u, X> P + g2 (PX u^T + u PX^T)), g2 = g1 + K
+        phi = np.asarray(weights, dtype=float)[..., :, None]
+        hess_X = np.einsum("...is,...iab->...sab", phi * g1 * uX, P)
+        outer = np.einsum("...isa,...ib->...sab", (phi * (g1 + K))[..., None] * PX, u)
+        hess_X += outer
+        hess_X += np.swapaxes(outer, -1, -2)
+        hess_X *= -2.0
+        # mixed_X = 2 (g3 (<u, X> p_j + <p_j, X> u) - g1 <log_v q, b_j> PX), column j,
+        # with p_j = P Pt(b_j) = (P T)[:, j]; built in place, one direction at a
+        # time, as the largest array of a gradient
+        T = P @ T
+        XpT = X @ T                                                         # (..., m, s, dim)
+        mixed_X = (g3 * uX)[..., None, None] * T[..., None, :, :]
+        for l in range(XpT.shape[-2]):
+            mixed_X[..., l, :, :] += (g3 * u)[..., :, None] * XpT[..., l, None, :]
+            mixed_X[..., l, :, :] -= (g1 * PX[..., l, :])[..., :, None] * w[..., None, :]
+        mixed_X *= 2.0
+        return mixed, hess_X, mixed_X
 
 
 # ----------------------------------------------------------------------
@@ -316,7 +391,7 @@ class Euclidean(Manifold):
         self._check_pair(p, q)
         return np.subtract(q, p, dtype=float)
 
-    def transport(self, p, q, w):
+    def transport(self, p, q, w, log_pq=None):
         return np.asarray(w, dtype=float).copy()
 
     def project_point(self, w):
@@ -324,6 +399,10 @@ class Euclidean(Manifold):
 
     def projection_jacobian(self, w):
         return np.broadcast_to(np.eye(self.k), np.shape(w) + (self.k,)).copy()
+
+    def projection_jacobian_deriv(self, w, x):
+        return np.zeros(np.broadcast_shapes(np.shape(w)[:-1], np.shape(x)[:-2])
+                        + np.shape(x)[-2:] + (self.k,))
 
 
 # ----------------------------------------------------------------------
@@ -428,10 +507,10 @@ class Sphere(Manifold):
         # zero where the points (numerically) coincide
         return (theta / np.where(nrm < 1e-14, np.inf, nrm)) * u
 
-    def transport(self, p, q, w):
+    def transport(self, p, q, w, log_pq=None):
         # the component along u = log_p(q) turns with the great circle, the
         # rest stays: w - <w, u> ((1 - cos t)/t**2 * u + sin(t)/t * p), t = |u|
-        u = self.log(p, q)
+        u = self.log(p, q) if log_pq is None else np.asarray(log_pq, dtype=float)
         w = np.asarray(w, dtype=float)
         t = np.sqrt(_inner(u, u))
         turn = _one_minus_cos_over_sq(t) * u + _sinc(t) * np.asarray(p, dtype=float)
@@ -452,134 +531,19 @@ class Sphere(Manifold):
         nrm = nrm[..., None]
         return np.eye(self.n + 1) / nrm - (w[..., :, None] * w[..., None, :]) / nrm**3
 
+    def projection_jacobian_deriv(self, w, x):
+        # D^2P(w)[x, y] = -(<w,y> x + <w,x> y + <x,y> w)/|w|^3 + 3 <w,x> <w,y> w/|w|^5
+        w, nrm = self._norm_checked(w)
+        x = np.asarray(x, dtype=float)
+        w, nrm = w[..., None, :], nrm[..., None, :, None]             # (..., 1, N), (..., 1, 1, 1)
+        wx = _inner(w, x)[..., None]                                 # (..., s, 1, 1)
+        ww = w[..., :, None] * w[..., None, :]
+        outer = x[..., :, None] * w[..., None, :] + w[..., :, None] * x[..., None, :]
+        return (3.0 * wx * ww / nrm**2 - outer - wx * np.eye(self.n + 1)) / nrm**3
+
 
 # ----------------------------------------------------------------------
 # SO(3)
-
-
-def _hat(w: np.ndarray) -> np.ndarray:
-    """Skew matrix with _hat(w) @ x = w x x (cross product)."""
-    return np.array(
-        [
-            [0.0, -w[2], w[1]],
-            [w[2], 0.0, -w[0]],
-            [-w[1], w[0], 0.0],
-        ]
-    )
-
-
-def _vee(S: np.ndarray) -> np.ndarray:
-    """Inverse of _hat on skew matrices; broadcasts over leading axes."""
-    return np.stack([S[..., 2, 1], S[..., 0, 2], S[..., 1, 0]], axis=-1)
-
-
-def _skew_part(M: np.ndarray) -> np.ndarray:
-    return 0.5 * (M - np.swapaxes(M, -1, -2))
-
-
-_HATS = np.array([_hat(e) for e in np.eye(3)])
-# hat(e_k)/sqrt(2): an orthonormal basis of the skew matrices, Frobenius product
-_SKEW_BASIS = _HATS / np.sqrt(2.0)
-# beyond this angle the rotation axis is read from the symmetric part
-_SYMMETRIC_AXIS_ANGLE = 0.75 * np.pi
-
-
-def _expm_skew(S: np.ndarray) -> np.ndarray:
-    """Matrix exponential of 3x3 skew matrices (Rodrigues form)."""
-    theta = np.linalg.norm(_vee(S), axis=-1)[..., None, None]
-    return np.eye(3) + _sinc(theta) * S + _one_minus_cos_over_sq(theta) * (S @ S)
-
-
-def _angle_parts(R: np.ndarray):
-    """(skew part A, |vee(A)| = sin(angle), angle in [0, pi] via atan2) of rotations R."""
-    A = _skew_part(R)
-    s = np.linalg.norm(_vee(A), axis=-1)
-    c = (np.trace(R, axis1=-2, axis2=-1) - 1.0) / 2.0
-    return A, s, np.arctan2(s, c)
-
-
-def _logm_rotation(R: np.ndarray) -> np.ndarray:
-    """Principal matrix logarithm of rotations; skew 3x3 results.
-
-    Raises CutLocusError within _CUT_TOL of a half-turn, where the
-    logarithm branches.
-    """
-    A, s, theta = _angle_parts(R)
-    if theta.max() > np.pi - _CUT_TOL:
-        raise CutLocusError(
-            f"rotation angle {float(theta.max()):.6f} is (numerically) at the half-turn"
-        )
-    # theta/s rather than theta/sin(theta): s keeps its relative accuracy
-    factor = _series_or(theta, (1.0, 1.0 / 6.0, 7.0 / 360.0), lambda t: t)
-    factor = factor / np.where(theta < _SERIES_CUTOFF, 1.0, s)
-    out = factor[..., None, None] * A
-    # Near the half-turn the skew part, of size sin(theta), holds the axis
-    # only to eps/sin(theta); (R + R^T)/2 - cos(theta) I = (1 - cos(theta)) a a^T
-    # holds it to full accuracy, and the skew part still gives its sign.
-    wide = theta > _SYMMETRIC_AXIS_ANGLE
-    if wide.any():
-        t = theta[wide]
-        B = 0.5 * (R[wide] + np.swapaxes(R[wide], -1, -2)) - np.cos(t)[:, None, None] * np.eye(3)
-        j = np.argmax(np.diagonal(B, axis1=-2, axis2=-1), axis=-1)
-        a = B[np.arange(len(t)), :, j]
-        a = a / np.linalg.norm(a, axis=-1, keepdims=True)
-        a = np.where(np.sum(a * _vee(A[wide]), axis=-1, keepdims=True) < 0.0, -a, a)
-        out[wide] = t[:, None, None] * np.tensordot(a, _HATS, axes=1)
-    return out
-
-
-_POLAR_TOL = 1e-13
-
-
-def _as_matrices(w) -> np.ndarray:
-    """3x3 matrices from (..., 3, 3) input or flattened (..., 9) input."""
-    w = np.asarray(w, dtype=float)
-    return w if w.shape[-2:] == (3, 3) else w.reshape(w.shape[:-1] + (3, 3))
-
-
-def _polar_iterates(A: np.ndarray, max_iter: int = 50):
-    """Run Q <- (Q + Q^-T)/2 from Q = A, in lockstep over leading axes.
-
-    Returns (iterates, residuals): ``iterates[0]`` is A itself,
-    ``iterates[k]`` the k-th update and ``residuals[k-1]`` the Frobenius
-    norm of iterates[k]-iterates[k-1].  A matrix stops moving (its residual
-    is then 0) after the first update below _POLAR_TOL, so each one takes
-    exactly the steps it would take alone.
-    """
-    Q = _as_matrices(A).copy()
-    iterates, residuals = [Q], []
-    active = np.ones(Q.shape[:-2], dtype=bool)
-    for _ in range(max_iter):
-        try:
-            Qn = 0.5 * (Q + np.swapaxes(np.linalg.inv(Q), -1, -2))
-        except np.linalg.LinAlgError as exc:
-            raise SingularMatrixError("polar iterate became singular") from exc
-        Qn = np.where(active[..., None, None], Qn, Q)
-        res = np.linalg.norm(Qn - Q, axis=(-2, -1))
-        iterates.append(Qn)
-        residuals.append(res)
-        active = active & (res > _POLAR_TOL)
-        Q = Qn
-        if not active.any():
-            return iterates, residuals
-    raise NonConvergenceError(f"polar iteration did not converge in {max_iter} steps")
-
-
-def polar_decompose(A: np.ndarray):
-    """Orthogonal polar factor of a 3x3 matrix with positive determinant.
-
-    Returns ``(Q, iterations)`` where Q is the closest rotation to A in the
-    Frobenius norm and ``iterations`` counts the update steps performed.
-    Q^T A is symmetric positive definite for valid input.
-    """
-    A = _as_matrices(A)
-    det = float(np.linalg.det(A))
-    if abs(det) < 1e-12:
-        raise SingularMatrixError(f"matrix is numerically singular (det = {det:.3e})")
-    if det < 0.0:
-        raise SingularMatrixError(f"polar factor is not a rotation for det = {det:.3e} < 0")
-    iterates, residuals = _polar_iterates(A)
-    return iterates[-1], len(residuals)
 
 
 @dataclass(frozen=True)
@@ -651,12 +615,32 @@ class Rotation3(Manifold):
         Q1 = np.asarray(p, dtype=float)
         return Q1 @ _logm_rotation(np.swapaxes(Q1, -1, -2) @ np.asarray(q, dtype=float))
 
-    def transport(self, p, q, w):
+    def transport(self, p, q, w, log_pq=None):
         Q1 = np.asarray(p, dtype=float)
         Q1t = np.swapaxes(Q1, -1, -2)
-        E = _expm_skew(0.5 * _logm_rotation(Q1t @ np.asarray(q, dtype=float)))
+        if log_pq is None:
+            S = _logm_rotation(Q1t @ np.asarray(q, dtype=float))
+        else:
+            S = _skew_part(Q1t @ np.asarray(log_pq, dtype=float))
+        E = _expm_skew(0.5 * S)
         Om = _skew_part(Q1t @ np.asarray(w, dtype=float))
         return Q1 @ E @ Om @ E
+
+    def _transported_basis(self, v, q, Eq):
+        # In the Lie algebra: with v^T q = E^2 the transport maps v hat(x) to
+        # v E hat(x) E = q hat(E^T x), and <Q hat(x), Q hat(y)> = 2 x.y, so
+        # with the basis vectors v hat(omega_j) and q hat(psi_a) the
+        # coefficients are T[a, j] = 2 psi_a . E^T omega_j; no embedded basis
+        # is transported.
+        v = np.asarray(v, dtype=float)
+        q = np.asarray(q, dtype=float)
+        vt = np.swapaxes(v, -1, -2)
+        S = _logm_rotation(vt @ q)                                                 # v^T log(v, q)
+        omega = _vee(vt[..., None, :, :] @ self.tangent_basis(v))                 # (..., dim, 3)
+        psi = _vee(np.swapaxes(q, -1, -2)[..., None, :, :] @ Eq.reshape(Eq.shape[:-1] + (3, 3)))
+        E = _expm_skew(0.5 * S)
+        w = 2.0 * (omega @ _vee(S)[..., :, None])[..., 0]
+        return w, 2.0 * psi @ np.swapaxes(E, -1, -2) @ np.swapaxes(omega, -1, -2)
 
     def _polar_of(self, w):
         A = _as_matrices(w)
@@ -668,14 +652,7 @@ class Rotation3(Manifold):
         return self._polar_of(w)[1][0][-1]
 
     def projection_jacobian(self, w):
-        A, (iterates, residuals) = self._polar_of(w)
-        # Seed one derivative per embedding coordinate and push all nine
-        # through the primal's iterates, dQ' = (dQ - Q^-T dQ^T Q^-T)/2, for
-        # as many steps as each matrix took.
-        D = np.broadcast_to(np.eye(9).reshape(9, 3, 3), A.shape[:-2] + (9, 3, 3))
-        active = np.ones(A.shape[:-2] + (1, 1, 1), dtype=bool)
-        for Q, res in zip(iterates[:-1], residuals):
-            B = np.swapaxes(np.linalg.inv(Q), -1, -2)[..., None, :, :]
-            D = np.where(active, 0.5 * (D - B @ np.swapaxes(D, -1, -2) @ B), D)
-            active = active & (res > _POLAR_TOL)[..., None, None, None]
-        return np.swapaxes(D.reshape(A.shape[:-2] + (9, 9)), -1, -2)
+        return _polar_jacobian(*self._polar_of(w)[1])
+
+    def projection_jacobian_deriv(self, w, x):
+        return _polar_jacobian_deriv(*self._polar_of(w)[1], x)

@@ -12,6 +12,8 @@ leading axes, which broadcast.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .manifold import Manifold
@@ -50,14 +52,24 @@ class ProjectionInterpolant:
         w = self._combine(self.elem.shape_values(xi)[..., None, :])[..., 0, :]
         return w.reshape(w.shape[:-1] + self.manifold.point_shape)
 
-    def d_dxi(self, xi):
-        """eval(xi) plus the columns d(interpolant)/d(xi_k), shape (..., d, *point_shape):
-        dP/dw at the weighted sum times the sum's xi-derivative."""
+    def _center(self, xi):
+        """(center, cols): the weighted sum w at xi with what the exact
+        basis-field gradients need of it, and the columns d(interpolant)/d(xi_k)
+        (..., d, *point_shape)."""
         man = self.manifold
         w = self._weighted_sum(xi)
         dsum = self._combine(np.swapaxes(self.elem.shape_gradients(xi), -1, -2))  # (..., d, N)
-        cols = dsum @ np.swapaxes(man.projection_jacobian(w), -1, -2)
-        return man.project_point(w), cols.reshape(cols.shape[:-1] + man.point_shape)
+        J = man.projection_jacobian(w)
+        cols = dsum @ np.swapaxes(J, -1, -2)
+        q = man.project_point(w)
+        return _Center(q, man.tangent_basis(q), w, J, dsum), \
+            cols.reshape(cols.shape[:-1] + man.point_shape)
+
+    def d_dxi(self, xi):
+        """eval(xi) plus the columns d(interpolant)/d(xi_k), shape (..., d, *point_shape):
+        dP/dw at the weighted sum times the sum's xi-derivative."""
+        c, cols = self._center(xi)
+        return c.q, cols
 
     def eval(self, xi) -> np.ndarray:
         """P applied to the weighted embedding sum.
@@ -77,3 +89,33 @@ class ProjectionInterpolant:
         Bv = man._flat(man.tangent_basis(self.values))                     # (..., m, dim, N)
         mats = weights[..., None, None] * (EqJ[..., None, :, :] @ np.swapaxes(Bv, -1, -2))
         return q, mats
+
+    def _basis_gradients(self, xi, c: "_Center") -> np.ndarray:
+        """Reference gradients of the nodal basis fields from the center c at xi:
+        (..., m, dim, dim, d), entry [i, j, a, l] the tangent_basis(q)[a]
+        coefficient of the l-th derivative of field (i, j), the tangential part of
+
+            D^2P(w)[dw/dxi_l, phi_i b_ij] + dphi_i/dxi_l DP(w) b_ij.
+        """
+        man = self.manifold
+        E = man._flat(c.basis)                                              # (..., dim, N)
+        Bv = np.swapaxes(man._flat(man.tangent_basis(self.values)), -1, -2)  # (..., m, N, dim)
+        first = (E @ c.jacobian)[..., None, :, :] @ Bv                     # (..., m, dim, dim)
+        ED2 = E[..., None, :, :] @ man.projection_jacobian_deriv(c.w, c.dsum)  # (..., d, dim, N)
+        second = ED2[..., None, :, :, :] @ Bv[..., :, None, :, :]          # (..., m, d, dim, dim)
+        dphi = self.elem.shape_gradients(xi)                               # (..., m, d)
+        phi = self.elem.shape_values(xi)
+        G = phi[..., :, None, None, None] * second \
+            + dphi[..., :, :, None, None] * first[..., :, None, :, :]
+        return np.swapaxes(G, -3, -1)                                        # (..., m, j, a, l)
+
+
+class _Center(NamedTuple):
+    """q = P(w), tangent_basis(q), the weighted sum w, dP/dw (..., N, N) and
+    dw/dxi (..., d, N)."""
+
+    q: np.ndarray
+    basis: np.ndarray
+    w: np.ndarray
+    jacobian: np.ndarray
+    dsum: np.ndarray

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .manifold import Euclidean, Manifold, Rotation3, Sphere, _expm_skew, _hat
+from .kernels import _expm_skew, _hat
+from .manifold import Euclidean, Manifold, Rotation3, Sphere
 
 
 def random_point(manifold: Manifold, rng: np.random.Generator) -> np.ndarray:

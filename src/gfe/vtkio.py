@@ -13,7 +13,8 @@ import numpy as np
 
 from .errors import CutLocusError
 from .grid import GFEFunction, GlobalTestFunction
-from .manifold import Euclidean, Rotation3, Sphere, _logm_rotation, _vee
+from .kernels import _logm_rotation, _vee
+from .manifold import Euclidean, Rotation3, Sphere
 
 # (dim, order) -> VTK cell type and local-node permutation
 _CELLS = {

@@ -55,6 +55,48 @@ def fd_mixed_dist2(man, v, q, h=1e-4):
     return M
 
 
+def fd_dist2_third(man, v, q, x, h=1e-4):
+    """Central differences of dist2_hess_q(v, .) and dist2_mixed(v, .) as q
+    moves along the geodesic with initial velocity coefficients x (dim,),
+    both read in the basis of q transported along it: the oracle for
+    ``dist2_third(v, q, x[None], [1.0])`` (its node axis dropped)."""
+    E = man.tangent_basis(q)
+    k = len(man.point_shape)
+    flat = lambda a: a.reshape(a.shape[: a.ndim - k] + (-1,))  # noqa: E731
+
+    def blocks(t):
+        qt = man.exp(q, t * np.tensordot(x, E, axes=1))
+        frame = man.transport(np.expand_dims(q, 0), np.expand_dims(qt, 0), E)
+        C = flat(frame) @ flat(man.tangent_basis(qt)).T
+        return C @ man.dist2_hess_q(v, qt) @ C.T, C @ man.dist2_mixed(v, qt)
+
+    (Hp, Mp), (Hm, Mm) = blocks(h), blocks(-h)
+    return (Hp - Hm) / (2 * h), (Mp - Mm) / (2 * h)
+
+
+def fd_basis_ref_gradients(interp, xi, h=1e-6):
+    """Central differences of all nodal-basis fields of a one-element
+    interpolant at xi (d,): an oracle in the layout of
+    ``gfe.jacobi._basis_ref_gradients``, (m, dim, dim, d) with entry
+    [i, j, a, l] the tangent_basis(q)[a] coefficient of the l-th difference
+    of field (i, j), after projecting it tangentially at q = eval(xi).
+
+    The 2*d stencil points xi +- h*e_l must lie in the element; they are
+    solved in one batch, warm-started from q.
+    """
+    man = interp.manifold
+    d = interp.elem.dim
+    xi = np.asarray(xi, dtype=float)
+    q = interp.eval(xi)
+    # stencil points xi + h*e_l, then xi - h*e_l
+    qs, mats = interp.d_dv_all(xi + h * np.concatenate([np.eye(d), -np.eye(d)]), q)
+    E = man._flat(man.tangent_basis(qs))                      # (2d, dim, N)
+    # embedded values of field (i, j) at each stencil point: sum_k mats[s, i, k, j] E[s, k]
+    V = np.einsum("sikj,skn->sijn", mats, E)
+    diff = (V[:d] - V[d:]) / (2.0 * h)                        # (d, m, dim, N)
+    return np.einsum("lijn,an->ijal", diff, man._flat(man.tangent_basis(q)))
+
+
 def chordal_residual(interp, xi, at_point=None) -> float:
     """Stationarity residual of the chordal weighted least-squares problem.
 

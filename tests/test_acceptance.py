@@ -24,7 +24,7 @@ from gfe import (
 )
 from gfe.cli import main as cli_main
 from gfe.errors import ProjectionUndefinedError
-from gfe.manifold import _polar_iterates, polar_decompose
+from gfe.kernels import _polar_iterates, polar_decompose
 from gfe.sampling import random_configuration, random_point, random_tangent
 from helpers import (
     chordal_residual,

@@ -193,6 +193,18 @@ def test_degenerate_element_names_the_mesh_file(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", ["interpolate", "minimize"])
+def test_degenerate_element_names_its_line(tmp_path, capsys, command):
+    # comments and blank lines shift the rows; the flipped second triangle is on line 12
+    mesh = ("gfe-mesh 2\n# unit square\n4\n0 0\n1 0\n1 1\n0 1\n\n2  # elements\n"
+            "0 1 2\n# the next one is clockwise\n0 3 2\n")
+    code, path, _ = run_with(tmp_path, command, mesh, [(i, [1.0, 0.0, 0.0]) for i in range(4)])
+    assert code == 2
+    err = assert_one_error_line(capsys, path)
+    assert err.startswith(f"error: {path}: line 12: element 1 has non-positive orientation")
+    assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["interpolate", "minimize"])
 def test_unused_vertex_names_the_mesh_file(tmp_path, capsys, command):
     code, mesh, _ = run_with(tmp_path, command, "gfe-mesh 1\n3\n0\n1\n2\n1\n0 1\n",
                              [(0, [1.0, 0.0, 0.0]), (1, [0.0, 1.0, 0.0])])

@@ -1,0 +1,105 @@
+"""Exact reference gradients of the nodal basis fields against the
+central-difference oracle, on the delicate configurations: wide nodal data,
+constant nodal data and a center next to a nodal value."""
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import gfe
+from gfe import GeodesicInterpolant, ProjectionInterpolant, ReferenceElement
+from gfe.errors import GFEError
+from gfe.jacobi import _basis_ref_gradients
+from gfe.sampling import random_configuration
+from helpers import fd_basis_ref_gradients
+
+S2 = gfe.Sphere(2)
+SO3 = gfe.Rotation3()
+E2 = gfe.Euclidean(2)
+# largest ball radius per manifold: a spread of 0.9*pi on the sphere (its
+# admissibility limit), a turn of about 2 rad on SO(3)
+MAX_RADIUS = {S2.kind: 0.45 * np.pi, SO3.kind: 1.5, E2.kind: 2.0}
+CASES = [(man, rule, dim, order)
+         for man in (S2, SO3, E2)
+         for rule in (GeodesicInterpolant, ProjectionInterpolant)
+         for dim in (1, 2) for order in (1, 2)]
+
+
+def case_id(case):
+    man, rule, dim, order = case
+    return f"{man.kind}-{rule.__name__[:4].lower()}-{dim}d-p{order}"
+
+
+def exact_vs_oracle(interp, xi):
+    """Relative gap between the exact gradients and the oracle, or None where
+    the configuration cannot be evaluated (Newton or projection refuses)."""
+    try:
+        _, G = _basis_ref_gradients(interp, xi)
+        fd = fd_basis_ref_gradients(interp, xi)
+    except GFEError:
+        return None
+    return np.max(np.abs(G - fd)) / max(1.0, np.max(np.abs(fd)))
+
+
+def point_near_node(elem, node, t):
+    """The reference point a fraction t of the way from a Lagrange node to the centroid."""
+    centroid = np.full(elem.dim, 1.0 / (elem.dim + 1))
+    return elem.nodes[node] + t * (centroid - elem.nodes[node])
+
+
+@pytest.mark.parametrize("case", CASES, ids=case_id)
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), spread=st.floats(0.0, 1.0),
+       lam=st.lists(st.floats(0.05, 1.0), min_size=3, max_size=3))
+def test_exact_gradients_match_the_oracle(case, seed, spread, lam):
+    man, rule, dim, order = case
+    elem = ReferenceElement(dim, order)
+    values = random_configuration(man, elem.m, np.random.default_rng(seed),
+                                  radius=spread * MAX_RADIUS[man.kind])
+    lam = np.array(lam[: dim + 1]) / np.sum(lam[: dim + 1])
+    gap = exact_vs_oracle(rule(elem, values, man, _checked=True), lam[1:])
+    assume(gap is not None)
+    assert gap <= 1e-8
+
+
+@pytest.mark.parametrize("case", CASES, ids=case_id)
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), node=st.integers(0, 5), t=st.floats(5e-6, 2e-5))
+def test_exact_gradients_next_to_a_nodal_value(case, seed, node, t):
+    # the center lies within about 1e-4 of one nodal value
+    man, rule, dim, order = case
+    elem = ReferenceElement(dim, order)
+    values = random_configuration(man, elem.m, np.random.default_rng(seed), radius=0.5)
+    interp = rule(elem, values, man)
+    xi = point_near_node(elem, node % elem.m, t)
+    assert man.dist(interp.eval(xi), values[node % elem.m]) <= 1e-4
+    gap = exact_vs_oracle(interp, xi)
+    assert gap is not None and gap <= 1e-8
+
+
+@pytest.mark.parametrize("case", CASES, ids=case_id)
+def test_exact_gradients_for_constant_data(case):
+    # every nodal value equals the center: r = 0 for every node
+    man, rule, dim, order = case
+    elem = ReferenceElement(dim, order)
+    values = np.repeat(random_configuration(man, 1, np.random.default_rng(7)), elem.m, axis=0)
+    xi = np.full(dim, 0.2)
+    gap = exact_vs_oracle(rule(elem, values, man), xi)
+    assert gap is not None and gap <= 1e-8
+    # the fields are the Lagrange combinations in one tangent space
+    _, G = _basis_ref_gradients(rule(elem, values, man), xi)
+    dphi = elem.shape_gradients(xi)
+    expected = np.einsum("il,ja->ijal", dphi, np.eye(man.intrinsic_dim))
+    assert np.max(np.abs(G - expected)) <= 1e-14
+
+
+@pytest.mark.parametrize("rule", [GeodesicInterpolant, ProjectionInterpolant])
+@pytest.mark.parametrize("order", [1, 2])
+def test_flat_gradients_are_the_shape_function_gradients(rule, order):
+    elem = ReferenceElement(2, order)
+    values = np.random.default_rng(8).standard_normal((elem.m, 2))
+    for xi in ([0.0, 0.0], [0.3, 0.2], [1.0, 0.0], [0.5, 0.5]):
+        _, G = _basis_ref_gradients(rule(elem, values, E2), xi)
+        expected = np.einsum("il,ja->ijal", elem.shape_gradients(xi), np.eye(2))
+        assert np.max(np.abs(G - expected)) <= 1e-12

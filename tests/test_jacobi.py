@@ -8,10 +8,9 @@ from gfe import (
     ProjectionInterpolant,
     ReferenceElement,
 )
-from gfe.errors import StencilOutsideElementError
 from gfe.jacobi import _basis_ref_gradients
 from gfe.sampling import random_configuration, random_point, random_tangent
-from helpers import fd_variation, nodal_basis_vectors, random_field_vectors
+from helpers import fd_basis_ref_gradients, fd_variation, nodal_basis_vectors, random_field_vectors
 
 E1, E2, E3 = np.eye(3)
 S2 = gfe.Sphere(2)
@@ -165,21 +164,29 @@ def test_gradient_richardson_convergence_on_sphere():
     xi = [0.3, 0.3]
     h = 2e-3
 
-    def first_column(step):
-        # the field's first reference gradient column, from a stencil of this step
-        _, G = _basis_ref_gradients(field.interp, xi, h=step)
-        return np.einsum("injl,ij->ln", G, field._coefficients())[0]
+    def first_column(G):
+        # the field's first reference gradient column, as tangent_basis(q) coefficients
+        return np.einsum("ijal,ij->la", G, field._coefficients())[0]
 
-    exact = first_column(1e-6)
-    coarse = np.linalg.norm(first_column(h) - exact)
-    fine = np.linalg.norm(first_column(h / 2) - exact)
+    exact = first_column(_basis_ref_gradients(field.interp, xi)[1])
+    coarse = np.linalg.norm(first_column(fd_basis_ref_gradients(field.interp, xi, h)) - exact)
+    fine = np.linalg.norm(first_column(fd_basis_ref_gradients(field.interp, xi, h / 2)) - exact)
     assert coarse / fine >= 3.5
 
 
-def test_stencil_margin_enforced():
-    field, _ = seeded_field(S2, 1, seed=6)
-    with pytest.raises(StencilOutsideElementError):
-        field.eval_field_gradient([1e-7, 0.5])
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("xi", [[1e-7, 0.5], [0.0, 0.0]], ids=["near-edge", "vertex"])
+def test_field_gradient_on_the_closed_element(xi, order):
+    # one-sided second-order differences of eval_field, taken into the element
+    field, _ = seeded_field(S2, order, seed=6)
+    q, cols = field.eval_field_gradient(xi)
+    S2.check_tangent(q, cols)
+    h = 1e-4
+    for l in range(2):
+        step = h * np.eye(2)[l]
+        f0, f1, f2 = (field.eval_field(np.add(xi, t * step))[1] for t in (0, 1, 2))
+        fd = S2.project_tangent(q, (-3.0 * f0 + 4.0 * f1 - f2) / (2.0 * h))
+        assert np.linalg.norm(cols[l] - fd) <= 1e-6 * max(1.0, np.linalg.norm(fd))
 
 
 # ----------------------------------------------------------------------

@@ -50,15 +50,15 @@ def test_batched_results_equal_per_point_results(man, rule, order):
         assert np.max(np.abs(mats[p] - mats1)) <= 1e-14
 
 
+@pytest.mark.parametrize("rule", ["geodesic", "projection"])
 @pytest.mark.parametrize("man", [S2, SO3], ids=lambda m: m.kind)
-def test_batched_stencil_equals_per_point_stencil(man):
-    u = two_element_function(man, "geodesic", 2)
+def test_batched_field_gradients_equal_per_point_ones(man, rule):
+    u = two_element_function(man, rule, 2)
     els, xis = all_quadrature_pairs(u)
     _, G = _basis_ref_gradients(u.local(els), xis)
     for p, (e, xi) in enumerate(zip(els, xis)):
         _, G1 = _basis_ref_gradients(u.local(e), xi)
-        # central differences divide last-bit noise of the solves by the step
-        assert np.max(np.abs(G[p] - G1)) <= 1e-14 / 1e-6
+        assert np.max(np.abs(G[p] - G1)) <= 1e-14
 
 
 def counting_exp(monkeypatch, man):
@@ -158,17 +158,36 @@ def test_assembly_makes_one_lockstep_solve_per_batch(monkeypatch, n_side):
     u = GFEFunction(grid, SO3, "geodesic", values)
     points = grid.n_elements * 6
     center_batches = math.ceil(points / _CHUNK)
-    stencil_batches = math.ceil(points / (_CHUNK // 4))   # 4 stencil points per point
-    assert center_batches == stencil_batches == 1
+    assert center_batches == 1
 
     dirichlet_energy(u)
     assert len(calls) == center_batches
     calls.clear()
-    algebraic_gradient(u)          # reuses the energy's center solves
-    assert len(calls) == stencil_batches
+    algebraic_gradient(u)          # reuses the energy's center solves and adds none
+    assert len(calls) == 0
     calls.clear()
     algebraic_gradient(u.with_values(values))
-    assert len(calls) == center_batches + stencil_batches
+    assert len(calls) == center_batches
+
+
+def test_gradient_makes_one_rotation_log_per_batch(monkeypatch):
+    # after the energy, the only SO(3) logarithm of a gradient batch is the
+    # batched log(v_i, q) that dist2_mixed and its derivative share
+    grid = unit_square_grid(2, 2)
+    values = random_configuration(SO3, grid.n_nodes, np.random.default_rng(4), radius=0.3)
+    u = GFEFunction(grid, SO3, "geodesic", values)
+    dirichlet_energy(u)
+    calls = []
+    real = gfe.manifold._logm_rotation
+
+    def counting(R):
+        calls.append(R.shape)
+        return real(R)
+
+    monkeypatch.setattr(gfe.manifold, "_logm_rotation", counting)
+    algebraic_gradient(u)
+    points = grid.n_elements * len(simplex_quadrature(2).weights)
+    assert calls == [(points, grid.ref.m, 3, 3)]
 
 
 def test_equivalence_audit_assembles_the_gradient_once(monkeypatch):
@@ -182,8 +201,8 @@ def test_equivalence_audit_assembles_the_gradient_once(monkeypatch):
     monkeypatch.setattr(GeodesicInterpolant, "_solve", counting)
     u = two_element_function(S2, "geodesic", 2)
     assert equivalence_audit(u, trials=20) <= 5e-4
-    # two energies per trial, plus one center and one stencil solve for the gradient
-    assert len(calls) == 2 * 20 + 2
+    # two energies per trial, plus one center solve for the gradient
+    assert len(calls) == 2 * 20 + 1
 
 
 def test_preconditioned_descent_adds_no_solve(monkeypatch):
@@ -208,7 +227,7 @@ def test_preconditioned_descent_adds_no_solve(monkeypatch):
     minimize(u, set(u.grid.boundary_nodes), max_iter=1, tol=0.0,
              callback=lambda k, e, g: marks.append((len(calls), len(trials))))
     (calls0, trials0), (calls1, trials1) = marks
-    # one center solve per trial energy, and the accepted trial's centers
-    # serve the stencil solve of the gradient and its metric
+    # one center solve per trial energy; the accepted trial's centers serve
+    # the gradient and its metric with no further solve
     assert trials1 - trials0 >= 1
-    assert calls1 - calls0 == (trials1 - trials0) + 1
+    assert calls1 - calls0 == trials1 - trials0

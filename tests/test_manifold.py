@@ -1,5 +1,6 @@
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -13,10 +14,18 @@ from gfe.errors import (
     ProjectionUndefinedError,
     SingularMatrixError,
 )
-import gfe.manifold
-from gfe.manifold import _SERIES_CUTOFF, _expm_skew, _hat, _polar_iterates, polar_decompose
+import gfe.kernels
+from gfe.kernels import (
+    _SERIES_CUTOFF,
+    _expm_skew,
+    _hat,
+    _one_minus_t_cot_over_sq_times_t_over_sin,
+    _polar_iterates,
+    _t_cot_slope_over_t,
+    polar_decompose,
+)
 from gfe.sampling import random_point, random_tangent
-from helpers import fd_hess_dist2, fd_mixed_dist2, rel_err
+from helpers import fd_dist2_third, fd_hess_dist2, fd_mixed_dist2, rel_err
 
 E1, E2, E3 = np.eye(3)
 ALL = [gfe.Euclidean(3), gfe.Sphere(2), gfe.Rotation3()]
@@ -374,6 +383,24 @@ def test_so3_projection_jacobian_matches_fd():
             assert np.max(np.abs(J[:, c] - fd)) <= 1e-5
 
 
+@pytest.mark.parametrize("man", ALL, ids=lambda m: m.kind)
+def test_projection_jacobian_deriv_matches_fd(man):
+    rng = np.random.default_rng(13)
+    h = 1e-6
+    for _ in range(5):
+        w = random_point(man, rng) + 0.3 * rng.standard_normal(man.point_shape)
+        x = rng.standard_normal((2, man.embed_dim))
+        D = man.projection_jacobian_deriv(w, x)
+        assert D.shape == (2, man.embed_dim, man.embed_dim)
+        for l in range(2):
+            step = h * x[l].reshape(man.point_shape)
+            fd = (man.projection_jacobian(w + step) - man.projection_jacobian(w - step)) / (2 * h)
+            assert np.max(np.abs(D[l] - fd)) <= 1e-7 * max(1.0, np.max(np.abs(fd)))
+        # batched over points: each equals its own call
+        both = man.projection_jacobian_deriv(np.stack([w, w]), np.stack([x, 2 * x]))
+        assert np.max(np.abs(both[1] - 2 * D)) <= 1e-13
+
+
 def test_so3_project_point_rejects_bad_determinant():
     R = gfe.Rotation3()
     with pytest.raises(ProjectionUndefinedError):
@@ -579,11 +606,82 @@ def test_dist2_blocks_continuous_across_series_cutoff(man, cases):
         v = man.exp(q, f * _SERIES_CUTOFF / np.sqrt(man._model_curvature) * d)
         blocks = []
         for cutoff in (8.0 * _SERIES_CUTOFF, _SERIES_CUTOFF / 8.0):   # all series, all closed
-            with mock.patch.object(gfe.manifold, "_SERIES_CUTOFF", cutoff):
+            with mock.patch.object(gfe.kernels, "_SERIES_CUTOFF", cutoff):
                 blocks.append((man.dist2_hess_q(v, q), man.dist2_mixed(v, q)))
         (H_series, M_series), (H_closed, M_closed) = blocks
         assert np.max(np.abs(H_series - H_closed)) <= 1e-12
         assert np.max(np.abs(M_series - M_closed)) <= 1e-12
+
+
+# ----------------------------------------------------------------------
+# third derivatives of squared distance
+
+
+def mp_t_cot_slope_over_t(t):
+    a = t * mpmath.cot(t)
+    return (a - a * a - t * t) / (t * t)
+
+
+def mp_one_minus_t_cot_over_sq_times_t_over_sin(t):
+    return (1 - t * mpmath.cot(t)) / (t * mpmath.sin(t))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(st.floats(1e-12, 3.0 * _SERIES_CUTOFF), st.floats(_SERIES_CUTOFF, 2.8)))
+@pytest.mark.parametrize("fn, exact", [
+    (_t_cot_slope_over_t, mp_t_cot_slope_over_t),
+    (_one_minus_t_cot_over_sq_times_t_over_sin, mp_one_minus_t_cot_over_sq_times_t_over_sin),
+], ids=["t_cot_slope_over_t", "one_minus_t_cot_over_sq_times_t_over_sin"])
+def test_third_derivative_series_helpers_match_mpmath(fn, exact, t):
+    """Series below the cutoff, closed form above it; the closed form loses
+    eps/t**2 to cancellation just above the cutoff (about 4e-9 there)."""
+    with mpmath.workdps(50):
+        want = float(exact(mpmath.mpf(t)))
+    bound = 1e-15 if t < _SERIES_CUTOFF else 1e-15 + 1e-15 / t**2
+    assert abs(float(fn(np.array(t))) - want) <= bound * abs(want)
+
+
+@pytest.mark.parametrize("r", [0.0, 1e-6, 0.3, 1.0, 2.0])
+@pytest.mark.parametrize("man", ALL, ids=lambda m: m.kind)
+def test_dist2_third_matches_fd_along_a_geodesic(man, r):
+    rng = np.random.default_rng(33)
+    for _ in range(3):
+        q = random_point(man, rng)
+        v = man.exp(q, r * random_tangent(man, q, rng))
+        x = rng.standard_normal(man.intrinsic_dim)
+        mixed, hess_X, mixed_X = man.dist2_third(v[None], q, x[None], np.ones(1))
+        assert np.max(np.abs(mixed[0] - man.dist2_mixed(v, q))) <= 1e-14
+        H_fd, M_fd = fd_dist2_third(man, v, q, x)
+        assert np.max(np.abs(hess_X[0] - H_fd)) <= 1e-7 * max(1.0, np.max(np.abs(H_fd)))
+        assert np.max(np.abs(mixed_X[0, 0] - M_fd)) <= 1e-7 * max(1.0, np.max(np.abs(M_fd)))
+        if isinstance(man, gfe.Euclidean) or r == 0.0:
+            assert not hess_X.any() and not mixed_X.any()
+
+
+@pytest.mark.parametrize("man", [gfe.Sphere(2), gfe.Rotation3()], ids=lambda m: m.kind)
+def test_dist2_third_sums_the_weighted_hessian_derivatives(man):
+    rng = np.random.default_rng(34)
+    q = random_point(man, rng)
+    v = np.array([man.exp(q, 0.5 * random_tangent(man, q, rng)) for _ in range(4)])
+    weights = rng.uniform(-0.5, 1.0, 4)
+    X = rng.standard_normal((2, man.intrinsic_dim))
+    mixed, hess_X, mixed_X = man.dist2_third(v, q, X, weights)
+    for i in range(4):
+        m1, h1, x1 = man.dist2_third(v[i:i + 1], q, X, np.ones(1))
+        assert np.max(np.abs(mixed[i] - m1[0])) <= 1e-15
+        assert np.max(np.abs(mixed_X[i] - x1[0])) <= 1e-15
+        hess_X -= weights[i] * h1
+    assert np.max(np.abs(hess_X)) <= 1e-14
+
+
+@pytest.mark.parametrize("man", ALL, ids=lambda m: m.kind)
+def test_transport_with_a_given_log_equals_transport(man):
+    rng = np.random.default_rng(35)
+    p = random_point(man, rng)
+    q = man.exp(p, random_tangent(man, p, rng))
+    w = random_tangent(man, p, rng)
+    given = man.transport(p, q, w, log_pq=man.log(p, q))
+    assert np.max(np.abs(given - man.transport(p, q, w))) <= 1e-15
 
 
 # ----------------------------------------------------------------------
