@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
-"""A discrete harmonic map into the sphere, by H^1-preconditioned descent.
+"""A discrete harmonic map into the sphere, by Newton descent on the index form.
 
 Eight first-order elements discretize [0, 1]; the endpoints are pinned to
 two orthogonal unit vectors.  Minimizing the Dirichlet energy drives the
 free nodes onto the connecting great circle, equally spaced in angle, and
 the energy converges to (1/2)(pi/2)^2 — the energy of the constant-speed
-quarter arc.  Each step solves with the Gram matrix of the gradients of the
-nodal basis fields (the Gauss-Newton metric): from this start, already on the
-circle, one step lands on the minimizer, and starts off the circle take about
-ten steps however fine the grid.
+quarter arc.  Each step solves with the discrete index form, the second
+variation: the Gram matrix of the gradients of the nodal basis fields (the
+Gauss-Newton metric) minus the sphere's curvature term, which vanishes along
+the circle.  From this start, already on the circle, one step lands on the
+minimizer, and starts off the circle take three to five steps however fine
+the grid.
 """
 
 import numpy as np

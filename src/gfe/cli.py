@@ -19,18 +19,21 @@ audit
 minimize
     Read a mesh and Dirichlet data (CSV rows for the fixed nodes; at least
     one, since the descent metric is singular without a fixed node), build
-    a starting guess by projected neighbor averaging, run descent
-    preconditioned with the H^1 (Gauss-Newton) metric of the test space
-    (one dense linear solve per iteration, memory growing as the square
-    of the free degrees of freedom), print the energy report as key=value
+    a starting guess by projected neighbor averaging, run Newton descent on
+    the discrete index form (the H^1 metric of the test space minus the
+    curvature term; the H^1 metric where that is not positive definite;
+    one dense linear solve per iteration, memory growing as the square of
+    the free degrees of freedom; quadratic convergence on smooth data,
+    linear on rough data), print the energy report as key=value
     lines, and write the final nodal values as CSV plus VTK files of the
     solution and of one nodal basis test field.  Exits 3 when the line
     search fails.
 
 Identical flags and seed produce byte-identical output files.  Malformed
-input (a mesh or CSV that cannot be read, a mesh without elements, with a
-degenerate element or with a vertex that belongs to no element, an index
-out of range or listed twice, a value off the manifold) is reported as one
+input (a mesh or CSV that cannot be read or holds a NaN or an infinity, a
+mesh without elements, with a degenerate element or with a vertex that
+belongs to no element, an index out of range or listed twice, a value off
+the manifold) is reported as one
 ``error: <file>: ...`` line with exit code 2; faults the file readers find,
 and a degenerate element, name the line as well.
 """
@@ -44,7 +47,7 @@ import numpy as np
 
 from .energy import equivalence_audit, minimize, simplex_quadrature
 from .errors import GFEError, LineSearchFailure, ProjectionUndefinedError
-from .grid import _RULES, GFEFunction, GlobalTestFunction, Grid, _batches, read_mesh
+from .grid import _RULES, GFEFunction, GlobalTestFunction, Grid, _batches, _finite_float, read_mesh
 from .jacobi import ElementTestField
 from .manifold import Euclidean, Rotation3, Sphere
 from .reference_element import ReferenceElement
@@ -80,7 +83,7 @@ def _nodal_rows(path, embed_dim: int):
                 )
             try:
                 index = int(parts[0])
-                coords = np.array([float(t) for t in parts[1:]])
+                coords = np.array([_finite_float(t) for t in parts[1:]])
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from None
             if index in first_line:
@@ -112,11 +115,15 @@ def _read_nodal_values(path, man, n_nodes: int) -> dict[int, np.ndarray]:
     return data
 
 
+def _csv_lines(index, rows) -> str:
+    """One line ``index,row...`` per row of the 2d float array rows, as %.17g."""
+    line = "%d" + ",%.17g" * np.shape(rows)[1] + "\n"
+    return "".join(line % (i, *row) for i, row in zip(np.asarray(index).tolist(), rows.tolist()))
+
+
 def write_nodal_csv(path, values: np.ndarray) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for i, v in enumerate(values):
-            coords = ",".join(f"{x:.17g}" for x in np.asarray(v).reshape(-1))
-            fh.write(f"{i},{coords}\n")
+        fh.write(_csv_lines(range(len(values)), np.reshape(values, (len(values), -1))))
 
 
 def _read_grid(path, order: int) -> Grid:
@@ -159,7 +166,7 @@ def cmd_interpolate(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     xis = _sample_points(grid.dim)
-    rows = []
+    chunks = []
     pair_els, pair_xis = grid._pairs(len(xis))
     for b in _batches(len(pair_els)):
         els, k = pair_els[b], pair_xis[b]
@@ -174,10 +181,9 @@ def cmd_interpolate(args) -> int:
                     print(f"error: element {e}: {exc}", file=sys.stderr)
                     return 2
             raise
-        for e, xi, qi in zip(els, xis[k], q):
-            rows.append(",".join([str(e)] + [f"{x:.17g}" for x in (*xi, *qi)]))
+        chunks.append(_csv_lines(els, np.hstack([xis[k], q])))
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(rows) + "\n")
+        fh.write("".join(chunks))
     return 0
 
 

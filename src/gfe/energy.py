@@ -11,14 +11,14 @@ the field gradients supplied by the jacobi module.  The algebraic gradient
 collects these directional derivatives against the global nodal basis into
 one tangent vector per Lagrange node, with fixed (by default: boundary)
 nodes zeroed; the directional derivative along eta pairs it, with no node
-fixed, with eta's nodal vectors.  ``minimize`` runs Riemannian descent with
-Armijo backtracking on the nodal values, preconditioned with the H^1
-(Gauss-Newton) metric of the test space: the Gram matrix of the physical
-gradients of the nodal basis fields, assembled from the same basis-field
-gradients as the algebraic gradient (so it adds no Newton solve) and
-solved densely on the free degrees of freedom.  On flat space
-the metric is the stiffness matrix and one step solves the problem; on
-curved targets the iteration count does not grow under mesh refinement.
+fixed, with eta's nodal vectors.  ``minimize`` runs Riemannian Newton
+descent with Armijo backtracking on the nodal values, with the discrete
+index form (the H^1 metric of the test space minus the target's curvature
+term, from the same basis fields as the gradient, so no Newton solve)
+where it is positive definite and the H^1 metric otherwise, solved densely
+on the free degrees of freedom.  On flat space one step solves the problem;
+on smooth curved data convergence is quadratic, 3 to 5 steps at every mesh
+size, and on rough data (nodal values far apart within an element) linear.
 
 Assembly is batched: all (element, quadrature point) pairs are evaluated
 together, element-major, in lockstep batches of at most ``grid._CHUNK``
@@ -140,16 +140,18 @@ def directional_derivative(
 
 
 def _gradient_terms(u: GFEFunction, rule: QuadratureRule, metric: bool = False):
-    """Gradient coefficients (n, dim) in the tangent_basis(u_i) coordinates,
-    no node fixed, and with ``metric`` also the Gram matrix (n*dim, n*dim)
+    """(coeff, A, J): gradient coefficients (n, dim) in the tangent_basis(u_i)
+    coordinates, no node fixed, and with ``metric`` (else None) the parts
+    (n*dim, n*dim) of the index form I = A - J over the global nodal basis
+    fields phi_ij, row i*dim + j: the H^1 Gram matrix (the stiffness matrix
+    on flat space) and the curvature term on a target of curvature K,
 
-        A[(i, j), (k, l)] = sum_q w_q <grad phi_ij, grad phi_kl>
+        A[(i, j), (k, l)] = sum_q w_q <grad phi_ij, grad phi_kl>,
+        J[(i, j), (k, l)] = sum_q w_q K (|grad u|^2 <phi_ij, phi_kl>
+                                         - sum_a <phi_ij, d_a u> <phi_kl, d_a u>).
 
-    of the physical gradients of the global nodal basis fields (the H^1
-    seminorm on the test space; the stiffness matrix on flat space), row
-    i*dim + j for field (i, j).  It comes from the same basis-field
-    gradients as the coefficients, so it adds no Newton solve.  Both are
-    assembled in tangent_basis(q) coefficients at the quadrature points."""
+    All come from the same basis fields, so they add no Newton solve, and
+    are assembled in tangent_basis(q) coefficients at the quadrature points."""
     grid = u.grid
     man = u.manifold
     dim = man.intrinsic_dim
@@ -160,13 +162,14 @@ def _gradient_terms(u: GFEFunction, rule: QuadratureRule, metric: bool = False):
         els, k, centers, Gu = memo[1]
     else:
         els, k, centers, Gu = _center_solves(u, rule)
+    K = man._model_curvature
     coeff = np.zeros((grid.n_nodes, dim))
-    A = np.zeros((grid.n_nodes * dim,) * 2) if metric else None
+    A, J = (np.zeros((grid.n_nodes * dim,) * 2) for _ in range(2)) if metric else (None, None)
     for b, center in zip(_batches(len(els)), centers):
         Binv = grid._Binv[els[b]]
         w = grid._detB[els[b]] * rule.weights[k[b]]
         nodes = grid.element_nodes[els[b]]
-        _, G = _basis_ref_gradients(u.local(els[b]), rule.points[k[b]], center=center)
+        _, G, V = _basis_ref_gradients(u.local(els[b]), rule.points[k[b]], center=center)
         # term (i, j): the weighted integrand of the directional derivative
         # along basis field (i, j), whose physical gradient is G[:, i, j] @ Binv;
         # u's gradient enters through its tangent_basis(q) coefficients
@@ -178,9 +181,15 @@ def _gradient_terms(u: GFEFunction, rule: QuadratureRule, metric: bool = False):
             F = G @ Binv[:, None, None]
             F = F.reshape(F.shape[0], -1, F.shape[3] * F.shape[4])
             dofs = (nodes[:, :, None] * dim + np.arange(dim)).reshape(len(F), -1)
-            np.add.at(A, (dofs[:, :, None], dofs[:, None, :]),
-                      (F * w[:, None, None]) @ np.swapaxes(F, 1, 2))
-    return coeff, A
+            block = (dofs[:, :, None], dofs[:, None, :])
+            np.add.at(A, block, (F * w[:, None, None]) @ np.swapaxes(F, 1, 2))
+            if K:
+                V = V.reshape(len(V), -1, dim)                           # (P, m*dim, dim)
+                VG = V @ EGu                                             # <phi_ij, d_a u>
+                wg2 = w * np.sum(EGu * EGu, axis=(1, 2))
+                np.add.at(J, block, K * (wg2[:, None, None] * (V @ np.swapaxes(V, 1, 2))
+                                         - (VG * w[:, None, None]) @ np.swapaxes(VG, 1, 2)))
+    return coeff, A, J
 
 
 def _embedded(man, values: np.ndarray, coeff: np.ndarray) -> np.ndarray:
@@ -200,7 +209,7 @@ def algebraic_gradient(
     tangent_basis(u_i)[j] at node i.  Entries at ``fixed`` nodes (grid
     boundary nodes by default) are zeroed.
     """
-    coeff, _ = _gradient_terms(u, _rule(u, quad))
+    coeff = _gradient_terms(u, _rule(u, quad))[0]
     coeff[sorted(u.grid.boundary_nodes if fixed is None else set(fixed))] = 0.0
     return _embedded(u.manifold, u.values, coeff)
 
@@ -218,17 +227,18 @@ def minimize(
     initial_step: float = 1.0,
     callback=None,
 ):
-    """Riemannian descent preconditioned with the H^1 (Gauss-Newton) metric,
-    with Armijo backtracking.
+    """Riemannian Newton descent on the discrete index form, with Armijo
+    backtracking.
 
-    Each iteration solves A_ff c = g_f on the free degrees of freedom, where
-    g holds the gradient coefficients in tangent_basis(u_i) and A is the
-    Gram matrix of the physical gradients of the nodal basis fields (one
-    dense ``np.linalg.solve`` on the free block; memory grows as the square
-    of the number of free degrees of freedom), and updates the nodal values
-    outside ``fixed`` by v_i <- exp_{v_i}(-alpha * sum_j c_ij tangent_basis(v_i)[j]).
+    Each iteration solves M_ff c = g_f on the free degrees of freedom, where
+    g holds the gradient coefficients in tangent_basis(u_i) and M is the
+    index form I = A - J of ``_gradient_terms`` where ``np.linalg.cholesky``
+    certifies it positive definite and the H^1 metric A otherwise (one dense
+    ``np.linalg.solve``; memory grows as the square of the number of free
+    degrees of freedom), and updates the nodal values outside ``fixed`` by
+    v_i <- exp_{v_i}(-alpha * sum_j c_ij tangent_basis(v_i)[j]).
     The first trial step is min(initial_step, 2 * the previous accepted
-    step), so a full Gauss-Newton step is tried first and never exceeded; it
+    step), so a full Newton step is tried first and never exceeded; it
     is halved until E_try <= E - 1e-4 * alpha * <g, c> and E_try < E.  Trial
     states that fail to evaluate (admissibility, cut locus, projection) are
     treated like an insufficient decrease.  Stops when the norm of the
@@ -249,16 +259,19 @@ def minimize(
     free = [i for i in range(n) if i not in fixed_set]
     # the free degrees of freedom, node-major: rows i*dim + j of the metric
     free_dofs = (np.array(free, dtype=int)[:, None] * dim + np.arange(dim)).ravel()
+    ff = np.ix_(free_dofs, free_dofs)
     energy = dirichlet_energy(u, rule)
     alpha_prev = 0.5 * initial_step
     iterations = 0
 
     def gradient(u):
-        coeff, A = _gradient_terms(u, rule, metric=True)
+        coeff, A, J = _gradient_terms(u, rule, metric=True)
         coeff[fixed_nodes] = 0.0
-        return coeff, float(np.linalg.norm(_embedded(man, u.values, coeff))), A
+        A = A[ff]   # one free block at a time, each freeing its full matrix
+        J = J[ff]
+        return coeff, float(np.linalg.norm(_embedded(man, u.values, coeff))), A, np.subtract(A, J, out=J)
 
-    coeff, gnorm, A = gradient(u)
+    coeff, gnorm, A, I = gradient(u)
     if callback is not None:
         callback(iterations, energy, gnorm)
 
@@ -267,13 +280,19 @@ def minimize(
             break
         g = coeff[free].ravel()
         try:
-            c = np.linalg.solve(A[np.ix_(free_dofs, free_dofs)], g)
+            np.linalg.cholesky(I)
+            M = I       # positive definite: the Newton step
+        except np.linalg.LinAlgError:
+            M = A
+        try:
+            c = np.linalg.solve(M, g)
             if not g @ c > 0.0:
                 raise np.linalg.LinAlgError("the step is no descent direction")
         except np.linalg.LinAlgError as exc:
             raise SingularSystemError(
                 f"H^1 metric is singular or not positive definite at descent iteration {iterations}"
             ) from exc
+        A = I = M = None    # freed before the next assembly
         slope = float(g @ c)
         direction = _embedded(man, u.values[free], c.reshape(-1, dim))
         alpha = min(initial_step, 2.0 * alpha_prev)
@@ -297,7 +316,7 @@ def minimize(
         u, energy, alpha_prev = u_try, e_try, alpha
         iterations += 1
         try:
-            coeff, gnorm, A = gradient(u)
+            coeff, gnorm, A, I = gradient(u)
         except GFEError as exc:
             raise type(exc)(f"at descent iteration {iterations}: {exc}") from exc
         if callback is not None:

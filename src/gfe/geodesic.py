@@ -384,10 +384,11 @@ class GeodesicInterpolant:
         )
         return sol.q, mats
 
-    def _basis_gradients(self, xi, c: "_Center") -> np.ndarray:
-        """Reference gradients of the nodal basis fields from the center c at xi:
-        (..., m, dim, dim, d), entry [i, j, a, l] the tangent_basis(q)[a]
-        coefficient of the l-th derivative of field (i, j).
+    def _basis_gradients(self, xi, c: "_Center"):
+        """Reference gradients G of the nodal basis fields from the center c at
+        xi, (..., m, dim, dim, d), entry [i, j, a, l] the tangent_basis(q)[a]
+        coefficient of the l-th derivative of field (i, j), and the fields'
+        values (..., m, dim, dim), entry [i, j, a]; returns (G, values).
 
         Differentiates H V_i = -phi_i K_i along xi_l, with V_i = d_dv_all's
         matrix i, K_i = dist2_mixed(v_i, q) and X_l = dq/dxi_l:
@@ -416,7 +417,7 @@ class GeodesicInterpolant:
         rhs += dphi[..., :, :, None, None] * mixed[..., :, None, :, :]
         rhs += dH[..., None, :, :, :] @ V[..., :, None, :, :]
         G = np.negative(Hinv[..., None, :, :] @ rhs, out=rhs)
-        return np.swapaxes(G, -1, -3)                                    # (..., m, j, a, l)
+        return np.swapaxes(G, -1, -3), np.swapaxes(V, -1, -2)  # [..., i, j, a, l], [..., i, j, a]
 
 
 class _Center(NamedTuple):

@@ -52,6 +52,13 @@ def _batches(n: int, size: int = _CHUNK) -> list[slice]:
 # mesh I/O
 
 
+def _finite_float(token: str) -> float:
+    """float(token), refusing NaN and infinities."""
+    if not np.isfinite(x := float(token)):
+        raise ValueError(f"non-finite number {token!r}")
+    return x
+
+
 def read_mesh(path, lines: bool = False):
     """Read a mesh file; returns (dim, vertices, elements), and with ``lines``
     also the file line of each element row.  Errors name the line."""
@@ -79,7 +86,7 @@ def read_mesh(path, lines: bool = False):
     try:
         dim = int(rows[0][1][1])
         nv = count()
-        vertices = np.array([numbers(float, dim) for _ in range(nv)]).reshape(nv, dim)
+        vertices = np.array([numbers(_finite_float, dim) for _ in range(nv)]).reshape(nv, dim)
         ne = count()
         elements = np.array([numbers(int, dim + 1) for _ in range(ne)], dtype=int)
     except IndexError:

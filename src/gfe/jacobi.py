@@ -37,16 +37,17 @@ Interpolant = GeodesicInterpolant | ProjectionInterpolant
 def _basis_ref_gradients(interp: Interpolant, xi, center=None):
     """Reference-space gradients of all nodal-basis fields at xi (..., d).
 
-    Returns ``(center, G)``: the interpolant's center evaluation at xi
-    (with ``q`` and ``basis`` = tangent_basis(q)) and G of shape
+    Returns ``(center, G, V)``: the interpolant's center evaluation at xi
+    (with ``q`` and ``basis`` = tangent_basis(q)), G of shape
     (..., m, dim, dim, d), where G[..., i, j, :, l] holds the
     tangent_basis(q) coefficients of the l-th reference derivative of basis
-    field (i, j).  A caller that already has the center at xi passes it, and
-    no Newton solve is made.
+    field (i, j), and V (..., m, dim, dim), where V[..., i, j, :] holds
+    those of the field's value.  A caller that already has the center at xi
+    passes it, and no Newton solve is made.
     """
     xi = np.asarray(xi, dtype=float)
     center = interp._center(xi)[0] if center is None else center
-    return center, interp._basis_gradients(xi, center)
+    return (center, *interp._basis_gradients(xi, center))
 
 
 def _nodal_vectors(base, vectors) -> np.ndarray:
@@ -90,6 +91,6 @@ class ElementTestField:
         shape (d, *point_shape), tangent at q = eval(xi); exact, and valid on
         the closed element."""
         man = self.interp.manifold
-        c, G = _basis_ref_gradients(self.interp, xi)
+        c, G, _ = _basis_ref_gradients(self.interp, xi)
         coeff = np.einsum("ijal,ij->la", G, self._coefficients())
         return c.q, (coeff @ man._flat(c.basis)).reshape((len(coeff),) + man.point_shape)

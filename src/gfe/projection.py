@@ -90,12 +90,15 @@ class ProjectionInterpolant:
         mats = weights[..., None, None] * (EqJ[..., None, :, :] @ np.swapaxes(Bv, -1, -2))
         return q, mats
 
-    def _basis_gradients(self, xi, c: "_Center") -> np.ndarray:
-        """Reference gradients of the nodal basis fields from the center c at xi:
-        (..., m, dim, dim, d), entry [i, j, a, l] the tangent_basis(q)[a]
+    def _basis_gradients(self, xi, c: "_Center"):
+        """Reference gradients G of the nodal basis fields from the center c at
+        xi, (..., m, dim, dim, d), entry [i, j, a, l] the tangent_basis(q)[a]
         coefficient of the l-th derivative of field (i, j), the tangential part of
 
-            D^2P(w)[dw/dxi_l, phi_i b_ij] + dphi_i/dxi_l DP(w) b_ij.
+            D^2P(w)[dw/dxi_l, phi_i b_ij] + dphi_i/dxi_l DP(w) b_ij,
+
+        and the fields' values phi_i DP(w) b_ij (..., m, dim, dim), entry
+        [i, j, a]; returns (G, values).
         """
         man = self.manifold
         E = man._flat(c.basis)                                              # (..., dim, N)
@@ -107,7 +110,8 @@ class ProjectionInterpolant:
         phi = self.elem.shape_values(xi)
         G = phi[..., :, None, None, None] * second \
             + dphi[..., :, :, None, None] * first[..., :, None, :, :]
-        return np.swapaxes(G, -3, -1)                                        # (..., m, j, a, l)
+        V = phi[..., :, None, None] * first
+        return np.swapaxes(G, -3, -1), np.swapaxes(V, -1, -2)  # [..., i, j, a, l], [..., i, j, a]
 
 
 class _Center(NamedTuple):

@@ -184,3 +184,52 @@ def nodal_basis_vectors(man, values, i, j):
     vecs = np.zeros_like(values)
     vecs[i] = man.tangent_basis(values[i])[j]
     return vecs
+
+
+def stereographic(x):
+    """The inverse stereographic projection sigma(x) = (2x, 1 - |x|^2)/(1 + |x|^2),
+    a harmonic map from the plane into S^2, at points x (..., 2): (values
+    (..., 3), gradients (..., 3, 2))."""
+    x = np.asarray(x, dtype=float)
+    s = 1.0 + np.sum(x * x, axis=-1)[..., None]
+    value = np.concatenate([2.0 * x, 2.0 - s], axis=-1) / s
+    grad = np.concatenate([2.0 * np.eye(2) * s[..., None] - 4.0 * x[..., :, None] * x[..., None, :],
+                           -4.0 * x[..., None, :]], axis=-2) / (s * s)[..., None]
+    return value, grad
+
+
+def stereographic_problem(n_side, order, rule, noise=0.1, seed=0):
+    """sigma on the criss-cross grid of [-1/2, 1/2]^2: the start (sigma at
+    the nodes plus ``noise`` times one seeded normal vector per node, added
+    at the interior nodes only, normalized) and the fixed boundary nodes."""
+    square = gfe.unit_square_grid(n_side, order)
+    grid = gfe.Grid(2, square.vertices - 0.5, square.elements, order)
+    values, _ = stereographic(grid.lagrange_nodes)
+    interior = [i for i in range(grid.n_nodes) if i not in grid.boundary_nodes]
+    values[interior] += noise * np.random.default_rng(seed).standard_normal(values.shape)[interior]
+    values /= np.linalg.norm(values, axis=1)[:, None]
+    return gfe.GFEFunction(grid, gfe.Sphere(2), rule, values), set(grid.boundary_nodes)
+
+
+def fd_energy_hessian(u, fixed, h=1e-4):
+    """Central second differences of the Dirichlet energy in the coordinates
+    c -> values exp_{u_i}(sum_j c_ij tangent_basis(u_i)[j]) of the nodes
+    outside ``fixed``, rows node-major as in the descent metric."""
+    man = u.manifold
+    dim = man.intrinsic_dim
+    free = [i for i in range(u.grid.n_nodes) if i not in fixed]
+    basis = man.tangent_basis(u.values[free])
+    n = len(free) * dim
+
+    def energy(c):
+        values = u.values.copy()
+        values[free] = man.exp(u.values[free], np.einsum("ij,ij...->i...", c.reshape(-1, dim), basis))
+        return gfe.dirichlet_energy(u.with_values(values))
+
+    e = h * np.eye(n)
+    H = np.empty((n, n))
+    for a in range(n):
+        for b in range(a, n):
+            H[a, b] = H[b, a] = (energy(e[a] + e[b]) - energy(e[a] - e[b])
+                                 - energy(e[b] - e[a]) + energy(-e[a] - e[b])) / (4.0 * h * h)
+    return H

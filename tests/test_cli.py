@@ -1,8 +1,15 @@
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gfe
-from gfe.cli import main, read_nodal_csv, write_nodal_csv
+from gfe.cli import _csv_lines, main, read_nodal_csv, write_nodal_csv
 from gfe.grid import write_mesh
 
 S2 = gfe.Sphere(2)
@@ -32,6 +39,26 @@ def test_nodal_csv_roundtrip(tmp_path):
     data = read_nodal_csv(path, 3)
     for i in range(4):
         assert np.array_equal(data[i], values[i])
+
+
+SPECIAL_VALUES = np.array([[-0.0, 1e-300, 1.0], [3.0, -2.5e-17, 0.1], [np.pi, -1e300, 5e-324]])
+
+
+def test_nodal_csv_bytes_match_per_scalar_formatting(tmp_path):
+    path = tmp_path / "vals.csv"
+    write_nodal_csv(path, SPECIAL_VALUES)
+    # the one-f-string-per-numpy-scalar formatting the writer replaced
+    old = "".join(f"{i}," + ",".join(f"{x:.17g}" for x in np.asarray(v).reshape(-1)) + "\n"
+                  for i, v in enumerate(SPECIAL_VALUES))
+    assert path.read_text() == old
+
+
+def test_sample_rows_match_per_scalar_formatting():
+    # the rows of interpolate: element, reference point, value, with numpy indices
+    els = np.array([0, 7, 12])
+    old = "".join(",".join([str(e)] + [f"{x:.17g}" for x in row]) + "\n"
+                  for e, row in zip(els, SPECIAL_VALUES))
+    assert _csv_lines(els, SPECIAL_VALUES) == old
 
 
 # ----------------------------------------------------------------------
@@ -451,3 +478,82 @@ def test_minimize_line_search_failure_exits_3(tmp_path, capsys):
 def test_tol_must_be_positive(capsys):
     code = main(["--command", "audit", "--tol", "0"])
     assert code == 2
+
+
+# ----------------------------------------------------------------------
+# fuzzed mesh and CSV input
+
+
+FUZZ_MESHES = {
+    1: "gfe-mesh 1\n# a refined middle\n4\n0\n0.25\n0.5\n1\n3\n0 1\n1 2\n2 3\n",
+    2: "gfe-mesh 2\n5\n0 0\n1 0\n1 1\n0 1\n0.5 0.5\n4\n0 1 4\n1 2 4\n2 3 4\n3 0 4\n",
+}
+FUZZ_VALUES = [[1.0, 0.0, 0.0], [0.8, 0.6, 0.0], [0.6, 0.8, 0.0], [0.0, 0.8, 0.6], [0.6, 0.0, 0.8]]
+FUZZ_FIXED = {1: [0, 3], 2: [0, 1, 2, 3]}   # the boundary nodes: node 4 of the 2d mesh is free
+
+
+def fuzz_csv(dim, command):
+    nodes = range(5 if dim == 2 else 4) if command == "interpolate" else FUZZ_FIXED[dim]
+    return "".join(f"{i}," + ",".join(repr(x) for x in FUZZ_VALUES[i]) + "\n" for i in nodes)
+
+
+@st.composite
+def mutations(draw, text, sep):
+    """text with one to three of: a truncated line, two swapped fields (or
+    lines), a field replaced by a bad count or index, a NaN or an inf."""
+    lines = text.splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(0, len(lines) - 1))
+        fields = lines[n].split(sep)
+        kind = draw(st.sampled_from(["truncate", "swap", "number", "nonfinite"]))
+        if kind == "truncate":
+            lines[n] = lines[n][: draw(st.integers(0, max(len(lines[n]) - 1, 0)))]
+            continue
+        if kind == "swap":
+            if len(fields) < 2:
+                m = draw(st.integers(0, len(lines) - 1))
+                lines[n], lines[m] = lines[m], lines[n]
+                continue
+            i, j = draw(st.lists(st.integers(0, len(fields) - 1), min_size=2, max_size=2, unique=True))
+            fields[i], fields[j] = fields[j], fields[i]
+        else:
+            k = draw(st.integers(0, len(fields) - 1))
+            fields[k] = draw(
+                st.sampled_from(["-1", "0", "5", "9", "100000000", "1.5"]) if kind == "number"
+                else st.sampled_from(["nan", "inf", "-inf", "NaN", "1e999"])
+            )
+        lines[n] = sep.join(fields)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+@pytest.mark.parametrize("command", ["interpolate", "minimize"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_mutated_input_exits_0_or_2_with_one_error_line(command, dim, data):
+    """A valid mesh and CSV, mutated: the command either writes finite output
+    or exits 2 with exactly one ``error:`` line; no exception escapes.  A
+    mutation can also leave a well-formed problem whose descent stalls at
+    the line-search floor: minimize's documented exit 3, with one line."""
+    mesh_text = FUZZ_MESHES[dim]
+    csv_text = fuzz_csv(dim, command)
+    if data.draw(st.booleans(), label="mutate the mesh"):
+        mesh_text = data.draw(mutations(mesh_text, " "), label="mesh")
+    else:
+        csv_text = data.draw(mutations(csv_text, ","), label="csv")
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+        tmp = Path(tmp)
+        (tmp / "m.mesh").write_text(mesh_text)
+        (tmp / "bc.csv").write_text(csv_text)
+        code = main([
+            "--command", command, "--manifold", "sphere2", "--mesh", str(tmp / "m.mesh"),
+            "--bc", str(tmp / "bc.csv"), "--out", str(tmp / "o.csv"),
+        ])
+        out = (tmp / "o.csv").read_text() if code == 0 else ""
+    assert code in (0, 2) or (code == 3 and command == "minimize")
+    if code:
+        assert err.getvalue().count("\n") == 1 and err.getvalue().startswith("error: ")
+    if code == 3:
+        assert err.getvalue().startswith("error: step underflow")
+    assert "nan" not in out and "inf" not in out

@@ -1,7 +1,9 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import gfe
 from gfe import (
@@ -16,13 +18,18 @@ from gfe import (
     unit_interval_grid,
     unit_square_grid,
 )
+from gfe.energy import _center_solves, _gradient_terms
 from gfe.errors import LineSearchFailure, SingularSystemError
+from gfe.kernels import _expm_skew, _hat
 from gfe.sampling import random_configuration, random_point
 from helpers import (
     classical_energy,
     classical_stiffness,
+    fd_energy_hessian,
     great_circle_start,
     random_field_vectors,
+    stereographic,
+    stereographic_problem,
 )
 
 S2 = gfe.Sphere(2)
@@ -282,14 +289,14 @@ def test_fixed_nodes_are_not_touched():
         assert np.array_equal(u.values[i], start[i])
 
 
-def bumped_great_circle(n_elements, order, amplitude=0.2):
+def bumped_great_circle(n_elements, order, amplitude=0.2, rule="geodesic"):
     """Quarter great circle from e_x to e_y with an out-of-plane bump, and the exact minimizer."""
     grid = unit_interval_grid(n_elements, order)
     x = grid.lagrange_nodes[:, 0]
     start = np.stack([1.0 - x, x, amplitude * np.sin(np.pi * x)], axis=1)
     start /= np.linalg.norm(start, axis=1)[:, None]
     a = 0.5 * np.pi * x
-    return GFEFunction(grid, S2, "geodesic", start), np.stack([np.cos(a), np.sin(a), 0.0 * a], axis=1)
+    return GFEFunction(grid, S2, rule, start), np.stack([np.cos(a), np.sin(a), 0.0 * a], axis=1)
 
 
 @pytest.mark.parametrize("n_elements", [4, 8, 16, 32, 64])
@@ -322,17 +329,136 @@ def test_minimize_refuses_an_empty_fixed_set():
 
 @pytest.mark.parametrize("sign", [0.0, -1.0], ids=["singular", "negative-definite"])
 def test_minimize_refuses_a_metric_that_gives_no_descent_direction(monkeypatch, sign):
-    # a zero metric fails the solve; a negative definite one gives <g, c> < 0
+    # a zero metric fails the solve; a negative definite one gives <g, c> < 0;
+    # both fail the Cholesky test of the index form I = A - J, so A is tried too
     real = gfe.energy._gradient_terms
 
     def bad_metric(u, rule, metric=False):
-        coeff, A = real(u, rule, metric)
-        return coeff, (sign * np.eye(len(A)) if metric else A)
+        coeff, A, J = real(u, rule, metric)
+        return (coeff, sign * np.eye(len(A)), np.zeros_like(J)) if metric else (coeff, A, J)
 
     monkeypatch.setattr(gfe.energy, "_gradient_terms", bad_metric)
     u0, _ = bumped_great_circle(4, 1)
     with pytest.raises(SingularSystemError, match="descent iteration 0"):
         minimize(u0, fixed={0, u0.grid.n_nodes - 1})
+
+
+# ----------------------------------------------------------------------
+# the index form and the Newton step
+
+
+def free_blocks(u, fixed):
+    """The free blocks of the H^1 metric A and of the index form I = A - J."""
+    _, A, J = _gradient_terms(u, simplex_quadrature(u.grid.dim), metric=True)
+    dim = u.manifold.intrinsic_dim
+    free = np.array([i for i in range(u.grid.n_nodes) if i not in fixed])
+    ff = np.ix_(*[(free[:, None] * dim + np.arange(dim)).ravel()] * 2)
+    return A[ff], A[ff] - J[ff]
+
+
+def bent_rotation_curve(n_elements, order, rule):
+    """A turn about e_z with a sinusoidal turn about e_x on top, on SO(3)."""
+    grid = unit_interval_grid(n_elements, order)
+    x = grid.lagrange_nodes[:, 0]
+    values = [_expm_skew(_hat([0.3 * np.sin(np.pi * t), 0.0, 1.2 * t])) for t in x]
+    return GFEFunction(grid, gfe.Rotation3(), rule, values)
+
+
+@pytest.mark.parametrize("rule", ["geodesic", "projection"])
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("target", ["sphere", "so3"])
+def test_index_form_is_the_energy_hessian_at_a_minimizer(target, order, rule):
+    # the generalized eigenvalues of (central-difference Hessian, I) at a
+    # converged minimizer; the H^1 metric alone misses the curvature term
+    u0 = bumped_great_circle(4, order, rule=rule)[0] if target == "sphere" \
+        else bent_rotation_curve(4, order, rule)
+    fixed = set(u0.grid.boundary_nodes)
+    u, report = minimize(u0, fixed, tol=1e-9)
+    assert report.converged
+    A, I = free_blocks(u, fixed)
+    H = fd_energy_hessian(u, fixed)
+    eig_I = scipy.linalg.eigh(H, I, eigvals_only=True)
+    assert 0.99 <= eig_I.min() and eig_I.max() <= 1.01
+    assert scipy.linalg.eigh(H, A, eigvals_only=True).min() < 0.99
+
+
+@pytest.mark.parametrize("n_elements", [4, 8, 16, 32, 64])
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("rule", ["geodesic", "projection"])
+def test_newton_descent_converges_in_at_most_5_iterations(rule, order, n_elements):
+    u0, exact = bumped_great_circle(n_elements, order, rule=rule)
+    u, report = minimize(u0, fixed=set(u0.grid.boundary_nodes), tol=1e-7)
+    assert report.converged
+    assert report.iterations <= 5
+    # nodes of the projection rule's minimizer are unevenly spaced on the circle
+    assert np.max(np.abs(u.values[:, 2])) <= 1e-7
+    if rule == "geodesic":
+        assert np.max(np.abs(u.values - exact)) <= 1e-7
+
+
+@pytest.mark.parametrize("rule", ["geodesic", "projection"])
+def test_minimize_falls_back_to_the_h1_metric_where_the_index_form_is_indefinite(monkeypatch, rule):
+    # a start along the long arc from e_x to e_y lies past the conjugate
+    # point, where the index form is indefinite: the first steps take the
+    # H^1 metric, the last ones the Newton step, and descent reaches the short arc
+    certified = []
+    real = np.linalg.cholesky
+
+    def recording(M):
+        try:
+            real(M)
+        except np.linalg.LinAlgError:
+            certified.append(False)
+            raise
+        certified.append(True)
+
+    monkeypatch.setattr(np.linalg, "cholesky", recording)
+    grid = unit_interval_grid(8, 1)
+    x = grid.lagrange_nodes[:, 0]
+    start = np.stack([np.cos(1.5 * np.pi * x), -np.sin(1.5 * np.pi * x), 0.1 * np.sin(np.pi * x)], axis=1)
+    start /= np.linalg.norm(start, axis=1)[:, None]
+    u, report = minimize(GFEFunction(grid, S2, rule, start), set(grid.boundary_nodes), tol=1e-7)
+    assert report.converged
+    assert abs(report.value - np.pi**2 / 8.0) <= 2e-5
+    assert not certified[0] and certified[-1]
+
+
+@pytest.mark.parametrize("rule", ["geodesic", "projection"])
+def test_stereographic_2x2_converges_at_tol_1e8(rule):
+    # one free node: the energy-Armijo test cannot certify decreases below
+    # sqrt(eps * E), a gradient norm of about 2.7e-8 here, which the linearly
+    # converging H^1 step reached before 1e-8 under the projection rule
+    u0, fixed = stereographic_problem(2, 1, rule)
+    u, report = minimize(u0, fixed, tol=1e-8)
+    assert report.converged
+
+
+def stereographic_errors(u):
+    """L^2 and H^1-seminorm errors against sigma, by the energy's quadrature."""
+    rule = simplex_quadrature(2)
+    grid = u.grid
+    els, k, centers, Gu = _center_solves(u, rule)
+    q = np.concatenate([c.q for c in centers])
+    value, grad = stereographic(grid._origin[els] + (grid._B[els] @ rule.points[k][:, :, None])[:, :, 0])
+    w = grid._detB[els] * rule.weights[k]
+    return (math.sqrt(math.fsum(w * np.sum((q - value) ** 2, axis=1))),
+            math.sqrt(math.fsum(w * np.sum((Gu - grad) ** 2, axis=(1, 2)))))
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("rule", ["geodesic", "projection"])
+def test_discretization_errors_converge_at_the_proven_rates(rule, order):
+    # L^2 ~ h^(p+1) and H^1 ~ h^p (Grohs, Hardering & Sander, FoCM 2015, for
+    # the geodesic rule; with Sprecher, SINUM 2019, for the projection rule)
+    errors = []
+    for n_side in (2, 4, 8):
+        u0, fixed = stereographic_problem(n_side, order, rule)
+        u, report = minimize(u0, fixed, tol=1e-7)
+        assert report.converged
+        errors.append(stereographic_errors(u))
+    l2, h1 = np.log2(np.array(errors[-2]) / np.array(errors[-1]))
+    assert abs(l2 - (order + 1)) <= 0.25
+    assert abs(h1 - order) <= 0.25
 
 
 def test_order2_geodesic_gradient_matches_energy_fd_per_node():

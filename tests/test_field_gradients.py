@@ -35,7 +35,7 @@ def exact_vs_oracle(interp, xi):
     """Relative gap between the exact gradients and the oracle, or None where
     the configuration cannot be evaluated (Newton or projection refuses)."""
     try:
-        _, G = _basis_ref_gradients(interp, xi)
+        _, G, _ = _basis_ref_gradients(interp, xi)
         fd = fd_basis_ref_gradients(interp, xi)
     except GFEError:
         return None
@@ -88,7 +88,7 @@ def test_exact_gradients_for_constant_data(case):
     gap = exact_vs_oracle(rule(elem, values, man), xi)
     assert gap is not None and gap <= 1e-8
     # the fields are the Lagrange combinations in one tangent space
-    _, G = _basis_ref_gradients(rule(elem, values, man), xi)
+    _, G, _ = _basis_ref_gradients(rule(elem, values, man), xi)
     dphi = elem.shape_gradients(xi)
     expected = np.einsum("il,ja->ijal", dphi, np.eye(man.intrinsic_dim))
     assert np.max(np.abs(G - expected)) <= 1e-14
@@ -100,6 +100,18 @@ def test_flat_gradients_are_the_shape_function_gradients(rule, order):
     elem = ReferenceElement(2, order)
     values = np.random.default_rng(8).standard_normal((elem.m, 2))
     for xi in ([0.0, 0.0], [0.3, 0.2], [1.0, 0.0], [0.5, 0.5]):
-        _, G = _basis_ref_gradients(rule(elem, values, E2), xi)
+        _, G, _ = _basis_ref_gradients(rule(elem, values, E2), xi)
         expected = np.einsum("il,ja->ijal", elem.shape_gradients(xi), np.eye(2))
         assert np.max(np.abs(G - expected)) <= 1e-12
+
+
+@pytest.mark.parametrize("case", CASES, ids=case_id)
+def test_field_values_are_the_nodal_derivative_matrices(case):
+    # V[i, j] holds the value of field (i, j), column j of d_dv_all's matrix i
+    man, rule, dim, order = case
+    elem = ReferenceElement(dim, order)
+    interp = rule(elem, random_configuration(man, elem.m, np.random.default_rng(9), radius=0.5), man)
+    xi = np.full(dim, 0.2)
+    _, _, V = _basis_ref_gradients(interp, xi)
+    _, mats = interp.d_dv_all(xi)
+    assert np.max(np.abs(V - np.swapaxes(mats, -1, -2))) <= 1e-14

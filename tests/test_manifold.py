@@ -19,9 +19,14 @@ from gfe.kernels import (
     _SERIES_CUTOFF,
     _expm_skew,
     _hat,
+    _one_minus_cos_over_sq,
     _one_minus_t_cot_over_sq_times_t_over_sin,
+    _one_minus_t_over_sin_over_sq,
     _polar_iterates,
+    _sinc,
+    _t_cot,
     _t_cot_slope_over_t,
+    _t_over_sin,
     polar_decompose,
 )
 from gfe.sampling import random_point, random_tangent
@@ -639,6 +644,30 @@ def test_third_derivative_series_helpers_match_mpmath(fn, exact, t):
         want = float(exact(mpmath.mpf(t)))
     bound = 1e-15 if t < _SERIES_CUTOFF else 1e-15 + 1e-15 / t**2
     assert abs(float(fn(np.array(t))) - want) <= bound * abs(want)
+
+
+SERIES_HELPERS = [
+    (_sinc, lambda t: mpmath.sin(t) / t),
+    (_one_minus_cos_over_sq, lambda t: (1 - mpmath.cos(t)) / t**2),
+    (_t_over_sin, lambda t: t / mpmath.sin(t)),
+    (_one_minus_t_over_sin_over_sq, lambda t: (1 - t / mpmath.sin(t)) / t**2),
+    (_t_cot, lambda t: t * mpmath.cot(t)),
+    (_t_cot_slope_over_t, mp_t_cot_slope_over_t),
+    (_one_minus_t_cot_over_sq_times_t_over_sin, mp_one_minus_t_cot_over_sq_times_t_over_sin),
+]
+
+
+@pytest.mark.parametrize("fn, exact", SERIES_HELPERS, ids=lambda f: getattr(f, "__name__", "mp"))
+def test_series_helpers_match_mpmath_on_both_sides_of_their_cutoffs(fn, exact):
+    """Every helper to 1e-12 relative on (0, 0.1]: the sweep crosses each
+    helper's own cutoff, a multiple of _SERIES_CUTOFF, where the closed form
+    has stopped losing eps/t**2 (it lost 2.2e-8 at 2e-4 with a shared cutoff
+    of 1e-4)."""
+    t = np.concatenate([np.geomspace(1e-9, 0.1, 300),
+                        np.linspace(0.5 * _SERIES_CUTOFF, 3.0 * _SERIES_CUTOFF, 300)])
+    with mpmath.workdps(50):
+        want = np.array([float(exact(mpmath.mpf(x))) for x in t])
+    assert np.max(np.abs(fn(t) - want) / np.abs(want)) <= 1e-12
 
 
 @pytest.mark.parametrize("r", [0.0, 1e-6, 0.3, 1.0, 2.0])
