@@ -404,17 +404,12 @@ def main(argv=None) -> int:
     if args.tol <= 0.0:
         print("error: --tol must be positive", file=sys.stderr)
         return 2
-    if args.command == "interpolate":
-        if not (args.mesh and args.bc and args.out):
-            print("error: interpolate needs --mesh, --bc and --out", file=sys.stderr)
-            return 2
-        return cmd_interpolate(args)
     if args.command == "audit":
         return cmd_audit(args)
     if not (args.mesh and args.bc and args.out):
-        print("error: minimize needs --mesh, --bc and --out", file=sys.stderr)
+        print(f"error: {args.command} needs --mesh, --bc and --out", file=sys.stderr)
         return 2
-    return cmd_minimize(args)
+    return cmd_interpolate(args) if args.command == "interpolate" else cmd_minimize(args)
 
 
 if __name__ == "__main__":

@@ -51,6 +51,7 @@ from .grid import GFEFunction, GlobalTestFunction, _batches
 from .jacobi import _basis_ref_gradients
 
 _ARMIJO_C = 1e-4
+_MAX_STEP = 1.0     # the full Newton step
 _ARMIJO_BACKTRACK = 0.5
 _MIN_STEP = 1e-14
 
@@ -224,7 +225,6 @@ def minimize(
     quad: QuadratureRule | None = None,
     max_iter: int = 500,
     tol: float = 1e-8,
-    initial_step: float = 1.0,
     callback=None,
 ):
     """Riemannian Newton descent on the discrete index form, with Armijo
@@ -237,8 +237,8 @@ def minimize(
     ``np.linalg.solve``; memory grows as the square of the number of free
     degrees of freedom), and updates the nodal values outside ``fixed`` by
     v_i <- exp_{v_i}(-alpha * sum_j c_ij tangent_basis(v_i)[j]).
-    The first trial step is min(initial_step, 2 * the previous accepted
-    step), so a full Newton step is tried first and never exceeded; it
+    The first trial step is min(1, 2 * the previous accepted step), so a
+    full Newton step is tried first and never exceeded; it
     is halved until E_try <= E - 1e-4 * alpha * <g, c> and E_try < E.  Trial
     states that fail to evaluate (admissibility, cut locus, projection) are
     treated like an insufficient decrease.  Stops when the norm of the
@@ -261,7 +261,7 @@ def minimize(
     free_dofs = (np.array(free, dtype=int)[:, None] * dim + np.arange(dim)).ravel()
     ff = np.ix_(free_dofs, free_dofs)
     energy = dirichlet_energy(u, rule)
-    alpha_prev = 0.5 * initial_step
+    alpha_prev = 0.5 * _MAX_STEP
     iterations = 0
 
     def gradient(u):
@@ -295,7 +295,7 @@ def minimize(
         A = I = M = None    # freed before the next assembly
         slope = float(g @ c)
         direction = _embedded(man, u.values[free], c.reshape(-1, dim))
-        alpha = min(initial_step, 2.0 * alpha_prev)
+        alpha = min(_MAX_STEP, 2.0 * alpha_prev)
         while True:
             trial = u.values.copy()
             ok = True
@@ -349,7 +349,6 @@ def equivalence_audit(
     n = u.grid.n_nodes
     dim = man.intrinsic_dim
     rng = np.random.default_rng(seed)
-    bases = man.tangent_basis(u.values)
     grad = algebraic_gradient(u, rule, fixed=())
     h = 1e-5
 
@@ -357,7 +356,7 @@ def equivalence_audit(
     for _ in range(trials):
         coeff = rng.standard_normal((n, dim))
         coeff /= np.linalg.norm(coeff)
-        vecs = np.einsum("ij,ij...->i...", coeff, bases)
+        vecs = _embedded(man, u.values, coeff)
 
         plus = man.exp(u.values, h * vecs)
         minus = man.exp(u.values, -h * vecs)

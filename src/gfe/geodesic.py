@@ -34,6 +34,10 @@ point with its own convergence test, damping halvings and cut-locus trials,
 and each point takes exactly the steps it would take alone.  When points
 fail, the error of the lowest-index one is raised.  The per-point methods
 (``eval``, ``d_dxi``, ``d_dv_all``, ...) are that same path with one point.
+
+As a rule of ``jacobi.Interpolant`` it supplies ``eval``, ``_center`` (the
+solve at xi with dq/dxi), ``_basis_gradients`` and ``_admit``, which refuses
+sphere values spread wider than 0.9*pi.
 """
 
 from __future__ import annotations
@@ -53,8 +57,8 @@ from .errors import (
     ProjectionUndefinedError,
     SingularSystemError,
 )
+from .jacobi import Interpolant
 from .manifold import Manifold, Sphere
-from .reference_element import ReferenceElement
 
 # contract bound on the stationarity residual, and the tighter target the
 # iteration aims for (quadratic convergence makes the target nearly free;
@@ -108,9 +112,7 @@ class _Solution:
     basis: np.ndarray        # (..., dim, *point_shape), tangent_basis(q)
     hessian: np.ndarray      # (..., dim, dim)
     node_hessians: np.ndarray  # (..., m, dim, dim), dist2_hess_q(v_i, q)
-    logs: np.ndarray         # (..., m, *point_shape), log_q(v_i)
     log_coeffs: np.ndarray   # (..., m, dim), the logs in that basis
-    weights: np.ndarray      # (..., m)
     iterations: int          # lockstep Newton sweeps: the most any point took
     residual: np.ndarray     # (...,)
 
@@ -266,40 +268,27 @@ def _newton(man: Manifold, values, weights, q, max_iter: int) -> _Solution:
         )
     if errors:
         raise errors[min(errors)]
-    return _Solution(q, basis, H, Hn, logs, L, weights, int(iterations.max(initial=0)), res)
+    return _Solution(q, basis, H, Hn, L, int(iterations.max(initial=0)), res)
 
 
 # ----------------------------------------------------------------------
 
 
-class GeodesicInterpolant:
-    """Weighted-center interpolation of m manifold values on a reference element.
+class GeodesicInterpolant(Interpolant):
+    """Weighted-center interpolation of m manifold values on a reference element."""
 
-    The constructor validates one element's values, shape (m, *point_shape).
-    With ``_checked=True`` it trusts already validated values, which may then
-    carry leading batch axes (one set of m values per point).
-    """
-
-    def __init__(self, elem: ReferenceElement, values, manifold: Manifold, *, _checked=False):
-        values = np.asarray(values, dtype=float)
-        if not _checked:
-            values = values.copy()
-            if values.shape != (elem.m,) + manifold.point_shape:
-                raise ValueError(
-                    f"expected {elem.m} values of shape {manifold.point_shape}, "
-                    f"got array of shape {values.shape}"
-                )
-            manifold.check_point(values)
-            if isinstance(manifold, Sphere):
-                spread = float(_max_spread(manifold, values))
-                if spread > _SPHERE_SPREAD_LIMIT:
-                    raise AdmissibilityError(
-                        f"nodal values spread {spread:.4f} exceeds {_SPHERE_SPREAD_LIMIT:.4f}; "
-                        "interpolation refused to avoid cut-locus failures"
-                    )
-        self.elem = elem
-        self.values = values
-        self.manifold = manifold
+    @staticmethod
+    def _admit(manifold: Manifold, values) -> None:
+        """Refuse sphere values spread wider than 0.9*pi, naming the first such
+        element of a batch."""
+        spread = _max_spread(manifold, values) if isinstance(manifold, Sphere) else 0.0
+        wide = np.flatnonzero(spread > _SPHERE_SPREAD_LIMIT)
+        if len(wide):
+            where = f"element {wide[0]}: " if np.ndim(spread) else ""
+            raise AdmissibilityError(
+                f"{where}nodal values spread {np.ravel(spread)[wide[0]]:.4f} exceeds "
+                f"{_SPHERE_SPREAD_LIMIT:.4f}; interpolation refused to avoid cut-locus failures"
+            )
 
     # ------------------------------------------------------------------
 
@@ -325,9 +314,8 @@ class GeodesicInterpolant:
             q = np.broadcast_to(np.asarray(q0, dtype=float), lead + shape).reshape((P,) + shape)
         sol = _newton(man, values, w, q.copy(), max_iter)
         return _Solution(
-            *(x.reshape(lead + x.shape[1:]) for x in (sol.q, sol.basis, sol.hessian,
-                                                       sol.node_hessians, sol.logs,
-                                                       sol.log_coeffs, sol.weights)),
+            *(x.reshape(lead + x.shape[1:])
+              for x in (sol.q, sol.basis, sol.hessian, sol.node_hessians, sol.log_coeffs)),
             sol.iterations,
             sol.residual.reshape(lead),
         )
@@ -343,46 +331,20 @@ class GeodesicInterpolant:
         sol = self._solve(xi)
         return sol.q, sol.iterations, sol.residual[()]
 
-    def _center(self, xi):
-        """(center, cols): the solve at xi reduced to what the exact basis-field
-        gradients need, and the columns d(interpolant)/d(xi_k) (..., d, *point_shape)."""
+    def _center(self, xi, q0=None):
+        """(center, cols): the solve at xi, warm-started from q0, reduced to what
+        the exact basis-field gradients need, and the columns d(interpolant)/d(xi_k)
+        (..., d, *point_shape)."""
         man = self.manifold
-        sol = self._solve(xi)
+        sol = self._solve(xi, q0)
         dphi = self.elem.shape_gradients(xi)                            # (..., m, d)
         rhs = 2.0 * (np.swapaxes(dphi, -1, -2) @ sol.log_coeffs)       # (..., d, dim)
         X = _solve_each(sol.hessian, np.swapaxes(rhs, -1, -2), "derivative system is singular")
-        lead = sol.q.shape[: sol.q.ndim - len(man.point_shape)]
         cols = np.swapaxes(X, -1, -2) @ man._flat(sol.basis)            # (..., d, N)
         # H's derivative in xi at fixed q, sum_j dphi_j/dxi_l dist2_hess_q(v_j, q)
         H_xi = np.einsum("...jl,...jab->...lab", dphi, sol.node_hessians)
         return _Center(sol.q, sol.basis, sol.hessian, H_xi, sol.log_coeffs, X), \
-            cols.reshape(lead + (self.elem.dim,) + man.point_shape)
-
-    def d_dxi(self, xi):
-        """eval(xi) plus the columns d(interpolant)/d(xi_k), shape (..., d, *point_shape),
-        tangent at eval(xi)."""
-        c, cols = self._center(xi)
-        return c.q, cols
-
-    def d_dv_all(self, xi, q0=None):
-        """eval(xi) plus all m derivative matrices d(interpolant)/d(v_i).
-
-        Matrix i maps tangent_basis(v_i) coefficients to tangent_basis(q)
-        coefficients; stacked shape (..., m, dim, dim).  ``q0`` warm-starts
-        the Newton solve, e.g. from the interpolant at a nearby point.
-        """
-        man = self.manifold
-        k = len(man.point_shape)
-        sol = self._solve(xi, q0)
-        mixed = man.dist2_mixed(
-            self.values, np.expand_dims(sol.q, -k - 1),
-            basis_q=np.expand_dims(sol.basis, -k - 2), log_qv=sol.logs,
-        )
-        mats = _solve_each(
-            sol.hessian[..., None, :, :], -sol.weights[..., None, None] * mixed,
-            "derivative system is singular",
-        )
-        return sol.q, mats
+            cols.reshape(cols.shape[:-1] + man.point_shape)
 
     def _basis_gradients(self, xi, c: "_Center"):
         """Reference gradients G of the nodal basis fields from the center c at
@@ -390,8 +352,8 @@ class GeodesicInterpolant:
         coefficient of the l-th derivative of field (i, j), and the fields'
         values (..., m, dim, dim), entry [i, j, a]; returns (G, values).
 
-        Differentiates H V_i = -phi_i K_i along xi_l, with V_i = d_dv_all's
-        matrix i, K_i = dist2_mixed(v_i, q) and X_l = dq/dxi_l:
+        Differentiates H V_i = -phi_i K_i along xi_l, with V_i = dq/dv_i,
+        K_i = dist2_mixed(v_i, q) and X_l = dq/dxi_l:
 
             H dV_i = -dphi_il K_i - phi_i (d_X K_i) - (sum_j dphi_jl Hess_j + phi_j d_X Hess_j) V_i,
 

@@ -29,10 +29,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import AdmissibilityError, PointOutsideDomainError
-from .geodesic import _SPHERE_SPREAD_LIMIT, GeodesicInterpolant, _max_spread
+from .errors import PointOutsideDomainError
+from .geodesic import GeodesicInterpolant
 from .jacobi import ElementTestField, _nodal_vectors
-from .manifold import Manifold, Sphere
+from .manifold import Manifold
 from .projection import ProjectionInterpolant
 from .reference_element import ReferenceElement
 
@@ -282,8 +282,8 @@ class GFEFunction:
     """A grid plus one manifold value per Lagrange node plus a rule.
 
     ``rule`` selects geodesic or projection interpolation for every element
-    restriction.  Construction validates every nodal value and, for
-    geodesic interpolation on spheres, the per-element spread heuristic;
+    restriction.  Construction validates every nodal value and, with the
+    rule's ``_admit``, every element (the geodesic rule's sphere spread check);
     ``values`` is then read-only, and restrictions are not validated again.
     """
 
@@ -296,14 +296,7 @@ class GFEFunction:
                 f"expected {grid.n_nodes} nodal values of shape {manifold.point_shape}"
             )
         manifold.check_point(values)
-        if rule == "geodesic" and isinstance(manifold, Sphere):
-            spread = _max_spread(manifold, values[grid.element_nodes])
-            wide = np.flatnonzero(spread > _SPHERE_SPREAD_LIMIT)
-            if len(wide):
-                e = wide[0]
-                raise AdmissibilityError(
-                    f"element {e}: nodal spread {spread[e]:.4f} exceeds admissibility limit"
-                )
+        _RULES[rule]._admit(manifold, values[grid.element_nodes])
         values.flags.writeable = False
         self.grid = grid
         self.manifold = manifold

@@ -1,4 +1,9 @@
-"""Test-function fields along an interpolant (generalized Jacobi fields).
+"""Interpolants and the test-function fields along them (generalized Jacobi fields).
+
+``Interpolant`` is the base of both interpolation rules: it validates the
+nodal values v_1..v_m and derives ``d_dxi`` and ``d_dv_all`` from what a
+rule supplies, namely ``eval``, the center evaluation ``_center``, the
+basis-field values and gradients ``_basis_gradients`` and ``_admit``.
 
 An (m, *point_shape) array of nodal tangent vectors b_1..b_m (row i based at
 the nodal value v_i) determines a vector field along the interpolant,
@@ -9,8 +14,9 @@ which is exactly the velocity field of any curve of interpolants whose nodal
 values move with velocities b_i.  Restricted to the Lagrange nodes the field
 reproduces the b_i, so fields are in linear one-to-one correspondence with
 their nodal data.  The m*dim nodal basis fields carry a single tangent basis
-vector at a single node; ``_basis_ref_gradients`` differentiates all of them
-at once.  Field values and gradient columns come back as arrays, together
+vector at a single node: their values are the columns of the matrices of
+``d_dv_all``, and ``_basis_ref_gradients`` differentiates all of them at
+once.  Field values and gradient columns come back as arrays, together
 with the base point q = eval(xi) they are tangent at.
 
 Reference-space gradients of fields are exact: the interpolant
@@ -28,10 +34,54 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geodesic import GeodesicInterpolant
-from .projection import ProjectionInterpolant
+from .manifold import Manifold
+from .reference_element import ReferenceElement
 
-Interpolant = GeodesicInterpolant | ProjectionInterpolant
+
+class Interpolant:
+    """Interpolation of m manifold values on a reference element.
+
+    The constructor validates one element's values, shape (m, *point_shape).
+    With ``_checked=True`` it trusts already validated values, which may then
+    carry leading batch axes (one set of m values per point).
+    """
+
+    def __init__(self, elem: ReferenceElement, values, manifold: Manifold, *, _checked=False):
+        values = np.asarray(values, dtype=float)
+        if not _checked:
+            values = values.copy()
+            if values.shape != (elem.m,) + manifold.point_shape:
+                raise ValueError(
+                    f"expected {elem.m} values of shape {manifold.point_shape}, "
+                    f"got array of shape {values.shape}"
+                )
+            manifold.check_point(values)
+            self._admit(manifold, values)
+        self.elem = elem
+        self.values = values
+        self.manifold = manifold
+
+    @staticmethod
+    def _admit(manifold: Manifold, values) -> None:
+        """Raise AdmissibilityError for values (..., m, *point_shape) the rule refuses."""
+
+    def d_dxi(self, xi):
+        """eval(xi) plus the columns d(interpolant)/d(xi_k), shape (..., d, *point_shape),
+        tangent at eval(xi)."""
+        c, cols = self._center(xi)
+        return c.q, cols
+
+    def d_dv_all(self, xi, q0=None):
+        """eval(xi) plus all m derivative matrices d(interpolant)/d(v_i).
+
+        Matrix i maps tangent_basis(v_i) coefficients to tangent_basis(q)
+        coefficients; stacked shape (..., m, dim, dim).  Column j of matrix i
+        is the value of nodal basis field (i, j).  ``q0`` warm-starts a
+        Newton solve, e.g. from the interpolant at a nearby point.
+        """
+        xi = np.asarray(xi, dtype=float)
+        c, _ = self._center(xi, q0)
+        return c.q, np.swapaxes(self._basis_gradients(xi, c)[1], -1, -2)
 
 
 def _basis_ref_gradients(interp: Interpolant, xi, center=None):

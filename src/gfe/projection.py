@@ -7,7 +7,9 @@ rule through the projection Jacobian; no nonlinear solve is involved.
 
 Evaluations are batched as in the geodesic module: reference points and the
 nodal values of an interpolant built over several elements at once may carry
-leading axes, which broadcast.
+leading axes, which broadcast.  As a rule of ``jacobi.Interpolant`` it
+supplies ``eval``, ``_center`` (the weighted sum with dP/dw) and
+``_basis_gradients``, and admits all values.
 """
 
 from __future__ import annotations
@@ -16,33 +18,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .manifold import Manifold
-from .reference_element import ReferenceElement
+from .jacobi import Interpolant
 
 
-class ProjectionInterpolant:
-    """Embed-interpolate-project interpolation of m manifold values.
-
-    The constructor validates one element's values, shape (m, *point_shape).
-    With ``_checked=True`` it trusts already validated values, which may then
-    carry leading batch axes (one set of m values per point).
-    """
-
-    def __init__(self, elem: ReferenceElement, values, manifold: Manifold, *, _checked=False):
-        values = np.asarray(values, dtype=float)
-        if not _checked:
-            values = values.copy()
-            if values.shape != (elem.m,) + manifold.point_shape:
-                raise ValueError(
-                    f"expected {elem.m} values of shape {manifold.point_shape}, "
-                    f"got array of shape {values.shape}"
-                )
-            manifold.check_point(values)
-        self.elem = elem
-        self.values = values
-        self.manifold = manifold
-
-    # ------------------------------------------------------------------
+class ProjectionInterpolant(Interpolant):
+    """Embed-interpolate-project interpolation of m manifold values."""
 
     def _combine(self, coeffs) -> np.ndarray:
         """sum_i coeffs[..., i] * v_i with flat values: coeffs (..., r, m) -> (..., r, N)."""
@@ -52,10 +32,10 @@ class ProjectionInterpolant:
         w = self._combine(self.elem.shape_values(xi)[..., None, :])[..., 0, :]
         return w.reshape(w.shape[:-1] + self.manifold.point_shape)
 
-    def _center(self, xi):
+    def _center(self, xi, q0=None):
         """(center, cols): the weighted sum w at xi with what the exact
         basis-field gradients need of it, and the columns d(interpolant)/d(xi_k)
-        (..., d, *point_shape)."""
+        (..., d, *point_shape); q0 is unused."""
         man = self.manifold
         w = self._weighted_sum(xi)
         dsum = self._combine(np.swapaxes(self.elem.shape_gradients(xi), -1, -2))  # (..., d, N)
@@ -65,12 +45,6 @@ class ProjectionInterpolant:
         return _Center(q, man.tangent_basis(q), w, J, dsum), \
             cols.reshape(cols.shape[:-1] + man.point_shape)
 
-    def d_dxi(self, xi):
-        """eval(xi) plus the columns d(interpolant)/d(xi_k), shape (..., d, *point_shape):
-        dP/dw at the weighted sum times the sum's xi-derivative."""
-        c, cols = self._center(xi)
-        return c.q, cols
-
     def eval(self, xi) -> np.ndarray:
         """P applied to the weighted embedding sum.
 
@@ -78,17 +52,6 @@ class ProjectionInterpolant:
         domain (e.g. it vanishes for sphere values straddling antipodes).
         """
         return self.manifold.project_point(self._weighted_sum(xi))
-
-    def d_dv_all(self, xi, q0=None):
-        """eval(xi) plus all m nodal derivative matrices (..., m, dim, dim); q0 is unused."""
-        man = self.manifold
-        weights = self.elem.shape_values(xi)
-        w = self._weighted_sum(xi)
-        q = man.project_point(w)
-        EqJ = man._flat(man.tangent_basis(q)) @ man.projection_jacobian(w)   # (..., dim, N)
-        Bv = man._flat(man.tangent_basis(self.values))                     # (..., m, dim, N)
-        mats = weights[..., None, None] * (EqJ[..., None, :, :] @ np.swapaxes(Bv, -1, -2))
-        return q, mats
 
     def _basis_gradients(self, xi, c: "_Center"):
         """Reference gradients G of the nodal basis fields from the center c at

@@ -149,6 +149,17 @@ def test_admissibility_reported_with_element_index():
     assert "element 1" in str(err.value)
 
 
+def test_only_the_geodesic_rule_refuses_a_wide_element():
+    grid = unit_interval_grid(2, 1)
+    near_antipode = np.array([np.sin(0.05), -np.cos(0.05), 0.0])
+    values = np.array([[1.0, 0, 0], [0.0, 1, 0], near_antipode])
+    GFEFunction(grid, S2, "projection", values)
+    with pytest.raises(AdmissibilityError, match="^element 1: "):
+        GFEFunction(grid, S2, "geodesic", values)
+    with pytest.raises(AdmissibilityError):
+        gfe.GeodesicInterpolant(grid.ref, values[grid.element_nodes[1]], S2)
+
+
 @pytest.mark.parametrize("order", [1, 2])
 @pytest.mark.parametrize("rule", ["geodesic", "projection"])
 def test_two_sided_face_continuity(order, rule):
