@@ -45,7 +45,7 @@ import sys
 
 import numpy as np
 
-from .energy import equivalence_audit, minimize, simplex_quadrature
+from .energy import equivalence_audit, minimize
 from .errors import GFEError, LineSearchFailure, ProjectionUndefinedError
 from .grid import _RULES, GFEFunction, GlobalTestFunction, Grid, _batches, _finite_float, read_mesh
 from .jacobi import ElementTestField
@@ -189,12 +189,7 @@ def cmd_interpolate(args) -> int:
 
 def _audit_sample_xis(elem: ReferenceElement, rng) -> list[np.ndarray]:
     center = elem.nodes.mean(axis=0)
-    xis = [center]
-    for _ in range(2):
-        bary = rng.dirichlet(np.ones(elem.dim + 1))
-        xi = bary[1:]
-        xis.append(0.4 * center + 0.6 * xi)
-    return xis
+    return [center] + [0.4 * center + 0.6 * rng.dirichlet(np.ones(elem.dim + 1))[1:] for _ in range(2)]
 
 
 def fd_variation(interp, vecs, xi, h: float = 1e-5):
@@ -340,21 +335,12 @@ def cmd_minimize(args) -> int:
         data = _read_nodal_values(args.bc, man, grid.n_nodes)
         if not data:
             raise ValueError("boundary CSV fixes no nodes")
-        fixed_values = {i: v for i, v in data.items()}
-        values = _relaxed_start(grid, man, fixed_values)
-        u0 = GFEFunction(grid, man, args.rule, values)
+        u0 = GFEFunction(grid, man, args.rule, _relaxed_start(grid, man, data))
     except (OSError, ValueError, GFEError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    quad = simplex_quadrature(grid.dim)
     try:
-        u, report = minimize(
-            u0,
-            fixed=set(fixed_values),
-            quad=quad,
-            max_iter=args.max_iter,
-            tol=args.tol,
-        )
+        u, report = minimize(u0, fixed=set(data), max_iter=args.max_iter, tol=args.tol)
     except LineSearchFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -366,7 +352,7 @@ def cmd_minimize(args) -> int:
 
     write_nodal_csv(args.out, u.values)
     # the nodal basis function carrying tangent_basis(u_i)[0] at the first free node i
-    i = next((i for i in range(grid.n_nodes) if i not in fixed_values), 0)
+    i = next((i for i in range(grid.n_nodes) if i not in data), 0)
     vecs = np.zeros_like(u.values)
     vecs[i] = man.tangent_basis(u.values[i])[0]
     phi = GlobalTestFunction(u, vecs)

@@ -26,8 +26,8 @@ Newton points.  The energy makes one center solve per batch of quadrature
 points and keeps, per batch, what the exact basis-field gradients need of
 it.  The gradient and the directional derivative use that once: after an
 energy evaluation of the same function under the same rule they make no
-Newton solve (which is how ``minimize`` gets its gradient and metric from
-the accepted trial), and otherwise one center solve per batch.  Both are
+Newton solve and no logarithm (which is how ``minimize`` gets its gradient
+and metric from the accepted trial), and otherwise one solve per batch.  Both are
 assembled in tangent_basis(q) coefficients, so no array of embedded
 basis-field gradients is formed.  Per-point contributions are summed with
 ``math.fsum``, so results do not depend on the batch layout.
@@ -54,6 +54,7 @@ _ARMIJO_C = 1e-4
 _MAX_STEP = 1.0     # the full Newton step
 _ARMIJO_BACKTRACK = 0.5
 _MIN_STEP = 1e-14
+_ROUNDING_FLOOR = 8.0 * np.finfo(float).eps   # relative: energy changes this small are rounding
 
 
 # ----------------------------------------------------------------------
@@ -173,9 +174,11 @@ def _gradient_terms(u: GFEFunction, rule: QuadratureRule, metric: bool = False):
         _, G, V = _basis_ref_gradients(u.local(els[b]), rule.points[k[b]], center=center)
         # term (i, j): the weighted integrand of the directional derivative
         # along basis field (i, j), whose physical gradient is G[:, i, j] @ Binv;
-        # u's gradient enters through its tangent_basis(q) coefficients
+        # u's gradient enters through its tangent_basis(q) coefficients EGu, as
+        # C = EGu Binv^T, [p, l, a], in one matmul over G's layout [p, i, l, a, j]
         EGu = man._flat(center.basis) @ Gu[b]                            # (P, dim, d)
-        terms = np.einsum("pak,pijal,plk->pij", EGu, G, Binv)
+        C = np.swapaxes(EGu @ np.swapaxes(Binv, 1, 2), 1, 2).reshape(len(G), 1, 1, -1)
+        terms = (C @ np.swapaxes(G, 2, 4).reshape(G.shape[:2] + (-1, dim)))[:, :, 0]
         np.add.at(coeff, nodes, terms * w[:, None, None])
         if metric:
             # F[p, i*dim + j] is the flattened physical gradient of field (i, j)
@@ -239,7 +242,9 @@ def minimize(
     v_i <- exp_{v_i}(-alpha * sum_j c_ij tangent_basis(v_i)[j]).
     The first trial step is min(1, 2 * the previous accepted step), so a
     full Newton step is tried first and never exceeded; it
-    is halved until E_try <= E - 1e-4 * alpha * <g, c> and E_try < E.  Trial
+    is halved until E_try <= E - 1e-4 * alpha * <g, c> and E_try < E.  A full
+    step with E_try - E <= 8 * eps * |E|, at the energy's rounding floor, is
+    also accepted when its gradient norm is below the current one.  Trial
     states that fail to evaluate (admissibility, cut locus, projection) are
     treated like an insufficient decrease.  Stops when the norm of the
     algebraic gradient is at most ``tol``.  Returns (minimizer,
@@ -275,9 +280,7 @@ def minimize(
     if callback is not None:
         callback(iterations, energy, gnorm)
 
-    while gnorm > tol:
-        if iterations >= max_iter:
-            break
+    while gnorm > tol and iterations < max_iter:
         g = coeff[free].ravel()
         try:
             np.linalg.cholesky(I)
@@ -298,7 +301,7 @@ def minimize(
         alpha = min(_MAX_STEP, 2.0 * alpha_prev)
         while True:
             trial = u.values.copy()
-            ok = True
+            ok, grad_try = True, None
             try:
                 trial[free] = man.exp(u.values[free], -alpha * direction)
                 u_try = u.with_values(trial)
@@ -307,6 +310,13 @@ def minimize(
                 ok = False
             if ok and e_try <= energy - _ARMIJO_C * alpha * slope and e_try < energy:
                 break
+            if ok and alpha == _MAX_STEP and e_try - energy <= _ROUNDING_FLOOR * abs(energy):
+                # at the energy's rounding floor the Armijo test cannot tell: the full
+                # step is taken if it lowers the gradient norm, and its gradient kept
+                grad_try = gradient(u_try)
+                if grad_try[1] < gnorm:
+                    break
+                grad_try = None
             alpha *= _ARMIJO_BACKTRACK
             if alpha < _MIN_STEP:
                 raise LineSearchFailure(
@@ -316,14 +326,13 @@ def minimize(
         u, energy, alpha_prev = u_try, e_try, alpha
         iterations += 1
         try:
-            coeff, gnorm, A, I = gradient(u)
+            coeff, gnorm, A, I = grad_try or gradient(u)
         except GFEError as exc:
             raise type(exc)(f"at descent iteration {iterations}: {exc}") from exc
         if callback is not None:
             callback(iterations, energy, gnorm)
 
-    report = EnergyReport(energy, gnorm, iterations, bool(gnorm <= tol))
-    return u, report
+    return u, EnergyReport(energy, gnorm, iterations, bool(gnorm <= tol))
 
 
 # ----------------------------------------------------------------------

@@ -36,8 +36,8 @@ fail, the error of the lowest-index one is raised.  The per-point methods
 (``eval``, ``d_dxi``, ``d_dv_all``, ...) are that same path with one point.
 
 As a rule of ``jacobi.Interpolant`` it supplies ``eval``, ``_center`` (the
-solve at xi with dq/dxi), ``_basis_gradients`` and ``_admit``, which refuses
-sphere values spread wider than 0.9*pi.
+solve at xi with dq/dxi), ``_basis_values``, ``_basis_gradients`` and
+``_admit``, which refuses sphere values spread wider than 0.9*pi.
 """
 
 from __future__ import annotations
@@ -346,18 +346,29 @@ class GeodesicInterpolant(Interpolant):
         return _Center(sol.q, sol.basis, sol.hessian, H_xi, sol.log_coeffs, X), \
             cols.reshape(cols.shape[:-1] + man.point_shape)
 
+    def _basis_values(self, xi, c: "_Center"):
+        """Values of the nodal basis fields from the center c at xi, (..., m,
+        dim, dim), entry [i, j, a] the tangent_basis(q)[a] coefficient of field
+        (i, j): V_i = dq/dv_i = -phi_i H^-1 K_i with K_i = dist2_mixed(v_i, q)."""
+        man, k = self.manifold, len(self.manifold.point_shape)
+        mixed = man._mixed(self.values, np.expand_dims(c.q, -k - 1),
+                           man._flat(np.expand_dims(c.basis, -k - 2)), c.log_coeffs)[-1]
+        V = -self.elem.shape_values(xi)[..., :, None, None] * (np.linalg.inv(c.hessian)[..., None, :, :] @ mixed)
+        return np.swapaxes(V, -1, -2)
+
     def _basis_gradients(self, xi, c: "_Center"):
         """Reference gradients G of the nodal basis fields from the center c at
         xi, (..., m, dim, dim, d), entry [i, j, a, l] the tangent_basis(q)[a]
         coefficient of the l-th derivative of field (i, j), and the fields'
-        values (..., m, dim, dim), entry [i, j, a]; returns (G, values).
+        values of _basis_values; returns (G, values).
 
         Differentiates H V_i = -phi_i K_i along xi_l, with V_i = dq/dv_i,
         K_i = dist2_mixed(v_i, q) and X_l = dq/dxi_l:
 
             H dV_i = -dphi_il K_i - phi_i (d_X K_i) - (sum_j dphi_jl Hess_j + phi_j d_X Hess_j) V_i,
 
-        with the derivatives d_X along X_l from dist2_third.
+        with the derivatives d_X along X_l from dist2_third.  H is positive
+        definite, as the solve checked.
         """
         man = self.manifold
         phi = self.elem.shape_values(xi)                                # (..., m)
@@ -367,10 +378,7 @@ class GeodesicInterpolant(Interpolant):
             self.values, c.q, np.swapaxes(c.dq, -1, -2), phi, basis_q=c.basis,
             log_coeffs=c.log_coeffs,
         )
-        try:
-            Hinv = np.linalg.inv(c.hessian)[..., None, :, :]
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystemError("derivative system is singular") from exc
+        Hinv = np.linalg.inv(c.hessian)[..., None, :, :]
         V = -phi[..., :, None, None] * (Hinv @ mixed)                  # (..., m, dim, dim)
         dH = c.hessian_xi + hess_X
         # minus the right-hand side, (..., m, d, dim, dim), built in place

@@ -3,7 +3,8 @@
 ``Interpolant`` is the base of both interpolation rules: it validates the
 nodal values v_1..v_m and derives ``d_dxi`` and ``d_dv_all`` from what a
 rule supplies, namely ``eval``, the center evaluation ``_center``, the
-basis-field values and gradients ``_basis_gradients`` and ``_admit``.
+basis-field values ``_basis_values``, values and gradients
+``_basis_gradients``, and ``_admit``.
 
 An (m, *point_shape) array of nodal tangent vectors b_1..b_m (row i based at
 the nodal value v_i) determines a vector field along the interpolant,
@@ -81,7 +82,7 @@ class Interpolant:
         """
         xi = np.asarray(xi, dtype=float)
         c, _ = self._center(xi, q0)
-        return c.q, np.swapaxes(self._basis_gradients(xi, c)[1], -1, -2)
+        return c.q, np.swapaxes(self._basis_values(xi, c), -1, -2)
 
 
 def _basis_ref_gradients(interp: Interpolant, xi, center=None):

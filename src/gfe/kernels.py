@@ -28,7 +28,8 @@ _SERIES_CUTOFF = 2e-2  # the angle below which the ratios take their Taylor seri
 
 
 def _series_or(t, coeffs, closed, scale=1.0):
-    """closed(t) elementwise, or sum_k coeffs[k] * t**(2k) below scale * _SERIES_CUTOFF."""
+    """closed(t) elementwise, or sum_k coeffs[k] * t**(2k) below scale * _SERIES_CUTOFF;
+    coeffs[k] may stack several ratios' coefficients, as closed(t) stacks the ratios."""
     t = np.asarray(t, dtype=float)
     small = np.abs(t) < scale * _SERIES_CUTOFF
     if not small.any():
@@ -38,19 +39,23 @@ def _series_or(t, coeffs, closed, scale=1.0):
     series = coeffs[-1]
     for c in coeffs[-2::-1]:
         series = c + t2 * series
-    out[small] = series
+    out[..., small] = series
     return out
+
+
+_SINC = (1.0, -1.0 / 6.0, 1.0 / 120.0, -1.0 / 5040.0)
+_ONE_MINUS_COS_OVER_SQ = (0.5, -1.0 / 24.0, 1.0 / 720.0, -1.0 / 40320.0)
+_RODRIGUES = np.array([_SINC, _ONE_MINUS_COS_OVER_SQ]).T[..., None]   # both, (terms, 2, 1)
 
 
 def _sinc(t):
     """sin(t)/t."""
-    return _series_or(t, (1.0, -1.0 / 6.0, 1.0 / 120.0, -1.0 / 5040.0), lambda t: np.sin(t) / t)
+    return _series_or(t, _SINC, lambda t: np.sin(t) / t)
 
 
 def _one_minus_cos_over_sq(t):
     """(1 - cos(t))/t**2."""
-    return _series_or(t, (0.5, -1.0 / 24.0, 1.0 / 720.0, -1.0 / 40320.0),
-                      lambda t: (1.0 - np.cos(t)) / (t * t))
+    return _series_or(t, _ONE_MINUS_COS_OVER_SQ, lambda t: (1.0 - np.cos(t)) / (t * t))
 
 
 def _t_over_sin(t):
@@ -119,9 +124,10 @@ _SYMMETRIC_AXIS_ANGLE = 0.75 * np.pi
 
 
 def _expm_skew(S: np.ndarray) -> np.ndarray:
-    """Matrix exponential of 3x3 skew matrices (Rodrigues form)."""
-    theta = np.linalg.norm(_vee(S), axis=-1)[..., None, None]
-    return np.eye(3) + _sinc(theta) * S + _one_minus_cos_over_sq(theta) * (S @ S)
+    """Matrix exponential of 3x3 skew matrices (Rodrigues form), its two ratios under one mask."""
+    sinc, cos2 = _series_or(np.linalg.norm(_vee(S), axis=-1)[..., None, None], _RODRIGUES,
+                            lambda t: np.stack([np.sin(t) / t, (1.0 - np.cos(t)) / (t * t)]))
+    return np.eye(3) + sinc * S + cos2 * (S @ S)
 
 
 def _angle_parts(R: np.ndarray):

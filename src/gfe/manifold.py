@@ -55,8 +55,16 @@ mixed block along X, applied to a perturbation w of v, is
 with m = -log_v(q)/r, a = rho/sin(rho) as above and p = P Pt(w).  c'/r
 and (1 - c)*a/r**2 are series in rho near 0 ((1 - c)*c/r**2 = c'/r + K),
 and every term carries a factor of order r, so the eps/r error of n near
-v = q costs nothing.  On flat space (K = 0) all of them vanish.  All
-operations are pure functions of their inputs; values are never mutated.
+v = q costs nothing.  On flat space (K = 0) all of them vanish.
+
+Pt and log_v(q) enter as T, tangent_basis(v) = B_v transported to q in
+tangent_basis(q) = E_q coefficients, and w = -T^T u, log_v(q) in B_v
+coefficients, from the coefficients u of log_q(v) alone: T = E_q B_v^T on
+flat space; on spheres log_v(q) = r sin(r) q - cos(r) log_q(v) and
+T = E_q B_v^T - ((1 - cos r)/r**2) u w^T; on SO(3), where log_q(v) =
+q hat(u)/sqrt(2) and transport is left translation by exp of half the log,
+T = exp(-hat(u)/(2 sqrt(2)))^T and w = -u.  All operations are pure
+functions of their inputs; values are never mutated.
 """
 
 from __future__ import annotations
@@ -85,7 +93,6 @@ from .kernels import (
     _t_cot,
     _t_cot_slope_over_t,
     _t_over_sin,
-    _vee,
 )
 
 def _inner(a, b) -> np.ndarray:
@@ -228,32 +235,27 @@ class Manifold:
         a = self._curvature_factor(_t_cot, r)[..., None, None]
         return 2.0 * (a * np.eye(dim) + (1.0 - a) * (c[..., :, None] * c[..., None, :]))
 
-    def _transported_basis(self, v, q, Eq):
-        """(log_v(q) in tangent_basis(v) coefficients, the tangent_basis(q)
-        coefficients (..., dim, dim) of tangent_basis(v) transported to q);
-        Eq is the flattened tangent_basis(q).  Makes one log(v, q)."""
-        v = np.asarray(v, dtype=float)
-        q = np.asarray(q, dtype=float)
-        log_vq = self.log(v, q)
-        Bv = self._flat(self.tangent_basis(v))              # (..., dim, N)
-        # all dim basis columns of v transported to q in one call
-        k = len(self.point_shape)
-        moved = self._flat(self.transport(
-            np.expand_dims(v, -k - 1), np.expand_dims(q, -k - 1),
-            Bv.reshape(Bv.shape[:-1] + self.point_shape), log_pq=np.expand_dims(log_vq, -k - 1),
-        ))
-        w = np.matmul(Bv, self._flat(log_vq)[..., :, None])[..., 0]
-        return w, np.matmul(Eq, np.swapaxes(moved, -1, -2))
+    def _transported_basis(self, v, q, Eq, u):
+        """(w, T) of the module docstring (..., dim) and (..., dim, dim) from
+        the flattened tangent_basis(q) Eq and the log coefficients u; flat space."""
+        T = Eq @ np.swapaxes(self._flat(self.tangent_basis(v)), -1, -2)
+        return -(np.swapaxes(T, -1, -2) @ u[..., :, None])[..., 0], T
 
-    def _mixed_from(self, r, u, w, T) -> np.ndarray:
-        """dist2_mixed from r = |log_q(v)| (..., 1), the coefficients u of log_q(v)
-        at q and (w, T) from _transported_basis."""
+    def _mixed(self, v, q, Eq, log_coeffs):
+        """(u, r, w, T, dist2_mixed(v, q)) from the flattened tangent_basis(q) Eq
+        and the coefficients u of log_q(v) in it (taken from log(q, v) when
+        log_coeffs is None), r = |u| (..., 1) and (w, T) from _transported_basis."""
+        if log_coeffs is None:
+            log_coeffs = np.matmul(Eq, self._flat(self.log(q, v))[..., :, None])[..., 0]
+        u = np.asarray(log_coeffs, dtype=float)
+        r = np.sqrt(_inner(u, u))
+        w, T = self._transported_basis(v, q, Eq, u)
         a = self._curvature_factor(_t_over_sin, r)[..., None]
         # (1 - a)/r**2, so that no log is divided by r (which costs eps/r near v = q)
         s = self._model_curvature * self._curvature_factor(_one_minus_t_over_sin_over_sq, r)
         # -2*a*Pt(b_j) + 2*s*<b_j, log_v q>*log_q v in the basis at q, one column j per basis vector
         M = 2.0 * (s[..., None] * (u[..., :, None] * w[..., None, :]) - a * T)
-        return np.where((r < 1e-15)[..., None], -2.0 * np.eye(self.intrinsic_dim), M)
+        return u, r, w, T, np.where((r < 1e-15)[..., None], -2.0 * np.eye(self.intrinsic_dim), M)
 
     def dist2_mixed(self, v, q, basis_q=None, log_qv=None) -> np.ndarray:
         """Mixed second derivative of dist(v, q)**2, d/dv of the q-gradient.
@@ -265,10 +267,9 @@ class Manifold:
         caller already has them.  Equals -2*I where v = q.
         """
         self._check_pair(v, q)
-        U_q = self._flat(self.log(q, v) if log_qv is None else log_qv)
         Eq = self._flat(self.tangent_basis(q) if basis_q is None else basis_q)
-        u = np.matmul(Eq, U_q[..., :, None])[..., 0]
-        return self._mixed_from(np.sqrt(_inner(U_q, U_q)), u, *self._transported_basis(v, q, Eq))
+        U_q = self._flat(self.log(q, v) if log_qv is None else log_qv)
+        return self._mixed(v, q, Eq, np.matmul(Eq, U_q[..., :, None])[..., 0])[-1]
 
     def dist2_third(self, v, q, X, weights, basis_q=None, log_coeffs=None):
         """Third derivatives of squared distance as q moves, for the weighted
@@ -287,21 +288,15 @@ class Manifold:
         - mixed_X (..., m, s, dim, dim): the covariant derivative of
           dist2_mixed(v_i, q) along X[..., l, :].
 
-        Both derivatives vanish where v_i = q and on flat space.  One
-        log(v_i, q) serves the mixed block and its derivative.
+        Both derivatives vanish where v_i = q and on flat space.  With
+        ``log_coeffs`` given no logarithm is taken.
         """
         k = len(self.point_shape)
         q = np.expand_dims(np.asarray(q, dtype=float), -k - 1)
         self._check_pair(v, q)
         Eq = self._flat(self.tangent_basis(q) if basis_q is None
                         else np.expand_dims(basis_q, -k - 2))
-        if log_coeffs is None:
-            u = np.matmul(Eq, self._flat(self.log(q, v))[..., :, None])[..., 0]
-        else:
-            u = np.asarray(log_coeffs, dtype=float)                         # (..., m, dim)
-        r = np.sqrt(_inner(u, u))                                           # (..., m, 1)
-        w, T = self._transported_basis(v, q, Eq)
-        mixed = self._mixed_from(r, u, w, T)
+        u, r, w, T, mixed = self._mixed(v, q, Eq, log_coeffs)              # u (..., m, dim)
         K = self._model_curvature
         # c'/r and (1 - c)*a/r**2 of the module docstring, c = rho*cot(rho) and
         # a = rho/sin(rho), as series in rho times K; (1 - c)*c/r**2 = c'/r + K
@@ -516,6 +511,15 @@ class Sphere(Manifold):
         turn = _one_minus_cos_over_sq(t) * u + _sinc(t) * np.asarray(p, dtype=float)
         return w - _inner(w, u) * turn
 
+    def _transported_basis(self, v, q, Eq, u):
+        Bv = self._flat(self.tangent_basis(v))                              # (..., dim, N)
+        r = np.sqrt(_inner(u, u))
+        log_vq = r * np.sin(r) * np.asarray(q, dtype=float) - np.cos(r) * (u[..., None, :] @ Eq)[..., 0, :]
+        w = np.matmul(Bv, log_vq[..., :, None])[..., 0]
+        T = Eq @ np.swapaxes(Bv, -1, -2)
+        T -= _one_minus_cos_over_sq(r)[..., None] * (u[..., :, None] * w[..., None, :])
+        return w, T
+
     def _norm_checked(self, w):
         w = np.asarray(w, dtype=float)
         nrm = np.sqrt(_inner(w, w))
@@ -616,31 +620,12 @@ class Rotation3(Manifold):
         return Q1 @ _logm_rotation(np.swapaxes(Q1, -1, -2) @ np.asarray(q, dtype=float))
 
     def transport(self, p, q, w, log_pq=None):
-        Q1 = np.asarray(p, dtype=float)
-        Q1t = np.swapaxes(Q1, -1, -2)
-        if log_pq is None:
-            S = _logm_rotation(Q1t @ np.asarray(q, dtype=float))
-        else:
-            S = _skew_part(Q1t @ np.asarray(log_pq, dtype=float))
-        E = _expm_skew(0.5 * S)
-        Om = _skew_part(Q1t @ np.asarray(w, dtype=float))
-        return Q1 @ E @ Om @ E
+        Q1t = np.swapaxes(np.asarray(p, dtype=float), -1, -2)
+        E = _expm_skew(0.5 * _skew_part(Q1t @ (self.log(p, q) if log_pq is None else np.asarray(log_pq))))
+        return np.swapaxes(Q1t, -1, -2) @ E @ _skew_part(Q1t @ np.asarray(w, dtype=float)) @ E
 
-    def _transported_basis(self, v, q, Eq):
-        # In the Lie algebra: with v^T q = E^2 the transport maps v hat(x) to
-        # v E hat(x) E = q hat(E^T x), and <Q hat(x), Q hat(y)> = 2 x.y, so
-        # with the basis vectors v hat(omega_j) and q hat(psi_a) the
-        # coefficients are T[a, j] = 2 psi_a . E^T omega_j; no embedded basis
-        # is transported.
-        v = np.asarray(v, dtype=float)
-        q = np.asarray(q, dtype=float)
-        vt = np.swapaxes(v, -1, -2)
-        S = _logm_rotation(vt @ q)                                                 # v^T log(v, q)
-        omega = _vee(vt[..., None, :, :] @ self.tangent_basis(v))                 # (..., dim, 3)
-        psi = _vee(np.swapaxes(q, -1, -2)[..., None, :, :] @ Eq.reshape(Eq.shape[:-1] + (3, 3)))
-        E = _expm_skew(0.5 * S)
-        w = 2.0 * (omega @ _vee(S)[..., :, None])[..., 0]
-        return w, 2.0 * psi @ np.swapaxes(E, -1, -2) @ np.swapaxes(omega, -1, -2)
+    def _transported_basis(self, v, q, Eq, u):
+        return -u, _expm_skew(0.5 * np.tensordot(u, _SKEW_BASIS, axes=1))
 
     def _polar_of(self, w):
         A = _as_matrices(w)

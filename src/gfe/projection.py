@@ -8,8 +8,8 @@ rule through the projection Jacobian; no nonlinear solve is involved.
 Evaluations are batched as in the geodesic module: reference points and the
 nodal values of an interpolant built over several elements at once may carry
 leading axes, which broadcast.  As a rule of ``jacobi.Interpolant`` it
-supplies ``eval``, ``_center`` (the weighted sum with dP/dw) and
-``_basis_gradients``, and admits all values.
+supplies ``eval``, ``_center`` (the weighted sum with dP/dw),
+``_basis_values`` and ``_basis_gradients``, and admits all values.
 """
 
 from __future__ import annotations
@@ -53,6 +53,15 @@ class ProjectionInterpolant(Interpolant):
         """
         return self.manifold.project_point(self._weighted_sum(xi))
 
+    def _basis_values(self, xi, c: "_Center"):
+        """Values phi_i DP(w) b_ij of the nodal basis fields from the center c at
+        xi, (..., m, dim, dim), entry [i, j, a] the tangent_basis(q)[a]
+        coefficient of field (i, j)."""
+        man = self.manifold
+        Bv = np.swapaxes(man._flat(man.tangent_basis(self.values)), -1, -2)
+        first = (man._flat(c.basis) @ c.jacobian)[..., None, :, :] @ Bv
+        return np.swapaxes(self.elem.shape_values(xi)[..., :, None, None] * first, -1, -2)
+
     def _basis_gradients(self, xi, c: "_Center"):
         """Reference gradients G of the nodal basis fields from the center c at
         xi, (..., m, dim, dim, d), entry [i, j, a, l] the tangent_basis(q)[a]
@@ -60,8 +69,7 @@ class ProjectionInterpolant(Interpolant):
 
             D^2P(w)[dw/dxi_l, phi_i b_ij] + dphi_i/dxi_l DP(w) b_ij,
 
-        and the fields' values phi_i DP(w) b_ij (..., m, dim, dim), entry
-        [i, j, a]; returns (G, values).
+        and the fields' values of _basis_values; returns (G, values).
         """
         man = self.manifold
         E = man._flat(c.basis)                                              # (..., dim, N)

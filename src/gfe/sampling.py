@@ -44,9 +44,6 @@ def random_configuration(
     The ball center is drawn first, then each value is exp of a random
     tangent with norm uniform in [0, radius).
     """
-    center = random_point(manifold, rng)
-    values = []
-    for _ in range(m):
-        v = random_tangent(manifold, center, rng, scale=float(rng.uniform(0.0, radius)))
-        values.append(manifold.exp(center, v))
-    return np.array(values)
+    c = random_point(manifold, rng)
+    return np.array([manifold.exp(c, random_tangent(manifold, c, rng, float(rng.uniform(0.0, radius))))
+                     for _ in range(m)])

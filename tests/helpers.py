@@ -74,6 +74,19 @@ def fd_dist2_third(man, v, q, x, h=1e-4):
     return (Hp - Hm) / (2 * h), (Mp - Mm) / (2 * h)
 
 
+def transported_basis_oracle(man, v, q):
+    """(w, T) for one pair of points by one log(v, q) and one parallel
+    transport per basis vector: w the tangent_basis(v) coefficients of
+    log_v(q), T the tangent_basis(q) coefficients of tangent_basis(v)
+    transported to q; the oracle for ``Manifold._transported_basis``."""
+    k = len(man.point_shape)
+    flat = lambda a: a.reshape(a.shape[: a.ndim - k] + (-1,))  # noqa: E731
+    log_vq = man.log(v, q)
+    Bv = man.tangent_basis(v)
+    moved = np.array([man.transport(v, q, b, log_pq=log_vq) for b in Bv])
+    return flat(Bv) @ flat(log_vq), flat(man.tangent_basis(q)) @ flat(moved).T
+
+
 def fd_basis_ref_gradients(interp, xi, h=1e-6):
     """Central differences of all nodal-basis fields of a one-element
     interpolant at xi (d,): an oracle in the layout of
@@ -198,15 +211,21 @@ def stereographic(x):
     return value, grad
 
 
-def stereographic_problem(n_side, order, rule, noise=0.1, seed=0):
+def stereographic_problem(n_side, order, rule, noise=0.1, seed=0, draw_interior=False):
     """sigma on the criss-cross grid of [-1/2, 1/2]^2: the start (sigma at
     the nodes plus ``noise`` times one seeded normal vector per node, added
-    at the interior nodes only, normalized) and the fixed boundary nodes."""
+    at the interior nodes only, normalized) and the fixed boundary nodes.
+    The vectors are drawn for every node, or with ``draw_interior`` for the
+    interior nodes only."""
     square = gfe.unit_square_grid(n_side, order)
     grid = gfe.Grid(2, square.vertices - 0.5, square.elements, order)
     values, _ = stereographic(grid.lagrange_nodes)
     interior = [i for i in range(grid.n_nodes) if i not in grid.boundary_nodes]
-    values[interior] += noise * np.random.default_rng(seed).standard_normal(values.shape)[interior]
+    rng = np.random.default_rng(seed)
+    if draw_interior:
+        values[interior] += noise * rng.standard_normal((len(interior), 3))
+    else:
+        values[interior] += noise * rng.standard_normal(values.shape)[interior]
     values /= np.linalg.norm(values, axis=1)[:, None]
     return gfe.GFEFunction(grid, gfe.Sphere(2), rule, values), set(grid.boundary_nodes)
 

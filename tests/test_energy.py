@@ -433,6 +433,21 @@ def test_stereographic_2x2_converges_at_tol_1e8(rule):
     assert report.converged
 
 
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("rule", ["geodesic", "projection"])
+def test_stereographic_2x2_interior_noise_converges_at_tol_1e8(rule, seed):
+    # linear convergence reaches the energy's rounding floor (gradient norms of
+    # 1e-8 to 3e-8) with the tolerance not yet met; there the full step that
+    # lowers the gradient norm is accepted (4 of these 8 ended in
+    # LineSearchFailure under the Armijo test alone)
+    u0, fixed = stereographic_problem(2, 1, rule, seed=seed, draw_interior=True)
+    energies = []
+    u, report = minimize(u0, fixed, tol=1e-8, callback=lambda k, e, g: energies.append(e))
+    assert report.converged and report.gradient_norm <= 1e-8
+    # energies may rise only within the rounding floor
+    assert all(b - a <= 8.0 * np.finfo(float).eps * abs(a) for a, b in zip(energies, energies[1:]))
+
+
 def stereographic_errors(u):
     """L^2 and H^1-seminorm errors against sigma, by the energy's quadrature."""
     rule = simplex_quadrature(2)

@@ -170,24 +170,42 @@ def test_assembly_makes_one_lockstep_solve_per_batch(monkeypatch, n_side):
     assert len(calls) == center_batches
 
 
-def test_gradient_makes_one_rotation_log_per_batch(monkeypatch):
-    # after the energy, the only SO(3) logarithm of a gradient batch is the
-    # batched log(v_i, q) that dist2_mixed and its derivative share
+def gradient_after_an_energy(man, monkeypatch, patched):
+    """The calls that the functions ``patched`` (name -> (owner, attribute))
+    receive during algebraic_gradient after dirichlet_energy of the same
+    order-2 function on the 2x2 grid."""
     grid = unit_square_grid(2, 2)
-    values = random_configuration(SO3, grid.n_nodes, np.random.default_rng(4), radius=0.3)
-    u = GFEFunction(grid, SO3, "geodesic", values)
+    values = random_configuration(man, grid.n_nodes, np.random.default_rng(4), radius=0.3)
+    u = GFEFunction(grid, man, "geodesic", values)
     dirichlet_energy(u)
     calls = []
-    real = gfe.manifold._logm_rotation
+    for name, (owner, attr) in patched.items():
+        real = getattr(owner, attr)
 
-    def counting(R):
-        calls.append(R.shape)
-        return real(R)
+        def counting(*args, _real=real, _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
 
-    monkeypatch.setattr(gfe.manifold, "_logm_rotation", counting)
+        monkeypatch.setattr(owner, attr, counting)
     algebraic_gradient(u)
-    points = grid.n_elements * len(simplex_quadrature(2).weights)
-    assert calls == [(points, grid.ref.m, 3, 3)]
+    return calls
+
+
+def test_gradient_after_an_energy_makes_no_rotation_log(monkeypatch):
+    # the transported frames come from the center solve's log coefficients
+    calls = gradient_after_an_energy(SO3, monkeypatch, {
+        "_logm_rotation": (gfe.manifold, "_logm_rotation"),
+        "log": (gfe.Rotation3, "log"),
+    })
+    assert calls == []
+
+
+def test_gradient_after_an_energy_makes_no_sphere_log_or_transport(monkeypatch):
+    calls = gradient_after_an_energy(S2, monkeypatch, {
+        "log": (gfe.Sphere, "log"),
+        "transport": (gfe.Sphere, "transport"),
+    })
+    assert calls == []
 
 
 def test_equivalence_audit_assembles_the_gradient_once(monkeypatch):

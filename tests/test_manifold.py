@@ -30,7 +30,7 @@ from gfe.kernels import (
     polar_decompose,
 )
 from gfe.sampling import random_point, random_tangent
-from helpers import fd_dist2_third, fd_hess_dist2, fd_mixed_dist2, rel_err
+from helpers import fd_dist2_third, fd_hess_dist2, fd_mixed_dist2, rel_err, transported_basis_oracle
 
 E1, E2, E3 = np.eye(3)
 ALL = [gfe.Euclidean(3), gfe.Sphere(2), gfe.Rotation3()]
@@ -685,6 +685,31 @@ def test_dist2_third_matches_fd_along_a_geodesic(man, r):
         assert np.max(np.abs(mixed_X[0, 0] - M_fd)) <= 1e-7 * max(1.0, np.max(np.abs(M_fd)))
         if isinstance(man, gfe.Euclidean) or r == 0.0:
             assert not hess_X.any() and not mixed_X.any()
+
+
+# the widest pairs the interpolation admits: the 0.9*pi sphere spread, and a
+# 2 rad turn on SO(3) (Frobenius distance 2*sqrt(2))
+FRAME_REACH = {"euclidean": 3.0, "sphere": 0.9 * np.pi, "rotation3": 2.0 * np.sqrt(2.0)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       frac=st.one_of(st.just(0.0), st.just(1.0), st.floats(1e-12, 1e-4), st.floats(0.0, 1.0)))
+@pytest.mark.parametrize("man", ALL, ids=lambda m: m.kind)
+def test_transported_frames_match_the_log_and_transport_oracle(man, seed, frac):
+    """The frames from the log coefficients at q agree with one log(v, q)
+    and a parallel transport, from v = q (frac 0) to the widest pair."""
+    rng = np.random.default_rng(seed)
+    q = random_point(man, rng)
+    d = random_tangent(man, q, rng)
+    v = man.exp(q, frac * FRAME_REACH[man.kind] / np.linalg.norm(d) * d)
+    Eq = man.tangent_basis(q).reshape(man.intrinsic_dim, -1)
+    u = Eq @ man.log(q, v).reshape(-1)
+    w, T = man._transported_basis(v, q, Eq, u)
+    w_oracle, T_oracle = transported_basis_oracle(man, v, q)
+    assert w.shape == (man.intrinsic_dim,) and T.shape == (man.intrinsic_dim,) * 2
+    assert np.max(np.abs(w - w_oracle)) <= 1e-13
+    assert np.max(np.abs(T - T_oracle)) <= 1e-13
 
 
 @pytest.mark.parametrize("man", [gfe.Sphere(2), gfe.Rotation3()], ids=lambda m: m.kind)
