@@ -22,14 +22,12 @@ size, and on rough data (nodal values far apart within an element) linear.
 
 Assembly is batched: all (element, quadrature point) pairs are evaluated
 together, element-major, in lockstep batches of at most ``grid._CHUNK``
-Newton points.  The energy makes one center solve per batch of quadrature
-points and keeps, per batch, what the exact basis-field gradients need of
-it.  The gradient and the directional derivative use that once: after an
-energy evaluation of the same function under the same rule they make no
-Newton solve and no logarithm (which is how ``minimize`` gets its gradient
-and metric from the accepted trial), and otherwise one solve per batch.  Both are
-assembled in tangent_basis(q) coefficients, so no array of embedded
-basis-field gradients is formed.  Per-point contributions are summed with
+Newton points.  A function state keeps one record of its quadrature data
+(``_assembly``), built with one center solve per batch by whichever of the
+energy, the gradient or the directional derivative comes first; later calls
+on the state under the same rule object, in any order, make no Newton solve
+and no logarithm, which is how ``minimize`` gets its gradient and metric
+from the accepted trial.  Per-point contributions are summed with
 ``math.fsum``, so results do not depend on the batch layout.
 
 ``equivalence_audit`` compares, for random nodal tangent directions, the
@@ -41,8 +39,10 @@ agree up to finite-difference noise.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,18 +63,20 @@ _ROUNDING_FLOOR = 8.0 * np.finfo(float).eps   # relative: energy changes this sm
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Reference-simplex quadrature: points (nq, d) and positive weights."""
+    """Reference-simplex quadrature: points (nq, d) and positive weights, as read-only copies."""
 
     points: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "points", np.asarray(self.points, dtype=float))
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
+        for name in ("points", "weights"):
+            object.__setattr__(self, name, np.array(getattr(self, name), dtype=float))
+            getattr(self, name).flags.writeable = False
         if np.any(self.weights <= 0.0):
             raise ValueError("quadrature weights must be positive")
 
 
+@functools.cache
 def simplex_quadrature(dim: int) -> QuadratureRule:
     """Order-4 rules: 3-point Gauss on [0,1], 6-point on the unit triangle."""
     if dim == 1:
@@ -106,31 +108,41 @@ class EnergyReport:
 # energy and first variation
 
 
-def _rule(u: GFEFunction, quad: QuadratureRule | None) -> QuadratureRule:
-    return quad or simplex_quadrature(u.grid.dim)
+class _Assembly(NamedTuple):
+    """The quadrature data of a function state u under ``rule``, over its P
+    (element, point) pairs in element-major order."""
+
+    rule: QuadratureRule
+    els: np.ndarray     # (P,) elements
+    k: np.ndarray       # (P,) quadrature point indices
+    w: np.ndarray       # (P,) weights, detB * rule weights
+    batches: tuple      # per lockstep batch: (slice, stacked interpolant, its xi, its center)
+    Gu: np.ndarray      # (P, N, d) physical gradients of u
 
 
-def _center_solves(u: GFEFunction, rule: QuadratureRule):
-    """(elements, quadrature indices, the center evaluation of each batch,
-    physical gradients (P, N, d) of u) at all P (element, quadrature point)
-    pairs; the centers keep what the exact basis-field gradients need."""
+def _assembly(u: GFEFunction, quad: QuadratureRule | None) -> _Assembly:
+    """The record of u under quad (default ``simplex_quadrature``); u keeps the first one built."""
+    rule = quad or simplex_quadrature(u.grid.dim)
+    if u._assembly is not None and u._assembly.rule is rule:
+        return u._assembly
     grid = u.grid
     els, k = grid._pairs(len(rule.weights))
-    centers = []
+    batches = []
     Gu = np.empty((len(els), u.manifold.embed_dim, grid.dim))
     for b in _batches(len(els)):
-        center, cols = u.local(els[b])._center(rule.points[k[b]])
-        centers.append(center)
+        interp, xi = u.local(els[b]), rule.points[k[b]]
+        center, cols = interp._center(xi)
+        batches.append((b, interp, xi, center))
         Gu[b] = np.swapaxes(u.manifold._flat(cols), 1, 2) @ grid._Binv[els[b]]
-    return els, k, centers, Gu
+    record = _Assembly(rule, els, k, grid._detB[els] * rule.weights[k], tuple(batches), Gu)
+    u._assembly = u._assembly or record     # write-once
+    return record
 
 
 def dirichlet_energy(u: GFEFunction, quad: QuadratureRule | None = None) -> float:
     """(1/2) * integral of the squared embedded gradient of u."""
-    rule = _rule(u, quad)
-    els, k, _, Gu = centers = _center_solves(u, rule)
-    u._centers = (rule, centers)
-    return 0.5 * math.fsum(u.grid._detB[els] * rule.weights[k] * np.sum(Gu * Gu, axis=(1, 2)))
+    a = _assembly(u, quad)
+    return 0.5 * math.fsum(a.w * np.sum(a.Gu * a.Gu, axis=(1, 2)))
 
 
 def directional_derivative(
@@ -141,7 +153,7 @@ def directional_derivative(
     return math.fsum((algebraic_gradient(u, quad, fixed=()) * eta.vectors).ravel())
 
 
-def _gradient_terms(u: GFEFunction, rule: QuadratureRule, metric: bool = False):
+def _gradient_terms(u: GFEFunction, rule: QuadratureRule | None, metric: bool = False):
     """(coeff, A, J): gradient coefficients (n, dim) in the tangent_basis(u_i)
     coordinates, no node fixed, and with ``metric`` (else None) the parts
     (n*dim, n*dim) of the index form I = A - J over the global nodal basis
@@ -157,26 +169,20 @@ def _gradient_terms(u: GFEFunction, rule: QuadratureRule, metric: bool = False):
     grid = u.grid
     man = u.manifold
     dim = man.intrinsic_dim
-    # the memo is used once: it hands the energy's center solves to the gradient
-    memo, u._centers = u._centers, None
-    if memo is not None and np.array_equal(memo[0].points, rule.points) \
-            and np.array_equal(memo[0].weights, rule.weights):
-        els, k, centers, Gu = memo[1]
-    else:
-        els, k, centers, Gu = _center_solves(u, rule)
+    a = _assembly(u, rule)
     K = man._model_curvature
     coeff = np.zeros((grid.n_nodes, dim))
     A, J = (np.zeros((grid.n_nodes * dim,) * 2) for _ in range(2)) if metric else (None, None)
-    for b, center in zip(_batches(len(els)), centers):
-        Binv = grid._Binv[els[b]]
-        w = grid._detB[els[b]] * rule.weights[k[b]]
-        nodes = grid.element_nodes[els[b]]
-        _, G, V = _basis_ref_gradients(u.local(els[b]), rule.points[k[b]], center=center)
+    for b, interp, xi, center in a.batches:
+        Binv = grid._Binv[a.els[b]]
+        w = a.w[b]
+        nodes = grid.element_nodes[a.els[b]]
+        _, G, V = _basis_ref_gradients(interp, xi, center=center)
         # term (i, j): the weighted integrand of the directional derivative
         # along basis field (i, j), whose physical gradient is G[:, i, j] @ Binv;
         # u's gradient enters through its tangent_basis(q) coefficients EGu, as
         # C = EGu Binv^T, [p, l, a], in one matmul over G's layout [p, i, l, a, j]
-        EGu = man._flat(center.basis) @ Gu[b]                            # (P, dim, d)
+        EGu = man._flat(center.basis) @ a.Gu[b]                          # (P, dim, d)
         C = np.swapaxes(EGu @ np.swapaxes(Binv, 1, 2), 1, 2).reshape(len(G), 1, 1, -1)
         terms = (C @ np.swapaxes(G, 2, 4).reshape(G.shape[:2] + (-1, dim)))[:, :, 0]
         np.add.at(coeff, nodes, terms * w[:, None, None])
@@ -213,7 +219,7 @@ def algebraic_gradient(
     tangent_basis(u_i)[j] at node i.  Entries at ``fixed`` nodes (grid
     boundary nodes by default) are zeroed.
     """
-    coeff = _gradient_terms(u, _rule(u, quad))[0]
+    coeff = _gradient_terms(u, quad)[0]
     coeff[sorted(u.grid.boundary_nodes if fixed is None else set(fixed))] = 0.0
     return _embedded(u.manifold, u.values, coeff)
 
@@ -253,7 +259,6 @@ def minimize(
     descent direction (<g, c> <= 0), and LineSearchFailure when the step
     underflows below 1e-14.
     """
-    rule = _rule(u0, quad)
     fixed_set = set(fixed)
     if not fixed_set:
         raise ValueError("minimize needs at least one fixed node (the H^1 metric is singular otherwise)")
@@ -265,12 +270,12 @@ def minimize(
     # the free degrees of freedom, node-major: rows i*dim + j of the metric
     free_dofs = (np.array(free, dtype=int)[:, None] * dim + np.arange(dim)).ravel()
     ff = np.ix_(free_dofs, free_dofs)
-    energy = dirichlet_energy(u, rule)
+    energy = dirichlet_energy(u, quad)
     alpha_prev = 0.5 * _MAX_STEP
     iterations = 0
 
     def gradient(u):
-        coeff, A, J = _gradient_terms(u, rule, metric=True)
+        coeff, A, J = _gradient_terms(u, quad, metric=True)
         coeff[fixed_nodes] = 0.0
         A = A[ff]   # one free block at a time, each freeing its full matrix
         J = J[ff]
@@ -305,7 +310,7 @@ def minimize(
             try:
                 trial[free] = man.exp(u.values[free], -alpha * direction)
                 u_try = u.with_values(trial)
-                e_try = dirichlet_energy(u_try, rule)
+                e_try = dirichlet_energy(u_try, quad)
             except GFEError:
                 ok = False
             if ok and e_try <= energy - _ARMIJO_C * alpha * slope and e_try < energy:
@@ -353,12 +358,11 @@ def equivalence_audit(
     the assembled test field.  Discrepancies are relative when either route
     exceeds 1e-6 in magnitude and absolute otherwise.
     """
-    rule = _rule(u, quad)
     man = u.manifold
     n = u.grid.n_nodes
     dim = man.intrinsic_dim
     rng = np.random.default_rng(seed)
-    grad = algebraic_gradient(u, rule, fixed=())
+    grad = algebraic_gradient(u, quad, fixed=())
     h = 1e-5
 
     worst = 0.0
@@ -370,11 +374,11 @@ def equivalence_audit(
         plus = man.exp(u.values, h * vecs)
         minus = man.exp(u.values, -h * vecs)
         route_a = (
-            dirichlet_energy(u.with_values(plus), rule)
-            - dirichlet_energy(u.with_values(minus), rule)
+            dirichlet_energy(u.with_values(plus), quad)
+            - dirichlet_energy(u.with_values(minus), quad)
         ) / (2.0 * h)
 
-        # directional_derivative(u, eta, rule), with the gradient assembled once
+        # directional_derivative(u, eta, quad), with the gradient assembled once
         route_b = math.fsum((grad * vecs).ravel())
 
         denom = max(abs(route_a), abs(route_b))

@@ -326,11 +326,6 @@ class GeodesicInterpolant(Interpolant):
         """The interpolated point; stationarity residual is at most 1e-12."""
         return self._solve(xi).q
 
-    def eval_info(self, xi):
-        """(point, Newton iterations, final residual) for diagnostics."""
-        sol = self._solve(xi)
-        return sol.q, sol.iterations, sol.residual[()]
-
     def _center(self, xi, q0=None):
         """(center, cols): the solve at xi, warm-started from q0, reduced to what
         the exact basis-field gradients need, and the columns d(interpolant)/d(xi_k)

@@ -285,6 +285,8 @@ class GFEFunction:
     restriction.  Construction validates every nodal value and, with the
     rule's ``_admit``, every element (the geodesic rule's sphere spread check);
     ``values`` is then read-only, and restrictions are not validated again.
+    It keeps the quadrature record of the first rule it is assembled under
+    (``energy._assembly``), so later calls under that rule reuse its solves.
     """
 
     def __init__(self, grid: Grid, manifold: Manifold, rule: str, values):
@@ -302,9 +304,7 @@ class GFEFunction:
         self.manifold = manifold
         self.rule = rule
         self.values = values
-        # (quadrature rule, center solves) of the last energy evaluation, which
-        # the next gradient takes
-        self._centers = None
+        self._assembly = None
 
     def local(self, e):
         """The interpolant restricted to element e.

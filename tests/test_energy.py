@@ -18,7 +18,7 @@ from gfe import (
     unit_interval_grid,
     unit_square_grid,
 )
-from gfe.energy import _center_solves, _gradient_terms
+from gfe.energy import _assembly, _gradient_terms
 from gfe.errors import LineSearchFailure, SingularSystemError
 from gfe.kernels import _expm_skew, _hat
 from gfe.sampling import random_configuration, random_point
@@ -50,6 +50,16 @@ def sphere_function(grid, seed, rule="geodesic", radius=0.3):
 
 # ----------------------------------------------------------------------
 # quadrature
+
+
+def test_quadrature_rules_are_read_only_copies():
+    with pytest.raises(ValueError):
+        simplex_quadrature(2).points[0, 0] = 0.5
+    points, weights = np.array([[0.25, 0.25]]), np.array([0.5])
+    rule = gfe.QuadratureRule(points, weights)
+    points[0, 0] = 0.5
+    assert points.flags.writeable and weights.flags.writeable
+    assert rule.points[0, 0] == 0.25
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -452,12 +462,11 @@ def stereographic_errors(u):
     """L^2 and H^1-seminorm errors against sigma, by the energy's quadrature."""
     rule = simplex_quadrature(2)
     grid = u.grid
-    els, k, centers, Gu = _center_solves(u, rule)
-    q = np.concatenate([c.q for c in centers])
-    value, grad = stereographic(grid._origin[els] + (grid._B[els] @ rule.points[k][:, :, None])[:, :, 0])
-    w = grid._detB[els] * rule.weights[k]
-    return (math.sqrt(math.fsum(w * np.sum((q - value) ** 2, axis=1))),
-            math.sqrt(math.fsum(w * np.sum((Gu - grad) ** 2, axis=(1, 2)))))
+    a = _assembly(u, rule)
+    q = np.concatenate([center.q for _, _, _, center in a.batches])
+    value, grad = stereographic(grid._origin[a.els] + (grid._B[a.els] @ rule.points[a.k][:, :, None])[:, :, 0])
+    return (math.sqrt(math.fsum(a.w * np.sum((q - value) ** 2, axis=1))),
+            math.sqrt(math.fsum(a.w * np.sum((a.Gu - grad) ** 2, axis=(1, 2)))))
 
 
 @pytest.mark.parametrize("order", [1, 2])
@@ -551,6 +560,7 @@ def test_embedded_results_do_not_depend_on_the_tangent_basis(man, monkeypatch):
 
     monkeypatch.setattr(type(man), "tangent_basis", mixed)
     assert not np.allclose(man.tangent_basis(values[0]), closed_form(man, values[0]))
+    u = u.with_values(values)   # a fresh state: u keeps the closed-form basis in its record
     assert abs(dirichlet_energy(u) - energy) <= 1e-10
     mixed_grad = algebraic_gradient(u, fixed=set())
     scale = max(1.0, float(np.max(np.abs(grad))))

@@ -4,14 +4,30 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gfe
-from gfe import GeodesicInterpolant, GFEFunction, ReferenceElement, unit_square_grid
-from gfe.energy import algebraic_gradient, dirichlet_energy, equivalence_audit, minimize, simplex_quadrature
+from gfe import (
+    GeodesicInterpolant,
+    GFEFunction,
+    GlobalTestFunction,
+    QuadratureRule,
+    ReferenceElement,
+    unit_square_grid,
+)
+from gfe.energy import (
+    algebraic_gradient,
+    directional_derivative,
+    dirichlet_energy,
+    equivalence_audit,
+    minimize,
+    simplex_quadrature,
+)
 from gfe.errors import CutLocusError, IndefiniteHessianError, NonConvergenceError
 from gfe.grid import _CHUNK
 from gfe.jacobi import _basis_ref_gradients
-from gfe.sampling import random_configuration
+from gfe.sampling import random_configuration, random_tangent
 
 S2 = gfe.Sphere(2)
 SO3 = gfe.Rotation3()
@@ -249,3 +265,56 @@ def test_preconditioned_descent_adds_no_solve(monkeypatch):
     # the gradient and its metric with no further solve
     assert trials1 - trials0 >= 1
     assert calls1 - calls0 == trials1 - trials0
+
+
+# ----------------------------------------------------------------------
+# the quadrature record a state keeps
+
+
+def counting_solves(mp):
+    """The list that gets one entry per GeodesicInterpolant._solve call under mp."""
+    calls = []
+    real = GeodesicInterpolant._solve
+
+    def counting(self, *args, **kwargs):
+        calls.append(None)
+        return real(self, *args, **kwargs)
+
+    mp.setattr(GeodesicInterpolant, "_solve", counting)
+    return calls
+
+
+OPERATIONS = {
+    "energy": lambda u, eta: dirichlet_energy(u),
+    "gradient": lambda u, eta: algebraic_gradient(u),
+    "directional": lambda u, eta: directional_derivative(u, eta),
+}
+
+
+@pytest.mark.parametrize("man", [S2, SO3], ids=lambda m: m.kind)
+@settings(max_examples=15, deadline=None)
+@given(sequence=st.lists(st.sampled_from(sorted(OPERATIONS)), min_size=1, max_size=6))
+def test_calls_on_one_state_give_fresh_state_results_with_one_solve_per_batch(man, sequence):
+    u = two_element_function(man, "geodesic", 2)
+    rng = np.random.default_rng(5)
+    vectors = [random_tangent(man, v, rng) for v in u.values]
+    with pytest.MonkeyPatch.context() as mp:
+        calls = counting_solves(mp)
+        results = [OPERATIONS[name](u, GlobalTestFunction(u, vectors)) for name in sequence]
+        assert len(calls) == math.ceil(u.grid.n_elements * len(simplex_quadrature(2).weights) / _CHUNK)
+    for name, result in zip(sequence, results):
+        fresh = u.with_values(u.values)
+        assert np.array_equal(result, OPERATIONS[name](fresh, GlobalTestFunction(fresh, vectors)))
+
+
+def test_a_record_never_serves_another_rule(monkeypatch):
+    u = two_element_function(S2, "geodesic", 2)
+    default = simplex_quadrature(2)
+    equal = QuadratureRule(default.points, default.weights)
+    calls = counting_solves(monkeypatch)
+    dirichlet_energy(u)
+    assert len(calls) == 1
+    grad = algebraic_gradient(u, equal)
+    assert len(calls) == 2
+    assert np.array_equal(grad, algebraic_gradient(u))
+    assert len(calls) == 2
