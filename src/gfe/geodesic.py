@@ -20,6 +20,9 @@ deterministic tangent bases of the manifold module.  Differentiating the
 second relation once more in xi, with the third derivatives of squared
 distance (``dist2_third``), gives the exact reference gradients of the
 test-function fields dq/dv_i . b from the data of the solve at xi alone.
+It runs batch-last, in the rank-one forms of the manifold module, with one
+transpose on entry and one on exit.  H is inverted by ``kernels._sym_inv``
+in closed form and certified by Sylvester's test on H - 1e-10 I.
 
 Newton starts from the projection-based interpolant where a projection
 exists and from the nodal value with the largest weight otherwise; steps are
@@ -58,7 +61,8 @@ from .errors import (
     SingularSystemError,
 )
 from .jacobi import Interpolant
-from .manifold import Manifold, Sphere
+from .kernels import _positive_definite, _sym_inv
+from .manifold import Manifold, Sphere, _batch_last
 
 # contract bound on the stationarity residual, and the tighter target the
 # iteration aims for (quadratic convergence makes the target nearly free;
@@ -113,16 +117,9 @@ class _Solution:
     hessian: np.ndarray      # (..., dim, dim)
     node_hessians: np.ndarray  # (..., m, dim, dim), dist2_hess_q(v_i, q)
     log_coeffs: np.ndarray   # (..., m, dim), the logs in that basis
+    weights: np.ndarray      # (..., m), the Lagrange weights phi_i(xi)
     iterations: int          # lockstep Newton sweeps: the most any point took
     residual: np.ndarray     # (...,)
-
-
-def _solve_each(A, b, message: str) -> np.ndarray:
-    """np.linalg.solve over a stack, raising SingularSystemError."""
-    try:
-        return np.linalg.solve(A, b)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(message) from exc
 
 
 # ----------------------------------------------------------------------
@@ -218,15 +215,13 @@ def _newton(man: Manifold, values, weights, q, max_iter: int) -> _Solution:
         idx = idx[iterations[idx] < max_iter]
         if not len(idx):
             continue
-        Hs, rhs = H[idx], np.swapaxes(2.0 * (weights[idx, None, :] @ L[idx]), 1, 2)
-        delta, singular = _batch_or_each(
-            lambda s: _solve_each(Hs[s], rhs[s], "Newton system is singular"),
-            rhs.shape[1:], SingularSystemError, errors, idx,
-        )
+        # H is symmetric, so H.T is its batch-last stack and Hinv.T the inverses
+        Hinv, singular = _sym_inv(H[idx].T)
+        errors.update((p, SingularSystemError("Newton system is singular")) for p in idx[singular])
         active[idx[singular]] = False
-        idx, delta = idx[~singular], delta[~singular]
-        step = (np.swapaxes(delta, 1, 2) @ _flat_rows(basis[idx], 2))[:, 0]
-        step = step.reshape(q[idx].shape)
+        delta = (2.0 * (weights[idx, None, :] @ L[idx]) @ Hinv.T)[~singular]   # steps, as rows
+        idx = idx[~singular]
+        step = (delta @ _flat_rows(basis[idx], 2))[:, 0].reshape(q[idx].shape)
 
         # damping, in lockstep over the points still looking for a step
         searching = np.ones(len(idx), dtype=bool)
@@ -259,16 +254,13 @@ def _newton(man: Manifold, values, weights, q, max_iter: int) -> _Solution:
                 )
             active[p] = False
 
-    ok = np.ones(P, dtype=bool)
-    ok[list(errors)] = False
-    ok = np.flatnonzero(ok)
-    for p in ok[np.linalg.eigvalsh(H[ok])[:, 0] <= _MIN_EIG]:
-        errors[p] = IndefiniteHessianError(
+    for p in np.flatnonzero(~_positive_definite((H - _MIN_EIG * np.eye(dim)).T)):
+        errors.setdefault(p, IndefiniteHessianError(
             "converged to a critical point whose Hessian is not positive definite"
-        )
+        ))
     if errors:
         raise errors[min(errors)]
-    return _Solution(q, basis, H, Hn, L, int(iterations.max(initial=0)), res)
+    return _Solution(q, basis, H, Hn, L, weights, int(iterations.max(initial=0)), res)
 
 
 # ----------------------------------------------------------------------
@@ -315,7 +307,7 @@ class GeodesicInterpolant(Interpolant):
         sol = _newton(man, values, w, q.copy(), max_iter)
         return _Solution(
             *(x.reshape(lead + x.shape[1:])
-              for x in (sol.q, sol.basis, sol.hessian, sol.node_hessians, sol.log_coeffs)),
+              for x in (sol.q, sol.basis, sol.hessian, sol.node_hessians, sol.log_coeffs, sol.weights)),
             sol.iterations,
             sol.residual.reshape(lead),
         )
@@ -334,22 +326,32 @@ class GeodesicInterpolant(Interpolant):
         sol = self._solve(xi, q0)
         dphi = self.elem.shape_gradients(xi)                            # (..., m, d)
         rhs = 2.0 * (np.swapaxes(dphi, -1, -2) @ sol.log_coeffs)       # (..., d, dim)
-        X = _solve_each(sol.hessian, np.swapaxes(rhs, -1, -2), "derivative system is singular")
+        Hinv = _sym_inv(sol.hessian.T)[0].T     # H is symmetric positive definite, as the solve checked
+        X = Hinv @ np.swapaxes(rhs, -1, -2)
         cols = np.swapaxes(X, -1, -2) @ man._flat(sol.basis)            # (..., d, N)
         # H's derivative in xi at fixed q, sum_j dphi_j/dxi_l dist2_hess_q(v_j, q)
         H_xi = np.einsum("...jl,...jab->...lab", dphi, sol.node_hessians)
-        return _Center(sol.q, sol.basis, sol.hessian, H_xi, sol.log_coeffs, X), \
+        return _Center(sol.q, sol.basis, Hinv, H_xi, sol.log_coeffs, X, sol.weights, dphi), \
             cols.reshape(cols.shape[:-1] + man.point_shape)
+
+    def _batch_last_center(self, c: "_Center"):
+        """The data of the center c in the batch-last layout of
+        Manifold._dist2_third: phi (m, ...), dphi (d, m, ...), v, q, Eq, u,
+        X = dq/dxi (d, dim, 1, ...), H^-1 (dim, dim, 1, ...) and H_xi (d, dim, dim, 1, ...)."""
+        man, lead = self.manifold, c.log_coeffs.shape[:-2]
+        nodes, point = lead + (self.elem.m,), lead + (1,)
+        one = lambda x, k: _batch_last(x.reshape(point + x.shape[len(lead):]), point, k)   # noqa: E731
+        return (_batch_last(c.weights, nodes, 0), _batch_last(c.weight_gradients, nodes, 1),
+                _batch_last(man._flat(self.values), nodes, 1), one(man._flat(c.q), 1),
+                one(man._flat(c.basis), 2), _batch_last(c.log_coeffs, nodes, 1),
+                one(np.swapaxes(c.dq, -1, -2), 2), one(c.hessian_inv, 2), one(c.hessian_xi, 3))
 
     def _basis_values(self, xi, c: "_Center"):
         """Values of the nodal basis fields from the center c at xi, (..., m,
         dim, dim), entry [i, j, a] the tangent_basis(q)[a] coefficient of field
         (i, j): V_i = dq/dv_i = -phi_i H^-1 K_i with K_i = dist2_mixed(v_i, q)."""
-        man, k = self.manifold, len(self.manifold.point_shape)
-        mixed = man._mixed(self.values, np.expand_dims(c.q, -k - 1),
-                           man._flat(np.expand_dims(c.basis, -k - 2)), c.log_coeffs)[-1]
-        V = -self.elem.shape_values(xi)[..., :, None, None] * (np.linalg.inv(c.hessian)[..., None, :, :] @ mixed)
-        return np.swapaxes(V, -1, -2)
+        phi, _, v, q, Eq, u, _, Hinv, _ = self._batch_last_center(c)
+        return (-phi * np.einsum("ac...,cb...->ab...", Hinv, self.manifold._mixed(v, q, Eq, u)[-1])).T
 
     def _basis_gradients(self, xi, c: "_Center"):
         """Reference gradients G of the nodal basis fields from the center c at
@@ -363,37 +365,31 @@ class GeodesicInterpolant(Interpolant):
             H dV_i = -dphi_il K_i - phi_i (d_X K_i) - (sum_j dphi_jl Hess_j + phi_j d_X Hess_j) V_i,
 
         with the derivatives d_X along X_l from dist2_third.  H is positive
-        definite, as the solve checked.
+        definite, as the solve checked.  Batch-last results, [a, j, i, ...]
+        and [l, a, j, i, ...], come back by reversing their axes.
         """
-        man = self.manifold
-        phi = self.elem.shape_values(xi)                                # (..., m)
-        dphi = self.elem.shape_gradients(xi)                            # (..., m, d)
-        # shapes (..., m, dim, dim), (..., d, dim, dim) and (..., m, d, dim, dim)
-        mixed, hess_X, mixed_X = man.dist2_third(
-            self.values, c.q, np.swapaxes(c.dq, -1, -2), phi, basis_q=c.basis,
-            log_coeffs=c.log_coeffs,
-        )
-        Hinv = np.linalg.inv(c.hessian)[..., None, :, :]
-        V = -phi[..., :, None, None] * (Hinv @ mixed)                  # (..., m, dim, dim)
-        dH = c.hessian_xi + hess_X
-        # minus the right-hand side, (..., m, d, dim, dim), built in place
-        rhs = mixed_X
-        rhs *= phi[..., :, None, None, None]
-        rhs += dphi[..., :, :, None, None] * mixed[..., :, None, :, :]
-        rhs += dH[..., None, :, :, :] @ V[..., :, None, :, :]
-        G = np.negative(Hinv[..., None, :, :] @ rhs, out=rhs)
-        return np.swapaxes(G, -1, -3), np.swapaxes(V, -1, -2)  # [..., i, j, a, l], [..., i, j, a]
+        phi, dphi, v, q, Eq, u, X, Hinv, H_xi = self._batch_last_center(c)
+        mixed, hess_X, mixed_X = self.manifold._dist2_third(v, q, Eq, u, X, phi)
+        HK = np.einsum("ac...,cb...->ab...", Hinv, mixed)
+        V = -phi * HK
+        # H^-1 applied term by term, to the smaller operand of each
+        G = (np.einsum("ac...,lcb...->lab...", -phi * Hinv, mixed_X) - dphi[:, None, None] * HK
+             - np.einsum("lac...,cb...->lab...", np.einsum("ac...,lcb...->lab...", Hinv, H_xi + hess_X), V))
+        return G.T, V.T
 
 
 class _Center(NamedTuple):
-    """Of the solve at a batch of points: q, tangent_basis(q), the Hessian H,
-    its xi-derivative at fixed q (..., d, dim, dim) from the per-node Hessians,
-    the log coefficients (..., m, dim) and dq/dxi as tangent_basis(q)
-    coefficients (..., dim, d)."""
+    """Of the solve at a batch of points: q, tangent_basis(q), the inverse
+    Hessian H^-1, H's xi-derivative at fixed q (..., d, dim, dim) from the
+    per-node Hessians, the log coefficients (..., m, dim), dq/dxi as
+    tangent_basis(q) coefficients (..., dim, d), and the Lagrange weights
+    (..., m) and their gradients (..., m, d)."""
 
     q: np.ndarray
     basis: np.ndarray
-    hessian: np.ndarray
+    hessian_inv: np.ndarray
     hessian_xi: np.ndarray
     log_coeffs: np.ndarray
     dq: np.ndarray
+    weights: np.ndarray
+    weight_gradients: np.ndarray

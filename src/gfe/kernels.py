@@ -6,6 +6,8 @@
   angle.  Each series runs to t**6 and each cutoff lies where its closed
   form has stopped losing eps/t**2 to cancellation: both branches stay
   within about 5e-13 relative.
+- The inverse and Sylvester's definiteness test of small symmetric
+  matrices, stacked with the batch axes last, in closed form.
 - Functions of 3x3 rotation matrices: hat and vee, the Rodrigues
   exponential of skew matrices and the principal logarithm, which reads
   the rotation axis from the symmetric part near the half-turn.
@@ -34,18 +36,18 @@ def _series_or(t, coeffs, closed, scale=1.0):
     small = np.abs(t) < scale * _SERIES_CUTOFF
     if not small.any():
         return closed(t)
-    out = np.asarray(closed(np.where(small, 1.0, t)))
-    t2 = np.square(t[small])
+    coeffs = np.asarray(coeffs, dtype=float)
+    coeffs = coeffs.reshape(coeffs.shape + (1,) * t.ndim)
+    t2 = t * t
     series = coeffs[-1]
     for c in coeffs[-2::-1]:
         series = c + t2 * series
-    out[..., small] = series
-    return out
+    return np.where(small, series, closed(np.where(small, 1.0, t)))
 
 
 _SINC = (1.0, -1.0 / 6.0, 1.0 / 120.0, -1.0 / 5040.0)
 _ONE_MINUS_COS_OVER_SQ = (0.5, -1.0 / 24.0, 1.0 / 720.0, -1.0 / 40320.0)
-_RODRIGUES = np.array([_SINC, _ONE_MINUS_COS_OVER_SQ]).T[..., None]   # both, (terms, 2, 1)
+_RODRIGUES = np.array([_SINC, _ONE_MINUS_COS_OVER_SQ]).T   # both, (terms, 2)
 
 
 def _sinc(t):
@@ -93,6 +95,43 @@ def _one_minus_t_cot_over_sq_times_t_over_sin(t):
 
 
 # ----------------------------------------------------------------------
+# small symmetric matrices, stacked batch-last: (n, n, *batch)
+
+
+def _sym_inv(A):
+    """(inverses, singular mask) of the symmetric matrices A (n, n, ...), the
+    inverse of a singular one meaningless: the adjugate over the determinant
+    for n <= 3, a 3x3 cofactor being the 2x2 minor of cyclically shifted rows
+    and columns, and LAPACK beyond."""
+    n = len(A)
+    if n > 3:
+        M = np.moveaxis(A, (0, 1), (-2, -1))
+        singular = np.linalg.det(M) == 0.0
+        inv = np.linalg.inv(np.where(singular[..., None, None], np.eye(n), M))
+        return np.moveaxis(inv, (-2, -1), (0, 1)), singular
+    if n == 3:
+        i, j = [1, 2, 0], [2, 0, 1]
+        Ai, Aj = A.take(i, 0), A.take(j, 0)
+        adj = Ai.take(i, 1) * Aj.take(j, 1) - Ai.take(j, 1) * Aj.take(i, 1)
+    else:
+        adj = np.array([[A[1, 1], -A[0, 1]], [-A[1, 0], A[0, 0]]]) if n == 2 else np.ones_like(A)
+    det = (A[0] * adj[:, 0]).sum(0)
+    return adj / np.where(det == 0.0, 1.0, det), det == 0.0
+
+
+def _positive_definite(A):
+    """Sylvester's criterion for the symmetric matrices A (n, n, ...): all leading
+    minors positive, read off as the elimination pivots (ratios of consecutive
+    minors), which stay accurate where the minors themselves would cancel."""
+    ok = np.ones(A.shape[2:], dtype=bool)
+    for _ in range(len(A)):
+        d = A[0, 0]
+        ok &= d > 0.0
+        A = A[1:, 1:] - A[1:, :1] * (A[:1, 1:] / np.where(ok, d, 1.0))
+    return ok
+
+
+# ----------------------------------------------------------------------
 # rotation matrices
 
 
@@ -123,10 +162,14 @@ _SKEW_BASIS = _HATS / np.sqrt(2.0)
 _SYMMETRIC_AXIS_ANGLE = 0.75 * np.pi
 
 
+def _rodrigues(t):
+    """sin(t)/t and (1 - cos(t))/t**2, stacked on a new first axis, under one mask."""
+    return _series_or(t, _RODRIGUES, lambda t: np.stack([np.sin(t) / t, (1.0 - np.cos(t)) / (t * t)]))
+
+
 def _expm_skew(S: np.ndarray) -> np.ndarray:
-    """Matrix exponential of 3x3 skew matrices (Rodrigues form), its two ratios under one mask."""
-    sinc, cos2 = _series_or(np.linalg.norm(_vee(S), axis=-1)[..., None, None], _RODRIGUES,
-                            lambda t: np.stack([np.sin(t) / t, (1.0 - np.cos(t)) / (t * t)]))
+    """Matrix exponential of 3x3 skew matrices (Rodrigues form)."""
+    sinc, cos2 = _rodrigues(np.linalg.norm(_vee(S), axis=-1)[..., None, None])
     return np.eye(3) + sinc * S + cos2 * (S @ S)
 
 

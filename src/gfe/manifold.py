@@ -63,8 +63,13 @@ coefficients, from the coefficients u of log_q(v) alone: T = E_q B_v^T on
 flat space; on spheres log_v(q) = r sin(r) q - cos(r) log_q(v) and
 T = E_q B_v^T - ((1 - cos r)/r**2) u w^T; on SO(3), where log_q(v) =
 q hat(u)/sqrt(2) and transport is left translation by exp of half the log,
-T = exp(-hat(u)/(2 sqrt(2)))^T and w = -u.  All operations are pure
-functions of their inputs; values are never mutated.
+T = exp(hat(h)) with h = u/(2 sqrt(2)) and hat(h)^2 = h h^T - |h|^2 I, and
+w = -u.  All operations are pure functions of their inputs.
+
+``_mixed``, ``_transported_basis`` and ``_dist2_third`` work batch-last:
+component axes first, then the node and point axes, contiguous, so the 3x3
+algebra is elementwise over whole arrays of points.  P is never formed; it
+enters in rank-one form, PX = X - <X, n> n and P T = T - n (T^T n)^T.
 """
 
 from __future__ import annotations
@@ -77,6 +82,7 @@ import numpy as np
 from .errors import CutLocusError, DimensionMismatchError, ProjectionUndefinedError
 from .kernels import (
     _CUT_TOL,
+    _HATS,
     _SKEW_BASIS,
     _angle_parts,
     _as_matrices,
@@ -88,6 +94,7 @@ from .kernels import (
     _polar_iterates,
     _polar_jacobian,
     _polar_jacobian_deriv,
+    _rodrigues,
     _sinc,
     _skew_part,
     _t_cot,
@@ -98,6 +105,27 @@ from .kernels import (
 def _inner(a, b) -> np.ndarray:
     """<a, b> over the last axis, kept as a length-1 axis; broadcasts."""
     return (a[..., None, :] @ b[..., :, None])[..., 0]
+
+
+def _eye(n, ndim) -> np.ndarray:
+    """The n x n identity with ndim trailing batch axes of length 1."""
+    return np.eye(n).reshape((n, n) + (1,) * ndim)
+
+
+def _batch_last(x, lead, k) -> np.ndarray:
+    """x (..., *comp) with k component axes, its leading axes broadcast to
+    lead, as the contiguous batch-last array (*comp, *reversed(lead)), so that
+    the longest batch axis comes last."""
+    x = np.asarray(x, dtype=float)
+    if x.shape[:x.ndim - k] != lead:
+        x = np.broadcast_to(x, lead + x.shape[x.ndim - k:])
+    nb = len(lead)
+    return np.ascontiguousarray(x.transpose(tuple(range(nb, x.ndim)) + tuple(range(nb - 1, -1, -1))))
+
+
+def _batch_first(x, k) -> np.ndarray:
+    """The view (*lead, *comp) of a batch-last array x (*comp, *reversed(lead))."""
+    return x.transpose(tuple(range(x.ndim - 1, k - 1, -1)) + tuple(range(k)))
 
 
 def _scalar(x):
@@ -236,26 +264,23 @@ class Manifold:
         return 2.0 * (a * np.eye(dim) + (1.0 - a) * (c[..., :, None] * c[..., None, :]))
 
     def _transported_basis(self, v, q, Eq, u):
-        """(w, T) of the module docstring (..., dim) and (..., dim, dim) from
-        the flattened tangent_basis(q) Eq and the log coefficients u; flat space."""
-        T = Eq @ np.swapaxes(self._flat(self.tangent_basis(v)), -1, -2)
-        return -(np.swapaxes(T, -1, -2) @ u[..., :, None])[..., 0], T
+        """(w, T) of the module docstring, batch-last (dim, ...) and (dim, dim, ...),
+        from the flattened tangent_basis(q) Eq (dim, N, ...) and the log
+        coefficients u (dim, ...); on flat space tangent_basis(v) = I and T = Eq."""
+        return -(Eq * u[:, None]).sum(0), Eq
 
-    def _mixed(self, v, q, Eq, log_coeffs):
-        """(u, r, w, T, dist2_mixed(v, q)) from the flattened tangent_basis(q) Eq
-        and the coefficients u of log_q(v) in it (taken from log(q, v) when
-        log_coeffs is None), r = |u| (..., 1) and (w, T) from _transported_basis."""
-        if log_coeffs is None:
-            log_coeffs = np.matmul(Eq, self._flat(self.log(q, v))[..., :, None])[..., 0]
-        u = np.asarray(log_coeffs, dtype=float)
-        r = np.sqrt(_inner(u, u))
+    def _mixed(self, v, q, Eq, u):
+        """(r, w, T, dist2_mixed(v, q)) from batch-last v (N, ...), q, Eq and the
+        coefficients u of log_q(v), r = |u| (...,), dist2_mixed (dim, dim, ...)
+        and (w, T) from _transported_basis."""
+        r = np.sqrt((u * u).sum(0))
         w, T = self._transported_basis(v, q, Eq, u)
-        a = self._curvature_factor(_t_over_sin, r)[..., None]
+        a = self._curvature_factor(_t_over_sin, r)
         # (1 - a)/r**2, so that no log is divided by r (which costs eps/r near v = q)
         s = self._model_curvature * self._curvature_factor(_one_minus_t_over_sin_over_sq, r)
         # -2*a*Pt(b_j) + 2*s*<b_j, log_v q>*log_q v in the basis at q, one column j per basis vector
-        M = 2.0 * (s[..., None] * (u[..., :, None] * w[..., None, :]) - a * T)
-        return u, r, w, T, np.where((r < 1e-15)[..., None], -2.0 * np.eye(self.intrinsic_dim), M)
+        M = 2.0 * (s * u[:, None] * w - a * T)
+        return r, w, T, np.where(r < 1e-15, -2.0 * _eye(len(u), r.ndim), M)
 
     def dist2_mixed(self, v, q, basis_q=None, log_qv=None) -> np.ndarray:
         """Mixed second derivative of dist(v, q)**2, d/dv of the q-gradient.
@@ -268,8 +293,11 @@ class Manifold:
         """
         self._check_pair(v, q)
         Eq = self._flat(self.tangent_basis(q) if basis_q is None else basis_q)
-        U_q = self._flat(self.log(q, v) if log_qv is None else log_qv)
-        return self._mixed(v, q, Eq, np.matmul(Eq, U_q[..., :, None])[..., 0])[-1]
+        u = np.matmul(Eq, self._flat(self.log(q, v) if log_qv is None else log_qv)[..., :, None])[..., 0]
+        v, q = self._flat(v), self._flat(q)
+        lead = np.broadcast_shapes(v.shape[:-1], q.shape[:-1], u.shape[:-1])
+        M = self._mixed(*(_batch_last(x, lead, k) for x, k in ((v, 1), (q, 1), (Eq, 2), (u, 1))))[-1]
+        return _batch_first(M, 2)
 
     def dist2_third(self, v, q, X, weights, basis_q=None, log_coeffs=None):
         """Third derivatives of squared distance as q moves, for the weighted
@@ -289,44 +317,52 @@ class Manifold:
           dist2_mixed(v_i, q) along X[..., l, :].
 
         Both derivatives vanish where v_i = q and on flat space.  With
-        ``log_coeffs`` given no logarithm is taken.
+        ``log_coeffs`` given no logarithm is taken.  Batch-last copies of the
+        arguments go to _dist2_third.
         """
         k = len(self.point_shape)
         q = np.expand_dims(np.asarray(q, dtype=float), -k - 1)
         self._check_pair(v, q)
-        Eq = self._flat(self.tangent_basis(q) if basis_q is None
-                        else np.expand_dims(basis_q, -k - 2))
-        u, r, w, T, mixed = self._mixed(v, q, Eq, log_coeffs)              # u (..., m, dim)
+        Eq = self._flat(self.tangent_basis(q) if basis_q is None else np.expand_dims(basis_q, -k - 2))
+        if log_coeffs is None:
+            log_coeffs = np.matmul(Eq, self._flat(self.log(q, v))[..., :, None])[..., 0]
+        # per-point data is broadcast over the nodes too, so hess_X comes back once per node
+        args = ((self._flat(v), 1), (self._flat(q), 1), (Eq, 2), (log_coeffs, 1),
+                (np.expand_dims(X, -3), 2), (weights, 0))
+        nodes = np.broadcast_shapes(*(np.shape(x)[:np.ndim(x) - c] for x, c in args))
+        mixed, hess_X, mixed_X = self._dist2_third(*(_batch_last(x, nodes, c) for x, c in args))
+        return _batch_first(mixed, 2), _batch_first(hess_X, 3)[..., 0, :, :, :], _batch_first(mixed_X, 3)
+
+    def _dist2_third(self, v, q, Eq, u, X, phi):
+        """dist2_third batch-last, the node axis 1 for per-point data: v (N, m,
+        ...), q (N, 1, ...), Eq (dim, N, 1, ...), the log coefficients u (dim,
+        m, ...), X (s, dim, 1, ...) and the weights phi (m, ...) give mixed
+        (dim, dim, m, ...), hess_X (s, dim, dim, 1, ...) and mixed_X (s, dim,
+        dim, m, ...), with P in rank-one form."""
+        r, w, T, mixed = self._mixed(v, q, Eq, u)
         K = self._model_curvature
         # c'/r and (1 - c)*a/r**2 of the module docstring, c = rho*cot(rho) and
         # a = rho/sin(rho), as series in rho times K; (1 - c)*c/r**2 = c'/r + K
         g1 = K * self._curvature_factor(_t_cot_slope_over_t, r)
         g3 = K * self._curvature_factor(_one_minus_t_cot_over_sq_times_t_over_sin, r)
-        # n = u/r (0 where v = q) enters only through the projection P = I - n n^T
-        # and terms of order r, so its eps/r error near v = q costs nothing
+        # n = u/r (0 where v = q) enters only through P and terms of order r,
+        # so its eps/r error near v = q costs nothing
         n = u / np.where(r < 1e-15, np.inf, r)
-        P = np.eye(self.intrinsic_dim) - n[..., :, None] * n[..., None, :]
-        X = np.expand_dims(np.asarray(X, dtype=float), -3)                  # (..., 1, s, dim)
-        uX = np.matmul(X, u[..., :, None])[..., 0]                          # (..., m, s)
-        PX = X @ P                                                          # (..., m, s, dim)
-        # hess_X = -2 sum_i weights_i (g1 <u, X> P + g2 (PX u^T + u PX^T)), g2 = g1 + K
-        phi = np.asarray(weights, dtype=float)[..., :, None]
-        hess_X = np.einsum("...is,...iab->...sab", phi * g1 * uX, P)
-        outer = np.einsum("...isa,...ib->...sab", (phi * (g1 + K))[..., None] * PX, u)
-        hess_X += outer
-        hess_X += np.swapaxes(outer, -1, -2)
-        hess_X *= -2.0
+        uX, nX = (X * u).sum(1), (X * n).sum(1)                             # (s, m, ...)
+        PX = X - nX[:, None] * n                                            # (s, dim, m, ...)
+        Tn, XPT = (T * n[:, None]).sum(0), (PX[:, :, None] * T).sum(1)      # T^T n, (PX)^T T
         # mixed_X = 2 (g3 (<u, X> p_j + <p_j, X> u) - g1 <log_v q, b_j> PX), column j,
-        # with p_j = P Pt(b_j) = (P T)[:, j]; built in place, one direction at a
-        # time, as the largest array of a gradient
-        T = P @ T
-        XpT = X @ T                                                         # (..., m, s, dim)
-        mixed_X = (g3 * uX)[..., None, None] * T[..., None, :, :]
-        for l in range(XpT.shape[-2]):
-            mixed_X[..., l, :, :] += (g3 * u)[..., :, None] * XpT[..., l, None, :]
-            mixed_X[..., l, :, :] -= (g1 * PX[..., l, :])[..., :, None] * w[..., None, :]
-        mixed_X *= 2.0
-        return mixed, hess_X, mixed_X
+        # with p_j = P Pt(b_j) = (P T)[:, j]; the scalars go on the smaller operands
+        mixed_X = ((2.0 * g3 * uX)[:, None, None] * (T - n[:, None] * Tn)
+                   + (2.0 * g3 * u)[:, None] * XPT[:, None] - (2.0 * g1 * PX)[:, :, None] * w)
+        # hess_X = -2 sum_i phi_i (g1 <u, X> P + g2 (PX u^T + u PX^T)), g2 = g1 + K, is
+        # -2 (F I + D + D^T) with D = X Y^T - sum_i n (f n/2 + <n, X> y)^T, f = phi g1 <u, X>,
+        # y = phi g2 u and F, Y the sums of f, y over the nodes i
+        f, y = phi * g1 * uX, phi * (g1 + K) * u
+        D = X[:, :, None] * y.sum(1, keepdims=True) - (
+            n[:, None] * (0.5 * f[:, None] * n + nX[:, None] * y)[:, None]).sum(3, keepdims=True)
+        F = f.sum(1, keepdims=True)[:, None, None]
+        return mixed, -2.0 * (F * _eye(len(u), r.ndim) + D + np.swapaxes(D, 1, 2)), mixed_X
 
 
 # ----------------------------------------------------------------------
@@ -512,13 +548,11 @@ class Sphere(Manifold):
         return w - _inner(w, u) * turn
 
     def _transported_basis(self, v, q, Eq, u):
-        Bv = self._flat(self.tangent_basis(v))                              # (..., dim, N)
-        r = np.sqrt(_inner(u, u))
-        log_vq = r * np.sin(r) * np.asarray(q, dtype=float) - np.cos(r) * (u[..., None, :] @ Eq)[..., 0, :]
-        w = np.matmul(Bv, log_vq[..., :, None])[..., 0]
-        T = Eq @ np.swapaxes(Bv, -1, -2)
-        T -= _one_minus_cos_over_sq(r)[..., None] * (u[..., :, None] * w[..., None, :])
-        return w, T
+        r = np.sqrt((u * u).sum(0))
+        log_vq = r * np.sin(r) * q - np.cos(r) * (u[:, None] * Eq).sum(0)
+        B = self.tangent_basis(v.T).T                       # tangent_basis(v)[b, k] at [k, b]
+        w = (B * log_vq[:, None]).sum(0)
+        return w, np.einsum("ak...,kb...->ab...", Eq, B) - _one_minus_cos_over_sq(r) * u[:, None] * w
 
     def _norm_checked(self, w):
         w = np.asarray(w, dtype=float)
@@ -625,7 +659,12 @@ class Rotation3(Manifold):
         return np.swapaxes(Q1t, -1, -2) @ E @ _skew_part(Q1t @ np.asarray(w, dtype=float)) @ E
 
     def _transported_basis(self, v, q, Eq, u):
-        return -u, _expm_skew(0.5 * np.tensordot(u, _SKEW_BASIS, axes=1))
+        # exp(hat(h)), h = u/(2 sqrt(2)), by Rodrigues with hat(h)^2 = h h^T - |h|^2 I
+        h = u / (2.0 * np.sqrt(2.0))
+        t2 = (h * h).sum(0)
+        sinc, cos2 = _rodrigues(np.sqrt(t2))
+        eye = _eye(3, t2.ndim)
+        return -u, eye + sinc * np.tensordot(_HATS, h, axes=(0, 0)) + cos2 * (h[:, None] * h - t2 * eye)
 
     def _polar_of(self, w):
         A = _as_matrices(w)

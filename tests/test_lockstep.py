@@ -224,6 +224,15 @@ def test_gradient_after_an_energy_makes_no_sphere_log_or_transport(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("man", [S2, SO3], ids=lambda m: m.kind)
+def test_gradient_after_an_energy_makes_no_lapack_call(man, monkeypatch):
+    # the 2x2 and 3x3 inverses of the exact basis-field gradients are closed forms
+    calls = gradient_after_an_energy(man, monkeypatch, {
+        name: (np.linalg, name) for name in ("inv", "solve", "eigvalsh")
+    })
+    assert calls == []
+
+
 def test_equivalence_audit_assembles_the_gradient_once(monkeypatch):
     calls = []
     real = GeodesicInterpolant._solve
@@ -235,8 +244,8 @@ def test_equivalence_audit_assembles_the_gradient_once(monkeypatch):
     monkeypatch.setattr(GeodesicInterpolant, "_solve", counting)
     u = two_element_function(S2, "geodesic", 2)
     assert equivalence_audit(u, trials=20) <= 5e-4
-    # two energies per trial, plus one center solve for the gradient
-    assert len(calls) == 2 * 20 + 1
+    # four energies per trial (the Richardson stencil), plus one center solve for the gradient
+    assert len(calls) == 4 * 20 + 1
 
 
 def test_preconditioned_descent_adds_no_solve(monkeypatch):

@@ -23,7 +23,9 @@ from gfe.kernels import (
     _one_minus_t_cot_over_sq_times_t_over_sin,
     _one_minus_t_over_sin_over_sq,
     _polar_iterates,
+    _positive_definite,
     _sinc,
+    _sym_inv,
     _t_cot,
     _t_cot_slope_over_t,
     _t_over_sin,
@@ -668,6 +670,34 @@ def test_series_helpers_match_mpmath_on_both_sides_of_their_cutoffs(fn, exact):
     with mpmath.workdps(50):
         want = np.array([float(exact(mpmath.mpf(x))) for x in t])
     assert np.max(np.abs(fn(t) - want) / np.abs(want)) <= 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 3), seed=st.integers(0, 2**32 - 1), log_cond=st.floats(0.0, 8.0),
+       smallest=st.sampled_from([1e-10 * (1.0 - 1e-3), 1e-10 * (1.0 + 1e-3), 1e-3, 1.0]))
+def test_closed_form_inverse_and_definiteness_agree_with_lapack(n, seed, log_cond, smallest):
+    """On stacks of SPD matrices with condition numbers k up to 1e8, the
+    smallest eigenvalue on either side of geodesic._MIN_EIG = 1e-10 or well
+    away from it, Sylvester's test on H - 1e-10 I agrees with
+    eigvalsh(H) > 1e-10, and _sym_inv with np.linalg.inv to k**2 eps: the
+    cofactor expansion of the determinant cancels where LAPACK's pivoted LU
+    gets k eps (the Hessians that gfe inverts have k near 1)."""
+    rng = np.random.default_rng(seed)
+    k = 16
+    lam = smallest * 10.0 ** np.sort(rng.uniform(0.0, log_cond, (k, n)), axis=1)
+    lam[:, 0], lam[:, -1] = smallest, smallest * 10.0**log_cond
+    Q = np.linalg.qr(rng.standard_normal((k, n, n)))[0]
+    H = (Q * lam[:, None, :]) @ np.swapaxes(Q, 1, 2)
+    H = 0.5 * (H + np.swapaxes(H, 1, 2))
+    inv, singular = _sym_inv(H.T)
+    want = np.linalg.inv(H)
+    cond = lam[:, -1] / lam[:, 0]
+    err = np.max(np.abs(inv.T - want), axis=(1, 2)) / np.max(np.abs(want), axis=(1, 2))
+    assert not singular.any()
+    assert np.all(err <= 16.0 * cond**2 * np.finfo(float).eps)
+    pd = _positive_definite((H - 1e-10 * np.eye(n)).T)
+    assert np.array_equal(pd, np.linalg.eigvalsh(H)[:, 0] > 1e-10)
+    assert _sym_inv(np.zeros((n, n, 2)))[1].all()
 
 
 @pytest.mark.parametrize("r", [0.0, 1e-6, 0.3, 1.0, 2.0])
