@@ -285,32 +285,26 @@ def cmd_audit(args) -> int:
         ("equivalence", e_eq, _AUDIT_TOLS[2]),
     ]
     print(f"{'check':<22}{'max_error':>14}{'tolerance':>12}  status")
-    failed = False
     for name, err, tol in rows:
-        ok = err <= tol
-        failed = failed or not ok
-        print(f"{name:<22}{err:>14.3e}{tol:>12.1e}  {'ok' if ok else 'FAIL'}")
-    return 1 if failed else 0
+        print(f"{name:<22}{err:>14.3e}{tol:>12.1e}  {'ok' if err <= tol else 'FAIL'}")
+    return 0 if all(err <= tol for _, err, tol in rows) else 1
 
 
 def _relaxed_start(grid: Grid, man, fixed_values: dict[int, np.ndarray]) -> np.ndarray:
     """Projected neighbor averaging from the Dirichlet data."""
     n = grid.n_nodes
     neighbors: list[set[int]] = [set() for _ in range(n)]
-    for e in range(grid.n_elements):
-        ids = grid.element_nodes[e]
+    for ids in grid.element_nodes.tolist():
         for a in ids:
-            neighbors[a].update(int(b) for b in ids if b != a)
+            neighbors[a].update(b for b in ids if b != a)
 
-    values = np.empty((n,) + man.point_shape)
     fixed = sorted(fixed_values)
-    mean_fixed = np.mean([fixed_values[i] for i in fixed], axis=0)
     try:
-        seed_value = man.project_point(mean_fixed)
+        seed_value = man.project_point(np.mean([fixed_values[i] for i in fixed], axis=0))
     except ProjectionUndefinedError:
         seed_value = fixed_values[fixed[0]].reshape(man.point_shape)
-    for i in range(n):
-        values[i] = fixed_values[i].reshape(man.point_shape) if i in fixed_values else seed_value
+    values = np.array([fixed_values[i].reshape(man.point_shape) if i in fixed_values else seed_value
+                       for i in range(n)])
 
     free = [i for i in range(n) if i not in fixed_values]
     for _ in range(200):

@@ -85,14 +85,9 @@ def simplex_quadrature(dim: int) -> QuadratureRule:
         wts = np.array([5.0, 8.0, 5.0]) / 18.0
         return QuadratureRule(pts.reshape(-1, 1), wts)
     if dim == 2:
-        a1, w1 = 0.445948490915965, 0.223381589678011
-        a2, w2 = 0.091576213509771, 0.109951743655322
-        pts = []
-        wts = []
-        for a, w in ((a1, w1), (a2, w2)):
-            pts.extend([[a, a], [1.0 - 2.0 * a, a], [a, 1.0 - 2.0 * a]])
-            wts.extend([w, w, w])
-        return QuadratureRule(np.array(pts), 0.5 * np.array(wts))
+        pts = [p for a in (0.445948490915965, 0.091576213509771)
+               for p in ([a, a], [1.0 - 2.0 * a, a], [a, 1.0 - 2.0 * a])]
+        return QuadratureRule(np.array(pts), 0.5 * np.repeat([0.223381589678011, 0.109951743655322], 3))
     raise ValueError(f"no quadrature for dimension {dim}")
 
 

@@ -108,9 +108,10 @@ def karcher_check(manifold: Manifold, values: np.ndarray) -> KarcherCheck:
     return KarcherCheck(maxd, bound, 0.5 * maxd < bound)
 
 
-@dataclass(frozen=True)
-class _Solution:
-    """Centers of a batch of points; the arrays carry the batch's leading axes."""
+class _Solution(NamedTuple):
+    """Centers of a batch of points, the arrays with the batch's leading axes;
+    ``_center`` adds the fields from hessian_inv on and drops the Hessians,
+    which a state's quadrature record would otherwise keep."""
 
     q: np.ndarray            # (..., *point_shape)
     basis: np.ndarray        # (..., dim, *point_shape), tangent_basis(q)
@@ -120,6 +121,10 @@ class _Solution:
     weights: np.ndarray      # (..., m), the Lagrange weights phi_i(xi)
     iterations: int          # lockstep Newton sweeps: the most any point took
     residual: np.ndarray     # (...,)
+    hessian_inv: np.ndarray | None = None       # (..., dim, dim)
+    hessian_xi: np.ndarray | None = None        # (..., d, dim, dim), dH/dxi at fixed q
+    dq: np.ndarray | None = None                # (..., dim, d), dq/dxi in tangent_basis(q)
+    weight_gradients: np.ndarray | None = None  # (..., m, d)
 
 
 # ----------------------------------------------------------------------
@@ -305,12 +310,8 @@ class GeodesicInterpolant(Interpolant):
         else:
             q = np.broadcast_to(np.asarray(q0, dtype=float), lead + shape).reshape((P,) + shape)
         sol = _newton(man, values, w, q.copy(), max_iter)
-        return _Solution(
-            *(x.reshape(lead + x.shape[1:])
-              for x in (sol.q, sol.basis, sol.hessian, sol.node_hessians, sol.log_coeffs, sol.weights)),
-            sol.iterations,
-            sol.residual.reshape(lead),
-        )
+        return _Solution(*(x.reshape(lead + x.shape[1:]) for x in sol[:6]), sol.iterations,
+                         sol.residual.reshape(lead))
 
     # ------------------------------------------------------------------
 
@@ -319,9 +320,9 @@ class GeodesicInterpolant(Interpolant):
         return self._solve(xi).q
 
     def _center(self, xi, q0=None):
-        """(center, cols): the solve at xi, warm-started from q0, reduced to what
-        the exact basis-field gradients need, and the columns d(interpolant)/d(xi_k)
-        (..., d, *point_shape)."""
+        """(center, cols): the solve at xi, warm-started from q0, with what the
+        exact basis-field gradients need added, and the columns
+        d(interpolant)/d(xi_k) (..., d, *point_shape)."""
         man = self.manifold
         sol = self._solve(xi, q0)
         dphi = self.elem.shape_gradients(xi)                            # (..., m, d)
@@ -331,10 +332,11 @@ class GeodesicInterpolant(Interpolant):
         cols = np.swapaxes(X, -1, -2) @ man._flat(sol.basis)            # (..., d, N)
         # H's derivative in xi at fixed q, sum_j dphi_j/dxi_l dist2_hess_q(v_j, q)
         H_xi = np.einsum("...jl,...jab->...lab", dphi, sol.node_hessians)
-        return _Center(sol.q, sol.basis, Hinv, H_xi, sol.log_coeffs, X, sol.weights, dphi), \
+        return sol._replace(hessian=None, node_hessians=None, hessian_inv=Hinv, hessian_xi=H_xi, dq=X,
+                            weight_gradients=dphi), \
             cols.reshape(cols.shape[:-1] + man.point_shape)
 
-    def _batch_last_center(self, c: "_Center"):
+    def _batch_last_center(self, c: _Solution):
         """The data of the center c in the batch-last layout of
         Manifold._dist2_third: phi (m, ...), dphi (d, m, ...), v, q, Eq, u,
         X = dq/dxi (d, dim, 1, ...), H^-1 (dim, dim, 1, ...) and H_xi (d, dim, dim, 1, ...)."""
@@ -346,14 +348,14 @@ class GeodesicInterpolant(Interpolant):
                 one(man._flat(c.basis), 2), _batch_last(c.log_coeffs, nodes, 1),
                 one(np.swapaxes(c.dq, -1, -2), 2), one(c.hessian_inv, 2), one(c.hessian_xi, 3))
 
-    def _basis_values(self, xi, c: "_Center"):
+    def _basis_values(self, xi, c: _Solution):
         """Values of the nodal basis fields from the center c at xi, (..., m,
         dim, dim), entry [i, j, a] the tangent_basis(q)[a] coefficient of field
         (i, j): V_i = dq/dv_i = -phi_i H^-1 K_i with K_i = dist2_mixed(v_i, q)."""
         phi, _, v, q, Eq, u, _, Hinv, _ = self._batch_last_center(c)
         return (-phi * np.einsum("ac...,cb...->ab...", Hinv, self.manifold._mixed(v, q, Eq, u)[-1])).T
 
-    def _basis_gradients(self, xi, c: "_Center"):
+    def _basis_gradients(self, xi, c: _Solution):
         """Reference gradients G of the nodal basis fields from the center c at
         xi, (..., m, dim, dim, d), entry [i, j, a, l] the tangent_basis(q)[a]
         coefficient of the l-th derivative of field (i, j), and the fields'
@@ -377,19 +379,3 @@ class GeodesicInterpolant(Interpolant):
              - np.einsum("lac...,cb...->lab...", np.einsum("ac...,lcb...->lab...", Hinv, H_xi + hess_X), V))
         return G.T, V.T
 
-
-class _Center(NamedTuple):
-    """Of the solve at a batch of points: q, tangent_basis(q), the inverse
-    Hessian H^-1, H's xi-derivative at fixed q (..., d, dim, dim) from the
-    per-node Hessians, the log coefficients (..., m, dim), dq/dxi as
-    tangent_basis(q) coefficients (..., dim, d), and the Lagrange weights
-    (..., m) and their gradients (..., m, d)."""
-
-    q: np.ndarray
-    basis: np.ndarray
-    hessian_inv: np.ndarray
-    hessian_xi: np.ndarray
-    log_coeffs: np.ndarray
-    dq: np.ndarray
-    weights: np.ndarray
-    weight_gradients: np.ndarray

@@ -167,7 +167,6 @@ class Grid:
 
         self._build_nodes()
         self._find_boundary()
-        self._verify_node_coordinates()
 
     # ------------------------------------------------------------------
 
@@ -207,15 +206,6 @@ class Grid:
             if self.order == 2 and len(face) == 2:
                 nodes.add(self._edge_ids[face])
         self.boundary_nodes = frozenset(nodes)
-
-    def _verify_node_coordinates(self) -> None:
-        # shared nodes must receive the same coordinate from every element
-        mapped = self._origin[:, None] + self.ref.nodes @ np.swapaxes(self._B, 1, 2)
-        off = np.abs(mapped - self.lagrange_nodes[self.element_nodes]).max(axis=(1, 2), initial=0)
-        if (off > 1e-12).any():
-            raise ValueError(
-                f"inconsistent Lagrange node coordinates on element {np.argmax(off > 1e-12)}"
-            )
 
     # ------------------------------------------------------------------
 
@@ -263,15 +253,10 @@ def unit_square_grid(n_side: int, order: int) -> Grid:
     """Criss-cross triangulation of [0, 1]^2 with n_side x n_side cells."""
     pts = np.linspace(0.0, 1.0, n_side + 1)
     vertices = np.array([[x, y] for y in pts for x in pts])
-    idx = lambda i, j: j * (n_side + 1) + i  # noqa: E731
-    elements = []
-    for j in range(n_side):
-        for i in range(n_side):
-            a, b = idx(i, j), idx(i + 1, j)
-            c, d = idx(i + 1, j + 1), idx(i, j + 1)
-            elements.append([a, b, c])
-            elements.append([a, c, d])
-    return Grid(2, vertices, np.array(elements), order)
+    # per cell, row by row: corners a, b, c, d counterclockwise from the lower left
+    a = (np.arange(n_side)[:, None] * (n_side + 1) + np.arange(n_side)).ravel()
+    b, c, d = a + 1, a + n_side + 2, a + n_side + 1
+    return Grid(2, vertices, np.stack([a, b, c, a, c, d], axis=1).reshape(-1, 3), order)
 
 
 # ----------------------------------------------------------------------

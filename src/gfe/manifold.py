@@ -146,7 +146,25 @@ class Manifold:
     Concrete subclasses set ``kind``, ``intrinsic_dim``, ``point_shape``,
     the advisory ``curvature_bound`` entering the Karcher-ball diagnostic,
     and ``_model_curvature``, the actual constant sectional curvature used
-    by the closed-form second derivatives of squared distance.
+    by the closed-form second derivatives of squared distance.  They
+    implement, all broadcasting over leading axes:
+
+    - ``check_point(p)``, and ``check_tangent(p, v)``, which raises
+      ValueError unless v is tangent at p;
+    - ``project_tangent(p, w)``, the orthogonal projection onto T_p M;
+    - ``dist(p, q)``: a float for two points, an array for batches;
+    - ``exp``, ``log`` and ``transport(p, q, w, log_pq=None)``, parallel
+      transport from T_p M to T_q M along the connecting geodesic, with
+      log(p, q) as ``log_pq`` when the caller already has it;
+    - ``tangent_basis(p)``: an orthonormal basis of T_p M, shape (..., dim,
+      *point_shape), a closed form in the entries of p, so the same point
+      always yields the bitwise-identical basis;
+    - ``project_point(w)``, ``projection_jacobian(w)`` and
+      ``projection_jacobian_deriv(w, x)``, the derivative of the Jacobian
+      along each of the s embedding directions x (..., s, N), shape (..., s,
+      N, N): the second derivative of project_point with its first slot
+      filled by x;
+    - ``injectivity_radius``.
     """
 
     kind: str
@@ -155,16 +173,9 @@ class Manifold:
     curvature_bound: float | None
     _model_curvature: float
 
-    # ------------------------------------------------------------------
-    # basic helpers
-
     @property
     def embed_dim(self) -> int:
         return math.prod(self.point_shape)
-
-    @property
-    def injectivity_radius(self) -> float:
-        raise NotImplementedError
 
     def _check_pair(self, p, q) -> None:
         k = len(self.point_shape)
@@ -178,63 +189,6 @@ class Manifold:
         """Flatten the trailing point axes of x into one embedding axis."""
         x = np.asarray(x, dtype=float)
         return x.reshape(x.shape[: x.ndim - len(self.point_shape)] + (self.embed_dim,))
-
-    def check_point(self, p) -> None:
-        raise NotImplementedError
-
-    def check_tangent(self, p, v) -> None:
-        """Raise ValueError unless v is tangent at p; leading axes broadcast."""
-        raise NotImplementedError
-
-    def project_tangent(self, p, w) -> np.ndarray:
-        """Orthogonal projection of embedding vectors onto T_p M; w may carry leading axes."""
-        raise NotImplementedError
-
-    # ------------------------------------------------------------------
-    # metric operations
-
-    def dist(self, p, q):
-        """Geodesic distance: a float for two points, an array for batches."""
-        raise NotImplementedError
-
-    def exp(self, p, v) -> np.ndarray:
-        raise NotImplementedError
-
-    def log(self, p, q) -> np.ndarray:
-        raise NotImplementedError
-
-    def transport(self, p, q, w, log_pq=None) -> np.ndarray:
-        """Parallel transport of w in T_p M to T_q M along the connecting geodesic.
-
-        ``log_pq`` is log(p, q) when the caller already has it.
-        """
-        raise NotImplementedError
-
-    # ------------------------------------------------------------------
-    # projections (overridden where a projection exists)
-
-    def project_point(self, w) -> np.ndarray:
-        raise NotImplementedError
-
-    def projection_jacobian(self, w) -> np.ndarray:
-        raise NotImplementedError
-
-    def projection_jacobian_deriv(self, w, x) -> np.ndarray:
-        """The derivative of projection_jacobian(w) along each of the s
-        embedding directions x (..., s, N): shape (..., s, N, N), the second
-        derivative of project_point with its first slot filled by x."""
-        raise NotImplementedError
-
-    # ------------------------------------------------------------------
-    # tangent basis
-
-    def tangent_basis(self, p) -> np.ndarray:
-        """Orthonormal basis of T_p M, shape (..., dim, *point_shape).
-
-        A closed form in the entries of p, so the same point always yields
-        the bitwise-identical basis; p may carry leading axes.
-        """
-        raise NotImplementedError
 
     # ------------------------------------------------------------------
     # second-derivative blocks of squared distance
@@ -282,32 +236,35 @@ class Manifold:
         M = 2.0 * (s * u[:, None] * w - a * T)
         return r, w, T, np.where(r < 1e-15, -2.0 * _eye(len(u), r.ndim), M)
 
-    def dist2_mixed(self, v, q, basis_q=None, log_qv=None) -> np.ndarray:
+    def _batch_last_args(self, v, q, basis_q, *extra):
+        """Batch-last v, q, Eq = tangent_basis(q) (``basis_q`` when given) and the
+        coefficients u of log(q, v) in it, then the arrays of the (array,
+        component axes) pairs extra, all over their broadcast leading axes."""
+        self._check_pair(v, q)
+        Eq = self._flat(self.tangent_basis(q) if basis_q is None else basis_q)
+        u = np.matmul(Eq, self._flat(self.log(q, v))[..., :, None])[..., 0]
+        args = ((self._flat(v), 1), (self._flat(q), 1), (Eq, 2), (u, 1)) + extra
+        lead = np.broadcast_shapes(*(np.shape(x)[:np.ndim(x) - c] for x, c in args))
+        return [_batch_last(x, lead, c) for x, c in args]
+
+    def dist2_mixed(self, v, q, basis_q=None) -> np.ndarray:
         """Mixed second derivative of dist(v, q)**2, d/dv of the q-gradient.
 
         Returned as a (..., dim, dim) array mapping tangent_basis(v)
         coefficients of a perturbation of v to tangent_basis(q) coefficients
         of the change in the q-gradient; v may carry leading (node) axes.
-        ``basis_q`` is tangent_basis(q) and ``log_qv`` is log(q, v) when the
-        caller already has them.  Equals -2*I where v = q.
+        ``basis_q`` is tangent_basis(q) when the caller already has it.
+        Equals -2*I where v = q.
         """
-        self._check_pair(v, q)
-        Eq = self._flat(self.tangent_basis(q) if basis_q is None else basis_q)
-        u = np.matmul(Eq, self._flat(self.log(q, v) if log_qv is None else log_qv)[..., :, None])[..., 0]
-        v, q = self._flat(v), self._flat(q)
-        lead = np.broadcast_shapes(v.shape[:-1], q.shape[:-1], u.shape[:-1])
-        M = self._mixed(*(_batch_last(x, lead, k) for x, k in ((v, 1), (q, 1), (Eq, 2), (u, 1))))[-1]
-        return _batch_first(M, 2)
+        return _batch_first(self._mixed(*self._batch_last_args(v, q, basis_q))[-1], 2)
 
-    def dist2_third(self, v, q, X, weights, basis_q=None, log_coeffs=None):
+    def dist2_third(self, v, q, X, weights):
         """Third derivatives of squared distance as q moves, for the weighted
         sum f(q) = sum_i weights_i * dist(v_i, q)**2.
 
         v (..., m, *point_shape) holds the m points v_i, weights (..., m)
         their weights, and X (..., s, dim) the tangent_basis(q) coefficients
-        of s directions at q (..., *point_shape).  ``basis_q`` is
-        tangent_basis(q) and ``log_coeffs`` (..., m, dim) the coefficients of
-        log(q, v_i) in it, when the caller already has them.  Returns
+        of s directions at q (..., *point_shape).  Returns
         ``(mixed, hess_X, mixed_X)``:
 
         - mixed (..., m, dim, dim): dist2_mixed(v_i, q);
@@ -316,21 +273,13 @@ class Manifold:
         - mixed_X (..., m, s, dim, dim): the covariant derivative of
           dist2_mixed(v_i, q) along X[..., l, :].
 
-        Both derivatives vanish where v_i = q and on flat space.  With
-        ``log_coeffs`` given no logarithm is taken.  Batch-last copies of the
-        arguments go to _dist2_third.
+        Both derivatives vanish where v_i = q and on flat space.  Batch-last
+        copies of the arguments go to _dist2_third.
         """
-        k = len(self.point_shape)
-        q = np.expand_dims(np.asarray(q, dtype=float), -k - 1)
-        self._check_pair(v, q)
-        Eq = self._flat(self.tangent_basis(q) if basis_q is None else np.expand_dims(basis_q, -k - 2))
-        if log_coeffs is None:
-            log_coeffs = np.matmul(Eq, self._flat(self.log(q, v))[..., :, None])[..., 0]
+        q = np.expand_dims(np.asarray(q, dtype=float), -len(self.point_shape) - 1)
         # per-point data is broadcast over the nodes too, so hess_X comes back once per node
-        args = ((self._flat(v), 1), (self._flat(q), 1), (Eq, 2), (log_coeffs, 1),
-                (np.expand_dims(X, -3), 2), (weights, 0))
-        nodes = np.broadcast_shapes(*(np.shape(x)[:np.ndim(x) - c] for x, c in args))
-        mixed, hess_X, mixed_X = self._dist2_third(*(_batch_last(x, nodes, c) for x, c in args))
+        mixed, hess_X, mixed_X = self._dist2_third(
+            *self._batch_last_args(v, q, None, (np.expand_dims(X, -3), 2), (weights, 0)))
         return _batch_first(mixed, 2), _batch_first(hess_X, 3)[..., 0, :, :, :], _batch_first(mixed_X, 3)
 
     def _dist2_third(self, v, q, Eq, u, X, phi):
@@ -400,8 +349,7 @@ class Euclidean(Manifold):
             raise DimensionMismatchError(f"expected a vector of length {self.k}")
 
     def check_tangent(self, p, v) -> None:
-        if np.shape(v)[-1:] != (self.k,):
-            raise DimensionMismatchError(f"expected a vector of length {self.k}")
+        self.check_point(v)
 
     def project_tangent(self, p, w):
         return np.asarray(w, dtype=float).copy()

@@ -14,7 +14,6 @@ shape values (..., m) and gradients (..., m, d).
 from __future__ import annotations
 
 import itertools
-from math import comb
 
 import numpy as np
 
@@ -52,7 +51,6 @@ class ReferenceElement:
         )
         self.nodes = np.array(lattice, dtype=float) / order
         self.m = len(lattice)
-        assert self.m == comb(dim + order, order)
 
         # Barycentric multi-index per node: alpha_0 counts the vertex at the
         # origin, alpha_k (k >= 1) the k-th coordinate vertex; |alpha| = p.

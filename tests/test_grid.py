@@ -89,6 +89,15 @@ def test_shared_nodes_have_identical_coordinates():
         assert np.max(np.abs(mapped - grid.lagrange_nodes[grid.element_nodes[e]])) <= 1e-12
 
 
+def test_large_coordinates_build_a_grid():
+    # a mesh in large units is as valid as the unit square: node coordinates
+    # are not compared against an absolute tolerance
+    unit = unit_square_grid(2, 2)
+    grid = Grid(2, 0.1 + 1e6 * unit.vertices, unit.elements, 2)
+    assert np.array_equal(grid.element_nodes, unit.element_nodes)
+    assert np.allclose(grid.lagrange_nodes, 0.1 + 1e6 * unit.lagrange_nodes, rtol=1e-15, atol=0.0)
+
+
 def test_negative_orientation_rejected():
     vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(ValueError):
