@@ -26,8 +26,10 @@ minimize
     the free degrees of freedom; quadratic convergence on smooth data,
     linear on rough data), print the energy report as key=value
     lines, and write the final nodal values as CSV plus VTK files of the
-    solution and of one nodal basis test field.  Exits 3 when the line
-    search fails.
+    solution and of one nodal basis test field.  Exits 2 when the rule
+    cannot evaluate the starting guess (a cut locus, an undefined
+    projection), and 3 when the descent fails (the line search, a singular
+    metric), each with one ``error: ...`` line.
 
 Identical flags and seed produce byte-identical output files.  Malformed
 input (a mesh or CSV that cannot be read or holds a NaN or an infinity, a
@@ -45,9 +47,9 @@ import sys
 
 import numpy as np
 
-from .energy import equivalence_audit, minimize
-from .errors import GFEError, LineSearchFailure, ProjectionUndefinedError
-from .grid import _RULES, GFEFunction, GlobalTestFunction, Grid, _batches, _finite_float, read_mesh
+from .energy import dirichlet_energy, equivalence_audit, minimize
+from .errors import GFEError, ProjectionUndefinedError
+from .grid import _RULES, GFEFunction, GlobalTestFunction, Grid, _finite_float, read_mesh
 from .jacobi import ElementTestField
 from .manifold import Euclidean, Rotation3, Sphere
 from .reference_element import ReferenceElement
@@ -166,24 +168,20 @@ def cmd_interpolate(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     xis = _sample_points(grid.dim)
-    chunks = []
-    pair_els, pair_xis = grid._pairs(len(xis))
-    for b in _batches(len(pair_els)):
-        els, k = pair_els[b], pair_xis[b]
-        try:
-            q = man._flat(u.local(els).eval(xis[k]))
-        except GFEError:
-            # name the first failing element, as an element-by-element loop would
-            for e in np.unique(els):
-                try:
-                    u.local(e).eval(xis)
-                except GFEError as exc:
-                    print(f"error: element {e}: {exc}", file=sys.stderr)
-                    return 2
-            raise
-        chunks.append(_csv_lines(els, np.hstack([xis[k], q])))
+    els, k = grid._pairs(len(xis))
+    try:
+        q = man._flat(u.local(els).eval(xis[k]))
+    except GFEError:
+        # name the first failing element, as an element-by-element loop would
+        for e in range(grid.n_elements):
+            try:
+                u.local(e).eval(xis)
+            except GFEError as exc:
+                print(f"error: element {e}: {exc}", file=sys.stderr)
+                return 2
+        raise
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("".join(chunks))
+        fh.write(_csv_lines(els, np.hstack([xis[k], q])))
     return 0
 
 
@@ -257,8 +255,8 @@ def cmd_audit(args) -> int:
     if args.corrupt_ddv:  # negative control: shift entry (0, 0) of every nodal derivative
         exact = interp.d_dv_all
 
-        def corrupted(xi, q0=None):
-            q, mats = exact(xi, q0)
+        def corrupted(xi):
+            q, mats = exact(xi)
             mats = mats.copy()
             mats[:, 0, 0] += 1e-2
             return q, mats
@@ -330,12 +328,13 @@ def cmd_minimize(args) -> int:
         if not data:
             raise ValueError("boundary CSV fixes no nodes")
         u0 = GFEFunction(grid, man, args.rule, _relaxed_start(grid, man, data))
+        dirichlet_energy(u0)    # kept with u0, so minimize solves no more
     except (OSError, ValueError, GFEError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
         u, report = minimize(u0, fixed=set(data), max_iter=args.max_iter, tol=args.tol)
-    except LineSearchFailure as exc:
+    except GFEError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -20,15 +20,13 @@ on the free degrees of freedom.  On flat space one step solves the problem;
 on smooth curved data convergence is quadratic, 3 to 5 steps at every mesh
 size, and on rough data (nodal values far apart within an element) linear.
 
-Assembly is batched: all (element, quadrature point) pairs are evaluated
-together, element-major, in lockstep batches of at most ``grid._CHUNK``
-Newton points.  A function state keeps one record of its quadrature data
-(``_assembly``), built with one center solve per batch by whichever of the
-energy, the gradient or the directional derivative comes first; later calls
-on the state under the same rule object, in any order, make no Newton solve
-and no logarithm, which is how ``minimize`` gets its gradient and metric
-from the accepted trial.  Per-point contributions are summed with
-``math.fsum``, so results do not depend on the batch layout.
+Assembly is batched: all (element, quadrature point) pairs of a state are
+evaluated together, element-major, in one lockstep center solve.  A function
+state keeps that record of its quadrature data (``_assembly``), built by
+whichever of the energy, the gradient or the directional derivative comes
+first; later calls on the state, in any order, make no Newton solve and no
+logarithm, which is how ``minimize`` gets its gradient and metric from the
+accepted trial.  Per-point contributions are summed with ``math.fsum``.
 
 ``equivalence_audit`` compares, for random nodal tangent directions, the
 extrapolated finite difference of the energy along the corresponding curve
@@ -47,7 +45,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import GFEError, LineSearchFailure, SingularSystemError
-from .grid import GFEFunction, GlobalTestFunction, _batches
+from .grid import GFEFunction, GlobalTestFunction
 from .jacobi import _basis_ref_gradients
 
 _ARMIJO_C = 1e-4
@@ -61,19 +59,11 @@ _ROUNDING_FLOOR = 8.0 * np.finfo(float).eps   # relative: energy changes this sm
 # quadrature
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Reference-simplex quadrature: points (nq, d) and positive weights, as read-only copies."""
+class QuadratureRule(NamedTuple):
+    """Reference-simplex quadrature: points (nq, d) and positive weights, read-only."""
 
     points: np.ndarray
     weights: np.ndarray
-
-    def __post_init__(self):
-        for name in ("points", "weights"):
-            object.__setattr__(self, name, np.array(getattr(self, name), dtype=float))
-            getattr(self, name).flags.writeable = False
-        if np.any(self.weights <= 0.0):
-            raise ValueError("quadrature weights must be positive")
 
 
 @functools.cache
@@ -81,14 +71,17 @@ def simplex_quadrature(dim: int) -> QuadratureRule:
     """Order-4 rules: 3-point Gauss on [0,1], 6-point on the unit triangle."""
     if dim == 1:
         s = np.sqrt(3.0 / 5.0)
-        pts = 0.5 * (1.0 + np.array([-s, 0.0, s]))
-        wts = np.array([5.0, 8.0, 5.0]) / 18.0
-        return QuadratureRule(pts.reshape(-1, 1), wts)
-    if dim == 2:
+        rule = QuadratureRule((0.5 * (1.0 + np.array([-s, 0.0, s]))).reshape(-1, 1),
+                              np.array([5.0, 8.0, 5.0]) / 18.0)
+    elif dim == 2:
         pts = [p for a in (0.445948490915965, 0.091576213509771)
                for p in ([a, a], [1.0 - 2.0 * a, a], [a, 1.0 - 2.0 * a])]
-        return QuadratureRule(np.array(pts), 0.5 * np.repeat([0.223381589678011, 0.109951743655322], 3))
-    raise ValueError(f"no quadrature for dimension {dim}")
+        rule = QuadratureRule(np.array(pts), 0.5 * np.repeat([0.223381589678011, 0.109951743655322], 3))
+    else:
+        raise ValueError(f"no quadrature for dimension {dim}")
+    for x in rule:
+        x.flags.writeable = False
+    return rule
 
 
 @dataclass(frozen=True)
@@ -104,51 +97,43 @@ class EnergyReport:
 
 
 class _Assembly(NamedTuple):
-    """The quadrature data of a function state u under ``rule``, over its P
-    (element, point) pairs in element-major order."""
+    """The quadrature data of a function state u over its P (element, point)
+    pairs in element-major order."""
 
-    rule: QuadratureRule
     els: np.ndarray     # (P,) elements
-    k: np.ndarray       # (P,) quadrature point indices
     w: np.ndarray       # (P,) weights, detB * rule weights
-    batches: tuple      # per lockstep batch: (slice, stacked interpolant, its xi, its center)
+    interp: object      # u's interpolant stacked over els
+    xi: np.ndarray      # (P, d) reference points
+    center: object      # the center solve at xi
     Gu: np.ndarray      # (P, N, d) physical gradients of u
 
 
-def _assembly(u: GFEFunction, quad: QuadratureRule | None) -> _Assembly:
-    """The record of u under quad (default ``simplex_quadrature``); u keeps the first one built."""
-    rule = quad or simplex_quadrature(u.grid.dim)
-    if u._assembly is not None and u._assembly.rule is rule:
-        return u._assembly
-    grid = u.grid
-    els, k = grid._pairs(len(rule.weights))
-    batches = []
-    Gu = np.empty((len(els), u.manifold.embed_dim, grid.dim))
-    for b in _batches(len(els)):
-        interp, xi = u.local(els[b]), rule.points[k[b]]
+def _assembly(u: GFEFunction) -> _Assembly:
+    """The record of u under ``simplex_quadrature``, built by one center solve on first use."""
+    if u._assembly is None:
+        grid = u.grid
+        rule = simplex_quadrature(grid.dim)
+        els, k = grid._pairs(len(rule.weights))
+        interp, xi = u.local(els), rule.points[k]
         center, cols = interp._center(xi)
-        batches.append((b, interp, xi, center))
-        Gu[b] = np.swapaxes(u.manifold._flat(cols), 1, 2) @ grid._Binv[els[b]]
-    record = _Assembly(rule, els, k, grid._detB[els] * rule.weights[k], tuple(batches), Gu)
-    u._assembly = u._assembly or record     # write-once
-    return record
+        Gu = np.swapaxes(u.manifold._flat(cols), 1, 2) @ grid._Binv[els]
+        u._assembly = _Assembly(els, grid._detB[els] * rule.weights[k], interp, xi, center, Gu)
+    return u._assembly
 
 
-def dirichlet_energy(u: GFEFunction, quad: QuadratureRule | None = None) -> float:
+def dirichlet_energy(u: GFEFunction) -> float:
     """(1/2) * integral of the squared embedded gradient of u."""
-    a = _assembly(u, quad)
+    a = _assembly(u)
     return 0.5 * math.fsum(a.w * np.sum(a.Gu * a.Gu, axis=(1, 2)))
 
 
-def directional_derivative(
-    u: GFEFunction, eta: GlobalTestFunction, quad: QuadratureRule | None = None
-) -> float:
+def directional_derivative(u: GFEFunction, eta: GlobalTestFunction) -> float:
     """First variation of the Dirichlet energy in the direction of eta: the
     pairing of eta's nodal vectors with the algebraic gradient, no node fixed."""
-    return math.fsum((algebraic_gradient(u, quad, fixed=()) * eta.vectors).ravel())
+    return math.fsum((algebraic_gradient(u, fixed=()) * eta.vectors).ravel())
 
 
-def _gradient_terms(u: GFEFunction, rule: QuadratureRule | None, metric: bool = False):
+def _gradient_terms(u: GFEFunction, metric: bool = False):
     """(coeff, A, J): gradient coefficients (n, dim) in the tangent_basis(u_i)
     coordinates, no node fixed, and with ``metric`` (else None) the parts
     (n*dim, n*dim) of the index form I = A - J over the global nodal basis
@@ -164,36 +149,34 @@ def _gradient_terms(u: GFEFunction, rule: QuadratureRule | None, metric: bool = 
     grid = u.grid
     man = u.manifold
     dim = man.intrinsic_dim
-    a = _assembly(u, rule)
+    a = _assembly(u)
     K = man._model_curvature
     coeff = np.zeros((grid.n_nodes, dim))
     A, J = (np.zeros((grid.n_nodes * dim,) * 2) for _ in range(2)) if metric else (None, None)
-    for b, interp, xi, center in a.batches:
-        Binv = grid._Binv[a.els[b]]
-        w = a.w[b]
-        nodes = grid.element_nodes[a.els[b]]
-        _, G, V = _basis_ref_gradients(interp, xi, center=center)
-        # term (i, j): the weighted integrand of the directional derivative
-        # along basis field (i, j), whose physical gradient is G[:, i, j] @ Binv;
-        # u's gradient enters through its tangent_basis(q) coefficients EGu, as
-        # C = EGu Binv^T, [p, l, a], in one matmul over G's layout [p, i, l, a, j]
-        EGu = man._flat(center.basis) @ a.Gu[b]                          # (P, dim, d)
-        C = np.swapaxes(EGu @ np.swapaxes(Binv, 1, 2), 1, 2).reshape(len(G), 1, 1, -1)
-        terms = (C @ np.swapaxes(G, 2, 4).reshape(G.shape[:2] + (-1, dim)))[:, :, 0]
-        np.add.at(coeff, nodes, terms * w[:, None, None])
-        if metric:
-            # F[p, i*dim + j] is the flattened physical gradient of field (i, j)
-            F = G @ Binv[:, None, None]
-            F = F.reshape(F.shape[0], -1, F.shape[3] * F.shape[4])
-            dofs = (nodes[:, :, None] * dim + np.arange(dim)).reshape(len(F), -1)
-            block = (dofs[:, :, None], dofs[:, None, :])
-            np.add.at(A, block, (F * w[:, None, None]) @ np.swapaxes(F, 1, 2))
-            if K:
-                V = V.reshape(len(V), -1, dim)                           # (P, m*dim, dim)
-                VG = V @ EGu                                             # <phi_ij, d_a u>
-                wg2 = w * np.sum(EGu * EGu, axis=(1, 2))
-                np.add.at(J, block, K * (wg2[:, None, None] * (V @ np.swapaxes(V, 1, 2))
-                                         - (VG * w[:, None, None]) @ np.swapaxes(VG, 1, 2)))
+    Binv = grid._Binv[a.els]
+    nodes = grid.element_nodes[a.els]
+    _, G, V = _basis_ref_gradients(a.interp, a.xi, center=a.center)
+    # term (i, j): the weighted integrand of the directional derivative
+    # along basis field (i, j), whose physical gradient is G[:, i, j] @ Binv;
+    # u's gradient enters through its tangent_basis(q) coefficients EGu, as
+    # C = EGu Binv^T, [p, l, a], in one matmul over G's layout [p, i, l, a, j]
+    EGu = man._flat(a.center.basis) @ a.Gu                               # (P, dim, d)
+    C = np.swapaxes(EGu @ np.swapaxes(Binv, 1, 2), 1, 2).reshape(len(G), 1, 1, -1)
+    terms = (C @ np.swapaxes(G, 2, 4).reshape(G.shape[:2] + (-1, dim)))[:, :, 0]
+    np.add.at(coeff, nodes, terms * a.w[:, None, None])
+    if metric:
+        # F[p, i*dim + j] is the flattened physical gradient of field (i, j)
+        F = G @ Binv[:, None, None]
+        F = F.reshape(F.shape[0], -1, F.shape[3] * F.shape[4])
+        dofs = (nodes[:, :, None] * dim + np.arange(dim)).reshape(len(F), -1)
+        block = (dofs[:, :, None], dofs[:, None, :])
+        np.add.at(A, block, (F * a.w[:, None, None]) @ np.swapaxes(F, 1, 2))
+        if K:
+            V = V.reshape(len(V), -1, dim)                               # (P, m*dim, dim)
+            VG = V @ EGu                                                 # <phi_ij, d_a u>
+            wg2 = a.w * np.sum(EGu * EGu, axis=(1, 2))
+            np.add.at(J, block, K * (wg2[:, None, None] * (V @ np.swapaxes(V, 1, 2))
+                                     - (VG * a.w[:, None, None]) @ np.swapaxes(VG, 1, 2)))
     return coeff, A, J
 
 
@@ -202,20 +185,25 @@ def _embedded(man, values: np.ndarray, coeff: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij...->i...", coeff, man.tangent_basis(values))
 
 
-def algebraic_gradient(
-    u: GFEFunction,
-    quad: QuadratureRule | None = None,
-    fixed: set[int] | None = None,
-) -> np.ndarray:
+def _fixed_nodes(grid, fixed) -> frozenset:
+    """The node indices in ``fixed``; ValueError names one that is not an integer in 0..n-1."""
+    for i in fixed:
+        if not isinstance(i, (int, np.integer)) or not 0 <= i < grid.n_nodes:
+            raise ValueError(f"fixed node {i!r} is not an integer in 0..{grid.n_nodes - 1}")
+    return frozenset(fixed)
+
+
+def algebraic_gradient(u: GFEFunction, fixed: set[int] | None = None) -> np.ndarray:
     """Energy gradient as one embedded tangent vector per Lagrange node.
 
     Returns an (n, *point_shape) array.  Component (i, j) is the directional
     derivative along the global nodal basis function carrying
     tangent_basis(u_i)[j] at node i.  Entries at ``fixed`` nodes (grid
-    boundary nodes by default) are zeroed.
+    boundary nodes by default) are zeroed; ValueError for a fixed index that
+    is not an integer in 0..n-1.
     """
-    coeff = _gradient_terms(u, quad)[0]
-    coeff[sorted(u.grid.boundary_nodes if fixed is None else set(fixed))] = 0.0
+    coeff = _gradient_terms(u)[0]
+    coeff[sorted(u.grid.boundary_nodes if fixed is None else _fixed_nodes(u.grid, fixed))] = 0.0
     return _embedded(u.manifold, u.values, coeff)
 
 
@@ -226,7 +214,6 @@ def algebraic_gradient(
 def minimize(
     u0: GFEFunction,
     fixed: set[int],
-    quad: QuadratureRule | None = None,
     max_iter: int = 500,
     tol: float = 1e-8,
     callback=None,
@@ -250,11 +237,12 @@ def minimize(
     treated like an insufficient decrease.  Stops when the norm of the
     algebraic gradient is at most ``tol``.  Returns (minimizer,
     EnergyReport).  Raises ValueError for an empty ``fixed`` set (the metric
-    is then singular), SingularSystemError when the solve fails or gives no
+    is then singular) or a fixed index that is not an integer in 0..n-1,
+    SingularSystemError when the solve fails or gives no
     descent direction (<g, c> <= 0), and LineSearchFailure when the step
     underflows below 1e-14.
     """
-    fixed_set = set(fixed)
+    fixed_set = _fixed_nodes(u0.grid, fixed)
     if not fixed_set:
         raise ValueError("minimize needs at least one fixed node (the H^1 metric is singular otherwise)")
     fixed_nodes = sorted(fixed_set)
@@ -265,12 +253,12 @@ def minimize(
     # the free degrees of freedom, node-major: rows i*dim + j of the metric
     free_dofs = (np.array(free, dtype=int)[:, None] * dim + np.arange(dim)).ravel()
     ff = np.ix_(free_dofs, free_dofs)
-    energy = dirichlet_energy(u, quad)
+    energy = dirichlet_energy(u)
     alpha_prev = 0.5 * _MAX_STEP
     iterations = 0
 
     def gradient(u):
-        coeff, A, J = _gradient_terms(u, quad, metric=True)
+        coeff, A, J = _gradient_terms(u, metric=True)
         coeff[fixed_nodes] = 0.0
         A = A[ff]   # one free block at a time, each freeing its full matrix
         J = J[ff]
@@ -305,7 +293,7 @@ def minimize(
             try:
                 trial[free] = man.exp(u.values[free], -alpha * direction)
                 u_try = u.with_values(trial)
-                e_try = dirichlet_energy(u_try, quad)
+                e_try = dirichlet_energy(u_try)
             except GFEError:
                 ok = False
             if ok and e_try <= energy - _ARMIJO_C * alpha * slope and e_try < energy:
@@ -341,7 +329,6 @@ def minimize(
 
 def equivalence_audit(
     u: GFEFunction,
-    quad: QuadratureRule | None = None,
     trials: int = 20,
     seed: int = 0,
 ) -> float:
@@ -360,7 +347,7 @@ def equivalence_audit(
     n = u.grid.n_nodes
     dim = man.intrinsic_dim
     rng = np.random.default_rng(seed)
-    grad = algebraic_gradient(u, quad, fixed=())
+    grad = algebraic_gradient(u, fixed=())
     h = 2e-3
 
     worst = 0.0
@@ -370,13 +357,12 @@ def equivalence_audit(
         vecs = _embedded(man, u.values, coeff)
 
         def central(t):
-            plus, minus = (dirichlet_energy(u.with_values(man.exp(u.values, s * vecs)), quad)
-                           for s in (t, -t))
+            plus, minus = (dirichlet_energy(u.with_values(man.exp(u.values, s * vecs))) for s in (t, -t))
             return (plus - minus) / (2.0 * t)
 
         route_a = (4.0 * central(0.5 * h) - central(h)) / 3.0
 
-        # directional_derivative(u, eta, quad), with the gradient assembled once
+        # directional_derivative(u, eta), with the gradient assembled once
         route_b = math.fsum((grad * vecs).ravel())
 
         denom = max(abs(route_a), abs(route_b))

@@ -319,12 +319,12 @@ class GeodesicInterpolant(Interpolant):
         """The interpolated point; stationarity residual is at most 1e-12."""
         return self._solve(xi).q
 
-    def _center(self, xi, q0=None):
-        """(center, cols): the solve at xi, warm-started from q0, with what the
-        exact basis-field gradients need added, and the columns
-        d(interpolant)/d(xi_k) (..., d, *point_shape)."""
+    def _center(self, xi):
+        """(center, cols): the solve at xi, with what the exact basis-field
+        gradients need added, and the columns d(interpolant)/d(xi_k)
+        (..., d, *point_shape)."""
         man = self.manifold
-        sol = self._solve(xi, q0)
+        sol = self._solve(xi)
         dphi = self.elem.shape_gradients(xi)                            # (..., m, d)
         rhs = 2.0 * (np.swapaxes(dphi, -1, -2) @ sol.log_coeffs)       # (..., d, dim)
         Hinv = _sym_inv(sol.hessian.T)[0].T     # H is symmetric positive definite, as the solve checked

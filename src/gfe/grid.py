@@ -37,15 +37,6 @@ from .projection import ProjectionInterpolant
 from .reference_element import ReferenceElement
 
 _RULES = {"geodesic": GeodesicInterpolant, "projection": ProjectionInterpolant}
-_LOCATE_TOL = 1e-12
-# points per lockstep batch: per-point kernel cost is lowest around here,
-# and batch temporaries stay small
-_CHUNK = 200
-
-
-def _batches(n: int, size: int = _CHUNK) -> list[slice]:
-    """Slices that cut range(n) into consecutive batches of at most ``size``."""
-    return [slice(start, min(start + size, n)) for start in range(0, n, max(size, 1))]
 
 
 # ----------------------------------------------------------------------
@@ -237,7 +228,7 @@ class Grid:
         """
         for e in range(self.n_elements):
             xi = self.xi_of(e, x)
-            if self.ref.contains(xi, tol=_LOCATE_TOL):
+            if self.ref.contains(xi):
                 return e, xi
         raise PointOutsideDomainError(f"point {np.asarray(x)} is outside the domain")
 
@@ -270,8 +261,8 @@ class GFEFunction:
     restriction.  Construction validates every nodal value and, with the
     rule's ``_admit``, every element (the geodesic rule's sphere spread check);
     ``values`` is then read-only, and restrictions are not validated again.
-    It keeps the quadrature record of the first rule it is assembled under
-    (``energy._assembly``), so later calls under that rule reuse its solves.
+    It keeps the quadrature record of its first assembly (``energy._assembly``),
+    so later energy and gradient calls on it reuse that center solve.
     """
 
     def __init__(self, grid: Grid, manifold: Manifold, rule: str, values):

@@ -72,16 +72,15 @@ class Interpolant:
         c, cols = self._center(xi)
         return c.q, cols
 
-    def d_dv_all(self, xi, q0=None):
+    def d_dv_all(self, xi):
         """eval(xi) plus all m derivative matrices d(interpolant)/d(v_i).
 
         Matrix i maps tangent_basis(v_i) coefficients to tangent_basis(q)
         coefficients; stacked shape (..., m, dim, dim).  Column j of matrix i
-        is the value of nodal basis field (i, j).  ``q0`` warm-starts a
-        Newton solve, e.g. from the interpolant at a nearby point.
+        is the value of nodal basis field (i, j).
         """
         xi = np.asarray(xi, dtype=float)
-        c, _ = self._center(xi, q0)
+        c, _ = self._center(xi)
         return c.q, np.swapaxes(self._basis_values(xi, c), -1, -2)
 
 

@@ -32,10 +32,10 @@ class ProjectionInterpolant(Interpolant):
         w = self._combine(self.elem.shape_values(xi)[..., None, :])[..., 0, :]
         return w.reshape(w.shape[:-1] + self.manifold.point_shape)
 
-    def _center(self, xi, q0=None):
+    def _center(self, xi):
         """(center, cols): the weighted sum w at xi with what the exact
         basis-field gradients need of it, and the columns d(interpolant)/d(xi_k)
-        (..., d, *point_shape); q0 is unused."""
+        (..., d, *point_shape)."""
         man = self.manifold
         w = self._weighted_sum(xi)
         dsum = self._combine(np.swapaxes(self.elem.shape_gradients(xi), -1, -2))  # (..., d, N)

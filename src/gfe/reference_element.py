@@ -72,9 +72,9 @@ class ReferenceElement:
             xi = xi.reshape(self.dim)
         return np.concatenate([1.0 - xi.sum(axis=-1, keepdims=True), xi], axis=-1)
 
-    def contains(self, xi, tol: float = _INSIDE_TOL) -> bool:
-        """Whether xi (every point of a batch) lies in the simplex, up to tol."""
-        return bool(self.barycentric(xi).min() >= -tol)
+    def contains(self, xi) -> bool:
+        """Whether xi (every point of a batch) lies in the simplex, up to 1e-12."""
+        return bool(self.barycentric(xi).min() >= -_INSIDE_TOL)
 
     def _require_inside(self, xi) -> np.ndarray:
         lam = self.barycentric(xi)

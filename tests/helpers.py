@@ -95,14 +95,14 @@ def fd_basis_ref_gradients(interp, xi, h=1e-6):
     of field (i, j), after projecting it tangentially at q = eval(xi).
 
     The 2*d stencil points xi +- h*e_l must lie in the element; they are
-    solved in one batch, warm-started from q.
+    solved in one batch.
     """
     man = interp.manifold
     d = interp.elem.dim
     xi = np.asarray(xi, dtype=float)
     q = interp.eval(xi)
     # stencil points xi + h*e_l, then xi - h*e_l
-    qs, mats = interp.d_dv_all(xi + h * np.concatenate([np.eye(d), -np.eye(d)]), q)
+    qs, mats = interp.d_dv_all(xi + h * np.concatenate([np.eye(d), -np.eye(d)]))
     E = man._flat(man.tangent_basis(qs))                      # (2d, dim, N)
     # embedded values of field (i, j) at each stencil point: sum_k mats[s, i, k, j] E[s, k]
     V = np.einsum("sikj,skn->sijn", mats, E)
@@ -136,10 +136,10 @@ def rel_err(A, B, floor=1e-6):
 # classical scalar FEM oracle (flat reduction reference)
 
 
-def classical_energy(u, quad=None):
+def classical_energy(u):
     """Dirichlet energy of a flat (Euclidean(1)) function via shape gradients."""
     grid = u.grid
-    rule = quad or gfe.simplex_quadrature(grid.dim)
+    rule = gfe.simplex_quadrature(grid.dim)
     total = 0.0
     for e in range(grid.n_elements):
         vals = u.values[grid.element_nodes[e], 0]
@@ -153,9 +153,9 @@ def classical_energy(u, quad=None):
     return 0.5 * total
 
 
-def classical_stiffness(grid, quad=None):
+def classical_stiffness(grid):
     """Assembled stiffness matrix of scalar P1/P2 Lagrange elements."""
-    rule = quad or gfe.simplex_quadrature(grid.dim)
+    rule = gfe.simplex_quadrature(grid.dim)
     n = grid.n_nodes
     K = np.zeros((n, n))
     for e in range(grid.n_elements):

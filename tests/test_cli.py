@@ -119,6 +119,21 @@ def test_interpolate_antipodal_projection_exits_2(tmp_path, capsys):
     assert "element 0" in err
 
 
+def test_interpolate_names_the_one_failing_element(tmp_path, capsys):
+    # elements 0 and 1 span a quarter turn each; element 2 has antipodal nodes
+    mesh = tmp_path / "m.mesh"
+    write_interval_mesh(mesh, 3)
+    bc = tmp_path / "bc.csv"
+    write_bc(bc, [(0, [1.0, 0.0, 0.0]), (1, [0.0, 1.0, 0.0]), (2, [1.0, 0.0, 0.0]), (3, [-1.0, 0.0, 0.0])])
+    code = main([
+        "--command", "interpolate", "--manifold", "sphere2", "--rule", "projection",
+        "--mesh", str(mesh), "--bc", str(bc), "--out", str(tmp_path / "o.csv"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: element 2: projection undefined")
+
+
 def test_interpolate_missing_node_values_rejected(tmp_path, capsys):
     mesh = tmp_path / "m.mesh"
     write_interval_mesh(mesh, 2)
@@ -298,6 +313,43 @@ def test_minimize_boundary_index_out_of_range_exits_2(tmp_path, capsys, bad_node
     ])
     assert code == 2
     assert f"node index {bad_node}" in assert_one_error_line(capsys, bc)
+
+
+@pytest.mark.parametrize("rule, message", [
+    ("geodesic", "at the half-turn"), ("projection", "projection undefined"),
+])
+def test_minimize_start_the_rule_cannot_evaluate_exits_2(tmp_path, capsys, rule, message):
+    # two rotations about e_z a half-turn apart, on one element
+    mesh = tmp_path / "m.mesh"
+    write_interval_mesh(mesh, 1)
+    bc = tmp_path / "bc.csv"
+    turn = np.pi - 1e-12
+    write_bc(bc, [(0, np.eye(3).ravel()),
+                  (1, [np.cos(turn), -np.sin(turn), 0.0, np.sin(turn), np.cos(turn), 0.0, 0.0, 0.0, 1.0])])
+    code = main([
+        "--command", "minimize", "--manifold", "so3", "--rule", rule,
+        "--mesh", str(mesh), "--bc", str(bc), "--out", str(tmp_path / "o.csv"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and message in err
+
+
+def test_minimize_descent_error_exits_3(tmp_path, capsys, monkeypatch):
+    def singular(*args, **kwargs):
+        raise gfe.errors.SingularSystemError("H^1 metric is singular at descent iteration 0")
+
+    monkeypatch.setattr(gfe.cli, "minimize", singular)
+    mesh = tmp_path / "m.mesh"
+    write_interval_mesh(mesh, 2)
+    bc = tmp_path / "bc.csv"
+    write_bc(bc, [(0, [1.0, 0.0, 0.0]), (2, [0.0, 1.0, 0.0])])
+    code = main([
+        "--command", "minimize", "--manifold", "sphere2",
+        "--mesh", str(mesh), "--bc", str(bc), "--out", str(tmp_path / "o.csv"),
+    ])
+    assert code == 3
+    assert capsys.readouterr().err == "error: H^1 metric is singular at descent iteration 0\n"
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,5 @@
 """The batched (lockstep) evaluation path against the per-point one."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +10,6 @@ from gfe import (
     GeodesicInterpolant,
     GFEFunction,
     GlobalTestFunction,
-    QuadratureRule,
     ReferenceElement,
     unit_square_grid,
 )
@@ -25,7 +22,6 @@ from gfe.energy import (
     simplex_quadrature,
 )
 from gfe.errors import CutLocusError, IndefiniteHessianError, NonConvergenceError
-from gfe.grid import _CHUNK
 from gfe.jacobi import _basis_ref_gradients
 from gfe.sampling import random_configuration, random_tangent
 
@@ -159,7 +155,7 @@ def test_newton_budget_applies_per_point():
 # work counts
 
 
-@pytest.mark.parametrize("n_side", [1, 2])
+@pytest.mark.parametrize("n_side", [1, 2, 6])
 def test_assembly_makes_one_lockstep_solve_per_batch(monkeypatch, n_side):
     calls = []
     real = GeodesicInterpolant._solve
@@ -172,18 +168,15 @@ def test_assembly_makes_one_lockstep_solve_per_batch(monkeypatch, n_side):
     grid = unit_square_grid(n_side, 2)
     values = random_configuration(SO3, grid.n_nodes, np.random.default_rng(n_side), radius=0.3)
     u = GFEFunction(grid, SO3, "geodesic", values)
-    points = grid.n_elements * 6
-    center_batches = math.ceil(points / _CHUNK)
-    assert center_batches == 1
 
-    dirichlet_energy(u)
-    assert len(calls) == center_batches
+    dirichlet_energy(u)            # all (element, point) pairs in one solve, 432 of them at n_side 6
+    assert len(calls) == 1
     calls.clear()
-    algebraic_gradient(u)          # reuses the energy's center solves and adds none
+    algebraic_gradient(u)          # reuses the energy's center solve and adds none
     assert len(calls) == 0
     calls.clear()
     algebraic_gradient(u.with_values(values))
-    assert len(calls) == center_batches
+    assert len(calls) == 1
 
 
 def gradient_after_an_energy(man, monkeypatch, patched):
@@ -310,20 +303,7 @@ def test_calls_on_one_state_give_fresh_state_results_with_one_solve_per_batch(ma
     with pytest.MonkeyPatch.context() as mp:
         calls = counting_solves(mp)
         results = [OPERATIONS[name](u, GlobalTestFunction(u, vectors)) for name in sequence]
-        assert len(calls) == math.ceil(u.grid.n_elements * len(simplex_quadrature(2).weights) / _CHUNK)
+        assert len(calls) == 1
     for name, result in zip(sequence, results):
         fresh = u.with_values(u.values)
         assert np.array_equal(result, OPERATIONS[name](fresh, GlobalTestFunction(fresh, vectors)))
-
-
-def test_a_record_never_serves_another_rule(monkeypatch):
-    u = two_element_function(S2, "geodesic", 2)
-    default = simplex_quadrature(2)
-    equal = QuadratureRule(default.points, default.weights)
-    calls = counting_solves(monkeypatch)
-    dirichlet_energy(u)
-    assert len(calls) == 1
-    grad = algebraic_gradient(u, equal)
-    assert len(calls) == 2
-    assert np.array_equal(grad, algebraic_gradient(u))
-    assert len(calls) == 2
