@@ -28,8 +28,8 @@ minimize
     lines, and write the final nodal values as CSV plus VTK files of the
     solution and of one nodal basis test field.  Exits 2 when the rule
     cannot evaluate the starting guess (a cut locus, an undefined
-    projection), and 3 when the descent fails (the line search, a singular
-    metric), each with one ``error: ...`` line.
+    projection), naming the element, and 3 when the descent fails (the
+    line search, a singular metric), each with one ``error: ...`` line.
 
 Identical flags and seed produce byte-identical output files.  Malformed
 input (a mesh or CSV that cannot be read or holds a NaN or an infinity, a
@@ -171,15 +171,10 @@ def cmd_interpolate(args) -> int:
     els, k = grid._pairs(len(xis))
     try:
         q = man._flat(u.local(els).eval(xis[k]))
-    except GFEError:
-        # name the first failing element, as an element-by-element loop would
-        for e in range(grid.n_elements):
-            try:
-                u.local(e).eval(xis)
-            except GFEError as exc:
-                print(f"error: element {e}: {exc}", file=sys.stderr)
-                return 2
-        raise
+    except GFEError as exc:
+        where = "" if exc.point is None else f"element {els[exc.point]}: "
+        print(f"error: {where}{exc}", file=sys.stderr)
+        return 2
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(_csv_lines(els, np.hstack([xis[k], q])))
     return 0
@@ -252,16 +247,6 @@ def cmd_audit(args) -> int:
     elem = ReferenceElement(2, args.order)
     values = random_configuration(man, elem.m, rng, radius=0.3)
     interp = _RULES[args.rule](elem, values, man)
-    if args.corrupt_ddv:  # negative control: shift entry (0, 0) of every nodal derivative
-        exact = interp.d_dv_all
-
-        def corrupted(xi):
-            q, mats = exact(xi)
-            mats = mats.copy()
-            mats[:, 0, 0] += 1e-2
-            return q, mats
-
-        interp.d_dv_all = corrupted
     xis = _audit_sample_xis(elem, rng)
 
     e_ddv = _audit_ddv_error(interp, xis)
@@ -374,7 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--max-iter", type=int, default=500)
-    p.add_argument("--corrupt-ddv", action="store_true", help=argparse.SUPPRESS)
     return p
 
 

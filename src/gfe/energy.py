@@ -109,13 +109,19 @@ class _Assembly(NamedTuple):
 
 
 def _assembly(u: GFEFunction) -> _Assembly:
-    """The record of u under ``simplex_quadrature``, built by one center solve on first use."""
+    """The record of u under ``simplex_quadrature``, built by one center solve
+    on first use; an error of that solve names the element of its point."""
     if u._assembly is None:
         grid = u.grid
         rule = simplex_quadrature(grid.dim)
         els, k = grid._pairs(len(rule.weights))
         interp, xi = u.local(els), rule.points[k]
-        center, cols = interp._center(xi)
+        try:
+            center, cols = interp._center(xi)
+        except GFEError as exc:
+            if exc.point is not None:
+                exc.args = (f"element {els[exc.point]}: {exc}",)
+            raise
         Gu = np.swapaxes(u.manifold._flat(cols), 1, 2) @ grid._Binv[els]
         u._assembly = _Assembly(els, grid._detB[els] * rule.weights[k], interp, xi, center, Gu)
     return u._assembly

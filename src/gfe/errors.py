@@ -1,8 +1,12 @@
-"""Exception hierarchy for the gfe package."""
+"""Exception hierarchy for the gfe package; an error of a geodesic solve or
+a projection carries ``point``, the C-order flat index over the batch's
+leading axes of its lowest failing point, and other errors None."""
 
 
 class GFEError(Exception):
     """Base class for all errors raised by this package."""
+
+    point: int | None = None
 
 
 class DimensionMismatchError(GFEError):

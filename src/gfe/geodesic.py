@@ -34,9 +34,13 @@ so may the nodal values of an interpolant built over several elements at
 once (``GFEFunction.local`` with an array of elements); the two broadcast.
 ``_solve`` runs one Newton iteration over all points in lockstep, each
 point with its own convergence test, damping halvings and cut-locus trials,
-and each point takes exactly the steps it would take alone.  When points
-fail, the error of the lowest-index one is raised.  The per-point methods
-(``eval``, ``d_dxi``, ``d_dv_all``, ...) are that same path with one point.
+and each point takes exactly the steps it would take alone.  The cut locus
+and an undefined projection are masks over the batch (the angles of
+``Manifold._log``, ``Manifold._projectable``), never exceptions to recover
+from.  When points fail, the error of the lowest-index one is raised, with
+that C-order flat index over the batch's leading axes as its ``point``.
+The per-point methods (``eval``, ``d_dxi``, ``d_dv_all``, ...) are that
+same path with one point.
 
 As a rule of ``jacobi.Interpolant`` it supplies ``eval``, ``_center`` (the
 solve at xi with dq/dxi), ``_basis_values``, ``_basis_gradients`` and
@@ -53,15 +57,13 @@ import numpy as np
 
 from .errors import (
     AdmissibilityError,
-    CutLocusError,
     GFEError,
     IndefiniteHessianError,
     NonConvergenceError,
-    ProjectionUndefinedError,
     SingularSystemError,
 )
 from .jacobi import Interpolant
-from .kernels import _positive_definite, _sym_inv
+from .kernels import _near_cut, _positive_definite, _sym_inv
 from .manifold import Manifold, Sphere, _batch_last
 
 # contract bound on the stationarity residual, and the tighter target the
@@ -136,34 +138,10 @@ def _flat_rows(x, lead: int) -> np.ndarray:
     return x.reshape(x.shape[:lead] + (-1,))
 
 
-def _batch_or_each(fn, shape, catch, errors: dict, index):
-    """fn(slice(None)) for all points at once; if that raises ``catch``, fn(p) point by point.
-
-    A point that fails records its exception in ``errors[index[p]]`` and gets
-    zero rows.  Returns (rows, failed mask).
-    """
-    n = len(index)
-    try:
-        return fn(slice(None)), np.zeros(n, dtype=bool)
-    except catch:
-        pass
-    rows, failed = np.zeros((n,) + shape), np.zeros(n, dtype=bool)
-    for p in range(n):
-        try:
-            rows[p] = fn(p)
-        except catch as exc:
-            failed[p] = True
-            errors[int(index[p])] = exc
-    return rows, failed
-
-
-def _logs(man: Manifold, q, values, errors: dict, index):
-    """log_q(v_i) for every point, and the mask of points at the cut locus."""
-    k = len(man.point_shape)
-    return _batch_or_each(
-        lambda s: man.log(np.expand_dims(q[s], -k - 1), values[s]),
-        values.shape[1:], CutLocusError, errors, index,
-    )
+def _logs(man: Manifold, q, values):
+    """log_q(v_i) for every point, and the largest of its angles at each point."""
+    logs, angle = man._log(q[:, None], values)
+    return logs, angle.max(axis=1)
 
 
 def _residual(weights, logs) -> np.ndarray:
@@ -173,13 +151,10 @@ def _residual(weights, logs) -> np.ndarray:
 
 def _initial_guess(man: Manifold, values, weights) -> np.ndarray:
     """Projection of the weighted embedding sum, else the heaviest nodal value."""
-    P = len(weights)
-    sums = (weights[:, None, :] @ _flat_rows(values, 2))[:, 0].reshape(values[:, 0].shape)
-    q, undefined = _batch_or_each(
-        lambda s: man.project_point(sums[s]), sums.shape[1:], ProjectionUndefinedError, {},
-        np.arange(P),
-    )
-    q[undefined] = values[undefined, np.argmax(weights[undefined], axis=1)]
+    q = values[np.arange(len(weights)), np.argmax(weights, axis=1)]
+    sums = (weights[:, None, :] @ _flat_rows(values, 2))[:, 0].reshape(q.shape)
+    defined = man._projectable(sums)
+    q[defined] = man.project_point(sums[defined])
     return q
 
 
@@ -195,8 +170,9 @@ def _linearize(man: Manifold, values, weights, q, logs):
 def _newton(man: Manifold, values, weights, q, max_iter: int) -> _Solution:
     P, m = weights.shape
     dim = man.intrinsic_dim
-    errors: dict[int, GFEError] = {}
-    logs, cut = _logs(man, q, values, errors, np.arange(P))
+    logs, angle = _logs(man, q, values)
+    cut = _near_cut(angle)
+    errors: dict[int, GFEError] = {p: man._cut_locus_error(angle[p]) for p in np.flatnonzero(cut)}
     res = _residual(weights, logs)
     basis = np.zeros((P, dim) + man.point_shape)
     H = np.zeros((P, dim, dim))
@@ -236,8 +212,8 @@ def _newton(man: Manifold, values, weights, q, max_iter: int) -> _Solution:
                 break
             pts = idx[j]
             q_new = man.exp(q[pts], step[j])
-            trial_errors: dict[int, GFEError] = {}
-            logs_new, cut = _logs(man, q_new, values[pts], trial_errors, pts)
+            logs_new, angle = _logs(man, q_new, values[pts])
+            cut = _near_cut(angle)
             res_new = _residual(weights[pts], logs_new)
             better = ~cut & (res_new < res[pts])
             q[pts[better]], logs[pts[better]] = q_new[better], logs_new[better]
@@ -245,9 +221,8 @@ def _newton(man: Manifold, values, weights, q, max_iter: int) -> _Solution:
             iterations[pts[better]] += 1
             searching[j[better]] = False
             if damping == _MAX_DAMPING:
-                for p in pts[cut]:
-                    errors[p] = trial_errors[p]
-                    active[p] = False
+                errors.update((p, man._cut_locus_error(a)) for p, a in zip(pts[cut], angle[cut]))
+                active[pts[cut]] = False
                 searching[j[cut]] = False
             else:
                 step[j[~better]] *= 0.5
@@ -264,7 +239,9 @@ def _newton(man: Manifold, values, weights, q, max_iter: int) -> _Solution:
             "converged to a critical point whose Hessian is not positive definite"
         ))
     if errors:
-        raise errors[min(errors)]
+        point = min(errors)
+        errors[point].point = int(point)
+        raise errors[point]
     return _Solution(q, basis, H, Hn, L, weights, int(iterations.max(initial=0)), res)
 
 
@@ -348,16 +325,16 @@ class GeodesicInterpolant(Interpolant):
                 one(man._flat(c.basis), 2), _batch_last(c.log_coeffs, nodes, 1),
                 one(np.swapaxes(c.dq, -1, -2), 2), one(c.hessian_inv, 2), one(c.hessian_xi, 3))
 
-    def _basis_values(self, xi, c: _Solution):
-        """Values of the nodal basis fields from the center c at xi, (..., m,
+    def _basis_values(self, c: _Solution):
+        """Values of the nodal basis fields from the center c, (..., m,
         dim, dim), entry [i, j, a] the tangent_basis(q)[a] coefficient of field
         (i, j): V_i = dq/dv_i = -phi_i H^-1 K_i with K_i = dist2_mixed(v_i, q)."""
         phi, _, v, q, Eq, u, _, Hinv, _ = self._batch_last_center(c)
         return (-phi * np.einsum("ac...,cb...->ab...", Hinv, self.manifold._mixed(v, q, Eq, u)[-1])).T
 
-    def _basis_gradients(self, xi, c: _Solution):
-        """Reference gradients G of the nodal basis fields from the center c at
-        xi, (..., m, dim, dim, d), entry [i, j, a, l] the tangent_basis(q)[a]
+    def _basis_gradients(self, c: _Solution):
+        """Reference gradients G of the nodal basis fields from the center c,
+        (..., m, dim, dim, d), entry [i, j, a, l] the tangent_basis(q)[a]
         coefficient of the l-th derivative of field (i, j), and the fields'
         values of _basis_values; returns (G, values).
 

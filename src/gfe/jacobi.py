@@ -2,9 +2,9 @@
 
 ``Interpolant`` is the base of both interpolation rules: it validates the
 nodal values v_1..v_m and derives ``d_dxi`` and ``d_dv_all`` from what a
-rule supplies, namely ``eval``, the center evaluation ``_center``, the
-basis-field values ``_basis_values``, values and gradients
-``_basis_gradients``, and ``_admit``.
+rule supplies, namely ``eval``, the center evaluation ``_center``, and
+from that center alone the basis-field values ``_basis_values``, values and
+gradients ``_basis_gradients``, and ``_admit``.
 
 An (m, *point_shape) array of nodal tangent vectors b_1..b_m (row i based at
 the nodal value v_i) determines a vector field along the interpolant,
@@ -79,9 +79,8 @@ class Interpolant:
         coefficients; stacked shape (..., m, dim, dim).  Column j of matrix i
         is the value of nodal basis field (i, j).
         """
-        xi = np.asarray(xi, dtype=float)
         c, _ = self._center(xi)
-        return c.q, np.swapaxes(self._basis_values(xi, c), -1, -2)
+        return c.q, np.swapaxes(self._basis_values(c), -1, -2)
 
 
 def _basis_ref_gradients(interp: Interpolant, xi, center=None):
@@ -95,9 +94,8 @@ def _basis_ref_gradients(interp: Interpolant, xi, center=None):
     those of the field's value.  A caller that already has the center at xi
     passes it, and no Newton solve is made.
     """
-    xi = np.asarray(xi, dtype=float)
     center = interp._center(xi)[0] if center is None else center
-    return (center, *interp._basis_gradients(xi, center))
+    return (center, *interp._basis_gradients(center))
 
 
 def _nodal_vectors(base, vectors) -> np.ndarray:

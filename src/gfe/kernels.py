@@ -23,10 +23,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import CutLocusError, NonConvergenceError, SingularMatrixError
+from .errors import NonConvergenceError, SingularMatrixError
 
 _CUT_TOL = 1e-8       # distance-to-cut-locus slack before log refuses
 _SERIES_CUTOFF = 2e-2  # the angle below which the ratios take their Taylor series
+
+
+def _near_cut(angle) -> np.ndarray:
+    """Mask of the angles, pi at the cut locus, within _CUT_TOL of it."""
+    return angle > np.pi - _CUT_TOL
 
 
 def _series_or(t, coeffs, closed, scale=1.0):
@@ -181,17 +186,13 @@ def _angle_parts(R: np.ndarray):
     return A, s, np.arctan2(s, c)
 
 
-def _logm_rotation(R: np.ndarray) -> np.ndarray:
-    """Principal matrix logarithm of rotations; skew 3x3 results.
+def _logm_rotation(R: np.ndarray):
+    """(principal matrix logarithm, angle) of rotations: skew 3x3 results and
+    the rotation angles in [0, pi].
 
-    Raises CutLocusError within _CUT_TOL of a half-turn, where the
-    logarithm branches.
+    Makes no cut test; the logarithm branches where _near_cut(angle) holds.
     """
     A, s, theta = _angle_parts(R)
-    if theta.max() > np.pi - _CUT_TOL:
-        raise CutLocusError(
-            f"rotation angle {float(theta.max()):.6f} is (numerically) at the half-turn"
-        )
     # theta/s rather than theta/sin(theta): s keeps its relative accuracy, and
     # theta = atan2(s, c) keeps the ratio smooth down to s = 0, where A = 0
     out = (theta / np.where(s > 0.0, s, 1.0))[..., None, None] * A
@@ -207,7 +208,7 @@ def _logm_rotation(R: np.ndarray) -> np.ndarray:
         a = a / np.linalg.norm(a, axis=-1, keepdims=True)
         a = np.where(np.sum(a * _vee(A[wide]), axis=-1, keepdims=True) < 0.0, -a, a)
         out[wide] = t[:, None, None] * np.tensordot(a, _HATS, axes=1)
-    return out
+    return out, theta
 
 
 # ----------------------------------------------------------------------

@@ -26,7 +26,7 @@ Besides the metric operations (``dist``, ``exp``, ``log``, parallel
 Every operation broadcasts over leading axes, so one call serves all nodal
 values of all points of a batch; per-point results (``dist`` of two
 points) come back as floats.  Point checks and projections that fail on a
-batch report its first failing entry.
+batch report its first failing entry, projections also as the error's ``point``.
 
 All three geometries have constant sectional curvature, so the
 second-derivative blocks are evaluated from the closed forms of a constant
@@ -81,13 +81,12 @@ import numpy as np
 
 from .errors import CutLocusError, DimensionMismatchError, ProjectionUndefinedError
 from .kernels import (
-    _CUT_TOL,
     _HATS,
     _SKEW_BASIS,
-    _angle_parts,
     _as_matrices,
     _expm_skew,
     _logm_rotation,
+    _near_cut,
     _one_minus_cos_over_sq,
     _one_minus_t_cot_over_sq_times_t_over_sin,
     _one_minus_t_over_sin_over_sq,
@@ -133,11 +132,16 @@ def _scalar(x):
     return float(x) if np.ndim(x) == 0 else x
 
 
-def _refuse_projection(bad, value, what: str) -> None:
-    if bad.any():
-        raise ProjectionUndefinedError(
-            f"projection undefined: {what} {float(value[bad].flat[0]):.3e}"
-        )
+_PROJECTION_FLOOR = 1e-12  # the norm (spheres) or determinant (SO(3)) project_point needs
+
+
+def _refuse_projection(gauge, what: str) -> None:
+    """Raise ProjectionUndefinedError at the first entry of gauge not above the floor."""
+    bad = np.flatnonzero(~(gauge > _PROJECTION_FLOOR))  # NaN too, as _projectable says
+    if len(bad):
+        exc = ProjectionUndefinedError(f"projection undefined: {what} {float(gauge.flat[bad[0]]):.3e}")
+        exc.point = int(bad[0])
+        raise exc
 
 
 class Manifold:
@@ -145,21 +149,23 @@ class Manifold:
 
     Concrete subclasses set ``kind``, ``intrinsic_dim``, ``point_shape``,
     the advisory ``curvature_bound`` entering the Karcher-ball diagnostic,
-    and ``_model_curvature``, the actual constant sectional curvature used
-    by the closed-form second derivatives of squared distance.  They
-    implement, all broadcasting over leading axes:
+    ``_model_curvature``, the actual constant sectional curvature used by
+    the closed-form second derivatives of squared distance, and for ``log``
+    and ``dist`` ``_cut_message`` and ``_dist_per_angle`` (flat space has
+    its own ``dist``).  They implement, all broadcasting over leading axes:
 
     - ``check_point(p)``, and ``check_tangent(p, v)``, which raises
       ValueError unless v is tangent at p;
     - ``project_tangent(p, w)``, the orthogonal projection onto T_p M;
-    - ``dist(p, q)``: a float for two points, an array for batches;
-    - ``exp``, ``log`` and ``transport(p, q, w, log_pq=None)``, parallel
-      transport from T_p M to T_q M along the connecting geodesic, with
-      log(p, q) as ``log_pq`` when the caller already has it;
+    - ``exp``, ``_log(p, q)`` -> (log_p(q), angle), pi at the cut locus,
+      with no cut test (``log`` adds it, ``dist`` reads the angle), and
+      ``transport(p, q, w, log_pq=None)``, parallel transport from T_p M to
+      T_q M along the connecting geodesic, with log(p, q) as ``log_pq``
+      when the caller already has it;
     - ``tangent_basis(p)``: an orthonormal basis of T_p M, shape (..., dim,
       *point_shape), a closed form in the entries of p, so the same point
       always yields the bitwise-identical basis;
-    - ``project_point(w)``, ``projection_jacobian(w)`` and
+    - the mask ``_projectable(w)``, ``project_point(w)``, ``projection_jacobian(w)`` and
       ``projection_jacobian_deriv(w, x)``, the derivative of the Jacobian
       along each of the s embedding directions x (..., s, N), shape (..., s,
       N, N): the second derivative of project_point with its first slot
@@ -184,6 +190,25 @@ class Manifold:
                 f"expected two points of shape {self.point_shape} on {self.kind}, "
                 f"got {np.shape(p)} and {np.shape(q)}"
             )
+
+    def dist(self, p, q):
+        """The angle of ``_log`` times ``_dist_per_angle``, 0 where p == q exactly."""
+        self._check_pair(p, q)
+        p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+        same = np.all(self._flat(p) == self._flat(q), axis=-1)
+        return _scalar(np.where(same, 0.0, self._dist_per_angle * self._log(p, q)[1]))
+
+    def log(self, p, q):
+        """log_p(q), broadcasting; raises CutLocusError where q is within
+        _CUT_TOL of the cut locus of p."""
+        self._check_pair(p, q)
+        log, angle = self._log(p, q)
+        if _near_cut(angle).any():
+            raise self._cut_locus_error(angle.max())
+        return log
+
+    def _cut_locus_error(self, angle) -> CutLocusError:
+        return CutLocusError(self._cut_message.format(float(angle)))
 
     def _flat(self, x) -> np.ndarray:
         """Flatten the trailing point axes of x into one embedding axis."""
@@ -366,12 +391,15 @@ class Euclidean(Manifold):
     def exp(self, p, v):
         return np.add(p, v, dtype=float)
 
-    def log(self, p, q):
-        self._check_pair(p, q)
-        return np.subtract(q, p, dtype=float)
+    def _log(self, p, q):
+        d = np.subtract(q, p, dtype=float)
+        return d, np.zeros(d.shape[:-1])
 
     def transport(self, p, q, w, log_pq=None):
         return np.asarray(w, dtype=float).copy()
+
+    def _projectable(self, w) -> np.ndarray:
+        return np.ones(np.shape(w)[:-1], dtype=bool)
 
     def project_point(self, w):
         return np.array(w, dtype=float)
@@ -400,6 +428,8 @@ class Sphere(Manifold):
     n: int
 
     kind = "sphere"
+    _cut_message = "points at distance {:.6f} are (numerically) antipodal"
+    _dist_per_angle = 1.0
     curvature_bound: float | None = 1.0
     _model_curvature = 1.0
 
@@ -453,17 +483,6 @@ class Sphere(Manifold):
         scale = 2.0 / _inner(w, w)
         return np.eye(n, n + 1) - (scale * w[..., :n])[..., :, None] * w[..., None, :]
 
-    def dist(self, p, q):
-        self._check_pair(p, q)
-        p = np.asarray(p, dtype=float)
-        q = np.asarray(q, dtype=float)
-        c = _inner(p, q)
-        u = q - c * p
-        # atan2 of (sin, cos) stays well conditioned at all angles, unlike
-        # arccos, which loses ~eps/theta accuracy near aligned points
-        d = np.arctan2(np.sqrt(_inner(u, u)), c)[..., 0]
-        return _scalar(np.where(np.all(p == q, axis=-1), 0.0, d))
-
     def exp(self, p, v):
         p = np.asarray(p, dtype=float)
         v = np.asarray(v, dtype=float)
@@ -471,20 +490,17 @@ class Sphere(Manifold):
         q = np.cos(theta) * p + _sinc(theta) * v
         return q / np.sqrt(_inner(q, q))
 
-    def log(self, p, q):
-        self._check_pair(p, q)
+    def _log(self, p, q):
         p = np.asarray(p, dtype=float)
         q = np.asarray(q, dtype=float)
         c = _inner(p, q)
         u = q - c * p
         nrm = np.sqrt(_inner(u, u))
+        # atan2 of (sin, cos) stays well conditioned at all angles, unlike
+        # arccos, which loses ~eps/theta accuracy near aligned points
         theta = np.arctan2(nrm, c)
-        if theta.max() > np.pi - _CUT_TOL:
-            raise CutLocusError(
-                f"points at distance {float(theta.max()):.6f} are (numerically) antipodal"
-            )
         # zero where the points (numerically) coincide
-        return (theta / np.where(nrm < 1e-14, np.inf, nrm)) * u
+        return (theta / np.where(nrm < 1e-14, np.inf, nrm)) * u, theta[..., 0]
 
     def transport(self, p, q, w, log_pq=None):
         # the component along u = log_p(q) turns with the great circle, the
@@ -502,10 +518,14 @@ class Sphere(Manifold):
         w = (B * log_vq[:, None]).sum(0)
         return w, np.einsum("ak...,kb...->ab...", Eq, B) - _one_minus_cos_over_sq(r) * u[:, None] * w
 
+    def _projectable(self, w) -> np.ndarray:
+        w = np.asarray(w, dtype=float)
+        return np.sqrt(_inner(w, w))[..., 0] > _PROJECTION_FLOOR
+
     def _norm_checked(self, w):
         w = np.asarray(w, dtype=float)
         nrm = np.sqrt(_inner(w, w))
-        _refuse_projection(nrm <= 1e-12, nrm, "weighted embedding sum has norm")
+        _refuse_projection(nrm[..., 0], "weighted embedding sum has norm")
         return w, nrm
 
     def project_point(self, w):
@@ -546,6 +566,8 @@ class Rotation3(Manifold):
     """
 
     kind = "rotation3"
+    _cut_message = "rotation angle {:.6f} is (numerically) at the half-turn"
+    _dist_per_angle = math.sqrt(2.0)
     intrinsic_dim = 3
     point_shape = (3, 3)
     # Advisory Karcher-ball constant.  The Frobenius-scaled sectional
@@ -584,22 +606,15 @@ class Rotation3(Manifold):
         """Q @ hat(e_k) / sqrt(2) for k = 1, 2, 3."""
         return np.asarray(p, dtype=float)[..., None, :, :] @ _SKEW_BASIS
 
-    def dist(self, p, q):
-        self._check_pair(p, q)
-        p = np.asarray(p, dtype=float)
-        q = np.asarray(q, dtype=float)
-        d = np.sqrt(2.0) * _angle_parts(np.swapaxes(p, -1, -2) @ q)[2]
-        return _scalar(np.where(np.all(p == q, axis=(-2, -1)), 0.0, d))
-
     def exp(self, p, v):
         Q = np.asarray(p, dtype=float)
         S = _skew_part(np.swapaxes(Q, -1, -2) @ np.asarray(v, dtype=float))
         return Q @ _expm_skew(S)
 
-    def log(self, p, q):
-        self._check_pair(p, q)
+    def _log(self, p, q):
         Q1 = np.asarray(p, dtype=float)
-        return Q1 @ _logm_rotation(np.swapaxes(Q1, -1, -2) @ np.asarray(q, dtype=float))
+        L, angle = _logm_rotation(np.swapaxes(Q1, -1, -2) @ np.asarray(q, dtype=float))
+        return Q1 @ L, angle
 
     def transport(self, p, q, w, log_pq=None):
         Q1t = np.swapaxes(np.asarray(p, dtype=float), -1, -2)
@@ -614,10 +629,12 @@ class Rotation3(Manifold):
         eye = _eye(3, t2.ndim)
         return -u, eye + sinc * np.tensordot(_HATS, h, axes=(0, 0)) + cos2 * (h[:, None] * h - t2 * eye)
 
+    def _projectable(self, w) -> np.ndarray:
+        return np.linalg.det(_as_matrices(w)) > _PROJECTION_FLOOR
+
     def _polar_of(self, w):
         A = _as_matrices(w)
-        det = np.linalg.det(A)
-        _refuse_projection(det <= 1e-12, det, "weighted rotation sum has det =")
+        _refuse_projection(np.linalg.det(A), "weighted rotation sum has det =")
         return A, _polar_iterates(A)
 
     def project_point(self, w):

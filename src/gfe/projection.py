@@ -28,8 +28,8 @@ class ProjectionInterpolant(Interpolant):
         """sum_i coeffs[..., i] * v_i with flat values: coeffs (..., r, m) -> (..., r, N)."""
         return coeffs @ self.manifold._flat(self.values)
 
-    def _weighted_sum(self, xi) -> np.ndarray:
-        w = self._combine(self.elem.shape_values(xi)[..., None, :])[..., 0, :]
+    def _weighted_sum(self, phi) -> np.ndarray:
+        w = self._combine(phi[..., None, :])[..., 0, :]
         return w.reshape(w.shape[:-1] + self.manifold.point_shape)
 
     def _center(self, xi):
@@ -37,12 +37,16 @@ class ProjectionInterpolant(Interpolant):
         basis-field gradients need of it, and the columns d(interpolant)/d(xi_k)
         (..., d, *point_shape)."""
         man = self.manifold
-        w = self._weighted_sum(xi)
-        dsum = self._combine(np.swapaxes(self.elem.shape_gradients(xi), -1, -2))  # (..., d, N)
+        phi, dphi = self.elem.shape_values(xi), self.elem.shape_gradients(xi)
+        w = self._weighted_sum(phi)
+        dsum = self._combine(np.swapaxes(dphi, -1, -2))                    # (..., d, N)
         J = man.projection_jacobian(w)
         cols = dsum @ np.swapaxes(J, -1, -2)
         q = man.project_point(w)
-        return _Center(q, man.tangent_basis(q), w, J, dsum), \
+        basis = man.tangent_basis(q)
+        Bv = np.swapaxes(man._flat(man.tangent_basis(self.values)), -1, -2)  # (..., m, N, dim)
+        first = (man._flat(basis) @ J)[..., None, :, :] @ Bv                # (..., m, dim, dim)
+        return _Center(q, basis, w, dsum, phi, dphi, Bv, first), \
             cols.reshape(cols.shape[:-1] + man.point_shape)
 
     def eval(self, xi) -> np.ndarray:
@@ -51,20 +55,17 @@ class ProjectionInterpolant(Interpolant):
         Raises ProjectionUndefinedError when the sum leaves the projection's
         domain (e.g. it vanishes for sphere values straddling antipodes).
         """
-        return self.manifold.project_point(self._weighted_sum(xi))
+        return self.manifold.project_point(self._weighted_sum(self.elem.shape_values(xi)))
 
-    def _basis_values(self, xi, c: "_Center"):
-        """Values phi_i DP(w) b_ij of the nodal basis fields from the center c at
-        xi, (..., m, dim, dim), entry [i, j, a] the tangent_basis(q)[a]
+    def _basis_values(self, c: "_Center"):
+        """Values phi_i DP(w) b_ij of the nodal basis fields from the center c,
+        (..., m, dim, dim), entry [i, j, a] the tangent_basis(q)[a]
         coefficient of field (i, j)."""
-        man = self.manifold
-        Bv = np.swapaxes(man._flat(man.tangent_basis(self.values)), -1, -2)
-        first = (man._flat(c.basis) @ c.jacobian)[..., None, :, :] @ Bv
-        return np.swapaxes(self.elem.shape_values(xi)[..., :, None, None] * first, -1, -2)
+        return np.swapaxes(c.phi[..., :, None, None] * c.first, -1, -2)
 
-    def _basis_gradients(self, xi, c: "_Center"):
-        """Reference gradients G of the nodal basis fields from the center c at
-        xi, (..., m, dim, dim, d), entry [i, j, a, l] the tangent_basis(q)[a]
+    def _basis_gradients(self, c: "_Center"):
+        """Reference gradients G of the nodal basis fields from the center c,
+        (..., m, dim, dim, d), entry [i, j, a, l] the tangent_basis(q)[a]
         coefficient of the l-th derivative of field (i, j), the tangential part of
 
             D^2P(w)[dw/dxi_l, phi_i b_ij] + dphi_i/dxi_l DP(w) b_ij,
@@ -73,24 +74,24 @@ class ProjectionInterpolant(Interpolant):
         """
         man = self.manifold
         E = man._flat(c.basis)                                              # (..., dim, N)
-        Bv = np.swapaxes(man._flat(man.tangent_basis(self.values)), -1, -2)  # (..., m, N, dim)
-        first = (E @ c.jacobian)[..., None, :, :] @ Bv                     # (..., m, dim, dim)
         ED2 = E[..., None, :, :] @ man.projection_jacobian_deriv(c.w, c.dsum)  # (..., d, dim, N)
-        second = ED2[..., None, :, :, :] @ Bv[..., :, None, :, :]          # (..., m, d, dim, dim)
-        dphi = self.elem.shape_gradients(xi)                               # (..., m, d)
-        phi = self.elem.shape_values(xi)
-        G = phi[..., :, None, None, None] * second \
-            + dphi[..., :, :, None, None] * first[..., :, None, :, :]
-        V = phi[..., :, None, None] * first
+        second = ED2[..., None, :, :, :] @ c.Bv[..., :, None, :, :]       # (..., m, d, dim, dim)
+        G = c.phi[..., :, None, None, None] * second \
+            + c.dphi[..., :, :, None, None] * c.first[..., :, None, :, :]
+        V = c.phi[..., :, None, None] * c.first
         return np.swapaxes(G, -3, -1), np.swapaxes(V, -1, -2)  # [..., i, j, a, l], [..., i, j, a]
 
 
 class _Center(NamedTuple):
-    """q = P(w), tangent_basis(q), the weighted sum w, dP/dw (..., N, N) and
-    dw/dxi (..., d, N)."""
+    """q = P(w), tangent_basis(q) = E, the weighted sum w, dw/dxi (..., d, N),
+    the weights phi (..., m) and their gradients dphi (..., m, d), the nodal
+    bases B_v (..., m, N, dim) and E DP(w) B_v (..., m, dim, dim)."""
 
     q: np.ndarray
     basis: np.ndarray
     w: np.ndarray
-    jacobian: np.ndarray
     dsum: np.ndarray
+    phi: np.ndarray
+    dphi: np.ndarray
+    Bv: np.ndarray
+    first: np.ndarray

@@ -1,19 +1,18 @@
 """Legacy ASCII VTK export of global functions and test fields.
 
 Point positions are the embedded function values mapped to three components
-(sphere values directly, rotations as axis-angle vectors, flat values zero
-padded), so a viewer shows the image of the function.  An optional test
-field is written as per-point 3-component vector data (rotation tangents as
-the axis coordinates of Q^T W).
+(sphere values directly, rotations as axis-angle vectors, NaN within 1e-8
+of a half-turn, flat values zero padded), so a viewer shows the image of
+the function.  An optional test field is written as per-point 3-component
+vector data (rotation tangents as the axis coordinates of Q^T W).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import CutLocusError
 from .grid import GFEFunction, GlobalTestFunction
-from .kernels import _logm_rotation, _vee
+from .kernels import _logm_rotation, _near_cut, _vee
 from .manifold import Euclidean, Rotation3, Sphere
 
 # (dim, order) -> VTK cell type and local-node permutation
@@ -36,10 +35,8 @@ def _point3(manifold, value) -> np.ndarray:
     if isinstance(manifold, (Sphere, Euclidean)):
         return _pad3(value)
     if isinstance(manifold, Rotation3):
-        try:
-            return _vee(_logm_rotation(np.asarray(value, dtype=float)))
-        except CutLocusError:
-            return np.array([np.nan, np.nan, np.nan])
+        log, angle = _logm_rotation(np.asarray(value, dtype=float))
+        return np.full(3, np.nan) if _near_cut(angle) else _vee(log)
     raise TypeError(f"no VTK embedding for manifold kind {manifold.kind!r}")
 
 

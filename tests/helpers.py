@@ -252,3 +252,21 @@ def fd_energy_hessian(u, fixed, h=1e-4):
             H[a, b] = H[b, a] = (energy(e[a] + e[b]) - energy(e[a] - e[b])
                                  - energy(e[b] - e[a]) + energy(-e[a] - e[b])) / (4.0 * h * h)
     return H
+
+
+# ----------------------------------------------------------------------
+# negative controls
+
+
+def corrupt_d_dv_all(mp):
+    """Under the monkeypatch mp, shift entry (0, 0) of every matrix that
+    ``Interpolant.d_dv_all`` returns by 1e-2, for both rules."""
+    exact = gfe.jacobi.Interpolant.d_dv_all
+
+    def corrupted(self, xi):
+        q, mats = exact(self, xi)
+        mats = mats.copy()
+        mats[..., 0, 0] += 1e-2
+        return q, mats
+
+    mp.setattr(gfe.jacobi.Interpolant, "d_dv_all", corrupted)

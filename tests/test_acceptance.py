@@ -30,6 +30,7 @@ from helpers import (
     chordal_residual,
     classical_energy,
     classical_stiffness,
+    corrupt_d_dv_all,
     fd_d_dv,
     fd_variation,
     great_circle_start,
@@ -296,14 +297,16 @@ def test_criterion_11_continuity():
            f"two-sided face evaluation max mismatch {worst:.3e} at 200 points (tol 1e-10)")
 
 
-def test_criterion_12_negative_controls(tmp_path, capsys):
+def test_criterion_12_negative_controls(tmp_path, capsys, monkeypatch):
     pi = ProjectionInterpolant(ReferenceElement(1, 1), [EX, -EX], S2)
     raised = False
     try:
         pi.eval([0.5])
     except ProjectionUndefinedError:
         raised = True
-    code = cli_main(["--command", "audit", "--manifold", "sphere2", "--seed", "42", "--corrupt-ddv"])
+    with monkeypatch.context() as mp:
+        corrupt_d_dv_all(mp)
+        code = cli_main(["--command", "audit", "--manifold", "sphere2", "--seed", "42"])
     capsys.readouterr()
     ok = raised and code == 1
     report(12, ok,

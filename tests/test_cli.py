@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import gfe
 from gfe.cli import _csv_lines, main, read_nodal_csv, write_nodal_csv
 from gfe.grid import write_mesh
+from helpers import corrupt_d_dv_all
 
 S2 = gfe.Sphere(2)
 
@@ -315,24 +316,42 @@ def test_minimize_boundary_index_out_of_range_exits_2(tmp_path, capsys, bad_node
     assert f"node index {bad_node}" in assert_one_error_line(capsys, bc)
 
 
+def minimize_with_a_half_turn_on_the_last_element(tmp_path, rule, n_elements):
+    """CLI minimize on an SO(3) interval mesh whose nodal values are the
+    identity, but for the last node, a half-turn about e_z away from it."""
+    mesh = tmp_path / "m.mesh"
+    write_interval_mesh(mesh, n_elements)
+    bc = tmp_path / "bc.csv"
+    turn = np.pi - 1e-12
+    write_bc(bc, [(i, np.eye(3).ravel()) for i in range(n_elements)] + [
+        (n_elements, [np.cos(turn), -np.sin(turn), 0.0, np.sin(turn), np.cos(turn), 0.0, 0.0, 0.0, 1.0])])
+    return main([
+        "--command", "minimize", "--manifold", "so3", "--rule", rule,
+        "--mesh", str(mesh), "--bc", str(bc), "--out", str(tmp_path / "o.csv"),
+    ])
+
+
 @pytest.mark.parametrize("rule, message", [
     ("geodesic", "at the half-turn"), ("projection", "projection undefined"),
 ])
 def test_minimize_start_the_rule_cannot_evaluate_exits_2(tmp_path, capsys, rule, message):
     # two rotations about e_z a half-turn apart, on one element
-    mesh = tmp_path / "m.mesh"
-    write_interval_mesh(mesh, 1)
-    bc = tmp_path / "bc.csv"
-    turn = np.pi - 1e-12
-    write_bc(bc, [(0, np.eye(3).ravel()),
-                  (1, [np.cos(turn), -np.sin(turn), 0.0, np.sin(turn), np.cos(turn), 0.0, 0.0, 0.0, 1.0])])
-    code = main([
-        "--command", "minimize", "--manifold", "so3", "--rule", rule,
-        "--mesh", str(mesh), "--bc", str(bc), "--out", str(tmp_path / "o.csv"),
-    ])
+    code = minimize_with_a_half_turn_on_the_last_element(tmp_path, rule, 1)
     assert code == 2
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("error: ") and message in err
+    assert err.count("\n") == 1 and err.startswith("error: element 0: ") and message in err
+
+
+@pytest.mark.parametrize("rule, message", [
+    ("geodesic", "rotation angle 3.141593 is (numerically) at the half-turn"),
+    ("projection", "projection undefined: weighted rotation sum has det ="),
+])
+def test_minimize_names_the_one_element_it_cannot_start_on(tmp_path, capsys, rule, message):
+    # elements 0 and 1 hold the identity twice; element 2 spans the half-turn
+    code = minimize_with_a_half_turn_on_the_last_element(tmp_path, rule, 3)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: element 2: {message}")
 
 
 def test_minimize_descent_error_exits_3(tmp_path, capsys, monkeypatch):
@@ -376,10 +395,10 @@ def test_audit_curved_passes(manifold, rule, capsys):
     assert code == 0, out
 
 
-def test_audit_corrupted_ddv_exits_1(capsys):
-    code = main([
-        "--command", "audit", "--manifold", "sphere2", "--seed", "42", "--corrupt-ddv",
-    ])
+def test_audit_corrupted_ddv_exits_1(capsys, monkeypatch):
+    with monkeypatch.context() as mp:
+        corrupt_d_dv_all(mp)
+        code = main(["--command", "audit", "--manifold", "sphere2", "--seed", "42"])
     assert code == 1
     assert "FAIL" in capsys.readouterr().out
     # the corruption stays local to that run

@@ -285,6 +285,24 @@ def test_vtk_output_structure(tmp_path):
     assert path.read_text() == path2.read_text()
 
 
+def test_vtk_writes_nan_for_a_rotation_at_the_half_turn(tmp_path):
+    # 1e-9 from the half-turn is within the cut-locus slack of 1e-8, 1e-7 is not
+    SO3 = gfe.Rotation3()
+    grid = unit_interval_grid(2, 1)
+    turns = [0.0, np.pi - 1e-9, np.pi - 1e-7]
+    values = np.array([[[np.cos(t), -np.sin(t), 0.0], [np.sin(t), np.cos(t), 0.0], [0.0, 0.0, 1.0]]
+                       for t in turns])
+    u = GFEFunction(grid, SO3, "projection", values)
+    path = tmp_path / "rot.vtk"
+    write_vtk(path, u)
+    lines = path.read_text().splitlines()
+    k = lines.index(f"POINTS {grid.n_nodes} double")
+    assert lines[k + 1] == "0 0 0"
+    assert lines[k + 2] == "nan nan nan"
+    last = np.array([float(t) for t in lines[k + 3].split()])
+    assert np.max(np.abs(last - [0.0, 0.0, np.pi - 1e-7])) <= 1e-10
+
+
 def test_vtk_rotation_axis_embedding(tmp_path):
     grid = unit_interval_grid(2, 1)
     SO3 = gfe.Rotation3()

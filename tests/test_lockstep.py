@@ -130,8 +130,9 @@ def saddle_batch(order_of_points):
 ])
 def test_batch_raises_the_error_of_its_lowest_failing_point(points, error):
     interp, xi, starts = saddle_batch(points)
-    with pytest.raises(error):
+    with pytest.raises(error) as raised:
         interp._solve(xi, q0=starts)
+    assert raised.value.point == next(p for p, name in enumerate(points) if name != "easy")
     # each failing point alone raises the same type
     for p, name in enumerate(points):
         single = GeodesicInterpolant(ReferenceElement(1, 1), interp.values[p], S2)
@@ -140,6 +141,23 @@ def test_batch_raises_the_error_of_its_lowest_failing_point(points, error):
         else:
             with pytest.raises((IndefiniteHessianError, CutLocusError)):
                 single._solve(xi[p], q0=starts[p])
+
+
+def test_batch_with_a_point_outside_the_projection_domain_equals_per_point_results():
+    # order-2 SO(3) weights: at xi = 0.83 the weighted sum has a negative
+    # determinant, so Newton starts there from the heaviest nodal value,
+    # while the weighted center itself exists
+    elem = ReferenceElement(1, 2)
+    w = np.array([[0.134, -0.587, -0.148], [-0.121, -1.163, 1.537], [-0.401, 1.031, -0.493]])
+    values = SO3.exp(np.eye(3), np.tensordot(w, gfe.kernels._HATS, axes=1))
+    xi = np.array([[0.0], [0.25], [0.5], [0.83], [0.84], [1.0]])
+    sums = np.einsum("pm,mij->pij", elem.shape_values(xi), values)
+    assert SO3._projectable(sums).tolist() == [True, True, True, False, True, True]
+    interp = GeodesicInterpolant(elem, values, SO3)
+    batch = interp._solve(xi)
+    assert np.all(batch.residual <= 1e-12)
+    for p in range(len(xi)):
+        assert np.max(np.abs(batch.q[p] - interp.eval(xi[p]))) <= 1e-14
 
 
 def test_newton_budget_applies_per_point():
@@ -205,6 +223,7 @@ def test_gradient_after_an_energy_makes_no_rotation_log(monkeypatch):
     calls = gradient_after_an_energy(SO3, monkeypatch, {
         "_logm_rotation": (gfe.manifold, "_logm_rotation"),
         "log": (gfe.Rotation3, "log"),
+        "_log": (gfe.Rotation3, "_log"),
     })
     assert calls == []
 
@@ -212,6 +231,7 @@ def test_gradient_after_an_energy_makes_no_rotation_log(monkeypatch):
 def test_gradient_after_an_energy_makes_no_sphere_log_or_transport(monkeypatch):
     calls = gradient_after_an_energy(S2, monkeypatch, {
         "log": (gfe.Sphere, "log"),
+        "_log": (gfe.Sphere, "_log"),
         "transport": (gfe.Sphere, "transport"),
     })
     assert calls == []
