@@ -31,6 +31,8 @@ minimize
     projection), naming the element, and 3 when the descent fails (the
     line search, a singular metric), each with one ``error: ...`` line.
 
+Any other exception is a fault of gfe, not of its input: one
+``error: internal: <Type>: <message>`` line and exit code 4, no traceback.
 Identical flags and seed produce byte-identical output files.  Malformed
 input (a mesh or CSV that cannot be read or holds a NaN or an infinity, a
 mesh without elements, with a degenerate element or with a vertex that
@@ -367,12 +369,15 @@ def main(argv=None) -> int:
     if args.tol <= 0.0:
         print("error: --tol must be positive", file=sys.stderr)
         return 2
-    if args.command == "audit":
-        return cmd_audit(args)
-    if not (args.mesh and args.bc and args.out):
+    if args.command != "audit" and not (args.mesh and args.bc and args.out):
         print(f"error: {args.command} needs --mesh, --bc and --out", file=sys.stderr)
         return 2
-    return cmd_interpolate(args) if args.command == "interpolate" else cmd_minimize(args)
+    command = {"audit": cmd_audit, "interpolate": cmd_interpolate, "minimize": cmd_minimize}[args.command]
+    try:
+        return command(args)
+    except Exception as exc:    # a fault of gfe, not of the input: one line, exit 4
+        print(f"error: internal: {type(exc).__name__}: {' '.join(str(exc).split())}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

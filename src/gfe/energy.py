@@ -28,6 +28,12 @@ first; later calls on the state, in any order, make no Newton solve and no
 logarithm, which is how ``minimize`` gets its gradient and metric from the
 accepted trial.  Per-point contributions are summed with ``math.fsum``.
 
+The gradient alone (``algebraic_gradient``, ``directional_derivative``,
+``equivalence_audit``) pairs u's gradient with every nodal basis field's
+gradient through ``Interpolant._basis_gradient_terms``, which the geodesic
+rule evaluates without forming them; the metric of ``minimize`` is their
+Gram matrix, so that route forms them all (``_basis_ref_gradients``).
+
 ``equivalence_audit`` compares, for random nodal tangent directions, the
 extrapolated finite difference of the energy along the corresponding curve
 of nodal values against the directional derivative, one gradient paired with every
@@ -139,6 +145,11 @@ def directional_derivative(u: GFEFunction, eta: GlobalTestFunction) -> float:
     return math.fsum((algebraic_gradient(u, fixed=()) * eta.vectors).ravel())
 
 
+def _scatter(index, x, *shape) -> np.ndarray:
+    """The entries of x summed at the flat indices index, in order, into an array of shape."""
+    return np.bincount(index.ravel(), x.ravel(), math.prod(shape)).reshape(shape)
+
+
 def _gradient_terms(u: GFEFunction, metric: bool = False):
     """(coeff, A, J): gradient coefficients (n, dim) in the tangent_basis(u_i)
     coordinates, no node fixed, and with ``metric`` (else None) the parts
@@ -157,32 +168,35 @@ def _gradient_terms(u: GFEFunction, metric: bool = False):
     dim = man.intrinsic_dim
     a = _assembly(u)
     K = man._model_curvature
-    coeff = np.zeros((grid.n_nodes, dim))
-    A, J = (np.zeros((grid.n_nodes * dim,) * 2) for _ in range(2)) if metric else (None, None)
+    N = grid.n_nodes * dim
     Binv = grid._Binv[a.els]
-    nodes = grid.element_nodes[a.els]
-    _, G, V = _basis_ref_gradients(a.interp, a.xi, center=a.center)
+    # the dof i*dim + j of field (i, j) at each point, where _scatter sums its terms
+    dofs = (grid.element_nodes[a.els][:, :, None] * dim + np.arange(dim)).reshape(len(Binv), -1)
     # term (i, j): the weighted integrand of the directional derivative
     # along basis field (i, j), whose physical gradient is G[:, i, j] @ Binv;
     # u's gradient enters through its tangent_basis(q) coefficients EGu, as
-    # C = EGu Binv^T, [p, l, a], in one matmul over G's layout [p, i, l, a, j]
+    # C = EGu Binv^T, [p, l, a]
     EGu = man._flat(a.center.basis) @ a.Gu                               # (P, dim, d)
-    C = np.swapaxes(EGu @ np.swapaxes(Binv, 1, 2), 1, 2).reshape(len(G), 1, 1, -1)
-    terms = (C @ np.swapaxes(G, 2, 4).reshape(G.shape[:2] + (-1, dim)))[:, :, 0]
-    np.add.at(coeff, nodes, terms * a.w[:, None, None])
-    if metric:
-        # F[p, i*dim + j] is the flattened physical gradient of field (i, j)
-        F = G @ Binv[:, None, None]
-        F = F.reshape(F.shape[0], -1, F.shape[3] * F.shape[4])
-        dofs = (nodes[:, :, None] * dim + np.arange(dim)).reshape(len(F), -1)
-        block = (dofs[:, :, None], dofs[:, None, :])
-        np.add.at(A, block, (F * a.w[:, None, None]) @ np.swapaxes(F, 1, 2))
-        if K:
-            V = V.reshape(len(V), -1, dim)                               # (P, m*dim, dim)
-            VG = V @ EGu                                                 # <phi_ij, d_a u>
-            wg2 = a.w * np.sum(EGu * EGu, axis=(1, 2))
-            np.add.at(J, block, K * (wg2[:, None, None] * (V @ np.swapaxes(V, 1, 2))
-                                     - (VG * a.w[:, None, None]) @ np.swapaxes(VG, 1, 2)))
+    C = np.swapaxes(EGu @ np.swapaxes(Binv, 1, 2), 1, 2)
+    if not metric:      # the route of the gradient alone, which need not form G
+        terms = a.interp._basis_gradient_terms(a.center, C)
+        return _scatter(dofs, terms * a.w[:, None, None], grid.n_nodes, dim), None, None
+    _, G, V = _basis_ref_gradients(a.interp, a.xi, center=a.center)
+    # the same terms, in one matmul over G's layout [p, i, l, a, j]
+    terms = (C.reshape(len(G), 1, 1, -1) @ np.swapaxes(G, 2, 4).reshape(G.shape[:2] + (-1, dim)))[:, :, 0]
+    coeff = _scatter(dofs, terms * a.w[:, None, None], grid.n_nodes, dim)
+    # F[p, i*dim + j] is the flattened physical gradient of field (i, j)
+    F = G @ Binv[:, None, None]
+    F = F.reshape(F.shape[0], -1, F.shape[3] * F.shape[4])
+    block = dofs[:, :, None] * N + dofs[:, None, :]
+    A = _scatter(block, (F * a.w[:, None, None]) @ np.swapaxes(F, 1, 2), N, N)
+    J = np.zeros((N, N))
+    if K:
+        V = V.reshape(len(V), -1, dim)                                   # (P, m*dim, dim)
+        VG = V @ EGu                                                     # <phi_ij, d_a u>
+        wg2 = a.w * np.sum(EGu * EGu, axis=(1, 2))
+        J = _scatter(block, K * (wg2[:, None, None] * (V @ np.swapaxes(V, 1, 2))
+                                 - (VG * a.w[:, None, None]) @ np.swapaxes(VG, 1, 2)), N, N)
     return coeff, A, J
 
 

@@ -21,8 +21,11 @@ second relation once more in xi, with the third derivatives of squared
 distance (``dist2_third``), gives the exact reference gradients of the
 test-function fields dq/dv_i . b from the data of the solve at xi alone.
 It runs batch-last, in the rank-one forms of the manifold module, with one
-transpose on entry and one on exit.  H is inverted by ``kernels._sym_inv``
-in closed form and certified by Sylvester's test on H - 1e-10 I.
+transpose on entry and one on exit.  The energy's gradient pairs them with
+u's gradient in reverse mode (``_basis_gradient_terms``), forming neither
+them nor the third derivatives; its metric, their Gram matrix, forms them.
+H is inverted by ``kernels._sym_inv`` in closed form and certified by
+Sylvester's test on H - 1e-10 I.
 
 Newton starts from the projection-based interpolant where a projection
 exists and from the nodal value with the largest weight otherwise; steps are
@@ -43,8 +46,9 @@ The per-point methods (``eval``, ``d_dxi``, ``d_dv_all``, ...) are that
 same path with one point.
 
 As a rule of ``jacobi.Interpolant`` it supplies ``eval``, ``_center`` (the
-solve at xi with dq/dxi), ``_basis_values``, ``_basis_gradients`` and
-``_admit``, which refuses sphere values spread wider than 0.9*pi.
+solve at xi with dq/dxi), ``_basis_values``, ``_basis_gradients``,
+``_basis_gradient_terms`` and ``_admit``, which refuses sphere values spread
+wider than 0.9*pi.
 """
 
 from __future__ import annotations
@@ -313,17 +317,19 @@ class GeodesicInterpolant(Interpolant):
                             weight_gradients=dphi), \
             cols.reshape(cols.shape[:-1] + man.point_shape)
 
-    def _batch_last_center(self, c: _Solution):
+    def _batch_last_center(self, c: _Solution, *extra):
         """The data of the center c in the batch-last layout of
         Manifold._dist2_third: phi (m, ...), dphi (d, m, ...), v, q, Eq, u,
-        X = dq/dxi (d, dim, 1, ...), H^-1 (dim, dim, 1, ...) and H_xi (d, dim, dim, 1, ...)."""
+        X = dq/dxi (d, dim, 1, ...), H^-1 (dim, dim, 1, ...) and H_xi (d, dim, dim, 1, ...),
+        then the per-point matrices extra (..., s, dim) as (s, dim, 1, ...)."""
         man, lead = self.manifold, c.log_coeffs.shape[:-2]
         nodes, point = lead + (self.elem.m,), lead + (1,)
         one = lambda x, k: _batch_last(x.reshape(point + x.shape[len(lead):]), point, k)   # noqa: E731
         return (_batch_last(c.weights, nodes, 0), _batch_last(c.weight_gradients, nodes, 1),
                 _batch_last(man._flat(self.values), nodes, 1), one(man._flat(c.q), 1),
                 one(man._flat(c.basis), 2), _batch_last(c.log_coeffs, nodes, 1),
-                one(np.swapaxes(c.dq, -1, -2), 2), one(c.hessian_inv, 2), one(c.hessian_xi, 3))
+                one(np.swapaxes(c.dq, -1, -2), 2), one(c.hessian_inv, 2), one(c.hessian_xi, 3),
+                *(one(x, 2) for x in extra))
 
     def _basis_values(self, c: _Solution):
         """Values of the nodal basis fields from the center c, (..., m,
@@ -356,3 +362,16 @@ class GeodesicInterpolant(Interpolant):
              - np.einsum("lac...,cb...->lab...", np.einsum("ac...,lcb...->lab...", Hinv, H_xi + hess_X), V))
         return G.T, V.T
 
+    def _basis_gradient_terms(self, c: _Solution, C):
+        """sum_{l,a} C[..., l, a] G[..., i, j, a, l], (..., m, dim), by the
+        relation of _basis_gradients transposed, with lam_l = H^-1 C_l:
+
+            terms_i = -phi_i (d_X K_i)^T lam - K_i^T (sum_l dphi_il lam_l - phi_i H^-1 mu),
+            mu = sum_l (H_xi,l + d_X Hess_l) lam_l,
+
+        the third derivatives contracted from their rank-one factors."""
+        phi, dphi, v, q, Eq, u, X, Hinv, H_xi, lam = self._batch_last_center(c, C @ c.hessian_inv)
+        mixed, lam_mixed_X, lam_hess_X = self.manifold._dist2_third_adjoint(v, q, Eq, u, X, phi, lam)
+        mu = (H_xi * lam[:, None]).sum((0, 2)) + lam_hess_X                 # (dim, 1, ...)
+        kappa = phi * (Hinv * mu).sum(1) - (dphi[:, None] * lam).sum(0)     # (dim, m, ...)
+        return ((kappa[:, None] * mixed).sum(0) - phi * lam_mixed_X).T

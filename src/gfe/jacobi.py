@@ -17,8 +17,11 @@ reproduces the b_i, so fields are in linear one-to-one correspondence with
 their nodal data.  The m*dim nodal basis fields carry a single tangent basis
 vector at a single node: their values are the columns of the matrices of
 ``d_dv_all``, and ``_basis_ref_gradients`` differentiates all of them at
-once.  Field values and gradient columns come back as arrays, together
-with the base point q = eval(xi) they are tangent at.
+once.  ``_basis_gradient_terms`` pairs those gradients with one matrix per
+point, as the energy's gradient needs, by default from ``_basis_gradients``;
+the geodesic rule pairs them without forming them.  Field values and
+gradient columns come back as arrays, together with the base point
+q = eval(xi) they are tangent at.
 
 Reference-space gradients of fields are exact: the interpolant
 differentiates its own derivative relation in xi, from the data of its
@@ -81,6 +84,11 @@ class Interpolant:
         """
         c, _ = self._center(xi)
         return c.q, np.swapaxes(self._basis_values(c), -1, -2)
+
+    def _basis_gradient_terms(self, c, C):
+        """sum_{l,a} C[..., l, a] G[..., i, j, a, l], (..., m, dim), for one
+        C (..., d, dim) per point and the G of _basis_gradients(c)."""
+        return np.einsum("...la,...ijal->...ij", C, self._basis_gradients(c)[0])
 
 
 def _basis_ref_gradients(interp: Interpolant, xi, center=None):

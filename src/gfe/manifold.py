@@ -66,7 +66,8 @@ q hat(u)/sqrt(2) and transport is left translation by exp of half the log,
 T = exp(hat(h)) with h = u/(2 sqrt(2)) and hat(h)^2 = h h^T - |h|^2 I, and
 w = -u.  All operations are pure functions of their inputs.
 
-``_mixed``, ``_transported_basis`` and ``_dist2_third`` work batch-last:
+``_mixed``, ``_transported_basis``, ``_dist2_third`` and its contraction
+with one covector per direction, ``_dist2_third_adjoint``, work batch-last:
 component axes first, then the node and point axes, contiguous, so the 3x3
 algebra is elementwise over whole arrays of points.  P is never formed; it
 enters in rank-one form, PX = X - <X, n> n and P T = T - n (T^T n)^T.
@@ -307,12 +308,10 @@ class Manifold:
             *self._batch_last_args(v, q, None, (np.expand_dims(X, -3), 2), (weights, 0)))
         return _batch_first(mixed, 2), _batch_first(hess_X, 3)[..., 0, :, :, :], _batch_first(mixed_X, 3)
 
-    def _dist2_third(self, v, q, Eq, u, X, phi):
-        """dist2_third batch-last, the node axis 1 for per-point data: v (N, m,
-        ...), q (N, 1, ...), Eq (dim, N, 1, ...), the log coefficients u (dim,
-        m, ...), X (s, dim, 1, ...) and the weights phi (m, ...) give mixed
-        (dim, dim, m, ...), hess_X (s, dim, dim, 1, ...) and mixed_X (s, dim,
-        dim, m, ...), with P in rank-one form."""
+    def _third_factors(self, v, q, Eq, u, X, phi):
+        """The rank-one factors of dist2_third, batch-last as in _dist2_third:
+        (w, T, mixed) of _mixed, n, g1, g3, <u, X>, <n, X>, PX and, for the
+        weighted Hessian, f = phi g1 <u, X> and y = phi g2 u, g2 = g1 + K."""
         r, w, T, mixed = self._mixed(v, q, Eq, u)
         K = self._model_curvature
         # c'/r and (1 - c)*a/r**2 of the module docstring, c = rho*cot(rho) and
@@ -324,19 +323,44 @@ class Manifold:
         n = u / np.where(r < 1e-15, np.inf, r)
         uX, nX = (X * u).sum(1), (X * n).sum(1)                             # (s, m, ...)
         PX = X - nX[:, None] * n                                            # (s, dim, m, ...)
+        return w, T, mixed, n, g1, g3, uX, nX, PX, phi * g1 * uX, phi * (g1 + K) * u
+
+    def _dist2_third(self, v, q, Eq, u, X, phi):
+        """dist2_third batch-last, the node axis 1 for per-point data: v (N, m,
+        ...), q (N, 1, ...), Eq (dim, N, 1, ...), the log coefficients u (dim,
+        m, ...), X (s, dim, 1, ...) and the weights phi (m, ...) give mixed
+        (dim, dim, m, ...), hess_X (s, dim, dim, 1, ...) and mixed_X (s, dim,
+        dim, m, ...), with P in rank-one form."""
+        w, T, mixed, n, g1, g3, uX, nX, PX, f, y = self._third_factors(v, q, Eq, u, X, phi)
         Tn, XPT = (T * n[:, None]).sum(0), (PX[:, :, None] * T).sum(1)      # T^T n, (PX)^T T
         # mixed_X = 2 (g3 (<u, X> p_j + <p_j, X> u) - g1 <log_v q, b_j> PX), column j,
         # with p_j = P Pt(b_j) = (P T)[:, j]; the scalars go on the smaller operands
         mixed_X = ((2.0 * g3 * uX)[:, None, None] * (T - n[:, None] * Tn)
                    + (2.0 * g3 * u)[:, None] * XPT[:, None] - (2.0 * g1 * PX)[:, :, None] * w)
-        # hess_X = -2 sum_i phi_i (g1 <u, X> P + g2 (PX u^T + u PX^T)), g2 = g1 + K, is
-        # -2 (F I + D + D^T) with D = X Y^T - sum_i n (f n/2 + <n, X> y)^T, f = phi g1 <u, X>,
-        # y = phi g2 u and F, Y the sums of f, y over the nodes i
-        f, y = phi * g1 * uX, phi * (g1 + K) * u
+        # hess_X = -2 sum_i phi_i (g1 <u, X> P + g2 (PX u^T + u PX^T)) is
+        # -2 (F I + D + D^T) with D = X Y^T - sum_i n (f n/2 + <n, X> y)^T and
+        # F, Y the sums of f, y over the nodes i
         D = X[:, :, None] * y.sum(1, keepdims=True) - (
             n[:, None] * (0.5 * f[:, None] * n + nX[:, None] * y)[:, None]).sum(3, keepdims=True)
         F = f.sum(1, keepdims=True)[:, None, None]
-        return mixed, -2.0 * (F * _eye(len(u), r.ndim) + D + np.swapaxes(D, 1, 2)), mixed_X
+        return mixed, -2.0 * (F * _eye(len(u), u.ndim - 1) + D + np.swapaxes(D, 1, 2)), mixed_X
+
+    def _dist2_third_adjoint(self, v, q, Eq, u, X, phi, lam):
+        """mixed and the contractions with lam (s, dim, 1, ...) over the (s, dim)
+        axes of mixed_X (dim, m, ...) and hess_X (dim, 1, ...), formed from
+        the factors of _dist2_third but without forming mixed_X or hess_X."""
+        w, T, mixed, n, g1, g3, uX, nX, PX, f, y = self._third_factors(v, q, Eq, u, X, phi)
+        ln, ly = (lam * n).sum(1), (lam * y).sum(1)                         # (s, m, ...)
+        # mixed_X^T lam = T^T (2 g3 (<u, X> P lam + <u, lam> PX)) - 2 g1 <PX, lam> w
+        z = (2.0 * g3) * (uX[:, None] * (lam - ln[:, None] * n) + (lam * u).sum(1)[:, None] * PX).sum(0)
+        lam_mixed_X = (T * z[:, None]).sum(0) - (2.0 * g1 * (lam * PX).sum((0, 1))) * w
+        # (F I + D + D^T) lam = F lam + X <Y, lam> + Y <X, lam>
+        #     - sum_i (n_i (f <n_i, lam> + <n_i, X> <y_i, lam>) + y_i <n_i, X> <n_i, lam>)
+        Y = y.sum(1, keepdims=True)
+        point = (f.sum(1, keepdims=True)[:, None] * lam + X * (Y * lam).sum(1)[:, None]
+                 + (X * lam).sum(1)[:, None] * Y).sum(0)
+        nodes = (n * (f * ln + nX * ly).sum(0) + y * (nX * ln).sum(0)).sum(1, keepdims=True)
+        return mixed, lam_mixed_X, -2.0 * (point - nodes)
 
 
 # ----------------------------------------------------------------------

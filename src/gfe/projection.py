@@ -43,11 +43,14 @@ class ProjectionInterpolant(Interpolant):
         J = man.projection_jacobian(w)
         cols = dsum @ np.swapaxes(J, -1, -2)
         q = man.project_point(w)
-        basis = man.tangent_basis(q)
-        Bv = np.swapaxes(man._flat(man.tangent_basis(self.values)), -1, -2)  # (..., m, N, dim)
-        first = (man._flat(basis) @ J)[..., None, :, :] @ Bv                # (..., m, dim, dim)
-        return _Center(q, basis, w, dsum, phi, dphi, Bv, first), \
+        return _Center(q, man.tangent_basis(q), w, dsum, phi, dphi, J), \
             cols.reshape(cols.shape[:-1] + man.point_shape)
+
+    def _first(self, c: "_Center"):
+        """The nodal bases B_v (..., m, N, dim) and E DP(w) B_v (..., m, dim, dim)."""
+        man = self.manifold
+        Bv = np.swapaxes(man._flat(man.tangent_basis(self.values)), -1, -2)
+        return Bv, (man._flat(c.basis) @ c.J)[..., None, :, :] @ Bv
 
     def eval(self, xi) -> np.ndarray:
         """P applied to the weighted embedding sum.
@@ -61,7 +64,7 @@ class ProjectionInterpolant(Interpolant):
         """Values phi_i DP(w) b_ij of the nodal basis fields from the center c,
         (..., m, dim, dim), entry [i, j, a] the tangent_basis(q)[a]
         coefficient of field (i, j)."""
-        return np.swapaxes(c.phi[..., :, None, None] * c.first, -1, -2)
+        return np.swapaxes(c.phi[..., :, None, None] * self._first(c)[1], -1, -2)
 
     def _basis_gradients(self, c: "_Center"):
         """Reference gradients G of the nodal basis fields from the center c,
@@ -73,19 +76,20 @@ class ProjectionInterpolant(Interpolant):
         and the fields' values of _basis_values; returns (G, values).
         """
         man = self.manifold
+        Bv, first = self._first(c)
         E = man._flat(c.basis)                                              # (..., dim, N)
         ED2 = E[..., None, :, :] @ man.projection_jacobian_deriv(c.w, c.dsum)  # (..., d, dim, N)
-        second = ED2[..., None, :, :, :] @ c.Bv[..., :, None, :, :]       # (..., m, d, dim, dim)
+        second = ED2[..., None, :, :, :] @ Bv[..., :, None, :, :]         # (..., m, d, dim, dim)
         G = c.phi[..., :, None, None, None] * second \
-            + c.dphi[..., :, :, None, None] * c.first[..., :, None, :, :]
-        V = c.phi[..., :, None, None] * c.first
+            + c.dphi[..., :, :, None, None] * first[..., :, None, :, :]
+        V = c.phi[..., :, None, None] * first
         return np.swapaxes(G, -3, -1), np.swapaxes(V, -1, -2)  # [..., i, j, a, l], [..., i, j, a]
 
 
 class _Center(NamedTuple):
     """q = P(w), tangent_basis(q) = E, the weighted sum w, dw/dxi (..., d, N),
-    the weights phi (..., m) and their gradients dphi (..., m, d), the nodal
-    bases B_v (..., m, N, dim) and E DP(w) B_v (..., m, dim, dim)."""
+    the weights phi (..., m), their gradients dphi (..., m, d) and DP(w)
+    (..., N, N)."""
 
     q: np.ndarray
     basis: np.ndarray
@@ -93,5 +97,4 @@ class _Center(NamedTuple):
     dsum: np.ndarray
     phi: np.ndarray
     dphi: np.ndarray
-    Bv: np.ndarray
-    first: np.ndarray
+    J: np.ndarray

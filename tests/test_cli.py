@@ -371,6 +371,25 @@ def test_minimize_descent_error_exits_3(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == "error: H^1 metric is singular at descent iteration 0\n"
 
 
+def test_unexpected_exception_exits_4_with_one_line(tmp_path, capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("something\nwent wrong")
+
+    monkeypatch.setattr(gfe.cli, "cmd_interpolate", broken)
+    mesh = tmp_path / "m.mesh"
+    write_interval_mesh(mesh, 2)
+    bc = tmp_path / "bc.csv"
+    write_bc(bc, [(i, [1.0, 0.0, 0.0]) for i in range(3)])
+    code = main([
+        "--command", "interpolate", "--manifold", "sphere2",
+        "--mesh", str(mesh), "--bc", str(bc), "--out", str(tmp_path / "o.csv"),
+    ])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err == "error: internal: RuntimeError: something went wrong\n"
+    assert "Traceback" not in err
+
+
 # ----------------------------------------------------------------------
 # audit
 

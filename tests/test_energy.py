@@ -200,6 +200,21 @@ def test_energy_nonnegative_and_zero_only_for_constant():
     assert dirichlet_energy(const) <= 1e-28
 
 
+@pytest.mark.parametrize("man", [S2, gfe.Rotation3()], ids=lambda m: m.kind)
+@pytest.mark.parametrize("rule", ["geodesic", "projection"])
+@pytest.mark.parametrize("order", [1, 2])
+def test_gradient_route_equals_the_metric_route(man, rule, order):
+    # algebraic_gradient contracts u's gradient without forming the basis-field
+    # gradients; the metric route forms them and contracts the same way
+    grid = unit_square_grid(2, order)
+    values = random_configuration(man, grid.n_nodes, np.random.default_rng(order), radius=0.4)
+    u = GFEFunction(grid, man, rule, values)
+    coeff = _gradient_terms(u, metric=True)[0]
+    coeff[sorted(grid.boundary_nodes)] = 0.0
+    expected = np.einsum("ij,ij...->i...", coeff, man.tangent_basis(values))
+    assert np.max(np.abs(algebraic_gradient(u) - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
 def test_gradient_matches_energy_fd_per_node():
     grid = unit_square_grid(1, 1)
     u = sphere_function(grid, seed=41)

@@ -1,6 +1,7 @@
 """Exact reference gradients of the nodal basis fields against the
-central-difference oracle, on the delicate configurations: wide nodal data,
-constant nodal data and a center next to a nodal value."""
+central-difference oracle, and their pairing ``_basis_gradient_terms``
+against the contraction of those gradients, on the delicate configurations:
+wide nodal data, constant nodal data and a center next to a nodal value."""
 
 import numpy as np
 import pytest
@@ -31,15 +32,20 @@ def case_id(case):
     return f"{man.kind}-{rule.__name__[:4].lower()}-{dim}d-p{order}"
 
 
-def exact_vs_oracle(interp, xi):
-    """Relative gap between the exact gradients and the oracle, or None where
-    the configuration cannot be evaluated (Newton or projection refuses)."""
+def exact_vs_oracle(interp, xi, seed=0):
+    """Relative gaps (exact gradients G against the oracle, and
+    ``_basis_gradient_terms(c, C)`` against the contraction of G with a random
+    C), or None where the configuration cannot be evaluated (Newton or
+    projection refuses)."""
     try:
-        _, G, _ = _basis_ref_gradients(interp, xi)
+        c, G, _ = _basis_ref_gradients(interp, xi)
         fd = fd_basis_ref_gradients(interp, xi)
     except GFEError:
         return None
-    return np.max(np.abs(G - fd)) / max(1.0, np.max(np.abs(fd)))
+    C = np.random.default_rng(seed).standard_normal((G.shape[-1], G.shape[-2]))
+    terms = np.einsum("la,ijal->ij", C, G)
+    return (np.max(np.abs(G - fd)) / max(1.0, np.max(np.abs(fd))),
+            np.max(np.abs(interp._basis_gradient_terms(c, C) - terms)) / np.max(np.abs(terms)))
 
 
 def point_near_node(elem, node, t):
@@ -58,9 +64,10 @@ def test_exact_gradients_match_the_oracle(case, seed, spread, lam):
     values = random_configuration(man, elem.m, np.random.default_rng(seed),
                                   radius=spread * MAX_RADIUS[man.kind])
     lam = np.array(lam[: dim + 1]) / np.sum(lam[: dim + 1])
-    gap = exact_vs_oracle(rule(elem, values, man, _checked=True), lam[1:])
-    assume(gap is not None)
-    assert gap <= 1e-8
+    gaps = exact_vs_oracle(rule(elem, values, man, _checked=True), lam[1:], seed)
+    assume(gaps is not None)
+    assert gaps[0] <= 1e-8
+    assert gaps[1] <= 1e-13
 
 
 @pytest.mark.parametrize("case", CASES, ids=case_id)
@@ -74,8 +81,9 @@ def test_exact_gradients_next_to_a_nodal_value(case, seed, node, t):
     interp = rule(elem, values, man)
     xi = point_near_node(elem, node % elem.m, t)
     assert man.dist(interp.eval(xi), values[node % elem.m]) <= 1e-4
-    gap = exact_vs_oracle(interp, xi)
-    assert gap is not None and gap <= 1e-8
+    gaps = exact_vs_oracle(interp, xi, seed)
+    assert gaps is not None and gaps[0] <= 1e-8
+    assert gaps[1] <= 1e-13
 
 
 @pytest.mark.parametrize("case", CASES, ids=case_id)
@@ -85,8 +93,9 @@ def test_exact_gradients_for_constant_data(case):
     elem = ReferenceElement(dim, order)
     values = np.repeat(random_configuration(man, 1, np.random.default_rng(7)), elem.m, axis=0)
     xi = np.full(dim, 0.2)
-    gap = exact_vs_oracle(rule(elem, values, man), xi)
-    assert gap is not None and gap <= 1e-8
+    gaps = exact_vs_oracle(rule(elem, values, man), xi)
+    assert gaps is not None and gaps[0] <= 1e-8
+    assert gaps[1] <= 1e-13
     # the fields are the Lagrange combinations in one tangent space
     _, G, _ = _basis_ref_gradients(rule(elem, values, man), xi)
     dphi = elem.shape_gradients(xi)
