@@ -21,24 +21,21 @@ on smooth curved data convergence is quadratic, 3 to 5 steps at every mesh
 size, and on rough data (nodal values far apart within an element) linear.
 
 Assembly is batched: all (element, quadrature point) pairs of a state are
-evaluated together, element-major, in one lockstep center solve.  A function
-state keeps that record of its quadrature data (``_assembly``), built by
-whichever of the energy, the gradient or the directional derivative comes
-first; later calls on the state, in any order, make no Newton solve and no
-logarithm, which is how ``minimize`` gets its gradient and metric from the
-accepted trial.  Per-point contributions are summed with ``math.fsum``.
+evaluated together, element-major, in one lockstep center solve; their
+layout is built once per grid (``_layout``).  A function state keeps the
+record of its quadrature data (``_assembly``), built by whichever of the
+energy, the gradient or the directional derivative comes first; later
+calls on the state make no Newton solve and no logarithm, which is how
+``minimize`` gets its gradient and metric from the accepted trial.
+Per-point contributions are summed with ``math.fsum``.  The gradient alone
+(``algebraic_gradient``, ``directional_derivative``, ``equivalence_audit``)
+pairs u's gradient with every nodal basis field's gradient through
+``Interpolant._basis_gradient_terms``, which forms none of them; the
+metric of ``minimize`` is their Gram matrix, so it forms them all
+(``_basis_ref_gradients``).
 
-The gradient alone (``algebraic_gradient``, ``directional_derivative``,
-``equivalence_audit``) pairs u's gradient with every nodal basis field's
-gradient through ``Interpolant._basis_gradient_terms``, which the geodesic
-rule evaluates without forming them; the metric of ``minimize`` is their
-Gram matrix, so that route forms them all (``_basis_ref_gradients``).
-
-``equivalence_audit`` compares, for random nodal tangent directions, the
-extrapolated finite difference of the energy along the corresponding curve
-of nodal values against the directional derivative, one gradient paired with every
-direction; the two are discretizations of the same derivative and must
-agree up to finite-difference noise.
+``equivalence_audit`` compares the two, along random nodal directions,
+with the extrapolated finite difference of the energy.
 """
 
 from __future__ import annotations
@@ -102,6 +99,19 @@ class EnergyReport:
 # energy and first variation
 
 
+def _layout(grid, dim: int):
+    """(els, xi, w, Binv, dofs) of grid's P (element, point) pairs under
+    ``simplex_quadrature``, element-major: elements, reference points, weights
+    detB * rule weights, inverse element maps and the dof i*dim + j of field
+    (i, j); built once per grid and intrinsic dimension for all its states."""
+    if dim not in grid._layouts:
+        rule = simplex_quadrature(grid.dim)
+        els, k = grid._pairs(len(rule.weights))
+        dofs = (grid.element_nodes[els][:, :, None] * dim + np.arange(dim)).reshape(len(els), -1)
+        grid._layouts[dim] = els, rule.points[k], grid._detB[els] * rule.weights[k], grid._Binv[els], dofs
+    return grid._layouts[dim]
+
+
 class _Assembly(NamedTuple):
     """The quadrature data of a function state u over its P (element, point)
     pairs in element-major order."""
@@ -118,18 +128,15 @@ def _assembly(u: GFEFunction) -> _Assembly:
     """The record of u under ``simplex_quadrature``, built by one center solve
     on first use; an error of that solve names the element of its point."""
     if u._assembly is None:
-        grid = u.grid
-        rule = simplex_quadrature(grid.dim)
-        els, k = grid._pairs(len(rule.weights))
-        interp, xi = u.local(els), rule.points[k]
+        els, xi, w, Binv, _ = _layout(u.grid, u.manifold.intrinsic_dim)
+        interp = u.local(els)
         try:
             center, cols = interp._center(xi)
         except GFEError as exc:
             if exc.point is not None:
                 exc.args = (f"element {els[exc.point]}: {exc}",)
             raise
-        Gu = np.swapaxes(u.manifold._flat(cols), 1, 2) @ grid._Binv[els]
-        u._assembly = _Assembly(els, grid._detB[els] * rule.weights[k], interp, xi, center, Gu)
+        u._assembly = _Assembly(els, w, interp, xi, center, np.swapaxes(u.manifold._flat(cols), 1, 2) @ Binv)
     return u._assembly
 
 
@@ -169,9 +176,7 @@ def _gradient_terms(u: GFEFunction, metric: bool = False):
     a = _assembly(u)
     K = man._model_curvature
     N = grid.n_nodes * dim
-    Binv = grid._Binv[a.els]
-    # the dof i*dim + j of field (i, j) at each point, where _scatter sums its terms
-    dofs = (grid.element_nodes[a.els][:, :, None] * dim + np.arange(dim)).reshape(len(Binv), -1)
+    Binv, dofs = _layout(grid, dim)[3:]     # _scatter sums field (i, j)'s terms at its dof
     # term (i, j): the weighted integrand of the directional derivative
     # along basis field (i, j), whose physical gradient is G[:, i, j] @ Binv;
     # u's gradient enters through its tangent_basis(q) coefficients EGu, as

@@ -19,12 +19,13 @@ H * dq/dv_i = -phi_i(xi) * dist2_mixed(v_i, q*), everything expressed in the
 deterministic tangent bases of the manifold module.  Differentiating the
 second relation once more in xi, with the third derivatives of squared
 distance (``dist2_third``), gives the exact reference gradients of the
-test-function fields dq/dv_i . b from the data of the solve at xi alone.
-It runs batch-last, in the rank-one forms of the manifold module, with one
-transpose on entry and one on exit.  The energy's gradient pairs them with
-u's gradient in reverse mode (``_basis_gradient_terms``), forming neither
-them nor the third derivatives; its metric, their Gram matrix, forms them.
-H is inverted by ``kernels._sym_inv`` in closed form and certified by
+test-function fields dq/dv_i . b from the data of the solve at xi alone,
+batch-last, in the rank-one forms of the manifold module.  The energy's
+gradient pairs them with u's gradient in reverse mode
+(``_basis_gradient_terms``): one covector per (point, node) pair goes
+through the transported frame, and no gradient, third derivative, mixed
+block or frame is formed; its metric, their Gram matrix, forms them.  H is
+inverted by ``kernels._sym_inv`` in closed form and certified by
 Sylvester's test on H - 1e-10 I.
 
 Newton starts from the projection-based interpolant where a projection
@@ -42,13 +43,8 @@ and an undefined projection are masks over the batch (the angles of
 ``Manifold._log``, ``Manifold._projectable``), never exceptions to recover
 from.  When points fail, the error of the lowest-index one is raised, with
 that C-order flat index over the batch's leading axes as its ``point``.
-The per-point methods (``eval``, ``d_dxi``, ``d_dv_all``, ...) are that
-same path with one point.
-
-As a rule of ``jacobi.Interpolant`` it supplies ``eval``, ``_center`` (the
-solve at xi with dq/dxi), ``_basis_values``, ``_basis_gradients``,
-``_basis_gradient_terms`` and ``_admit``, which refuses sphere values spread
-wider than 0.9*pi.
+As a rule of ``jacobi.Interpolant`` it supplies the methods that interface
+names, with ``_admit`` refusing sphere values spread wider than 0.9*pi.
 """
 
 from __future__ import annotations
@@ -318,10 +314,9 @@ class GeodesicInterpolant(Interpolant):
             cols.reshape(cols.shape[:-1] + man.point_shape)
 
     def _batch_last_center(self, c: _Solution, *extra):
-        """The data of the center c in the batch-last layout of
-        Manifold._dist2_third: phi (m, ...), dphi (d, m, ...), v, q, Eq, u,
-        X = dq/dxi (d, dim, 1, ...), H^-1 (dim, dim, 1, ...) and H_xi (d, dim, dim, 1, ...),
-        then the per-point matrices extra (..., s, dim) as (s, dim, 1, ...)."""
+        """The center c batch-last as Manifold._dist2_third takes it: phi (m, ...),
+        dphi (d, m, ...), v, q, Eq, u, X = dq/dxi (d, dim, 1, ...), H^-1 (dim, dim, 1, ...),
+        H_xi (d, dim, dim, 1, ...), then the matrices extra (..., s, dim) as (s, dim, 1, ...)."""
         man, lead = self.manifold, c.log_coeffs.shape[:-2]
         nodes, point = lead + (self.elem.m,), lead + (1,)
         one = lambda x, k: _batch_last(x.reshape(point + x.shape[len(lead):]), point, k)   # noqa: E731
@@ -335,23 +330,22 @@ class GeodesicInterpolant(Interpolant):
         """Values of the nodal basis fields from the center c, (..., m,
         dim, dim), entry [i, j, a] the tangent_basis(q)[a] coefficient of field
         (i, j): V_i = dq/dv_i = -phi_i H^-1 K_i with K_i = dist2_mixed(v_i, q)."""
-        phi, _, v, q, Eq, u, _, Hinv, _ = self._batch_last_center(c)
-        return (-phi * np.einsum("ac...,cb...->ab...", Hinv, self.manifold._mixed(v, q, Eq, u)[-1])).T
+        man, (phi, _, v, q, Eq, u, _, Hinv, _) = self.manifold, self._batch_last_center(c)
+        K = man._mixed(v, q, Eq, u, *man._curvature_ratios(u, 2))[-1]
+        return (-phi * np.einsum("ac...,cb...->ab...", Hinv, K)).T
 
     def _basis_gradients(self, c: _Solution):
         """Reference gradients G of the nodal basis fields from the center c,
         (..., m, dim, dim, d), entry [i, j, a, l] the tangent_basis(q)[a]
         coefficient of the l-th derivative of field (i, j), and the fields'
-        values of _basis_values; returns (G, values).
+        values of _basis_values; returns (G, values).  Differentiates
+        H V_i = -phi_i K_i along xi_l, with V_i = dq/dv_i, K_i = dist2_mixed(v_i, q),
+        X_l = dq/dxi_l and the derivatives d_X along X_l from dist2_third:
 
-        Differentiates H V_i = -phi_i K_i along xi_l, with V_i = dq/dv_i,
-        K_i = dist2_mixed(v_i, q) and X_l = dq/dxi_l:
+            H dV_i = -dphi_il K_i - phi_i (d_X K_i) - (sum_j dphi_jl Hess_j + phi_j d_X Hess_j) V_i.
 
-            H dV_i = -dphi_il K_i - phi_i (d_X K_i) - (sum_j dphi_jl Hess_j + phi_j d_X Hess_j) V_i,
-
-        with the derivatives d_X along X_l from dist2_third.  H is positive
-        definite, as the solve checked.  Batch-last results, [a, j, i, ...]
-        and [l, a, j, i, ...], come back by reversing their axes.
+        H is positive definite, as the solve checked.  Batch-last results,
+        [a, j, i, ...] and [l, a, j, i, ...], come back by reversing their axes.
         """
         phi, dphi, v, q, Eq, u, X, Hinv, H_xi = self._batch_last_center(c)
         mixed, hess_X, mixed_X = self.manifold._dist2_third(v, q, Eq, u, X, phi)
@@ -363,15 +357,28 @@ class GeodesicInterpolant(Interpolant):
         return G.T, V.T
 
     def _basis_gradient_terms(self, c: _Solution, C):
-        """sum_{l,a} C[..., l, a] G[..., i, j, a, l], (..., m, dim), by the
-        relation of _basis_gradients transposed, with lam_l = H^-1 C_l:
+        """sum_{l,a} C[..., l, a] G[..., i, j, a, l], (..., m, dim): the relation of
+        _basis_gradients transposed, with lam_l = H^-1 C_l, mu = sum_l (H_xi,l +
+        d_X Hess_l) lam_l and kappa_i = phi_i H^-1 mu - sum_l dphi_il lam_l, is
 
-            terms_i = -phi_i (d_X K_i)^T lam - K_i^T (sum_l dphi_il lam_l - phi_i H^-1 mu),
-            mu = sum_l (H_xi,l + d_X Hess_l) lam_l,
+            terms_i = K_i^T kappa_i - phi_i (d_X K_i)^T lam
+                    = T^T (-2 a kappa_i - phi_i z) + w (2 s <kappa_i, u> + 2 phi_i g1 <lam, PX>)
 
-        the third derivatives contracted from their rank-one factors."""
+        in the factors of Manifold._dist2_third (-2 kappa_i where v_i = q): T is
+        applied to one covector per (point, node) pair, and no block is formed."""
+        man = self.manifold
         phi, dphi, v, q, Eq, u, X, Hinv, H_xi, lam = self._batch_last_center(c, C @ c.hessian_inv)
-        mixed, lam_mixed_X, lam_hess_X = self.manifold._dist2_third_adjoint(v, q, Eq, u, X, phi, lam)
-        mu = (H_xi * lam[:, None]).sum((0, 2)) + lam_hess_X                 # (dim, 1, ...)
+        r, (a, s, g1, g3), n, uX, nX, PX, f, y = man._third_factors(u, X, phi)
+        ln, ly = (lam * n).sum(1), (lam * y).sum(1)                         # (s, m, ...)
+        # d_X Hess lam = -2 (F I + D + D^T) lam, with F and D of _dist2_third
+        Y = y.sum(1, keepdims=True)
+        point = (f.sum(1, keepdims=True)[:, None] * lam + X * (Y * lam).sum(1)[:, None]
+                 + (X * lam).sum(1)[:, None] * Y).sum(0)
+        nodes = (n * (f * ln + nX * ly).sum(0) + y * (nX * ln).sum(0)).sum(1, keepdims=True)
+        mu = (H_xi * lam[:, None]).sum((0, 2)) - 2.0 * (point - nodes)     # (dim, 1, ...)
         kappa = phi * (Hinv * mu).sum(1) - (dphi[:, None] * lam).sum(0)     # (dim, m, ...)
-        return ((kappa[:, None] * mixed).sum(0) - phi * lam_mixed_X).T
+        # (d_X K_i)^T lam = T^T z - 2 g1 <PX, lam> w, z = 2 g3 sum_l (<u, X_l> P lam_l + <u, lam_l> PX_l)
+        z = (2.0 * g3) * (uX[:, None] * (lam - ln[:, None] * n) + (lam * u).sum(1)[:, None] * PX).sum(0)
+        Tx, w = man._transported_adjoint(v, q, Eq, u, -2.0 * a * kappa - phi * z)
+        terms = Tx + w * (2.0 * (s * (kappa * u).sum(0) + phi * g1 * (lam * PX).sum((0, 1))))
+        return np.where(r < 1e-15, -2.0 * kappa, terms).T

@@ -158,6 +158,7 @@ class Grid:
 
         self._build_nodes()
         self._find_boundary()
+        self._layouts = {}   # energy._layout's quadrature layouts, by intrinsic dimension
 
     # ------------------------------------------------------------------
 

@@ -4,7 +4,8 @@
 nodal values v_1..v_m and derives ``d_dxi`` and ``d_dv_all`` from what a
 rule supplies, namely ``eval``, the center evaluation ``_center``, and
 from that center alone the basis-field values ``_basis_values``, values and
-gradients ``_basis_gradients``, and ``_admit``.
+gradients ``_basis_gradients``, their pairing ``_basis_gradient_terms``
+and ``_admit``.
 
 An (m, *point_shape) array of nodal tangent vectors b_1..b_m (row i based at
 the nodal value v_i) determines a vector field along the interpolant,
@@ -17,11 +18,11 @@ reproduces the b_i, so fields are in linear one-to-one correspondence with
 their nodal data.  The m*dim nodal basis fields carry a single tangent basis
 vector at a single node: their values are the columns of the matrices of
 ``d_dv_all``, and ``_basis_ref_gradients`` differentiates all of them at
-once.  ``_basis_gradient_terms`` pairs those gradients with one matrix per
-point, as the energy's gradient needs, by default from ``_basis_gradients``;
-the geodesic rule pairs them without forming them.  Field values and
-gradient columns come back as arrays, together with the base point
-q = eval(xi) they are tangent at.
+once.  ``_basis_gradient_terms(c, C)`` pairs those gradients with one
+matrix C per point, as the energy's gradient needs; each rule transposes
+its own derivative relation onto per-point covectors, so neither forms the
+gradients.  Field values and gradient columns come back as arrays,
+together with the base point q = eval(xi) they are tangent at.
 
 Reference-space gradients of fields are exact: the interpolant
 differentiates its own derivative relation in xi, from the data of its
@@ -85,23 +86,14 @@ class Interpolant:
         c, _ = self._center(xi)
         return c.q, np.swapaxes(self._basis_values(c), -1, -2)
 
-    def _basis_gradient_terms(self, c, C):
-        """sum_{l,a} C[..., l, a] G[..., i, j, a, l], (..., m, dim), for one
-        C (..., d, dim) per point and the G of _basis_gradients(c)."""
-        return np.einsum("...la,...ijal->...ij", C, self._basis_gradients(c)[0])
-
 
 def _basis_ref_gradients(interp: Interpolant, xi, center=None):
-    """Reference-space gradients of all nodal-basis fields at xi (..., d).
-
-    Returns ``(center, G, V)``: the interpolant's center evaluation at xi
-    (with ``q`` and ``basis`` = tangent_basis(q)), G of shape
-    (..., m, dim, dim, d), where G[..., i, j, :, l] holds the
-    tangent_basis(q) coefficients of the l-th reference derivative of basis
-    field (i, j), and V (..., m, dim, dim), where V[..., i, j, :] holds
-    those of the field's value.  A caller that already has the center at xi
-    passes it, and no Newton solve is made.
-    """
+    """``(center, G, V)``: the interpolant's center evaluation at xi (..., d),
+    with ``q`` and ``basis`` = tangent_basis(q), or ``center`` when the caller
+    has it (then no Newton solve is made), and in tangent_basis(q)
+    coefficients the l-th reference derivative of every nodal basis field
+    (i, j) at G[..., i, j, :, l] (..., m, dim, dim, d) and its value at
+    V[..., i, j, :] (..., m, dim, dim)."""
     center = interp._center(xi)[0] if center is None else center
     return (center, *interp._basis_gradients(center))
 

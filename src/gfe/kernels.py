@@ -5,7 +5,8 @@
   a multiple of ``_SERIES_CUTOFF``, so none of them divides by a vanishing
   angle.  Each series runs to t**6 and each cutoff lies where its closed
   form has stopped losing eps/t**2 to cancellation: both branches stay
-  within about 5e-13 relative.
+  within about 5e-13 relative.  One table holds them all; ``_ratios``
+  evaluates the four of the distance derivatives in one stacked call.
 - The inverse and Sylvester's definiteness test of small symmetric
   matrices, stacked with the batch axes last, in closed form.
 - Functions of 3x3 rotation matrices: hat and vee, the Rodrigues
@@ -34,69 +35,66 @@ def _near_cut(angle) -> np.ndarray:
     return angle > np.pi - _CUT_TOL
 
 
-def _series_or(t, coeffs, closed, scale=1.0):
-    """closed(t) elementwise, or sum_k coeffs[k] * t**(2k) below scale * _SERIES_CUTOFF;
-    coeffs[k] may stack several ratios' coefficients, as closed(t) stacks the ratios."""
+# One row per ratio of an angle t, c = t*cot(t): the multiple of _SERIES_CUTOFF
+# below which it takes its series, then the coefficients of t**0 .. t**6.
+_RATIO_TABLE = np.array([
+    (1.0, 1.0, 1.0 / 6.0, 7.0 / 360.0, 31.0 / 15120.0),                  # a = t/sin(t)
+    (2.5, -1.0 / 6.0, -7.0 / 360.0, -31.0 / 15120.0, -127.0 / 604800.0),  # (1 - a)/t**2
+    (1.5, -2.0 / 3.0, -4.0 / 45.0, -4.0 / 315.0, -8.0 / 4725.0),         # (c - c**2 - t**2)/t**2
+    (2.5, 1.0 / 3.0, 7.0 / 90.0, 31.0 / 2520.0, 127.0 / 75600.0),        # (1 - c)/t**2 * a
+    (1.0, 1.0, -1.0 / 6.0, 1.0 / 120.0, -1.0 / 5040.0),                  # sin(t)/t
+    (1.0, 0.5, -1.0 / 24.0, 1.0 / 720.0, -1.0 / 40320.0),                # (1 - cos(t))/t**2
+    (1.0, 1.0, -1.0 / 3.0, -1.0 / 45.0, -2.0 / 945.0),                   # c
+])
+
+
+def _series_or(t, rows, closed):
+    """The ratios _RATIO_TABLE[rows] (an index, or a slice stacking them first)
+    at the angles t: closed(t), at where(|t| < _SERIES_CUTOFF, 1, t) so that
+    none divides by a vanishing angle, or each row's series below its cutoff,
+    read at the call; one Horner pass and one np.where for all rows."""
     t = np.asarray(t, dtype=float)
-    small = np.abs(t) < scale * _SERIES_CUTOFF
+    table = _RATIO_TABLE.T[:, rows]
+    table = table.reshape(table.shape + (1,) * t.ndim)
+    small = np.abs(t) < table[0] * _SERIES_CUTOFF
     if not small.any():
         return closed(t)
-    coeffs = np.asarray(coeffs, dtype=float)
-    coeffs = coeffs.reshape(coeffs.shape + (1,) * t.ndim)
     t2 = t * t
-    series = coeffs[-1]
-    for c in coeffs[-2::-1]:
+    series = table[4]
+    for c in table[3:0:-1]:
         series = c + t2 * series
-    return np.where(small, series, closed(np.where(small, 1.0, t)))
+    return np.where(small, series, closed(np.where(np.abs(t) < _SERIES_CUTOFF, 1.0, t)))
 
 
-_SINC = (1.0, -1.0 / 6.0, 1.0 / 120.0, -1.0 / 5040.0)
-_ONE_MINUS_COS_OVER_SQ = (0.5, -1.0 / 24.0, 1.0 / 720.0, -1.0 / 40320.0)
-_RODRIGUES = np.array([_SINC, _ONE_MINUS_COS_OVER_SQ]).T   # both, (terms, 2)
+def _ratios(t, rows: int) -> np.ndarray:
+    """The first ``rows`` (2 or 4) ratios of _RATIO_TABLE at the angles t,
+    stacked (rows, *t.shape), their closed forms sharing sin(t) and tan(t)."""
+
+    def closed(t):
+        sn, tt = np.sin(t), t * t
+        a = t / sn
+        out = [a, (1.0 - a) / tt]
+        if rows > 2:
+            c = t / np.tan(t)
+            out += [(c - c * c - tt) / tt, (1.0 - c) / (t * sn)]
+        return np.stack(out)
+
+    return _series_or(t, slice(0, rows), closed)
 
 
 def _sinc(t):
     """sin(t)/t."""
-    return _series_or(t, _SINC, lambda t: np.sin(t) / t)
+    return _series_or(t, 4, lambda t: np.sin(t) / t)
 
 
 def _one_minus_cos_over_sq(t):
     """(1 - cos(t))/t**2."""
-    return _series_or(t, _ONE_MINUS_COS_OVER_SQ, lambda t: (1.0 - np.cos(t)) / (t * t))
-
-
-def _t_over_sin(t):
-    """t/sin(t)."""
-    return _series_or(t, (1.0, 1.0 / 6.0, 7.0 / 360.0, 31.0 / 15120.0), lambda t: t / np.sin(t))
-
-
-def _one_minus_t_over_sin_over_sq(t):
-    """(1 - t/sin(t))/t**2."""
-    return _series_or(t, (-1.0 / 6.0, -7.0 / 360.0, -31.0 / 15120.0, -127.0 / 604800.0),
-                      lambda t: (1.0 - t / np.sin(t)) / (t * t), scale=2.5)
+    return _series_or(t, 5, lambda t: (1.0 - np.cos(t)) / (t * t))
 
 
 def _t_cot(t):
     """t*cot(t)."""
-    return _series_or(t, (1.0, -1.0 / 3.0, -1.0 / 45.0, -2.0 / 945.0), lambda t: t / np.tan(t))
-
-
-def _t_cot_slope_over_t(t):
-    """(d/dt (t*cot(t)))/t = (a - a**2 - t**2)/t**2 with a = t*cot(t)."""
-
-    def closed(t):
-        a = t / np.tan(t)
-        return (a - a * a - t * t) / (t * t)
-
-    return _series_or(t, (-2.0 / 3.0, -4.0 / 45.0, -4.0 / 315.0, -8.0 / 4725.0), closed, scale=1.5)
-
-
-def _one_minus_t_cot_over_sq_times_t_over_sin(t):
-    """(1 - t*cot(t))/t**2 * t/sin(t)."""
-    return _series_or(
-        t, (1.0 / 3.0, 7.0 / 90.0, 31.0 / 2520.0, 127.0 / 75600.0),
-        lambda t: (1.0 - t / np.tan(t)) / (t * np.sin(t)), scale=2.5,
-    )
+    return _series_or(t, 6, lambda t: t / np.tan(t))
 
 
 # ----------------------------------------------------------------------
@@ -169,7 +167,7 @@ _SYMMETRIC_AXIS_ANGLE = 0.75 * np.pi
 
 def _rodrigues(t):
     """sin(t)/t and (1 - cos(t))/t**2, stacked on a new first axis, under one mask."""
-    return _series_or(t, _RODRIGUES, lambda t: np.stack([np.sin(t) / t, (1.0 - np.cos(t)) / (t * t)]))
+    return _series_or(t, slice(4, 6), lambda t: np.stack([np.sin(t) / t, (1.0 - np.cos(t)) / (t * t)]))
 
 
 def _expm_skew(S: np.ndarray) -> np.ndarray:

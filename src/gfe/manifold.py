@@ -64,13 +64,17 @@ flat space; on spheres log_v(q) = r sin(r) q - cos(r) log_q(v) and
 T = E_q B_v^T - ((1 - cos r)/r**2) u w^T; on SO(3), where log_q(v) =
 q hat(u)/sqrt(2) and transport is left translation by exp of half the log,
 T = exp(hat(h)) with h = u/(2 sqrt(2)) and hat(h)^2 = h h^T - |h|^2 I, and
-w = -u.  All operations are pure functions of their inputs.
+w = -u.  Each manifold applies T^T to one covector x per pair without
+forming T (``_transported_adjoint``), as the energy's reverse-mode gradient
+needs: E_q^T x, B_v E_q^T x - ((1 - cos r)/r**2) <u, x> w and
+x - sinc h x x + cos2 (h <h, x> - |h|^2 x) with the Rodrigues pair of |h|;
+``_transported_basis`` forms T as T^T applied to the identity.  The ratios
+a, s, g1 and g3 of rho come from one stacked ``kernels._ratios`` call.
 
-``_mixed``, ``_transported_basis``, ``_dist2_third`` and its contraction
-with one covector per direction, ``_dist2_third_adjoint``, work batch-last:
-component axes first, then the node and point axes, contiguous, so the 3x3
-algebra is elementwise over whole arrays of points.  P is never formed; it
-enters in rank-one form, PX = X - <X, n> n and P T = T - n (T^T n)^T.
+These kernels work batch-last: component axes first, then the node and
+point axes, contiguous, so the 3x3 algebra is elementwise over whole arrays
+of points.  P is never formed; it enters in rank-one form, PX = X - <X, n> n
+and P T = T - n (T^T n)^T.  All operations are pure functions of their inputs.
 """
 
 from __future__ import annotations
@@ -82,24 +86,20 @@ import numpy as np
 
 from .errors import CutLocusError, DimensionMismatchError, ProjectionUndefinedError
 from .kernels import (
-    _HATS,
     _SKEW_BASIS,
     _as_matrices,
     _expm_skew,
     _logm_rotation,
     _near_cut,
     _one_minus_cos_over_sq,
-    _one_minus_t_cot_over_sq_times_t_over_sin,
-    _one_minus_t_over_sin_over_sq,
     _polar_iterates,
     _polar_jacobian,
     _polar_jacobian_deriv,
+    _ratios,
     _rodrigues,
     _sinc,
     _skew_part,
     _t_cot,
-    _t_cot_slope_over_t,
-    _t_over_sin,
 )
 
 def _inner(a, b) -> np.ndarray:
@@ -219,11 +219,6 @@ class Manifold:
     # ------------------------------------------------------------------
     # second-derivative blocks of squared distance
 
-    def _curvature_factor(self, fn, r) -> np.ndarray:
-        """fn(sqrt(K)*r) for the model curvature K, and 1 on flat space."""
-        kappa = self._model_curvature
-        return fn(np.sqrt(kappa) * r) if kappa > 0.0 else np.ones_like(r)
-
     def dist2_hess_q(self, v, q, basis_q=None, log_qv=None) -> np.ndarray:
         """Hessian of q -> dist(v, q)**2 in the tangent_basis(q) coordinates.
 
@@ -240,27 +235,39 @@ class Manifold:
         E = self._flat(self.tangent_basis(q) if basis_q is None else basis_q)
         # unit direction coefficients, zero where v = q (and there a = 1)
         c = np.matmul(E, u[..., None])[..., 0] / np.where(r < 1e-15, np.inf, r)[..., None]
-        a = self._curvature_factor(_t_cot, r)[..., None, None]
+        K = self._model_curvature
+        a = (_t_cot(np.sqrt(K) * r) if K > 0.0 else np.ones_like(r))[..., None, None]
         return 2.0 * (a * np.eye(dim) + (1.0 - a) * (c[..., :, None] * c[..., None, :]))
 
-    def _transported_basis(self, v, q, Eq, u):
-        """(w, T) of the module docstring, batch-last (dim, ...) and (dim, dim, ...),
-        from the flattened tangent_basis(q) Eq (dim, N, ...) and the log
-        coefficients u (dim, ...); on flat space tangent_basis(v) = I and T = Eq."""
-        return -(Eq * u[:, None]).sum(0), Eq
+    def _transported_adjoint(self, v, q, Eq, u, x):
+        """(T^T x, w) of the module docstring, batch-last, for one covector x (dim,
+        ...) per pair, from the flattened tangent_basis(q) Eq (dim, N, ...) and
+        the log coefficients u (dim, ...); on flat space T = Eq."""
+        return (Eq * x[:, None]).sum(0), -(Eq * u[:, None]).sum(0)
 
-    def _mixed(self, v, q, Eq, u):
-        """(r, w, T, dist2_mixed(v, q)) from batch-last v (N, ...), q, Eq and the
-        coefficients u of log_q(v), r = |u| (...,), dist2_mixed (dim, dim, ...)
-        and (w, T) from _transported_basis."""
+    def _transported_basis(self, v, q, Eq, u):
+        """(w, T), (dim, ...) and (dim, dim, ...): T^T applied to the identity."""
+        Tt, w = self._transported_adjoint(v[:, None], q[:, None], Eq[:, :, None], u[:, None],
+                                          _eye(len(u), u.ndim - 1))
+        return w[:, 0], np.swapaxes(Tt, 0, 1)
+
+    def _curvature_ratios(self, u, rows):
+        """r = |u| and the stacked kernels._ratios(rho, rows), rho = sqrt(K)*r:
+        a, then s, g1 and g3 times K; on flat space a = 1 and s = g1 = g3 = 0."""
         r = np.sqrt((u * u).sum(0))
+        K = self._model_curvature
+        F = _ratios(np.sqrt(K) * r, rows) if K > 0.0 else np.ones((rows,) + r.shape)
+        F[1:4] *= K
+        return r, F
+
+    def _mixed(self, v, q, Eq, u, r, F):
+        """(w, T, dist2_mixed(v, q) (dim, dim, ...)) from batch-last v (N, ...),
+        q, Eq and the coefficients u of log_q(v), and r, F = _curvature_ratios(u, rows)."""
         w, T = self._transported_basis(v, q, Eq, u)
-        a = self._curvature_factor(_t_over_sin, r)
-        # (1 - a)/r**2, so that no log is divided by r (which costs eps/r near v = q)
-        s = self._model_curvature * self._curvature_factor(_one_minus_t_over_sin_over_sq, r)
-        # -2*a*Pt(b_j) + 2*s*<b_j, log_v q>*log_q v in the basis at q, one column j per basis vector
-        M = 2.0 * (s * u[:, None] * w - a * T)
-        return r, w, T, np.where(r < 1e-15, -2.0 * _eye(len(u), r.ndim), M)
+        # -2*a*Pt(b_j) + 2*s*<b_j, log_v q>*log_q v, column j; s = (1 - a)/r**2,
+        # so that no log is divided by r (which costs eps/r near v = q)
+        M = 2.0 * (F[1] * u[:, None] * w - F[0] * T)
+        return w, T, np.where(r < 1e-15, -2.0 * _eye(len(u), r.ndim), M)
 
     def _batch_last_args(self, v, q, basis_q, *extra):
         """Batch-last v, q, Eq = tangent_basis(q) (``basis_q`` when given) and the
@@ -282,23 +289,17 @@ class Manifold:
         ``basis_q`` is tangent_basis(q) when the caller already has it.
         Equals -2*I where v = q.
         """
-        return _batch_first(self._mixed(*self._batch_last_args(v, q, basis_q))[-1], 2)
+        args = self._batch_last_args(v, q, basis_q)
+        return _batch_first(self._mixed(*args, *self._curvature_ratios(args[3], 2))[-1], 2)
 
     def dist2_third(self, v, q, X, weights):
         """Third derivatives of squared distance as q moves, for the weighted
-        sum f(q) = sum_i weights_i * dist(v_i, q)**2.
-
-        v (..., m, *point_shape) holds the m points v_i, weights (..., m)
-        their weights, and X (..., s, dim) the tangent_basis(q) coefficients
-        of s directions at q (..., *point_shape).  Returns
-        ``(mixed, hess_X, mixed_X)``:
-
-        - mixed (..., m, dim, dim): dist2_mixed(v_i, q);
-        - hess_X (..., s, dim, dim): the covariant derivative of the Hessian
-          of f, sum_i weights_i * dist2_hess_q(v_i, q), along X[..., l, :];
-        - mixed_X (..., m, s, dim, dim): the covariant derivative of
-          dist2_mixed(v_i, q) along X[..., l, :].
-
+        sum f(q) = sum_i weights_i * dist(v_i, q)**2: from the m points v
+        (..., m, *point_shape), their weights (..., m) and the tangent_basis(q)
+        coefficients X (..., s, dim) of s directions at q (..., *point_shape),
+        ``(mixed, hess_X, mixed_X)``: dist2_mixed(v_i, q) (..., m, dim, dim),
+        and along each X[..., l, :] the covariant derivatives of the Hessian of
+        f (..., s, dim, dim) and of dist2_mixed(v_i, q) (..., m, s, dim, dim).
         Both derivatives vanish where v_i = q and on flat space.  Batch-last
         copies of the arguments go to _dist2_third.
         """
@@ -308,30 +309,26 @@ class Manifold:
             *self._batch_last_args(v, q, None, (np.expand_dims(X, -3), 2), (weights, 0)))
         return _batch_first(mixed, 2), _batch_first(hess_X, 3)[..., 0, :, :, :], _batch_first(mixed_X, 3)
 
-    def _third_factors(self, v, q, Eq, u, X, phi):
-        """The rank-one factors of dist2_third, batch-last as in _dist2_third:
-        (w, T, mixed) of _mixed, n, g1, g3, <u, X>, <n, X>, PX and, for the
-        weighted Hessian, f = phi g1 <u, X> and y = phi g2 u, g2 = g1 + K."""
-        r, w, T, mixed = self._mixed(v, q, Eq, u)
-        K = self._model_curvature
-        # c'/r and (1 - c)*a/r**2 of the module docstring, c = rho*cot(rho) and
-        # a = rho/sin(rho), as series in rho times K; (1 - c)*c/r**2 = c'/r + K
-        g1 = K * self._curvature_factor(_t_cot_slope_over_t, r)
-        g3 = K * self._curvature_factor(_one_minus_t_cot_over_sq_times_t_over_sin, r)
+    def _third_factors(self, u, X, phi):
+        """The rank-one factors of dist2_third, batch-last as in _dist2_third: r, F =
+        _curvature_ratios(u, 4) (g1 = c'/r, g3 = (1 - c)*a/r**2), n, <u, X>, <n, X>, PX and, for
+        the weighted Hessian, f = phi g1 <u, X> and y = phi g2 u, g2 = (1 - c)*c/r**2 = g1 + K."""
+        r, F = self._curvature_ratios(u, 4)
         # n = u/r (0 where v = q) enters only through P and terms of order r,
         # so its eps/r error near v = q costs nothing
         n = u / np.where(r < 1e-15, np.inf, r)
         uX, nX = (X * u).sum(1), (X * n).sum(1)                             # (s, m, ...)
         PX = X - nX[:, None] * n                                            # (s, dim, m, ...)
-        return w, T, mixed, n, g1, g3, uX, nX, PX, phi * g1 * uX, phi * (g1 + K) * u
+        return r, F, n, uX, nX, PX, phi * F[2] * uX, phi * (F[2] + self._model_curvature) * u
 
     def _dist2_third(self, v, q, Eq, u, X, phi):
-        """dist2_third batch-last, the node axis 1 for per-point data: v (N, m,
-        ...), q (N, 1, ...), Eq (dim, N, 1, ...), the log coefficients u (dim,
-        m, ...), X (s, dim, 1, ...) and the weights phi (m, ...) give mixed
-        (dim, dim, m, ...), hess_X (s, dim, dim, 1, ...) and mixed_X (s, dim,
-        dim, m, ...), with P in rank-one form."""
-        w, T, mixed, n, g1, g3, uX, nX, PX, f, y = self._third_factors(v, q, Eq, u, X, phi)
+        """dist2_third batch-last, the node axis 1 for per-point data: v (N, m, ...),
+        q (N, 1, ...), Eq (dim, N, 1, ...), u (dim, m, ...), X (s, dim, 1, ...) and
+        phi (m, ...) give mixed (dim, dim, m, ...), hess_X (s, dim, dim, 1, ...)
+        and mixed_X (s, dim, dim, m, ...)."""
+        r, F, n, uX, nX, PX, f, y = self._third_factors(u, X, phi)
+        g1, g3 = F[2], F[3]
+        w, T, mixed = self._mixed(v, q, Eq, u, r, F)
         Tn, XPT = (T * n[:, None]).sum(0), (PX[:, :, None] * T).sum(1)      # T^T n, (PX)^T T
         # mixed_X = 2 (g3 (<u, X> p_j + <p_j, X> u) - g1 <log_v q, b_j> PX), column j,
         # with p_j = P Pt(b_j) = (P T)[:, j]; the scalars go on the smaller operands
@@ -344,23 +341,6 @@ class Manifold:
             n[:, None] * (0.5 * f[:, None] * n + nX[:, None] * y)[:, None]).sum(3, keepdims=True)
         F = f.sum(1, keepdims=True)[:, None, None]
         return mixed, -2.0 * (F * _eye(len(u), u.ndim - 1) + D + np.swapaxes(D, 1, 2)), mixed_X
-
-    def _dist2_third_adjoint(self, v, q, Eq, u, X, phi, lam):
-        """mixed and the contractions with lam (s, dim, 1, ...) over the (s, dim)
-        axes of mixed_X (dim, m, ...) and hess_X (dim, 1, ...), formed from
-        the factors of _dist2_third but without forming mixed_X or hess_X."""
-        w, T, mixed, n, g1, g3, uX, nX, PX, f, y = self._third_factors(v, q, Eq, u, X, phi)
-        ln, ly = (lam * n).sum(1), (lam * y).sum(1)                         # (s, m, ...)
-        # mixed_X^T lam = T^T (2 g3 (<u, X> P lam + <u, lam> PX)) - 2 g1 <PX, lam> w
-        z = (2.0 * g3) * (uX[:, None] * (lam - ln[:, None] * n) + (lam * u).sum(1)[:, None] * PX).sum(0)
-        lam_mixed_X = (T * z[:, None]).sum(0) - (2.0 * g1 * (lam * PX).sum((0, 1))) * w
-        # (F I + D + D^T) lam = F lam + X <Y, lam> + Y <X, lam>
-        #     - sum_i (n_i (f <n_i, lam> + <n_i, X> <y_i, lam>) + y_i <n_i, X> <n_i, lam>)
-        Y = y.sum(1, keepdims=True)
-        point = (f.sum(1, keepdims=True)[:, None] * lam + X * (Y * lam).sum(1)[:, None]
-                 + (X * lam).sum(1)[:, None] * Y).sum(0)
-        nodes = (n * (f * ln + nX * ly).sum(0) + y * (nX * ln).sum(0)).sum(1, keepdims=True)
-        return mixed, lam_mixed_X, -2.0 * (point - nodes)
 
 
 # ----------------------------------------------------------------------
@@ -535,12 +515,15 @@ class Sphere(Manifold):
         turn = _one_minus_cos_over_sq(t) * u + _sinc(t) * np.asarray(p, dtype=float)
         return w - _inner(w, u) * turn
 
-    def _transported_basis(self, v, q, Eq, u):
+    def _transported_adjoint(self, v, q, Eq, u, x):
+        # T^T x = B (Eq^T x) - ((1 - cos r)/r**2) <u, x> w, B = tangent_basis(v)
+        # with its entry [b, k] at [k, b], and w = B log_v(q)
         r = np.sqrt((u * u).sum(0))
         log_vq = r * np.sin(r) * q - np.cos(r) * (u[:, None] * Eq).sum(0)
-        B = self.tangent_basis(v.T).T                       # tangent_basis(v)[b, k] at [k, b]
+        B = self.tangent_basis(v.T).T
         w = (B * log_vq[:, None]).sum(0)
-        return w, np.einsum("ak...,kb...->ab...", Eq, B) - _one_minus_cos_over_sq(r) * u[:, None] * w
+        Bx = (B * (Eq * x[:, None]).sum(0)[:, None]).sum(0)
+        return Bx - _one_minus_cos_over_sq(r) * (u * x).sum(0) * w, w
 
     def _projectable(self, w) -> np.ndarray:
         w = np.asarray(w, dtype=float)
@@ -645,13 +628,14 @@ class Rotation3(Manifold):
         E = _expm_skew(0.5 * _skew_part(Q1t @ (self.log(p, q) if log_pq is None else np.asarray(log_pq))))
         return np.swapaxes(Q1t, -1, -2) @ E @ _skew_part(Q1t @ np.asarray(w, dtype=float)) @ E
 
-    def _transported_basis(self, v, q, Eq, u):
-        # exp(hat(h)), h = u/(2 sqrt(2)), by Rodrigues with hat(h)^2 = h h^T - |h|^2 I
+    def _transported_adjoint(self, v, q, Eq, u, x):
+        # T = exp(hat(h)), h = u/(2 sqrt(2)), by Rodrigues with hat(h)^2 = h h^T - |h|^2 I;
+        # the cross product of T^T x by components (np.cross moves axes)
         h = u / (2.0 * np.sqrt(2.0))
         t2 = (h * h).sum(0)
         sinc, cos2 = _rodrigues(np.sqrt(t2))
-        eye = _eye(3, t2.ndim)
-        return -u, eye + sinc * np.tensordot(_HATS, h, axes=(0, 0)) + cos2 * (h[:, None] * h - t2 * eye)
+        hx = h[[1, 2, 0]] * x[[2, 0, 1]] - h[[2, 0, 1]] * x[[1, 2, 0]]
+        return x - sinc * hx + cos2 * (h * (h * x).sum(0) - t2 * x), -u
 
     def _projectable(self, w) -> np.ndarray:
         return np.linalg.det(_as_matrices(w)) > _PROJECTION_FLOOR

@@ -8,8 +8,9 @@ rule through the projection Jacobian; no nonlinear solve is involved.
 Evaluations are batched as in the geodesic module: reference points and the
 nodal values of an interpolant built over several elements at once may carry
 leading axes, which broadcast.  As a rule of ``jacobi.Interpolant`` it
-supplies ``eval``, ``_center`` (the weighted sum with dP/dw),
-``_basis_values`` and ``_basis_gradients``, and admits all values.
+supplies ``eval``, ``_center`` (the weighted sum with dP/dw), and
+``_basis_values``, ``_basis_gradients`` and ``_basis_gradient_terms``
+from it; it admits all values.
 """
 
 from __future__ import annotations
@@ -84,6 +85,18 @@ class ProjectionInterpolant(Interpolant):
             + c.dphi[..., :, :, None, None] * first[..., :, None, :, :]
         V = c.phi[..., :, None, None] * first
         return np.swapaxes(G, -3, -1), np.swapaxes(V, -1, -2)  # [..., i, j, a, l], [..., i, j, a]
+
+    def _basis_gradient_terms(self, c: "_Center", C):
+        """sum_{l,a} C[..., l, a] G[..., i, j, a, l], (..., m, dim), with G not
+        formed: _basis_gradients transposed onto the per-point covectors
+        y = sum_l D^2P(w)[dw/dxi_l]^T E^T C_l and sum_l dphi_il C_l,
+        terms_ij = phi_i <b_ij, y> + <E DP(w) b_ij, sum_l dphi_il C_l>."""
+        man = self.manifold
+        Bv, first = self._first(c)
+        EC = C @ man._flat(c.basis)                                         # (..., d, N)
+        y = (EC[..., :, None, :] @ man.projection_jacobian_deriv(c.w, c.dsum))[..., 0, :].sum(-2)
+        return (c.phi[..., :, None, None] * (y[..., None, None, :] @ Bv)
+                + (c.dphi @ C)[..., :, None, :] @ first)[..., 0, :]
 
 
 class _Center(NamedTuple):

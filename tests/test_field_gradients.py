@@ -3,15 +3,19 @@ central-difference oracle, and their pairing ``_basis_gradient_terms``
 against the contraction of those gradients, on the delicate configurations:
 wide nodal data, constant nodal data and a center next to a nodal value."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import gfe
-from gfe import GeodesicInterpolant, ProjectionInterpolant, ReferenceElement
+import gfe.kernels
+from gfe import GeodesicInterpolant, ProjectionInterpolant, ReferenceElement, energy
 from gfe.errors import GFEError
 from gfe.jacobi import _basis_ref_gradients
+from gfe.manifold import Manifold
 from gfe.sampling import random_configuration
 from helpers import fd_basis_ref_gradients
 
@@ -124,3 +128,61 @@ def test_field_values_are_the_nodal_derivative_matrices(case):
     _, _, V = _basis_ref_gradients(interp, xi)
     _, mats = interp.d_dv_all(xi)
     assert np.max(np.abs(V - np.swapaxes(mats, -1, -2))) <= 1e-14
+
+
+@pytest.mark.parametrize("man", [S2, SO3], ids=lambda m: m.kind)
+@pytest.mark.parametrize("order", [1, 2])
+def test_gradient_terms_on_a_nodal_value(man, order):
+    """A point exactly on a nodal value, the others spread: that node's pair
+    takes the v_i = q branch (r = 0) of the reverse-mode terms, which still
+    equal the contraction of G with C.  (The oracle's stencil would leave
+    the element at a vertex.)"""
+    elem = ReferenceElement(2, order)
+    values = random_configuration(man, elem.m, np.random.default_rng(21), radius=0.5)
+    interp = GeodesicInterpolant(elem, values, man)
+    for node in range(elem.m):
+        c, G, _ = _basis_ref_gradients(interp, elem.nodes[node])
+        assert np.linalg.norm(c.log_coeffs[node]) < 1e-15
+        C = np.random.default_rng(node).standard_normal((2, man.intrinsic_dim))
+        terms = np.einsum("la,ijal->ij", C, G)
+        assert np.max(np.abs(interp._basis_gradient_terms(c, C) - terms)) <= 1e-13 * np.max(np.abs(terms))
+
+
+@pytest.mark.parametrize("man", [S2, SO3], ids=lambda m: m.kind)
+def test_gradient_terms_continuous_across_the_series_cutoff(man):
+    """Nodal values within a few cutoffs of each other: the reverse-mode
+    terms agree whether every ratio of the stacked kernel takes its series
+    or its closed form, since the kernel reads _SERIES_CUTOFF at each call."""
+    elem = ReferenceElement(2, 2)
+    radius = 3.0 * gfe.kernels._SERIES_CUTOFF / np.sqrt(man._model_curvature)
+    values = random_configuration(man, elem.m, np.random.default_rng(22), radius=radius)
+    interp = GeodesicInterpolant(elem, values, man)
+    c, _ = interp._center(np.array([[0.2, 0.3], [0.6, 0.1], [0.25, 0.25]]))
+    C = np.random.default_rng(23).standard_normal((3, 2, man.intrinsic_dim))
+    terms = []
+    for cutoff in (8.0 * gfe.kernels._SERIES_CUTOFF, gfe.kernels._SERIES_CUTOFF / 8.0):   # all series, all closed
+        with mock.patch.object(gfe.kernels, "_SERIES_CUTOFF", cutoff):
+            terms.append(interp._basis_gradient_terms(c, C))
+    assert not np.array_equal(terms[0], terms[1])    # the branches did switch
+    assert np.max(np.abs(terms[0] - terms[1])) <= 1e-12 * np.max(np.abs(terms[0]))
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the gradient alone formed a block it does not need")
+
+
+@pytest.mark.parametrize("rule", ["geodesic", "projection"])
+@pytest.mark.parametrize("man", [S2, SO3], ids=lambda m: m.kind)
+def test_gradient_alone_forms_no_block(monkeypatch, man, rule):
+    """On a warm state (and a cold one) ``algebraic_gradient`` forms no mixed
+    block, no transported frame and no basis-field gradient: it returns the
+    same gradient with each of them refusing to run."""
+    grid = gfe.unit_square_grid(2, 2)
+    u = gfe.GFEFunction(grid, man, rule, random_configuration(man, grid.n_nodes, np.random.default_rng(24)))
+    want = gfe.algebraic_gradient(u)
+    for owner, name in ((Manifold, "_mixed"), (Manifold, "_transported_basis"),
+                        (GeodesicInterpolant, "_basis_gradients"), (ProjectionInterpolant, "_basis_gradients"),
+                        (energy, "_basis_ref_gradients")):
+        monkeypatch.setattr(owner, name, _refuse)
+    assert np.array_equal(gfe.algebraic_gradient(u), want)
+    assert np.array_equal(gfe.algebraic_gradient(u.with_values(u.values)), want)

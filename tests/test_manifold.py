@@ -20,15 +20,12 @@ from gfe.kernels import (
     _expm_skew,
     _hat,
     _one_minus_cos_over_sq,
-    _one_minus_t_cot_over_sq_times_t_over_sin,
-    _one_minus_t_over_sin_over_sq,
     _polar_iterates,
     _positive_definite,
+    _ratios,
     _sinc,
     _sym_inv,
     _t_cot,
-    _t_cot_slope_over_t,
-    _t_over_sin,
     polar_decompose,
 )
 from gfe.sampling import random_point, random_tangent
@@ -633,11 +630,19 @@ def mp_one_minus_t_cot_over_sq_times_t_over_sin(t):
     return (1 - t * mpmath.cot(t)) / (t * mpmath.sin(t))
 
 
+def kernel_row(k, name):
+    """Row k of the stacked ratio kernel ``_ratios``, named for its ratio."""
+    def row(t):
+        return _ratios(t, 4)[k]
+    row.__name__ = name
+    return row
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.one_of(st.floats(1e-12, 3.0 * _SERIES_CUTOFF), st.floats(_SERIES_CUTOFF, 2.8)))
 @pytest.mark.parametrize("fn, exact", [
-    (_t_cot_slope_over_t, mp_t_cot_slope_over_t),
-    (_one_minus_t_cot_over_sq_times_t_over_sin, mp_one_minus_t_cot_over_sq_times_t_over_sin),
+    (kernel_row(2, "_t_cot_slope_over_t"), mp_t_cot_slope_over_t),
+    (kernel_row(3, "_one_minus_t_cot_over_sq_times_t_over_sin"), mp_one_minus_t_cot_over_sq_times_t_over_sin),
 ], ids=["t_cot_slope_over_t", "one_minus_t_cot_over_sq_times_t_over_sin"])
 def test_third_derivative_series_helpers_match_mpmath(fn, exact, t):
     """Series below the cutoff, closed form above it; the closed form loses
@@ -648,23 +653,24 @@ def test_third_derivative_series_helpers_match_mpmath(fn, exact, t):
     assert abs(float(fn(np.array(t))) - want) <= bound * abs(want)
 
 
+# the single helpers, and the four rows of the stacked kernel, each named for its ratio
 SERIES_HELPERS = [
     (_sinc, lambda t: mpmath.sin(t) / t),
     (_one_minus_cos_over_sq, lambda t: (1 - mpmath.cos(t)) / t**2),
-    (_t_over_sin, lambda t: t / mpmath.sin(t)),
-    (_one_minus_t_over_sin_over_sq, lambda t: (1 - t / mpmath.sin(t)) / t**2),
+    (kernel_row(0, "_t_over_sin"), lambda t: t / mpmath.sin(t)),
+    (kernel_row(1, "_one_minus_t_over_sin_over_sq"), lambda t: (1 - t / mpmath.sin(t)) / t**2),
     (_t_cot, lambda t: t * mpmath.cot(t)),
-    (_t_cot_slope_over_t, mp_t_cot_slope_over_t),
-    (_one_minus_t_cot_over_sq_times_t_over_sin, mp_one_minus_t_cot_over_sq_times_t_over_sin),
+    (kernel_row(2, "_t_cot_slope_over_t"), mp_t_cot_slope_over_t),
+    (kernel_row(3, "_one_minus_t_cot_over_sq_times_t_over_sin"), mp_one_minus_t_cot_over_sq_times_t_over_sin),
 ]
 
 
 @pytest.mark.parametrize("fn, exact", SERIES_HELPERS, ids=lambda f: getattr(f, "__name__", "mp"))
 def test_series_helpers_match_mpmath_on_both_sides_of_their_cutoffs(fn, exact):
-    """Every helper to 1e-12 relative on (0, 0.1]: the sweep crosses each
-    helper's own cutoff, a multiple of _SERIES_CUTOFF, where the closed form
-    has stopped losing eps/t**2 (it lost 2.2e-8 at 2e-4 with a shared cutoff
-    of 1e-4)."""
+    """Every helper and kernel row to 1e-12 relative on (0, 0.1]: the sweep
+    crosses each ratio's own cutoff, a multiple of _SERIES_CUTOFF, where the
+    closed form has stopped losing eps/t**2 (it lost 2.2e-8 at 2e-4 with a
+    shared cutoff of 1e-4)."""
     t = np.concatenate([np.geomspace(1e-9, 0.1, 300),
                         np.linspace(0.5 * _SERIES_CUTOFF, 3.0 * _SERIES_CUTOFF, 300)])
     with mpmath.workdps(50):
@@ -740,6 +746,26 @@ def test_transported_frames_match_the_log_and_transport_oracle(man, seed, frac):
     assert w.shape == (man.intrinsic_dim,) and T.shape == (man.intrinsic_dim,) * 2
     assert np.max(np.abs(w - w_oracle)) <= 1e-13
     assert np.max(np.abs(T - T_oracle)) <= 1e-13
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       frac=st.one_of(st.just(0.0), st.floats(1e-12, 1e-4), st.floats(0.0, 1.0)))
+@pytest.mark.parametrize("man", ALL, ids=lambda m: m.kind)
+def test_transported_adjoint_applies_the_oracle_frame_transposed(man, seed, frac):
+    """T^T x for a batch of covectors x, T not formed, agrees with the
+    transposed oracle frame applied to each, from v = q to the widest pair."""
+    rng = np.random.default_rng(seed)
+    q = random_point(man, rng)
+    d = random_tangent(man, q, rng)
+    v = man.exp(q, frac * FRAME_REACH[man.kind] / np.linalg.norm(d) * d)
+    Eq = man.tangent_basis(q).reshape(man.intrinsic_dim, -1)
+    u = Eq @ man.log(q, v).reshape(-1)
+    x = rng.standard_normal((man.intrinsic_dim, 4))     # four covectors, batch-last
+    Tx, w = man._transported_adjoint(man._flat(v)[:, None], man._flat(q)[:, None], Eq[..., None], u[:, None], x)
+    w_oracle, T_oracle = transported_basis_oracle(man, v, q)
+    assert np.max(np.abs(Tx - T_oracle.T @ x)) <= 1e-13 * np.max(np.abs(x))
+    assert np.max(np.abs(w[:, 0] - w_oracle)) <= 1e-13
 
 
 @pytest.mark.parametrize("man", [gfe.Sphere(2), gfe.Rotation3()], ids=lambda m: m.kind)
