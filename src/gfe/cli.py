@@ -366,8 +366,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.tol <= 0.0:
+    if not args.tol > 0.0:  # NaN too
         print("error: --tol must be positive", file=sys.stderr)
+        return 2
+    if args.max_iter < 0:
+        print("error: --max-iter must not be negative", file=sys.stderr)
         return 2
     if args.command != "audit" and not (args.mesh and args.bc and args.out):
         print(f"error: {args.command} needs --mesh, --bc and --out", file=sys.stderr)

@@ -261,12 +261,14 @@ def minimize(
     states that fail to evaluate (admissibility, cut locus, projection) are
     treated like an insufficient decrease.  Stops when the norm of the
     algebraic gradient is at most ``tol``.  Returns (minimizer,
-    EnergyReport).  Raises ValueError for an empty ``fixed`` set (the metric
-    is then singular) or a fixed index that is not an integer in 0..n-1,
-    SingularSystemError when the solve fails or gives no
-    descent direction (<g, c> <= 0), and LineSearchFailure when the step
-    underflows below 1e-14.
+    EnergyReport).  Raises ValueError for a NaN or negative ``tol``, a
+    negative ``max_iter``, an empty ``fixed`` set (the metric is then
+    singular) or a fixed index that is not an integer in 0..n-1,
+    SingularSystemError when the solve fails or gives no descent direction
+    (<g, c> <= 0), and LineSearchFailure when the step underflows below 1e-14.
     """
+    if not tol >= 0.0 or max_iter < 0:
+        raise ValueError(f"minimize needs tol >= 0 and max_iter >= 0, got tol={tol} and max_iter={max_iter}")
     fixed_set = _fixed_nodes(u0.grid, fixed)
     if not fixed_set:
         raise ValueError("minimize needs at least one fixed node (the H^1 metric is singular otherwise)")

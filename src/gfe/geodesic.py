@@ -167,7 +167,7 @@ def _linearize(man: Manifold, values, weights, q, logs):
     return basis, 0.5 * (H + np.swapaxes(H, 1, 2)), hessians, L
 
 
-def _newton(man: Manifold, values, weights, q, max_iter: int) -> _Solution:
+def _newton(man: Manifold, values, weights, q) -> _Solution:
     P, m = weights.shape
     dim = man.intrinsic_dim
     logs, angle = _logs(man, q, values)
@@ -188,12 +188,12 @@ def _newton(man: Manifold, values, weights, q, max_iter: int) -> _Solution:
         )
         active[idx[res[idx] <= _RESIDUAL_TARGET]] = False
         idx = np.flatnonzero(active)
-        for p in idx[iterations[idx] >= max_iter]:
+        for p in idx[iterations[idx] >= _MAX_NEWTON]:
             errors[p] = NonConvergenceError(
                 f"Newton stalled at residual {res[p]:.3e} after {iterations[p]} iterations"
             )
             active[p] = False
-        idx = idx[iterations[idx] < max_iter]
+        idx = idx[iterations[idx] < _MAX_NEWTON]
         if not len(idx):
             continue
         # H is symmetric, so H.T is its batch-last stack and Hinv.T the inverses
@@ -269,11 +269,8 @@ class GeodesicInterpolant(Interpolant):
     def karcher_check(self) -> KarcherCheck:
         return karcher_check(self.manifold, self.values)
 
-    def _solve(self, xi, q0=None, max_iter: int = _MAX_NEWTON) -> _Solution:
-        """Centers at the reference points xi (..., d), all in one lockstep batch.
-
-        ``q0`` (broadcast to every point) warm-starts the iteration.
-        """
+    def _solve(self, xi) -> _Solution:
+        """Centers at the reference points xi (..., d), all in one lockstep batch."""
         man = self.manifold
         shape = man.point_shape
         weights = self.elem.shape_values(xi)
@@ -282,11 +279,7 @@ class GeodesicInterpolant(Interpolant):
         values = np.broadcast_to(self.values, lead + self.values.shape[-len(shape) - 1:])
         values = values.reshape((P, self.elem.m) + shape)
         w = np.broadcast_to(weights, lead + weights.shape[-1:]).reshape(P, -1)
-        if q0 is None:
-            q = _initial_guess(man, values, w)
-        else:
-            q = np.broadcast_to(np.asarray(q0, dtype=float), lead + shape).reshape((P,) + shape)
-        sol = _newton(man, values, w, q.copy(), max_iter)
+        sol = _newton(man, values, w, _initial_guess(man, values, w))
         return _Solution(*(x.reshape(lead + x.shape[1:]) for x in sol[:6]), sol.iterations,
                          sol.residual.reshape(lead))
 

@@ -14,10 +14,11 @@
   the rotation axis from the symmetric part near the half-turn.
 - The polar decomposition, computed by the quadratically convergent
   iteration Q <- (Q + Q^-T)/2 in lockstep over leading axes, and its
-  first and second derivatives, by forward-mode differentiation of the
-  same iterates truncated at the primal's iteration count, so they are the
-  exact derivatives of the computed factor.  ``Rotation3`` uses them as
-  its closest-point projection and that projection's derivatives.
+  first and second derivatives in closed form from Q and A: the
+  derivative of the polar factor solves a Sylvester equation, a 3x3
+  linear system in the skew coordinates (Higham, Functions of Matrices,
+  2008, ch. 8).  ``Rotation3`` uses them as its closest-point projection
+  and that projection's derivatives.
 """
 
 from __future__ import annotations
@@ -225,14 +226,13 @@ def _as_matrices(w) -> np.ndarray:
 def _polar_iterates(A: np.ndarray, max_iter: int = 50):
     """Run Q <- (Q + Q^-T)/2 from Q = A, in lockstep over leading axes.
 
-    Returns (iterates, residuals): ``iterates[0]`` is A itself,
-    ``iterates[k]`` the k-th update and ``residuals[k-1]`` the Frobenius
-    norm of iterates[k]-iterates[k-1].  A matrix stops moving (its residual
-    is then 0) after the first update below _POLAR_TOL, so each one takes
-    exactly the steps it would take alone.
+    Returns (Q, residuals): the polar factors and, per update, the Frobenius
+    norm of its step.  A matrix stops moving (its residual is then 0) after
+    the first update below _POLAR_TOL, so each one takes exactly the steps
+    it would take alone.
     """
-    Q = _as_matrices(A).copy()
-    iterates, residuals = [Q], []
+    Q = _as_matrices(A)
+    residuals = []
     active = np.ones(Q.shape[:-2], dtype=bool)
     for _ in range(max_iter):
         try:
@@ -241,12 +241,11 @@ def _polar_iterates(A: np.ndarray, max_iter: int = 50):
             raise SingularMatrixError("polar iterate became singular") from exc
         Qn = np.where(active[..., None, None], Qn, Q)
         res = np.linalg.norm(Qn - Q, axis=(-2, -1))
-        iterates.append(Qn)
         residuals.append(res)
         active = active & (res > _POLAR_TOL)
         Q = Qn
         if not active.any():
-            return iterates, residuals
+            return Q, residuals
     raise NonConvergenceError(f"polar iteration did not converge in {max_iter} steps")
 
 
@@ -263,51 +262,43 @@ def polar_decompose(A: np.ndarray):
         raise SingularMatrixError(f"matrix is numerically singular (det = {det:.3e})")
     if det < 0.0:
         raise SingularMatrixError(f"polar factor is not a rotation for det = {det:.3e} < 0")
-    iterates, residuals = _polar_iterates(A)
-    return iterates[-1], len(residuals)
+    Q, residuals = _polar_iterates(A)
+    return Q, len(residuals)
 
 
-def _polar_jacobian(iterates, residuals) -> np.ndarray:
-    """d(polar factor)/dA (..., 9, 9) of flattened matrices, from the primal's
-    iterates and residuals.
+def _polar_derivative(A, Q, x=None) -> np.ndarray:
+    """DP(A) (..., 9, 9) of the polar factor Q = P(A) of flattened matrices,
+    or, given s flattened directions x (..., s, 9), its derivative along each,
+    D^2P(A)[x_l] (..., s, 9, 9).
 
-    One derivative per embedding coordinate is seeded and all nine are
-    pushed through the iterates, dQ' = (dQ - B dQ^T B)/2 with B = Q^-T, for
-    as many steps as each matrix took.
+    With S = sym(Q^T A) and M = tr(S) I - S, positive definite for det A > 0,
+    DP(A)[X] = Q hat(w_X) solves the Sylvester equation S W + W S = Q^T X - X^T Q,
+    w_X = M^-1 vee(Q^T X - X^T Q), and its derivative along Z, with
+    W_Z = hat(w_Z), dS = Q^T Z - W_Z S and dm = -vee(W_Z Q^T X + X^T Q W_Z), is
+
+        D^2P(A)[X, Z] = Q (W_Z W_X + hat(M^-1 (dm - tr(dS) w_X + dS w_X))).
     """
-    lead = iterates[0].shape[:-2]
-    D = np.broadcast_to(np.eye(9).reshape(9, 3, 3), lead + (9, 3, 3))
-    active = np.ones(lead + (1, 1, 1), dtype=bool)
-    for Q, res in zip(iterates[:-1], residuals):
-        B = np.swapaxes(np.linalg.inv(Q), -1, -2)[..., None, :, :]
-        D = np.where(active, 0.5 * (D - B @ np.swapaxes(D, -1, -2) @ B), D)
-        active = active & (res > _POLAR_TOL)[..., None, None, None]
-    return np.swapaxes(D.reshape(lead + (9, 9)), -1, -2)
+    T = lambda B: np.swapaxes(B, -1, -2)  # noqa: E731
+    hat = lambda w: np.tensordot(w, _HATS, axes=1)  # noqa: E731
+    QtA = T(Q) @ _as_matrices(A)
+    S = 0.5 * (QtA + T(QtA))
+    M = np.trace(S, axis1=-2, axis2=-1)[..., None, None] * np.eye(3) - S
+    Minv = _sym_inv(M.T)[0].T[..., None, :, :]     # M is symmetric: M.T is its batch-last stack
 
+    def omega(K):
+        """M^-1 vee(K - K^T) for the matrices K = Q^T X (..., k, 3, 3)."""
+        return (Minv @ _vee(K - T(K))[..., None])[..., 0]
 
-def _polar_jacobian_deriv(iterates, residuals, x) -> np.ndarray:
-    """The derivative of _polar_jacobian along each of the s flattened
-    directions x (..., s, 9): shape (..., s, 9, 9).
-
-    Second-order forward mode through the same iterates: D[k] = dQ along
-    embedding coordinate k, Dx[l] = dQ along x[l] and D2[l, k] the second
-    derivative, with B = Q^-T,
-
-        d2Q' = (d2Q - B d2Q^T B + B dQ_k^T B dQ_x^T B + B dQ_x^T B dQ_k^T B)/2.
-    """
-    lead_A = iterates[0].shape[:-2]
-    x = np.asarray(x, dtype=float)
-    Dx = x.reshape(x.shape[:-1] + (3, 3))[..., :, None, :, :]           # (..., s, 1, 3, 3)
-    lead = np.broadcast_shapes(lead_A, Dx.shape[:-4])
-    D = np.broadcast_to(np.eye(9).reshape(9, 3, 3), lead + (1, 9, 3, 3))
-    D2 = np.zeros(lead + (Dx.shape[-4], 9, 3, 3))
-    active = np.ones(lead_A + (1, 1, 1, 1), dtype=bool)
-    T = lambda M: np.swapaxes(M, -1, -2)  # noqa: E731
-    for Q, res in zip(iterates[:-1], residuals):
-        B = T(np.linalg.inv(Q))[..., None, None, :, :]
-        Y, Z = B @ T(D), B @ T(Dx)
-        D2 = np.where(active, 0.5 * (D2 - B @ T(D2) @ B + (Y @ Z + Z @ Y) @ B), D2)
-        D = np.where(active, 0.5 * (D - Y @ B), D)
-        Dx = np.where(active, 0.5 * (Dx - Z @ B), Dx)
-        active = active & (res > _POLAR_TOL)[..., None, None, None, None]
+    K = T(Q)[..., None, :, :] @ np.eye(9).reshape(9, 3, 3)              # Q^T E_b
+    w = omega(K)                                                          # (..., 9, 3)
+    if x is None:
+        return T((Q[..., None, :, :] @ hat(w)).reshape(w.shape[:-1] + (9,)))
+    Kz = T(Q)[..., None, :, :] @ _as_matrices(x)                          # (..., s, 3, 3)
+    Wz = hat(omega(Kz))[..., None, :, :]                                  # (..., s, 1, 3, 3)
+    N = Wz @ K[..., None, :, :, :]      # W_Z Q^T X, (..., s, 9, 3, 3); X^T Q W_Z = -N^T
+    dS = (Kz - Wz[..., 0, :, :] @ S[..., None, :, :])[..., None, :, :]    # (..., s, 1, 3, 3)
+    rhs = (dS @ w[..., None, :, :, None])[..., 0] \
+        - np.trace(dS, axis1=-2, axis2=-1)[..., None] * w[..., None, :, :] - _vee(N - T(N))
+    dw = (Minv[..., None, :, :] @ rhs[..., None])[..., 0]
+    D2 = Q[..., None, None, :, :] @ (Wz @ hat(w)[..., None, :, :, :] + hat(dw))
     return T(D2.reshape(D2.shape[:-2] + (9,)))

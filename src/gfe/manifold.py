@@ -20,8 +20,9 @@ Besides the metric operations (``dist``, ``exp``, ``log``, parallel
   derivatives as q moves, which the exact gradients of test fields need,
 - a closest-point projection ``project_point`` with its Jacobian
   ``projection_jacobian`` and the Jacobian's derivative
-  ``projection_jacobian_deriv`` (normalization for spheres, the polar
-  decomposition for rotations, the identity for flat space).
+  ``projection_jacobian_deriv``, both taken at the projected point
+  (normalization for spheres, the polar decomposition for rotations, the
+  identity for flat space).
 
 Every operation broadcasts over leading axes, so one call serves all nodal
 values of all points of a batch; per-point results (``dist`` of two
@@ -92,9 +93,8 @@ from .kernels import (
     _logm_rotation,
     _near_cut,
     _one_minus_cos_over_sq,
+    _polar_derivative,
     _polar_iterates,
-    _polar_jacobian,
-    _polar_jacobian_deriv,
     _ratios,
     _rodrigues,
     _sinc,
@@ -166,8 +166,10 @@ class Manifold:
     - ``tangent_basis(p)``: an orthonormal basis of T_p M, shape (..., dim,
       *point_shape), a closed form in the entries of p, so the same point
       always yields the bitwise-identical basis;
-    - the mask ``_projectable(w)``, ``project_point(w)``, ``projection_jacobian(w)`` and
-      ``projection_jacobian_deriv(w, x)``, the derivative of the Jacobian
+    - the mask ``_projectable(w)``, ``project_point(w)``, which refuses w
+      outside the projection's domain, and, at q = project_point(w) with no
+      second check, ``projection_jacobian(w, q)`` and
+      ``projection_jacobian_deriv(w, q, x)``, the derivative of the Jacobian
       along each of the s embedding directions x (..., s, N), shape (..., s,
       N, N): the second derivative of project_point with its first slot
       filled by x;
@@ -408,10 +410,10 @@ class Euclidean(Manifold):
     def project_point(self, w):
         return np.array(w, dtype=float)
 
-    def projection_jacobian(self, w):
+    def projection_jacobian(self, w, q):
         return np.broadcast_to(np.eye(self.k), np.shape(w) + (self.k,)).copy()
 
-    def projection_jacobian_deriv(self, w, x):
+    def projection_jacobian_deriv(self, w, q, x):
         return np.zeros(np.broadcast_shapes(np.shape(w)[:-1], np.shape(x)[:-2])
                         + np.shape(x)[-2:] + (self.k,))
 
@@ -529,25 +531,21 @@ class Sphere(Manifold):
         w = np.asarray(w, dtype=float)
         return np.sqrt(_inner(w, w))[..., 0] > _PROJECTION_FLOOR
 
-    def _norm_checked(self, w):
+    def project_point(self, w):
         w = np.asarray(w, dtype=float)
         nrm = np.sqrt(_inner(w, w))
         _refuse_projection(nrm[..., 0], "weighted embedding sum has norm")
-        return w, nrm
-
-    def project_point(self, w):
-        w, nrm = self._norm_checked(w)
         return w / nrm
 
-    def projection_jacobian(self, w):
-        w, nrm = self._norm_checked(w)
-        nrm = nrm[..., None]
+    def projection_jacobian(self, w, q):
+        w = np.asarray(w, dtype=float)
+        nrm = np.sqrt(_inner(w, w))[..., None]
         return np.eye(self.n + 1) / nrm - (w[..., :, None] * w[..., None, :]) / nrm**3
 
-    def projection_jacobian_deriv(self, w, x):
+    def projection_jacobian_deriv(self, w, q, x):
         # D^2P(w)[x, y] = -(<w,y> x + <w,x> y + <x,y> w)/|w|^3 + 3 <w,x> <w,y> w/|w|^5
-        w, nrm = self._norm_checked(w)
-        x = np.asarray(x, dtype=float)
+        w, x = np.asarray(w, dtype=float), np.asarray(x, dtype=float)
+        nrm = np.sqrt(_inner(w, w))
         w, nrm = w[..., None, :], nrm[..., None, :, None]             # (..., 1, N), (..., 1, 1, 1)
         wx = _inner(w, x)[..., None]                                 # (..., s, 1, 1)
         ww = w[..., :, None] * w[..., None, :]
@@ -567,9 +565,9 @@ class Rotation3(Manifold):
     Geodesics are one-parameter subgroups, evaluated through Rodrigues
     closed forms with series fallbacks near the identity.  The closest-point
     projection is the polar decomposition, computed by the quadratically
-    convergent iteration Q <- (Q + Q^-T)/2; its Jacobian is obtained by
-    forward-mode differentiation of the same iteration, truncated at the
-    primal's iteration count.
+    convergent iteration Q <- (Q + Q^-T)/2; its first and second
+    derivatives are closed forms in the weighted sum and its polar factor
+    (``kernels._polar_derivative``), so they need no second iteration.
     """
 
     kind = "rotation3"
@@ -640,16 +638,13 @@ class Rotation3(Manifold):
     def _projectable(self, w) -> np.ndarray:
         return np.linalg.det(_as_matrices(w)) > _PROJECTION_FLOOR
 
-    def _polar_of(self, w):
+    def project_point(self, w):
         A = _as_matrices(w)
         _refuse_projection(np.linalg.det(A), "weighted rotation sum has det =")
-        return A, _polar_iterates(A)
+        return _polar_iterates(A)[0]
 
-    def project_point(self, w):
-        return self._polar_of(w)[1][0][-1]
+    def projection_jacobian(self, w, q):
+        return _polar_derivative(w, q)
 
-    def projection_jacobian(self, w):
-        return _polar_jacobian(*self._polar_of(w)[1])
-
-    def projection_jacobian_deriv(self, w, x):
-        return _polar_jacobian_deriv(*self._polar_of(w)[1], x)
+    def projection_jacobian_deriv(self, w, q, x):
+        return _polar_derivative(w, q, x)

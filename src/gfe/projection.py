@@ -3,7 +3,10 @@
 The interpolant is P(sum_i phi_i(xi) * v_i) with P the closest-point
 projection of the manifold (normalization for spheres, polar decomposition
 for rotations, identity for flat space).  Derivatives follow from the chain
-rule through the projection Jacobian; no nonlinear solve is involved.
+rule through the projection's Jacobian DP(w) and its derivative D^2P(w),
+both taken at the projected point q = P(w), so each center projects once:
+on rotations one polar iteration per point gives q, and DP and D^2P are
+closed forms in w and q.  No other nonlinear solve is involved.
 
 Evaluations are batched as in the geodesic module: reference points and the
 nodal values of an interpolant built over several elements at once may carry
@@ -41,9 +44,9 @@ class ProjectionInterpolant(Interpolant):
         phi, dphi = self.elem.shape_values(xi), self.elem.shape_gradients(xi)
         w = self._weighted_sum(phi)
         dsum = self._combine(np.swapaxes(dphi, -1, -2))                    # (..., d, N)
-        J = man.projection_jacobian(w)
-        cols = dsum @ np.swapaxes(J, -1, -2)
         q = man.project_point(w)
+        J = man.projection_jacobian(w, q)
+        cols = dsum @ np.swapaxes(J, -1, -2)
         return _Center(q, man.tangent_basis(q), w, dsum, phi, dphi, J), \
             cols.reshape(cols.shape[:-1] + man.point_shape)
 
@@ -79,7 +82,7 @@ class ProjectionInterpolant(Interpolant):
         man = self.manifold
         Bv, first = self._first(c)
         E = man._flat(c.basis)                                              # (..., dim, N)
-        ED2 = E[..., None, :, :] @ man.projection_jacobian_deriv(c.w, c.dsum)  # (..., d, dim, N)
+        ED2 = E[..., None, :, :] @ man.projection_jacobian_deriv(c.w, c.q, c.dsum)  # (..., d, dim, N)
         second = ED2[..., None, :, :, :] @ Bv[..., :, None, :, :]         # (..., m, d, dim, dim)
         G = c.phi[..., :, None, None, None] * second \
             + c.dphi[..., :, :, None, None] * first[..., :, None, :, :]
@@ -94,7 +97,7 @@ class ProjectionInterpolant(Interpolant):
         man = self.manifold
         Bv, first = self._first(c)
         EC = C @ man._flat(c.basis)                                         # (..., d, N)
-        y = (EC[..., :, None, :] @ man.projection_jacobian_deriv(c.w, c.dsum))[..., 0, :].sum(-2)
+        y = (EC[..., :, None, :] @ man.projection_jacobian_deriv(c.w, c.q, c.dsum))[..., 0, :].sum(-2)
         return (c.phi[..., :, None, None] * (y[..., None, None, :] @ Bv)
                 + (c.dphi @ C)[..., :, None, :] @ first)[..., 0, :]
 

@@ -270,3 +270,10 @@ def corrupt_d_dv_all(mp):
         return q, mats
 
     mp.setattr(gfe.jacobi.Interpolant, "d_dv_all", corrupted)
+
+
+def start_newton_at(mp, q0):
+    """Under the monkeypatch mp, start every geodesic Newton solve from q0,
+    broadcast to each point of the batch, instead of its initial guess."""
+    mp.setattr(gfe.geodesic, "_initial_guess",
+               lambda man, values, weights: np.broadcast_to(q0, values[:, 0].shape).copy())

@@ -570,6 +570,22 @@ def test_tol_must_be_positive(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag, value", [("--tol", "nan"), ("--tol", "-1e-8"), ("--max-iter", "-3")])
+def test_minimize_refuses_a_bad_stopping_rule_before_reading(tmp_path, capsys, flag, value):
+    mesh = tmp_path / "m.mesh"
+    write_interval_mesh(mesh, 2)
+    bc = tmp_path / "bc.csv"
+    write_bc(bc, [(0, [1.0, 0.0, 0.0]), (2, [0.0, 1.0, 0.0])])
+    code = main([
+        "--command", "minimize", "--manifold", "sphere2", "--mesh", str(mesh),
+        "--bc", str(bc), "--out", str(tmp_path / "o.csv"), f"{flag}={value}",
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: {flag} must ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bc.csv", "m.mesh"]
+
+
 # ----------------------------------------------------------------------
 # fuzzed mesh and CSV input
 

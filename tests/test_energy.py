@@ -347,6 +347,14 @@ def test_minimize_refuses_an_empty_fixed_set():
         minimize(u0, fixed=set())
 
 
+@pytest.mark.parametrize("kwargs", [{"tol": float("nan")}, {"tol": -1.0}, {"max_iter": -3}],
+                         ids=["nan-tol", "negative-tol", "negative-max-iter"])
+def test_minimize_refuses_a_bad_stopping_rule(kwargs):
+    u0, _ = bumped_great_circle(4, 1)
+    with pytest.raises(ValueError, match="tol >= 0 and max_iter >= 0"):
+        minimize(u0, fixed={0, u0.grid.n_nodes - 1}, **kwargs)
+
+
 @pytest.mark.parametrize("fixed, bad", [({0, -1}, "-1"), ({0, 5}, "5"), ({0, 1.0}, "1.0")],
                          ids=["negative", "past-the-end", "float"])
 def test_fixed_indices_must_be_nodes_of_the_grid(fixed, bad):

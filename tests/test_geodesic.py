@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 import gfe
-from gfe import GeodesicInterpolant, ReferenceElement
+from gfe import GeodesicInterpolant, ReferenceElement, geodesic
 from gfe.errors import (
     AdmissibilityError,
     IndefiniteHessianError,
     NonConvergenceError,
 )
 from gfe.sampling import random_configuration, random_point, random_tangent
-from helpers import fd_d_dv, rel_err
+from helpers import fd_d_dv, rel_err, start_newton_at
 
 E1, E2, E3 = np.eye(3)
 S2 = gfe.Sphere(2)
@@ -79,22 +79,24 @@ def test_admissibility_guard_on_wide_sphere_data():
         )
 
 
-def test_newton_nonconvergence_with_tiny_budget():
+def test_newton_nonconvergence_with_tiny_budget(monkeypatch):
     gi = seeded_interp(S2, 2, 2, seed=5)
+    monkeypatch.setattr(geodesic, "_MAX_NEWTON", 0)
+    start_newton_at(monkeypatch, S2.exp(gi.values[0], 0.2 * S2.tangent_basis(gi.values[0])[0]))
     with pytest.raises(NonConvergenceError):
-        gi._solve([0.3, 0.3], q0=S2.exp(gi.values[0], 0.2 * S2.tangent_basis(gi.values[0])[0]), max_iter=0)
+        gi._solve([0.3, 0.3])
 
 
-def test_indefinite_hessian_at_engineered_saddle():
+def test_indefinite_hessian_at_engineered_saddle(monkeypatch):
     # two points on a great circle; the antipode of their midpoint is a
     # stationary point with mixed curvature signs
     a = 1.25
     v1 = np.array([np.cos(a), np.sin(a), 0.0])
     v2 = np.array([np.cos(a), -np.sin(a), 0.0])
     gi = GeodesicInterpolant(ReferenceElement(1, 1), [v1, v2], S2)
-    saddle = np.array([-1.0, 0.0, 0.0])
+    start_newton_at(monkeypatch, np.array([-1.0, 0.0, 0.0]))
     with pytest.raises(IndefiniteHessianError):
-        gi._solve([0.5], q0=saddle)
+        gi._solve([0.5])
 
 
 # ----------------------------------------------------------------------

@@ -11,9 +11,11 @@ from gfe import (
     GFEFunction,
     GlobalTestFunction,
     ReferenceElement,
+    geodesic,
     unit_square_grid,
 )
 from gfe.energy import (
+    _gradient_terms,
     algebraic_gradient,
     directional_derivative,
     dirichlet_energy,
@@ -24,6 +26,7 @@ from gfe.energy import (
 from gfe.errors import CutLocusError, IndefiniteHessianError, NonConvergenceError
 from gfe.jacobi import _basis_ref_gradients
 from gfe.sampling import random_configuration, random_tangent
+from helpers import start_newton_at
 
 S2 = gfe.Sphere(2)
 SO3 = gfe.Rotation3()
@@ -128,19 +131,21 @@ def saddle_batch(order_of_points):
     (["easy", "cut", "saddle"], CutLocusError),
     (["saddle", "easy", "cut"], IndefiniteHessianError),
 ])
-def test_batch_raises_the_error_of_its_lowest_failing_point(points, error):
+def test_batch_raises_the_error_of_its_lowest_failing_point(points, error, monkeypatch):
     interp, xi, starts = saddle_batch(points)
+    start_newton_at(monkeypatch, starts)
     with pytest.raises(error) as raised:
-        interp._solve(xi, q0=starts)
+        interp._solve(xi)
     assert raised.value.point == next(p for p, name in enumerate(points) if name != "easy")
     # each failing point alone raises the same type
     for p, name in enumerate(points):
         single = GeodesicInterpolant(ReferenceElement(1, 1), interp.values[p], S2)
+        start_newton_at(monkeypatch, starts[p])
         if name == "easy":
-            single._solve(xi[p], q0=starts[p])
+            single._solve(xi[p])
         else:
             with pytest.raises((IndefiniteHessianError, CutLocusError)):
-                single._solve(xi[p], q0=starts[p])
+                single._solve(xi[p])
 
 
 def test_batch_with_a_point_outside_the_projection_domain_equals_per_point_results():
@@ -160,13 +165,16 @@ def test_batch_with_a_point_outside_the_projection_domain_equals_per_point_resul
         assert np.max(np.abs(batch.q[p] - interp.eval(xi[p]))) <= 1e-14
 
 
-def test_newton_budget_applies_per_point():
+def test_newton_budget_applies_per_point(monkeypatch):
     interp, xi, _ = saddle_batch(["easy", "easy"])
     q = interp._solve(xi).q
+    monkeypatch.setattr(geodesic, "_MAX_NEWTON", 0)
     # the first point starts at its center, the second one off it
+    start_newton_at(monkeypatch, np.stack([q[0], interp.values[1, 0]]))
     with pytest.raises(NonConvergenceError):
-        interp._solve(xi, q0=np.stack([q[0], interp.values[1, 0]]), max_iter=0)
-    interp._solve(xi, q0=q, max_iter=0)
+        interp._solve(xi)
+    start_newton_at(monkeypatch, q)
+    interp._solve(xi)
 
 
 # ----------------------------------------------------------------------
@@ -287,6 +295,25 @@ def test_preconditioned_descent_adds_no_solve(monkeypatch):
     # the gradient and its metric with no further solve
     assert trials1 - trials0 >= 1
     assert calls1 - calls0 == trials1 - trials0
+
+
+def test_cold_so3_projection_state_makes_one_polar_solve(monkeypatch):
+    # the projection center's point, DP(w) and D^2P(w) all come from one polar iteration
+    calls = []
+    real = gfe.manifold._polar_iterates
+
+    def counting(A, *args, **kwargs):
+        calls.append(None)
+        return real(A, *args, **kwargs)
+
+    monkeypatch.setattr(gfe.manifold, "_polar_iterates", counting)
+    grid = unit_square_grid(2, 2)
+    values = random_configuration(SO3, grid.n_nodes, np.random.default_rng(3), radius=0.3)
+    u = GFEFunction(grid, SO3, "projection", values)
+    dirichlet_energy(u)
+    algebraic_gradient(u)
+    _gradient_terms(u, metric=True)
+    assert len(calls) == 1
 
 
 # ----------------------------------------------------------------------

@@ -364,11 +364,11 @@ def test_projection_idempotent(man):
 
 def test_sphere_projection_jacobian_formula_and_homogeneity():
     S = gfe.Sphere(2)
-    assert np.allclose(S.projection_jacobian(E1), np.eye(3) - np.outer(E1, E1), atol=1e-15)
+    assert np.allclose(S.projection_jacobian(E1, E1), np.eye(3) - np.outer(E1, E1), atol=1e-15)
     rng = np.random.default_rng(10)
     for _ in range(10):
         w = rng.standard_normal(3)
-        assert np.linalg.norm(S.projection_jacobian(w) @ w) <= 1e-12
+        assert np.linalg.norm(S.projection_jacobian(w, S.project_point(w)) @ w) <= 1e-12
 
 
 def test_so3_projection_jacobian_matches_fd():
@@ -377,7 +377,7 @@ def test_so3_projection_jacobian_matches_fd():
     h = 1e-6
     for _ in range(5):
         A = np.eye(3) + 0.3 * rng.standard_normal((3, 3))
-        J = R.projection_jacobian(A)
+        J = R.projection_jacobian(A, R.project_point(A))
         for c in range(9):
             dA = np.zeros(9)
             dA[c] = h
@@ -394,15 +394,59 @@ def test_projection_jacobian_deriv_matches_fd(man):
     for _ in range(5):
         w = random_point(man, rng) + 0.3 * rng.standard_normal(man.point_shape)
         x = rng.standard_normal((2, man.embed_dim))
-        D = man.projection_jacobian_deriv(w, x)
+        q = man.project_point(w)
+        D = man.projection_jacobian_deriv(w, q, x)
         assert D.shape == (2, man.embed_dim, man.embed_dim)
         for l in range(2):
             step = h * x[l].reshape(man.point_shape)
-            fd = (man.projection_jacobian(w + step) - man.projection_jacobian(w - step)) / (2 * h)
+            fd = (man.projection_jacobian(w + step, man.project_point(w + step))
+                  - man.projection_jacobian(w - step, man.project_point(w - step))) / (2 * h)
             assert np.max(np.abs(D[l] - fd)) <= 1e-7 * max(1.0, np.max(np.abs(fd)))
         # batched over points: each equals its own call
-        both = man.projection_jacobian_deriv(np.stack([w, w]), np.stack([x, 2 * x]))
+        both = man.projection_jacobian_deriv(np.stack([w, w]), np.stack([q, q]), np.stack([x, 2 * x]))
         assert np.max(np.abs(both[1] - 2 * D)) <= 1e-13
+
+
+def _polar_cases():
+    """A near I, an A with det 1e-3 and an equal-weight sum of two rotations 2 rad apart."""
+    rng = np.random.default_rng(14)
+    U, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    U *= np.sign(np.linalg.det(U))
+    R1 = _expm_skew(_hat(rng.standard_normal(3)))
+    axis = rng.standard_normal(3)
+    R2 = R1 @ _expm_skew(_hat(2.0 * axis / np.linalg.norm(axis)))
+    return {
+        "near-identity": np.eye(3) + 1e-2 * rng.standard_normal((3, 3)),
+        "det-1e-3": U @ np.diag([1.0, 0.1, 0.01]) @ rotation_z(0.4).T,
+        "rotations-2-rad-apart": 0.5 * (R1 + R2),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_polar_cases()))
+def test_so3_closed_form_projection_derivatives(case):
+    R = gfe.Rotation3()
+    A = _polar_cases()[case]
+    assert np.linalg.det(A) > 0.0
+    Q = R.project_point(A)
+    J = R.projection_jacobian(A, Q)
+    # DP against central differences of the SVD-based polar factor
+    h = 1e-6
+    for c in range(9):
+        dA = np.zeros(9)
+        dA[c] = h
+        fd = (scipy.linalg.polar(A + dA.reshape(3, 3))[0]
+              - scipy.linalg.polar(A - dA.reshape(3, 3))[0]).reshape(-1) / (2 * h)
+        assert np.max(np.abs(J[:, c] - fd)) <= 1e-7 * max(1.0, np.max(np.abs(fd)))
+    rng = np.random.default_rng(15)
+    x = rng.standard_normal((4, 9))
+    # Q^T DP[X] is skew: DP[X] is tangent at Q
+    for dq in x @ J.T:
+        K = Q.T @ dq.reshape(3, 3)
+        assert np.max(np.abs(K + K.T)) <= 1e-14 * max(1.0, np.max(np.abs(K)))
+    # D^2P is symmetric in its two directions
+    D = R.projection_jacobian_deriv(A, Q, x)                       # [l, a, b] = D^2P[x_l, e_b]_a
+    XZ = D @ x.T                                                    # [l, a, k] = D^2P[x_l, x_k]_a
+    assert np.max(np.abs(XZ - np.swapaxes(XZ, 0, 2))) <= 1e-13 * max(1.0, np.max(np.abs(XZ)))
 
 
 def test_so3_project_point_rejects_bad_determinant():
