@@ -449,6 +449,23 @@ def test_so3_closed_form_projection_derivatives(case):
     assert np.max(np.abs(XZ - np.swapaxes(XZ, 0, 2))) <= 1e-13 * max(1.0, np.max(np.abs(XZ)))
 
 
+def test_so3_projection_second_derivative_on_an_ill_conditioned_matrix():
+    # singular values 3.07, 2.21, 0.0156, det 0.106; the reference D^2P[E_2, E_4]
+    # (E_c the c-th flattened unit matrix) is the mixed central difference, h = 1e-12,
+    # of the polar factor computed by the Newton iteration Q <- (Q + Q^-T)/2 in
+    # 50-digit mpmath arithmetic.  Forward mode through the polar iterates was
+    # off by 4.3e-12 relative here.
+    A = np.array([0.15338426516429163, -0.9120738271218193, 2.095980391137934,
+                  -1.0216903442050462, -0.9189828823490875, 0.22585598327447495,
+                  -1.9854622272027107, -0.8420993297835871, -1.5739187591660142])
+    ref = np.array([0.07253441976265834, 0.022233441515855955, -0.11302808248324263,
+                    0.08062616604185371, -0.052360073050589366, 0.010133482301755745,
+                    -0.07695857285914531, 0.08302922590902354, -0.01823674304247766])
+    R = gfe.Rotation3()
+    D = R.projection_jacobian_deriv(A, R.project_point(A), np.eye(9)[[2]])   # [0, a, b] = D^2P[E_2, E_b]_a
+    assert np.max(np.abs(D[0, :, 4] - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
 def test_so3_project_point_rejects_bad_determinant():
     R = gfe.Rotation3()
     with pytest.raises(ProjectionUndefinedError):

@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 """Compare the outputs of the gfe CLI between two git revisions.
 
-    python3 tools/cli_outputs.py BASE CHANGE [--seed 3] [--side 3]
+    python3 tools/cli_outputs.py BASE CHANGE
 
 Each revision is exported with ``git archive`` into a fresh directory of its
-own, as ``tools/ab_pairs.py`` does, and the same seeded inputs are written
-once: a triangulated unit square of side x side cells, nodal values for
-every node of its order-1 and order-2 grids (random points within 0.3 of a
-base point) and boundary values on its boundary vertices.  Then 24 cases
+own, as ``tools/ab_pairs.py`` does, and the same seeded inputs (seed 3) are
+written once, by the base copy's gfe: the criss-cross unit square grid of
+3 x 3 cells, and for each of its order-1 and order-2 Lagrange grids a random
+configuration (``gfe.sampling.random_configuration``, radius 0.3) of every
+node and its restriction to the boundary nodes.  Then 24 cases
 run from each copy with ``python -m gfe.cli`` and PYTHONDONTWRITEBYTECODE=1:
 interpolate, minimize and audit, on sphere2 and so3, with both rules, at
 orders 1 and 2.  For each case the report says "identical", with the exit
@@ -36,49 +37,12 @@ COMMANDS = ("interpolate", "minimize", "audit")
 MANIFOLDS = ("sphere2", "so3")
 RULES = ("geodesic", "projection")
 ORDERS = (1, 2)
+SEED = 3    # of the inputs and of audit
+SIDE = 3    # cells per side of the square mesh
 
 
 # ----------------------------------------------------------------------
 # seeded inputs
-
-
-def square_mesh(side: int):
-    """Vertices and triangles of the unit square cut into side x side cells, two triangles each."""
-    t = np.linspace(0.0, 1.0, side + 1)
-    vertices = np.array([(x, y) for y in t for x in t])
-    elements = []
-    for j, i in itertools.product(range(side), range(side)):
-        a = j * (side + 1) + i
-        b, c, d = a + 1, a + side + 2, a + side + 1
-        elements += [(a, b, c), (a, c, d)]
-    return vertices, np.array(elements)
-
-
-def n_nodes(elements, order: int) -> int:
-    """Nodes of the order-1 or order-2 Lagrange grid: the vertices, then one per edge."""
-    n = int(elements.max()) + 1
-    if order == 1:
-        return n
-    edges = {tuple(sorted(e)) for el in elements for e in itertools.combinations(el, 2)}
-    return n + len(edges)
-
-
-def random_points(manifold: str, count: int, rng) -> np.ndarray:
-    """count points within 0.3 of e3 (sphere2) or of a fixed rotation (so3), flattened."""
-    steps = rng.standard_normal((count, 3))
-    steps *= 0.3 * rng.uniform(size=(count, 1)) / np.linalg.norm(steps, axis=1, keepdims=True)
-    if manifold == "sphere2":
-        r = np.linalg.norm(steps[:, :2], axis=1, keepdims=True)
-        return np.hstack([np.sin(r) * steps[:, :2] / r, np.cos(r)])
-    # Rodrigues: base @ exp(hat(w))
-    t = np.linalg.norm(steps, axis=1)[:, None, None]
-    W = np.zeros((count, 3, 3))
-    W[:, 0, 1], W[:, 0, 2], W[:, 1, 2] = -steps[:, 2], steps[:, 1], -steps[:, 0]
-    W -= np.swapaxes(W, 1, 2)
-    R = np.eye(3) + np.sin(t) / t * W + (1.0 - np.cos(t)) / t**2 * (W @ W)
-    c, s = np.cos(0.7), np.sin(0.7)
-    base = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    return (base @ R).reshape(count, 9)
 
 
 def write_csv(path: Path, nodes, values) -> None:
@@ -86,31 +50,34 @@ def write_csv(path: Path, nodes, values) -> None:
                             for i, v in zip(nodes, values)))
 
 
-def write_inputs(root: Path, seed: int, side: int) -> None:
-    """square.mesh and, per manifold and order, all_<m>_<p>.csv and bc_<m>_<p>.csv under root."""
-    vertices, elements = square_mesh(side)
-    with open(root / "square.mesh", "w", encoding="utf-8") as fh:
-        fh.write(f"gfe-mesh 2\n{len(vertices)}\n")
-        fh.writelines(f"{x:.17g} {y:.17g}\n" for x, y in vertices)
-        fh.write(f"{len(elements)}\n")
-        fh.writelines(" ".join(str(i) for i in el) + "\n" for el in elements)
-    boundary = np.flatnonzero(np.any((vertices == 0.0) | (vertices == 1.0), axis=1))
-    rng = np.random.default_rng(seed)
+def write_inputs(root: Path, src: Path) -> None:
+    """square.mesh and, per manifold and order, all_<m>_<p>.csv and bc_<m>_<p>.csv
+    under root, made with the gfe package of the source tree src."""
+    sys.dont_write_bytecode = True     # the copy stays as exported
+    sys.path.insert(0, str(src))
+    from gfe import Rotation3, Sphere, unit_square_grid, write_mesh
+    from gfe.sampling import random_configuration
+
+    square = unit_square_grid(SIDE, 1)
+    write_mesh(root / "square.mesh", 2, square.vertices, square.elements)
+    manifolds = {"sphere2": Sphere(2), "so3": Rotation3()}
+    rng = np.random.default_rng(SEED)
     for manifold, order in itertools.product(MANIFOLDS, ORDERS):
-        n = n_nodes(elements, order)
-        write_csv(root / f"all_{manifold}_{order}.csv", range(n), random_points(manifold, n, rng))
-        write_csv(root / f"bc_{manifold}_{order}.csv", boundary,
-                  random_points(manifold, len(boundary), rng))
+        grid = unit_square_grid(SIDE, order)
+        values = random_configuration(manifolds[manifold], grid.n_nodes, rng).reshape(grid.n_nodes, -1)
+        boundary = sorted(grid.boundary_nodes)
+        write_csv(root / f"all_{manifold}_{order}.csv", range(grid.n_nodes), values)
+        write_csv(root / f"bc_{manifold}_{order}.csv", boundary, values[boundary])
 
 
 # ----------------------------------------------------------------------
 # running and comparing
 
 
-def case_args(command: str, manifold: str, rule: str, order: int, inputs: Path, seed: int):
+def case_args(command: str, manifold: str, rule: str, order: int, inputs: Path):
     args = ["--command", command, "--manifold", manifold, "--rule", rule, "--order", str(order)]
     if command == "audit":
-        return args + ["--seed", str(seed)]
+        return args + ["--seed", str(SEED)]
     csv = "all" if command == "interpolate" else "bc"
     return args + ["--mesh", str(inputs / "square.mesh"),
                    "--bc", str(inputs / f"{csv}_{manifold}_{order}.csv"), "--out", "out.csv"]
@@ -166,13 +133,11 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("base", help="git revision of the reference side")
     p.add_argument("change", help="git revision of the side under test")
-    p.add_argument("--seed", type=int, default=3, help="seed of the inputs and of audit")
-    p.add_argument("--side", type=int, default=3, help="cells per side of the square mesh")
     args = p.parse_args(argv)
 
     revs = {side: _git("rev-parse", "--verify", f"{rev}^{{commit}}")
             for side, rev in (("base", args.base), ("change", args.change))}
-    print(f"base {revs['base']}  change {revs['change']}  seed {args.seed}  side {args.side}")
+    print(f"base {revs['base']}  change {revs['change']}")
     identical = 0
     cases = list(itertools.product(COMMANDS, MANIFOLDS, RULES, ORDERS))
     with tempfile.TemporaryDirectory(prefix="cli_outputs-") as tmp:
@@ -182,9 +147,9 @@ def main(argv=None) -> int:
             export(rev, copies[side])
         inputs = tmp / "inputs"
         inputs.mkdir()
-        write_inputs(inputs, args.seed, args.side)
+        write_inputs(inputs, copies["base"] / "src")
         for k, (command, manifold, rule, order) in enumerate(cases):
-            cli_args = case_args(command, manifold, rule, order, inputs, args.seed)
+            cli_args = case_args(command, manifold, rule, order, inputs)
             got = {side: run_case(copies[side], cli_args, tmp / "runs" / side / str(k)) for side in revs}
             report = compare(got["base"], got["change"])
             identical += report[0].startswith("identical")
