@@ -19,15 +19,16 @@ audit
 minimize
     Read a mesh and Dirichlet data (CSV rows for the fixed nodes; at least
     one, since the descent metric is singular without a fixed node), build
-    a starting guess by projected neighbor averaging, run Newton descent on
-    the discrete index form (the H^1 metric of the test space minus the
-    curvature term; the H^1 metric where that is not positive definite;
-    one dense linear solve per iteration, memory growing as the square of
-    the free degrees of freedom; quadratic convergence on smooth data,
-    linear on rough data), print the energy report as key=value
-    lines, and write the final nodal values as CSV plus VTK files of the
-    solution and of one nodal basis test field.  Exits 2 when the rule
-    cannot evaluate the starting guess (a cut locus, an undefined
+    a starting guess by projected neighbor averaging (all free nodes at once,
+    in Jacobi sweeps, up to 200 of them, until no node moves by 1e-6), run
+    Newton descent on the discrete index form (the H^1 metric of the test
+    space minus the curvature term; the H^1 metric where that is not
+    positive definite; one dense linear solve per iteration, memory growing
+    as the square of the free degrees of freedom; quadratic convergence on
+    smooth data, linear on rough data), print the energy report as
+    key=value lines, and write the final nodal values as CSV plus VTK files
+    of the solution and of one nodal basis test field.  Exits 2 when the
+    rule cannot evaluate the starting guess (a cut locus, an undefined
     projection), naming the element, and 3 when the descent fails (the
     line search, a singular metric), each with one ``error: ...`` line.
 
@@ -49,8 +50,8 @@ import sys
 
 import numpy as np
 
-from .energy import dirichlet_energy, equivalence_audit, minimize
-from .errors import GFEError, ProjectionUndefinedError
+from .energy import _scatter, dirichlet_energy, equivalence_audit, minimize
+from .errors import GFEError
 from .grid import _RULES, GFEFunction, GlobalTestFunction, Grid, _finite_float, read_mesh
 from .jacobi import ElementTestField
 from .manifold import Euclidean, Rotation3, Sphere
@@ -65,6 +66,7 @@ _MANIFOLDS = {
 }
 
 _AUDIT_TOLS = (1e-4, 1e-4, 5e-4)
+_FD_STEP = 1e-5     # of the finite-difference oracles
 
 
 # ----------------------------------------------------------------------
@@ -187,22 +189,23 @@ def _audit_sample_xis(elem: ReferenceElement, rng) -> list[np.ndarray]:
     return [center] + [0.4 * center + 0.6 * rng.dirichlet(np.ones(elem.dim + 1))[1:] for _ in range(2)]
 
 
-def fd_variation(interp, vecs, xi, h: float = 1e-5):
+def fd_variation(interp, vecs, xi):
     """The variation of eval(xi) when every node moves along exp(t * vecs[i]).
 
     Central differences, tangentially projected at q = eval(xi); returns
-    (q, derivative).  A finite-difference oracle for the test fields.
+    (q, derivative), the derivative with any leading axes of vecs (sets of
+    directions).  A finite-difference oracle for the test fields.
     """
     man = interp.manifold
-    cls = type(interp)
     vecs = np.asarray(vecs, dtype=float)
-    qp = cls(interp.elem, man.exp(interp.values, h * vecs), man).eval(xi)
-    qm = cls(interp.elem, man.exp(interp.values, -h * vecs), man).eval(xi)
+    moved = man.exp(interp.values, _FD_STEP * np.stack([vecs, -vecs]))
+    stacked = type(interp)(interp.elem, moved.reshape((-1,) + interp.values.shape), man, _checked=True)
+    qp, qm = stacked.eval(xi).reshape(moved.shape[: moved.ndim - interp.values.ndim] + man.point_shape)
     q0 = interp.eval(xi)
-    return q0, man.project_tangent(q0, (qp - qm) / (2.0 * h))
+    return q0, man.project_tangent(q0, (qp - qm) / (2.0 * _FD_STEP))
 
 
-def fd_d_dv(interp, xi, i: int, h: float = 1e-5) -> np.ndarray:
+def fd_d_dv(interp, xi, i: int) -> np.ndarray:
     """Central differences of eval along exp curves through nodal value i.
 
     A finite-difference oracle for matrix i of ``d_dv_all``: fd_variation with
@@ -210,13 +213,11 @@ def fd_d_dv(interp, xi, i: int, h: float = 1e-5) -> np.ndarray:
     at eval(xi).
     """
     man = interp.manifold
-    cols = []
-    for b in man.tangent_basis(interp.values[i]):
-        vecs = np.zeros_like(interp.values)
-        vecs[i] = b
-        q0, fd = fd_variation(interp, vecs, xi, h)
-        cols.append(man._flat(man.tangent_basis(q0)) @ fd.reshape(-1))
-    return np.stack(cols, axis=1)
+    basis = man.tangent_basis(interp.values[i])
+    vecs = np.zeros((len(basis),) + interp.values.shape)
+    vecs[:, i] = basis
+    q0, fd = fd_variation(interp, vecs, xi)
+    return man._flat(man.tangent_basis(q0)) @ man._flat(fd).T
 
 
 def _audit_ddv_error(interp, xis) -> float:
@@ -276,35 +277,30 @@ def cmd_audit(args) -> int:
 
 
 def _relaxed_start(grid: Grid, man, fixed_values: dict[int, np.ndarray]) -> np.ndarray:
-    """Projected neighbor averaging from the Dirichlet data."""
-    n = grid.n_nodes
-    neighbors: list[set[int]] = [set() for _ in range(n)]
-    for ids in grid.element_nodes.tolist():
-        for a in ids:
-            neighbors[a].update(b for b in ids if b != a)
-
+    """Projected neighbor averaging from the Dirichlet data, in Jacobi sweeps."""
+    n, k = grid.n_nodes, man.embed_dim
     fixed = sorted(fixed_values)
-    try:
-        seed_value = man.project_point(np.mean([fixed_values[i] for i in fixed], axis=0))
-    except ProjectionUndefinedError:
-        seed_value = fixed_values[fixed[0]].reshape(man.point_shape)
-    values = np.array([fixed_values[i].reshape(man.point_shape) if i in fixed_values else seed_value
-                       for i in range(n)])
+    free = np.bincount(fixed, minlength=n) == 0
+    # the distinct pairs (i, j != i) of nodes sharing an element, from the sorted keys i*n + j
+    keys = np.sort((grid.element_nodes[:, :, None] * n + grid.element_nodes[:, None, :]).ravel())
+    i, j = np.divmod(keys[np.r_[True, keys[1:] != keys[:-1]]], n)
+    i, j = i[i != j], j[i != j]
+    slots, counts = i[:, None] * k + np.arange(k), np.bincount(i, minlength=n)[free, None]
 
-    free = [i for i in range(n) if i not in fixed_values]
+    data = np.reshape([fixed_values[f] for f in fixed], (len(fixed), k))
+    mean = data.mean(axis=0)
+    values = np.repeat([man._flat(man.project_point(mean)) if man._projectable(mean) else data[0]], n, axis=0)
+    values[fixed] = data
     for _ in range(200):
-        move = 0.0
-        for i in free:
-            avg = np.mean([values[j] for j in sorted(neighbors[i])], axis=0)
-            try:
-                new = man.project_point(avg)
-            except ProjectionUndefinedError:
-                continue
-            move = max(move, float(np.linalg.norm(new - values[i])))
-            values[i] = new
+        avg = _scatter(slots, values[j], n, k)[free] / counts
+        ok = man._projectable(avg)
+        new = values[free]
+        new[ok] = man._flat(man.project_point(avg[ok]))
+        move = np.linalg.norm(new - values[free], axis=1).max(initial=0.0)
+        values[free] = new
         if move < 1e-6:
             break
-    return values
+    return values.reshape((n,) + man.point_shape)
 
 
 def cmd_minimize(args) -> int:

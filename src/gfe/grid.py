@@ -34,7 +34,7 @@ from .geodesic import GeodesicInterpolant
 from .jacobi import ElementTestField, _nodal_vectors
 from .manifold import Manifold
 from .projection import ProjectionInterpolant
-from .reference_element import ReferenceElement
+from .reference_element import _INSIDE_TOL, ReferenceElement
 
 _RULES = {"geodesic": GeodesicInterpolant, "projection": ProjectionInterpolant}
 
@@ -224,14 +224,14 @@ class Grid:
     def locate(self, x):
         """(element index, reference coordinates) of a domain point.
 
-        Brute-force scan with a barycentric containment test; the first
+        A barycentric containment test in every element at once; the first
         containing element wins.
         """
-        for e in range(self.n_elements):
-            xi = self.xi_of(e, x)
-            if self.ref.contains(xi):
-                return e, xi
-        raise PointOutsideDomainError(f"point {np.asarray(x)} is outside the domain")
+        xi = (self._Binv @ (np.reshape(x, self.dim) - self._origin)[:, :, None])[:, :, 0]
+        inside = np.flatnonzero(self.ref.barycentric(xi).min(axis=-1) >= -_INSIDE_TOL)
+        if len(inside) == 0:
+            raise PointOutsideDomainError(f"point {np.asarray(x)} is outside the domain")
+        return int(inside[0]), self.xi_of(inside[0], x)
 
 
 def unit_interval_grid(n_elements: int, order: int) -> Grid:

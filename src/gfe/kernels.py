@@ -215,6 +215,7 @@ def _logm_rotation(R: np.ndarray):
 
 
 _POLAR_TOL = 1e-13
+_POLAR_MAX_ITER = 50
 
 
 def _as_matrices(w) -> np.ndarray:
@@ -223,7 +224,7 @@ def _as_matrices(w) -> np.ndarray:
     return w if w.shape[-2:] == (3, 3) else w.reshape(w.shape[:-1] + (3, 3))
 
 
-def _polar_iterates(A: np.ndarray, max_iter: int = 50):
+def _polar_iterates(A: np.ndarray):
     """Run Q <- (Q + Q^-T)/2 from Q = A, in lockstep over leading axes.
 
     Returns (Q, residuals): the polar factors and, per update, the Frobenius
@@ -234,7 +235,7 @@ def _polar_iterates(A: np.ndarray, max_iter: int = 50):
     Q = _as_matrices(A)
     residuals = []
     active = np.ones(Q.shape[:-2], dtype=bool)
-    for _ in range(max_iter):
+    for _ in range(_POLAR_MAX_ITER):
         try:
             Qn = 0.5 * (Q + np.swapaxes(np.linalg.inv(Q), -1, -2))
         except np.linalg.LinAlgError as exc:
@@ -246,7 +247,7 @@ def _polar_iterates(A: np.ndarray, max_iter: int = 50):
         Q = Qn
         if not active.any():
             return Q, residuals
-    raise NonConvergenceError(f"polar iteration did not converge in {max_iter} steps")
+    raise NonConvergenceError(f"polar iteration did not converge in {_POLAR_MAX_ITER} steps")
 
 
 def polar_decompose(A: np.ndarray):

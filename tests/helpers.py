@@ -10,6 +10,7 @@ import numpy as np
 
 import gfe
 from gfe.cli import fd_d_dv, fd_variation  # noqa: F401  (shared with the audit command)
+from gfe.errors import ProjectionUndefinedError
 
 
 # ----------------------------------------------------------------------
@@ -252,6 +253,43 @@ def fd_energy_hessian(u, fixed, h=1e-4):
             H[a, b] = H[b, a] = (energy(e[a] + e[b]) - energy(e[a] - e[b])
                                  - energy(e[b] - e[a]) + energy(-e[a] - e[b])) / (4.0 * h * h)
     return H
+
+
+def node_neighbors(grid):
+    """The sorted distinct neighbors of every node: the other nodes of the elements it lies in."""
+    neighbors = [set() for _ in range(grid.n_nodes)]
+    for ids in grid.element_nodes.tolist():
+        for a in ids:
+            neighbors[a].update(b for b in ids if b != a)
+    return [sorted(s) for s in neighbors]
+
+
+def gauss_seidel_start(grid, man, fixed_values):
+    """The reference for ``gfe.cli._relaxed_start``: the same projected
+    neighbor averaging, node by node in index order (Gauss-Seidel), each
+    node averaging its neighbors' latest values."""
+    neighbors = node_neighbors(grid)
+    fixed = sorted(fixed_values)
+    try:
+        seed_value = man.project_point(np.mean([fixed_values[i] for i in fixed], axis=0))
+    except ProjectionUndefinedError:
+        seed_value = fixed_values[fixed[0]].reshape(man.point_shape)
+    values = np.array([fixed_values[i].reshape(man.point_shape) if i in fixed_values else seed_value
+                       for i in range(grid.n_nodes)])
+    free = [i for i in range(grid.n_nodes) if i not in fixed_values]
+    for _ in range(200):
+        move = 0.0
+        for i in free:
+            avg = np.mean([values[j] for j in neighbors[i]], axis=0)
+            try:
+                new = man.project_point(avg)
+            except ProjectionUndefinedError:
+                continue
+            move = max(move, float(np.linalg.norm(new - values[i])))
+            values[i] = new
+        if move < 1e-6:
+            break
+    return values
 
 
 # ----------------------------------------------------------------------

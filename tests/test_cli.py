@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gfe
-from gfe.cli import _csv_lines, main, read_nodal_csv, write_nodal_csv
-from gfe.grid import write_mesh
-from helpers import corrupt_d_dv_all
+from gfe.cli import _csv_lines, _relaxed_start, main, read_nodal_csv, write_nodal_csv
+from gfe.grid import unit_interval_grid, unit_square_grid, write_mesh
+from gfe.sampling import random_configuration
+from helpers import corrupt_d_dv_all, gauss_seidel_start, node_neighbors
 
 S2 = gfe.Sphere(2)
 
@@ -584,6 +585,63 @@ def test_minimize_refuses_a_bad_stopping_rule_before_reading(tmp_path, capsys, f
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith(f"error: {flag} must ")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bc.csv", "m.mesh"]
+
+
+# ----------------------------------------------------------------------
+# the starting guess of minimize
+
+START_GRIDS = [(4, 1), (4, 2), (8, 1)]
+
+
+def boundary_data(man, grid, seed=0):
+    """random_configuration(radius=0.3) at the boundary nodes, flat as the CSV reader gives it."""
+    values = random_configuration(man, grid.n_nodes, np.random.default_rng(seed), radius=0.3)
+    return {i: man._flat(values[i]) for i in sorted(grid.boundary_nodes)}
+
+
+@pytest.mark.parametrize("man", [S2, gfe.Rotation3()], ids=["sphere2", "so3"])
+@pytest.mark.parametrize("n_side, order", START_GRIDS)
+def test_start_is_a_fixed_point_of_projected_averaging(man, n_side, order):
+    grid = unit_square_grid(n_side, order)
+    data = boundary_data(man, grid)
+    values = _relaxed_start(grid, man, data)
+    assert values.shape == (grid.n_nodes,) + man.point_shape
+    for i in set(data):
+        assert np.array_equal(man._flat(values[i]), data[i])
+    for i, nbrs in enumerate(node_neighbors(grid)):
+        if i not in data:
+            target = man.project_point(values[nbrs].mean(axis=0))
+            assert np.linalg.norm(values[i] - target) <= 2e-6
+
+
+@pytest.mark.parametrize("man", [S2, gfe.Rotation3()], ids=["sphere2", "so3"])
+@pytest.mark.parametrize("n_side, order", START_GRIDS)
+def test_start_agrees_with_the_gauss_seidel_reference(man, n_side, order):
+    grid = unit_square_grid(n_side, order)
+    data = boundary_data(man, grid)
+    assert np.abs(_relaxed_start(grid, man, data) - gauss_seidel_start(grid, man, data)).max() <= 1e-5
+
+
+def test_start_keeps_the_value_of_a_node_whose_average_has_no_projection():
+    # the mean of the ends and the middle node's average both vanish: the seed falls
+    # back to the first fixed value, and the middle node keeps it on every sweep
+    ex = np.array([1.0, 0.0, 0.0])
+    values = _relaxed_start(unit_interval_grid(2, 1), S2, {0: ex, 2: -ex})
+    assert np.array_equal(values, [ex, ex, -ex])
+
+
+def test_start_projects_all_free_nodes_in_one_call_per_sweep(monkeypatch):
+    calls = []
+    real = gfe.Sphere.project_point
+
+    def counting(self, w):
+        calls.append(None)
+        return real(self, w)
+
+    monkeypatch.setattr(gfe.Sphere, "project_point", counting)
+    grid = unit_square_grid(8, 2)
+    _relaxed_start(grid, S2, boundary_data(S2, grid))
+    assert 0 < len(calls) <= 201   # the seed, then at most 200 sweeps
 
 
 # ----------------------------------------------------------------------
