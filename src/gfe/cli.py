@@ -25,9 +25,9 @@ minimize
     space minus the curvature term; the H^1 metric where that is not
     positive definite; one dense linear solve per iteration, memory growing
     as the square of the free degrees of freedom; quadratic convergence on
-    smooth data, linear on rough data), print the energy report as
-    key=value lines, and write the final nodal values as CSV plus VTK files
-    of the solution and of one nodal basis test field.  Exits 2 when the
+    smooth data, linear on rough data), write the final nodal values as CSV
+    plus VTK files of the solution and of one nodal basis test field, then
+    print the energy report as key=value lines.  Exits 2 when the
     rule cannot evaluate the starting guess (a cut locus, an undefined
     projection), naming the element, and 3 when the descent fails (the
     line search, a singular metric), each with one ``error: ...`` line.
@@ -35,12 +35,13 @@ minimize
 Any other exception is a fault of gfe, not of its input: one
 ``error: internal: <Type>: <message>`` line and exit code 4, no traceback.
 Identical flags and seed produce byte-identical output files.  Malformed
-input (a mesh or CSV that cannot be read or holds a NaN or an infinity, a
-mesh without elements, with a degenerate element or with a vertex that
-belongs to no element, an index out of range or listed twice, a value off
-the manifold) is reported as one
-``error: <file>: ...`` line with exit code 2; faults the file readers find,
-and a degenerate element, name the line as well.
+input (a mesh or CSV that cannot be read, is not UTF-8 text or holds a NaN
+or an infinity, a mesh without elements, with a degenerate element or with
+a vertex that belongs to no element, an index out of range or listed twice,
+a value off the manifold) and an ``--out`` that cannot be written (in a
+missing directory, or a directory) are reported as one ``error: <file>: ...``
+line with exit code 2 and no report; faults the file readers find, and a
+degenerate element, name the line as well.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ import numpy as np
 
 from .energy import _scatter, dirichlet_energy, equivalence_audit, minimize
 from .errors import GFEError
-from .grid import _RULES, GFEFunction, GlobalTestFunction, Grid, _finite_float, read_mesh
+from .grid import _RULES, GFEFunction, GlobalTestFunction, Grid, _finite_float, _text_lines, read_mesh
 from .jacobi import ElementTestField
 from .manifold import Euclidean, Rotation3, Sphere
 from .reference_element import ReferenceElement
@@ -76,29 +77,28 @@ _FD_STEP = 1e-5     # of the finite-difference oracles
 def _nodal_rows(path, embed_dim: int):
     """(line, index, coordinates) per CSV row ``index, c1, ..., cN``; an index may appear once."""
     first_line: dict[int, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = [t.strip() for t in line.split(",")]
-            if len(parts) != embed_dim + 1:
-                raise ValueError(
-                    f"{path}: line {lineno}: expected {embed_dim + 1} comma-separated fields, "
-                    f"got {len(parts)}"
-                )
-            try:
-                index = int(parts[0])
-                coords = np.array([_finite_float(t) for t in parts[1:]])
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
-            if index in first_line:
-                raise ValueError(
-                    f"{path}: line {lineno}: node {index} is listed twice "
-                    f"(first on line {first_line[index]})"
-                )
-            first_line[index] = lineno
-            yield lineno, index, coords
+    for lineno, raw in _text_lines(path):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = [t.strip() for t in line.split(",")]
+        if len(parts) != embed_dim + 1:
+            raise ValueError(
+                f"{path}: line {lineno}: expected {embed_dim + 1} comma-separated fields, "
+                f"got {len(parts)}"
+            )
+        try:
+            index = int(parts[0])
+            coords = np.array([_finite_float(t) for t in parts[1:]])
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from None
+        if index in first_line:
+            raise ValueError(
+                f"{path}: line {lineno}: node {index} is listed twice "
+                f"(first on line {first_line[index]})"
+            )
+        first_line[index] = lineno
+        yield lineno, index, coords
 
 
 def read_nodal_csv(path, embed_dim: int) -> dict[int, np.ndarray]:
@@ -152,35 +152,40 @@ def _sample_points(dim: int) -> np.ndarray:
 # commands
 
 
+def _error(message, code: int = 2) -> int:
+    """Print ``error: <message>`` as the one line on stderr; returns the exit code."""
+    print(f"error: {message}", file=sys.stderr)
+    return code
+
+
 def cmd_interpolate(args) -> int:
     man = _MANIFOLDS[args.manifold]()
     try:
         grid = _read_grid(args.mesh, args.order)
         data = _read_nodal_values(args.bc, man, grid.n_nodes)
     except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc)
     missing = [i for i in range(grid.n_nodes) if i not in data]
     if missing:
-        print(f"error: nodal values missing for nodes {missing}", file=sys.stderr)
-        return 2
+        return _error(f"nodal values missing for nodes {missing}")
 
     values = np.array([data[i].reshape(man.point_shape) for i in range(grid.n_nodes)])
     try:
         u = GFEFunction(grid, man, args.rule, values)
     except GFEError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc)
     xis = _sample_points(grid.dim)
     els, k = grid._pairs(len(xis))
     try:
         q = man._flat(u.local(els).eval(xis[k]))
     except GFEError as exc:
         where = "" if exc.point is None else f"element {els[exc.point]}: "
-        print(f"error: {where}{exc}", file=sys.stderr)
-        return 2
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(_csv_lines(els, np.hstack([xis[k], q])))
+        return _error(f"{where}{exc}")
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(_csv_lines(els, np.hstack([xis[k], q])))
+    except OSError as exc:
+        return _error(f"{exc.filename}: {exc.strerror}")
     return 0
 
 
@@ -265,11 +270,7 @@ def cmd_audit(args) -> int:
     u = GFEFunction(square, man, args.rule, grid_values)
     e_eq = equivalence_audit(u, trials=20, seed=int(rng.integers(2**31)))
 
-    rows = [
-        ("d_dv_vs_fd", e_ddv, _AUDIT_TOLS[0]),
-        ("variation_property", e_var, _AUDIT_TOLS[1]),
-        ("equivalence", e_eq, _AUDIT_TOLS[2]),
-    ]
+    rows = list(zip(("d_dv_vs_fd", "variation_property", "equivalence"), (e_ddv, e_var, e_eq), _AUDIT_TOLS))
     print(f"{'check':<22}{'max_error':>14}{'tolerance':>12}  status")
     for name, err, tol in rows:
         print(f"{name:<22}{err:>14.3e}{tol:>12.1e}  {'ok' if err <= tol else 'FAIL'}")
@@ -313,29 +314,29 @@ def cmd_minimize(args) -> int:
         u0 = GFEFunction(grid, man, args.rule, _relaxed_start(grid, man, data))
         dirichlet_energy(u0)    # kept with u0, so minimize solves no more
     except (OSError, ValueError, GFEError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc)
     try:
         u, report = minimize(u0, fixed=set(data), max_iter=args.max_iter, tol=args.tol)
     except GFEError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return _error(exc, 3)
 
-    print(f"value={report.value:.17g}")
-    print(f"gradient_norm={report.gradient_norm:.17g}")
-    print(f"iterations={report.iterations}")
-    print(f"converged={'true' if report.converged else 'false'}")
-
-    write_nodal_csv(args.out, u.values)
     # the nodal basis function carrying tangent_basis(u_i)[0] at the first free node i
     i = next((i for i in range(grid.n_nodes) if i not in data), 0)
     vecs = np.zeros_like(u.values)
     vecs[i] = man.tangent_basis(u.values[i])[0]
     phi = GlobalTestFunction(u, vecs)
-    stem = str(args.out)
-    stem = stem[:-4] if stem.endswith(".csv") else stem
-    write_vtk(stem + "_u.vtk", u, title="minimizer")
-    write_vtk(stem + "_phi.vtk", u, field=phi, title="nodal basis test field")
+    stem = str(args.out).removesuffix(".csv")
+    try:
+        write_nodal_csv(args.out, u.values)
+        write_vtk(stem + "_u.vtk", u, title="minimizer")
+        write_vtk(stem + "_phi.vtk", u, field=phi, title="nodal basis test field")
+    except OSError as exc:
+        return _error(f"{exc.filename}: {exc.strerror}")
+
+    print(f"value={report.value:.17g}")
+    print(f"gradient_norm={report.gradient_norm:.17g}")
+    print(f"iterations={report.iterations}")
+    print(f"converged={'true' if report.converged else 'false'}")
     return 0
 
 
@@ -363,20 +364,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if not args.tol > 0.0:  # NaN too
-        print("error: --tol must be positive", file=sys.stderr)
-        return 2
+        return _error("--tol must be positive")
     if args.max_iter < 0:
-        print("error: --max-iter must not be negative", file=sys.stderr)
-        return 2
+        return _error("--max-iter must not be negative")
     if args.command != "audit" and not (args.mesh and args.bc and args.out):
-        print(f"error: {args.command} needs --mesh, --bc and --out", file=sys.stderr)
-        return 2
+        return _error(f"{args.command} needs --mesh, --bc and --out")
     command = {"audit": cmd_audit, "interpolate": cmd_interpolate, "minimize": cmd_minimize}[args.command]
     try:
         return command(args)
     except Exception as exc:    # a fault of gfe, not of the input: one line, exit 4
-        print(f"error: internal: {type(exc).__name__}: {' '.join(str(exc).split())}", file=sys.stderr)
-        return 4
+        return _error(f"internal: {type(exc).__name__}: {' '.join(str(exc).split())}", 4)
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ size, and on rough data (nodal values far apart within an element) linear.
 
 Assembly is batched: all (element, quadrature point) pairs of a state are
 evaluated together, element-major, in one lockstep center solve; their
-layout is built once per grid (``_layout``).  A function state keeps the
+layout and shape tables are built once per grid (``_layout``).  A state keeps the
 record of its quadrature data (``_assembly``), built by whichever of the
 energy, the gradient or the directional derivative comes first; later
 calls on the state make no Newton solve and no logarithm, which is how
@@ -100,15 +100,18 @@ class EnergyReport:
 
 
 def _layout(grid, dim: int):
-    """(els, xi, w, Binv, dofs) of grid's P (element, point) pairs under
+    """(els, xi, w, Binv, dofs, shape) of grid's P (element, point) pairs under
     ``simplex_quadrature``, element-major: elements, reference points, weights
-    detB * rule weights, inverse element maps and the dof i*dim + j of field
-    (i, j); built once per grid and intrinsic dimension for all its states."""
+    detB * rule weights, inverse element maps, the dof i*dim + j of field
+    (i, j) and shape, the Lagrange weights (P, m) and their gradients (P, m, d)
+    at xi; built once per grid and intrinsic dimension for all its states."""
     if dim not in grid._layouts:
         rule = simplex_quadrature(grid.dim)
         els, k = grid._pairs(len(rule.weights))
+        xi = rule.points[k]
         dofs = (grid.element_nodes[els][:, :, None] * dim + np.arange(dim)).reshape(len(els), -1)
-        grid._layouts[dim] = els, rule.points[k], grid._detB[els] * rule.weights[k], grid._Binv[els], dofs
+        grid._layouts[dim] = (els, xi, grid._detB[els] * rule.weights[k], grid._Binv[els], dofs,
+                              (grid.ref.shape_values(xi), grid.ref.shape_gradients(xi)))
     return grid._layouts[dim]
 
 
@@ -128,10 +131,10 @@ def _assembly(u: GFEFunction) -> _Assembly:
     """The record of u under ``simplex_quadrature``, built by one center solve
     on first use; an error of that solve names the element of its point."""
     if u._assembly is None:
-        els, xi, w, Binv, _ = _layout(u.grid, u.manifold.intrinsic_dim)
+        els, xi, w, Binv, _, shape = _layout(u.grid, u.manifold.intrinsic_dim)
         interp = u.local(els)
         try:
-            center, cols = interp._center(xi)
+            center, cols = interp._center(xi, shape)
         except GFEError as exc:
             if exc.point is not None:
                 exc.args = (f"element {els[exc.point]}: {exc}",)
@@ -176,7 +179,7 @@ def _gradient_terms(u: GFEFunction, metric: bool = False):
     a = _assembly(u)
     K = man._model_curvature
     N = grid.n_nodes * dim
-    Binv, dofs = _layout(grid, dim)[3:]     # _scatter sums field (i, j)'s terms at its dof
+    Binv, dofs = _layout(grid, dim)[3:5]    # _scatter sums field (i, j)'s terms at its dof
     # term (i, j): the weighted integrand of the directional derivative
     # along basis field (i, j), whose physical gradient is G[:, i, j] @ Binv;
     # u's gradient enters through its tangent_basis(q) coefficients EGu, as
@@ -205,9 +208,9 @@ def _gradient_terms(u: GFEFunction, metric: bool = False):
     return coeff, A, J
 
 
-def _embedded(man, values: np.ndarray, coeff: np.ndarray) -> np.ndarray:
-    """The tangent vectors at values (n, *point_shape) with tangent_basis coefficients coeff (n, dim)."""
-    return np.einsum("ij,ij...->i...", coeff, man.tangent_basis(values))
+def _embedded(frames: np.ndarray, coeff: np.ndarray) -> np.ndarray:
+    """The tangent vectors with coefficients coeff (n, dim) in the frames (n, dim, *point_shape)."""
+    return np.einsum("ij,ij...->i...", coeff, frames)
 
 
 def _fixed_nodes(grid, fixed) -> frozenset:
@@ -229,7 +232,7 @@ def algebraic_gradient(u: GFEFunction, fixed: set[int] | None = None) -> np.ndar
     """
     coeff = _gradient_terms(u)[0]
     coeff[sorted(u.grid.boundary_nodes if fixed is None else _fixed_nodes(u.grid, fixed))] = 0.0
-    return _embedded(u.manifold, u.values, coeff)
+    return _embedded(u.manifold.tangent_basis(u.values), coeff)
 
 
 # ----------------------------------------------------------------------
@@ -289,9 +292,11 @@ def minimize(
         coeff[fixed_nodes] = 0.0
         A = A[ff]   # one free block at a time, each freeing its full matrix
         J = J[ff]
-        return coeff, float(np.linalg.norm(_embedded(man, u.values, coeff))), A, np.subtract(A, J, out=J)
+        frames = man.tangent_basis(u.values)
+        return (coeff, float(np.linalg.norm(_embedded(frames, coeff))), A, np.subtract(A, J, out=J),
+                frames[free])
 
-    coeff, gnorm, A, I = gradient(u)
+    coeff, gnorm, A, I, frames = gradient(u)
     if callback is not None:
         callback(iterations, energy, gnorm)
 
@@ -312,20 +317,19 @@ def minimize(
             ) from exc
         A = I = M = None    # freed before the next assembly
         slope = float(g @ c)
-        direction = _embedded(man, u.values[free], c.reshape(-1, dim))
+        direction = _embedded(frames, c.reshape(-1, dim))
         alpha = min(_MAX_STEP, 2.0 * alpha_prev)
         while True:
-            trial = u.values.copy()
-            ok, grad_try = True, None
+            trial, grad_try = u.values.copy(), None
             try:
                 trial[free] = man.exp(u.values[free], -alpha * direction)
                 u_try = u.with_values(trial)
                 e_try = dirichlet_energy(u_try)
             except GFEError:
-                ok = False
-            if ok and e_try <= energy - _ARMIJO_C * alpha * slope and e_try < energy:
+                e_try = np.inf  # fails both tests below
+            if e_try <= energy - _ARMIJO_C * alpha * slope and e_try < energy:
                 break
-            if ok and alpha == _MAX_STEP and e_try - energy <= _ROUNDING_FLOOR * abs(energy):
+            if alpha == _MAX_STEP and e_try - energy <= _ROUNDING_FLOOR * abs(energy):
                 # at the energy's rounding floor the Armijo test cannot tell: the full
                 # step is taken if it lowers the gradient norm, and its gradient kept
                 grad_try = gradient(u_try)
@@ -341,7 +345,7 @@ def minimize(
         u, energy, alpha_prev = u_try, e_try, alpha
         iterations += 1
         try:
-            coeff, gnorm, A, I = grad_try or gradient(u)
+            coeff, gnorm, A, I, frames = grad_try or gradient(u)
         except GFEError as exc:
             raise type(exc)(f"at descent iteration {iterations}: {exc}") from exc
         if callback is not None:
@@ -375,13 +379,14 @@ def equivalence_audit(
     dim = man.intrinsic_dim
     rng = np.random.default_rng(seed)
     grad = algebraic_gradient(u, fixed=())
+    frames = man.tangent_basis(u.values)
     h = 2e-3
 
     worst = 0.0
     for _ in range(trials):
         coeff = rng.standard_normal((n, dim))
         coeff /= np.linalg.norm(coeff)
-        vecs = _embedded(man, u.values, coeff)
+        vecs = _embedded(frames, coeff)
 
         def central(t):
             plus, minus = (dirichlet_energy(u.with_values(man.exp(u.values, s * vecs))) for s in (t, -t))

@@ -75,6 +75,7 @@ _RESIDUAL_TARGET = 1e-14
 _MAX_NEWTON = 100
 _MAX_DAMPING = 20
 _SPHERE_SPREAD_LIMIT = 0.9 * np.pi
+_SPREAD_SCREEN = np.cos(_SPHERE_SPREAD_LIMIT) + 1e-9   # of the Gram products in _admit
 _MIN_EIG = 1e-10
 
 
@@ -167,6 +168,11 @@ def _linearize(man: Manifold, values, weights, q, logs):
     return basis, 0.5 * (H + np.swapaxes(H, 1, 2)), hessians, L
 
 
+def _rows(x, idx) -> np.ndarray:
+    """x at the points idx (ascending, of all len(x)): x itself, no gather, when they are all."""
+    return x if len(idx) == len(x) else x[idx]
+
+
 def _newton(man: Manifold, values, weights, q) -> _Solution:
     P, m = weights.shape
     dim = man.intrinsic_dim
@@ -174,6 +180,9 @@ def _newton(man: Manifold, values, weights, q) -> _Solution:
     cut = _near_cut(angle)
     errors: dict[int, GFEError] = {p: man._cut_locus_error(angle[p]) for p in np.flatnonzero(cut)}
     res = _residual(weights, logs)
+    # in C order, as a gather leaves them, so that a pass on the whole arrays
+    # takes the same matmul loops (shape_values returns batches in F order)
+    weights = np.ascontiguousarray(weights)
     basis = np.zeros((P, dim) + man.point_shape)
     H = np.zeros((P, dim, dim))
     Hn = np.zeros((P, m, dim, dim))
@@ -183,26 +192,26 @@ def _newton(man: Manifold, values, weights, q) -> _Solution:
 
     while active.any():
         idx = np.flatnonzero(active)
-        basis[idx], H[idx], Hn[idx], L[idx] = _linearize(
-            man, values[idx], weights[idx], q[idx], logs[idx]
-        )
+        lin = _linearize(man, _rows(values, idx), _rows(weights, idx), _rows(q, idx), _rows(logs, idx))
+        for x, y in zip((basis, H, Hn, L), lin):
+            x[idx if len(idx) < P else ...] = y     # with every point active, a copy, not a scatter
         active[idx[res[idx] <= _RESIDUAL_TARGET]] = False
         idx = np.flatnonzero(active)
-        for p in idx[iterations[idx] >= _MAX_NEWTON]:
-            errors[p] = NonConvergenceError(
-                f"Newton stalled at residual {res[p]:.3e} after {iterations[p]} iterations"
-            )
-            active[p] = False
-        idx = idx[iterations[idx] < _MAX_NEWTON]
+        stalled = iterations[idx] >= _MAX_NEWTON
+        errors.update((p, NonConvergenceError(f"Newton stalled at residual {res[p]:.3e} after "
+                                              f"{iterations[p]} iterations")) for p in idx[stalled])
+        active[idx[stalled]] = False
+        idx = idx[~stalled]
         if not len(idx):
             continue
-        # H is symmetric, so H.T is its batch-last stack and Hinv.T the inverses
-        Hinv, singular = _sym_inv(H[idx].T)
+        # H is symmetric, so H.T is its batch-last stack and Hinv.T the
+        # inverses; delta holds the steps as rows
+        Hinv, singular = _sym_inv(_rows(H, idx).T)
         errors.update((p, SingularSystemError("Newton system is singular")) for p in idx[singular])
         active[idx[singular]] = False
-        delta = (2.0 * (weights[idx, None, :] @ L[idx]) @ Hinv.T)[~singular]   # steps, as rows
+        delta = (2.0 * (_rows(weights, idx)[:, None, :] @ _rows(L, idx)) @ Hinv.T)[~singular]
         idx = idx[~singular]
-        step = (delta @ _flat_rows(basis[idx], 2))[:, 0].reshape(q[idx].shape)
+        step = (delta @ _flat_rows(_rows(basis, idx), 2))[:, 0].reshape(_rows(q, idx).shape)
 
         # damping, in lockstep over the points still looking for a step
         searching = np.ones(len(idx), dtype=bool)
@@ -211,10 +220,10 @@ def _newton(man: Manifold, values, weights, q) -> _Solution:
             if not len(j):
                 break
             pts = idx[j]
-            q_new = man.exp(q[pts], step[j])
-            logs_new, angle = _logs(man, q_new, values[pts])
+            q_new = man.exp(_rows(q, pts), step[j])
+            logs_new, angle = _logs(man, q_new, _rows(values, pts))
             cut = _near_cut(angle)
-            res_new = _residual(weights[pts], logs_new)
+            res_new = _residual(_rows(weights, pts), logs_new)
             better = ~cut & (res_new < res[pts])
             q[pts[better]], logs[pts[better]] = q_new[better], logs_new[better]
             res[pts[better]] = res_new[better]
@@ -226,13 +235,10 @@ def _newton(man: Manifold, values, weights, q) -> _Solution:
                 searching[j[cut]] = False
             else:
                 step[j[~better]] *= 0.5
-        for p in idx[searching]:
-            # stuck at the floating-point floor; fine if the contract holds
-            if res[p] > _RESIDUAL_TOL:
-                errors[p] = NonConvergenceError(
-                    f"Newton cannot reduce the residual below {res[p]:.3e}"
-                )
-            active[p] = False
+        # stuck at the floating-point floor; fine if the contract holds
+        errors.update((p, NonConvergenceError(f"Newton cannot reduce the residual below {res[p]:.3e}"))
+                      for p in idx[searching] if res[p] > _RESIDUAL_TOL)
+        active[idx[searching]] = False
 
     for p in np.flatnonzero(~_positive_definite((H - _MIN_EIG * np.eye(dim)).T)):
         errors.setdefault(p, IndefiniteHessianError(
@@ -254,13 +260,18 @@ class GeodesicInterpolant(Interpolant):
     @staticmethod
     def _admit(manifold: Manifold, values) -> None:
         """Refuse sphere values spread wider than 0.9*pi, naming the first such
-        element of a batch."""
-        spread = _max_spread(manifold, values) if isinstance(manifold, Sphere) else 0.0
-        wide = np.flatnonzero(spread > _SPHERE_SPREAD_LIMIT)
+        element of a batch.  A Gram product screens the elements: only those whose
+        smallest <v_i, v_j> falls below cos(0.9*pi) + 1e-9 (the unit-length
+        tolerance moves it by 2e-12) get the exact ``_max_spread``."""
+        if not isinstance(manifold, Sphere):
+            return
+        flat = np.reshape(values, (-1,) + np.shape(values)[-2:])
+        near = np.flatnonzero((flat @ np.swapaxes(flat, 1, 2)).min(axis=(1, 2)) < _SPREAD_SCREEN)
+        wide = near[_max_spread(manifold, flat[near]) > _SPHERE_SPREAD_LIMIT] if len(near) else near
         if len(wide):
-            where = f"element {wide[0]}: " if np.ndim(spread) else ""
+            where = f"element {wide[0]}: " if np.ndim(values) > 2 else ""
             raise AdmissibilityError(
-                f"{where}nodal values spread {np.ravel(spread)[wide[0]]:.4f} exceeds "
+                f"{where}nodal values spread {_max_spread(manifold, flat[wide[0]]):.4f} exceeds "
                 f"{_SPHERE_SPREAD_LIMIT:.4f}; interpolation refused to avoid cut-locus failures"
             )
 
@@ -269,11 +280,12 @@ class GeodesicInterpolant(Interpolant):
     def karcher_check(self) -> KarcherCheck:
         return karcher_check(self.manifold, self.values)
 
-    def _solve(self, xi) -> _Solution:
-        """Centers at the reference points xi (..., d), all in one lockstep batch."""
+    def _solve(self, xi, weights=None) -> _Solution:
+        """Centers at the reference points xi (..., d), all in one lockstep batch;
+        ``weights`` are the Lagrange weights at xi when the caller has them."""
         man = self.manifold
         shape = man.point_shape
-        weights = self.elem.shape_values(xi)
+        weights = self.elem.shape_values(xi) if weights is None else weights
         lead = np.broadcast_shapes(weights.shape[:-1], self.values.shape[: -len(shape) - 1])
         P = math.prod(lead)
         values = np.broadcast_to(self.values, lead + self.values.shape[-len(shape) - 1:])
@@ -289,13 +301,13 @@ class GeodesicInterpolant(Interpolant):
         """The interpolated point; stationarity residual is at most 1e-12."""
         return self._solve(xi).q
 
-    def _center(self, xi):
+    def _center(self, xi, shape=None):
         """(center, cols): the solve at xi, with what the exact basis-field
         gradients need added, and the columns d(interpolant)/d(xi_k)
         (..., d, *point_shape)."""
         man = self.manifold
-        sol = self._solve(xi)
-        dphi = self.elem.shape_gradients(xi)                            # (..., m, d)
+        phi, dphi = (self.elem.shape_values(xi), self.elem.shape_gradients(xi)) if shape is None else shape
+        sol = self._solve(xi, phi)
         rhs = 2.0 * (np.swapaxes(dphi, -1, -2) @ sol.log_coeffs)       # (..., d, dim)
         Hinv = _sym_inv(sol.hessian.T)[0].T     # H is symmetric positive definite, as the solve checked
         X = Hinv @ np.swapaxes(rhs, -1, -2)

@@ -27,6 +27,8 @@ comment.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 
 from .errors import PointOutsideDomainError
@@ -50,11 +52,23 @@ def _finite_float(token: str) -> float:
     return x
 
 
+def _text_lines(path):
+    """(number, line) of each line of the UTF-8 text file path; a byte that is
+    not UTF-8 is a ValueError naming the file and the line."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for n, line in enumerate(fh, 1):
+            try:
+                line.encode("utf-8")    # an undecodable byte b is the lone surrogate U+DC00 + b
+            except UnicodeEncodeError as exc:
+                byte = ord(line[exc.start]) - 0xDC00
+                raise ValueError(f"{path}: line {n}: not UTF-8 text (byte {byte:#04x})") from None
+            yield n, line
+
+
 def read_mesh(path, lines: bool = False):
     """Read a mesh file; returns (dim, vertices, elements), and with ``lines``
     also the file line of each element row.  Errors name the line."""
-    with open(path, "r", encoding="utf-8") as fh:
-        rows = [(n, t) for n, line in enumerate(fh, 1) if (t := line.split("#", 1)[0].split())]
+    rows = [(n, t) for n, line in _text_lines(path) if (t := line.split("#", 1)[0].split())]
     if not rows or not rows[0][1][0].startswith("gfe-mesh") or len(rows[0][1]) < 2:
         raise ValueError(f"{path}: missing 'gfe-mesh d' header")
     pos = 0
@@ -163,40 +177,27 @@ class Grid:
     # ------------------------------------------------------------------
 
     def _build_nodes(self) -> None:
+        # a vertex node is its vertex; an edge node is numbered after the
+        # vertices, in the order the edges first appear
         nv = len(self.vertices)
-        coords = [self.vertices[i] for i in range(nv)]
         edge_ids: dict[tuple[int, int], int] = {}
-        element_nodes = np.empty((len(self.elements), self.ref.m), dtype=int)
-        for e, el in enumerate(self.elements):
-            for loc, alpha in enumerate(self.ref._alphas):
-                support = np.nonzero(alpha)[0]
-                if len(support) == 1:
-                    element_nodes[e, loc] = el[support[0]]
-                else:
-                    a, b = sorted((int(el[support[0]]), int(el[support[1]])))
-                    key = (a, b)
-                    if key not in edge_ids:
-                        edge_ids[key] = nv + len(edge_ids)
-                        coords.append(0.5 * (self.vertices[a] + self.vertices[b]))
-                    element_nodes[e, loc] = edge_ids[key]
-        self.lagrange_nodes = np.array(coords)
-        self.element_nodes = element_nodes
+        ends = np.stack([self.elements[:, self.ref._first], self.elements[:, self.ref._last]], axis=-1)
+        self.element_nodes = np.array(
+            [[a if a == b else edge_ids.setdefault((min(a, b), max(a, b)), nv + len(edge_ids)) for a, b in el]
+             for el in ends.tolist()], dtype=int).reshape(ends.shape[:2])
+        a, b = np.array(list(edge_ids), dtype=int).reshape(-1, 2).T
+        self.lagrange_nodes = np.concatenate([self.vertices, 0.5 * (self.vertices[a] + self.vertices[b])])
         self._edge_ids = edge_ids
 
     def _find_boundary(self) -> None:
-        # faces are the (dim-1)-subsimplices opposite each local vertex
-        face_count: dict[tuple[int, ...], int] = {}
-        for el in self.elements:
-            for k in range(self.dim + 1):
-                face = tuple(sorted(int(v) for j, v in enumerate(el) if j != k))
-                face_count[face] = face_count.get(face, 0) + 1
-        nodes: set[int] = set()
-        for face, count in face_count.items():
-            if count != 1:
-                continue
-            nodes.update(face)
-            if self.order == 2 and len(face) == 2:
-                nodes.add(self._edge_ids[face])
+        # faces are the (dim-1)-subsimplices opposite each local vertex; one
+        # on the boundary belongs to one element
+        count = Counter(tuple(sorted(el[:k] + el[k + 1:]))
+                        for el in self.elements.tolist() for k in range(self.dim + 1))
+        faces = [face for face, c in count.items() if c == 1]
+        nodes = {i for face in faces for i in face}
+        if self.order == 2 and self.dim == 2:
+            nodes.update(self._edge_ids[face] for face in faces)
         self.boundary_nodes = frozenset(nodes)
 
     # ------------------------------------------------------------------

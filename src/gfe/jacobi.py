@@ -2,7 +2,9 @@
 
 ``Interpolant`` is the base of both interpolation rules: it validates the
 nodal values v_1..v_m and derives ``d_dxi`` and ``d_dv_all`` from what a
-rule supplies, namely ``eval``, the center evaluation ``_center``, and
+rule supplies, namely ``eval``, the center evaluation ``_center(xi,
+shape=None)`` (``shape``: the Lagrange weights and their gradients at xi,
+when the caller has them), and
 from that center alone the basis-field values ``_basis_values``, values and
 gradients ``_basis_gradients``, their pairing ``_basis_gradient_terms``
 and ``_admit``.

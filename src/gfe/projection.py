@@ -36,12 +36,12 @@ class ProjectionInterpolant(Interpolant):
         w = self._combine(phi[..., None, :])[..., 0, :]
         return w.reshape(w.shape[:-1] + self.manifold.point_shape)
 
-    def _center(self, xi):
+    def _center(self, xi, shape=None):
         """(center, cols): the weighted sum w at xi with what the exact
         basis-field gradients need of it, and the columns d(interpolant)/d(xi_k)
         (..., d, *point_shape)."""
         man = self.manifold
-        phi, dphi = self.elem.shape_values(xi), self.elem.shape_gradients(xi)
+        phi, dphi = (self.elem.shape_values(xi), self.elem.shape_gradients(xi)) if shape is None else shape
         w = self._weighted_sum(phi)
         dsum = self._combine(np.swapaxes(dphi, -1, -2))                    # (..., d, N)
         q = man.project_point(w)

@@ -25,10 +25,7 @@ _CELLS = {
 
 
 def _pad3(v) -> np.ndarray:
-    v = np.asarray(v, dtype=float).reshape(-1)
-    out = np.zeros(3)
-    out[: min(3, v.size)] = v[:3]
-    return out
+    return np.concatenate([np.ravel(v)[:3], np.zeros(3)])[:3].astype(float)
 
 
 def _point3(manifold, value) -> np.ndarray:
@@ -63,31 +60,17 @@ def write_vtk(
         raise ValueError(f"no VTK cell for dim/order {key}")
     cell_type, perm = _CELLS[key]
 
-    lines = [
-        "# vtk DataFile Version 3.0",
-        title,
-        "ASCII",
-        "DATASET UNSTRUCTURED_GRID",
-        f"POINTS {grid.n_nodes} double",
-    ]
-    for value in u.values:
-        p = _point3(u.manifold, value)
-        lines.append(" ".join(f"{x:.12g}" for x in p))
-
+    lines = ["# vtk DataFile Version 3.0", title, "ASCII", "DATASET UNSTRUCTURED_GRID",
+             f"POINTS {grid.n_nodes} double"]
+    lines += [" ".join(f"{x:.12g}" for x in _point3(u.manifold, value)) for value in u.values]
     ne = grid.n_elements
     lines.append(f"CELLS {ne} {ne * (len(perm) + 1)}")
-    for e in range(ne):
-        ids = [grid.element_nodes[e][loc] for loc in perm]
-        lines.append(" ".join([str(len(ids))] + [str(int(i)) for i in ids]))
-    lines.append(f"CELL_TYPES {ne}")
-    lines.extend([str(cell_type)] * ne)
-
+    lines += [" ".join(map(str, [len(perm), *nodes])) for nodes in grid.element_nodes[:, perm].tolist()]
+    lines += [f"CELL_TYPES {ne}"] + [str(cell_type)] * ne
     if field is not None:
-        lines.append(f"POINT_DATA {grid.n_nodes}")
-        lines.append(f"VECTORS {field_name} double")
-        for base, vec in zip(field.base.values, field.vectors):
-            w = _vector3(u.manifold, base, vec)
-            lines.append(" ".join(f"{x:.12g}" for x in w))
+        lines += [f"POINT_DATA {grid.n_nodes}", f"VECTORS {field_name} double"]
+        lines += [" ".join(f"{x:.12g}" for x in _vector3(u.manifold, base, vec))
+                  for base, vec in zip(field.base.values, field.vectors)]
 
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

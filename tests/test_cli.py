@@ -1,5 +1,8 @@
 import contextlib
 import io
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -22,6 +25,12 @@ def write_interval_mesh(path, n_elements, vertices=None):
         vertices = np.linspace(0.0, 1.0, n_elements + 1).reshape(-1, 1)
     elements = np.column_stack([np.arange(n_elements), np.arange(1, n_elements + 1)])
     write_mesh(path, 1, vertices, elements)
+
+
+def env_with_gfe() -> dict:
+    """The environment of a child process that imports the gfe this suite imports."""
+    src = str(Path(gfe.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def write_bc(path, rows):
@@ -301,6 +310,72 @@ def test_csv_value_off_the_manifold_names_the_line(tmp_path, capsys):
     assert code == 2
     err = assert_one_error_line(capsys, tmp_path / "bc.csv")
     assert "line 4: node 2: sphere point is not unit length" in err
+
+
+@pytest.mark.parametrize("broken, line", [("m.mesh", 2), ("bc.csv", 3)])
+def test_input_that_is_not_utf8_names_its_file_and_line(tmp_path, capsys, broken, line):
+    texts = {"m.mesh": GOOD_MESH.encode(), "bc.csv": GOOD_CSV.encode()}
+    texts[broken] = texts[broken].replace({"m.mesh": b"three", "bc.csv": b"2,0"}[broken], b"\xff2,0")
+    for name, text in texts.items():
+        (tmp_path / name).write_bytes(text)
+    code = main([
+        "--command", "interpolate", "--manifold", "sphere2", "--mesh", str(tmp_path / "m.mesh"),
+        "--bc", str(tmp_path / "bc.csv"), "--out", str(tmp_path / "o.csv"),
+    ])
+    assert code == 2
+    assert f"line {line}: not UTF-8 text (byte 0xff)" in assert_one_error_line(capsys, tmp_path / broken)
+
+
+@pytest.mark.parametrize("command", ["interpolate", "minimize"])
+@pytest.mark.parametrize("cause", ["missing directory", "directory"])
+def test_unwritable_output_exits_2_with_one_line(tmp_path, capsys, command, cause):
+    out = tmp_path / "missing" / "o.csv" if cause == "missing directory" else tmp_path
+    rows = [(0, [1.0, 0.0, 0.0]), (1, [0.0, 1.0, 0.0]), (2, [0.0, 0.0, 1.0])]
+    mesh = tmp_path / "m.mesh"
+    write_interval_mesh(mesh, 2)
+    bc = tmp_path / "bc.csv"
+    write_bc(bc, rows if command == "interpolate" else rows[::2])
+    code = main(["--command", command, "--mesh", str(mesh), "--bc", str(bc), "--out", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: {out}: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bc.csv", "m.mesh"]
+
+
+def test_interpolate_and_minimize_load_neither_numpy_ma_nor_numpy_random(tmp_path):
+    # each costs a CLI child 8-20 ms at start-up
+    write_interval_mesh(tmp_path / "m.mesh", 2)
+    write_bc(tmp_path / "all.csv", [(0, [1.0, 0.0, 0.0]), (1, [0.0, 1.0, 0.0]), (2, [0.0, 0.0, 1.0])])
+    write_bc(tmp_path / "bc.csv", [(0, [1.0, 0.0, 0.0]), (2, [0.0, 0.0, 1.0])])
+    script = (
+        "import sys\n"
+        "from gfe.cli import main\n"
+        "codes = [main(['--command', c, '--mesh', 'm.mesh', '--bc', bc, '--out', c + '.csv'])\n"
+        "         for c, bc in (('interpolate', 'all.csv'), ('minimize', 'bc.csv'))]\n"
+        "print(codes, [m for m in ('numpy.ma', 'numpy.random') if m in sys.modules])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env_with_gfe(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.stdout.splitlines()[-1] == "[0, 0] []", proc.stderr
+
+
+def test_cli_outputs_tool_writes_its_inputs(tmp_path):
+    # tools/cli_outputs.py sets sys.path and sys.dont_write_bytecode, so it runs in a child
+    tools = Path(__file__).resolve().parents[1] / "tools"
+    src = Path(gfe.__file__).resolve().parents[1]
+    script = (f"import sys; from pathlib import Path; sys.path.insert(0, {str(tools)!r}); "
+              f"import cli_outputs; cli_outputs.write_inputs(Path({str(tmp_path)!r}), Path({str(src)!r}))")
+    proc = subprocess.run([sys.executable, "-c", script], env=env_with_gfe(), capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    names = {"square.mesh"} | {f"{kind}_{m}_{p}.csv" for kind in ("all", "bc") for m in ("sphere2", "so3")
+                               for p in (1, 2)}
+    assert {p.name for p in tmp_path.iterdir()} == names
+    for p in (1, 2):
+        grid = gfe.Grid(*gfe.read_mesh(tmp_path / "square.mesh"), p)
+        assert len(read_nodal_csv(tmp_path / f"all_so3_{p}.csv", 9)) == grid.n_nodes
+        assert set(read_nodal_csv(tmp_path / f"bc_sphere2_{p}.csv", 3)) == grid.boundary_nodes
 
 
 @pytest.mark.parametrize("bad_node", [9, -1])

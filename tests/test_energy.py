@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 
@@ -18,6 +19,7 @@ from gfe import (
     unit_interval_grid,
     unit_square_grid,
 )
+from gfe import geodesic
 from gfe.energy import _assembly, _gradient_terms
 from gfe.errors import LineSearchFailure, SingularSystemError
 from gfe.kernels import _expm_skew, _hat
@@ -317,6 +319,51 @@ def bumped_great_circle(n_elements, order, amplitude=0.2, rule="geodesic"):
     start /= np.linalg.norm(start, axis=1)[:, None]
     a = 0.5 * np.pi * x
     return GFEFunction(grid, S2, rule, start), np.stack([np.cos(a), np.sin(a), 0.0 * a], axis=1)
+
+
+def test_descent_work_per_state(monkeypatch):
+    """The descent of the benchmark's descent-s2-1d problem (a rotated bumped
+    quarter circle on 4 order-1 elements, tol 1e-6, its start's record warm)
+    evaluates no shape function (the layout holds them), runs no exact spread
+    test (the Gram screen passes it), takes the nodal frames once per accepted
+    state, and linearizes a Newton batch whose points are all active on the
+    solve's own arrays, with no gather."""
+    u0, _ = bumped_great_circle(4, 1)
+    R = np.linalg.qr(np.random.default_rng(7).standard_normal((3, 3)))[0]
+    u0 = u0.with_values(u0.values @ R.T)
+    dirichlet_energy(u0)
+    counts = collections.Counter()
+
+    def counting(owner, name):
+        real = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+
+    for owner, name in [(gfe.ReferenceElement, "shape_values"), (gfe.ReferenceElement, "shape_gradients"),
+                        (geodesic, "_max_spread"), (gfe.Sphere, "tangent_basis")]:
+        counting(owner, name)
+    real_newton, real_linearize, solved = geodesic._newton, geodesic._linearize, []
+
+    def newton(man, values, *args):
+        solved.append(values)
+        return real_newton(man, values, *args)
+
+    def linearize(man, values, *args):
+        full = len(values) == len(solved[-1])
+        counts["full passes"] += full
+        counts["gathered full passes"] += full and not np.shares_memory(values, solved[-1])
+        return real_linearize(man, values, *args)
+    monkeypatch.setattr(geodesic, "_newton", newton)
+    monkeypatch.setattr(geodesic, "_linearize", linearize)
+    _, report = minimize(u0, fixed=set(u0.grid.boundary_nodes), tol=1e-6)
+    assert report.converged and report.iterations == 3
+    assert len(solved) == 3 and counts["full passes"] >= 3
+    assert counts["tangent_basis"] <= 14
+    assert not any(counts[k] for k in ("shape_values", "shape_gradients", "_max_spread",
+                                       "gathered full passes"))
 
 
 @pytest.mark.parametrize("n_elements", [4, 8, 16, 32, 64])

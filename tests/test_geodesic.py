@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gfe
 from gfe import GeodesicInterpolant, ReferenceElement, geodesic
@@ -8,6 +10,7 @@ from gfe.errors import (
     IndefiniteHessianError,
     NonConvergenceError,
 )
+from gfe.grid import unit_interval_grid
 from gfe.sampling import random_configuration, random_point, random_tangent
 from helpers import fd_d_dv, rel_err, start_newton_at
 
@@ -77,6 +80,54 @@ def test_admissibility_guard_on_wide_sphere_data():
             [E1, np.array([-np.cos(0.05), np.sin(0.05), 0.0])],
             S2,
         )
+
+
+LIMIT = 0.9 * np.pi
+
+
+def gap(data) -> float:
+    """An angle between neighboring nodes: 0.9*pi exactly, 0.9*pi +- delta with
+    delta in [1e-12, 0.05], or well inside the limit."""
+    kind = data.draw(st.sampled_from(["limit", "near", "inside"]))
+    if kind == "limit":
+        return LIMIT
+    if kind == "near":
+        return LIMIT + data.draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** data.draw(st.floats(-12.0, -1.3))
+    return data.draw(st.floats(0.0, 0.85 * np.pi))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), order=st.sampled_from([1, 2]), n_elements=st.integers(1, 6),
+       seed=st.integers(0, 2**32 - 1))
+def test_admissibility_at_the_spread_limit(data, order, n_elements, seed):
+    """Nodes on a tilted great circle, neighbors 0.9*pi +- delta apart, with norms
+    off unit length by up to 9e-13 as check_point allows: a function is refused
+    exactly where the exact pairwise spread exceeds 0.9*pi, naming the lowest such
+    element, and so is one element's interpolant."""
+    rng = np.random.default_rng(seed)
+    grid = unit_interval_grid(n_elements, order)
+    phi = np.zeros(grid.n_nodes)
+    phi[:n_elements + 1] = np.cumsum([0.0] + [gap(data) * rng.choice([-1.0, 1.0]) for _ in range(n_elements)])
+    for a, mid, b in grid.element_nodes if order == 2 else ():
+        phi[mid] = 0.5 * (phi[a] + phi[b]) + rng.uniform(-0.1, 0.1)
+    tilt = rng.uniform(-1e-3, 1e-3, grid.n_nodes) * data.draw(st.sampled_from([0.0, 1.0]))
+    v = np.stack([np.cos(phi), np.sin(phi), tilt], axis=1)
+    R = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    v = v / np.linalg.norm(v, axis=1, keepdims=True) @ R.T
+    v *= 1.0 + rng.uniform(-9e-13, 9e-13, (grid.n_nodes, 1))
+    spread = geodesic._max_spread(S2, v[grid.element_nodes])
+    wide = np.flatnonzero(spread > LIMIT)
+    if len(wide):
+        with pytest.raises(AdmissibilityError, match=f"^element {wide[0]}: nodal values spread "
+                                                     f"{spread[wide[0]]:.4f} exceeds"):
+            gfe.GFEFunction(grid, S2, "geodesic", v)
+    else:
+        gfe.GFEFunction(grid, S2, "geodesic", v)
+    if spread[0] > LIMIT:
+        with pytest.raises(AdmissibilityError, match="^nodal values spread"):
+            GeodesicInterpolant(grid.ref, v[grid.element_nodes[0]], S2)
+    else:
+        GeodesicInterpolant(grid.ref, v[grid.element_nodes[0]], S2)
 
 
 def test_newton_nonconvergence_with_tiny_budget(monkeypatch):
