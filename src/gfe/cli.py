@@ -365,8 +365,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if not args.tol > 0.0:  # NaN too
         return _error("--tol must be positive")
-    if args.max_iter < 0:
-        return _error("--max-iter must not be negative")
+    for flag, value in (("--max-iter", args.max_iter), ("--seed", args.seed)):
+        if value < 0:   # np.random.default_rng refuses a negative seed
+            return _error(f"{flag} must not be negative")
     if args.command != "audit" and not (args.mesh and args.bc and args.out):
         return _error(f"{args.command} needs --mesh, --bc and --out")
     command = {"audit": cmd_audit, "interpolate": cmd_interpolate, "minimize": cmd_minimize}[args.command]

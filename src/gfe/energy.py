@@ -31,8 +31,8 @@ Per-point contributions are summed with ``math.fsum``.  The gradient alone
 (``algebraic_gradient``, ``directional_derivative``, ``equivalence_audit``)
 pairs u's gradient with every nodal basis field's gradient through
 ``Interpolant._basis_gradient_terms``, which forms none of them; the
-metric of ``minimize`` is their Gram matrix, so it forms them all
-(``_basis_ref_gradients``).
+metric of ``minimize`` is their Gram matrix, summed point by point into
+its free block alone, so it forms them all (``_basis_ref_gradients``).
 
 ``equivalence_audit`` compares the two, along random nodal directions,
 with the extrapolated finite difference of the energy.
@@ -162,10 +162,10 @@ def _scatter(index, x, *shape) -> np.ndarray:
 
 def _gradient_terms(u: GFEFunction, metric: bool = False):
     """(coeff, A, J): gradient coefficients (n, dim) in the tangent_basis(u_i)
-    coordinates, no node fixed, and with ``metric`` (else None) the parts
-    (n*dim, n*dim) of the index form I = A - J over the global nodal basis
-    fields phi_ij, row i*dim + j: the H^1 Gram matrix (the stiffness matrix
-    on flat space) and the curvature term on a target of curvature K,
+    coordinates, no node fixed, and with ``metric`` (else None) the per-point
+    blocks (P, m*dim, m*dim) of the index form I = A - J at the layout's dofs
+    i*dim + j: the H^1 Gram matrix (the stiffness matrix on flat space) and the
+    curvature term on a target of curvature K (None if K = 0), which sum to
 
         A[(i, j), (k, l)] = sum_q w_q <grad phi_ij, grad phi_kl>,
         J[(i, j), (k, l)] = sum_q w_q K (|grad u|^2 <phi_ij, phi_kl>
@@ -178,7 +178,6 @@ def _gradient_terms(u: GFEFunction, metric: bool = False):
     dim = man.intrinsic_dim
     a = _assembly(u)
     K = man._model_curvature
-    N = grid.n_nodes * dim
     Binv, dofs = _layout(grid, dim)[3:5]    # _scatter sums field (i, j)'s terms at its dof
     # term (i, j): the weighted integrand of the directional derivative
     # along basis field (i, j), whose physical gradient is G[:, i, j] @ Binv;
@@ -196,16 +195,27 @@ def _gradient_terms(u: GFEFunction, metric: bool = False):
     # F[p, i*dim + j] is the flattened physical gradient of field (i, j)
     F = G @ Binv[:, None, None]
     F = F.reshape(F.shape[0], -1, F.shape[3] * F.shape[4])
-    block = dofs[:, :, None] * N + dofs[:, None, :]
-    A = _scatter(block, (F * a.w[:, None, None]) @ np.swapaxes(F, 1, 2), N, N)
-    J = np.zeros((N, N))
-    if K:
-        V = V.reshape(len(V), -1, dim)                                   # (P, m*dim, dim)
-        VG = V @ EGu                                                     # <phi_ij, d_a u>
-        wg2 = a.w * np.sum(EGu * EGu, axis=(1, 2))
-        J = _scatter(block, K * (wg2[:, None, None] * (V @ np.swapaxes(V, 1, 2))
-                                 - (VG * a.w[:, None, None]) @ np.swapaxes(VG, 1, 2)), N, N)
-    return coeff, A, J
+    A = (F * a.w[:, None, None]) @ np.swapaxes(F, 1, 2)
+    if not K:
+        return coeff, A, None
+    V = V.reshape(len(V), -1, dim)                                       # (P, m*dim, dim)
+    VG = V @ EGu                                                         # <phi_ij, d_a u>
+    wg2 = a.w * np.sum(EGu * EGu, axis=(1, 2))
+    return coeff, A, K * (wg2[:, None, None] * (V @ np.swapaxes(V, 1, 2))
+                          - (VG * a.w[:, None, None]) @ np.swapaxes(VG, 1, 2))
+
+
+def _free_scatter(grid, dim: int, fixed):
+    """(free, scatter): grid's nodes outside fixed, and the map from per-point blocks at the layout's
+    dofs, such as ``_gradient_terms``' A, to their sums (nf, nf) over the free dofs, node-major."""
+    free = [i for i in range(grid.n_nodes) if i not in fixed]
+    nf = len(free) * dim
+    number = np.full((grid.n_nodes, dim), -1)     # each dof's free index, -1 at a fixed node
+    number[free] = np.arange(nf).reshape(-1, dim)
+    r = number.ravel()[_layout(grid, dim)[4]]
+    keep = (r[:, :, None] >= 0) & (r[:, None, :] >= 0)
+    index = (r[:, :, None] * nf + r[:, None, :])[keep]
+    return free, lambda blocks: _scatter(index, blocks[keep], nf, nf)
 
 
 def _embedded(frames: np.ndarray, coeff: np.ndarray) -> np.ndarray:
@@ -252,9 +262,9 @@ def minimize(
     Each iteration solves M_ff c = g_f on the free degrees of freedom, where
     g holds the gradient coefficients in tangent_basis(u_i) and M is the
     index form I = A - J of ``_gradient_terms`` where ``np.linalg.cholesky``
-    certifies it positive definite and the H^1 metric A otherwise (one dense
-    ``np.linalg.solve``; memory grows as the square of the number of free
-    degrees of freedom), and updates the nodal values outside ``fixed`` by
+    certifies it positive definite and the H^1 metric A otherwise, summed
+    from per-point blocks into the free block alone (one dense solve; memory
+    grows as its size squared), and updates the nodal values outside ``fixed`` by
     v_i <- exp_{v_i}(-alpha * sum_j c_ij tangent_basis(v_i)[j]).
     The first trial step is min(1, 2 * the previous accepted step), so a
     full Newton step is tried first and never exceeded; it
@@ -278,11 +288,7 @@ def minimize(
     fixed_nodes = sorted(fixed_set)
     u = u0
     man = u.manifold
-    n, dim = u.grid.n_nodes, man.intrinsic_dim
-    free = [i for i in range(n) if i not in fixed_set]
-    # the free degrees of freedom, node-major: rows i*dim + j of the metric
-    free_dofs = (np.array(free, dtype=int)[:, None] * dim + np.arange(dim)).ravel()
-    ff = np.ix_(free_dofs, free_dofs)
+    free, free_block = _free_scatter(u.grid, man.intrinsic_dim, fixed_set)
     energy = dirichlet_energy(u)
     alpha_prev = 0.5 * _MAX_STEP
     iterations = 0
@@ -290,23 +296,22 @@ def minimize(
     def gradient(u):
         coeff, A, J = _gradient_terms(u, metric=True)
         coeff[fixed_nodes] = 0.0
-        A = A[ff]   # one free block at a time, each freeing its full matrix
-        J = J[ff]
         frames = man.tangent_basis(u.values)
-        return (coeff, float(np.linalg.norm(_embedded(frames, coeff))), A, np.subtract(A, J, out=J),
-                frames[free])
+        return coeff, float(np.linalg.norm(_embedded(frames, coeff))), A, J, frames[free]
 
-    coeff, gnorm, A, I, frames = gradient(u)
+    coeff, gnorm, A, J, frames = gradient(u)
     if callback is not None:
         callback(iterations, energy, gnorm)
 
     while gnorm > tol and iterations < max_iter:
         g = coeff[free].ravel()
+        M = free_block(A)
+        if J is not None:
+            M -= free_block(J)
         try:
-            np.linalg.cholesky(I)
-            M = I       # positive definite: the Newton step
+            np.linalg.cholesky(M)   # the Newton step where the index form is positive definite
         except np.linalg.LinAlgError:
-            M = A
+            M = free_block(A)       # the H^1 step otherwise
         try:
             c = np.linalg.solve(M, g)
             if not g @ c > 0.0:
@@ -315,9 +320,8 @@ def minimize(
             raise SingularSystemError(
                 f"H^1 metric is singular or not positive definite at descent iteration {iterations}"
             ) from exc
-        A = I = M = None    # freed before the next assembly
         slope = float(g @ c)
-        direction = _embedded(frames, c.reshape(-1, dim))
+        direction = _embedded(frames, c.reshape(len(free), -1))
         alpha = min(_MAX_STEP, 2.0 * alpha_prev)
         while True:
             trial, grad_try = u.values.copy(), None
@@ -345,7 +349,7 @@ def minimize(
         u, energy, alpha_prev = u_try, e_try, alpha
         iterations += 1
         try:
-            coeff, gnorm, A, I, frames = grad_try or gradient(u)
+            coeff, gnorm, A, J, frames = grad_try or gradient(u)
         except GFEError as exc:
             raise type(exc)(f"at descent iteration {iterations}: {exc}") from exc
         if callback is not None:

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import json
 import os
 import subprocess
 import sys
@@ -378,6 +379,16 @@ def test_cli_outputs_tool_writes_its_inputs(tmp_path):
         assert set(read_nodal_csv(tmp_path / f"bc_sphere2_{p}.csv", 3)) == grid.boundary_nodes
 
 
+def test_minimize_scale_tool_reports_one_run(tmp_path):
+    tool = Path(__file__).resolve().parents[1] / "tools" / "minimize_scale.py"
+    proc = subprocess.run([sys.executable, str(tool), "2", "1", "geodesic"], cwd=tmp_path, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["free_dofs"] == 2 and report["converged"] and report["iterations"] > 0
+    assert report["wall_s"] > 0.0 and report["ru_maxrss_mb"] > 0.0 and report["traced_peak_mb"] > 0.0
+
+
 @pytest.mark.parametrize("bad_node", [9, -1])
 def test_minimize_boundary_index_out_of_range_exits_2(tmp_path, capsys, bad_node):
     mesh = tmp_path / "m.mesh"
@@ -644,6 +655,13 @@ def test_minimize_line_search_failure_exits_3(tmp_path, capsys):
 def test_tol_must_be_positive(capsys):
     code = main(["--command", "audit", "--tol", "0"])
     assert code == 2
+
+
+def test_seed_must_not_be_negative(capsys):
+    # np.random.default_rng refuses it, which would read as a fault of gfe (exit 4)
+    code = main(["--command", "audit", "--seed", "-1"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: --seed must not be negative\n"
 
 
 @pytest.mark.parametrize("flag, value", [("--tol", "nan"), ("--tol", "-1e-8"), ("--max-iter", "-3")])

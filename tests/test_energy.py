@@ -1,6 +1,7 @@
 import collections
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from gfe import (
     unit_square_grid,
 )
 from gfe import geodesic
-from gfe.energy import _assembly, _gradient_terms
+from gfe.energy import _assembly, _free_scatter, _gradient_terms, _layout, _scatter
 from gfe.errors import LineSearchFailure, SingularSystemError
 from gfe.kernels import _expm_skew, _hat
 from gfe.sampling import random_configuration, random_point
@@ -422,7 +423,9 @@ def test_minimize_refuses_a_metric_that_gives_no_descent_direction(monkeypatch, 
 
     def bad_metric(u, metric=False):
         coeff, A, J = real(u, metric)
-        return (coeff, sign * np.eye(len(A)), np.zeros_like(J)) if metric else (coeff, A, J)
+        if not metric:
+            return coeff, A, J
+        return coeff, np.broadcast_to(sign * np.eye(A.shape[1]), A.shape), np.zeros_like(J)
 
     monkeypatch.setattr(gfe.energy, "_gradient_terms", bad_metric)
     u0, _ = bumped_great_circle(4, 1)
@@ -435,12 +438,43 @@ def test_minimize_refuses_a_metric_that_gives_no_descent_direction(monkeypatch, 
 
 
 def free_blocks(u, fixed):
-    """The free blocks of the H^1 metric A and of the index form I = A - J."""
+    """The free blocks of the H^1 metric A and of the index form I = A - J by
+    the reference route: the per-point blocks summed into the full matrices
+    (n*dim, n*dim) at the layout's dofs, then their free rows and columns."""
     _, A, J = _gradient_terms(u, metric=True)
     dim = u.manifold.intrinsic_dim
-    free = np.array([i for i in range(u.grid.n_nodes) if i not in fixed])
+    N = u.grid.n_nodes * dim
+    dofs = _layout(u.grid, dim)[4]
+    block = dofs[:, :, None] * N + dofs[:, None, :]
+    A = _scatter(block, A, N, N)
+    J = np.zeros((N, N)) if J is None else _scatter(block, J, N, N)
+    free = np.array([i for i in range(u.grid.n_nodes) if i not in fixed], dtype=int)
     ff = np.ix_(*[(free[:, None] * dim + np.arange(dim)).ravel()] * 2)
     return A[ff], A[ff] - J[ff]
+
+
+@pytest.mark.parametrize("man", [S2, gfe.Rotation3()], ids=lambda m: m.kind)
+@pytest.mark.parametrize("rule", ["geodesic", "projection"])
+@pytest.mark.parametrize("order", [1, 2])
+def test_free_scatter_equals_the_full_scatter_and_gather(man, rule, order):
+    # minimize sums the blocks straight into the free-free matrix: each free entry
+    # adds the same terms in the same order as the full matrix, so bit for bit
+    grid = unit_square_grid(2, order)
+    values = random_configuration(man, grid.n_nodes, np.random.default_rng(order), radius=0.4)
+    u = GFEFunction(grid, man, rule, values)
+    _, A, J = _gradient_terms(u, metric=True)
+    interior = sorted(set(range(grid.n_nodes)) - grid.boundary_nodes)
+    for fixed in (grid.boundary_nodes, {0, *interior[::2]}, set(range(grid.n_nodes))):
+        free, free_block = _free_scatter(grid, man.intrinsic_dim, fixed)
+        assert free == [i for i in range(grid.n_nodes) if i not in fixed]
+        A_ff, I_ff = free_blocks(u, fixed)
+        M = free_block(A)
+        assert np.array_equal(M, A_ff)
+        M -= free_block(J)
+        assert np.array_equal(M, I_ff)
+    # every node fixed: no free dof, and descent stops at once
+    assert A_ff.shape == (0, 0)
+    assert minimize(u, fixed)[1].iterations == 0
 
 
 def bent_rotation_curve(n_elements, order, rule):
@@ -533,6 +567,22 @@ def test_stereographic_2x2_interior_noise_converges_at_tol_1e8(rule, seed):
     assert report.converged and report.gradient_norm <= 1e-8
     # energies may rise only within the rounding floor
     assert all(b - a <= 8.0 * np.finfo(float).eps * abs(a) for a, b in zip(energies, energies[1:]))
+
+
+def test_minimize_holds_no_full_metric():
+    # the metric goes from per-point blocks straight into the free-free matrix
+    # M, and the H^1 block is summed again only when M is not positive definite:
+    # at most two free-free matrices at once (M and its Cholesky factor, or M and
+    # the fallback), no (n*dim)^2 array (1.28 nf^2 each here)
+    u0, fixed = stereographic_problem(16, 2, "projection")
+    nf = (u0.grid.n_nodes - len(fixed)) * 2
+    tracemalloc.start()
+    try:
+        minimize(u0, fixed, tol=1e-7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * nf * nf * 8
 
 
 def stereographic_errors(u):
