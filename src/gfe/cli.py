@@ -363,8 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if not args.tol > 0.0:  # NaN too
-        return _error("--tol must be positive")
+    if not 0.0 < args.tol < np.inf:  # NaN too
+        return _error("--tol must be positive and finite")
     for flag, value in (("--max-iter", args.max_iter), ("--seed", args.seed)):
         if value < 0:   # np.random.default_rng refuses a negative seed
             return _error(f"{flag} must not be negative")

@@ -139,14 +139,14 @@ def _assembly(u: GFEFunction) -> _Assembly:
             if exc.point is not None:
                 exc.args = (f"element {els[exc.point]}: {exc}",)
             raise
-        u._assembly = _Assembly(els, w, interp, xi, center, np.swapaxes(u.manifold._flat(cols), 1, 2) @ Binv)
+        u._assembly = _Assembly(els, w, interp, xi, center, u.manifold._flat(cols).swapaxes(1, 2) @ Binv)
     return u._assembly
 
 
 def dirichlet_energy(u: GFEFunction) -> float:
     """(1/2) * integral of the squared embedded gradient of u."""
     a = _assembly(u)
-    return 0.5 * math.fsum(a.w * np.sum(a.Gu * a.Gu, axis=(1, 2)))
+    return 0.5 * math.fsum(a.w * (a.Gu * a.Gu).sum((1, 2)))
 
 
 def directional_derivative(u: GFEFunction, eta: GlobalTestFunction) -> float:
@@ -184,25 +184,25 @@ def _gradient_terms(u: GFEFunction, metric: bool = False):
     # u's gradient enters through its tangent_basis(q) coefficients EGu, as
     # C = EGu Binv^T, [p, l, a]
     EGu = man._flat(a.center.basis) @ a.Gu                               # (P, dim, d)
-    C = np.swapaxes(EGu @ np.swapaxes(Binv, 1, 2), 1, 2)
+    C = (EGu @ Binv.swapaxes(1, 2)).swapaxes(1, 2)
     if not metric:      # the route of the gradient alone, which need not form G
         terms = a.interp._basis_gradient_terms(a.center, C)
         return _scatter(dofs, terms * a.w[:, None, None], grid.n_nodes, dim), None, None
     _, G, V = _basis_ref_gradients(a.interp, a.xi, center=a.center)
     # the same terms, in one matmul over G's layout [p, i, l, a, j]
-    terms = (C.reshape(len(G), 1, 1, -1) @ np.swapaxes(G, 2, 4).reshape(G.shape[:2] + (-1, dim)))[:, :, 0]
+    terms = (C.reshape(len(G), 1, 1, -1) @ G.swapaxes(2, 4).reshape(G.shape[:2] + (-1, dim)))[:, :, 0]
     coeff = _scatter(dofs, terms * a.w[:, None, None], grid.n_nodes, dim)
     # F[p, i*dim + j] is the flattened physical gradient of field (i, j)
     F = G @ Binv[:, None, None]
     F = F.reshape(F.shape[0], -1, F.shape[3] * F.shape[4])
-    A = (F * a.w[:, None, None]) @ np.swapaxes(F, 1, 2)
+    A = (F * a.w[:, None, None]) @ F.swapaxes(1, 2)
     if not K:
         return coeff, A, None
     V = V.reshape(len(V), -1, dim)                                       # (P, m*dim, dim)
     VG = V @ EGu                                                         # <phi_ij, d_a u>
-    wg2 = a.w * np.sum(EGu * EGu, axis=(1, 2))
-    return coeff, A, K * (wg2[:, None, None] * (V @ np.swapaxes(V, 1, 2))
-                          - (VG * a.w[:, None, None]) @ np.swapaxes(VG, 1, 2))
+    wg2 = a.w * (EGu * EGu).sum((1, 2))
+    return coeff, A, K * (wg2[:, None, None] * (V @ V.swapaxes(1, 2))
+                          - (VG * a.w[:, None, None]) @ VG.swapaxes(1, 2))
 
 
 def _free_scatter(grid, dim: int, fixed):

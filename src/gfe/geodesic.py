@@ -38,9 +38,11 @@ so may the nodal values of an interpolant built over several elements at
 once (``GFEFunction.local`` with an array of elements); the two broadcast.
 ``_solve`` runs one Newton iteration over all points in lockstep, each
 point with its own convergence test, damping halvings and cut-locus trials,
-and each point takes exactly the steps it would take alone.  The cut locus
-and an undefined projection are masks over the batch (the angles of
-``Manifold._log``, ``Manifold._projectable``), never exceptions to recover
+and each point takes exactly the steps it would take alone; a pass in which
+every point is active, or improves, is one of whole arrays, with no gather.
+The cut locus, a stall, a singular system and an undefined projection are
+masks over the batch (the angles of ``Manifold._log``, ``_projectable``),
+read point by point only when they hold one, not exceptions to recover
 from.  When points fail, the error of the lowest-index one is raised, with
 that C-order flat index over the batch's leading axes as its ``point``.
 As a rule of ``jacobi.Interpolant`` it supplies the methods that interface
@@ -64,7 +66,7 @@ from .errors import (
 )
 from .jacobi import Interpolant
 from .kernels import _near_cut, _positive_definite, _sym_inv
-from .manifold import Manifold, Sphere, _batch_last
+from .manifold import Manifold, Sphere, _batch_last, _eye
 
 # contract bound on the stationarity residual, and the tighter target the
 # iteration aims for (quadratic convergence makes the target nearly free;
@@ -147,12 +149,12 @@ def _logs(man: Manifold, q, values):
 
 def _residual(weights, logs) -> np.ndarray:
     r = (weights[:, None, :] @ _flat_rows(logs, 2))[:, 0]
-    return np.sqrt(np.sum(r * r, axis=-1))
+    return np.sqrt((r * r).sum(-1))
 
 
 def _initial_guess(man: Manifold, values, weights) -> np.ndarray:
     """Projection of the weighted embedding sum, else the heaviest nodal value."""
-    q = values[np.arange(len(weights)), np.argmax(weights, axis=1)]
+    q = values[np.arange(len(weights)), weights.argmax(1)]
     sums = (weights[:, None, :] @ _flat_rows(values, 2))[:, 0].reshape(q.shape)
     defined = man._projectable(sums)
     q[defined] = man.project_point(sums[defined])
@@ -164,8 +166,8 @@ def _linearize(man: Manifold, values, weights, q, logs):
     basis = man.tangent_basis(q)                                       # (P, dim, *shape)
     hessians = man.dist2_hess_q(values, q[:, None], basis_q=basis[:, None], log_qv=logs)
     H = (weights[:, None, :] @ _flat_rows(hessians, 2))[:, 0].reshape(hessians[:, 0].shape)
-    L = _flat_rows(logs, 2) @ np.swapaxes(_flat_rows(basis, 2), 1, 2)  # (P, m, dim)
-    return basis, 0.5 * (H + np.swapaxes(H, 1, 2)), hessians, L
+    L = _flat_rows(logs, 2) @ _flat_rows(basis, 2).swapaxes(1, 2)    # (P, m, dim)
+    return basis, 0.5 * (H + H.swapaxes(1, 2)), hessians, L
 
 
 def _rows(x, idx) -> np.ndarray:
@@ -174,76 +176,77 @@ def _rows(x, idx) -> np.ndarray:
 
 
 def _newton(man: Manifold, values, weights, q) -> _Solution:
-    P, m = weights.shape
-    dim = man.intrinsic_dim
+    P = len(weights)
     logs, angle = _logs(man, q, values)
-    cut = _near_cut(angle)
-    errors: dict[int, GFEError] = {p: man._cut_locus_error(angle[p]) for p in np.flatnonzero(cut)}
+    active = ~_near_cut(angle)
+    errors: dict[int, GFEError] = {} if active.all() else {
+        p: man._cut_locus_error(angle[p]) for p in (~active).nonzero()[0]}
     res = _residual(weights, logs)
     # in C order, as a gather leaves them, so that a pass on the whole arrays
     # takes the same matmul loops (shape_values returns batches in F order)
     weights = np.ascontiguousarray(weights)
-    basis = np.zeros((P, dim) + man.point_shape)
-    H = np.zeros((P, dim, dim))
-    Hn = np.zeros((P, m, dim, dim))
-    L = np.zeros((P, m, dim))
     iterations = np.zeros(P, dtype=int)
-    active = ~cut
+    lin = None      # (basis, H, Hn, L) at each point's latest q
 
     while active.any():
-        idx = np.flatnonzero(active)
-        lin = _linearize(man, _rows(values, idx), _rows(weights, idx), _rows(q, idx), _rows(logs, idx))
-        for x, y in zip((basis, H, Hn, L), lin):
-            x[idx if len(idx) < P else ...] = y     # with every point active, a copy, not a scatter
-        active[idx[res[idx] <= _RESIDUAL_TARGET]] = False
-        idx = np.flatnonzero(active)
-        stalled = iterations[idx] >= _MAX_NEWTON
-        errors.update((p, NonConvergenceError(f"Newton stalled at residual {res[p]:.3e} after "
-                                              f"{iterations[p]} iterations")) for p in idx[stalled])
-        active[idx[stalled]] = False
-        idx = idx[~stalled]
+        idx = active.nonzero()[0]
+        new = _linearize(man, _rows(values, idx), _rows(weights, idx), _rows(q, idx), _rows(logs, idx))
+        if len(idx) == P:
+            lin = new       # a pass over every point: its own arrays, no copy
+        else:               # into an earlier pass's arrays, or zeros where points start at the cut locus
+            lin = lin or [np.zeros((P,) + x.shape[1:]) for x in new]
+            for x, y in zip(lin, new):
+                x[idx] = y
+        basis, H, Hn, L = lin
+        active[idx[_rows(res, idx) <= _RESIDUAL_TARGET]] = False
+        idx = active.nonzero()[0]
+        stalled = _rows(iterations, idx) >= _MAX_NEWTON
+        if stalled.any():
+            errors.update((p, NonConvergenceError(f"Newton stalled at residual {res[p]:.3e} after "
+                                                  f"{iterations[p]} iterations")) for p in idx[stalled])
+            active[idx[stalled]] = False
+            idx = idx[~stalled]
         if not len(idx):
             continue
         # H is symmetric, so H.T is its batch-last stack and Hinv.T the
         # inverses; delta holds the steps as rows
         Hinv, singular = _sym_inv(_rows(H, idx).T)
-        errors.update((p, SingularSystemError("Newton system is singular")) for p in idx[singular])
-        active[idx[singular]] = False
-        delta = (2.0 * (_rows(weights, idx)[:, None, :] @ _rows(L, idx)) @ Hinv.T)[~singular]
-        idx = idx[~singular]
+        delta = 2.0 * (_rows(weights, idx)[:, None, :] @ _rows(L, idx)) @ Hinv.T
+        if singular.any():
+            errors.update((p, SingularSystemError("Newton system is singular")) for p in idx[singular])
+            active[idx[singular]] = False
+            delta, idx = delta[~singular], idx[~singular]
         step = (delta @ _flat_rows(_rows(basis, idx), 2))[:, 0].reshape(_rows(q, idx).shape)
 
-        # damping, in lockstep over the points still looking for a step
-        searching = np.ones(len(idx), dtype=bool)
+        # damping, in lockstep over the points j (of idx) still looking for a
+        # step; the ones that improve take it, all of them by whole-array assignment
+        j = np.arange(len(idx))
         for damping in range(_MAX_DAMPING + 1):
-            j = np.flatnonzero(searching)
-            if not len(j):
-                break
-            pts = idx[j]
-            q_new = man.exp(_rows(q, pts), step[j])
+            pts = _rows(idx, j)
+            q_new = man.exp(_rows(q, pts), _rows(step, j))
             logs_new, angle = _logs(man, q_new, _rows(values, pts))
-            cut = _near_cut(angle)
             res_new = _residual(_rows(weights, pts), logs_new)
-            better = ~cut & (res_new < res[pts])
-            q[pts[better]], logs[pts[better]] = q_new[better], logs_new[better]
-            res[pts[better]] = res_new[better]
-            iterations[pts[better]] += 1
-            searching[j[better]] = False
-            if damping == _MAX_DAMPING:
-                errors.update((p, man._cut_locus_error(a)) for p, a in zip(pts[cut], angle[cut]))
-                active[pts[cut]] = False
-                searching[j[cut]] = False
-            else:
-                step[j[~better]] *= 0.5
-        # stuck at the floating-point floor; fine if the contract holds
-        errors.update((p, NonConvergenceError(f"Newton cannot reduce the residual below {res[p]:.3e}"))
-                      for p in idx[searching] if res[p] > _RESIDUAL_TOL)
-        active[idx[searching]] = False
+            better = ~_near_cut(angle) & (res_new < _rows(res, pts))
+            b = better.nonzero()[0]
+            took = _rows(pts, b) if len(b) < P else ...
+            q[took], logs[took], res[took] = _rows(q_new, b), _rows(logs_new, b), _rows(res_new, b)
+            iterations[took] += 1
+            if len(b) == len(j):
+                break
+            j, pts, angle = j[~better], pts[~better], angle[~better]
+            if damping < _MAX_DAMPING:
+                step[j] *= 0.5
+        else:   # no step left: at the cut locus, or at the floating-point floor, fine if the contract holds
+            cut = _near_cut(angle)
+            errors.update((p, man._cut_locus_error(a)) for p, a in zip(pts[cut], angle[cut]))
+            errors.update((p, NonConvergenceError(f"Newton cannot reduce the residual below {res[p]:.3e}"))
+                          for p in pts[~cut] if res[p] > _RESIDUAL_TOL)
+            active[pts] = False
 
-    for p in np.flatnonzero(~_positive_definite((H - _MIN_EIG * np.eye(dim)).T)):
-        errors.setdefault(p, IndefiniteHessianError(
-            "converged to a critical point whose Hessian is not positive definite"
-        ))
+    if lin is not None:     # not every point starts at the cut locus
+        for p in (~_positive_definite((H - _MIN_EIG * _eye(man.intrinsic_dim)).T)).nonzero()[0]:
+            errors.setdefault(p, IndefiniteHessianError(
+                "converged to a critical point whose Hessian is not positive definite"))
     if errors:
         point = min(errors)
         errors[point].point = int(point)
@@ -266,7 +269,7 @@ class GeodesicInterpolant(Interpolant):
         if not isinstance(manifold, Sphere):
             return
         flat = np.reshape(values, (-1,) + np.shape(values)[-2:])
-        near = np.flatnonzero((flat @ np.swapaxes(flat, 1, 2)).min(axis=(1, 2)) < _SPREAD_SCREEN)
+        near = ((flat @ flat.swapaxes(1, 2)).min(axis=(1, 2)) < _SPREAD_SCREEN).nonzero()[0]
         wide = near[_max_spread(manifold, flat[near]) > _SPHERE_SPREAD_LIMIT] if len(near) else near
         if len(wide):
             where = f"element {wide[0]}: " if np.ndim(values) > 2 else ""
@@ -308,10 +311,10 @@ class GeodesicInterpolant(Interpolant):
         man = self.manifold
         phi, dphi = (self.elem.shape_values(xi), self.elem.shape_gradients(xi)) if shape is None else shape
         sol = self._solve(xi, phi)
-        rhs = 2.0 * (np.swapaxes(dphi, -1, -2) @ sol.log_coeffs)       # (..., d, dim)
+        rhs = 2.0 * (dphi.swapaxes(-1, -2) @ sol.log_coeffs)            # (..., d, dim)
         Hinv = _sym_inv(sol.hessian.T)[0].T     # H is symmetric positive definite, as the solve checked
-        X = Hinv @ np.swapaxes(rhs, -1, -2)
-        cols = np.swapaxes(X, -1, -2) @ man._flat(sol.basis)            # (..., d, N)
+        X = Hinv @ rhs.swapaxes(-1, -2)
+        cols = X.swapaxes(-1, -2) @ man._flat(sol.basis)               # (..., d, N)
         # H's derivative in xi at fixed q, sum_j dphi_j/dxi_l dist2_hess_q(v_j, q)
         H_xi = np.einsum("...jl,...jab->...lab", dphi, sol.node_hessians)
         return sol._replace(hessian=None, node_hessians=None, hessian_inv=Hinv, hessian_xi=H_xi, dq=X,
@@ -328,7 +331,7 @@ class GeodesicInterpolant(Interpolant):
         return (_batch_last(c.weights, nodes, 0), _batch_last(c.weight_gradients, nodes, 1),
                 _batch_last(man._flat(self.values), nodes, 1), one(man._flat(c.q), 1),
                 one(man._flat(c.basis), 2), _batch_last(c.log_coeffs, nodes, 1),
-                one(np.swapaxes(c.dq, -1, -2), 2), one(c.hessian_inv, 2), one(c.hessian_xi, 3),
+                one(c.dq.swapaxes(-1, -2), 2), one(c.hessian_inv, 2), one(c.hessian_xi, 3),
                 *(one(x, 2) for x in extra))
 
     def _basis_values(self, c: _Solution):

@@ -86,7 +86,7 @@ class Interpolant:
         is the value of nodal basis field (i, j).
         """
         c, _ = self._center(xi)
-        return c.q, np.swapaxes(self._basis_values(c), -1, -2)
+        return c.q, self._basis_values(c).swapaxes(-1, -2)
 
 
 def _basis_ref_gradients(interp: Interpolant, xi, center=None):

@@ -47,19 +47,20 @@ _RATIO_TABLE = np.array([
     (1.0, 0.5, -1.0 / 24.0, 1.0 / 720.0, -1.0 / 40320.0),                # (1 - cos(t))/t**2
     (1.0, 1.0, -1.0 / 3.0, -1.0 / 45.0, -2.0 / 945.0),                   # c
 ])
+_CUTOFFS = _RATIO_TABLE[:, 0] * _SERIES_CUTOFF
 
 
 def _series_or(t, rows, closed):
     """The ratios _RATIO_TABLE[rows] (an index, or a slice stacking them first)
     at the angles t: closed(t), at where(|t| < _SERIES_CUTOFF, 1, t) so that
-    none divides by a vanishing angle, or each row's series below its cutoff,
-    read at the call; one Horner pass and one np.where for all rows."""
+    none divides by a vanishing angle, or each row's series below its cutoff
+    (_CUTOFFS), read only then; one Horner pass and one np.where for all rows."""
     t = np.asarray(t, dtype=float)
+    if np.abs(t).min(initial=np.inf) >= _CUTOFFS[rows].max():
+        return closed(t)
     table = _RATIO_TABLE.T[:, rows]
     table = table.reshape(table.shape + (1,) * t.ndim)
     small = np.abs(t) < table[0] * _SERIES_CUTOFF
-    if not small.any():
-        return closed(t)
     t2 = t * t
     series = table[4]
     for c in table[3:0:-1]:
@@ -117,8 +118,11 @@ def _sym_inv(A):
         i, j = [1, 2, 0], [2, 0, 1]
         Ai, Aj = A.take(i, 0), A.take(j, 0)
         adj = Ai.take(i, 1) * Aj.take(j, 1) - Ai.take(j, 1) * Aj.take(i, 1)
+    elif n == 2:    # [[A11, -A01], [-A10, A00]], a C-order stack
+        adj = np.negative(A, order="C")
+        adj[0, 0], adj[1, 1] = A[1, 1], A[0, 0]
     else:
-        adj = np.array([[A[1, 1], -A[0, 1]], [-A[1, 0], A[0, 0]]]) if n == 2 else np.ones_like(A)
+        adj = np.ones_like(A)
     det = (A[0] * adj[:, 0]).sum(0)
     return adj / np.where(det == 0.0, 1.0, det), det == 0.0
 
@@ -127,11 +131,10 @@ def _positive_definite(A):
     """Sylvester's criterion for the symmetric matrices A (n, n, ...): all leading
     minors positive, read off as the elimination pivots (ratios of consecutive
     minors), which stay accurate where the minors themselves would cancel."""
-    ok = np.ones(A.shape[2:], dtype=bool)
-    for _ in range(len(A)):
-        d = A[0, 0]
-        ok &= d > 0.0
-        A = A[1:, 1:] - A[1:, :1] * (A[:1, 1:] / np.where(ok, d, 1.0))
+    ok = A[0, 0] > 0.0
+    for _ in range(len(A) - 1):
+        A = A[1:, 1:] - A[1:, :1] * (A[:1, 1:] / np.where(ok, A[0, 0], 1.0))
+        ok &= A[0, 0] > 0.0
     return ok
 
 
@@ -156,7 +159,7 @@ def _vee(S: np.ndarray) -> np.ndarray:
 
 
 def _skew_part(M: np.ndarray) -> np.ndarray:
-    return 0.5 * (M - np.swapaxes(M, -1, -2))
+    return 0.5 * (M - M.swapaxes(-1, -2))
 
 
 _HATS = np.array([_hat(e) for e in np.eye(3)])
@@ -201,7 +204,7 @@ def _logm_rotation(R: np.ndarray):
     wide = theta > _SYMMETRIC_AXIS_ANGLE
     if wide.any():
         t = theta[wide]
-        B = 0.5 * (R[wide] + np.swapaxes(R[wide], -1, -2)) - np.cos(t)[:, None, None] * np.eye(3)
+        B = 0.5 * (R[wide] + R[wide].swapaxes(-1, -2)) - np.cos(t)[:, None, None] * np.eye(3)
         j = np.argmax(np.diagonal(B, axis1=-2, axis2=-1), axis=-1)
         a = B[np.arange(len(t)), :, j]
         a = a / np.linalg.norm(a, axis=-1, keepdims=True)
@@ -237,7 +240,7 @@ def _polar_iterates(A: np.ndarray):
     active = np.ones(Q.shape[:-2], dtype=bool)
     for _ in range(_POLAR_MAX_ITER):
         try:
-            Qn = 0.5 * (Q + np.swapaxes(np.linalg.inv(Q), -1, -2))
+            Qn = 0.5 * (Q + np.linalg.inv(Q).swapaxes(-1, -2))
         except np.linalg.LinAlgError as exc:
             raise SingularMatrixError("polar iterate became singular") from exc
         Qn = np.where(active[..., None, None], Qn, Q)
@@ -279,7 +282,7 @@ def _polar_derivative(A, Q, x=None) -> np.ndarray:
 
         D^2P(A)[X, Z] = Q (W_Z W_X + hat(M^-1 (dm - tr(dS) w_X + dS w_X))).
     """
-    T = lambda B: np.swapaxes(B, -1, -2)  # noqa: E731
+    T = lambda B: B.swapaxes(-1, -2)  # noqa: E731
     hat = lambda w: np.tensordot(w, _HATS, axes=1)  # noqa: E731
     QtA = T(Q) @ _as_matrices(A)
     S = 0.5 * (QtA + T(QtA))

@@ -80,6 +80,7 @@ and P T = T - n (T^T n)^T.  All operations are pure functions of their inputs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -107,9 +108,12 @@ def _inner(a, b) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0]
 
 
-def _eye(n, ndim) -> np.ndarray:
-    """The n x n identity with ndim trailing batch axes of length 1."""
-    return np.eye(n).reshape((n, n) + (1,) * ndim)
+@functools.cache
+def _eye(n, ndim=0, cols=None) -> np.ndarray:
+    """The n x n (n x cols) identity, read-only, with ndim trailing batch axes of length 1."""
+    eye = np.eye(n, cols).reshape((n, cols or n) + (1,) * ndim)
+    eye.flags.writeable = False
+    return eye
 
 
 def _batch_last(x, lead, k) -> np.ndarray:
@@ -138,7 +142,7 @@ _PROJECTION_FLOOR = 1e-12  # the norm (spheres) or determinant (SO(3)) project_p
 
 def _refuse_projection(gauge, what: str) -> None:
     """Raise ProjectionUndefinedError at the first entry of gauge not above the floor."""
-    bad = np.flatnonzero(~(gauge > _PROJECTION_FLOOR))  # NaN too, as _projectable says
+    bad = (~(gauge > _PROJECTION_FLOOR)).ravel().nonzero()[0]  # NaN too, as _projectable says
     if len(bad):
         exc = ProjectionUndefinedError(f"projection undefined: {what} {float(gauge.flat[bad[0]]):.3e}")
         exc.point = int(bad[0])
@@ -239,7 +243,7 @@ class Manifold:
         c = np.matmul(E, u[..., None])[..., 0] / np.where(r < 1e-15, np.inf, r)[..., None]
         K = self._model_curvature
         a = (_t_cot(np.sqrt(K) * r) if K > 0.0 else np.ones_like(r))[..., None, None]
-        return 2.0 * (a * np.eye(dim) + (1.0 - a) * (c[..., :, None] * c[..., None, :]))
+        return 2.0 * (a * _eye(dim) + (1.0 - a) * (c[..., :, None] * c[..., None, :]))
 
     def _transported_adjoint(self, v, q, Eq, u, x):
         """(T^T x, w) of the module docstring, batch-last, for one covector x (dim,
@@ -251,7 +255,7 @@ class Manifold:
         """(w, T), (dim, ...) and (dim, dim, ...): T^T applied to the identity."""
         Tt, w = self._transported_adjoint(v[:, None], q[:, None], Eq[:, :, None], u[:, None],
                                           _eye(len(u), u.ndim - 1))
-        return w[:, 0], np.swapaxes(Tt, 0, 1)
+        return w[:, 0], Tt.swapaxes(0, 1)
 
     def _curvature_ratios(self, u, rows):
         """r = |u| and the stacked kernels._ratios(rho, rows), rho = sqrt(K)*r:
@@ -342,7 +346,7 @@ class Manifold:
         D = X[:, :, None] * y.sum(1, keepdims=True) - (
             n[:, None] * (0.5 * f[:, None] * n + nX[:, None] * y)[:, None]).sum(3, keepdims=True)
         F = f.sum(1, keepdims=True)[:, None, None]
-        return mixed, -2.0 * (F * _eye(len(u), u.ndim - 1) + D + np.swapaxes(D, 1, 2)), mixed_X
+        return mixed, -2.0 * (F * _eye(len(u), u.ndim - 1) + D + D.swapaxes(1, 2)), mixed_X
 
 
 # ----------------------------------------------------------------------
@@ -487,7 +491,7 @@ class Sphere(Manifold):
         w = p.copy()
         w[..., n] += np.copysign(1.0, p[..., n])
         scale = 2.0 / _inner(w, w)
-        return np.eye(n, n + 1) - (scale * w[..., :n])[..., :, None] * w[..., None, :]
+        return _eye(n, cols=n + 1) - (scale * w[..., :n])[..., :, None] * w[..., None, :]
 
     def exp(self, p, v):
         p = np.asarray(p, dtype=float)
@@ -589,7 +593,7 @@ class Rotation3(Manifold):
         Q = np.asarray(p)
         if Q.shape[-2:] != (3, 3):
             raise DimensionMismatchError("expected a 3x3 matrix")
-        if (np.linalg.norm(np.swapaxes(Q, -1, -2) @ Q - np.eye(3), axis=(-2, -1)) > 1e-10).any():
+        if (np.linalg.norm(Q.swapaxes(-1, -2) @ Q - np.eye(3), axis=(-2, -1)) > 1e-10).any():
             raise ValueError("matrix is not orthogonal within 1e-10")
         if (np.linalg.det(Q) <= 0.0).any():
             raise ValueError("matrix has non-positive determinant")
@@ -598,14 +602,14 @@ class Rotation3(Manifold):
         v = np.asarray(v, dtype=float)
         if v.shape[-2:] != (3, 3):
             raise DimensionMismatchError("expected a 3x3 matrix")
-        S = np.swapaxes(np.asarray(p, dtype=float), -1, -2) @ v
+        S = np.asarray(p, dtype=float).swapaxes(-1, -2) @ v
         scale = np.maximum(1.0, np.linalg.norm(v, axis=(-2, -1)))
-        if (np.linalg.norm(S + np.swapaxes(S, -1, -2), axis=(-2, -1)) > 1e-10 * scale).any():
+        if (np.linalg.norm(S + S.swapaxes(-1, -2), axis=(-2, -1)) > 1e-10 * scale).any():
             raise ValueError("vector is not tangent at its base rotation (Q^T W not skew)")
 
     def project_tangent(self, p, w):
         Q = np.asarray(p, dtype=float)
-        return Q @ _skew_part(np.swapaxes(Q, -1, -2) @ np.asarray(w, dtype=float))
+        return Q @ _skew_part(Q.swapaxes(-1, -2) @ np.asarray(w, dtype=float))
 
     def tangent_basis(self, p) -> np.ndarray:
         """Q @ hat(e_k) / sqrt(2) for k = 1, 2, 3."""
@@ -613,18 +617,18 @@ class Rotation3(Manifold):
 
     def exp(self, p, v):
         Q = np.asarray(p, dtype=float)
-        S = _skew_part(np.swapaxes(Q, -1, -2) @ np.asarray(v, dtype=float))
+        S = _skew_part(Q.swapaxes(-1, -2) @ np.asarray(v, dtype=float))
         return Q @ _expm_skew(S)
 
     def _log(self, p, q):
         Q1 = np.asarray(p, dtype=float)
-        L, angle = _logm_rotation(np.swapaxes(Q1, -1, -2) @ np.asarray(q, dtype=float))
+        L, angle = _logm_rotation(Q1.swapaxes(-1, -2) @ np.asarray(q, dtype=float))
         return Q1 @ L, angle
 
     def transport(self, p, q, w, log_pq=None):
-        Q1t = np.swapaxes(np.asarray(p, dtype=float), -1, -2)
+        Q1t = np.asarray(p, dtype=float).swapaxes(-1, -2)
         E = _expm_skew(0.5 * _skew_part(Q1t @ (self.log(p, q) if log_pq is None else np.asarray(log_pq))))
-        return np.swapaxes(Q1t, -1, -2) @ E @ _skew_part(Q1t @ np.asarray(w, dtype=float)) @ E
+        return Q1t.swapaxes(-1, -2) @ E @ _skew_part(Q1t @ np.asarray(w, dtype=float)) @ E
 
     def _transported_adjoint(self, v, q, Eq, u, x):
         # T = exp(hat(h)), h = u/(2 sqrt(2)), by Rodrigues with hat(h)^2 = h h^T - |h|^2 I;

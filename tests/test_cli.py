@@ -389,6 +389,15 @@ def test_minimize_scale_tool_reports_one_run(tmp_path):
     assert report["wall_s"] > 0.0 and report["ru_maxrss_mb"] > 0.0 and report["traced_peak_mb"] > 0.0
 
 
+def test_call_counts_tool_reports_one_minimize(tmp_path):
+    tool = Path(__file__).resolve().parents[1] / "tools" / "call_counts.py"
+    proc = subprocess.run([sys.executable, str(tool)], cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["total_calls"] > 0
+    assert (report["center_solves"], report["newton_linearizations"], report["descent_iterations"]) == (3, 6, 3)
+
+
 @pytest.mark.parametrize("bad_node", [9, -1])
 def test_minimize_boundary_index_out_of_range_exits_2(tmp_path, capsys, bad_node):
     mesh = tmp_path / "m.mesh"
@@ -664,7 +673,8 @@ def test_seed_must_not_be_negative(capsys):
     assert capsys.readouterr().err == "error: --seed must not be negative\n"
 
 
-@pytest.mark.parametrize("flag, value", [("--tol", "nan"), ("--tol", "-1e-8"), ("--max-iter", "-3")])
+@pytest.mark.parametrize("flag, value", [("--tol", "nan"), ("--tol", "-1e-8"), ("--tol", "inf"),
+                                         ("--max-iter", "-3")])
 def test_minimize_refuses_a_bad_stopping_rule_before_reading(tmp_path, capsys, flag, value):
     mesh = tmp_path / "m.mesh"
     write_interval_mesh(mesh, 2)

@@ -23,7 +23,7 @@ from gfe.energy import (
     minimize,
     simplex_quadrature,
 )
-from gfe.errors import CutLocusError, IndefiniteHessianError, NonConvergenceError
+from gfe.errors import CutLocusError, IndefiniteHessianError, NonConvergenceError, SingularSystemError
 from gfe.jacobi import _basis_ref_gradients
 from gfe.sampling import random_configuration, random_tangent
 from helpers import start_newton_at
@@ -175,6 +175,43 @@ def test_newton_budget_applies_per_point(monkeypatch):
         interp._solve(xi)
     start_newton_at(monkeypatch, q)
     interp._solve(xi)
+
+
+def test_singular_newton_system_at_one_point_names_that_point(monkeypatch):
+    interp, _, _ = saddle_batch(["easy", "easy", "easy"])
+    xi = np.array([[0.2], [0.5], [0.8]])
+    start_newton_at(monkeypatch, interp.values[0, 0])    # every point off its center
+    real = geodesic._sym_inv
+
+    def flagging(A):
+        # the middle point's system is singular on the first sweep, when all three are active
+        inv, singular = real(A)
+        if A.shape[-1] == 3:
+            singular = singular.copy()
+            singular[1] = True
+        return inv, singular
+
+    monkeypatch.setattr(geodesic, "_sym_inv", flagging)
+    with pytest.raises(SingularSystemError, match="Newton system is singular") as raised:
+        interp._solve(xi)
+    assert raised.value.point == 1
+
+
+def test_newton_at_the_floating_point_floor_fails_only_above_the_residual_tolerance(monkeypatch):
+    # with a target of 0 Newton halves its steps until none lowers the residual;
+    # point 0 (constant data) starts at residual 0, point 1 stops at its floor
+    a = 1.25
+    values = np.array([[[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
+                       [[np.cos(a), np.sin(a), 0.0], [np.cos(a), -np.sin(a), 0.0]]])
+    interp = GeodesicInterpolant(ReferenceElement(1, 1), values, S2, _checked=True)
+    xi = np.array([[0.3], [0.7]])
+    monkeypatch.setattr(geodesic, "_RESIDUAL_TARGET", 0.0)
+    sol = interp._solve(xi)
+    assert sol.residual[0] == 0.0 and 0.0 < sol.residual[1] <= geodesic._RESIDUAL_TOL
+    monkeypatch.setattr(geodesic, "_RESIDUAL_TOL", 0.0)
+    with pytest.raises(NonConvergenceError, match="Newton cannot reduce the residual below") as raised:
+        interp._solve(xi)
+    assert raised.value.point == 1
 
 
 # ----------------------------------------------------------------------
