@@ -348,10 +348,8 @@ def minimize(
                 )
         u, energy, alpha_prev = u_try, e_try, alpha
         iterations += 1
-        try:
-            coeff, gnorm, A, J, frames = grad_try or gradient(u)
-        except GFEError as exc:
-            raise type(exc)(f"at descent iteration {iterations}: {exc}") from exc
+        # u holds its quadrature record from the trial, so this makes no solve
+        coeff, gnorm, A, J, frames = grad_try or gradient(u)
         if callback is not None:
             callback(iterations, energy, gnorm)
 

@@ -40,6 +40,10 @@ once (``GFEFunction.local`` with an array of elements); the two broadcast.
 point with its own convergence test, damping halvings and cut-locus trials,
 and each point takes exactly the steps it would take alone; a pass in which
 every point is active, or improves, is one of whole arrays, with no gather.
+The Lagrange weights and the inverses of ``kernels._sym_inv`` come in
+layouts that give each matmul the same numpy loop at every batch size, so
+the centers of a batch equal those of its points solved one at a time bit
+for bit; derivatives agree to rounding.  An empty batch gives empty arrays.
 The cut locus, a stall, a singular system and an undefined projection are
 masks over the batch (the angles of ``Manifold._log``, ``_projectable``),
 read point by point only when they hold one, not exceptions to recover
@@ -138,18 +142,15 @@ class _Solution(NamedTuple):
 
 
 def _flat_rows(x, lead: int) -> np.ndarray:
-    return x.reshape(x.shape[:lead] + (-1,))
+    return x.reshape(x.shape[:lead] + (math.prod(x.shape[lead:]),))
 
 
-def _logs(man: Manifold, q, values):
-    """log_q(v_i) for every point, and the largest of its angles at each point."""
+def _logs(man: Manifold, q, values, weights):
+    """log_q(v_i) for every point, and at each point the largest of its angles
+    and the residual |sum_i phi_i log_q(v_i)|."""
     logs, angle = man._log(q[:, None], values)
-    return logs, angle.max(axis=1)
-
-
-def _residual(weights, logs) -> np.ndarray:
     r = (weights[:, None, :] @ _flat_rows(logs, 2))[:, 0]
-    return np.sqrt((r * r).sum(-1))
+    return logs, angle.max(axis=1), np.sqrt((r * r).sum(-1))
 
 
 def _initial_guess(man: Manifold, values, weights) -> np.ndarray:
@@ -177,16 +178,13 @@ def _rows(x, idx) -> np.ndarray:
 
 def _newton(man: Manifold, values, weights, q) -> _Solution:
     P = len(weights)
-    logs, angle = _logs(man, q, values)
+    logs, angle, res = _logs(man, q, values, weights)
     active = ~_near_cut(angle)
     errors: dict[int, GFEError] = {} if active.all() else {
         p: man._cut_locus_error(angle[p]) for p in (~active).nonzero()[0]}
-    res = _residual(weights, logs)
-    # in C order, as a gather leaves them, so that a pass on the whole arrays
-    # takes the same matmul loops (shape_values returns batches in F order)
-    weights = np.ascontiguousarray(weights)
     iterations = np.zeros(P, dtype=int)
-    lin = None      # (basis, H, Hn, L) at each point's latest q
+    # (basis, H, Hn, L) at each point's latest q; an empty batch has its empty ones at once
+    lin = None if P else _linearize(man, values, weights, q, logs)
 
     while active.any():
         idx = active.nonzero()[0]
@@ -209,7 +207,7 @@ def _newton(man: Manifold, values, weights, q) -> _Solution:
         if not len(idx):
             continue
         # H is symmetric, so H.T is its batch-last stack and Hinv.T the
-        # inverses; delta holds the steps as rows
+        # inverses, in C order; delta holds the steps as rows
         Hinv, singular = _sym_inv(_rows(H, idx).T)
         delta = 2.0 * (_rows(weights, idx)[:, None, :] @ _rows(L, idx)) @ Hinv.T
         if singular.any():
@@ -224,8 +222,7 @@ def _newton(man: Manifold, values, weights, q) -> _Solution:
         for damping in range(_MAX_DAMPING + 1):
             pts = _rows(idx, j)
             q_new = man.exp(_rows(q, pts), _rows(step, j))
-            logs_new, angle = _logs(man, q_new, _rows(values, pts))
-            res_new = _residual(_rows(weights, pts), logs_new)
+            logs_new, angle, res_new = _logs(man, q_new, _rows(values, pts), _rows(weights, pts))
             better = ~_near_cut(angle) & (res_new < _rows(res, pts))
             b = better.nonzero()[0]
             took = _rows(pts, b) if len(b) < P else ...
@@ -244,14 +241,14 @@ def _newton(man: Manifold, values, weights, q) -> _Solution:
             active[pts] = False
 
     if lin is not None:     # not every point starts at the cut locus
-        for p in (~_positive_definite((H - _MIN_EIG * _eye(man.intrinsic_dim)).T)).nonzero()[0]:
+        for p in (~_positive_definite((lin[1] - _MIN_EIG * _eye(man.intrinsic_dim)).T)).nonzero()[0]:
             errors.setdefault(p, IndefiniteHessianError(
                 "converged to a critical point whose Hessian is not positive definite"))
     if errors:
         point = min(errors)
         errors[point].point = int(point)
         raise errors[point]
-    return _Solution(q, basis, H, Hn, L, weights, int(iterations.max(initial=0)), res)
+    return _Solution(q, *lin, weights, int(iterations.max(initial=0)), res)
 
 
 # ----------------------------------------------------------------------
@@ -293,7 +290,7 @@ class GeodesicInterpolant(Interpolant):
         P = math.prod(lead)
         values = np.broadcast_to(self.values, lead + self.values.shape[-len(shape) - 1:])
         values = values.reshape((P, self.elem.m) + shape)
-        w = np.broadcast_to(weights, lead + weights.shape[-1:]).reshape(P, -1)
+        w = np.broadcast_to(weights, lead + weights.shape[-1:]).reshape(P, self.elem.m)
         sol = _newton(man, values, w, _initial_guess(man, values, w))
         return _Solution(*(x.reshape(lead + x.shape[1:]) for x in sol[:6]), sol.iterations,
                          sol.residual.reshape(lead))

@@ -135,6 +135,7 @@ class Grid:
     elements : ndarray (ne, dim+1) of vertex indices
     lagrange_nodes : ndarray (n, dim) of global node coordinates
     element_nodes : ndarray (ne, m) mapping local to global node indices
+    n_nodes, n_elements : int, the numbers of Lagrange nodes and elements
     boundary_nodes : frozenset of global node indices on the domain boundary
 
     Every element must be positively oriented and every vertex must belong
@@ -152,6 +153,7 @@ class Grid:
         self.order = order
         self.vertices = np.array(vertices, dtype=float).reshape(-1, dim)
         self.elements = np.array(elements, dtype=int).reshape(-1, dim + 1)
+        self.n_elements = len(self.elements)
         self.ref = ReferenceElement(dim, order)
 
         # affine maps x = V0 + B xi, with positive orientation required
@@ -187,6 +189,7 @@ class Grid:
              for el in ends.tolist()], dtype=int).reshape(ends.shape[:2])
         a, b = np.array(list(edge_ids), dtype=int).reshape(-1, 2).T
         self.lagrange_nodes = np.concatenate([self.vertices, 0.5 * (self.vertices[a] + self.vertices[b])])
+        self.n_nodes = len(self.lagrange_nodes)
         self._edge_ids = edge_ids
 
     def _find_boundary(self) -> None:
@@ -201,14 +204,6 @@ class Grid:
         self.boundary_nodes = frozenset(nodes)
 
     # ------------------------------------------------------------------
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self.lagrange_nodes)
-
-    @property
-    def n_elements(self) -> int:
-        return len(self.elements)
 
     def _pairs(self, n_points: int):
         """(elements, point indices) of all (element, point) pairs, element-major."""

@@ -107,13 +107,13 @@ def _sym_inv(A):
     """(inverses, singular mask) of the symmetric matrices A (n, n, ...), the
     inverse of a singular one meaningless: the adjugate over the determinant
     for n <= 3, a 3x3 cofactor being the 2x2 minor of cyclically shifted rows
-    and columns, and LAPACK beyond."""
+    and columns, and LAPACK beyond.  The inverses come in F order, so that
+    their batch-first stack .T is in C order and a matmul with it takes the
+    same numpy loop at every batch size."""
     n = len(A)
-    if n > 3:
-        M = np.moveaxis(A, (0, 1), (-2, -1))
-        singular = np.linalg.det(M) == 0.0
-        inv = np.linalg.inv(np.where(singular[..., None, None], np.eye(n), M))
-        return np.moveaxis(inv, (-2, -1), (0, 1)), singular
+    if n > 3:   # A.T is the batch-first stack, as A is symmetric
+        singular = np.linalg.det(A.T) == 0.0
+        return np.linalg.inv(np.where(singular[..., None, None], np.eye(n), A.T)).T, singular.T
     if n == 3:
         i, j = [1, 2, 0], [2, 0, 1]
         Ai, Aj = A.take(i, 0), A.take(j, 0)
@@ -124,7 +124,7 @@ def _sym_inv(A):
     else:
         adj = np.ones_like(A)
     det = (A[0] * adj[:, 0]).sum(0)
-    return adj / np.where(det == 0.0, 1.0, det), det == 0.0
+    return np.divide(adj, np.where(det == 0.0, 1.0, det), order="F"), det == 0.0
 
 
 def _positive_definite(A):

@@ -152,7 +152,9 @@ def _refuse_projection(gauge, what: str) -> None:
 class Manifold:
     """Shared interface and the constant-curvature derivative blocks.
 
-    Concrete subclasses set ``kind``, ``intrinsic_dim``, ``point_shape``,
+    Concrete subclasses set ``kind``, the sizes ``intrinsic_dim``,
+    ``point_shape``, ``embed_dim`` (the product of point_shape) and
+    ``injectivity_radius`` as attributes fixed at construction,
     the advisory ``curvature_bound`` entering the Karcher-ball diagnostic,
     ``_model_curvature``, the actual constant sectional curvature used by
     the closed-form second derivatives of squared distance, and for ``log``
@@ -176,19 +178,16 @@ class Manifold:
       ``projection_jacobian_deriv(w, q, x)``, the derivative of the Jacobian
       along each of the s embedding directions x (..., s, N), shape (..., s,
       N, N): the second derivative of project_point with its first slot
-      filled by x;
-    - ``injectivity_radius``.
+      filled by x.
     """
 
     kind: str
     intrinsic_dim: int
     point_shape: tuple
+    embed_dim: int
+    injectivity_radius: float
     curvature_bound: float | None
     _model_curvature: float
-
-    @property
-    def embed_dim(self) -> int:
-        return math.prod(self.point_shape)
 
     def _check_pair(self, p, q) -> None:
         k = len(self.point_shape)
@@ -364,20 +363,12 @@ class Euclidean(Manifold):
     k: int
 
     kind = "euclidean"
+    injectivity_radius = np.inf
     curvature_bound: float | None = None
     _model_curvature = 0.0
 
-    @property
-    def intrinsic_dim(self) -> int:
-        return self.k
-
-    @property
-    def point_shape(self) -> tuple:
-        return (self.k,)
-
-    @property
-    def injectivity_radius(self) -> float:
-        return np.inf
+    def __post_init__(self):    # the sizes, fixed once; the frozen class refuses setattr
+        self.__dict__.update(intrinsic_dim=self.k, point_shape=(self.k,), embed_dim=self.k)
 
     def check_point(self, p) -> None:
         if np.shape(p)[-1:] != (self.k,):
@@ -440,25 +431,17 @@ class Sphere(Manifold):
     kind = "sphere"
     _cut_message = "points at distance {:.6f} are (numerically) antipodal"
     _dist_per_angle = 1.0
+    injectivity_radius = np.pi
     curvature_bound: float | None = 1.0
     _model_curvature = 1.0
 
-    @property
-    def intrinsic_dim(self) -> int:
-        return self.n
-
-    @property
-    def point_shape(self) -> tuple:
-        return (self.n + 1,)
-
-    @property
-    def injectivity_radius(self) -> float:
-        return np.pi
+    def __post_init__(self):    # the sizes, fixed once; the frozen class refuses setattr
+        self.__dict__.update(intrinsic_dim=self.n, point_shape=(self.n + 1,), embed_dim=self.n + 1)
 
     def check_point(self, p) -> None:
         p = np.asarray(p)
-        if p.shape[-1:] != (self.n + 1,):
-            raise DimensionMismatchError(f"expected a vector of length {self.n + 1}")
+        if p.shape[-1:] != self.point_shape:
+            raise DimensionMismatchError(f"expected a vector of length {self.embed_dim}")
         nrm = np.linalg.norm(p, axis=-1)
         bad = np.abs(nrm - 1.0) > 1e-12
         if bad.any():
@@ -466,8 +449,8 @@ class Sphere(Manifold):
 
     def check_tangent(self, p, v) -> None:
         v = np.asarray(v, dtype=float)
-        if v.shape[-1:] != (self.n + 1,):
-            raise DimensionMismatchError(f"expected a vector of length {self.n + 1}")
+        if v.shape[-1:] != self.point_shape:
+            raise DimensionMismatchError(f"expected a vector of length {self.embed_dim}")
         # scale-aware so that representation dust on large vectors passes
         dot = np.abs(np.sum(np.asarray(p, dtype=float) * v, axis=-1))
         if (dot > 1e-10 * np.maximum(1.0, np.linalg.norm(v, axis=-1))).any():
@@ -544,7 +527,7 @@ class Sphere(Manifold):
     def projection_jacobian(self, w, q):
         w = np.asarray(w, dtype=float)
         nrm = np.sqrt(_inner(w, w))[..., None]
-        return np.eye(self.n + 1) / nrm - (w[..., :, None] * w[..., None, :]) / nrm**3
+        return np.eye(self.embed_dim) / nrm - (w[..., :, None] * w[..., None, :]) / nrm**3
 
     def projection_jacobian_deriv(self, w, q, x):
         # D^2P(w)[x, y] = -(<w,y> x + <w,x> y + <x,y> w)/|w|^3 + 3 <w,x> <w,y> w/|w|^5
@@ -554,7 +537,7 @@ class Sphere(Manifold):
         wx = _inner(w, x)[..., None]                                 # (..., s, 1, 1)
         ww = w[..., :, None] * w[..., None, :]
         outer = x[..., :, None] * w[..., None, :] + w[..., :, None] * x[..., None, :]
-        return (3.0 * wx * ww / nrm**2 - outer - wx * np.eye(self.n + 1)) / nrm**3
+        return (3.0 * wx * ww / nrm**2 - outer - wx * np.eye(self.embed_dim)) / nrm**3
 
 
 # ----------------------------------------------------------------------
@@ -579,15 +562,13 @@ class Rotation3(Manifold):
     _dist_per_angle = math.sqrt(2.0)
     intrinsic_dim = 3
     point_shape = (3, 3)
+    embed_dim = 9
+    injectivity_radius = np.sqrt(2.0) * np.pi
     # Advisory Karcher-ball constant.  The Frobenius-scaled sectional
     # curvature is 1/8, so a bound of 1/4 keeps the ball-radius diagnostic
     # conservative.
     curvature_bound: float | None = 0.25
     _model_curvature = 0.125
-
-    @property
-    def injectivity_radius(self) -> float:
-        return np.sqrt(2.0) * np.pi
 
     def check_point(self, p) -> None:
         Q = np.asarray(p)

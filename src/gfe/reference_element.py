@@ -87,15 +87,17 @@ class ReferenceElement:
     # ------------------------------------------------------------------
 
     def shape_values(self, xi) -> np.ndarray:
-        """Values (phi_1(xi), ..., phi_m(xi)); sums to 1 by partition of unity."""
+        """Values (phi_1(xi), ..., phi_m(xi)); sums to 1 by partition of unity.
+        A batch comes back in C order, as a single point does, so that products
+        with it take the same numpy loops point by point."""
         lam = self._require_inside(xi)
-        a, b = lam[..., self._first], lam[..., self._last]
+        a, b = lam.take(self._first, -1), lam.take(self._last, -1)
         if self.order == 1:
             return a
         return np.where(self._vertex, a * (2.0 * a - 1.0), 4.0 * a * b)
 
     def shape_gradients(self, xi) -> np.ndarray:
-        """Reference gradients, shape (..., m, d); rows sum to the zero vector."""
+        """Reference gradients, shape (..., m, d), in C order; rows sum to the zero vector."""
         lam = self._require_inside(xi)
         lead = lam.shape[:-1]
         # gradients of the barycentric coordinates
@@ -103,7 +105,7 @@ class ReferenceElement:
         ga, gb = glam[self._first], glam[self._last]
         if self.order == 1:
             return np.broadcast_to(ga, lead + ga.shape).copy()
-        a, b = lam[..., self._first, None], lam[..., self._last, None]
+        a, b = lam.take(self._first, -1)[..., None], lam.take(self._last, -1)[..., None]
         return np.where(self._vertex[:, None], (4.0 * a - 1.0) * ga, 4.0 * (b * ga + a * gb))
 
     # ------------------------------------------------------------------

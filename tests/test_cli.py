@@ -158,6 +158,31 @@ def test_interpolate_missing_node_values_rejected(tmp_path, capsys):
     assert code == 2
 
 
+def test_interpolate_names_the_element_whose_values_spread_too_wide(tmp_path, capsys):
+    # element 1 spans 0.95 pi, past the geodesic rule's 0.9 pi limit
+    mesh = tmp_path / "m.mesh"
+    write_interval_mesh(mesh, 3)
+    bc = tmp_path / "bc.csv"
+    write_bc(bc, [(i, [np.cos(t), np.sin(t), 0.0]) for i, t in enumerate(np.pi * np.array([0.0, 0.3, 1.25, 1.5]))])
+    code = main([
+        "--command", "interpolate", "--manifold", "sphere2", "--rule", "geodesic",
+        "--mesh", str(mesh), "--bc", str(bc), "--out", str(tmp_path / "o.csv"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: element 1: nodal values spread")
+    assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["interpolate", "minimize"])
+@pytest.mark.parametrize("missing", ["--mesh", "--bc", "--out"])
+def test_a_missing_file_flag_exits_2(tmp_path, capsys, command, missing):
+    flags = {"--mesh": "m.mesh", "--bc": "bc.csv", "--out": "o.csv"}
+    argv = [x for flag, name in flags.items() if flag != missing for x in (flag, str(tmp_path / name))]
+    assert main(["--command", command] + argv) == 2
+    assert capsys.readouterr().err == f"error: {command} needs --mesh, --bc and --out\n"
+
+
 def assert_one_error_line(capsys, path):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
@@ -226,6 +251,13 @@ def test_csv_listing_a_node_twice_exits_2(tmp_path, capsys, command):
     assert code == 2
     err = assert_one_error_line(capsys, bc)
     assert "line 4" in err and "node 1" in err and "twice" in err
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_minimize_with_a_boundary_csv_without_rows_exits_2(tmp_path, capsys):
+    code, _, _ = run_with(tmp_path, "minimize", "gfe-mesh 1\n3\n0.0\n0.5\n1.0\n2\n0 1\n1 2\n", [])
+    assert code == 2
+    assert capsys.readouterr().err == "error: boundary CSV fixes no nodes\n"
     assert not (tmp_path / "o.csv").exists()
 
 

@@ -22,7 +22,7 @@ from gfe import (
 )
 from gfe import geodesic
 from gfe.energy import _assembly, _free_scatter, _gradient_terms, _layout, _scatter
-from gfe.errors import LineSearchFailure, SingularSystemError
+from gfe.errors import CutLocusError, LineSearchFailure, SingularSystemError
 from gfe.kernels import _expm_skew, _hat
 from gfe.sampling import random_configuration, random_point
 from helpers import (
@@ -279,6 +279,29 @@ def test_minimize_great_circle_benchmark():
     assert abs(report.value - 0.5 * (np.pi / 2) ** 2) <= 1e-6
     # descent monotonicity
     assert all(b <= a for a, b in zip(energies, energies[1:]))
+
+
+@pytest.mark.parametrize("rule", ["geodesic", "projection"])
+def test_a_trial_state_that_fails_to_evaluate_is_backtracked(monkeypatch, rule):
+    # the first trial, a full step, raises as a state at the cut locus would:
+    # the line search halves the step, and descent reaches the same minimizer
+    u0, _ = bumped_great_circle(4, 1, rule=rule)
+    fixed = set(u0.grid.boundary_nodes)
+    want, _ = minimize(u0, fixed, tol=1e-8)
+    failed = []
+
+    def failing(u):
+        if u is not u0 and not failed:
+            failed.append(u)
+            raise CutLocusError("trial state at the cut locus")
+        return dirichlet_energy(u)
+
+    monkeypatch.setattr(gfe.energy, "dirichlet_energy", failing)
+    energies = []
+    u, report = minimize(u0, fixed, tol=1e-8, callback=lambda k, e, g: energies.append(e))
+    assert len(failed) == 1 and report.converged
+    assert np.max(np.abs(u.values - want.values)) <= 1e-7
+    assert all(b < a for a, b in zip(energies, energies[1:]))
 
 
 def test_minimize_equivariance_under_rotation():

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gfe
@@ -24,6 +24,7 @@ from gfe.energy import (
     simplex_quadrature,
 )
 from gfe.errors import CutLocusError, IndefiniteHessianError, NonConvergenceError, SingularSystemError
+from gfe.grid import _RULES
 from gfe.jacobi import _basis_ref_gradients
 from gfe.sampling import random_configuration, random_tangent
 from helpers import start_newton_at
@@ -63,6 +64,40 @@ def test_batched_results_equal_per_point_results(man, rule, order):
         q1, mats1 = single.d_dv_all(xi)
         assert np.max(np.abs(qv[p] - q1)) <= 1e-14
         assert np.max(np.abs(mats[p] - mats1)) <= 1e-14
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("rule", ["geodesic", "projection"])
+@pytest.mark.parametrize("man", [S2, SO3], ids=lambda m: m.kind)
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+@example(seed=2302328032)   # SO(3) geodesic, 1d order 2: a one-point batch's inverse took another matmul loop
+def test_stacked_values_equal_per_point_values_bit_for_bit(man, rule, d, order, seed):
+    # a batch takes the same arithmetic as each of its points alone, so the
+    # values agree exactly; derivatives promise only agreement to rounding
+    rng = np.random.default_rng(seed)
+    elem = ReferenceElement(d, order)
+    interp = _RULES[rule](elem, random_configuration(man, elem.m, rng, radius=0.3), man)
+    xis = rng.dirichlet(np.ones(d + 1), size=8)[:, 1:]
+    assert np.array_equal(interp.eval(xis), np.stack([interp.eval(xi) for xi in xis]))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("rule", ["geodesic", "projection"])
+@pytest.mark.parametrize("man", MANIFOLDS, ids=lambda m: m.kind)
+def test_empty_batches_give_empty_arrays(man, rule, d):
+    elem = ReferenceElement(d, 2)
+    interp = _RULES[rule](elem, random_configuration(man, elem.m, np.random.default_rng(0), radius=0.3), man)
+    xi = np.zeros((0, d))
+    shape, dim = man.point_shape, man.intrinsic_dim
+    assert interp.eval(xi).shape == (0,) + shape
+    q, cols = interp.d_dxi(xi)
+    assert q.shape == (0,) + shape and cols.shape == (0, d) + shape
+    q, mats = interp.d_dv_all(xi)
+    assert q.shape == (0,) + shape and mats.shape == (0, elem.m, dim, dim)
+    u = two_element_function(man, rule, 2)
+    assert u.local([]).eval(np.zeros((0, 2))).shape == (0,) + shape
 
 
 @pytest.mark.parametrize("rule", ["geodesic", "projection"])

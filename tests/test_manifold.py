@@ -740,7 +740,7 @@ def test_series_helpers_match_mpmath_on_both_sides_of_their_cutoffs(fn, exact):
 
 
 @settings(max_examples=200, deadline=None)
-@given(n=st.integers(1, 3), seed=st.integers(0, 2**32 - 1), log_cond=st.floats(0.0, 8.0),
+@given(n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1), log_cond=st.floats(0.0, 8.0),
        smallest=st.sampled_from([1e-10 * (1.0 - 1e-3), 1e-10 * (1.0 + 1e-3), 1e-3, 1.0]))
 def test_closed_form_inverse_and_definiteness_agree_with_lapack(n, seed, log_cond, smallest):
     """On stacks of SPD matrices with condition numbers k up to 1e8, the
