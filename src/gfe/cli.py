@@ -310,7 +310,7 @@ def cmd_minimize(args) -> int:
         grid = _read_grid(args.mesh, args.order)
         data = _read_nodal_values(args.bc, man, grid.n_nodes)
         if not data:
-            raise ValueError("boundary CSV fixes no nodes")
+            raise ValueError(f"{args.bc}: boundary CSV fixes no nodes")
         u0 = GFEFunction(grid, man, args.rule, _relaxed_start(grid, man, data))
         dirichlet_energy(u0)    # kept with u0, so minimize solves no more
     except (OSError, ValueError, GFEError) as exc:

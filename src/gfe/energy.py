@@ -182,9 +182,9 @@ def _gradient_terms(u: GFEFunction, metric: bool = False):
     # term (i, j): the weighted integrand of the directional derivative
     # along basis field (i, j), whose physical gradient is G[:, i, j] @ Binv;
     # u's gradient enters through its tangent_basis(q) coefficients EGu, as
-    # C = EGu Binv^T, [p, l, a]
+    # C = (EGu Binv^T)^T = Binv EGu^T, [p, l, a]
     EGu = man._flat(a.center.basis) @ a.Gu                               # (P, dim, d)
-    C = (EGu @ Binv.swapaxes(1, 2)).swapaxes(1, 2)
+    C = Binv @ EGu.swapaxes(1, 2)
     if not metric:      # the route of the gradient alone, which need not form G
         terms = a.interp._basis_gradient_terms(a.center, C)
         return _scatter(dofs, terms * a.w[:, None, None], grid.n_nodes, dim), None, None

@@ -24,7 +24,8 @@ batch-last, in the rank-one forms of the manifold module.  The energy's
 gradient pairs them with u's gradient in reverse mode
 (``_basis_gradient_terms``): one covector per (point, node) pair goes
 through the transported frame, and no gradient, third derivative, mixed
-block or frame is formed; its metric, their Gram matrix, forms them.  H is
+block or frame is formed, nor any array larger than the log coefficients;
+its metric, their Gram matrix, forms them.  H is
 inverted by ``kernels._sym_inv`` in closed form and certified by
 Sylvester's test on H - 1e-10 I.
 
@@ -70,7 +71,7 @@ from .errors import (
 )
 from .jacobi import Interpolant
 from .kernels import _near_cut, _positive_definite, _sym_inv
-from .manifold import Manifold, Sphere, _batch_last, _eye
+from .manifold import Manifold, Sphere, _batch_last, _batch_last_view, _eye
 
 # contract bound on the stationarity residual, and the tighter target the
 # iteration aims for (quadratic convergence makes the target nearly free;
@@ -321,22 +322,23 @@ class GeodesicInterpolant(Interpolant):
     def _batch_last_center(self, c: _Solution, *extra):
         """The center c batch-last as Manifold._dist2_third takes it: phi (m, ...),
         dphi (d, m, ...), v, q, Eq, u, X = dq/dxi (d, dim, 1, ...), H^-1 (dim, dim, 1, ...),
-        H_xi (d, dim, dim, 1, ...), then the matrices extra (..., s, dim) as (s, dim, 1, ...)."""
+        H_xi (d, dim, dim, 1, ...), then the matrices extra (..., s, dim) as (s, dim, 1, ...);
+        v, q and Eq, which only some frames read, as views, not copies."""
         man, lead = self.manifold, c.log_coeffs.shape[:-2]
         nodes, point = lead + (self.elem.m,), lead + (1,)
-        one = lambda x, k: _batch_last(x.reshape(point + x.shape[len(lead):]), point, k)   # noqa: E731
+        one = lambda x, k: (x.reshape(point + x.shape[len(lead):]), point, k)   # noqa: E731
         return (_batch_last(c.weights, nodes, 0), _batch_last(c.weight_gradients, nodes, 1),
-                _batch_last(man._flat(self.values), nodes, 1), one(man._flat(c.q), 1),
-                one(man._flat(c.basis), 2), _batch_last(c.log_coeffs, nodes, 1),
-                one(c.dq.swapaxes(-1, -2), 2), one(c.hessian_inv, 2), one(c.hessian_xi, 3),
-                *(one(x, 2) for x in extra))
+                _batch_last_view(man._flat(self.values), nodes, 1), _batch_last_view(*one(man._flat(c.q), 1)),
+                _batch_last_view(*one(man._flat(c.basis), 2)), _batch_last(c.log_coeffs, nodes, 1),
+                _batch_last(*one(c.dq.swapaxes(-1, -2), 2)), _batch_last(*one(c.hessian_inv, 2)),
+                _batch_last(*one(c.hessian_xi, 3)), *(_batch_last(*one(x, 2)) for x in extra))
 
     def _basis_values(self, c: _Solution):
         """Values of the nodal basis fields from the center c, (..., m,
         dim, dim), entry [i, j, a] the tangent_basis(q)[a] coefficient of field
         (i, j): V_i = dq/dv_i = -phi_i H^-1 K_i with K_i = dist2_mixed(v_i, q)."""
         man, (phi, _, v, q, Eq, u, _, Hinv, _) = self.manifold, self._batch_last_center(c)
-        K = man._mixed(v, q, Eq, u, *man._curvature_ratios(u, 2))[-1]
+        K = man._mixed(v, q, Eq, u, *man._curvature_ratios(u))[-1]
         return (-phi * np.einsum("ac...,cb...->ab...", Hinv, K)).T
 
     def _basis_gradients(self, c: _Solution):
@@ -367,23 +369,27 @@ class GeodesicInterpolant(Interpolant):
         d_X Hess_l) lam_l and kappa_i = phi_i H^-1 mu - sum_l dphi_il lam_l, is
 
             terms_i = K_i^T kappa_i - phi_i (d_X K_i)^T lam
-                    = T^T (-2 a kappa_i - phi_i z) + w (2 s <kappa_i, u> + 2 phi_i g1 <lam, PX>)
+                    = T^T (-2 a kappa_i - 2 phi_i g3 P S u_i) + 2 w (s <kappa_i, u_i> + phi_i g1 <lam, PX>)
 
-        in the factors of Manifold._dist2_third (-2 kappa_i where v_i = q): T is
-        applied to one covector per (point, node) pair, and no block is formed."""
-        man = self.manifold
+        in the factors of Manifold._dist2_third (-2 kappa_i where v_i = q), the s directions
+        contracted per point first into M = sum_l lam_l X_l^T, S = M + M^T: <lam, PX> = tr M -
+        <n_i, M n_i> and sum_l (d_X Hess_l) lam_l = -2 (M U + (M^T + tr M) Y - sum_i phi_i (g1 +
+        2 g2) <n_i, M n_i> u_i), U, Y the sums of phi_i g1 u_i, phi_i g2 u_i.  T gets one covector
+        per (point, node) pair, and no array outgrows u (dim, m, ...)."""
+        man, K = self.manifold, self.manifold._model_curvature
         phi, dphi, v, q, Eq, u, X, Hinv, H_xi, lam = self._batch_last_center(c, C @ c.hessian_inv)
-        r, (a, s, g1, g3), n, uX, nX, PX, f, y = man._third_factors(u, X, phi)
-        ln, ly = (lam * n).sum(1), (lam * y).sum(1)                         # (s, m, ...)
-        # d_X Hess lam = -2 (F I + D + D^T) lam, with F and D of _dist2_third
-        Y = y.sum(1, keepdims=True)
-        point = (f.sum(1, keepdims=True)[:, None] * lam + X * (Y * lam).sum(1)[:, None]
-                 + (X * lam).sum(1)[:, None] * Y).sum(0)
-        nodes = (n * (f * ln + nX * ly).sum(0) + y * (nX * ln).sum(0)).sum(1, keepdims=True)
-        mu = (H_xi * lam[:, None]).sum((0, 2)) - 2.0 * (point - nodes)     # (dim, 1, ...)
-        kappa = phi * (Hinv * mu).sum(1) - (dphi[:, None] * lam).sum(0)     # (dim, m, ...)
-        # (d_X K_i)^T lam = T^T z - 2 g1 <PX, lam> w, z = 2 g3 sum_l (<u, X_l> P lam_l + <u, lam_l> PX_l)
-        z = (2.0 * g3) * (uX[:, None] * (lam - ln[:, None] * n) + (lam * u).sum(1)[:, None] * PX).sum(0)
-        Tx, w = man._transported_adjoint(v, q, Eq, u, -2.0 * a * kappa - phi * z)
-        terms = Tx + w * (2.0 * (s * (kappa * u).sum(0) + phi * g1 * (lam * PX).sum((0, 1))))
-        return np.where(r < 1e-15, -2.0 * kappa, terms).T
+        r, F = man._curvature_ratios(u)
+        a, s, g1, g3 = F
+        M = np.einsum("la...,lb...->ab...", lam, X)                          # (dim, dim, 1, ...)
+        tr = (lam * X).sum((0, 1))
+        Su = np.einsum("ab...,b...->a...", M + M.swapaxes(0, 1), u)          # (dim, m, ...)
+        nMn = (0.5 * (u * Su).sum(0)) / np.where(r < 1e-15, np.inf, r * r)
+        pg1 = phi * g1
+        weights = np.stack([pg1, pg1 + K * phi, (3.0 * pg1 + 2.0 * K * phi) * nMn])
+        U, Y, V = np.einsum("ki...,ai...->ka...", weights, u)[:, :, None]   # (dim, 1, ...) each
+        mu = (H_xi * lam[:, None]).sum((0, 2)) - 2.0 * ((M * U).sum(1) + (M * Y[:, None]).sum(0) + tr * Y - V)
+        kappa = phi * (Hinv * mu).sum(1) - np.einsum("li...,la...->ai...", dphi, lam[:, :, 0])
+        Su -= (2.0 * nMn) * u                                               # P S u
+        Tx, w = man._transported_adjoint(v, q, Eq, u, (-2.0 * a) * kappa - (2.0 * phi * g3) * Su, F)
+        Tx += w * (2.0 * (s * (kappa * u).sum(0) + pg1 * (tr - nMn)))
+        return np.where(r < 1e-15, -2.0 * kappa, Tx).T

@@ -1,12 +1,12 @@
 """Closed-form numeric kernels shared by the manifolds.
 
-- Ratios of trigonometric functions of an angle t (sin(t)/t, t/sin(t),
-  t*cot(t), ...) with Taylor-series fallbacks below a cutoff of their own,
-  a multiple of ``_SERIES_CUTOFF``, so none of them divides by a vanishing
-  angle.  Each series runs to t**6 and each cutoff lies where its closed
-  form has stopped losing eps/t**2 to cancellation: both branches stay
-  within about 5e-13 relative.  One table holds them all; ``_ratios``
-  evaluates the four of the distance derivatives in one stacked call.
+- Ratios of trigonometric functions of an angle t.  sin(t)/t, (1 - cos(t))/t**2
+  = sinc(t/2)**2/2 and t*cot(t) = cos(t)/sinc(t) cancel nowhere: plain closed
+  forms, sin(t)/t guarded at t = 0.  The four of the distance derivatives take
+  Taylor series (to t**6) below cutoffs of their own, multiples of
+  ``_SERIES_CUTOFF`` where the closed forms have stopped losing eps/t**2 to
+  cancellation, so both branches stay within about 5e-13 relative and none
+  divides by a vanishing angle; ``_ratios`` evaluates them in one stacked call.
 - The inverse and Sylvester's definiteness test of small symmetric
   matrices, stacked with the batch axes last, in closed form.
 - Functions of 3x3 rotation matrices: hat and vee, the Rodrigues
@@ -36,67 +36,54 @@ def _near_cut(angle) -> np.ndarray:
     return angle > np.pi - _CUT_TOL
 
 
-# One row per ratio of an angle t, c = t*cot(t): the multiple of _SERIES_CUTOFF
-# below which it takes its series, then the coefficients of t**0 .. t**6.
+# One row per ratio of an angle t that cancels, c = t*cot(t): the multiple of
+# _SERIES_CUTOFF below which it takes its series, then the coefficients of t**0 .. t**6.
 _RATIO_TABLE = np.array([
     (1.0, 1.0, 1.0 / 6.0, 7.0 / 360.0, 31.0 / 15120.0),                  # a = t/sin(t)
     (2.5, -1.0 / 6.0, -7.0 / 360.0, -31.0 / 15120.0, -127.0 / 604800.0),  # (1 - a)/t**2
     (1.5, -2.0 / 3.0, -4.0 / 45.0, -4.0 / 315.0, -8.0 / 4725.0),         # (c - c**2 - t**2)/t**2
     (2.5, 1.0 / 3.0, 7.0 / 90.0, 31.0 / 2520.0, 127.0 / 75600.0),        # (1 - c)/t**2 * a
-    (1.0, 1.0, -1.0 / 6.0, 1.0 / 120.0, -1.0 / 5040.0),                  # sin(t)/t
-    (1.0, 0.5, -1.0 / 24.0, 1.0 / 720.0, -1.0 / 40320.0),                # (1 - cos(t))/t**2
-    (1.0, 1.0, -1.0 / 3.0, -1.0 / 45.0, -2.0 / 945.0),                   # c
 ])
 _CUTOFFS = _RATIO_TABLE[:, 0] * _SERIES_CUTOFF
 
 
-def _series_or(t, rows, closed):
-    """The ratios _RATIO_TABLE[rows] (an index, or a slice stacking them first)
-    at the angles t: closed(t), at where(|t| < _SERIES_CUTOFF, 1, t) so that
-    none divides by a vanishing angle, or each row's series below its cutoff
-    (_CUTOFFS), read only then; one Horner pass and one np.where for all rows."""
+def _ratios(t, rows: int) -> np.ndarray:
+    """The first ``rows`` (at most 4) ratios of _RATIO_TABLE at the angles t, stacked
+    (rows, *t.shape): the closed forms, sharing sin(t) and tan(t), at where(|t| <
+    _SERIES_CUTOFF, 1, t), or each row's series below its cutoff (_CUTOFFS), read
+    only then; one Horner pass and one np.where for all rows."""
+
+    def closed(t):
+        sn, tt, c = np.sin(t), t * t, t / np.tan(t)
+        a = t / sn
+        return np.stack([a, (1.0 - a) / tt, (c - c * c - tt) / tt, (1.0 - c) / (t * sn)][:rows])
+
     t = np.asarray(t, dtype=float)
-    if np.abs(t).min(initial=np.inf) >= _CUTOFFS[rows].max():
+    if np.abs(t).min(initial=np.inf) >= _CUTOFFS[:rows].max():
         return closed(t)
-    table = _RATIO_TABLE.T[:, rows]
-    table = table.reshape(table.shape + (1,) * t.ndim)
-    small = np.abs(t) < table[0] * _SERIES_CUTOFF
+    table = _RATIO_TABLE.T[:, :rows].reshape((5, rows) + (1,) * t.ndim)
     t2 = t * t
     series = table[4]
     for c in table[3:0:-1]:
         series = c + t2 * series
-    return np.where(small, series, closed(np.where(np.abs(t) < _SERIES_CUTOFF, 1.0, t)))
-
-
-def _ratios(t, rows: int) -> np.ndarray:
-    """The first ``rows`` (2 or 4) ratios of _RATIO_TABLE at the angles t,
-    stacked (rows, *t.shape), their closed forms sharing sin(t) and tan(t)."""
-
-    def closed(t):
-        sn, tt = np.sin(t), t * t
-        a = t / sn
-        out = [a, (1.0 - a) / tt]
-        if rows > 2:
-            c = t / np.tan(t)
-            out += [(c - c * c - tt) / tt, (1.0 - c) / (t * sn)]
-        return np.stack(out)
-
-    return _series_or(t, slice(0, rows), closed)
+    return np.where(np.abs(t) < table[0] * _SERIES_CUTOFF, series,
+                    closed(np.where(np.abs(t) < _SERIES_CUTOFF, 1.0, t)))
 
 
 def _sinc(t):
     """sin(t)/t."""
-    return _series_or(t, 4, lambda t: np.sin(t) / t)
+    t = np.asarray(t, dtype=float)
+    return np.divide(np.sin(t), t, out=np.ones_like(t), where=t != 0.0)
 
 
 def _one_minus_cos_over_sq(t):
-    """(1 - cos(t))/t**2."""
-    return _series_or(t, 5, lambda t: (1.0 - np.cos(t)) / (t * t))
+    """(1 - cos(t))/t**2 = sinc(t/2)**2/2."""
+    return 0.5 * _sinc(0.5 * np.asarray(t, dtype=float)) ** 2
 
 
 def _t_cot(t):
-    """t*cot(t)."""
-    return _series_or(t, 6, lambda t: t / np.tan(t))
+    """t*cot(t) = cos(t)/sinc(t)."""
+    return np.cos(t) / _sinc(t)
 
 
 # ----------------------------------------------------------------------
@@ -169,15 +156,10 @@ _SKEW_BASIS = _HATS / np.sqrt(2.0)
 _SYMMETRIC_AXIS_ANGLE = 0.75 * np.pi
 
 
-def _rodrigues(t):
-    """sin(t)/t and (1 - cos(t))/t**2, stacked on a new first axis, under one mask."""
-    return _series_or(t, slice(4, 6), lambda t: np.stack([np.sin(t) / t, (1.0 - np.cos(t)) / (t * t)]))
-
-
 def _expm_skew(S: np.ndarray) -> np.ndarray:
     """Matrix exponential of 3x3 skew matrices (Rodrigues form)."""
-    sinc, cos2 = _rodrigues(np.linalg.norm(_vee(S), axis=-1)[..., None, None])
-    return np.eye(3) + sinc * S + cos2 * (S @ S)
+    t = np.linalg.norm(_vee(S), axis=-1)[..., None, None]
+    return np.eye(3) + _sinc(t) * S + _one_minus_cos_over_sq(t) * (S @ S)
 
 
 def _angle_parts(R: np.ndarray):

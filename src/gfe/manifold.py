@@ -66,16 +66,20 @@ T = E_q B_v^T - ((1 - cos r)/r**2) u w^T; on SO(3), where log_q(v) =
 q hat(u)/sqrt(2) and transport is left translation by exp of half the log,
 T = exp(hat(h)) with h = u/(2 sqrt(2)) and hat(h)^2 = h h^T - |h|^2 I, and
 w = -u.  Each manifold applies T^T to one covector x per pair without
-forming T (``_transported_adjoint``), as the energy's reverse-mode gradient
-needs: E_q^T x, B_v E_q^T x - ((1 - cos r)/r**2) <u, x> w and
-x - sinc h x x + cos2 (h <h, x> - |h|^2 x) with the Rodrigues pair of |h|;
+forming T (``_transported_adjoint``), so that no array of the energy's
+reverse-mode gradient outgrows u (dim, m, P): E_q^T x, B_v E_q^T x - ((1 -
+cos r)/r**2) <u, x> w and x - sinc h x x + cos2 (h <h, x> - |h|^2 x);
 ``_transported_basis`` forms T as T^T applied to the identity.  The ratios
-a, s, g1 and g3 of rho come from one stacked ``kernels._ratios`` call.
+a, s, g1 and g3 of rho come from one stacked ``kernels._ratios`` call, and
+so does the Rodrigues pair of |h| = rho: sin(rho)/rho = 1/a and (1 - cos
+rho)/r**2 = (g3/a - s)/a.  sin(t)/t, (1 - cos t)/t**2 and t*cot(t), which
+cancel nowhere, are plain closed forms.
 
 These kernels work batch-last: component axes first, then the node and
-point axes, contiguous, so the 3x3 algebra is elementwise over whole arrays
-of points.  P is never formed; it enters in rank-one form, PX = X - <X, n> n
-and P T = T - n (T^T n)^T.  All operations are pure functions of their inputs.
+point axes, contiguous (the points v, q and Eq, which only some frames
+read, may be views), so the 3x3 algebra is elementwise over whole arrays of
+points.  P is never formed; it enters in rank-one form, PX = X - <X, n> n and
+P T = T - n (T^T n)^T.  All operations are pure functions of their inputs.
 """
 
 from __future__ import annotations
@@ -97,7 +101,6 @@ from .kernels import (
     _polar_derivative,
     _polar_iterates,
     _ratios,
-    _rodrigues,
     _sinc,
     _skew_part,
     _t_cot,
@@ -116,15 +119,19 @@ def _eye(n, ndim=0, cols=None) -> np.ndarray:
     return eye
 
 
-def _batch_last(x, lead, k) -> np.ndarray:
-    """x (..., *comp) with k component axes, its leading axes broadcast to
-    lead, as the contiguous batch-last array (*comp, *reversed(lead)), so that
-    the longest batch axis comes last."""
+def _batch_last_view(x, lead, k) -> np.ndarray:
+    """x (..., *comp) with k component axes, its leading axes broadcast to lead, viewed
+    batch-last as (*comp, *reversed(lead)), so that the longest batch axis comes last."""
     x = np.asarray(x, dtype=float)
     if x.shape[:x.ndim - k] != lead:
         x = np.broadcast_to(x, lead + x.shape[x.ndim - k:])
     nb = len(lead)
-    return np.ascontiguousarray(x.transpose(tuple(range(nb, x.ndim)) + tuple(range(nb - 1, -1, -1))))
+    return x.transpose(tuple(range(nb, x.ndim)) + tuple(range(nb - 1, -1, -1)))
+
+
+def _batch_last(x, lead, k) -> np.ndarray:
+    """_batch_last_view(x, lead, k) as a contiguous array."""
+    return np.ascontiguousarray(_batch_last_view(x, lead, k))
 
 
 def _batch_first(x, k) -> np.ndarray:
@@ -244,31 +251,38 @@ class Manifold:
         a = (_t_cot(np.sqrt(K) * r) if K > 0.0 else np.ones_like(r))[..., None, None]
         return 2.0 * (a * _eye(dim) + (1.0 - a) * (c[..., :, None] * c[..., None, :]))
 
-    def _transported_adjoint(self, v, q, Eq, u, x):
-        """(T^T x, w) of the module docstring, batch-last, for one covector x (dim,
-        ...) per pair, from the flattened tangent_basis(q) Eq (dim, N, ...) and
-        the log coefficients u (dim, ...); on flat space T = Eq."""
+    def _transported_adjoint(self, v, q, Eq, u, x, F=None):
+        """(T^T x, w) of the module docstring, batch-last, for one covector x (dim, ...)
+        per pair, from the flattened tangent_basis(q) Eq (dim, N, ...), the log coefficients
+        u (dim, ...) and F = _curvature_ratios(u)[1] if the caller holds it; on flat space T = Eq."""
         return (Eq * x[:, None]).sum(0), -(Eq * u[:, None]).sum(0)
 
-    def _transported_basis(self, v, q, Eq, u):
+    def _transported_basis(self, v, q, Eq, u, F=None):
         """(w, T), (dim, ...) and (dim, dim, ...): T^T applied to the identity."""
         Tt, w = self._transported_adjoint(v[:, None], q[:, None], Eq[:, :, None], u[:, None],
-                                          _eye(len(u), u.ndim - 1))
+                                          _eye(len(u), u.ndim - 1), F)
         return w[:, 0], Tt.swapaxes(0, 1)
 
-    def _curvature_ratios(self, u, rows):
-        """r = |u| and the stacked kernels._ratios(rho, rows), rho = sqrt(K)*r:
+    def _curvature_ratios(self, u):
+        """r = |u| and the stacked kernels._ratios(rho, 4), rho = sqrt(K)*r:
         a, then s, g1 and g3 times K; on flat space a = 1 and s = g1 = g3 = 0."""
         r = np.sqrt((u * u).sum(0))
         K = self._model_curvature
-        F = _ratios(np.sqrt(K) * r, rows) if K > 0.0 else np.ones((rows,) + r.shape)
-        F[1:4] *= K
+        F = _ratios(np.sqrt(K) * r, 4) if K > 0.0 else np.ones((4,) + r.shape)
+        F[1:] *= K
         return r, F
+
+    def _rodrigues_pair(self, u, F):
+        """sin(rho)/rho and (1 - cos(rho))/|u|**2, rho = sqrt(K)*|u|, from the ratios F =
+        _curvature_ratios(u)[1] (evaluated here when None): 1/a and (g3/a - s)/a."""
+        a, s, _, g3 = self._curvature_ratios(u)[1] if F is None else F
+        sinc = 1.0 / a
+        return sinc, (g3 * sinc - s) * sinc
 
     def _mixed(self, v, q, Eq, u, r, F):
         """(w, T, dist2_mixed(v, q) (dim, dim, ...)) from batch-last v (N, ...),
-        q, Eq and the coefficients u of log_q(v), and r, F = _curvature_ratios(u, rows)."""
-        w, T = self._transported_basis(v, q, Eq, u)
+        q, Eq and the coefficients u of log_q(v), and r, F = _curvature_ratios(u)."""
+        w, T = self._transported_basis(v, q, Eq, u, F)
         # -2*a*Pt(b_j) + 2*s*<b_j, log_v q>*log_q v, column j; s = (1 - a)/r**2,
         # so that no log is divided by r (which costs eps/r near v = q)
         M = 2.0 * (F[1] * u[:, None] * w - F[0] * T)
@@ -295,7 +309,7 @@ class Manifold:
         Equals -2*I where v = q.
         """
         args = self._batch_last_args(v, q, basis_q)
-        return _batch_first(self._mixed(*args, *self._curvature_ratios(args[3], 2))[-1], 2)
+        return _batch_first(self._mixed(*args, *self._curvature_ratios(args[3]))[-1], 2)
 
     def dist2_third(self, v, q, X, weights):
         """Third derivatives of squared distance as q moves, for the weighted
@@ -314,25 +328,19 @@ class Manifold:
             *self._batch_last_args(v, q, None, (np.expand_dims(X, -3), 2), (weights, 0)))
         return _batch_first(mixed, 2), _batch_first(hess_X, 3)[..., 0, :, :, :], _batch_first(mixed_X, 3)
 
-    def _third_factors(self, u, X, phi):
-        """The rank-one factors of dist2_third, batch-last as in _dist2_third: r, F =
-        _curvature_ratios(u, 4) (g1 = c'/r, g3 = (1 - c)*a/r**2), n, <u, X>, <n, X>, PX and, for
-        the weighted Hessian, f = phi g1 <u, X> and y = phi g2 u, g2 = (1 - c)*c/r**2 = g1 + K."""
-        r, F = self._curvature_ratios(u, 4)
+    def _dist2_third(self, v, q, Eq, u, X, phi):
+        """dist2_third batch-last, the node axis 1 for per-point data: v (N, m, ...),
+        q (N, 1, ...), Eq (dim, N, 1, ...), u (dim, m, ...), X (s, dim, 1, ...) and
+        phi (m, ...) give mixed (dim, dim, m, ...), hess_X (s, dim, dim, 1, ...) and mixed_X
+        (s, dim, dim, m, ...); f = phi g1 <u, X> and y = phi g2 u, g2 = (1 - c)*c/r**2 = g1 + K."""
+        r, F = self._curvature_ratios(u)
+        g1, g3 = F[2], F[3]
         # n = u/r (0 where v = q) enters only through P and terms of order r,
         # so its eps/r error near v = q costs nothing
         n = u / np.where(r < 1e-15, np.inf, r)
         uX, nX = (X * u).sum(1), (X * n).sum(1)                             # (s, m, ...)
         PX = X - nX[:, None] * n                                            # (s, dim, m, ...)
-        return r, F, n, uX, nX, PX, phi * F[2] * uX, phi * (F[2] + self._model_curvature) * u
-
-    def _dist2_third(self, v, q, Eq, u, X, phi):
-        """dist2_third batch-last, the node axis 1 for per-point data: v (N, m, ...),
-        q (N, 1, ...), Eq (dim, N, 1, ...), u (dim, m, ...), X (s, dim, 1, ...) and
-        phi (m, ...) give mixed (dim, dim, m, ...), hess_X (s, dim, dim, 1, ...)
-        and mixed_X (s, dim, dim, m, ...)."""
-        r, F, n, uX, nX, PX, f, y = self._third_factors(u, X, phi)
-        g1, g3 = F[2], F[3]
+        f, y = phi * g1 * uX, phi * (g1 + self._model_curvature) * u
         w, T, mixed = self._mixed(v, q, Eq, u, r, F)
         Tn, XPT = (T * n[:, None]).sum(0), (PX[:, :, None] * T).sum(1)      # T^T n, (PX)^T T
         # mixed_X = 2 (g3 (<u, X> p_j + <p_j, X> u) - g1 <log_v q, b_j> PX), column j,
@@ -504,15 +512,16 @@ class Sphere(Manifold):
         turn = _one_minus_cos_over_sq(t) * u + _sinc(t) * np.asarray(p, dtype=float)
         return w - _inner(w, u) * turn
 
-    def _transported_adjoint(self, v, q, Eq, u, x):
+    def _transported_adjoint(self, v, q, Eq, u, x, F=None):
         # T^T x = B (Eq^T x) - ((1 - cos r)/r**2) <u, x> w, B = tangent_basis(v)
-        # with its entry [b, k] at [k, b], and w = B log_v(q)
-        r = np.sqrt((u * u).sum(0))
-        log_vq = r * np.sin(r) * q - np.cos(r) * (u[:, None] * Eq).sum(0)
+        # with its entry [b, k] at [k, b], and w = B log_v(q) = B (r sin(r) q - cos(r) Eq^T u)
+        sinc, cos2 = self._rodrigues_pair(u, F)
+        r2 = (u * u).sum(0)
+        log_vq = (r2 * sinc) * q - (1.0 - r2 * cos2) * (u[:, None] * Eq).sum(0)
         B = self.tangent_basis(v.T).T
         w = (B * log_vq[:, None]).sum(0)
         Bx = (B * (Eq * x[:, None]).sum(0)[:, None]).sum(0)
-        return Bx - _one_minus_cos_over_sq(r) * (u * x).sum(0) * w, w
+        return Bx - cos2 * (u * x).sum(0) * w, w
 
     def _projectable(self, w) -> np.ndarray:
         w = np.asarray(w, dtype=float)
@@ -611,14 +620,14 @@ class Rotation3(Manifold):
         E = _expm_skew(0.5 * _skew_part(Q1t @ (self.log(p, q) if log_pq is None else np.asarray(log_pq))))
         return Q1t.swapaxes(-1, -2) @ E @ _skew_part(Q1t @ np.asarray(w, dtype=float)) @ E
 
-    def _transported_adjoint(self, v, q, Eq, u, x):
-        # T = exp(hat(h)), h = u/(2 sqrt(2)), by Rodrigues with hat(h)^2 = h h^T - |h|^2 I;
-        # the cross product of T^T x by components (np.cross moves axes)
-        h = u / (2.0 * np.sqrt(2.0))
-        t2 = (h * h).sum(0)
-        sinc, cos2 = _rodrigues(np.sqrt(t2))
-        hx = h[[1, 2, 0]] * x[[2, 0, 1]] - h[[2, 0, 1]] * x[[1, 2, 0]]
-        return x - sinc * hx + cos2 * (h * (h * x).sum(0) - t2 * x), -u
+    def _transported_adjoint(self, v, q, Eq, u, x, F=None):
+        # T = exp(hat(h)), h = sqrt(K) u, by Rodrigues with hat(h)^2 = h h^T - |h|^2 I;
+        # the cross product u x x from the components (np.cross moves axes)
+        sinc, cos2 = self._rodrigues_pair(u, F)
+        (u0, u1, u2), (x0, x1, x2) = u, x
+        ux = np.stack([u1 * x2 - u2 * x1, u2 * x0 - u0 * x2, u0 * x1 - u1 * x0])
+        Tx = (cos2 * (u * x).sum(0)) * u + (1.0 - cos2 * (u * u).sum(0)) * x
+        return Tx - (math.sqrt(self._model_curvature) * sinc) * ux, -u
 
     def _projectable(self, w) -> np.ndarray:
         return np.linalg.det(_as_matrices(w)) > _PROJECTION_FLOOR

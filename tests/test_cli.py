@@ -257,7 +257,7 @@ def test_csv_listing_a_node_twice_exits_2(tmp_path, capsys, command):
 def test_minimize_with_a_boundary_csv_without_rows_exits_2(tmp_path, capsys):
     code, _, _ = run_with(tmp_path, "minimize", "gfe-mesh 1\n3\n0.0\n0.5\n1.0\n2\n0 1\n1 2\n", [])
     assert code == 2
-    assert capsys.readouterr().err == "error: boundary CSV fixes no nodes\n"
+    assert capsys.readouterr().err == f"error: {tmp_path / 'bc.csv'}: boundary CSV fixes no nodes\n"
     assert not (tmp_path / "o.csv").exists()
 
 
@@ -428,6 +428,15 @@ def test_call_counts_tool_reports_one_minimize(tmp_path):
     report = json.loads(proc.stdout)
     assert report["total_calls"] > 0
     assert (report["center_solves"], report["newton_linearizations"], report["descent_iterations"]) == (3, 6, 3)
+
+
+def test_call_counts_tool_reports_the_warm_so3_memory(tmp_path):
+    tool = Path(__file__).resolve().parents[1] / "tools" / "call_counts.py"
+    proc = subprocess.run([sys.executable, str(tool)], cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert 0 < report["so3_peak_kb"] < 600
+    assert report["so3_faults_per_op"] >= 0
 
 
 @pytest.mark.parametrize("bad_node", [9, -1])
