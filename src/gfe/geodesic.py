@@ -29,10 +29,14 @@ its metric, their Gram matrix, forms them.  H is
 inverted by ``kernels._sym_inv`` in closed form and certified by
 Sylvester's test on H - 1e-10 I.
 
-Newton starts from the projection-based interpolant where a projection
-exists and from the nodal value with the largest weight otherwise; steps are
-halved (up to 20 times) whenever the residual does not decrease, which keeps
-the iteration stable for second-order weights that take negative values.
+On a two-node element Newton starts at the center itself, the geodesic
+point exp_{v_1}(phi_2 log_{v_1} v_2), finds the residual at its target and
+makes no step: the solve is one linearization, the one the derivatives
+read.  Where that log is at the cut locus, and on larger elements, Newton
+starts from the projection-based interpolant where a projection exists and
+from the nodal value with the largest weight otherwise; steps are halved
+(up to 20 times) whenever the residual does not decrease, which keeps the
+iteration stable for second-order weights that take negative values.
 
 Every evaluation is batched: reference points may carry leading axes, and
 so may the nodal values of an interpolant built over several elements at
@@ -155,6 +159,20 @@ def _logs(man: Manifold, q, values, weights):
 
 
 def _initial_guess(man: Manifold, values, weights) -> np.ndarray:
+    """On a two-node element the center itself, exp_{v_1}(phi_2 log_{v_1} v_2),
+    where that log is defined; elsewhere the projection of the weighted
+    embedding sum, else the heaviest nodal value."""
+    if values.shape[1] == 2:
+        log, angle = man._log(values[:, 0], values[:, 1])
+        q = man.exp(values[:, 0], weights[:, 1].reshape((-1,) + (1,) * (log.ndim - 1)) * log)
+        cut = _near_cut(angle).nonzero()[0]
+        if len(cut):
+            q[cut] = _projected_guess(man, values[cut], weights[cut])
+        return q
+    return _projected_guess(man, values, weights)
+
+
+def _projected_guess(man: Manifold, values, weights) -> np.ndarray:
     """Projection of the weighted embedding sum, else the heaviest nodal value."""
     q = values[np.arange(len(weights)), weights.argmax(1)]
     sums = (weights[:, None, :] @ _flat_rows(values, 2))[:, 0].reshape(q.shape)

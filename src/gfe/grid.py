@@ -90,6 +90,8 @@ def read_mesh(path, lines: bool = False):
 
     try:
         dim = int(rows[0][1][1])
+        if dim not in (1, 2):
+            raise ValueError(f"dimension must be 1 or 2, got {dim}")
         nv = count()
         vertices = np.array([numbers(_finite_float, dim) for _ in range(nv)]).reshape(nv, dim)
         ne = count()

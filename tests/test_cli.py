@@ -1,4 +1,5 @@
 import contextlib
+import importlib.util
 import io
 import json
 import os
@@ -337,6 +338,14 @@ def test_mesh_negative_count_names_the_line(tmp_path, capsys, mesh_text, line):
     assert f"line {line}: malformed mesh: negative count" in err
 
 
+@pytest.mark.parametrize("dim", [0, -1, 3])
+def test_mesh_header_dimension_outside_1_and_2_names_line_1(tmp_path, capsys, dim):
+    code = run_interpolate_on_text(tmp_path, GOOD_MESH.replace("gfe-mesh 1", f"gfe-mesh {dim}"), GOOD_CSV)
+    assert code == 2
+    assert capsys.readouterr().err == (f"error: {tmp_path / 'm.mesh'}: line 1: malformed mesh: "
+                                       f"dimension must be 1 or 2, got {dim}\n")
+
+
 def test_csv_value_off_the_manifold_names_the_line(tmp_path, capsys):
     csv_text = "# nodes\n" + GOOD_CSV.replace("2,0,0,1", "2,2,0,0")
     code = run_interpolate_on_text(tmp_path, GOOD_MESH, csv_text)
@@ -411,6 +420,20 @@ def test_cli_outputs_tool_writes_its_inputs(tmp_path):
         assert set(read_nodal_csv(tmp_path / f"bc_sphere2_{p}.csv", 3)) == grid.boundary_nodes
 
 
+def test_ab_tools_give_both_sides_paths_of_equal_length(tmp_path):
+    # the length of a run's paths alone moves its peak RSS and set-up time;
+    # tools/cli_outputs.py takes its copies and run directories from the same helper
+    tool = Path(__file__).resolve().parents[1] / "tools" / "ab_pairs.py"
+    spec = importlib.util.spec_from_file_location("ab_pairs", tool)
+    ab_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ab_pairs)
+    for root in (tmp_path, tmp_path / "runs"):
+        dirs = ab_pairs.side_dirs(root)
+        assert set(dirs) == {"base", "change"} and dirs["base"] != dirs["change"]
+        assert len(str(dirs["base"])) == len(str(dirs["change"]))
+        assert all(d.parent == root for d in dirs.values())
+
+
 def test_minimize_scale_tool_reports_one_run(tmp_path):
     tool = Path(__file__).resolve().parents[1] / "tools" / "minimize_scale.py"
     proc = subprocess.run([sys.executable, str(tool), "2", "1", "geodesic"], cwd=tmp_path, capture_output=True,
@@ -427,7 +450,7 @@ def test_call_counts_tool_reports_one_minimize(tmp_path):
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert report["total_calls"] > 0
-    assert (report["center_solves"], report["newton_linearizations"], report["descent_iterations"]) == (3, 6, 3)
+    assert (report["center_solves"], report["newton_linearizations"], report["descent_iterations"]) == (3, 3, 3)
 
 
 def test_call_counts_tool_reports_the_warm_so3_memory(tmp_path):

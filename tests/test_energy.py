@@ -387,8 +387,8 @@ def test_descent_work_per_state(monkeypatch):
     quarter circle on 4 order-1 elements, tol 1e-6, its start's record warm)
     evaluates no shape function (the layout holds them), runs no exact spread
     test (the Gram screen passes it), takes the nodal frames once per accepted
-    state, and linearizes a Newton batch whose points are all active on the
-    solve's own arrays, with no gather."""
+    state, and linearizes each Newton batch once, at the two-node elements'
+    geodesic start, with all its points active, on the solve's own arrays."""
     u0, _ = bumped_great_circle(4, 1)
     R = np.linalg.qr(np.random.default_rng(7).standard_normal((3, 3)))[0]
     u0 = u0.with_values(u0.values @ R.T)
@@ -414,6 +414,7 @@ def test_descent_work_per_state(monkeypatch):
 
     def linearize(man, values, *args):
         full = len(values) == len(solved[-1])
+        counts["linearizations"] += 1
         counts["full passes"] += full
         counts["gathered full passes"] += full and not np.shares_memory(values, solved[-1])
         return real_linearize(man, values, *args)
@@ -421,8 +422,8 @@ def test_descent_work_per_state(monkeypatch):
     monkeypatch.setattr(geodesic, "_linearize", linearize)
     _, report = minimize(u0, fixed=set(u0.grid.boundary_nodes), tol=1e-6)
     assert report.converged and report.iterations == 3
-    assert len(solved) == 3 and counts["full passes"] >= 3
-    assert counts["tangent_basis"] <= 14
+    assert len(solved) == 3 and counts["full passes"] == counts["linearizations"] == len(solved)
+    assert counts["tangent_basis"] <= 11
     assert not any(counts[k] for k in ("shape_values", "shape_gradients", "_max_spread",
                                        "gathered full passes"))
 

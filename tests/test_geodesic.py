@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import gfe
 from gfe import GeodesicInterpolant, ReferenceElement, geodesic
 from gfe.errors import (
     AdmissibilityError,
+    CutLocusError,
     IndefiniteHessianError,
     NonConvergenceError,
 )
@@ -148,6 +149,94 @@ def test_indefinite_hessian_at_engineered_saddle(monkeypatch):
     start_newton_at(monkeypatch, np.array([-1.0, 0.0, 0.0]))
     with pytest.raises(IndefiniteHessianError):
         gi._solve([0.5])
+
+
+# ----------------------------------------------------------------------
+# two-node elements: Newton starts at the geodesic point
+
+
+def pair_at_angle(man, rng, angle) -> np.ndarray:
+    """(2, *point_shape): a random point and the point at the given angle of
+    ``Manifold._log`` from it, along a random unit direction."""
+    v1 = random_point(man, rng)
+    c = rng.standard_normal(man.intrinsic_dim)
+    c *= angle * man._dist_per_angle / np.linalg.norm(c)
+    return np.stack([v1, man.exp(v1, np.tensordot(c, man.tangent_basis(v1), axes=1))])
+
+
+def assert_batch_equals_points(elem, pairs, man, xi):
+    """Solve every (pair, xi) point in one batch over the stacked pairs and
+    each one alone: the centers and residuals agree bit for bit.  Returns the batch."""
+    sol = GeodesicInterpolant(elem, pairs[:, None], man, _checked=True)._solve(xi)
+    for e, pair in enumerate(pairs):
+        single = GeodesicInterpolant(elem, pair, man)
+        for k in range(len(xi)):
+            alone = single._solve(xi[k])
+            assert np.array_equal(sol.q[e, k], alone.q) and sol.residual[e, k] == alone.residual
+    return sol
+
+
+@settings(max_examples=60, deadline=None)
+@given(man=st.sampled_from([S2, SO3]), seed=st.integers(0, 2**32 - 1),
+       fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3),
+       xi=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+def test_two_node_elements_start_newton_at_their_center(man, seed, fractions, xi):
+    """S^2 pairs up to the 0.9*pi spread limit and SO(3) pairs up to a rotation
+    angle of pi - 1e-6, xi in [0, 1]: Newton starts at exp_{v_1}(phi_2 log_{v_1} v_2)
+    and makes no step, the residual is at most 1e-14, and a batch over stacked
+    pairs equals its points solved one at a time."""
+    rng = np.random.default_rng(seed)
+    top = LIMIT if man is S2 else np.pi - 1e-6
+    pairs = np.stack([pair_at_angle(man, rng, f * top) for f in fractions])
+    if man is S2:   # rounding may carry a pair at the limit just past it
+        pairs = pairs[geodesic._max_spread(S2, pairs) <= LIMIT]
+        assume(len(pairs))
+    elem, xi = ReferenceElement(1, 1), np.array(xi)[:, None]
+    sol = assert_batch_equals_points(elem, pairs, man, xi)
+    assert sol.iterations == 0 and np.all(sol.residual <= 1e-14)
+    phi2 = elem.shape_values(xi)[:, 1]
+    for e, (v1, v2) in enumerate(pairs):
+        for k in range(len(xi)):
+            assert np.array_equal(sol.q[e, k], man.exp(v1, phi2[k] * man._log(v1, v2)[0]))
+
+
+@pytest.mark.parametrize("gap", [2e-8, 1e-8, 9e-9, 1e-9])
+def test_two_node_so3_within_the_cut_tolerance_of_the_half_turn(gap):
+    """Rotation angles pi - gap: where log_{v_1} v_2 is within the 1e-8 cut
+    tolerance Newton starts from the projection, as on larger elements; every
+    point either raises CutLocusError or meets the 1e-12 residual contract, and
+    the points that solve do so in a batch as alone, bit for bit."""
+    pair = pair_at_angle(SO3, np.random.default_rng(21), np.pi - gap)
+    elem, ok = ReferenceElement(1, 1), []
+    for x in np.linspace(0.0, 1.0, 11):
+        try:
+            sol = GeodesicInterpolant(elem, pair, SO3)._solve([x])
+        except CutLocusError:
+            continue
+        assert sol.residual <= 1e-12
+        ok.append(x)
+    assert ok or gap < 1e-8
+    if ok:
+        sol = assert_batch_equals_points(elem, pair[None], SO3, np.array(ok)[:, None])
+        assert np.all(sol.residual <= 1e-12)
+
+
+def test_two_node_so3_exact_half_turn_raises_at_the_first_point_of_that_element():
+    half_turn = SO3.exp(np.eye(3), np.pi * np.sqrt(2.0) * SO3.tangent_basis(np.eye(3))[2])
+    easy = pair_at_angle(SO3, np.random.default_rng(22), 1.0)
+    values = np.stack([easy, [np.eye(3), half_turn]])[:, None]     # elements (easy, half-turn)
+    xi = np.array([[0.0], [0.25], [0.5], [1.0]])
+    with pytest.raises(CutLocusError, match="at the half-turn") as raised:
+        GeodesicInterpolant(ReferenceElement(1, 1), values, SO3, _checked=True)._solve(xi)
+    assert raised.value.point == len(xi)
+
+
+@pytest.mark.parametrize("man", [S2, SO3], ids=lambda m: m.kind)
+def test_two_equal_nodal_values_give_that_value(man):
+    v = random_point(man, np.random.default_rng(23))
+    sol = GeodesicInterpolant(ReferenceElement(1, 1), [v, v], man)._solve(np.array([[0.0], [0.4], [1.0]]))
+    assert sol.iterations == 0 and np.all(sol.residual == 0.0)
+    assert np.max(np.abs(sol.q - v)) <= 2.3e-16     # exp(v, 0) renormalizes a sphere point
 
 
 # ----------------------------------------------------------------------

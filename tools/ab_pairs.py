@@ -6,7 +6,10 @@
 
 Each revision is exported with ``git archive`` into a fresh directory of
 its own under one temporary directory, so that neither side runs from a
-working tree or reads a bytecode cache that another run wrote.  Then
+working tree or reads a bytecode cache that another run wrote; the two
+directories, ``a`` and ``b`` (``side_dirs``), have paths of equal length,
+since the length of a run's paths alone moves its ``peak_rss_mb`` and
+``setup_s``.  Then
 ``benchmarks/run.py --trace 0`` runs from each copy, in pairs that
 alternate their order (BASE first in even pairs, CHANGE first in odd ones),
 with PYTHONDONTWRITEBYTECODE=1; the seeds are taken round-robin, one per
@@ -31,11 +34,17 @@ import tempfile
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
+SIDES = {"base": "a", "change": "b"}     # side -> directory name, all names of one length
 
 
 def _git(*args: str) -> str:
     return subprocess.run(["git", "-C", str(REPO), *args], check=True, capture_output=True,
                           text=True).stdout.strip()
+
+
+def side_dirs(root: Path) -> dict[str, Path]:
+    """The directory of each side under root; the paths have equal length."""
+    return {side: root / name for side, name in SIDES.items()}
 
 
 def export(rev: str, dest: Path) -> None:
@@ -118,7 +127,7 @@ def main(argv=None) -> int:
     print(f"base {revs['base']}  change {revs['change']}  workload {args.workload}  "
           f"seeds {args.seeds}  {args.pairs} pairs of {args.seconds:g} s")
     with tempfile.TemporaryDirectory(prefix="ab_pairs-") as tmp:
-        copies = {side: Path(tmp) / side for side in revs}
+        copies = side_dirs(Path(tmp))
         for side, rev in revs.items():
             export(rev, copies[side])
         better = directions(copies["base"])

@@ -4,11 +4,12 @@
     python3 tools/cli_outputs.py BASE CHANGE
 
 Each revision is exported with ``git archive`` into a fresh directory of its
-own, as ``tools/ab_pairs.py`` does, and the same seeded inputs (seed 3) are
-written once, by the base copy's gfe: the criss-cross unit square grid of
-3 x 3 cells, and for each of its order-1 and order-2 Lagrange grids a random
-configuration (``gfe.sampling.random_configuration``, radius 0.3) of every
-node and its restriction to the boundary nodes.  Then 24 cases
+own, as ``tools/ab_pairs.py`` does (``side_dirs``: paths of equal length, as
+are those of the two sides' run directories), and the same seeded inputs
+(seed 3) are written once, by the base copy's gfe: the criss-cross unit
+square grid of 3 x 3 cells, and for each of its order-1 and order-2 Lagrange
+grids a random configuration (``gfe.sampling.random_configuration``, radius
+0.3) of every node and its restriction to the boundary nodes.  Then 24 cases
 run from each copy with ``python -m gfe.cli`` and PYTHONDONTWRITEBYTECODE=1:
 interpolate, minimize and audit, on sphere2 and so3, with both rules, at
 orders 1 and 2.  For each case the report says "identical", with the exit
@@ -31,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ab_pairs import _git, export
+from ab_pairs import _git, export, side_dirs
 
 COMMANDS = ("interpolate", "minimize", "audit")
 MANIFOLDS = ("sphere2", "so3")
@@ -142,7 +143,7 @@ def main(argv=None) -> int:
     cases = list(itertools.product(COMMANDS, MANIFOLDS, RULES, ORDERS))
     with tempfile.TemporaryDirectory(prefix="cli_outputs-") as tmp:
         tmp = Path(tmp)
-        copies = {side: tmp / side for side in revs}
+        copies, runs = side_dirs(tmp), side_dirs(tmp / "runs")
         for side, rev in revs.items():
             export(rev, copies[side])
         inputs = tmp / "inputs"
@@ -150,7 +151,7 @@ def main(argv=None) -> int:
         write_inputs(inputs, copies["base"] / "src")
         for k, (command, manifold, rule, order) in enumerate(cases):
             cli_args = case_args(command, manifold, rule, order, inputs)
-            got = {side: run_case(copies[side], cli_args, tmp / "runs" / side / str(k)) for side in revs}
+            got = {side: run_case(copies[side], cli_args, runs[side] / str(k)) for side in revs}
             report = compare(got["base"], got["change"])
             identical += report[0].startswith("identical")
             print(f"{command:<12}{manifold:<9}{rule:<11}order {order}: " + "\n    ".join(report), flush=True)
