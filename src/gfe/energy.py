@@ -30,9 +30,11 @@ calls on the state make no Newton solve and no logarithm, which is how
 Per-point contributions are summed with ``math.fsum``.  The gradient alone
 (``algebraic_gradient``, ``directional_derivative``, ``equivalence_audit``)
 pairs u's gradient with every nodal basis field's gradient through
-``Interpolant._basis_gradient_terms``, which forms none of them; the
-metric of ``minimize`` is their Gram matrix, summed point by point into
-its free block alone, so it forms them all (``_basis_ref_gradients``).
+``Interpolant._basis_gradient_terms``, which on the geodesic rule forms
+none of them; the metric of ``minimize`` is their Gram matrix, summed point
+by point into its free block alone, so it forms them all
+(``_basis_ref_gradients``) and pairs them with ``jacobi._pair``, as the
+projection rule's gradient alone does.
 
 ``equivalence_audit`` compares the two, along random nodal directions,
 with the extrapolated finite difference of the energy.
@@ -49,7 +51,7 @@ import numpy as np
 
 from .errors import GFEError, LineSearchFailure, SingularSystemError
 from .grid import GFEFunction, GlobalTestFunction
-from .jacobi import _basis_ref_gradients
+from .jacobi import _basis_ref_gradients, _pair
 
 _ARMIJO_C = 1e-4
 _MAX_STEP = 1.0     # the full Newton step
@@ -185,13 +187,11 @@ def _gradient_terms(u: GFEFunction, metric: bool = False):
     # C = (EGu Binv^T)^T = Binv EGu^T, [p, l, a]
     EGu = man._flat(a.center.basis) @ a.Gu                               # (P, dim, d)
     C = Binv @ EGu.swapaxes(1, 2)
-    if not metric:      # the route of the gradient alone, which need not form G
+    if not metric:      # the route of the gradient alone: no G on the geodesic rule
         terms = a.interp._basis_gradient_terms(a.center, C)
         return _scatter(dofs, terms * a.w[:, None, None], grid.n_nodes, dim), None, None
     _, G, V = _basis_ref_gradients(a.interp, a.xi, center=a.center)
-    # the same terms, in one matmul over G's layout [p, i, l, a, j]
-    terms = (C.reshape(len(G), 1, 1, -1) @ G.swapaxes(2, 4).reshape(G.shape[:2] + (-1, dim)))[:, :, 0]
-    coeff = _scatter(dofs, terms * a.w[:, None, None], grid.n_nodes, dim)
+    coeff = _scatter(dofs, _pair(G, C) * a.w[:, None, None], grid.n_nodes, dim)
     # F[p, i*dim + j] is the flattened physical gradient of field (i, j)
     F = G @ Binv[:, None, None]
     F = F.reshape(F.shape[0], -1, F.shape[3] * F.shape[4])

@@ -20,12 +20,13 @@ deterministic tangent bases of the manifold module.  Differentiating the
 second relation once more in xi, with the third derivatives of squared
 distance (``dist2_third``), gives the exact reference gradients of the
 test-function fields dq/dv_i . b from the data of the solve at xi alone,
-batch-last, in the rank-one forms of the manifold module.  The energy's
-gradient pairs them with u's gradient in reverse mode
-(``_basis_gradient_terms``): one covector per (point, node) pair goes
-through the transported frame, and no gradient, third derivative, mixed
-block or frame is formed, nor any array larger than the log coefficients;
-its metric, their Gram matrix, forms them.  H is
+batch-last, in the rank-one forms of the manifold module, together with
+the fields' values dq/dv_i . b.  The energy's gradient pairs them with u's
+gradient in reverse mode (``_basis_gradient_terms``, which overrides the
+base class's pairing of formed gradients): one covector per (point, node)
+pair goes through the transported frame, and no gradient, third
+derivative, mixed block or frame is formed, nor any array larger than the
+log coefficients; its metric, their Gram matrix, forms them.  H is
 inverted by ``kernels._sym_inv`` in closed form and certified by
 Sylvester's test on H - 1e-10 I.
 
@@ -54,8 +55,9 @@ masks over the batch (the angles of ``Manifold._log``, ``_projectable``),
 read point by point only when they hold one, not exceptions to recover
 from.  When points fail, the error of the lowest-index one is raised, with
 that C-order flat index over the batch's leading axes as its ``point``.
-As a rule of ``jacobi.Interpolant`` it supplies the methods that interface
-names, with ``_admit`` refusing sphere values spread wider than 0.9*pi.
+As a rule of ``jacobi.Interpolant`` it supplies ``eval``, ``_center``,
+``_basis_gradients`` and ``_admit``, which refuses sphere values spread
+wider than 0.9*pi, and overrides ``_basis_gradient_terms`` in reverse mode.
 """
 
 from __future__ import annotations
@@ -351,20 +353,13 @@ class GeodesicInterpolant(Interpolant):
                 _batch_last(*one(c.dq.swapaxes(-1, -2), 2)), _batch_last(*one(c.hessian_inv, 2)),
                 _batch_last(*one(c.hessian_xi, 3)), *(_batch_last(*one(x, 2)) for x in extra))
 
-    def _basis_values(self, c: _Solution):
-        """Values of the nodal basis fields from the center c, (..., m,
-        dim, dim), entry [i, j, a] the tangent_basis(q)[a] coefficient of field
-        (i, j): V_i = dq/dv_i = -phi_i H^-1 K_i with K_i = dist2_mixed(v_i, q)."""
-        man, (phi, _, v, q, Eq, u, _, Hinv, _) = self.manifold, self._batch_last_center(c)
-        K = man._mixed(v, q, Eq, u, *man._curvature_ratios(u))[-1]
-        return (-phi * np.einsum("ac...,cb...->ab...", Hinv, K)).T
-
     def _basis_gradients(self, c: _Solution):
         """Reference gradients G of the nodal basis fields from the center c,
         (..., m, dim, dim, d), entry [i, j, a, l] the tangent_basis(q)[a]
         coefficient of the l-th derivative of field (i, j), and the fields'
-        values of _basis_values; returns (G, values).  Differentiates
-        H V_i = -phi_i K_i along xi_l, with V_i = dq/dv_i, K_i = dist2_mixed(v_i, q),
+        values V_i = dq/dv_i = -phi_i H^-1 K_i, K_i = dist2_mixed(v_i, q),
+        (..., m, dim, dim), entry [i, j, a] alike; returns (G, values).
+        Differentiates H V_i = -phi_i K_i along xi_l, with
         X_l = dq/dxi_l and the derivatives d_X along X_l from dist2_third:
 
             H dV_i = -dphi_il K_i - phi_i (d_X K_i) - (sum_j dphi_jl Hess_j + phi_j d_X Hess_j) V_i.

@@ -103,12 +103,6 @@ def read_mesh(path, lines: bool = False):
     if ne < 1:
         raise ValueError(f"{path}: mesh has no elements")
     element_lines = [n for n, _ in rows[pos - ne + 1: pos + 1]]   # the element rows end at pos
-    outside = np.flatnonzero(((elements < 0) | (elements >= nv)).any(axis=1))
-    if len(outside):
-        e = outside[0]
-        raise ValueError(
-            f"{path}: line {element_lines[e]}: element {e} has a vertex index outside 0..{nv - 1}"
-        )
     return (dim, vertices, elements, element_lines) if lines else (dim, vertices, elements)
 
 
@@ -140,10 +134,13 @@ class Grid:
     n_nodes, n_elements : int, the numbers of Lagrange nodes and elements
     boundary_nodes : frozenset of global node indices on the domain boundary
 
-    Every element must be positively oriented and every vertex must belong
-    to an element; otherwise the constructor raises ValueError, naming the
-    file line of a degenerate element when ``element_lines`` (one per
-    element row, as ``read_mesh(path, lines=True)`` returns them) is given.
+    Vertices must be an (nv, dim) array of finite coordinates and elements
+    an (ne, dim+1) array of indices in 0..nv-1; every element must be
+    positively oriented and every vertex must belong to an element.
+    Otherwise the constructor raises ValueError, naming the file line of an
+    element with an index out of range or a degenerate one when
+    ``element_lines`` (one per element row, as ``read_mesh(path,
+    lines=True)`` returns them) is given.
     """
 
     def __init__(self, dim: int, vertices, elements, order: int, element_lines=None):
@@ -153,10 +150,22 @@ class Grid:
             raise ValueError(f"grids support order 1 and 2, got {order}")
         self.dim = dim
         self.order = order
-        self.vertices = np.array(vertices, dtype=float).reshape(-1, dim)
-        self.elements = np.array(elements, dtype=int).reshape(-1, dim + 1)
+        self.vertices = np.array(vertices, dtype=float)
+        self.elements = np.array(elements, dtype=int)
+        if self.vertices.ndim != 2 or self.vertices.shape[1] != dim:
+            raise ValueError(f"vertices must have shape (nv, {dim}), got {self.vertices.shape}")
+        if not np.isfinite(self.vertices).all():
+            raise ValueError("vertices must have finite coordinates")
+        if self.elements.ndim != 2 or self.elements.shape[1] != dim + 1:
+            raise ValueError(f"elements must have shape (ne, {dim + 1}), got {self.elements.shape}")
         self.n_elements = len(self.elements)
         self.ref = ReferenceElement(dim, order)
+        nv = len(self.vertices)
+        where = lambda e: "" if element_lines is None else f"line {element_lines[e]}: "   # noqa: E731
+        outside = np.flatnonzero(((self.elements < 0) | (self.elements >= nv)).any(axis=1))
+        if len(outside):
+            e = outside[0]
+            raise ValueError(f"{where(e)}element {e} has a vertex index outside 0..{nv - 1}")
 
         # affine maps x = V0 + B xi, with positive orientation required
         self._origin = self.vertices[self.elements[:, 0]]
@@ -165,12 +174,9 @@ class Grid:
         flipped = np.flatnonzero(self._detB <= 0.0)
         if len(flipped):
             e = flipped[0]
-            where = "" if element_lines is None else f"line {element_lines[e]}: "
-            raise ValueError(
-                f"{where}element {e} has non-positive orientation (det = {self._detB[e]:.3e})"
-            )
+            raise ValueError(f"{where(e)}element {e} has non-positive orientation (det = {self._detB[e]:.3e})")
         self._Binv = np.linalg.inv(self._B)
-        uses = np.bincount(self.elements.ravel(), minlength=len(self.vertices))
+        uses = np.bincount(self.elements.ravel(), minlength=nv)
         if uses.min(initial=1) == 0:
             raise ValueError(f"vertex {np.argmin(uses)} belongs to no element")
 

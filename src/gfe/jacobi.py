@@ -4,10 +4,10 @@
 nodal values v_1..v_m and derives ``d_dxi`` and ``d_dv_all`` from what a
 rule supplies, namely ``eval``, the center evaluation ``_center(xi,
 shape=None)`` (``shape``: the Lagrange weights and their gradients at xi,
-when the caller has them), and
-from that center alone the basis-field values ``_basis_values``, values and
-gradients ``_basis_gradients``, their pairing ``_basis_gradient_terms``
-and ``_admit``.
+when the caller has them), from that center alone the basis-field
+gradients and values ``_basis_gradients``, and ``_admit``.  One formula
+per rule gives the values, so ``d_dv_all``, the test fields and the
+energy's metric read the same numbers.
 
 An (m, *point_shape) array of nodal tangent vectors b_1..b_m (row i based at
 the nodal value v_i) determines a vector field along the interpolant,
@@ -21,10 +21,12 @@ their nodal data.  The m*dim nodal basis fields carry a single tangent basis
 vector at a single node: their values are the columns of the matrices of
 ``d_dv_all``, and ``_basis_ref_gradients`` differentiates all of them at
 once.  ``_basis_gradient_terms(c, C)`` pairs those gradients with one
-matrix C per point, as the energy's gradient needs; each rule transposes
-its own derivative relation onto per-point covectors, so neither forms the
-gradients.  Field values and gradient columns come back as arrays,
-together with the base point q = eval(xi) they are tangent at.
+matrix C per point, as the energy's gradient needs: by default through
+``_pair``, the one pairing the energy's metric uses too; the geodesic rule
+overrides it in reverse mode, transposing its derivative relation onto
+per-point covectors so that it forms no gradient.  Field values and
+gradient columns come back as arrays, together with the base point q =
+eval(xi) they are tangent at.
 
 Reference-space gradients of fields are exact: the interpolant
 differentiates its own derivative relation in xi, from the data of its
@@ -86,7 +88,20 @@ class Interpolant:
         is the value of nodal basis field (i, j).
         """
         c, _ = self._center(xi)
-        return c.q, self._basis_values(c).swapaxes(-1, -2)
+        return c.q, self._basis_gradients(c)[1].swapaxes(-1, -2)
+
+    def _basis_gradient_terms(self, c, C):
+        """sum_{l,a} C[..., l, a] G[..., i, j, a, l], (..., m, dim), for the
+        basis-field gradients G at the center c and one matrix C (..., d, dim)
+        per point."""
+        return _pair(self._basis_gradients(c)[0], C)
+
+
+def _pair(G, C) -> np.ndarray:
+    """sum_{l,a} C[..., l, a] G[..., i, j, a, l], (..., m, dim): one matmul over
+    G's layout [..., i, l, a, j]."""
+    Gs = G.swapaxes(-3, -1)
+    return (C.reshape(C.shape[:-2] + (1, 1, -1)) @ Gs.reshape(Gs.shape[:-3] + (-1, Gs.shape[-1])))[..., 0, :]
 
 
 def _basis_ref_gradients(interp: Interpolant, xi, center=None):

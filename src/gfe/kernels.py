@@ -47,21 +47,21 @@ _RATIO_TABLE = np.array([
 _CUTOFFS = _RATIO_TABLE[:, 0] * _SERIES_CUTOFF
 
 
-def _ratios(t, rows: int) -> np.ndarray:
-    """The first ``rows`` (at most 4) ratios of _RATIO_TABLE at the angles t, stacked
-    (rows, *t.shape): the closed forms, sharing sin(t) and tan(t), at where(|t| <
-    _SERIES_CUTOFF, 1, t), or each row's series below its cutoff (_CUTOFFS), read
-    only then; one Horner pass and one np.where for all rows."""
+def _ratios(t) -> np.ndarray:
+    """The four ratios of _RATIO_TABLE at the angles t, stacked (4, *t.shape):
+    the closed forms, sharing sin(t) and tan(t), at where(|t| < _SERIES_CUTOFF,
+    1, t), or each row's series below its cutoff (_CUTOFFS), read only then; one
+    Horner pass and one np.where for all rows."""
 
     def closed(t):
         sn, tt, c = np.sin(t), t * t, t / np.tan(t)
         a = t / sn
-        return np.stack([a, (1.0 - a) / tt, (c - c * c - tt) / tt, (1.0 - c) / (t * sn)][:rows])
+        return np.stack([a, (1.0 - a) / tt, (c - c * c - tt) / tt, (1.0 - c) / (t * sn)])
 
     t = np.asarray(t, dtype=float)
-    if np.abs(t).min(initial=np.inf) >= _CUTOFFS[:rows].max():
+    if np.abs(t).min(initial=np.inf) >= _CUTOFFS.max():
         return closed(t)
-    table = _RATIO_TABLE.T[:, :rows].reshape((5, rows) + (1,) * t.ndim)
+    table = _RATIO_TABLE.T.reshape((5, 4) + (1,) * t.ndim)
     t2 = t * t
     series = table[4]
     for c in table[3:0:-1]:

@@ -144,6 +144,14 @@ def _scalar(x):
     return float(x) if np.ndim(x) == 0 else x
 
 
+def _rodrigues_pair(F):
+    """sin(rho)/rho and (1 - cos(rho))/|u|**2, rho = sqrt(K)*|u|, from the ratios F =
+    Manifold._curvature_ratios(u)[1]: 1/a and (g3/a - s)/a."""
+    a, s, _, g3 = F
+    sinc = 1.0 / a
+    return sinc, (g3 * sinc - s) * sinc
+
+
 _PROJECTION_FLOOR = 1e-12  # the norm (spheres) or determinant (SO(3)) project_point needs
 
 
@@ -169,7 +177,7 @@ class Manifold:
     its own ``dist``).  They implement, all broadcasting over leading axes:
 
     - ``check_point(p)``, and ``check_tangent(p, v)``, which raises
-      ValueError unless v is tangent at p;
+      ValueError unless v is tangent at p, both after ``_finite_array``;
     - ``project_tangent(p, w)``, the orthogonal projection onto T_p M;
     - ``exp``, ``_log(p, q)`` -> (log_p(q), angle), pi at the cut locus,
       with no cut test (``log`` adds it, ``dist`` reads the angle), and
@@ -195,6 +203,17 @@ class Manifold:
     injectivity_radius: float
     curvature_bound: float | None
     _model_curvature: float
+
+    def _finite_array(self, x, what: str) -> np.ndarray:
+        """x as a float array (..., *point_shape): DimensionMismatchError for another shape,
+        ValueError for a NaN or infinite entry, which would pass the checks' tolerance
+        tests (nan > tol is False, inf <= tol * inf holds) or make them warn."""
+        x = np.asarray(x, dtype=float)
+        if x.shape[-len(self.point_shape):] != self.point_shape:
+            raise DimensionMismatchError(f"expected {what} of shape {self.point_shape}, got {x.shape}")
+        if not np.isfinite(x).all():
+            raise ValueError(f"{what} has a non-finite entry")
+        return x
 
     def _check_pair(self, p, q) -> None:
         k = len(self.point_shape)
@@ -251,33 +270,26 @@ class Manifold:
         a = (_t_cot(np.sqrt(K) * r) if K > 0.0 else np.ones_like(r))[..., None, None]
         return 2.0 * (a * _eye(dim) + (1.0 - a) * (c[..., :, None] * c[..., None, :]))
 
-    def _transported_adjoint(self, v, q, Eq, u, x, F=None):
+    def _transported_adjoint(self, v, q, Eq, u, x, F):
         """(T^T x, w) of the module docstring, batch-last, for one covector x (dim, ...)
         per pair, from the flattened tangent_basis(q) Eq (dim, N, ...), the log coefficients
-        u (dim, ...) and F = _curvature_ratios(u)[1] if the caller holds it; on flat space T = Eq."""
+        u (dim, ...) and F = _curvature_ratios(u)[1]; on flat space T = Eq."""
         return (Eq * x[:, None]).sum(0), -(Eq * u[:, None]).sum(0)
 
-    def _transported_basis(self, v, q, Eq, u, F=None):
+    def _transported_basis(self, v, q, Eq, u, F):
         """(w, T), (dim, ...) and (dim, dim, ...): T^T applied to the identity."""
         Tt, w = self._transported_adjoint(v[:, None], q[:, None], Eq[:, :, None], u[:, None],
                                           _eye(len(u), u.ndim - 1), F)
         return w[:, 0], Tt.swapaxes(0, 1)
 
     def _curvature_ratios(self, u):
-        """r = |u| and the stacked kernels._ratios(rho, 4), rho = sqrt(K)*r:
+        """r = |u| and the stacked kernels._ratios(rho), rho = sqrt(K)*r:
         a, then s, g1 and g3 times K; on flat space a = 1 and s = g1 = g3 = 0."""
         r = np.sqrt((u * u).sum(0))
         K = self._model_curvature
-        F = _ratios(np.sqrt(K) * r, 4) if K > 0.0 else np.ones((4,) + r.shape)
+        F = _ratios(np.sqrt(K) * r) if K > 0.0 else np.ones((4,) + r.shape)
         F[1:] *= K
         return r, F
-
-    def _rodrigues_pair(self, u, F):
-        """sin(rho)/rho and (1 - cos(rho))/|u|**2, rho = sqrt(K)*|u|, from the ratios F =
-        _curvature_ratios(u)[1] (evaluated here when None): 1/a and (g3/a - s)/a."""
-        a, s, _, g3 = self._curvature_ratios(u)[1] if F is None else F
-        sinc = 1.0 / a
-        return sinc, (g3 * sinc - s) * sinc
 
     def _mixed(self, v, q, Eq, u, r, F):
         """(w, T, dist2_mixed(v, q) (dim, dim, ...)) from batch-last v (N, ...),
@@ -379,11 +391,10 @@ class Euclidean(Manifold):
         self.__dict__.update(intrinsic_dim=self.k, point_shape=(self.k,), embed_dim=self.k)
 
     def check_point(self, p) -> None:
-        if np.shape(p)[-1:] != (self.k,):
-            raise DimensionMismatchError(f"expected a vector of length {self.k}")
+        self._finite_array(p, "a point")
 
     def check_tangent(self, p, v) -> None:
-        self.check_point(v)
+        self._finite_array(v, "a tangent vector")
 
     def project_tangent(self, p, w):
         return np.asarray(w, dtype=float).copy()
@@ -447,21 +458,16 @@ class Sphere(Manifold):
         self.__dict__.update(intrinsic_dim=self.n, point_shape=(self.n + 1,), embed_dim=self.n + 1)
 
     def check_point(self, p) -> None:
-        p = np.asarray(p)
-        if p.shape[-1:] != self.point_shape:
-            raise DimensionMismatchError(f"expected a vector of length {self.embed_dim}")
-        nrm = np.linalg.norm(p, axis=-1)
-        bad = np.abs(nrm - 1.0) > 1e-12
+        nrm = np.linalg.norm(self._finite_array(p, "a point"), axis=-1)
+        bad = ~(np.abs(nrm - 1.0) <= 1e-12)
         if bad.any():
             raise ValueError(f"sphere point is not unit length: |p| = {float(nrm[bad].flat[0])!r}")
 
     def check_tangent(self, p, v) -> None:
-        v = np.asarray(v, dtype=float)
-        if v.shape[-1:] != self.point_shape:
-            raise DimensionMismatchError(f"expected a vector of length {self.embed_dim}")
+        v = self._finite_array(v, "a tangent vector")
         # scale-aware so that representation dust on large vectors passes
         dot = np.abs(np.sum(np.asarray(p, dtype=float) * v, axis=-1))
-        if (dot > 1e-10 * np.maximum(1.0, np.linalg.norm(v, axis=-1))).any():
+        if (~(dot <= 1e-10 * np.maximum(1.0, np.linalg.norm(v, axis=-1)))).any():
             raise ValueError("vector is not tangent to the sphere at its base point")
 
     def project_tangent(self, p, w):
@@ -512,10 +518,10 @@ class Sphere(Manifold):
         turn = _one_minus_cos_over_sq(t) * u + _sinc(t) * np.asarray(p, dtype=float)
         return w - _inner(w, u) * turn
 
-    def _transported_adjoint(self, v, q, Eq, u, x, F=None):
+    def _transported_adjoint(self, v, q, Eq, u, x, F):
         # T^T x = B (Eq^T x) - ((1 - cos r)/r**2) <u, x> w, B = tangent_basis(v)
         # with its entry [b, k] at [k, b], and w = B log_v(q) = B (r sin(r) q - cos(r) Eq^T u)
-        sinc, cos2 = self._rodrigues_pair(u, F)
+        sinc, cos2 = _rodrigues_pair(F)
         r2 = (u * u).sum(0)
         log_vq = (r2 * sinc) * q - (1.0 - r2 * cos2) * (u[:, None] * Eq).sum(0)
         B = self.tangent_basis(v.T).T
@@ -580,21 +586,17 @@ class Rotation3(Manifold):
     _model_curvature = 0.125
 
     def check_point(self, p) -> None:
-        Q = np.asarray(p)
-        if Q.shape[-2:] != (3, 3):
-            raise DimensionMismatchError("expected a 3x3 matrix")
-        if (np.linalg.norm(Q.swapaxes(-1, -2) @ Q - np.eye(3), axis=(-2, -1)) > 1e-10).any():
+        Q = self._finite_array(p, "a point")
+        if (~(np.linalg.norm(Q.swapaxes(-1, -2) @ Q - np.eye(3), axis=(-2, -1)) <= 1e-10)).any():
             raise ValueError("matrix is not orthogonal within 1e-10")
         if (np.linalg.det(Q) <= 0.0).any():
             raise ValueError("matrix has non-positive determinant")
 
     def check_tangent(self, p, v) -> None:
-        v = np.asarray(v, dtype=float)
-        if v.shape[-2:] != (3, 3):
-            raise DimensionMismatchError("expected a 3x3 matrix")
+        v = self._finite_array(v, "a tangent vector")
         S = np.asarray(p, dtype=float).swapaxes(-1, -2) @ v
         scale = np.maximum(1.0, np.linalg.norm(v, axis=(-2, -1)))
-        if (np.linalg.norm(S + S.swapaxes(-1, -2), axis=(-2, -1)) > 1e-10 * scale).any():
+        if (~(np.linalg.norm(S + S.swapaxes(-1, -2), axis=(-2, -1)) <= 1e-10 * scale)).any():
             raise ValueError("vector is not tangent at its base rotation (Q^T W not skew)")
 
     def project_tangent(self, p, w):
@@ -620,10 +622,10 @@ class Rotation3(Manifold):
         E = _expm_skew(0.5 * _skew_part(Q1t @ (self.log(p, q) if log_pq is None else np.asarray(log_pq))))
         return Q1t.swapaxes(-1, -2) @ E @ _skew_part(Q1t @ np.asarray(w, dtype=float)) @ E
 
-    def _transported_adjoint(self, v, q, Eq, u, x, F=None):
+    def _transported_adjoint(self, v, q, Eq, u, x, F):
         # T = exp(hat(h)), h = sqrt(K) u, by Rodrigues with hat(h)^2 = h h^T - |h|^2 I;
         # the cross product u x x from the components (np.cross moves axes)
-        sinc, cos2 = self._rodrigues_pair(u, F)
+        sinc, cos2 = _rodrigues_pair(F)
         (u0, u1, u2), (x0, x1, x2) = u, x
         ux = np.stack([u1 * x2 - u2 * x1, u2 * x0 - u0 * x2, u0 * x1 - u1 * x0])
         Tx = (cos2 * (u * x).sum(0)) * u + (1.0 - cos2 * (u * u).sum(0)) * x

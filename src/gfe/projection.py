@@ -12,8 +12,8 @@ Evaluations are batched as in the geodesic module: reference points and the
 nodal values of an interpolant built over several elements at once may carry
 leading axes, which broadcast.  As a rule of ``jacobi.Interpolant`` it
 supplies ``eval``, ``_center`` (the weighted sum with dP/dw), and
-``_basis_values``, ``_basis_gradients`` and ``_basis_gradient_terms``
-from it; it admits all values.
+``_basis_gradients`` from it; it admits all values, and pairs the
+gradients with the energy's covectors by the base class's default.
 """
 
 from __future__ import annotations
@@ -50,12 +50,6 @@ class ProjectionInterpolant(Interpolant):
         return _Center(q, man.tangent_basis(q), w, dsum, phi, dphi, J), \
             cols.reshape(cols.shape[:-1] + man.point_shape)
 
-    def _first(self, c: "_Center"):
-        """The nodal bases B_v (..., m, N, dim) and E DP(w) B_v (..., m, dim, dim)."""
-        man = self.manifold
-        Bv = np.swapaxes(man._flat(man.tangent_basis(self.values)), -1, -2)
-        return Bv, (man._flat(c.basis) @ c.J)[..., None, :, :] @ Bv
-
     def eval(self, xi) -> np.ndarray:
         """P applied to the weighted embedding sum.
 
@@ -64,12 +58,6 @@ class ProjectionInterpolant(Interpolant):
         """
         return self.manifold.project_point(self._weighted_sum(self.elem.shape_values(xi)))
 
-    def _basis_values(self, c: "_Center"):
-        """Values phi_i DP(w) b_ij of the nodal basis fields from the center c,
-        (..., m, dim, dim), entry [i, j, a] the tangent_basis(q)[a]
-        coefficient of field (i, j)."""
-        return np.swapaxes(c.phi[..., :, None, None] * self._first(c)[1], -1, -2)
-
     def _basis_gradients(self, c: "_Center"):
         """Reference gradients G of the nodal basis fields from the center c,
         (..., m, dim, dim, d), entry [i, j, a, l] the tangent_basis(q)[a]
@@ -77,29 +65,20 @@ class ProjectionInterpolant(Interpolant):
 
             D^2P(w)[dw/dxi_l, phi_i b_ij] + dphi_i/dxi_l DP(w) b_ij,
 
-        and the fields' values of _basis_values; returns (G, values).
+        and the fields' values phi_i DP(w) b_ij (..., m, dim, dim), entry
+        [i, j, a] alike; returns (G, values).  B_v are the nodal bases and E
+        = tangent_basis(q).
         """
         man = self.manifold
-        Bv, first = self._first(c)
+        Bv = np.swapaxes(man._flat(man.tangent_basis(self.values)), -1, -2)  # (..., m, N, dim)
         E = man._flat(c.basis)                                              # (..., dim, N)
+        first = (E @ c.J)[..., None, :, :] @ Bv                             # E DP(w) B_v (..., m, dim, dim)
         ED2 = E[..., None, :, :] @ man.projection_jacobian_deriv(c.w, c.q, c.dsum)  # (..., d, dim, N)
         second = ED2[..., None, :, :, :] @ Bv[..., :, None, :, :]         # (..., m, d, dim, dim)
         G = c.phi[..., :, None, None, None] * second \
             + c.dphi[..., :, :, None, None] * first[..., :, None, :, :]
         V = c.phi[..., :, None, None] * first
         return np.swapaxes(G, -3, -1), np.swapaxes(V, -1, -2)  # [..., i, j, a, l], [..., i, j, a]
-
-    def _basis_gradient_terms(self, c: "_Center", C):
-        """sum_{l,a} C[..., l, a] G[..., i, j, a, l], (..., m, dim), with G not
-        formed: _basis_gradients transposed onto the per-point covectors
-        y = sum_l D^2P(w)[dw/dxi_l]^T E^T C_l and sum_l dphi_il C_l,
-        terms_ij = phi_i <b_ij, y> + <E DP(w) b_ij, sum_l dphi_il C_l>."""
-        man = self.manifold
-        Bv, first = self._first(c)
-        EC = C @ man._flat(c.basis)                                         # (..., d, N)
-        y = (EC[..., :, None, :] @ man.projection_jacobian_deriv(c.w, c.q, c.dsum))[..., 0, :].sum(-2)
-        return (c.phi[..., :, None, None] * (y[..., None, None, :] @ Bv)
-                + (c.dphi @ C)[..., :, None, :] @ first)[..., 0, :]
 
 
 class _Center(NamedTuple):

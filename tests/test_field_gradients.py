@@ -120,14 +120,16 @@ def test_flat_gradients_are_the_shape_function_gradients(rule, order):
 
 @pytest.mark.parametrize("case", CASES, ids=case_id)
 def test_field_values_are_the_nodal_derivative_matrices(case):
-    # V[i, j] holds the value of field (i, j), column j of d_dv_all's matrix i
+    # V[i, j] holds the value of field (i, j), column j of d_dv_all's matrix i,
+    # bit for bit: one formula gives both, at a single point and over a batch
     man, rule, dim, order = case
     elem = ReferenceElement(dim, order)
     interp = rule(elem, random_configuration(man, elem.m, np.random.default_rng(9), radius=0.5), man)
-    xi = np.full(dim, 0.2)
-    _, _, V = _basis_ref_gradients(interp, xi)
-    _, mats = interp.d_dv_all(xi)
-    assert np.max(np.abs(V - np.swapaxes(mats, -1, -2))) <= 1e-14
+    for xi in (np.full(dim, 0.2), np.random.default_rng(10).dirichlet(np.ones(dim + 1), size=(2, 3))[..., 1:]):
+        _, _, V = _basis_ref_gradients(interp, xi)
+        _, mats = interp.d_dv_all(xi)
+        assert mats.shape == xi.shape[:-1] + (elem.m, man.intrinsic_dim, man.intrinsic_dim)
+        assert np.array_equal(V, np.swapaxes(mats, -1, -2))
 
 
 @pytest.mark.parametrize("man", [S2, SO3], ids=lambda m: m.kind)
@@ -174,9 +176,18 @@ def _refuse(*args, **kwargs):
 @pytest.mark.parametrize("rule", ["geodesic", "projection"])
 @pytest.mark.parametrize("man", [S2, SO3], ids=lambda m: m.kind)
 def test_gradient_alone_forms_no_block(monkeypatch, man, rule):
-    """On a warm state (and a cold one) ``algebraic_gradient`` forms no mixed
-    block, no transported frame and no basis-field gradient: it returns the
-    same gradient with each of them refusing to run."""
+    """On the geodesic rule, on a warm state (and a cold one),
+    ``algebraic_gradient`` forms no mixed block, no transported frame and no
+    basis-field gradient: it returns the same gradient with each of them
+    refusing to run.  The projection rule's gradient alone pairs the formed
+    basis-field gradients as the metric does, so at orders 1 and 2 its
+    coefficients equal the metric route's bit for bit."""
+    if rule == "projection":
+        for order in (1, 2):
+            grid = gfe.unit_square_grid(2, order)
+            u = gfe.GFEFunction(grid, man, rule, random_configuration(man, grid.n_nodes, np.random.default_rng(24)))
+            assert np.array_equal(energy._gradient_terms(u)[0], energy._gradient_terms(u, metric=True)[0])
+        return
     grid = gfe.unit_square_grid(2, 2)
     u = gfe.GFEFunction(grid, man, rule, random_configuration(man, grid.n_nodes, np.random.default_rng(24)))
     want = gfe.algebraic_gradient(u)

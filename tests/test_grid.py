@@ -109,6 +109,35 @@ def test_unused_vertex_rejected():
         Grid(1, np.array([[0.0], [1.0], [2.0]]), np.array([[0, 1]]), 1)
 
 
+SQUARE = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
+
+
+@pytest.mark.parametrize("dim, vertices, elements, message", [
+    pytest.param(2, np.zeros((4, 3)), [[0, 1, 2]], r"vertices must have shape \(nv, 2\), got \(4, 3\)",
+                 id="three-coordinates-in-2d"),
+    pytest.param(1, np.zeros((2, 2)), [[0, 1]], r"vertices must have shape \(nv, 1\), got \(2, 2\)",
+                 id="two-coordinates-in-1d"),
+    pytest.param(1, [0.0, 1.0], [[0, 1]], r"vertices must have shape \(nv, 1\), got \(2,\)", id="flat-vertices"),
+    pytest.param(2, [[0.0, 0.0], [1.0, np.nan], [0.0, 1.0]], [[0, 1, 2]], "vertices must have finite coordinates",
+                 id="nan-coordinate"),
+    pytest.param(2, SQUARE, [[0, 1, 2, 3]], r"elements must have shape \(ne, 3\), got \(1, 4\)",
+                 id="four-indices-in-2d"),
+    pytest.param(2, SQUARE, [[0, 1, 2], [1, 7, 2]], r"^element 1 has a vertex index outside 0\.\.3$",
+                 id="index-past-the-end"),
+    pytest.param(1, [[0.0], [1.0]], [[-1, 1]], r"^element 0 has a vertex index outside 0\.\.1$",
+                 id="negative-index"),
+])
+def test_malformed_arrays_rejected(dim, vertices, elements, message):
+    # refused before anything is indexed or reshaped
+    with pytest.raises(ValueError, match=message):
+        Grid(dim, vertices, elements, 1)
+
+
+def test_out_of_range_index_names_the_element_line():
+    with pytest.raises(ValueError, match=r"^line 12: element 1 has a vertex index outside 0\.\.3$"):
+        Grid(2, SQUARE, [[0, 1, 2], [1, 4, 2]], 1, element_lines=[11, 12])
+
+
 def test_point_location():
     grid = unit_square_grid(2, 1)
     e, xi = grid.locate([0.2, 0.1])
@@ -147,6 +176,27 @@ def test_flat_function_matches_classical_interpolation():
         e, xi = grid.locate([x])
         expected = grid.ref.shape_values(xi) @ values[grid.element_nodes[e]]
         assert abs(u.evaluate([x])[0] - expected[0]) <= 1e-13
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("man", [gfe.Euclidean(2), S2, gfe.Rotation3()], ids=lambda m: m.kind)
+def test_non_finite_points_and_vectors_rejected(man, bad):
+    # NaN fails no test written as x > tol, and infinities pass scale-relative
+    # ones, so each check refuses them first; so do the functions built on them
+    grid = unit_square_grid(1, 1)
+    values = random_configuration(man, grid.n_nodes, np.random.default_rng(5), radius=0.3)
+    p, v = values[0].copy(), np.zeros(man.point_shape)
+    p.flat[0] = v.flat[0] = bad
+    with pytest.raises(ValueError, match="has a non-finite entry"):
+        man.check_point(p)
+    with pytest.raises(ValueError, match="has a non-finite entry"):
+        man.check_tangent(values[0], v)
+    with pytest.raises(ValueError, match="has a non-finite entry"):
+        GFEFunction(grid, man, "geodesic", np.concatenate([p[None], values[1:]]))
+    vectors = np.zeros_like(values)
+    vectors[1] = v
+    with pytest.raises(ValueError, match="has a non-finite entry"):
+        GlobalTestFunction(GFEFunction(grid, man, "geodesic", values), vectors)
 
 
 def test_admissibility_reported_with_element_index():

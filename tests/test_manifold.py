@@ -694,7 +694,7 @@ def mp_one_minus_t_cot_over_sq_times_t_over_sin(t):
 def kernel_row(k, name):
     """Row k of the stacked ratio kernel ``_ratios``, named for its ratio."""
     def row(t):
-        return _ratios(t, 4)[k]
+        return _ratios(t)[k]
     row.__name__ = name
     return row
 
@@ -802,7 +802,7 @@ def test_transported_frames_match_the_log_and_transport_oracle(man, seed, frac):
     v = man.exp(q, frac * FRAME_REACH[man.kind] / np.linalg.norm(d) * d)
     Eq = man.tangent_basis(q).reshape(man.intrinsic_dim, -1)
     u = Eq @ man.log(q, v).reshape(-1)
-    w, T = man._transported_basis(v, q, Eq, u)
+    w, T = man._transported_basis(v, q, Eq, u, man._curvature_ratios(u)[1])
     w_oracle, T_oracle = transported_basis_oracle(man, v, q)
     assert w.shape == (man.intrinsic_dim,) and T.shape == (man.intrinsic_dim,) * 2
     assert np.max(np.abs(w - w_oracle)) <= 1e-13
@@ -823,7 +823,8 @@ def test_transported_adjoint_applies_the_oracle_frame_transposed(man, seed, frac
     Eq = man.tangent_basis(q).reshape(man.intrinsic_dim, -1)
     u = Eq @ man.log(q, v).reshape(-1)
     x = rng.standard_normal((man.intrinsic_dim, 4))     # four covectors, batch-last
-    Tx, w = man._transported_adjoint(man._flat(v)[:, None], man._flat(q)[:, None], Eq[..., None], u[:, None], x)
+    Tx, w = man._transported_adjoint(man._flat(v)[:, None], man._flat(q)[:, None], Eq[..., None], u[:, None], x,
+                                     man._curvature_ratios(u)[1])
     w_oracle, T_oracle = transported_basis_oracle(man, v, q)
     assert np.max(np.abs(Tx - T_oracle.T @ x)) <= 1e-13 * np.max(np.abs(x))
     assert np.max(np.abs(w[:, 0] - w_oracle)) <= 1e-13
