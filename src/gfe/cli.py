@@ -5,9 +5,10 @@ Three commands, selected with --command:
 interpolate
     Read a mesh and a full set of nodal values (CSV: node index followed by
     embedding coordinates), evaluate the chosen interpolation rule on a
-    fixed lattice of reference points per element, and write the samples as
-    CSV rows ``element, xi..., value...``.  Exits 2 on admissibility or
-    projection failures, naming the offending element on stderr.
+    fixed lattice of reference points per element, in blocks of a fixed
+    number of samples, and write the samples as CSV rows
+    ``element, xi..., value...``.  Exits 2 on admissibility or projection
+    failures, naming the offending element on stderr, and writes no file then.
 
 audit
     Generate a seeded random nodal configuration, then check the nodal
@@ -68,6 +69,9 @@ _MANIFOLDS = {
 
 _AUDIT_TOLS = (1e-4, 1e-4, 5e-4)
 _FD_STEP = 1e-5     # of the finite-difference oracles
+# samples per Newton batch and per write of interpolate: they bound its memory (about 2.4 KB a
+# sample), and a block pays the lockstep passes of its slowest point, so blocks are not small
+_BLOCK = 4096
 
 
 # ----------------------------------------------------------------------
@@ -176,14 +180,18 @@ def cmd_interpolate(args) -> int:
         return _error(exc)
     xis = _sample_points(grid.dim)
     els, k = grid._pairs(len(xis))
+    blocks = [slice(start, start + _BLOCK) for start in range(0, len(els), _BLOCK)]
+    q = np.empty((len(els), man.embed_dim))
     try:
-        q = man._flat(u.local(els).eval(xis[k]))
+        for b in blocks:    # a batch's centers are its points' bit for bit, so blocks change no byte
+            q[b] = man._flat(u.local(els[b]).eval(xis[k[b]]))
     except GFEError as exc:
-        where = "" if exc.point is None else f"element {els[exc.point]}: "
+        where = "" if exc.point is None else f"element {els[b][exc.point]}: "
         return _error(f"{where}{exc}")
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(_csv_lines(els, np.hstack([xis[k], q])))
+            for b in blocks:
+                fh.write(_csv_lines(els[b], np.hstack([xis[k[b]], q[b]])))
     except OSError as exc:
         return _error(f"{exc.filename}: {exc.strerror}")
     return 0

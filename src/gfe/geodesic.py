@@ -184,11 +184,11 @@ def _projected_guess(man: Manifold, values, weights) -> np.ndarray:
 
 
 def _linearize(man: Manifold, values, weights, q, logs):
-    """(basis at q, Hessian, per-node Hessians, log coefficients): one basis for all."""
+    """(basis at q, Hessian, per-node Hessians, log coefficients L): one basis for all, the Hessians from L."""
     basis = man.tangent_basis(q)                                       # (P, dim, *shape)
-    hessians = man.dist2_hess_q(values, q[:, None], basis_q=basis[:, None], log_qv=logs)
-    H = (weights[:, None, :] @ _flat_rows(hessians, 2))[:, 0].reshape(hessians[:, 0].shape)
     L = _flat_rows(logs, 2) @ _flat_rows(basis, 2).swapaxes(1, 2)    # (P, m, dim)
+    hessians = man._dist2_hess_q(L)
+    H = (weights[:, None, :] @ _flat_rows(hessians, 2))[:, 0].reshape(hessians[:, 0].shape)
     return basis, 0.5 * (H + H.swapaxes(1, 2)), hessians, L
 
 

@@ -135,10 +135,11 @@ class Grid:
     boundary_nodes : frozenset of global node indices on the domain boundary
 
     Vertices must be an (nv, dim) array of finite coordinates and elements
-    an (ne, dim+1) array of indices in 0..nv-1; every element must be
+    an (ne, dim+1) array of integers in 0..nv-1; every element must be
     positively oriented and every vertex must belong to an element.
     Otherwise the constructor raises ValueError, naming the file line of an
-    element with an index out of range or a degenerate one when
+    element with an index that is not an integer, an index out of range or
+    a degenerate one when
     ``element_lines`` (one per element row, as ``read_mesh(path,
     lines=True)`` returns them) is given.
     """
@@ -151,21 +152,23 @@ class Grid:
         self.dim = dim
         self.order = order
         self.vertices = np.array(vertices, dtype=float)
-        self.elements = np.array(elements, dtype=int)
+        elements = np.array(elements, dtype=float)     # cast to int once every entry is an index
         if self.vertices.ndim != 2 or self.vertices.shape[1] != dim:
             raise ValueError(f"vertices must have shape (nv, {dim}), got {self.vertices.shape}")
         if not np.isfinite(self.vertices).all():
             raise ValueError("vertices must have finite coordinates")
-        if self.elements.ndim != 2 or self.elements.shape[1] != dim + 1:
-            raise ValueError(f"elements must have shape (ne, {dim + 1}), got {self.elements.shape}")
-        self.n_elements = len(self.elements)
+        if elements.ndim != 2 or elements.shape[1] != dim + 1:
+            raise ValueError(f"elements must have shape (ne, {dim + 1}), got {elements.shape}")
+        self.n_elements = len(elements)
         self.ref = ReferenceElement(dim, order)
         nv = len(self.vertices)
         where = lambda e: "" if element_lines is None else f"line {element_lines[e]}: "   # noqa: E731
-        outside = np.flatnonzero(((self.elements < 0) | (self.elements >= nv)).any(axis=1))
-        if len(outside):
-            e = outside[0]
-            raise ValueError(f"{where(e)}element {e} has a vertex index outside 0..{nv - 1}")
+        for bad, what in ((elements != np.round(elements), "a vertex index that is not an integer"),  # NaN too
+                          ((elements < 0) | (elements >= nv), f"a vertex index outside 0..{nv - 1}")):
+            if bad.any():
+                e = bad.any(axis=1).argmax()
+                raise ValueError(f"{where(e)}element {e} has {what}")
+        self.elements = elements.astype(int)
 
         # affine maps x = V0 + B xi, with positive orientation required
         self._origin = self.vertices[self.elements[:, 0]]

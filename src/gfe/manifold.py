@@ -14,10 +14,11 @@ Besides the metric operations (``dist``, ``exp``, ``log``, parallel
   matrix-valued derivative data in reproducible coordinates: the identity
   rows for flat space, the rows of a Householder reflection for spheres and
   ``Q @ hat(e_k) / sqrt(2)`` for rotations,
-- the two second-derivative blocks of squared distance,
-  ``dist2_hess_q`` and ``dist2_mixed``, that drive the implicit derivative
-  systems of the interpolation modules, and ``dist2_third``, their
-  derivatives as q moves, which the exact gradients of test fields need,
+- the two second-derivative blocks of squared distance, ``dist2_hess_q``
+  and ``dist2_mixed``, that drive the implicit derivative systems of the
+  interpolation modules, and ``dist2_third``, their derivatives as q moves,
+  which the exact gradients of test fields need, all three computed from
+  the coefficients u of log_q(v) in tangent_basis(q) (``_log_coeffs``),
 - a closest-point projection ``project_point`` with its Jacobian
   ``projection_jacobian`` and the Jacobian's derivative
   ``projection_jacobian_deriv``, both taken at the projected point
@@ -75,11 +76,11 @@ so does the Rodrigues pair of |h| = rho: sin(rho)/rho = 1/a and (1 - cos
 rho)/r**2 = (g3/a - s)/a.  sin(t)/t, (1 - cos t)/t**2 and t*cot(t), which
 cancel nowhere, are plain closed forms.
 
-These kernels work batch-last: component axes first, then the node and
-point axes, contiguous (the points v, q and Eq, which only some frames
-read, may be views), so the 3x3 algebra is elementwise over whole arrays of
-points.  P is never formed; it enters in rank-one form, PX = X - <X, n> n and
-P T = T - n (T^T n)^T.  All operations are pure functions of their inputs.
+These kernels, the Hessian's aside, work batch-last: component axes first,
+then the node and point axes, contiguous (the points v, q and Eq, which
+only some frames read, may be views), so the 3x3 algebra is elementwise
+over whole arrays of points.  P is never formed; it enters in rank-one form,
+PX = X - <X, n> n and P T = T - n (T^T n)^T.  All are pure functions.
 """
 
 from __future__ import annotations
@@ -142,6 +143,13 @@ def _batch_first(x, k) -> np.ndarray:
 def _scalar(x):
     """A float for a 0-d result, the array otherwise."""
     return float(x) if np.ndim(x) == 0 else x
+
+
+def _binary_scaled(v, k):
+    """(v/s, 1/s), s = 2**e >= 1 the least such power of two above every |entry| of v over
+    its k trailing axes (1/s without them): exact scaling, under which |v/s|**2 cannot overflow."""
+    inv = np.ldexp(1.0, -np.maximum(np.frexp(np.abs(v).max(axis=tuple(range(-k, 0))))[1], 0))
+    return v * inv.reshape(inv.shape + (1,) * k), inv
 
 
 def _rodrigues_pair(F):
@@ -250,25 +258,22 @@ class Manifold:
     # ------------------------------------------------------------------
     # second-derivative blocks of squared distance
 
-    def dist2_hess_q(self, v, q, basis_q=None, log_qv=None) -> np.ndarray:
+    def dist2_hess_q(self, v, q) -> np.ndarray:
         """Hessian of q -> dist(v, q)**2 in the tangent_basis(q) coordinates.
 
         v may carry leading (node) axes; the result has shape
-        (..., dim, dim), symmetric, and equals 2*I where v = q.  ``basis_q``
-        is tangent_basis(q) and ``log_qv`` is log(q, v) when the caller
-        already has them.  Requires q within the injectivity radius of v
-        (raises CutLocusError otherwise).
+        (..., dim, dim), symmetric, and equals 2*I where v = q.  Requires q
+        within the injectivity radius of v (raises CutLocusError otherwise).
         """
-        self._check_pair(v, q)
-        dim = self.intrinsic_dim
-        u = self._flat(self.log(q, v) if log_qv is None else log_qv)   # (..., N)
-        r = np.sqrt(_inner(u, u))[..., 0]
-        E = self._flat(self.tangent_basis(q) if basis_q is None else basis_q)
-        # unit direction coefficients, zero where v = q (and there a = 1)
-        c = np.matmul(E, u[..., None])[..., 0] / np.where(r < 1e-15, np.inf, r)[..., None]
-        K = self._model_curvature
-        a = (_t_cot(np.sqrt(K) * r) if K > 0.0 else np.ones_like(r))[..., None, None]
-        return 2.0 * (a * _eye(dim) + (1.0 - a) * (c[..., :, None] * c[..., None, :]))
+        return self._dist2_hess_q(self._log_coeffs(v, q)[1])
+
+    def _dist2_hess_q(self, u) -> np.ndarray:
+        """dist2_hess_q from the coefficients u (..., dim) of log_q(v) in tangent_basis(q):
+        2*(a*I + (1 - a)*c c^T), a = t*cot(t) at t = sqrt(K)*|u|, c = u/|u| (0 where v = q)."""
+        r = np.sqrt(_inner(u, u))
+        c = u / np.where(r < 1e-15, np.inf, r)
+        a = _t_cot(math.sqrt(self._model_curvature) * r)[..., None]    # 1 on flat space
+        return 2.0 * (a * _eye(u.shape[-1]) + (1.0 - a) * (c[..., :, None] * c[..., None, :]))
 
     def _transported_adjoint(self, v, q, Eq, u, x, F):
         """(T^T x, w) of the module docstring, batch-last, for one covector x (dim, ...)
@@ -300,27 +305,28 @@ class Manifold:
         M = 2.0 * (F[1] * u[:, None] * w - F[0] * T)
         return w, T, np.where(r < 1e-15, -2.0 * _eye(len(u), r.ndim), M)
 
-    def _batch_last_args(self, v, q, basis_q, *extra):
-        """Batch-last v, q, Eq = tangent_basis(q) (``basis_q`` when given) and the
-        coefficients u of log(q, v) in it, then the arrays of the (array,
-        component axes) pairs extra, all over their broadcast leading axes."""
+    def _log_coeffs(self, v, q):
+        """(Eq, u): the flattened tangent_basis(q) and the coefficients u of log(q, v) in it."""
         self._check_pair(v, q)
-        Eq = self._flat(self.tangent_basis(q) if basis_q is None else basis_q)
-        u = np.matmul(Eq, self._flat(self.log(q, v))[..., :, None])[..., 0]
+        Eq = self._flat(self.tangent_basis(q))
+        return Eq, np.matmul(Eq, self._flat(self.log(q, v))[..., :, None])[..., 0]
+
+    def _batch_last_args(self, v, q, *extra):
+        """Batch-last v, q, Eq and u of _log_coeffs, then the arrays of the (array,
+        component axes) pairs extra, all over their broadcast leading axes."""
+        Eq, u = self._log_coeffs(v, q)
         args = ((self._flat(v), 1), (self._flat(q), 1), (Eq, 2), (u, 1)) + extra
         lead = np.broadcast_shapes(*(np.shape(x)[:np.ndim(x) - c] for x, c in args))
         return [_batch_last(x, lead, c) for x, c in args]
 
-    def dist2_mixed(self, v, q, basis_q=None) -> np.ndarray:
+    def dist2_mixed(self, v, q) -> np.ndarray:
         """Mixed second derivative of dist(v, q)**2, d/dv of the q-gradient.
 
-        Returned as a (..., dim, dim) array mapping tangent_basis(v)
-        coefficients of a perturbation of v to tangent_basis(q) coefficients
-        of the change in the q-gradient; v may carry leading (node) axes.
-        ``basis_q`` is tangent_basis(q) when the caller already has it.
-        Equals -2*I where v = q.
+        Returned as a (..., dim, dim) array mapping tangent_basis(v) coefficients of a
+        perturbation of v to tangent_basis(q) coefficients of the change in the
+        q-gradient; v may carry leading (node) axes.  Equals -2*I where v = q.
         """
-        args = self._batch_last_args(v, q, basis_q)
+        args = self._batch_last_args(v, q)
         return _batch_first(self._mixed(*args, *self._curvature_ratios(args[3]))[-1], 2)
 
     def dist2_third(self, v, q, X, weights):
@@ -337,7 +343,7 @@ class Manifold:
         q = np.expand_dims(np.asarray(q, dtype=float), -len(self.point_shape) - 1)
         # per-point data is broadcast over the nodes too, so hess_X comes back once per node
         mixed, hess_X, mixed_X = self._dist2_third(
-            *self._batch_last_args(v, q, None, (np.expand_dims(X, -3), 2), (weights, 0)))
+            *self._batch_last_args(v, q, (np.expand_dims(X, -3), 2), (weights, 0)))
         return _batch_first(mixed, 2), _batch_first(hess_X, 3)[..., 0, :, :, :], _batch_first(mixed_X, 3)
 
     def _dist2_third(self, v, q, Eq, u, X, phi):
@@ -464,10 +470,11 @@ class Sphere(Manifold):
             raise ValueError(f"sphere point is not unit length: |p| = {float(nrm[bad].flat[0])!r}")
 
     def check_tangent(self, p, v) -> None:
-        v = self._finite_array(v, "a tangent vector")
-        # scale-aware so that representation dust on large vectors passes
+        # scale-aware so that representation dust on large vectors passes, and
+        # scaled by a power of two, which changes no decision, so that |v|**2 cannot overflow
+        v, inv = _binary_scaled(self._finite_array(v, "a tangent vector"), 1)
         dot = np.abs(np.sum(np.asarray(p, dtype=float) * v, axis=-1))
-        if (~(dot <= 1e-10 * np.maximum(1.0, np.linalg.norm(v, axis=-1)))).any():
+        if (~(dot <= 1e-10 * np.maximum(inv, np.linalg.norm(v, axis=-1)))).any():
             raise ValueError("vector is not tangent to the sphere at its base point")
 
     def project_tangent(self, p, w):
@@ -593,9 +600,9 @@ class Rotation3(Manifold):
             raise ValueError("matrix has non-positive determinant")
 
     def check_tangent(self, p, v) -> None:
-        v = self._finite_array(v, "a tangent vector")
+        v, inv = _binary_scaled(self._finite_array(v, "a tangent vector"), 2)    # as on spheres
         S = np.asarray(p, dtype=float).swapaxes(-1, -2) @ v
-        scale = np.maximum(1.0, np.linalg.norm(v, axis=(-2, -1)))
+        scale = np.maximum(inv, np.linalg.norm(v, axis=(-2, -1)))
         if (~(np.linalg.norm(S + S.swapaxes(-1, -2), axis=(-2, -1)) <= 1e-10 * scale)).any():
             raise ValueError("vector is not tangent at its base rotation (Q^T W not skew)")
 

@@ -147,6 +147,43 @@ def test_interpolate_names_the_one_failing_element(tmp_path, capsys):
     assert err.count("\n") == 1 and err.startswith("error: element 2: projection undefined")
 
 
+@pytest.mark.parametrize("manifold", ["sphere2", "so3"])
+@pytest.mark.parametrize("rule", ["geodesic", "projection"])
+def test_interpolate_in_blocks_writes_the_bytes_of_one_batch(tmp_path, monkeypatch, manifold, rule):
+    # 18 order-2 elements of 66 samples each: blocks of 50 split elements, 10**6 is one batch
+    man = {"sphere2": S2, "so3": gfe.Rotation3()}[manifold]
+    grid = unit_square_grid(3, 2)
+    write_mesh(tmp_path / "m.mesh", 2, grid.vertices, grid.elements)
+    values = random_configuration(man, grid.n_nodes, np.random.default_rng(8))
+    write_bc(tmp_path / "all.csv", enumerate(values.reshape(grid.n_nodes, -1)))
+    outputs = []
+    for block in (50, 10**6):
+        monkeypatch.setattr(gfe.cli, "_BLOCK", block)
+        out = tmp_path / f"out_{block}.csv"
+        assert main([
+            "--command", "interpolate", "--manifold", manifold, "--rule", rule, "--order", "2",
+            "--mesh", str(tmp_path / "m.mesh"), "--bc", str(tmp_path / "all.csv"), "--out", str(out),
+        ]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1] and len(outputs[0].splitlines()) == 18 * 66
+
+
+def test_interpolate_failing_in_a_later_block_writes_no_file(tmp_path, capsys, monkeypatch):
+    # element 2's antipodal nodes have no projection at its sample 5, sample 27 overall: block 3 of 7
+    monkeypatch.setattr(gfe.cli, "_BLOCK", 7)
+    write_interval_mesh(tmp_path / "m.mesh", 3)
+    write_bc(tmp_path / "bc.csv", [(0, [1.0, 0.0, 0.0]), (1, [0.0, 1.0, 0.0]), (2, [1.0, 0.0, 0.0]),
+                                   (3, [-1.0, 0.0, 0.0])])
+    code = main([
+        "--command", "interpolate", "--manifold", "sphere2", "--rule", "projection",
+        "--mesh", str(tmp_path / "m.mesh"), "--bc", str(tmp_path / "bc.csv"), "--out", str(tmp_path / "o.csv"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: element 2: projection undefined")
+    assert not (tmp_path / "o.csv").exists()
+
+
 def test_interpolate_missing_node_values_rejected(tmp_path, capsys):
     mesh = tmp_path / "m.mesh"
     write_interval_mesh(mesh, 2)
@@ -442,6 +479,16 @@ def test_minimize_scale_tool_reports_one_run(tmp_path):
     report = json.loads(proc.stdout)
     assert report["free_dofs"] == 2 and report["converged"] and report["iterations"] > 0
     assert report["wall_s"] > 0.0 and report["ru_maxrss_mb"] > 0.0 and report["traced_peak_mb"] > 0.0
+
+
+def test_interpolate_scale_tool_reports_one_child(tmp_path):
+    tool = Path(__file__).resolve().parents[1] / "tools" / "interpolate_scale.py"
+    proc = subprocess.run([sys.executable, str(tool), "1"], cwd=tmp_path, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["n"] == 1 and report["samples"] == 2 * 66 and len(report["sha256"]) == 64
+    assert report["peak_mb"] > 0.0 and report["wall_s"] > 0.0
 
 
 def test_call_counts_tool_reports_one_minimize(tmp_path):

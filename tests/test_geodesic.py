@@ -74,6 +74,21 @@ def test_seeded_configurations_meet_residual_contract(man, order):
         assert np.linalg.norm(r) <= 1e-12
 
 
+@pytest.mark.parametrize("man", [gfe.Euclidean(3), S2, SO3], ids=lambda m: m.kind)
+def test_linearization_node_hessians_are_dist2_hess_q(man):
+    """The node Hessians a Newton linearization forms from its log coefficients
+    are the public dist2_hess_q(v_i, q), also at a node, where v_i = q."""
+    gi = seeded_interp(man, 2, 2, 5)
+    xi = np.vstack([[0.0, 0.0], np.random.default_rng(5).dirichlet([2, 2, 2], size=4)[:, 1:]])
+    q = gi.eval(xi)
+    values = np.broadcast_to(gi.values, (len(xi),) + gi.values.shape)
+    logs = man._log(q[:, None], values)[0]
+    _, _, hessians, _ = geodesic._linearize(man, values, gi.elem.shape_values(xi), q, logs)
+    assert hessians.shape == (len(xi), gi.elem.m, man.intrinsic_dim, man.intrinsic_dim)
+    for qp, Hn in zip(q, hessians):
+        assert np.max(np.abs(Hn - man.dist2_hess_q(gi.values, qp))) <= 1e-14
+
+
 def test_admissibility_guard_on_wide_sphere_data():
     with pytest.raises(AdmissibilityError):
         GeodesicInterpolant(

@@ -138,6 +138,26 @@ def test_out_of_range_index_names_the_element_line():
         Grid(2, SQUARE, [[0, 1, 2], [1, 4, 2]], 1, element_lines=[11, 12])
 
 
+@pytest.mark.parametrize("elements, element_lines, message", [
+    pytest.param([[0, 1.7, 2.9]], None, r"^element 0 has a vertex index that is not an integer$", id="fractions"),
+    pytest.param([[0, 1, 2], [1, 3, 2.5]], [4, 7], r"^line 7: element 1 has a vertex index that is not an integer$",
+                 id="names-its-line"),
+    pytest.param([[0, 1, 2], [1, np.nan, 2]], None, r"^element 1 has a vertex index that is not an integer$",
+                 id="nan"),
+    pytest.param([[0, 1, 2], [1, 9.5, 2]], None, r"^element 1 has a vertex index that is not an integer$",
+                 id="before-the-range-check"),
+    pytest.param([[0, 1, 2], [1, np.inf, 2]], None, r"^element 1 has a vertex index outside 0\.\.3$", id="inf"),
+])
+def test_non_integer_index_rejected(elements, element_lines, message):
+    with pytest.raises(ValueError, match=message):
+        Grid(2, SQUARE, elements, 1, element_lines=element_lines)
+
+
+def test_integral_float_indices_build_the_integer_grid():
+    grid = Grid(2, SQUARE, np.array([[0.0, 1.0, 2.0], [1.0, 3.0, 2.0]]), 1)
+    assert grid.elements.dtype == int and np.array_equal(grid.elements, [[0, 1, 2], [1, 3, 2]])
+
+
 def test_point_location():
     grid = unit_square_grid(2, 1)
     e, xi = grid.locate([0.2, 0.1])

@@ -1,3 +1,4 @@
+import warnings
 from unittest import mock
 
 import mpmath
@@ -255,9 +256,6 @@ def test_batched_dist2_blocks_equal_per_node(man):
         assert H.shape == M.shape == (len(V), dim, dim)
         assert np.allclose(H, [man.dist2_hess_q(v, q) for v in V], rtol=0.0, atol=1e-14)
         assert np.allclose(M, [man.dist2_mixed(v, q) for v in V], rtol=0.0, atol=1e-14)
-        # passing the bases the blocks would compute changes nothing
-        assert np.array_equal(H, man.dist2_hess_q(V, q, man.tangent_basis(q)))
-        assert np.array_equal(M, man.dist2_mixed(V, q, man.tangent_basis(q)))
         assert np.array_equal(H[0], 2.0 * np.eye(dim))
         assert np.array_equal(M[0], -2.0 * np.eye(dim))
         for v, Hv, Mv in zip(V[1:], H[1:], M[1:]):
@@ -284,6 +282,61 @@ def test_transport_is_isometric_and_maps_log(man):
         # forward direction at p maps to forward direction at q
         moved = man.transport(p, q, man.log(p, q))
         assert np.allclose(moved, -man.log(q, p), atol=1e-10)
+
+
+def tangent_and_normal(man, p, rng):
+    """A unit tangent vector at p and a unit normal one: p on spheres, p times a
+    symmetric matrix on rotations."""
+    t = random_tangent(man, p, rng, scale=1.0)
+    if isinstance(man, gfe.Sphere):
+        return t, p
+    sym = rng.standard_normal((3, 3))
+    n = p @ (sym + sym.T)
+    return t, n / np.linalg.norm(n)
+
+
+def unscaled_accepts(man, p, v) -> bool:
+    """check_tangent's decision computed without scaling v first."""
+    if isinstance(man, gfe.Sphere):
+        return bool(np.abs(np.sum(p * v)) <= 1e-10 * max(1.0, np.linalg.norm(v)))
+    S = p.T @ v
+    return bool(np.linalg.norm(S + S.T) <= 1e-10 * max(1.0, np.linalg.norm(v)))
+
+
+def accepts(man, p, v) -> bool:
+    try:
+        man.check_tangent(p, v)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("man", [gfe.Sphere(2), gfe.Rotation3()], ids=lambda m: m.kind)
+def test_check_tangent_refuses_a_vector_whose_norm_overflows(man):
+    p = random_point(man, np.random.default_rng(3))
+    t, _ = tangent_and_normal(man, p, np.random.default_rng(4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="not tangent"):
+            man.check_tangent(p, np.full(man.point_shape, 1e308))
+        with pytest.raises(ValueError, match="not tangent"):
+            man.check_tangent(np.array([p, p]), np.array([1e308 * t, np.full(man.point_shape, -1e308)]))
+        man.check_tangent(p, 1e308 * t)
+        man.check_tangent(np.array([p, p]), np.array([1e308 * t, 0.0 * t]))
+
+
+@pytest.mark.parametrize("man", [gfe.Sphere(2), gfe.Rotation3()], ids=lambda m: m.kind)
+def test_check_tangent_decisions_where_the_squared_norm_is_finite_are_unscaled_ones(man):
+    # scales from 1e-300 to 1e150, normal parts around the 1e-10 relative tolerance
+    rng = np.random.default_rng(41)
+    decisions = []
+    for _ in range(300):
+        p = random_point(man, rng)
+        t, n = tangent_and_normal(man, p, rng)
+        v = 10.0 ** rng.uniform(-300.0, 150.0) * (t + 1e-10 * rng.uniform(0.5, 2.0) * n)
+        decisions.append(accepts(man, p, v))
+        assert decisions[-1] == unscaled_accepts(man, p, v)
+    assert 0 < sum(decisions) < len(decisions)
 
 
 # ----------------------------------------------------------------------
