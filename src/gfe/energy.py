@@ -22,19 +22,20 @@ size, and on rough data (nodal values far apart within an element) linear.
 
 Assembly is batched: all (element, quadrature point) pairs of a state are
 evaluated together, element-major, in one lockstep center solve; their
-layout and shape tables are built once per grid (``_layout``).  A state keeps the
-record of its quadrature data (``_assembly``), built by whichever of the
-energy, the gradient or the directional derivative comes first; later
-calls on the state make no Newton solve and no logarithm, which is how
-``minimize`` gets its gradient and metric from the accepted trial.
-Per-point contributions are summed with ``math.fsum``.  The gradient alone
+layout and shape tables, batch-first and batch-last, are built once per grid
+(``_layout``).  A state keeps the record of its quadrature data
+(``_assembly``), built by whichever of the energy, the gradient or the
+directional derivative comes first, and its nodal frames; later calls on
+the state make no Newton solve and no logarithm, which is how ``minimize``
+gets its gradient and metric from the accepted trial.  Per-point
+contributions are summed with ``math.fsum``.  The gradient alone
 (``algebraic_gradient``, ``directional_derivative``, ``equivalence_audit``)
 pairs u's gradient with every nodal basis field's gradient through
 ``Interpolant._basis_gradient_terms``, which on the geodesic rule forms
 none of them; the metric of ``minimize`` is their Gram matrix, summed point
 by point into its free block alone, so it forms them all
-(``_basis_ref_gradients``) and pairs them with ``jacobi._pair``, as the
-projection rule's gradient alone does.
+(``_basis_ref_gradients``, on the geodesic rule no other block of their size)
+and pairs them with ``jacobi._pair``, as the projection rule's gradient does.
 
 ``equivalence_audit`` compares the two, along random nodal directions,
 with the extrapolated finite difference of the energy.
@@ -105,15 +106,16 @@ def _layout(grid, dim: int):
     """(els, xi, w, Binv, dofs, shape) of grid's P (element, point) pairs under
     ``simplex_quadrature``, element-major: elements, reference points, weights
     detB * rule weights, inverse element maps, the dof i*dim + j of field
-    (i, j) and shape, the Lagrange weights (P, m) and their gradients (P, m, d)
-    at xi; built once per grid and intrinsic dimension for all its states."""
+    (i, j) and shape, the Lagrange weights (P, m), their gradients (P, m, d) and both
+    batch-last at xi; built once per grid and intrinsic dimension for all its states."""
     if dim not in grid._layouts:
         rule = simplex_quadrature(grid.dim)
         els, k = grid._pairs(len(rule.weights))
         xi = rule.points[k]
         dofs = (grid.element_nodes[els][:, :, None] * dim + np.arange(dim)).reshape(len(els), -1)
+        phi, dphi = grid.ref.shape_values(xi), grid.ref.shape_gradients(xi)
         grid._layouts[dim] = (els, xi, grid._detB[els] * rule.weights[k], grid._Binv[els], dofs,
-                              (grid.ref.shape_values(xi), grid.ref.shape_gradients(xi)))
+                              (phi, dphi, np.ascontiguousarray(phi.T), np.ascontiguousarray(dphi.T)))
     return grid._layouts[dim]
 
 
@@ -224,9 +226,9 @@ def _embedded(frames: np.ndarray, coeff: np.ndarray) -> np.ndarray:
 
 
 def _fixed_nodes(grid, fixed) -> frozenset:
-    """The node indices in ``fixed``; ValueError names one that is not an integer in 0..n-1."""
+    """The node indices in ``fixed``; ValueError names one that is not an integer in 0..n-1 (nor a bool)."""
     for i in fixed:
-        if not isinstance(i, (int, np.integer)) or not 0 <= i < grid.n_nodes:
+        if isinstance(i, bool) or not isinstance(i, (int, np.integer)) or not 0 <= i < grid.n_nodes:
             raise ValueError(f"fixed node {i!r} is not an integer in 0..{grid.n_nodes - 1}")
     return frozenset(fixed)
 
@@ -242,7 +244,7 @@ def algebraic_gradient(u: GFEFunction, fixed: set[int] | None = None) -> np.ndar
     """
     coeff = _gradient_terms(u)[0]
     coeff[sorted(u.grid.boundary_nodes if fixed is None else _fixed_nodes(u.grid, fixed))] = 0.0
-    return _embedded(u.manifold.tangent_basis(u.values), coeff)
+    return _embedded(u._frames(), coeff)
 
 
 # ----------------------------------------------------------------------
@@ -296,8 +298,7 @@ def minimize(
     def gradient(u):
         coeff, A, J = _gradient_terms(u, metric=True)
         coeff[fixed_nodes] = 0.0
-        frames = man.tangent_basis(u.values)
-        return coeff, float(np.linalg.norm(_embedded(frames, coeff))), A, J, frames[free]
+        return coeff, float(np.linalg.norm(_embedded(u._frames(), coeff))), A, J, u._frames()[free]
 
     coeff, gnorm, A, J, frames = gradient(u)
     if callback is not None:
@@ -381,7 +382,7 @@ def equivalence_audit(
     dim = man.intrinsic_dim
     rng = np.random.default_rng(seed)
     grad = algebraic_gradient(u, fixed=())
-    frames = man.tangent_basis(u.values)
+    frames = u._frames()
     h = 2e-3
 
     worst = 0.0

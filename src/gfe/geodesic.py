@@ -17,18 +17,16 @@ from differentiating that condition: with the Hessian
 one solves H * dq/dxi_k = 2 * sum_i dphi_i/dxi_k * log-coefficients and
 H * dq/dv_i = -phi_i(xi) * dist2_mixed(v_i, q*), everything expressed in the
 deterministic tangent bases of the manifold module.  Differentiating the
-second relation once more in xi, with the third derivatives of squared
-distance (``dist2_third``), gives the exact reference gradients of the
-test-function fields dq/dv_i . b from the data of the solve at xi alone,
-batch-last, in the rank-one forms of the manifold module, together with
-the fields' values dq/dv_i . b.  The energy's gradient pairs them with u's
-gradient in reverse mode (``_basis_gradient_terms``, which overrides the
-base class's pairing of formed gradients): one covector per (point, node)
-pair goes through the transported frame, and no gradient, third
-derivative, mixed block or frame is formed, nor any array larger than the
-log coefficients; its metric, their Gram matrix, forms them.  H is
-inverted by ``kernels._sym_inv`` in closed form and certified by
-Sylvester's test on H - 1e-10 I.
+second relation once more in xi gives the exact reference gradients G of the
+test-function fields dq/dv_i . b from the data of the solve at xi alone, kept
+by ``_center`` in the layout the derivatives read (``_Center``).  H^-1 goes
+on the factors of the third derivatives of squared distance
+(``Manifold._third_factors``), so no (d, dim, dim, m, P) block but G is
+formed, and the transported frames come from nodal frames formed once per
+node.  The energy's gradient pairs G with u's gradient in reverse mode
+(``_basis_gradient_terms``) and forms no array larger than the log
+coefficients.  H is inverted by ``kernels._sym_inv`` in closed form and
+certified by Sylvester's test on H - 1e-10 I.
 
 On a two-node element Newton starts at the center itself, the geodesic
 point exp_{v_1}(phi_2 log_{v_1} v_2), finds the residual at its target and
@@ -39,25 +37,25 @@ from the nodal value with the largest weight otherwise; steps are halved
 (up to 20 times) whenever the residual does not decrease, which keeps the
 iteration stable for second-order weights that take negative values.
 
-Every evaluation is batched: reference points may carry leading axes, and
-so may the nodal values of an interpolant built over several elements at
-once (``GFEFunction.local`` with an array of elements); the two broadcast.
-``_solve`` runs one Newton iteration over all points in lockstep, each
-point with its own convergence test, damping halvings and cut-locus trials,
-and each point takes exactly the steps it would take alone; a pass in which
-every point is active, or improves, is one of whole arrays, with no gather.
-The Lagrange weights and the inverses of ``kernels._sym_inv`` come in
+Every evaluation is batched: reference points and the nodal values of an
+interpolant over several elements (``GFEFunction.local`` with an array) may
+carry leading axes, which broadcast; a flat batch, such as the energy's
+record, goes to Newton as it is.  ``_solve`` runs one Newton iteration over
+all points in lockstep, each point with its own convergence test, damping
+halvings and cut-locus trials, so each takes exactly the steps it would take
+alone; a pass in which every point is active, or improves, is one of whole
+arrays.  The weights and the inverses of ``kernels._sym_inv`` come in
 layouts that give each matmul the same numpy loop at every batch size, so
-the centers of a batch equal those of its points solved one at a time bit
-for bit; derivatives agree to rounding.  An empty batch gives empty arrays.
-The cut locus, a stall, a singular system and an undefined projection are
-masks over the batch (the angles of ``Manifold._log``, ``_projectable``),
-read point by point only when they hold one, not exceptions to recover
-from.  When points fail, the error of the lowest-index one is raised, with
-that C-order flat index over the batch's leading axes as its ``point``.
-As a rule of ``jacobi.Interpolant`` it supplies ``eval``, ``_center``,
-``_basis_gradients`` and ``_admit``, which refuses sphere values spread
-wider than 0.9*pi, and overrides ``_basis_gradient_terms`` in reverse mode.
+the centers of a batch equal those of its points bit for bit; derivatives
+agree to rounding, and their arithmetic is not pinned: changing it moves
+``minimize`` and ``audit`` outputs in their last digits, never those of
+``interpolate``.  The cut locus, a stall, a singular system and an undefined
+projection are masks over the batch, read point by point only when they hold
+one; the lowest-index failing point's error is raised, its C-order flat
+index over the leading axes as its ``point``.  As a ``jacobi.Interpolant``
+rule it supplies ``eval``, ``_center``, ``_basis_gradients`` and ``_admit``,
+which refuses sphere values spread wider than 0.9*pi, and overrides
+``_basis_gradient_terms`` in reverse mode.
 """
 
 from __future__ import annotations
@@ -125,22 +123,30 @@ def karcher_check(manifold: Manifold, values: np.ndarray) -> KarcherCheck:
 
 
 class _Solution(NamedTuple):
-    """Centers of a batch of points, the arrays with the batch's leading axes;
-    ``_center`` adds the fields from hessian_inv on and drops the Hessians,
-    which a state's quadrature record would otherwise keep."""
+    """Centers of a batch of points, the arrays with the batch's leading axes."""
 
     q: np.ndarray            # (..., *point_shape)
     basis: np.ndarray        # (..., dim, *point_shape), tangent_basis(q)
     hessian: np.ndarray      # (..., dim, dim)
     node_hessians: np.ndarray  # (..., m, dim, dim), dist2_hess_q(v_i, q)
     log_coeffs: np.ndarray   # (..., m, dim), the logs in that basis
-    weights: np.ndarray      # (..., m), the Lagrange weights phi_i(xi)
     iterations: int          # lockstep Newton sweeps: the most any point took
     residual: np.ndarray     # (...,)
-    hessian_inv: np.ndarray | None = None       # (..., dim, dim)
-    hessian_xi: np.ndarray | None = None        # (..., d, dim, dim), dH/dxi at fixed q
-    dq: np.ndarray | None = None                # (..., dim, d), dq/dxi in tangent_basis(q)
-    weight_gradients: np.ndarray | None = None  # (..., m, d)
+
+
+class _Center(NamedTuple):
+    """A center solve with what the derivatives read in their layout: but for q and basis, batch-last
+    and contiguous (component axes, a node axis, 1 for per-point data, the leading axes reversed)."""
+
+    q: np.ndarray            # (..., *point_shape)
+    basis: np.ndarray        # (..., dim, *point_shape), tangent_basis(q)
+    u: np.ndarray            # (dim, m, ...), the log coefficients in that basis
+    phi: np.ndarray          # (m, ...), the Lagrange weights phi_i(xi)
+    dphi: np.ndarray         # (d, m, ...), their gradients
+    dq: np.ndarray           # (d, dim, 1, ...), dq/dxi
+    hessian_inv: np.ndarray  # (dim, dim, 1, ...)
+    hessian_xi: np.ndarray   # (d, dim, dim, 1, ...), dH/dxi at fixed q
+    log_coeffs = property(lambda self: self.u.T, doc="u batch-first, (..., m, dim)")
 
 
 # ----------------------------------------------------------------------
@@ -183,7 +189,7 @@ def _projected_guess(man: Manifold, values, weights) -> np.ndarray:
     return q
 
 
-def _linearize(man: Manifold, values, weights, q, logs):
+def _linearize(man: Manifold, weights, q, logs):
     """(basis at q, Hessian, per-node Hessians, log coefficients L): one basis for all, the Hessians from L."""
     basis = man.tangent_basis(q)                                       # (P, dim, *shape)
     L = _flat_rows(logs, 2) @ _flat_rows(basis, 2).swapaxes(1, 2)    # (P, m, dim)
@@ -205,11 +211,11 @@ def _newton(man: Manifold, values, weights, q) -> _Solution:
         p: man._cut_locus_error(angle[p]) for p in (~active).nonzero()[0]}
     iterations = np.zeros(P, dtype=int)
     # (basis, H, Hn, L) at each point's latest q; an empty batch has its empty ones at once
-    lin = None if P else _linearize(man, values, weights, q, logs)
+    lin = None if P else _linearize(man, weights, q, logs)
 
     while active.any():
         idx = active.nonzero()[0]
-        new = _linearize(man, _rows(values, idx), _rows(weights, idx), _rows(q, idx), _rows(logs, idx))
+        new = _linearize(man, _rows(weights, idx), _rows(q, idx), _rows(logs, idx))
         if len(idx) == P:
             lin = new       # a pass over every point: its own arrays, no copy
         else:               # into an earlier pass's arrays, or zeros where points start at the cut locus
@@ -269,7 +275,7 @@ def _newton(man: Manifold, values, weights, q) -> _Solution:
         point = min(errors)
         errors[point].point = int(point)
         raise errors[point]
-    return _Solution(q, *lin, weights, int(iterations.max(initial=0)), res)
+    return _Solution(q, *lin, int(iterations.max(initial=0)), res)
 
 
 # ----------------------------------------------------------------------
@@ -302,19 +308,19 @@ class GeodesicInterpolant(Interpolant):
         return karcher_check(self.manifold, self.values)
 
     def _solve(self, xi, weights=None) -> _Solution:
-        """Centers at the reference points xi (..., d), all in one lockstep batch;
+        """Centers at the reference points xi (..., d), all in one lockstep batch, a flat one as it is;
         ``weights`` are the Lagrange weights at xi when the caller has them."""
-        man = self.manifold
-        shape = man.point_shape
+        man, m, k = self.manifold, self.elem.m, len(self.manifold.point_shape) + 1
         weights = self.elem.shape_values(xi) if weights is None else weights
-        lead = np.broadcast_shapes(weights.shape[:-1], self.values.shape[: -len(shape) - 1])
-        P = math.prod(lead)
-        values = np.broadcast_to(self.values, lead + self.values.shape[-len(shape) - 1:])
-        values = values.reshape((P, self.elem.m) + shape)
-        w = np.broadcast_to(weights, lead + weights.shape[-1:]).reshape(P, self.elem.m)
-        sol = _newton(man, values, w, _initial_guess(man, values, w))
-        return _Solution(*(x.reshape(lead + x.shape[1:]) for x in sol[:6]), sol.iterations,
-                         sol.residual.reshape(lead))
+        values, lead = self.values, weights.shape[:-1]
+        if values.shape[:-k] != lead or len(lead) != 1:
+            lead = np.broadcast_shapes(lead, values.shape[:-k])
+            P = math.prod(lead)
+            values = np.broadcast_to(values, lead + values.shape[-k:]).reshape((P,) + values.shape[-k:])
+            weights = np.broadcast_to(weights, lead + (m,)).reshape(P, m)
+        sol = _newton(man, values, weights, _initial_guess(man, values, weights))
+        return sol if len(lead) == 1 else _Solution(*(x.reshape(lead + x.shape[1:]) for x in sol[:5]),
+                                                    sol.iterations, sol.residual.reshape(lead))
 
     # ------------------------------------------------------------------
 
@@ -323,60 +329,63 @@ class GeodesicInterpolant(Interpolant):
         return self._solve(xi).q
 
     def _center(self, xi, shape=None):
-        """(center, cols): the solve at xi, with what the exact basis-field
-        gradients need added, and the columns d(interpolant)/d(xi_k)
-        (..., d, *point_shape)."""
+        """(center, cols): the solve at xi as a ``_Center``, and the columns d(interpolant)/d(xi_k)
+        (..., d, *point_shape); ``shape``: the caller's tables of ``energy._layout``."""
         man = self.manifold
-        phi, dphi = (self.elem.shape_values(xi), self.elem.shape_gradients(xi)) if shape is None else shape
+        phi, dphi = (self.elem.shape_values(xi), self.elem.shape_gradients(xi)) if shape is None else shape[:2]
         sol = self._solve(xi, phi)
-        rhs = 2.0 * (dphi.swapaxes(-1, -2) @ sol.log_coeffs)            # (..., d, dim)
-        Hinv = _sym_inv(sol.hessian.T)[0].T     # H is symmetric positive definite, as the solve checked
-        X = Hinv @ rhs.swapaxes(-1, -2)
-        cols = X.swapaxes(-1, -2) @ man._flat(sol.basis)               # (..., d, N)
+        if shape is None:   # the weights' leading axes broadcast to the batch's
+            nodes = sol.log_coeffs.shape[:-1]
+            shape = phi, dphi, _batch_last(phi, nodes, 0), _batch_last(dphi, nodes, 1)
+        # H is positive definite, as the solve checked; Hinv comes batch-last, Hinv.T batch-first
+        Hinv = _sym_inv(sol.hessian.T)[0]
+        X = Hinv.T @ (2.0 * (dphi.swapaxes(-1, -2) @ sol.log_coeffs)).swapaxes(-1, -2)   # (..., dim, d)
+        cols = X.swapaxes(-1, -2) @ man._flat(sol.basis)                                 # (..., d, N)
         # H's derivative in xi at fixed q, sum_j dphi_j/dxi_l dist2_hess_q(v_j, q)
-        H_xi = np.einsum("...jl,...jab->...lab", dphi, sol.node_hessians)
-        return sol._replace(hessian=None, node_hessians=None, hessian_inv=Hinv, hessian_xi=H_xi, dq=X,
-                            weight_gradients=dphi), \
-            cols.reshape(cols.shape[:-1] + man.point_shape)
+        H_xi = np.einsum("lj...,abj...->lab...", shape[3], sol.node_hessians.T, order="C")
+        return _Center(sol.q, sol.basis, sol.log_coeffs.T.copy(), shape[2], shape[3], X.T[:, :, None].copy(),
+                       Hinv[:, :, None].copy(), H_xi[:, :, :, None]), cols.reshape(cols.shape[:-1] + man.point_shape)
 
-    def _batch_last_center(self, c: _Solution, *extra):
-        """The center c batch-last as Manifold._dist2_third takes it: phi (m, ...),
-        dphi (d, m, ...), v, q, Eq, u, X = dq/dxi (d, dim, 1, ...), H^-1 (dim, dim, 1, ...),
-        H_xi (d, dim, dim, 1, ...), then the matrices extra (..., s, dim) as (s, dim, 1, ...);
-        v, q and Eq, which only some frames read, as views, not copies."""
-        man, lead = self.manifold, c.log_coeffs.shape[:-2]
-        nodes, point = lead + (self.elem.m,), lead + (1,)
-        one = lambda x, k: (x.reshape(point + x.shape[len(lead):]), point, k)   # noqa: E731
-        return (_batch_last(c.weights, nodes, 0), _batch_last(c.weight_gradients, nodes, 1),
-                _batch_last_view(man._flat(self.values), nodes, 1), _batch_last_view(*one(man._flat(c.q), 1)),
-                _batch_last_view(*one(man._flat(c.basis), 2)), _batch_last(c.log_coeffs, nodes, 1),
-                _batch_last(*one(c.dq.swapaxes(-1, -2), 2)), _batch_last(*one(c.hessian_inv, 2)),
-                _batch_last(*one(c.hessian_xi, 3)), *(_batch_last(*one(x, 2)) for x in extra))
+    def _batch_last_center(self, c: _Center):
+        """(B, q, Eq, u) batch-last: the flattened nodal frames (dim, N, m, ...) where the transport
+        reads them (``Manifold._frame_transport``, else None), q, its flattened tangent_basis, u."""
+        man = self.manifold
+        B = _batch_last_view(man._flat(self._frames_of()), c.u.shape[:0:-1], 2) if man._frame_transport else None
+        return B, man._flat(c.q).T[:, None], man._flat(c.basis).T.swapaxes(0, 1)[:, :, None], c.u
 
-    def _basis_gradients(self, c: _Solution):
-        """Reference gradients G of the nodal basis fields from the center c,
-        (..., m, dim, dim, d), entry [i, j, a, l] the tangent_basis(q)[a]
-        coefficient of the l-th derivative of field (i, j), and the fields'
-        values V_i = dq/dv_i = -phi_i H^-1 K_i, K_i = dist2_mixed(v_i, q),
-        (..., m, dim, dim), entry [i, j, a] alike; returns (G, values).
-        Differentiates H V_i = -phi_i K_i along xi_l, with
-        X_l = dq/dxi_l and the derivatives d_X along X_l from dist2_third:
+    def _basis_gradients(self, c: _Center):
+        """Reference gradients G of the nodal basis fields from the center c, (..., m, dim, dim, d),
+        entry [i, j, a, l] the tangent_basis(q)[a] coefficient of the l-th derivative of field (i, j),
+        and the fields' values V_i = dq/dv_i = -phi_i H^-1 K_i, K_i = dist2_mixed(v_i, q), (..., m, dim,
+        dim), entry [i, j, a] alike; returns (G, values).  Differentiating H V_i = -phi_i K_i along
+        xi_l, X = dq/dxi_l, with H^-1 applied to the factors of the derivatives d_X of
+        Manifold.dist2_third (in those of Manifold._mixed, and H^-1 T = (2 s H^-1 u w^T - H^-1
+        K_i)/(2 a)), so that neither d_X K_i nor d_X Hess_l is formed:
 
-            H dV_i = -dphi_il K_i - phi_i (d_X K_i) - (sum_j dphi_jl Hess_j + phi_j d_X Hess_j) V_i.
+            dV_i = H^-1 (-dphi_il K_i - phi_i (d_X K_i) - (H_xi,l + d_X Hess_l) V_i)
+                 = (phi_i Z_l - dphi_il + phi_i g3 <u, X>/a) H^-1 K_i + 2 phi_i g1 H^-1 PX w^T
+                   - 2 phi_i g3 H^-1 u (T^T X - 2 <n, X> T^T n + (s/a) <u, X> w)^T,
 
-        H is positive definite, as the solve checked.  Batch-last results,
-        [a, j, i, ...] and [l, a, j, i, ...], come back by reversing their axes.
+        Z_l = H^-1 (H_xi,l + 2 N_l) - 2 (F_l H^-1 + H^-1 X Y^T + H^-1 Y X^T), F_l = sum_i phi_i g1 <u_i,
+        X>, with Y and N of Manifold._third_factors.  Batch-last results, [a, j, i, ...] and [l, a, j,
+        i, ...], come back reversed.
         """
-        phi, dphi, v, q, Eq, u, X, Hinv, H_xi = self._batch_last_center(c)
-        mixed, hess_X, mixed_X = self.manifold._dist2_third(v, q, Eq, u, X, phi)
-        HK = np.einsum("ac...,cb...->ab...", Hinv, mixed)
-        V = -phi * HK
-        # H^-1 applied term by term, to the smaller operand of each
-        G = (np.einsum("ac...,lcb...->lab...", -phi * Hinv, mixed_X) - dphi[:, None, None] * HK
-             - np.einsum("lac...,cb...->lab...", np.einsum("ac...,lcb...->lab...", Hinv, H_xi + hess_X), V))
-        return G.T, V.T
+        ein, phi, dphi, X, Hinv = np.einsum, c.phi, c.dphi, c.dq, c.hessian_inv
+        B, q, Eq, u = self._batch_last_center(c)
+        (a, s, g1, g3), rinv, w, _, mixed, uX, nX, TX, Y, N = self.manifold._third_factors(None, q, Eq, u, X, phi, B)
+        HK, Hu = ein("ac...,cj...->aj...", Hinv, mixed), ein("ac...,c...->a...", Hinv, u)
+        HX = ein("ac...,lc...->la...", Hinv, X)                               # (d, dim, 1, ...)
+        pg1, pg3 = phi * g1, phi * g3
+        Z = ein("ac...,lcb...->lab...", Hinv, c.hessian_xi + 2.0 * N) - 2.0 * (
+            (pg1 * uX).sum(1)[:, None, None, None] * Hinv + HX[:, :, None] * Y
+            + (phi * (g1 + self.manifold._model_curvature) * Hu).sum(1, keepdims=True)[:, None] * X[:, None])
+        G = phi * ein("lac...,cj...->laj...", Z, HK) - (dphi - pg3 * uX / a)[:, None, None] * HK
+        # T^T n = -w/r, as w = -T^T u
+        G -= (2.0 * pg3 * Hu)[:, None] * (TX + (s * uX / a + 2.0 * nX * rinv)[:, None] * w)[:, None]
+        G += (HX - (nX * rinv)[:, None] * Hu)[:, :, None] * (2.0 * pg1 * w)
+        return G.T, (-phi * HK).T
 
-    def _basis_gradient_terms(self, c: _Solution, C):
+    def _basis_gradient_terms(self, c: _Center, C):
         """sum_{l,a} C[..., l, a] G[..., i, j, a, l], (..., m, dim): the relation of
         _basis_gradients transposed, with lam_l = H^-1 C_l, mu = sum_l (H_xi,l +
         d_X Hess_l) lam_l and kappa_i = phi_i H^-1 mu - sum_l dphi_il lam_l, is
@@ -384,13 +393,15 @@ class GeodesicInterpolant(Interpolant):
             terms_i = K_i^T kappa_i - phi_i (d_X K_i)^T lam
                     = T^T (-2 a kappa_i - 2 phi_i g3 P S u_i) + 2 w (s <kappa_i, u_i> + phi_i g1 <lam, PX>)
 
-        in the factors of Manifold._dist2_third (-2 kappa_i where v_i = q), the s directions
+        in the factors of Manifold.dist2_third (-2 kappa_i where v_i = q), the s directions
         contracted per point first into M = sum_l lam_l X_l^T, S = M + M^T: <lam, PX> = tr M -
         <n_i, M n_i> and sum_l (d_X Hess_l) lam_l = -2 (M U + (M^T + tr M) Y - sum_i phi_i (g1 +
         2 g2) <n_i, M n_i> u_i), U, Y the sums of phi_i g1 u_i, phi_i g2 u_i.  T gets one covector
         per (point, node) pair, and no array outgrows u (dim, m, ...)."""
         man, K = self.manifold, self.manifold._model_curvature
-        phi, dphi, v, q, Eq, u, X, Hinv, H_xi, lam = self._batch_last_center(c, C @ c.hessian_inv)
+        phi, dphi, X, Hinv, H_xi = c.phi, c.dphi, c.dq, c.hessian_inv, c.hessian_xi
+        B, q, Eq, u = self._batch_last_center(c)
+        lam = np.einsum("ac...,cl...->la...", Hinv, np.ascontiguousarray(np.asarray(C).T))   # (d, dim, 1, ...)
         r, F = man._curvature_ratios(u)
         a, s, g1, g3 = F
         M = np.einsum("la...,lb...->ab...", lam, X)                          # (dim, dim, 1, ...)
@@ -398,11 +409,11 @@ class GeodesicInterpolant(Interpolant):
         Su = np.einsum("ab...,b...->a...", M + M.swapaxes(0, 1), u)          # (dim, m, ...)
         nMn = (0.5 * (u * Su).sum(0)) / np.where(r < 1e-15, np.inf, r * r)
         pg1 = phi * g1
-        weights = np.stack([pg1, pg1 + K * phi, (3.0 * pg1 + 2.0 * K * phi) * nMn])
+        weights = np.array([pg1, pg1 + K * phi, (3.0 * pg1 + 2.0 * K * phi) * nMn])
         U, Y, V = np.einsum("ki...,ai...->ka...", weights, u)[:, :, None]   # (dim, 1, ...) each
         mu = (H_xi * lam[:, None]).sum((0, 2)) - 2.0 * ((M * U).sum(1) + (M * Y[:, None]).sum(0) + tr * Y - V)
         kappa = phi * (Hinv * mu).sum(1) - np.einsum("li...,la...->ai...", dphi, lam[:, :, 0])
         Su -= (2.0 * nMn) * u                                               # P S u
-        Tx, w = man._transported_adjoint(v, q, Eq, u, (-2.0 * a) * kappa - (2.0 * phi * g3) * Su, F)
+        Tx, w = man._transported_adjoint(None, q, Eq, u, (-2.0 * a) * kappa - (2.0 * phi * g3) * Su, F, B)
         Tx += w * (2.0 * (s * (kappa * u).sum(0) + pg1 * (tr - nMn)))
         return np.where(r < 1e-15, -2.0 * kappa, Tx).T

@@ -27,6 +27,7 @@ comment.
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 
 import numpy as np
@@ -269,8 +270,8 @@ class GFEFunction:
     restriction.  Construction validates every nodal value and, with the
     rule's ``_admit``, every element (the geodesic rule's sphere spread check);
     ``values`` is then read-only, and restrictions are not validated again.
-    It keeps the quadrature record of its first assembly (``energy._assembly``),
-    so later energy and gradient calls on it reuse that center solve.
+    It keeps its nodal frames and the quadrature record of its first assembly
+    (``energy._assembly``), so later energy and gradient calls reuse that center solve.
     """
 
     def __init__(self, grid: Grid, manifold: Manifold, rule: str, values):
@@ -289,6 +290,9 @@ class GFEFunction:
         self.rule = rule
         self.values = values
         self._assembly = None
+        # tangent_basis(values), read-only, on first call; no reference to self, so its readers make no cycle
+        self._frames = functools.cache(
+            lambda: np.lib.stride_tricks.as_strided(manifold.tangent_basis(values), writeable=False))
 
     def local(self, e):
         """The interpolant restricted to element e.
@@ -297,9 +301,9 @@ class GFEFunction:
         values have shape (len(e), m, *point_shape), and reference points
         (len(e), d) evaluate pairwise.
         """
-        return _RULES[self.rule](
-            self.grid.ref, self.values[self.grid.element_nodes[e]], self.manifold, _checked=True
-        )
+        nodes, frames = self.grid.element_nodes[e], self._frames
+        return _RULES[self.rule](self.grid.ref, self.values[nodes], self.manifold, _checked=True,
+                                 _frames_of=lambda: frames()[nodes])
 
     def evaluate(self, x, element: int | None = None) -> np.ndarray:
         """Value at a domain point (optionally within a prescribed element)."""

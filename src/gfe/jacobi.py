@@ -52,10 +52,11 @@ class Interpolant:
 
     The constructor validates one element's values, shape (m, *point_shape).
     With ``_checked=True`` it trusts already validated values, which may then
-    carry leading batch axes (one set of m values per point).
+    carry leading batch axes (one set of m values per point).  ``_frames_of()`` gives
+    tangent_basis(values), from frames formed once per node when ``GFEFunction.local`` built it.
     """
 
-    def __init__(self, elem: ReferenceElement, values, manifold: Manifold, *, _checked=False):
+    def __init__(self, elem: ReferenceElement, values, manifold: Manifold, *, _checked=False, _frames_of=None):
         values = np.asarray(values, dtype=float)
         if not _checked:
             values = values.copy()
@@ -69,6 +70,7 @@ class Interpolant:
         self.elem = elem
         self.values = values
         self.manifold = manifold
+        self._frames_of = _frames_of or (lambda: manifold.tangent_basis(values))
 
     @staticmethod
     def _admit(manifold: Manifold, values) -> None:
@@ -139,8 +141,7 @@ class ElementTestField:
     def _coefficients(self) -> np.ndarray:
         """tangent_basis(v_i) coefficients of the nodal vectors, shape (m, dim)."""
         man = self.interp.manifold
-        B = man._flat(man.tangent_basis(self.interp.values))
-        return np.einsum("ijn,in->ij", B, man._flat(self.vectors))
+        return np.einsum("ijn,in->ij", man._flat(self.interp._frames_of()), man._flat(self.vectors))
 
     # ------------------------------------------------------------------
 

@@ -45,6 +45,7 @@ _RATIO_TABLE = np.array([
     (2.5, 1.0 / 3.0, 7.0 / 90.0, 31.0 / 2520.0, 127.0 / 75600.0),        # (1 - c)/t**2 * a
 ])
 _CUTOFFS = _RATIO_TABLE[:, 0] * _SERIES_CUTOFF
+_CUTOFF_MAX = _CUTOFFS.max()
 
 
 def _ratios(t) -> np.ndarray:
@@ -56,18 +57,18 @@ def _ratios(t) -> np.ndarray:
     def closed(t):
         sn, tt, c = np.sin(t), t * t, t / np.tan(t)
         a = t / sn
-        return np.stack([a, (1.0 - a) / tt, (c - c * c - tt) / tt, (1.0 - c) / (t * sn)])
+        return np.array([a, (1.0 - a) / tt, (c - c * c - tt) / tt, (1.0 - c) / (t * sn)])
 
     t = np.asarray(t, dtype=float)
-    if np.abs(t).min(initial=np.inf) >= _CUTOFFS.max():
+    at = np.abs(t)
+    if at.min(initial=np.inf) >= _CUTOFF_MAX:
         return closed(t)
     table = _RATIO_TABLE.T.reshape((5, 4) + (1,) * t.ndim)
     t2 = t * t
     series = table[4]
     for c in table[3:0:-1]:
         series = c + t2 * series
-    return np.where(np.abs(t) < table[0] * _SERIES_CUTOFF, series,
-                    closed(np.where(np.abs(t) < _SERIES_CUTOFF, 1.0, t)))
+    return np.where(at < table[0] * _SERIES_CUTOFF, series, closed(np.where(at < _SERIES_CUTOFF, 1.0, t)))
 
 
 def _sinc(t):

@@ -63,24 +63,25 @@ Pt and log_v(q) enter as T, tangent_basis(v) = B_v transported to q in
 tangent_basis(q) = E_q coefficients, and w = -T^T u, log_v(q) in B_v
 coefficients, from the coefficients u of log_q(v) alone: T = E_q B_v^T on
 flat space; on spheres log_v(q) = r sin(r) q - cos(r) log_q(v) and
-T = E_q B_v^T - ((1 - cos r)/r**2) u w^T; on SO(3), where log_q(v) =
-q hat(u)/sqrt(2) and transport is left translation by exp of half the log,
-T = exp(hat(h)) with h = u/(2 sqrt(2)) and hat(h)^2 = h h^T - |h|^2 I, and
-w = -u.  Each manifold applies T^T to one covector x per pair without
-forming T (``_transported_adjoint``), so that no array of the energy's
+T = E_q B_v^T - ((1 - cos r)/r**2) u w^T, one contraction of the frames,
+B_v per node from the caller (``_frame_transport``); on SO(3), where
+log_q(v) = q hat(u)/sqrt(2) and transport is left translation by exp of
+half the log, T = exp(hat(h)), h = u/(2 sqrt(2)), hat(h)^2 = h h^T - |h|^2 I,
+and w = -u.
+``_transported_basis`` forms T; ``_transported_adjoint`` applies T^T to one
+covector x per pair without forming it, so that no array of the energy's
 reverse-mode gradient outgrows u (dim, m, P): E_q^T x, B_v E_q^T x - ((1 -
-cos r)/r**2) <u, x> w and x - sinc h x x + cos2 (h <h, x> - |h|^2 x);
-``_transported_basis`` forms T as T^T applied to the identity.  The ratios
-a, s, g1 and g3 of rho come from one stacked ``kernels._ratios`` call, and
-so does the Rodrigues pair of |h| = rho: sin(rho)/rho = 1/a and (1 - cos
-rho)/r**2 = (g3/a - s)/a.  sin(t)/t, (1 - cos t)/t**2 and t*cot(t), which
-cancel nowhere, are plain closed forms.
+cos r)/r**2) <u, x> w and x - sinc h x x + cos2 (h <h, x> - |h|^2 x).  The
+ratios a, s, g1 and g3 of rho come from one stacked ``kernels._ratios``
+call, and so does the Rodrigues pair of |h| = rho: sin(rho)/rho = 1/a and
+(1 - cos rho)/r**2 = (g3/a - s)/a.  sin(t)/t, (1 - cos t)/t**2 and
+t*cot(t), which cancel nowhere, are plain closed forms.
 
 These kernels, the Hessian's aside, work batch-last: component axes first,
-then the node and point axes, contiguous (the points v, q and Eq, which
-only some frames read, may be views), so the 3x3 algebra is elementwise
-over whole arrays of points.  P is never formed; it enters in rank-one form,
-PX = X - <X, n> n and P T = T - n (T^T n)^T.  All are pure functions.
+then the node and point axes, contiguous (q, Eq and B_v may be views), so
+the 3x3 algebra is elementwise over whole arrays of points.  P is never
+formed, and ``_third_factors`` are those of ``dist2_third``'s blocks, which
+the geodesic rule applies H^-1 to instead.  All are pure functions.
 """
 
 from __future__ import annotations
@@ -211,6 +212,7 @@ class Manifold:
     injectivity_radius: float
     curvature_bound: float | None
     _model_curvature: float
+    _frame_transport = False    # whether the transport reads the frames at v (spheres)
 
     def _finite_array(self, x, what: str) -> np.ndarray:
         """x as a float array (..., *point_shape): DimensionMismatchError for another shape,
@@ -275,16 +277,14 @@ class Manifold:
         a = _t_cot(math.sqrt(self._model_curvature) * r)[..., None]    # 1 on flat space
         return 2.0 * (a * _eye(u.shape[-1]) + (1.0 - a) * (c[..., :, None] * c[..., None, :]))
 
-    def _transported_adjoint(self, v, q, Eq, u, x, F):
-        """(T^T x, w) of the module docstring, batch-last, for one covector x (dim, ...)
-        per pair, from the flattened tangent_basis(q) Eq (dim, N, ...), the log coefficients
-        u (dim, ...) and F = _curvature_ratios(u)[1]; on flat space T = Eq."""
+    def _transported_adjoint(self, v, q, Eq, u, x, F, B=None):
+        """(T^T x, w) of the module docstring, batch-last, for one covector x (dim, ...) per pair, from
+        Eq (dim, N, ...), u (dim, ...), F = _curvature_ratios(u)[1] and the frames B at v; flat: T = Eq."""
         return (Eq * x[:, None]).sum(0), -(Eq * u[:, None]).sum(0)
 
-    def _transported_basis(self, v, q, Eq, u, F):
+    def _transported_basis(self, v, q, Eq, u, F, B=None):
         """(w, T), (dim, ...) and (dim, dim, ...): T^T applied to the identity."""
-        Tt, w = self._transported_adjoint(v[:, None], q[:, None], Eq[:, :, None], u[:, None],
-                                          _eye(len(u), u.ndim - 1), F)
+        Tt, w = self._transported_adjoint(v, q, Eq[:, :, None], u[:, None], _eye(len(u), u.ndim - 1), F)
         return w[:, 0], Tt.swapaxes(0, 1)
 
     def _curvature_ratios(self, u):
@@ -296,10 +296,10 @@ class Manifold:
         F[1:] *= K
         return r, F
 
-    def _mixed(self, v, q, Eq, u, r, F):
-        """(w, T, dist2_mixed(v, q) (dim, dim, ...)) from batch-last v (N, ...),
-        q, Eq and the coefficients u of log_q(v), and r, F = _curvature_ratios(u)."""
-        w, T = self._transported_basis(v, q, Eq, u, F)
+    def _mixed(self, v, q, Eq, u, r, F, B=None):
+        """(w, T, dist2_mixed(v, q) (dim, dim, ...)) from batch-last v (N, ...) or the frames
+        B at v, q, Eq and the coefficients u of log_q(v), and r, F = _curvature_ratios(u)."""
+        w, T = self._transported_basis(v, q, Eq, u, F, B)
         # -2*a*Pt(b_j) + 2*s*<b_j, log_v q>*log_q v, column j; s = (1 - a)/r**2,
         # so that no log is divided by r (which costs eps/r near v = q)
         M = 2.0 * (F[1] * u[:, None] * w - F[0] * T)
@@ -337,41 +337,35 @@ class Manifold:
         ``(mixed, hess_X, mixed_X)``: dist2_mixed(v_i, q) (..., m, dim, dim),
         and along each X[..., l, :] the covariant derivatives of the Hessian of
         f (..., s, dim, dim) and of dist2_mixed(v_i, q) (..., m, s, dim, dim).
-        Both derivatives vanish where v_i = q and on flat space.  Batch-last
-        copies of the arguments go to _dist2_third.
+        Both derivatives vanish where v_i = q and on flat space.
         """
         q = np.expand_dims(np.asarray(q, dtype=float), -len(self.point_shape) - 1)
         # per-point data is broadcast over the nodes too, so hess_X comes back once per node
-        mixed, hess_X, mixed_X = self._dist2_third(
-            *self._batch_last_args(v, q, (np.expand_dims(X, -3), 2), (weights, 0)))
+        v, q, Eq, u, X, phi = self._batch_last_args(v, q, (np.expand_dims(X, -3), 2), (weights, 0))
+        F, rinv, w, T, mixed, uX, nX, TX, Y, N = self._third_factors(v, q, Eq, u, X, phi)
+        g1, g3 = F[2], F[3]
+        # mixed_X = 2 (g3 (<u, X> P T + u (PX)^T T) - g1 PX w^T), column j, P = I - n n^T, T^T n = -w/r
+        mixed_X = 2.0 * (g3 * (uX[:, None, None] * T + u[:, None] * TX[:, None])
+                         + ((2.0 * g3 * nX * rinv)[:, None] * u - g1 * (X - (nX * rinv)[:, None] * u))[:, :, None] * w)
+        # hess_X = -2 sum_i phi_i (g1 <u, X> P + g2 (PX u^T + u PX^T)) = -2 (F I + X Y^T + Y X^T - N)
+        XY = X[:, :, None] * Y
+        hess_X = -2.0 * ((phi * g1 * uX).sum(1)[:, None, None, None] * _eye(len(u), u.ndim - 1)
+                         + XY + XY.swapaxes(1, 2) - N)
         return _batch_first(mixed, 2), _batch_first(hess_X, 3)[..., 0, :, :, :], _batch_first(mixed_X, 3)
 
-    def _dist2_third(self, v, q, Eq, u, X, phi):
-        """dist2_third batch-last, the node axis 1 for per-point data: v (N, m, ...),
-        q (N, 1, ...), Eq (dim, N, 1, ...), u (dim, m, ...), X (s, dim, 1, ...) and
-        phi (m, ...) give mixed (dim, dim, m, ...), hess_X (s, dim, dim, 1, ...) and mixed_X
-        (s, dim, dim, m, ...); f = phi g1 <u, X> and y = phi g2 u, g2 = (1 - c)*c/r**2 = g1 + K."""
+    def _third_factors(self, v, q, Eq, u, X, phi, B=None):
+        """dist2_third's factors, batch-last (node axis 1 for per-point data) as its arguments, v or B
+        of _mixed, q, Eq, u, X (s, dim, 1, ...), phi (m, ...): F of _curvature_ratios, 1/r (0 where
+        v = q), w, T, mixed, <u, X>, <n, X> (s, m, ...), T^T X (s, dim, m, ...), Y = sum_i phi_i (g1 +
+        K) u_i (dim, 1, ...) and N = sum_i phi_i (3 g1 + 2 K) <u_i, X> n_i n_i^T (s, dim, dim, 1, ...)."""
         r, F = self._curvature_ratios(u)
-        g1, g3 = F[2], F[3]
-        # n = u/r (0 where v = q) enters only through P and terms of order r,
-        # so its eps/r error near v = q costs nothing
-        n = u / np.where(r < 1e-15, np.inf, r)
-        uX, nX = (X * u).sum(1), (X * n).sum(1)                             # (s, m, ...)
-        PX = X - nX[:, None] * n                                            # (s, dim, m, ...)
-        f, y = phi * g1 * uX, phi * (g1 + self._model_curvature) * u
-        w, T, mixed = self._mixed(v, q, Eq, u, r, F)
-        Tn, XPT = (T * n[:, None]).sum(0), (PX[:, :, None] * T).sum(1)      # T^T n, (PX)^T T
-        # mixed_X = 2 (g3 (<u, X> p_j + <p_j, X> u) - g1 <log_v q, b_j> PX), column j,
-        # with p_j = P Pt(b_j) = (P T)[:, j]; the scalars go on the smaller operands
-        mixed_X = ((2.0 * g3 * uX)[:, None, None] * (T - n[:, None] * Tn)
-                   + (2.0 * g3 * u)[:, None] * XPT[:, None] - (2.0 * g1 * PX)[:, :, None] * w)
-        # hess_X = -2 sum_i phi_i (g1 <u, X> P + g2 (PX u^T + u PX^T)) is
-        # -2 (F I + D + D^T) with D = X Y^T - sum_i n (f n/2 + <n, X> y)^T and
-        # F, Y the sums of f, y over the nodes i
-        D = X[:, :, None] * y.sum(1, keepdims=True) - (
-            n[:, None] * (0.5 * f[:, None] * n + nX[:, None] * y)[:, None]).sum(3, keepdims=True)
-        F = f.sum(1, keepdims=True)[:, None, None]
-        return mixed, -2.0 * (F * _eye(len(u), u.ndim - 1) + D + D.swapaxes(1, 2)), mixed_X
+        g1, K, ein = F[2], self._model_curvature, np.einsum
+        rinv = 1.0 / np.where(r < 1e-15, np.inf, r)
+        w, T, mixed = self._mixed(v, q, Eq, u, r, F, B)
+        uX, n = ein("la...,a...->l...", X, u), u * rinv
+        Y = ein("i...,ai...->a...", phi * (g1 + K), u)[:, None]
+        N = ein("li...,ai...,bi...->lab...", phi * (3.0 * g1 + 2.0 * K) * uX, n, n)[:, :, :, None]
+        return F, rinv, w, T, mixed, uX, uX * rinv, ein("aj...,la...->lj...", T, X), Y, N
 
 
 # ----------------------------------------------------------------------
@@ -456,6 +450,7 @@ class Sphere(Manifold):
     kind = "sphere"
     _cut_message = "points at distance {:.6f} are (numerically) antipodal"
     _dist_per_angle = 1.0
+    _frame_transport = True
     injectivity_radius = np.pi
     curvature_bound: float | None = 1.0
     _model_curvature = 1.0
@@ -525,16 +520,23 @@ class Sphere(Manifold):
         turn = _one_minus_cos_over_sq(t) * u + _sinc(t) * np.asarray(p, dtype=float)
         return w - _inner(w, u) * turn
 
-    def _transported_adjoint(self, v, q, Eq, u, x, F):
-        # T^T x = B (Eq^T x) - ((1 - cos r)/r**2) <u, x> w, B = tangent_basis(v)
-        # with its entry [b, k] at [k, b], and w = B log_v(q) = B (r sin(r) q - cos(r) Eq^T u)
+    def _frame_log(self, v, q, Eq, u, F, B):
+        """(B, w, (1 - cos r)/r**2): the frames B at v (dim, N, ...), given or formed, w = B log_v(q)."""
         sinc, cos2 = _rodrigues_pair(F)
         r2 = (u * u).sum(0)
-        log_vq = (r2 * sinc) * q - (1.0 - r2 * cos2) * (u[:, None] * Eq).sum(0)
-        B = self.tangent_basis(v.T).T
-        w = (B * log_vq[:, None]).sum(0)
-        Bx = (B * (Eq * x[:, None]).sum(0)[:, None]).sum(0)
-        return Bx - cos2 * (u * x).sum(0) * w, w
+        log_vq = (r2 * sinc) * q - (1.0 - r2 * cos2) * np.einsum("a...,ak...->k...", u, Eq)
+        B = self.tangent_basis(v.T).T.swapaxes(0, 1) if B is None else B
+        return B, np.einsum("jk...,k...->j...", B, log_vq), cos2
+
+    def _transported_adjoint(self, v, q, Eq, u, x, F, B=None):
+        # T^T x = B (Eq^T x) - ((1 - cos r)/r**2) <u, x> w, log_v(q) = r sin(r) q - cos(r) Eq^T u
+        B, w, cos2 = self._frame_log(v, q, Eq, u, F, B)
+        return (B * (Eq * x[:, None]).sum(0)).sum(1) - cos2 * (u * x).sum(0) * w, w
+
+    def _transported_basis(self, v, q, Eq, u, F, B=None):
+        # T = Eq B^T - ((1 - cos r)/r**2) u w^T: one contraction of the frames at q and v
+        B, w, cos2 = self._frame_log(v, q, Eq, u, F, B)
+        return w, np.einsum("ak...,jk...->aj...", Eq, B) - (cos2 * u)[:, None] * w
 
     def _projectable(self, w) -> np.ndarray:
         w = np.asarray(w, dtype=float)
@@ -629,12 +631,12 @@ class Rotation3(Manifold):
         E = _expm_skew(0.5 * _skew_part(Q1t @ (self.log(p, q) if log_pq is None else np.asarray(log_pq))))
         return Q1t.swapaxes(-1, -2) @ E @ _skew_part(Q1t @ np.asarray(w, dtype=float)) @ E
 
-    def _transported_adjoint(self, v, q, Eq, u, x, F):
+    def _transported_adjoint(self, v, q, Eq, u, x, F, B=None):
         # T = exp(hat(h)), h = sqrt(K) u, by Rodrigues with hat(h)^2 = h h^T - |h|^2 I;
         # the cross product u x x from the components (np.cross moves axes)
         sinc, cos2 = _rodrigues_pair(F)
         (u0, u1, u2), (x0, x1, x2) = u, x
-        ux = np.stack([u1 * x2 - u2 * x1, u2 * x0 - u0 * x2, u0 * x1 - u1 * x0])
+        ux = np.array([u1 * x2 - u2 * x1, u2 * x0 - u0 * x2, u0 * x1 - u1 * x0])
         Tx = (cos2 * (u * x).sum(0)) * u + (1.0 - cos2 * (u * u).sum(0)) * x
         return Tx - (math.sqrt(self._model_curvature) * sinc) * ux, -u
 

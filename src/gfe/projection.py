@@ -41,7 +41,7 @@ class ProjectionInterpolant(Interpolant):
         basis-field gradients need of it, and the columns d(interpolant)/d(xi_k)
         (..., d, *point_shape)."""
         man = self.manifold
-        phi, dphi = (self.elem.shape_values(xi), self.elem.shape_gradients(xi)) if shape is None else shape
+        phi, dphi = (self.elem.shape_values(xi), self.elem.shape_gradients(xi)) if shape is None else shape[:2]
         w = self._weighted_sum(phi)
         dsum = self._combine(np.swapaxes(dphi, -1, -2))                    # (..., d, N)
         q = man.project_point(w)
@@ -70,7 +70,7 @@ class ProjectionInterpolant(Interpolant):
         = tangent_basis(q).
         """
         man = self.manifold
-        Bv = np.swapaxes(man._flat(man.tangent_basis(self.values)), -1, -2)  # (..., m, N, dim)
+        Bv = man._flat(self._frames_of()).swapaxes(-1, -2)                    # (..., m, N, dim)
         E = man._flat(c.basis)                                              # (..., dim, N)
         first = (E @ c.J)[..., None, :, :] @ Bv                             # E DP(w) B_v (..., m, dim, dim)
         ED2 = E[..., None, :, :] @ man.projection_jacobian_deriv(c.w, c.q, c.dsum)  # (..., d, dim, N)

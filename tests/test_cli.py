@@ -498,6 +498,7 @@ def test_call_counts_tool_reports_one_minimize(tmp_path):
     report = json.loads(proc.stdout)
     assert report["total_calls"] > 0
     assert (report["center_solves"], report["newton_linearizations"], report["descent_iterations"]) == (3, 3, 3)
+    assert isinstance(report["metric_calls"], int) and report["metric_calls"] > 0
 
 
 def test_call_counts_tool_reports_the_warm_so3_memory(tmp_path):
@@ -506,7 +507,6 @@ def test_call_counts_tool_reports_the_warm_so3_memory(tmp_path):
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert 0 < report["so3_peak_kb"] < 600
-    assert report["so3_faults_per_op"] >= 0
 
 
 @pytest.mark.parametrize("bad_node", [9, -1])

@@ -1,7 +1,9 @@
 import collections
+import gc
 import itertools
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -28,6 +30,8 @@ from gfe.sampling import random_configuration, random_point
 from helpers import (
     classical_energy,
     classical_stiffness,
+    fd_basis_ref_gradients,
+    fd_d_dv,
     fd_energy_hessian,
     great_circle_start,
     random_field_vectors,
@@ -203,19 +207,30 @@ def test_energy_nonnegative_and_zero_only_for_constant():
     assert dirichlet_energy(const) <= 1e-28
 
 
-@pytest.mark.parametrize("man", [S2, gfe.Rotation3()], ids=lambda m: m.kind)
-@pytest.mark.parametrize("rule", ["geodesic", "projection"])
-@pytest.mark.parametrize("order", [1, 2])
-def test_gradient_route_equals_the_metric_route(man, rule, order):
-    # algebraic_gradient contracts u's gradient without forming the basis-field
-    # gradients; the metric route forms them and contracts the same way
-    grid = unit_square_grid(2, order)
+def assert_the_routes_agree(grid, man, rule, order):
     values = random_configuration(man, grid.n_nodes, np.random.default_rng(order), radius=0.4)
     u = GFEFunction(grid, man, rule, values)
     coeff = _gradient_terms(u, metric=True)[0]
     coeff[sorted(grid.boundary_nodes)] = 0.0
     expected = np.einsum("ij,ij...->i...", coeff, man.tangent_basis(values))
     assert np.max(np.abs(algebraic_gradient(u) - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("man", [S2, gfe.Rotation3()], ids=lambda m: m.kind)
+@pytest.mark.parametrize("rule", ["geodesic", "projection"])
+@pytest.mark.parametrize("order", [1, 2])
+def test_gradient_route_equals_the_metric_route(man, rule, order):
+    # algebraic_gradient contracts u's gradient without forming the basis-field
+    # gradients; the metric route forms them and contracts the same way
+    assert_the_routes_agree(unit_square_grid(2, order), man, rule, order)
+
+
+@pytest.mark.parametrize("man", [S2, gfe.Rotation3()], ids=lambda m: m.kind)
+@pytest.mark.parametrize("rule", ["geodesic", "projection"])
+@pytest.mark.parametrize("order", [1, 2])
+def test_gradient_route_equals_the_metric_route_on_interval_elements(man, rule, order):
+    # the same on interval elements: two-node ones at order 1, as in the descent
+    assert_the_routes_agree(unit_interval_grid(4, order), man, rule, order)
 
 
 @pytest.mark.parametrize("man", [S2, gfe.Rotation3()], ids=lambda m: m.kind)
@@ -234,6 +249,34 @@ def test_gradient_route_equals_the_metric_route_on_an_element_of_equal_values(ma
     grad = algebraic_gradient(u, fixed=set())
     expected = np.einsum("ij,ij...->i...", coeff, man.tangent_basis(values))
     assert np.max(np.abs(grad - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("man", [S2, gfe.Rotation3()], ids=lambda m: m.kind)
+@pytest.mark.parametrize("rule", ["geodesic", "projection"])
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("grid_kind", ["interval", "square"])
+def test_metric_blocks_equal_their_definitions(man, rule, order, grid_kind):
+    """The per-point blocks of the metric route against an independent oracle:
+    A = w F F^T with F the finite-difference reference gradients of the basis
+    fields mapped by the layout's Binv, and J = w K (|grad u|^2 V V^T - (V grad u)
+    (V grad u)^T) with V the finite-difference nodal derivative matrices and grad u
+    the record's, in tangent_basis(q) coefficients."""
+    grid = unit_interval_grid(2, order) if grid_kind == "interval" else unit_square_grid(1, order)
+    dim, m = man.intrinsic_dim, grid.ref.m
+    values = random_configuration(man, grid.n_nodes, np.random.default_rng(40 + order), radius=0.4)
+    u = GFEFunction(grid, man, rule, values)
+    _, A, J = _gradient_terms(u, metric=True)
+    a, Binv = _assembly(u), _layout(grid, dim)[3]
+    EGu = man._flat(a.center.basis) @ a.Gu                                  # (P, dim, d)
+    for p, (e, xi) in enumerate(zip(a.els, a.xi)):
+        interp = u.local(e)
+        F = (fd_basis_ref_gradients(interp, xi) @ Binv[p]).reshape(m * dim, -1)
+        V = np.stack([fd_d_dv(interp, xi, i).T for i in range(m)]).reshape(m * dim, dim)
+        VG = V @ EGu[p]
+        A_def = a.w[p] * F @ F.T
+        J_def = a.w[p] * man._model_curvature * (np.sum(EGu[p] ** 2) * V @ V.T - VG @ VG.T)
+        assert np.max(np.abs(A[p] - A_def)) <= 1e-8 * np.max(np.abs(A_def))
+        assert np.max(np.abs(J[p] - J_def)) <= 1e-8 * np.max(np.abs(J_def))
 
 
 def test_warm_so3_gradient_keeps_its_temporaries_small():
@@ -408,16 +451,16 @@ def test_descent_work_per_state(monkeypatch):
         counting(owner, name)
     real_newton, real_linearize, solved = geodesic._newton, geodesic._linearize, []
 
-    def newton(man, values, *args):
-        solved.append(values)
-        return real_newton(man, values, *args)
+    def newton(man, values, weights, *args):
+        solved.append(weights)
+        return real_newton(man, values, weights, *args)
 
-    def linearize(man, values, *args):
-        full = len(values) == len(solved[-1])
+    def linearize(man, weights, *args):
+        full = len(weights) == len(solved[-1])
         counts["linearizations"] += 1
         counts["full passes"] += full
-        counts["gathered full passes"] += full and not np.shares_memory(values, solved[-1])
-        return real_linearize(man, values, *args)
+        counts["gathered full passes"] += full and not np.shares_memory(weights, solved[-1])
+        return real_linearize(man, weights, *args)
     monkeypatch.setattr(geodesic, "_newton", newton)
     monkeypatch.setattr(geodesic, "_linearize", linearize)
     _, report = minimize(u0, fixed=set(u0.grid.boundary_nodes), tol=1e-6)
@@ -426,6 +469,23 @@ def test_descent_work_per_state(monkeypatch):
     assert counts["tangent_basis"] <= 11
     assert not any(counts[k] for k in ("shape_values", "shape_gradients", "_max_spread",
                                        "gathered full passes"))
+
+
+def test_a_state_is_freed_without_the_cycle_collector():
+    # the interpolant of a state's record reads the state's nodal frames, and must not
+    # refer back to the state: descent would otherwise keep every visited state alive
+    # until the cycle collector runs
+    u0, _ = bumped_great_circle(4, 1)
+    u = u0.with_values(u0.values)
+    _gradient_terms(u, metric=True)
+    algebraic_gradient(u)
+    state = weakref.ref(u)
+    gc.disable()
+    try:
+        del u
+        assert state() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("n_elements", [4, 8, 16, 32, 64])
@@ -473,6 +533,17 @@ def test_fixed_indices_must_be_nodes_of_the_grid(fixed, bad):
     with pytest.raises(ValueError, match=f"fixed node {bad} is not an integer in 0..4"):
         minimize(u0, fixed)
     with pytest.raises(ValueError, match=f"fixed node {bad} is not an integer in 0..4"):
+        algebraic_gradient(u0, fixed=fixed)
+
+
+@pytest.mark.parametrize("fixed", [{True}, {False, 4}, [np.True_]], ids=["true", "false-and-a-node", "numpy-true"])
+def test_fixed_indices_refuse_booleans(fixed):
+    # a Python bool is an int, so it passed the integer test: {True} then reached numpy as
+    # a boolean mask (IndexError) and {True, 4} fixed node 1
+    u0, _ = bumped_great_circle(4, 1)
+    with pytest.raises(ValueError, match="is not an integer in 0..4"):
+        minimize(u0, fixed)
+    with pytest.raises(ValueError, match="is not an integer in 0..4"):
         algebraic_gradient(u0, fixed=fixed)
 
 

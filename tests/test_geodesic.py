@@ -83,7 +83,7 @@ def test_linearization_node_hessians_are_dist2_hess_q(man):
     q = gi.eval(xi)
     values = np.broadcast_to(gi.values, (len(xi),) + gi.values.shape)
     logs = man._log(q[:, None], values)[0]
-    _, _, hessians, _ = geodesic._linearize(man, values, gi.elem.shape_values(xi), q, logs)
+    _, _, hessians, _ = geodesic._linearize(man, gi.elem.shape_values(xi), q, logs)
     assert hessians.shape == (len(xi), gi.elem.m, man.intrinsic_dim, man.intrinsic_dim)
     for qp, Hn in zip(q, hessians):
         assert np.max(np.abs(Hn - man.dist2_hess_q(gi.values, qp))) <= 1e-14

@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Python-level calls of one ``gfe.minimize`` on the descent-s2-1d problem,
-and the memory of a warm SO(3) energy plus gradient.
+"""Python-level calls of one ``gfe.minimize`` on the descent-s2-1d problem
+and of one metric evaluation, and the memory of a warm SO(3) energy plus
+gradient.
 
     python3 tools/call_counts.py
 
@@ -16,25 +17,22 @@ summed over the profiler's entries, one per code object, and not taken
 from ``pstats.Stats.total_calls``: Stats keys functions by (file, line,
 name) and keeps one of those that share a key, such as the constructors of
 the named tuples, which are all compiled from '<string>', so its total
-varies from run to run by the calls of the ones it drops.
+varies from run to run by the calls of the ones it drops.  ``metric_calls``
+counts the same way the calls of one ``energy._gradient_terms(u,
+metric=True)``, the index form's blocks, on the start state with its
+quadrature record built.
 
-The same line reports two numbers for ``dirichlet_energy`` plus
-``algebraic_gradient`` on a warm state (its quadrature record built) of
-the assembly-so3-2d kind, built from gfe alone: a radius-0.3 random
-configuration (seed 7) on the 4 x 4 criss-cross order-2 grid, geodesic
-rule.  ``so3_peak_kb`` is the ``tracemalloc`` peak of one such operation,
-in KiB; ``so3_faults_per_op`` is the median of ``ru_minflt`` over 25 of
-them with a cold central difference of the energy (two fresh states)
-between each two, as the benchmark's loop runs one: the count of pages the
-operation takes back from the kernel after that work has trimmed the heap.
+The same line reports ``so3_peak_kb``, the ``tracemalloc`` peak in KiB of
+one ``dirichlet_energy`` plus ``algebraic_gradient`` on a warm state (its
+quadrature record built) of the assembly-so3-2d kind, built from gfe alone:
+a radius-0.3 random configuration (seed 7) on the 4 x 4 criss-cross
+order-2 grid, geodesic rule.
 """
 
 from __future__ import annotations
 
 import cProfile
 import json
-import resource
-import statistics
 import sys
 import tracemalloc
 from pathlib import Path
@@ -54,11 +52,10 @@ from gfe import (  # noqa: E402
     unit_interval_grid,
     unit_square_grid,
 )
-from gfe.sampling import random_configuration, random_tangent  # noqa: E402
+from gfe.energy import _gradient_terms  # noqa: E402
+from gfe.sampling import random_configuration  # noqa: E402
 
 TOL = 1e-6
-FAULT_OPS = 25
-FD_STEP = 1e-5
 
 
 def descent_problem():
@@ -71,49 +68,44 @@ def descent_problem():
     return GFEFunction(grid, Sphere(2), "geodesic", start @ R.T), set(grid.boundary_nodes)
 
 
-def so3_memory():
-    """(peak KiB, median minor faults per op) of a warm SO(3) energy plus gradient."""
+def profiled_calls(f, *args, **kwargs):
+    """(f's result, the Python-level calls it made, by code object)."""
+    profile = cProfile.Profile()
+    result = profile.runcall(f, *args, **kwargs)
+    return result, profile.getstats()
+
+
+def so3_peak_kb() -> int:
+    """The tracemalloc peak, in KiB, of a warm SO(3) energy plus gradient."""
     man, grid = Rotation3(), unit_square_grid(4, 2)
-    rng = np.random.default_rng(7)
-    u = GFEFunction(grid, man, "geodesic", random_configuration(man, grid.n_nodes, rng, radius=0.3))
-    w = np.array([random_tangent(man, q, rng) for q in u.values])
-
-    def op():
-        dirichlet_energy(u)
-        algebraic_gradient(u)
-
-    op()
-    faults = []
-    for _ in range(FAULT_OPS):
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        op()
-        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
-        for h in (FD_STEP, -FD_STEP):
-            dirichlet_energy(u.with_values(man.exp(u.values, h * w)))
+    values = random_configuration(man, grid.n_nodes, np.random.default_rng(7), radius=0.3)
+    u = GFEFunction(grid, man, "geodesic", values)
+    dirichlet_energy(u)
+    algebraic_gradient(u)
     tracemalloc.start()
     try:
-        op()
+        dirichlet_energy(u)
+        algebraic_gradient(u)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return round(peak / 1024), statistics.median(faults)
+    return round(peak / 1024)
 
 
 def main() -> int:
     u0, fixed = descent_problem()
     minimize(u0, fixed, tol=TOL)
-    profile = cProfile.Profile()
-    report = profile.runcall(minimize, u0, fixed, tol=TOL)[1]
-    entries = profile.getstats()
+    report, entries = profiled_calls(minimize, u0, fixed, tol=TOL)
+    report = report[1]
     calls = {name: 0 for name in ("_newton", "_linearize")}
     for e in entries:
         if getattr(e.code, "co_name", None) in calls and e.code.co_filename.endswith("geodesic.py"):
             calls[e.code.co_name] += e.callcount
-    peak_kb, faults = so3_memory()
+    metric = profiled_calls(_gradient_terms, u0, metric=True)[1]
     print(json.dumps({
         "total_calls": sum(e.callcount for e in entries), "center_solves": calls["_newton"],
         "newton_linearizations": calls["_linearize"], "descent_iterations": report.iterations,
-        "so3_peak_kb": peak_kb, "so3_faults_per_op": faults,
+        "metric_calls": sum(e.callcount for e in metric), "so3_peak_kb": so3_peak_kb(),
     }))
     return 0
 
