@@ -1,9 +1,9 @@
 """Harmonic-map Dirichlet energy on global functions, and its minimization.
 
 The energy of u is (1/2) * integral over the domain of |grad (iota o u)|^2,
-assembled with a fixed order-4 simplex quadrature; the gradient of the
-embedded composition comes from the interpolants' reference derivatives
-mapped through the affine element geometry.
+assembled with a fixed order-4 simplex quadrature from the interpolants'
+dq/dxi in tangent_basis(q) coefficients, mapped through the affine element
+geometry: the basis is orthonormal, so they carry the embedded norm.
 
 The first variation in the direction of a test field eta is
 integral of <grad u, grad eta> (valid because eta is tangent along u), with
@@ -35,7 +35,8 @@ pairs u's gradient with every nodal basis field's gradient through
 none of them; the metric of ``minimize`` is their Gram matrix, summed point
 by point into its free block alone, so it forms them all
 (``_basis_ref_gradients``, on the geodesic rule no other block of their size)
-and pairs them with ``jacobi._pair``, as the projection rule's gradient does.
+and pairs them with ``jacobi._pair``, as the projection rule's gradient does;
+it forms the blocks from them only for a state it steps from (``_gradient_route``).
 
 ``equivalence_audit`` compares the two, along random nodal directions,
 with the extrapolated finite difference of the energy.
@@ -128,7 +129,7 @@ class _Assembly(NamedTuple):
     interp: object      # u's interpolant stacked over els
     xi: np.ndarray      # (P, d) reference points
     center: object      # the center solve at xi
-    Gu: np.ndarray      # (P, N, d) physical gradients of u
+    Gu: np.ndarray      # (P, dim, d) physical gradients of u in tangent_basis(q) coefficients
 
 
 def _assembly(u: GFEFunction) -> _Assembly:
@@ -138,12 +139,12 @@ def _assembly(u: GFEFunction) -> _Assembly:
         els, xi, w, Binv, _, shape = _layout(u.grid, u.manifold.intrinsic_dim)
         interp = u.local(els)
         try:
-            center, cols = interp._center(xi, shape)
+            center = interp._center(xi, shape)
         except GFEError as exc:
             if exc.point is not None:
                 exc.args = (f"element {els[exc.point]}: {exc}",)
             raise
-        u._assembly = _Assembly(els, w, interp, xi, center, u.manifold._flat(cols).swapaxes(1, 2) @ Binv)
+        u._assembly = _Assembly(els, w, interp, xi, center, center.dq_dxi @ Binv)
     return u._assembly
 
 
@@ -155,7 +156,13 @@ def dirichlet_energy(u: GFEFunction) -> float:
 
 def directional_derivative(u: GFEFunction, eta: GlobalTestFunction) -> float:
     """First variation of the Dirichlet energy in the direction of eta: the
-    pairing of eta's nodal vectors with the algebraic gradient, no node fixed."""
+    pairing of eta's nodal vectors with the algebraic gradient, no node fixed.
+    ValueError for an eta based on another grid (object), manifold or nodal values than u."""
+    base = eta.base
+    other = ("grid" if base.grid is not u.grid else "manifold" if base.manifold != u.manifold
+             else "nodal values" if not np.array_equal(base.values, u.values) else None)
+    if other:
+        raise ValueError(f"the test function is based on another {other} than u")
     return math.fsum((algebraic_gradient(u, fixed=()) * eta.vectors).ravel())
 
 
@@ -177,6 +184,13 @@ def _gradient_terms(u: GFEFunction, metric: bool = False):
 
     All come from the same basis fields, so they add no Newton solve, and
     are assembled in tangent_basis(q) coefficients at the quadrature points."""
+    coeff, blocks = _gradient_route(u, metric)
+    return (coeff, *blocks()) if metric else (coeff, None, None)
+
+
+def _gradient_route(u: GFEFunction, metric: bool):
+    """(coeff, blocks): ``_gradient_terms``' coeff and, with ``metric`` (else None), the function that
+    forms its (A, J) once, from the basis-field gradients coeff was paired with, dropping them as it goes."""
     grid = u.grid
     man = u.manifold
     dim = man.intrinsic_dim
@@ -185,26 +199,29 @@ def _gradient_terms(u: GFEFunction, metric: bool = False):
     Binv, dofs = _layout(grid, dim)[3:5]    # _scatter sums field (i, j)'s terms at its dof
     # term (i, j): the weighted integrand of the directional derivative
     # along basis field (i, j), whose physical gradient is G[:, i, j] @ Binv;
-    # u's gradient enters through its tangent_basis(q) coefficients EGu, as
-    # C = (EGu Binv^T)^T = Binv EGu^T, [p, l, a]
-    EGu = man._flat(a.center.basis) @ a.Gu                               # (P, dim, d)
-    C = Binv @ EGu.swapaxes(1, 2)
+    # u's gradient Gu enters as C = (Gu Binv^T)^T = Binv Gu^T, [p, l, a]
+    C = Binv @ a.Gu.swapaxes(1, 2)
     if not metric:      # the route of the gradient alone: no G on the geodesic rule
         terms = a.interp._basis_gradient_terms(a.center, C)
-        return _scatter(dofs, terms * a.w[:, None, None], grid.n_nodes, dim), None, None
+        return _scatter(dofs, terms * a.w[:, None, None], grid.n_nodes, dim), None
     _, G, V = _basis_ref_gradients(a.interp, a.xi, center=a.center)
-    coeff = _scatter(dofs, _pair(G, C) * a.w[:, None, None], grid.n_nodes, dim)
-    # F[p, i*dim + j] is the flattened physical gradient of field (i, j)
-    F = G @ Binv[:, None, None]
-    F = F.reshape(F.shape[0], -1, F.shape[3] * F.shape[4])
-    A = (F * a.w[:, None, None]) @ F.swapaxes(1, 2)
-    if not K:
-        return coeff, A, None
-    V = V.reshape(len(V), -1, dim)                                       # (P, m*dim, dim)
-    VG = V @ EGu                                                         # <phi_ij, d_a u>
-    wg2 = a.w * (EGu * EGu).sum((1, 2))
-    return coeff, A, K * (wg2[:, None, None] * (V @ V.swapaxes(1, 2))
-                          - (VG * a.w[:, None, None]) @ VG.swapaxes(1, 2))
+
+    def blocks():
+        nonlocal G, V       # each dropped once read: A and J are the route's largest arrays
+        # F[p, i*dim + j] is the flattened physical gradient of field (i, j)
+        F, G = G @ Binv[:, None, None], None
+        F = F.reshape(F.shape[0], -1, F.shape[3] * F.shape[4])
+        A = (F * a.w[:, None, None]) @ F.swapaxes(1, 2)
+        del F
+        if not K:
+            return A, None
+        V = V.reshape(len(V), -1, dim)                                   # (P, m*dim, dim)
+        VG, J, V = V @ a.Gu, V @ V.swapaxes(1, 2), None                 # <phi_ij, d_a u>, and J in place
+        J *= (a.w * (a.Gu * a.Gu).sum((1, 2)))[:, None, None]
+        J -= (VG * a.w[:, None, None]) @ VG.swapaxes(1, 2)
+        J *= K
+        return A, J
+    return _scatter(dofs, _pair(G, C) * a.w[:, None, None], grid.n_nodes, dim), blocks
 
 
 def _free_scatter(grid, dim: int, fixed):
@@ -295,17 +312,18 @@ def minimize(
     alpha_prev = 0.5 * _MAX_STEP
     iterations = 0
 
-    def gradient(u):
-        coeff, A, J = _gradient_terms(u, metric=True)
+    def gradient(u):    # the metric blocks of u are formed only if a step is taken from it
+        coeff, blocks = _gradient_route(u, metric=True)
         coeff[fixed_nodes] = 0.0
-        return coeff, float(np.linalg.norm(_embedded(u._frames(), coeff))), A, J, u._frames()[free]
+        return coeff, float(np.linalg.norm(_embedded(u._frames(), coeff))), blocks, u._frames()[free]
 
-    coeff, gnorm, A, J, frames = gradient(u)
+    coeff, gnorm, blocks, frames = gradient(u)
     if callback is not None:
         callback(iterations, energy, gnorm)
 
     while gnorm > tol and iterations < max_iter:
         g = coeff[free].ravel()
+        A, J = blocks()
         M = free_block(A)
         if J is not None:
             M -= free_block(J)
@@ -350,7 +368,7 @@ def minimize(
         u, energy, alpha_prev = u_try, e_try, alpha
         iterations += 1
         # u holds its quadrature record from the trial, so this makes no solve
-        coeff, gnorm, A, J, frames = grad_try or gradient(u)
+        coeff, gnorm, blocks, frames = grad_try or gradient(u)
         if callback is not None:
             callback(iterations, energy, gnorm)
 

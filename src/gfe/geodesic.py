@@ -19,7 +19,7 @@ H * dq/dv_i = -phi_i(xi) * dist2_mixed(v_i, q*), everything expressed in the
 deterministic tangent bases of the manifold module.  Differentiating the
 second relation once more in xi gives the exact reference gradients G of the
 test-function fields dq/dv_i . b from the data of the solve at xi alone, kept
-by ``_center`` in the layout the derivatives read (``_Center``).  H^-1 goes
+by ``_center`` batch-last, as the derivatives read it (``_Center``).  H^-1 goes
 on the factors of the third derivatives of squared distance
 (``Manifold._third_factors``), so no (d, dim, dim, m, P) block but G is
 formed, and the transported frames come from nodal frames formed once per
@@ -147,6 +147,7 @@ class _Center(NamedTuple):
     hessian_inv: np.ndarray  # (dim, dim, 1, ...)
     hessian_xi: np.ndarray   # (d, dim, dim, 1, ...), dH/dxi at fixed q
     log_coeffs = property(lambda self: self.u.T, doc="u batch-first, (..., m, dim)")
+    dq_dxi = property(lambda self: self.dq.T[..., 0, :, :], doc="dq batch-first, (..., dim, d)")
 
 
 # ----------------------------------------------------------------------
@@ -328,10 +329,8 @@ class GeodesicInterpolant(Interpolant):
         """The interpolated point; stationarity residual is at most 1e-12."""
         return self._solve(xi).q
 
-    def _center(self, xi, shape=None):
-        """(center, cols): the solve at xi as a ``_Center``, and the columns d(interpolant)/d(xi_k)
-        (..., d, *point_shape); ``shape``: the caller's tables of ``energy._layout``."""
-        man = self.manifold
+    def _center(self, xi, shape=None) -> _Center:
+        """The solve at xi as a ``_Center``; ``shape``: the caller's tables of ``energy._layout``."""
         phi, dphi = (self.elem.shape_values(xi), self.elem.shape_gradients(xi)) if shape is None else shape[:2]
         sol = self._solve(xi, phi)
         if shape is None:   # the weights' leading axes broadcast to the batch's
@@ -340,11 +339,10 @@ class GeodesicInterpolant(Interpolant):
         # H is positive definite, as the solve checked; Hinv comes batch-last, Hinv.T batch-first
         Hinv = _sym_inv(sol.hessian.T)[0]
         X = Hinv.T @ (2.0 * (dphi.swapaxes(-1, -2) @ sol.log_coeffs)).swapaxes(-1, -2)   # (..., dim, d)
-        cols = X.swapaxes(-1, -2) @ man._flat(sol.basis)                                 # (..., d, N)
         # H's derivative in xi at fixed q, sum_j dphi_j/dxi_l dist2_hess_q(v_j, q)
         H_xi = np.einsum("lj...,abj...->lab...", shape[3], sol.node_hessians.T, order="C")
         return _Center(sol.q, sol.basis, sol.log_coeffs.T.copy(), shape[2], shape[3], X.T[:, :, None].copy(),
-                       Hinv[:, :, None].copy(), H_xi[:, :, :, None]), cols.reshape(cols.shape[:-1] + man.point_shape)
+                       Hinv[:, :, None].copy(), H_xi[:, :, :, None])
 
     def _batch_last_center(self, c: _Center):
         """(B, q, Eq, u) batch-last: the flattened nodal frames (dim, N, m, ...) where the transport
@@ -372,7 +370,7 @@ class GeodesicInterpolant(Interpolant):
         """
         ein, phi, dphi, X, Hinv = np.einsum, c.phi, c.dphi, c.dq, c.hessian_inv
         B, q, Eq, u = self._batch_last_center(c)
-        (a, s, g1, g3), rinv, w, _, mixed, uX, nX, TX, Y, N = self.manifold._third_factors(None, q, Eq, u, X, phi, B)
+        (a, s, g1, g3), rinv, w, _, mixed, uX, nX, TX, Y, N = self.manifold._third_factors(B, q, Eq, u, X, phi)
         HK, Hu = ein("ac...,cj...->aj...", Hinv, mixed), ein("ac...,c...->a...", Hinv, u)
         HX = ein("ac...,lc...->la...", Hinv, X)                               # (d, dim, 1, ...)
         pg1, pg3 = phi * g1, phi * g3
@@ -414,6 +412,6 @@ class GeodesicInterpolant(Interpolant):
         mu = (H_xi * lam[:, None]).sum((0, 2)) - 2.0 * ((M * U).sum(1) + (M * Y[:, None]).sum(0) + tr * Y - V)
         kappa = phi * (Hinv * mu).sum(1) - np.einsum("li...,la...->ai...", dphi, lam[:, :, 0])
         Su -= (2.0 * nMn) * u                                               # P S u
-        Tx, w = man._transported_adjoint(None, q, Eq, u, (-2.0 * a) * kappa - (2.0 * phi * g3) * Su, F, B)
+        Tx, w = man._transported_adjoint(B, q, Eq, u, (-2.0 * a) * kappa - (2.0 * phi * g3) * Su, F)
         Tx += w * (2.0 * (s * (kappa * u).sum(0) + pg1 * (tr - nMn)))
         return np.where(r < 1e-15, -2.0 * kappa, Tx).T

@@ -4,10 +4,12 @@
 nodal values v_1..v_m and derives ``d_dxi`` and ``d_dv_all`` from what a
 rule supplies, namely ``eval``, the center evaluation ``_center(xi,
 shape=None)`` (``shape``: the Lagrange weights and their gradients at xi,
-when the caller has them), from that center alone the basis-field
-gradients and values ``_basis_gradients``, and ``_admit``.  One formula
-per rule gives the values, so ``d_dv_all``, the test fields and the
-energy's metric read the same numbers.
+when the caller has them), a record of ``q``, ``basis`` = tangent_basis(q)
+and ``dq_dxi`` (..., dim, d) in its coefficients, from that record alone
+the basis-field gradients and values ``_basis_gradients``, and ``_admit``.
+One formula per rule gives the values, so ``d_dv_all``, the test fields and
+the energy's metric read the same numbers; only ``d_dxi`` and
+``eval_field_gradient`` embed.
 
 An (m, *point_shape) array of nodal tangent vectors b_1..b_m (row i based at
 the nodal value v_i) determines a vector field along the interpolant,
@@ -79,8 +81,9 @@ class Interpolant:
     def d_dxi(self, xi):
         """eval(xi) plus the columns d(interpolant)/d(xi_k), shape (..., d, *point_shape),
         tangent at eval(xi)."""
-        c, cols = self._center(xi)
-        return c.q, cols
+        c, man = self._center(xi), self.manifold
+        cols = c.dq_dxi.swapaxes(-1, -2) @ man._flat(c.basis)
+        return c.q, cols.reshape(cols.shape[:-1] + man.point_shape)
 
     def d_dv_all(self, xi):
         """eval(xi) plus all m derivative matrices d(interpolant)/d(v_i).
@@ -89,7 +92,7 @@ class Interpolant:
         coefficients; stacked shape (..., m, dim, dim).  Column j of matrix i
         is the value of nodal basis field (i, j).
         """
-        c, _ = self._center(xi)
+        c = self._center(xi)
         return c.q, self._basis_gradients(c)[1].swapaxes(-1, -2)
 
     def _basis_gradient_terms(self, c, C):
@@ -113,7 +116,7 @@ def _basis_ref_gradients(interp: Interpolant, xi, center=None):
     coefficients the l-th reference derivative of every nodal basis field
     (i, j) at G[..., i, j, :, l] (..., m, dim, dim, d) and its value at
     V[..., i, j, :] (..., m, dim, dim)."""
-    center = interp._center(xi)[0] if center is None else center
+    center = interp._center(xi) if center is None else center
     return (center, *interp._basis_gradients(center))
 
 

@@ -44,15 +44,14 @@ _RATIO_TABLE = np.array([
     (1.5, -2.0 / 3.0, -4.0 / 45.0, -4.0 / 315.0, -8.0 / 4725.0),         # (c - c**2 - t**2)/t**2
     (2.5, 1.0 / 3.0, 7.0 / 90.0, 31.0 / 2520.0, 127.0 / 75600.0),        # (1 - c)/t**2 * a
 ])
-_CUTOFFS = _RATIO_TABLE[:, 0] * _SERIES_CUTOFF
-_CUTOFF_MAX = _CUTOFFS.max()
+_MAX_MULTIPLE = _RATIO_TABLE[:, 0].max()
 
 
 def _ratios(t) -> np.ndarray:
     """The four ratios of _RATIO_TABLE at the angles t, stacked (4, *t.shape):
     the closed forms, sharing sin(t) and tan(t), at where(|t| < _SERIES_CUTOFF,
-    1, t), or each row's series below its cutoff (_CUTOFFS), read only then; one
-    Horner pass and one np.where for all rows."""
+    1, t), or each row's series below its cutoff, read only then; one Horner
+    pass and one np.where for all rows.  The cutoffs are read at each call."""
 
     def closed(t):
         sn, tt, c = np.sin(t), t * t, t / np.tan(t)
@@ -61,7 +60,7 @@ def _ratios(t) -> np.ndarray:
 
     t = np.asarray(t, dtype=float)
     at = np.abs(t)
-    if at.min(initial=np.inf) >= _CUTOFF_MAX:
+    if at.min(initial=np.inf) >= _MAX_MULTIPLE * _SERIES_CUTOFF:
         return closed(t)
     table = _RATIO_TABLE.T.reshape((5, 4) + (1,) * t.ndim)
     t2 = t * t

@@ -79,7 +79,8 @@ t*cot(t), which cancel nowhere, are plain closed forms.
 
 These kernels, the Hessian's aside, work batch-last: component axes first,
 then the node and point axes, contiguous (q, Eq and B_v may be views), so
-the 3x3 algebra is elementwise over whole arrays of points.  P is never
+the 3x3 algebra is elementwise over whole arrays of points; the transport
+kernels take B_v first, None where no transport reads it.  P is never
 formed, and ``_third_factors`` are those of ``dist2_third``'s blocks, which
 the geodesic rule applies H^-1 to instead.  All are pure functions.
 """
@@ -190,9 +191,8 @@ class Manifold:
     - ``project_tangent(p, w)``, the orthogonal projection onto T_p M;
     - ``exp``, ``_log(p, q)`` -> (log_p(q), angle), pi at the cut locus,
       with no cut test (``log`` adds it, ``dist`` reads the angle), and
-      ``transport(p, q, w, log_pq=None)``, parallel transport from T_p M to
-      T_q M along the connecting geodesic, with log(p, q) as ``log_pq``
-      when the caller already has it;
+      ``transport(p, q, w)``, parallel transport from T_p M to T_q M along
+      the connecting geodesic;
     - ``tangent_basis(p)``: an orthonormal basis of T_p M, shape (..., dim,
       *point_shape), a closed form in the entries of p, so the same point
       always yields the bitwise-identical basis;
@@ -277,14 +277,14 @@ class Manifold:
         a = _t_cot(math.sqrt(self._model_curvature) * r)[..., None]    # 1 on flat space
         return 2.0 * (a * _eye(u.shape[-1]) + (1.0 - a) * (c[..., :, None] * c[..., None, :]))
 
-    def _transported_adjoint(self, v, q, Eq, u, x, F, B=None):
-        """(T^T x, w) of the module docstring, batch-last, for one covector x (dim, ...) per pair, from
-        Eq (dim, N, ...), u (dim, ...), F = _curvature_ratios(u)[1] and the frames B at v; flat: T = Eq."""
+    def _transported_adjoint(self, B, q, Eq, u, x, F):
+        """(T^T x, w) of the module docstring, batch-last, for one covector x (dim, ...) per pair, from the
+        frames B (dim, N, ...) at v, q, Eq, u (dim, ...) and F = _curvature_ratios(u)[1]; flat: T = Eq."""
         return (Eq * x[:, None]).sum(0), -(Eq * u[:, None]).sum(0)
 
-    def _transported_basis(self, v, q, Eq, u, F, B=None):
+    def _transported_basis(self, B, q, Eq, u, F):
         """(w, T), (dim, ...) and (dim, dim, ...): T^T applied to the identity."""
-        Tt, w = self._transported_adjoint(v, q, Eq[:, :, None], u[:, None], _eye(len(u), u.ndim - 1), F)
+        Tt, w = self._transported_adjoint(B, q, Eq[:, :, None], u[:, None], _eye(len(u), u.ndim - 1), F)
         return w[:, 0], Tt.swapaxes(0, 1)
 
     def _curvature_ratios(self, u):
@@ -296,10 +296,10 @@ class Manifold:
         F[1:] *= K
         return r, F
 
-    def _mixed(self, v, q, Eq, u, r, F, B=None):
-        """(w, T, dist2_mixed(v, q) (dim, dim, ...)) from batch-last v (N, ...) or the frames
-        B at v, q, Eq and the coefficients u of log_q(v), and r, F = _curvature_ratios(u)."""
-        w, T = self._transported_basis(v, q, Eq, u, F, B)
+    def _mixed(self, B, q, Eq, u, r, F):
+        """(w, T, dist2_mixed(v, q) (dim, dim, ...)) from the batch-last B, q, Eq and coefficients u
+        of log_q(v) of _transported_adjoint, and r, F = _curvature_ratios(u)."""
+        w, T = self._transported_basis(B, q, Eq, u, F)
         # -2*a*Pt(b_j) + 2*s*<b_j, log_v q>*log_q v, column j; s = (1 - a)/r**2,
         # so that no log is divided by r (which costs eps/r near v = q)
         M = 2.0 * (F[1] * u[:, None] * w - F[0] * T)
@@ -312,12 +312,13 @@ class Manifold:
         return Eq, np.matmul(Eq, self._flat(self.log(q, v))[..., :, None])[..., 0]
 
     def _batch_last_args(self, v, q, *extra):
-        """Batch-last v, q, Eq and u of _log_coeffs, then the arrays of the (array,
-        component axes) pairs extra, all over their broadcast leading axes."""
+        """Batch-last the flattened frames B at v (where ``_frame_transport``), q, Eq and u of _log_coeffs,
+        then the arrays of the (array, component axes) pairs extra, all over their broadcast leading axes."""
         Eq, u = self._log_coeffs(v, q)
-        args = ((self._flat(v), 1), (self._flat(q), 1), (Eq, 2), (u, 1)) + extra
+        args = ((self._flat(q), 1), (Eq, 2), (u, 1)) + extra
         lead = np.broadcast_shapes(*(np.shape(x)[:np.ndim(x) - c] for x, c in args))
-        return [_batch_last(x, lead, c) for x, c in args]
+        B = _batch_last(self._flat(self.tangent_basis(v)), lead, 2) if self._frame_transport else None
+        return [B] + [_batch_last(x, lead, c) for x, c in args]
 
     def dist2_mixed(self, v, q) -> np.ndarray:
         """Mixed second derivative of dist(v, q)**2, d/dv of the q-gradient.
@@ -341,8 +342,8 @@ class Manifold:
         """
         q = np.expand_dims(np.asarray(q, dtype=float), -len(self.point_shape) - 1)
         # per-point data is broadcast over the nodes too, so hess_X comes back once per node
-        v, q, Eq, u, X, phi = self._batch_last_args(v, q, (np.expand_dims(X, -3), 2), (weights, 0))
-        F, rinv, w, T, mixed, uX, nX, TX, Y, N = self._third_factors(v, q, Eq, u, X, phi)
+        B, q, Eq, u, X, phi = self._batch_last_args(v, q, (np.expand_dims(X, -3), 2), (weights, 0))
+        F, rinv, w, T, mixed, uX, nX, TX, Y, N = self._third_factors(B, q, Eq, u, X, phi)
         g1, g3 = F[2], F[3]
         # mixed_X = 2 (g3 (<u, X> P T + u (PX)^T T) - g1 PX w^T), column j, P = I - n n^T, T^T n = -w/r
         mixed_X = 2.0 * (g3 * (uX[:, None, None] * T + u[:, None] * TX[:, None])
@@ -353,15 +354,15 @@ class Manifold:
                          + XY + XY.swapaxes(1, 2) - N)
         return _batch_first(mixed, 2), _batch_first(hess_X, 3)[..., 0, :, :, :], _batch_first(mixed_X, 3)
 
-    def _third_factors(self, v, q, Eq, u, X, phi, B=None):
-        """dist2_third's factors, batch-last (node axis 1 for per-point data) as its arguments, v or B
-        of _mixed, q, Eq, u, X (s, dim, 1, ...), phi (m, ...): F of _curvature_ratios, 1/r (0 where
+    def _third_factors(self, B, q, Eq, u, X, phi):
+        """dist2_third's factors, batch-last (node axis 1 for per-point data) as its arguments, B, q,
+        Eq and u of _mixed, X (s, dim, 1, ...), phi (m, ...): F of _curvature_ratios, 1/r (0 where
         v = q), w, T, mixed, <u, X>, <n, X> (s, m, ...), T^T X (s, dim, m, ...), Y = sum_i phi_i (g1 +
         K) u_i (dim, 1, ...) and N = sum_i phi_i (3 g1 + 2 K) <u_i, X> n_i n_i^T (s, dim, dim, 1, ...)."""
         r, F = self._curvature_ratios(u)
         g1, K, ein = F[2], self._model_curvature, np.einsum
         rinv = 1.0 / np.where(r < 1e-15, np.inf, r)
-        w, T, mixed = self._mixed(v, q, Eq, u, r, F, B)
+        w, T, mixed = self._mixed(B, q, Eq, u, r, F)
         uX, n = ein("la...,a...->l...", X, u), u * rinv
         Y = ein("i...,ai...->a...", phi * (g1 + K), u)[:, None]
         N = ein("li...,ai...,bi...->lab...", phi * (3.0 * g1 + 2.0 * K) * uX, n, n)[:, :, :, None]
@@ -415,7 +416,7 @@ class Euclidean(Manifold):
         d = np.subtract(q, p, dtype=float)
         return d, np.zeros(d.shape[:-1])
 
-    def transport(self, p, q, w, log_pq=None):
+    def transport(self, p, q, w):
         return np.asarray(w, dtype=float).copy()
 
     def _projectable(self, w) -> np.ndarray:
@@ -511,31 +512,30 @@ class Sphere(Manifold):
         # zero where the points (numerically) coincide
         return (theta / np.where(nrm < 1e-14, np.inf, nrm)) * u, theta[..., 0]
 
-    def transport(self, p, q, w, log_pq=None):
+    def transport(self, p, q, w):
         # the component along u = log_p(q) turns with the great circle, the
         # rest stays: w - <w, u> ((1 - cos t)/t**2 * u + sin(t)/t * p), t = |u|
-        u = self.log(p, q) if log_pq is None else np.asarray(log_pq, dtype=float)
+        u = self.log(p, q)
         w = np.asarray(w, dtype=float)
         t = np.sqrt(_inner(u, u))
         turn = _one_minus_cos_over_sq(t) * u + _sinc(t) * np.asarray(p, dtype=float)
         return w - _inner(w, u) * turn
 
-    def _frame_log(self, v, q, Eq, u, F, B):
-        """(B, w, (1 - cos r)/r**2): the frames B at v (dim, N, ...), given or formed, w = B log_v(q)."""
+    def _frame_log(self, B, q, Eq, u, F):
+        """(w, (1 - cos r)/r**2): w = B log_v(q), in the frames B at v (dim, N, ...)."""
         sinc, cos2 = _rodrigues_pair(F)
         r2 = (u * u).sum(0)
         log_vq = (r2 * sinc) * q - (1.0 - r2 * cos2) * np.einsum("a...,ak...->k...", u, Eq)
-        B = self.tangent_basis(v.T).T.swapaxes(0, 1) if B is None else B
-        return B, np.einsum("jk...,k...->j...", B, log_vq), cos2
+        return np.einsum("jk...,k...->j...", B, log_vq), cos2
 
-    def _transported_adjoint(self, v, q, Eq, u, x, F, B=None):
+    def _transported_adjoint(self, B, q, Eq, u, x, F):
         # T^T x = B (Eq^T x) - ((1 - cos r)/r**2) <u, x> w, log_v(q) = r sin(r) q - cos(r) Eq^T u
-        B, w, cos2 = self._frame_log(v, q, Eq, u, F, B)
+        w, cos2 = self._frame_log(B, q, Eq, u, F)
         return (B * (Eq * x[:, None]).sum(0)).sum(1) - cos2 * (u * x).sum(0) * w, w
 
-    def _transported_basis(self, v, q, Eq, u, F, B=None):
+    def _transported_basis(self, B, q, Eq, u, F):
         # T = Eq B^T - ((1 - cos r)/r**2) u w^T: one contraction of the frames at q and v
-        B, w, cos2 = self._frame_log(v, q, Eq, u, F, B)
+        w, cos2 = self._frame_log(B, q, Eq, u, F)
         return w, np.einsum("ak...,jk...->aj...", Eq, B) - (cos2 * u)[:, None] * w
 
     def _projectable(self, w) -> np.ndarray:
@@ -626,12 +626,12 @@ class Rotation3(Manifold):
         L, angle = _logm_rotation(Q1.swapaxes(-1, -2) @ np.asarray(q, dtype=float))
         return Q1 @ L, angle
 
-    def transport(self, p, q, w, log_pq=None):
+    def transport(self, p, q, w):
         Q1t = np.asarray(p, dtype=float).swapaxes(-1, -2)
-        E = _expm_skew(0.5 * _skew_part(Q1t @ (self.log(p, q) if log_pq is None else np.asarray(log_pq))))
+        E = _expm_skew(0.5 * _skew_part(Q1t @ self.log(p, q)))
         return Q1t.swapaxes(-1, -2) @ E @ _skew_part(Q1t @ np.asarray(w, dtype=float)) @ E
 
-    def _transported_adjoint(self, v, q, Eq, u, x, F, B=None):
+    def _transported_adjoint(self, B, q, Eq, u, x, F):
         # T = exp(hat(h)), h = sqrt(K) u, by Rodrigues with hat(h)^2 = h h^T - |h|^2 I;
         # the cross product u x x from the components (np.cross moves axes)
         sinc, cos2 = _rodrigues_pair(F)

@@ -11,7 +11,7 @@ closed forms in w and q.  No other nonlinear solve is involved.
 Evaluations are batched as in the geodesic module: reference points and the
 nodal values of an interpolant built over several elements at once may carry
 leading axes, which broadcast.  As a rule of ``jacobi.Interpolant`` it
-supplies ``eval``, ``_center`` (the weighted sum with dP/dw), and
+supplies ``eval``, ``_center`` (the weighted sum with E DP(w) and dq/dxi), and
 ``_basis_gradients`` from it; it admits all values, and pairs the
 gradients with the energy's covectors by the base class's default.
 """
@@ -36,19 +36,17 @@ class ProjectionInterpolant(Interpolant):
         w = self._combine(phi[..., None, :])[..., 0, :]
         return w.reshape(w.shape[:-1] + self.manifold.point_shape)
 
-    def _center(self, xi, shape=None):
-        """(center, cols): the weighted sum w at xi with what the exact
-        basis-field gradients need of it, and the columns d(interpolant)/d(xi_k)
-        (..., d, *point_shape)."""
+    def _center(self, xi, shape=None) -> "_Center":
+        """The weighted sum w at xi with what the exact basis-field gradients
+        need of it, as a ``_Center``; ``shape``: the caller's tables of ``energy._layout``."""
         man = self.manifold
         phi, dphi = (self.elem.shape_values(xi), self.elem.shape_gradients(xi)) if shape is None else shape[:2]
         w = self._weighted_sum(phi)
         dsum = self._combine(np.swapaxes(dphi, -1, -2))                    # (..., d, N)
         q = man.project_point(w)
-        J = man.projection_jacobian(w, q)
-        cols = dsum @ np.swapaxes(J, -1, -2)
-        return _Center(q, man.tangent_basis(q), w, dsum, phi, dphi, J), \
-            cols.reshape(cols.shape[:-1] + man.point_shape)
+        E = man.tangent_basis(q)
+        EJ = man._flat(E) @ man.projection_jacobian(w, q)                   # E DP(w), (..., dim, N)
+        return _Center(q, E, w, dsum, phi, dphi, EJ, EJ @ np.swapaxes(dsum, -1, -2))
 
     def eval(self, xi) -> np.ndarray:
         """P applied to the weighted embedding sum.
@@ -72,7 +70,7 @@ class ProjectionInterpolant(Interpolant):
         man = self.manifold
         Bv = man._flat(self._frames_of()).swapaxes(-1, -2)                    # (..., m, N, dim)
         E = man._flat(c.basis)                                              # (..., dim, N)
-        first = (E @ c.J)[..., None, :, :] @ Bv                             # E DP(w) B_v (..., m, dim, dim)
+        first = c.EJ[..., None, :, :] @ Bv                                  # E DP(w) B_v (..., m, dim, dim)
         ED2 = E[..., None, :, :] @ man.projection_jacobian_deriv(c.w, c.q, c.dsum)  # (..., d, dim, N)
         second = ED2[..., None, :, :, :] @ Bv[..., :, None, :, :]         # (..., m, d, dim, dim)
         G = c.phi[..., :, None, None, None] * second \
@@ -83,8 +81,8 @@ class ProjectionInterpolant(Interpolant):
 
 class _Center(NamedTuple):
     """q = P(w), tangent_basis(q) = E, the weighted sum w, dw/dxi (..., d, N),
-    the weights phi (..., m), their gradients dphi (..., m, d) and DP(w)
-    (..., N, N)."""
+    the weights phi (..., m), their gradients dphi (..., m, d), E DP(w)
+    (..., dim, N) and dq/dxi = E DP(w) (dw/dxi)^T (..., dim, d)."""
 
     q: np.ndarray
     basis: np.ndarray
@@ -92,4 +90,5 @@ class _Center(NamedTuple):
     dsum: np.ndarray
     phi: np.ndarray
     dphi: np.ndarray
-    J: np.ndarray
+    EJ: np.ndarray
+    dq_dxi: np.ndarray

@@ -82,10 +82,9 @@ def transported_basis_oracle(man, v, q):
     transported to q; the oracle for ``Manifold._transported_basis``."""
     k = len(man.point_shape)
     flat = lambda a: a.reshape(a.shape[: a.ndim - k] + (-1,))  # noqa: E731
-    log_vq = man.log(v, q)
     Bv = man.tangent_basis(v)
-    moved = np.array([man.transport(v, q, b, log_pq=log_vq) for b in Bv])
-    return flat(Bv) @ flat(log_vq), flat(man.tangent_basis(q)) @ flat(moved).T
+    moved = np.array([man.transport(v, q, b) for b in Bv])
+    return flat(Bv) @ flat(man.log(v, q)), flat(man.tangent_basis(q)) @ flat(moved).T
 
 
 def fd_basis_ref_gradients(interp, xi, h=1e-6):

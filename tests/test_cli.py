@@ -507,6 +507,7 @@ def test_call_counts_tool_reports_the_warm_so3_memory(tmp_path):
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert 0 < report["so3_peak_kb"] < 600
+    assert 0 < report["so3_metric_peak_kb"] <= 1650
 
 
 @pytest.mark.parametrize("bad_node", [9, -1])

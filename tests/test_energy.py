@@ -158,6 +158,24 @@ def test_directional_derivative_matches_energy_fd(rule):
     assert abs(got - fd) / max(abs(fd), 1e-6) <= 1e-4
 
 
+def test_directional_derivative_refuses_a_field_based_elsewhere():
+    """eta's vectors are tangent at its base's nodal values: a base with another
+    state, grid or manifold than u is refused by name, not paired (another state
+    of the grid gave a number, another grid numpy's broadcast error)."""
+    grid = unit_interval_grid(4, 1)
+    u = sphere_function(grid, seed=2)
+    vecs = random_field_vectors(S2, u.values, np.random.default_rng(3))
+    want = directional_derivative(u, GlobalTestFunction(u, vecs))
+    assert directional_derivative(u, GlobalTestFunction(u.with_values(u.values), vecs)) == want
+    other = sphere_function(grid, seed=4)
+    flat = GFEFunction(grid, gfe.Euclidean(3), "geodesic", u.values)
+    finer = sphere_function(unit_interval_grid(8, 1), seed=2)
+    for base, what in ((other, "nodal values"), (flat, "manifold"), (finer, "grid")):
+        eta = GlobalTestFunction(base, random_field_vectors(base.manifold, base.values, np.random.default_rng(5)))
+        with pytest.raises(ValueError, match=f"based on another {what} than u"):
+            directional_derivative(u, eta)
+
+
 # ----------------------------------------------------------------------
 # algebraic gradient
 
@@ -267,14 +285,13 @@ def test_metric_blocks_equal_their_definitions(man, rule, order, grid_kind):
     u = GFEFunction(grid, man, rule, values)
     _, A, J = _gradient_terms(u, metric=True)
     a, Binv = _assembly(u), _layout(grid, dim)[3]
-    EGu = man._flat(a.center.basis) @ a.Gu                                  # (P, dim, d)
     for p, (e, xi) in enumerate(zip(a.els, a.xi)):
         interp = u.local(e)
         F = (fd_basis_ref_gradients(interp, xi) @ Binv[p]).reshape(m * dim, -1)
         V = np.stack([fd_d_dv(interp, xi, i).T for i in range(m)]).reshape(m * dim, dim)
-        VG = V @ EGu[p]
+        VG = V @ a.Gu[p]
         A_def = a.w[p] * F @ F.T
-        J_def = a.w[p] * man._model_curvature * (np.sum(EGu[p] ** 2) * V @ V.T - VG @ VG.T)
+        J_def = a.w[p] * man._model_curvature * (np.sum(a.Gu[p] ** 2) * V @ V.T - VG @ VG.T)
         assert np.max(np.abs(A[p] - A_def)) <= 1e-8 * np.max(np.abs(A_def))
         assert np.max(np.abs(J[p] - J_def)) <= 1e-8 * np.max(np.abs(J_def))
 
@@ -296,6 +313,25 @@ def test_warm_so3_gradient_keeps_its_temporaries_small():
     finally:
         tracemalloc.stop()
     assert peak < 600 * 1024
+
+
+def test_warm_so3_metric_keeps_its_blocks_the_largest_arrays():
+    # the metric route on the same warm state forms its outputs A and J (486 KB
+    # each) with one more array of their size alive, J in place, and drops the
+    # basis-field gradients once read (2005 KB traced peak when J's expression
+    # formed three arrays of its size while they were alive)
+    grid = unit_square_grid(4, 2)
+    man = gfe.Rotation3()
+    values = random_configuration(man, grid.n_nodes, np.random.default_rng(7), radius=0.3)
+    u = GFEFunction(grid, man, "geodesic", values)
+    _gradient_terms(u, metric=True)
+    tracemalloc.start()
+    try:
+        _gradient_terms(u, metric=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1650 * 1024
 
 
 def test_gradient_matches_energy_fd_per_node():
@@ -471,6 +507,30 @@ def test_descent_work_per_state(monkeypatch):
                                        "gathered full passes"))
 
 
+def test_minimize_forms_the_metric_blocks_once_per_step(monkeypatch):
+    """On the descent-s2-1d problem, the index form's blocks are formed at the
+    states a step is taken from, not at the converged one: once per iteration,
+    and not at all when the start has converged."""
+    u0, _ = bumped_great_circle(4, 1)
+    R = np.linalg.qr(np.random.default_rng(7).standard_normal((3, 3)))[0]
+    u0 = u0.with_values(u0.values @ R.T)
+    fixed = set(u0.grid.boundary_nodes)
+    real, formed = gfe.energy._gradient_route, []
+
+    def counting(u, metric):
+        coeff, blocks = real(u, metric)
+
+        def counted():
+            formed.append(u)
+            return blocks()
+        return coeff, counted
+    monkeypatch.setattr(gfe.energy, "_gradient_route", counting)
+    for kwargs, iterations in (({"tol": 1e-6}, 3), ({"tol": 1e-6, "max_iter": 1}, 1), ({"tol": 1e3}, 0)):
+        formed.clear()
+        _, report = minimize(u0, fixed=fixed, **kwargs)
+        assert report.iterations == iterations and len(formed) == iterations
+
+
 def test_a_state_is_freed_without_the_cycle_collector():
     # the interpolant of a state's record reads the state's nodal frames, and must not
     # refer back to the state: descent would otherwise keep every visited state alive
@@ -551,15 +611,17 @@ def test_fixed_indices_refuse_booleans(fixed):
 def test_minimize_refuses_a_metric_that_gives_no_descent_direction(monkeypatch, sign):
     # a zero metric fails the solve; a negative definite one gives <g, c> < 0;
     # both fail the Cholesky test of the index form I = A - J, so A is tried too
-    real = gfe.energy._gradient_terms
+    real = gfe.energy._gradient_route
 
-    def bad_metric(u, metric=False):
-        coeff, A, J = real(u, metric)
-        if not metric:
-            return coeff, A, J
-        return coeff, np.broadcast_to(sign * np.eye(A.shape[1]), A.shape), np.zeros_like(J)
+    def bad_metric(u, metric):
+        coeff, blocks = real(u, metric)
 
-    monkeypatch.setattr(gfe.energy, "_gradient_terms", bad_metric)
+        def bad_blocks():
+            A, J = blocks()
+            return np.broadcast_to(sign * np.eye(A.shape[1]), A.shape), np.zeros_like(J)
+        return coeff, bad_blocks if metric else blocks
+
+    monkeypatch.setattr(gfe.energy, "_gradient_route", bad_metric)
     u0, _ = bumped_great_circle(4, 1)
     with pytest.raises(SingularSystemError, match="descent iteration 0"):
         minimize(u0, fixed={0, u0.grid.n_nodes - 1})
@@ -723,7 +785,7 @@ def stereographic_errors(u):
     a = _assembly(u)
     value, grad = stereographic(grid._origin[a.els] + (grid._B[a.els] @ a.xi[:, :, None])[:, :, 0])
     return (math.sqrt(math.fsum(a.w * np.sum((a.center.q - value) ** 2, axis=1))),
-            math.sqrt(math.fsum(a.w * np.sum((a.Gu - grad) ** 2, axis=(1, 2)))))
+            math.sqrt(math.fsum(a.w * np.sum((a.center.basis.swapaxes(1, 2) @ a.Gu - grad) ** 2, axis=(1, 2)))))
 
 
 @pytest.mark.parametrize("order", [1, 2])

@@ -159,7 +159,7 @@ def test_gradient_terms_continuous_across_the_series_cutoff(man):
     radius = 3.0 * gfe.kernels._SERIES_CUTOFF / np.sqrt(man._model_curvature)
     values = random_configuration(man, elem.m, np.random.default_rng(22), radius=radius)
     interp = GeodesicInterpolant(elem, values, man)
-    c, _ = interp._center(np.array([[0.2, 0.3], [0.6, 0.1], [0.25, 0.25]]))
+    c = interp._center(np.array([[0.2, 0.3], [0.6, 0.1], [0.25, 0.25]]))
     C = np.random.default_rng(23).standard_normal((3, 2, man.intrinsic_dim))
     terms = []
     for cutoff in (8.0 * gfe.kernels._SERIES_CUTOFF, gfe.kernels._SERIES_CUTOFF / 8.0):   # all series, all closed

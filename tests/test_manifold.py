@@ -731,6 +731,22 @@ def test_dist2_blocks_continuous_across_series_cutoff(man, cases):
         assert np.max(np.abs(M_series - M_closed)) <= 1e-12
 
 
+def test_ratios_read_a_patched_cutoff():
+    """The kernel's early exit to the closed forms follows a patched
+    _SERIES_CUTOFF too: on angles all above the unpatched cutoffs, the
+    "all series" patch takes the series (to 1e-8 of the closed forms at
+    these angles), the "all closed" patch the closed forms."""
+    t = np.array([0.06, 0.1, 0.2])
+    ratios = []
+    for cutoff in (8.0 * _SERIES_CUTOFF, _SERIES_CUTOFF / 8.0):   # all series, all closed
+        with mock.patch.object(gfe.kernels, "_SERIES_CUTOFF", cutoff):
+            ratios.append(_ratios(t))
+    series, closed = ratios
+    assert np.array_equal(closed, _ratios(t))
+    assert not np.array_equal(series, closed)
+    assert np.max(np.abs(series - closed) / np.abs(closed)) <= 1e-8
+
+
 # ----------------------------------------------------------------------
 # third derivatives of squared distance
 
@@ -855,7 +871,8 @@ def test_transported_frames_match_the_log_and_transport_oracle(man, seed, frac):
     v = man.exp(q, frac * FRAME_REACH[man.kind] / np.linalg.norm(d) * d)
     Eq = man.tangent_basis(q).reshape(man.intrinsic_dim, -1)
     u = Eq @ man.log(q, v).reshape(-1)
-    w, T = man._transported_basis(v, q, Eq, u, man._curvature_ratios(u)[1])
+    B = man._flat(man.tangent_basis(v)) if man._frame_transport else None
+    w, T = man._transported_basis(B, q, Eq, u, man._curvature_ratios(u)[1])
     w_oracle, T_oracle = transported_basis_oracle(man, v, q)
     assert w.shape == (man.intrinsic_dim,) and T.shape == (man.intrinsic_dim,) * 2
     assert np.max(np.abs(w - w_oracle)) <= 1e-13
@@ -876,7 +893,8 @@ def test_transported_adjoint_applies_the_oracle_frame_transposed(man, seed, frac
     Eq = man.tangent_basis(q).reshape(man.intrinsic_dim, -1)
     u = Eq @ man.log(q, v).reshape(-1)
     x = rng.standard_normal((man.intrinsic_dim, 4))     # four covectors, batch-last
-    Tx, w = man._transported_adjoint(man._flat(v)[:, None], man._flat(q)[:, None], Eq[..., None], u[:, None], x,
+    B = man._flat(man.tangent_basis(v))[..., None] if man._frame_transport else None
+    Tx, w = man._transported_adjoint(B, man._flat(q)[:, None], Eq[..., None], u[:, None], x,
                                      man._curvature_ratios(u)[1])
     w_oracle, T_oracle = transported_basis_oracle(man, v, q)
     assert np.max(np.abs(Tx - T_oracle.T @ x)) <= 1e-13 * np.max(np.abs(x))
@@ -897,16 +915,6 @@ def test_dist2_third_sums_the_weighted_hessian_derivatives(man):
         assert np.max(np.abs(mixed_X[i] - x1[0])) <= 1e-15
         hess_X -= weights[i] * h1
     assert np.max(np.abs(hess_X)) <= 1e-14
-
-
-@pytest.mark.parametrize("man", ALL, ids=lambda m: m.kind)
-def test_transport_with_a_given_log_equals_transport(man):
-    rng = np.random.default_rng(35)
-    p = random_point(man, rng)
-    q = man.exp(p, random_tangent(man, p, rng))
-    w = random_tangent(man, p, rng)
-    given = man.transport(p, q, w, log_pq=man.log(p, q))
-    assert np.max(np.abs(given - man.transport(p, q, w))) <= 1e-15
 
 
 # ----------------------------------------------------------------------

@@ -26,7 +26,8 @@ The same line reports ``so3_peak_kb``, the ``tracemalloc`` peak in KiB of
 one ``dirichlet_energy`` plus ``algebraic_gradient`` on a warm state (its
 quadrature record built) of the assembly-so3-2d kind, built from gfe alone:
 a radius-0.3 random configuration (seed 7) on the 4 x 4 criss-cross
-order-2 grid, geodesic rule.
+order-2 grid, geodesic rule; and ``so3_metric_peak_kb``, the peak of one
+``energy._gradient_terms(u, metric=True)`` on that warm state.
 """
 
 from __future__ import annotations
@@ -75,17 +76,15 @@ def profiled_calls(f, *args, **kwargs):
     return result, profile.getstats()
 
 
-def so3_peak_kb() -> int:
-    """The tracemalloc peak, in KiB, of a warm SO(3) energy plus gradient."""
+def warm_peak_kb(f) -> int:
+    """The tracemalloc peak, in KiB, of f(u) on the warm SO(3) state, after one untraced call."""
     man, grid = Rotation3(), unit_square_grid(4, 2)
     values = random_configuration(man, grid.n_nodes, np.random.default_rng(7), radius=0.3)
     u = GFEFunction(grid, man, "geodesic", values)
-    dirichlet_energy(u)
-    algebraic_gradient(u)
+    f(u)
     tracemalloc.start()
     try:
-        dirichlet_energy(u)
-        algebraic_gradient(u)
+        f(u)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -105,7 +104,9 @@ def main() -> int:
     print(json.dumps({
         "total_calls": sum(e.callcount for e in entries), "center_solves": calls["_newton"],
         "newton_linearizations": calls["_linearize"], "descent_iterations": report.iterations,
-        "metric_calls": sum(e.callcount for e in metric), "so3_peak_kb": so3_peak_kb(),
+        "metric_calls": sum(e.callcount for e in metric),
+        "so3_peak_kb": warm_peak_kb(lambda u: (dirichlet_energy(u), algebraic_gradient(u))),
+        "so3_metric_peak_kb": warm_peak_kb(lambda u: _gradient_terms(u, metric=True)),
     }))
     return 0
 
