@@ -37,12 +37,15 @@ Any other exception is a fault of gfe, not of its input: one
 ``error: internal: <Type>: <message>`` line and exit code 4, no traceback.
 Identical flags and seed produce byte-identical output files.  Malformed
 input (a mesh or CSV that cannot be read, is not UTF-8 text or holds a NaN
-or an infinity, a mesh without elements, with a degenerate element or with
-a vertex that belongs to no element, an index out of range or listed twice,
-a value off the manifold) and an ``--out`` that cannot be written (in a
-missing directory, or a directory) are reported as one ``error: <file>: ...``
-line with exit code 2 and no report; faults the file readers find, and a
-degenerate element, name the line as well.
+or an infinity, a mesh without elements, with a degenerate element, with an
+element that repeats the vertices of an earlier one or with a vertex that
+belongs to no element, an index out of range or listed twice, a value off
+the manifold) and an ``--out`` that cannot be written (in a missing
+directory, or a directory) are reported as one ``error: <file>: ...`` line
+with exit code 2 and no report; faults the file readers find, and a
+degenerate or repeated element, name the line as well.  Both commands read
+their CSV with one function, ``_read_nodal_values``, into an array of nodes
+and one of values, in file order.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ import numpy as np
 
 from .energy import _scatter, dirichlet_energy, equivalence_audit, minimize
 from .errors import GFEError
-from .grid import _RULES, GFEFunction, GlobalTestFunction, Grid, _finite_float, _text_lines, read_mesh
+from .grid import _RULES, GFEFunction, GlobalTestFunction, Grid, _finite_float, _text_rows, read_mesh
 from .jacobi import ElementTestField
 from .manifold import Euclidean, Rotation3, Sphere
 from .reference_element import ReferenceElement
@@ -78,51 +81,31 @@ _BLOCK = 4096
 # CSV helpers
 
 
-def _nodal_rows(path, embed_dim: int):
-    """(line, index, coordinates) per CSV row ``index, c1, ..., cN``; an index may appear once."""
-    first_line: dict[int, int] = {}
-    for lineno, raw in _text_lines(path):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = [t.strip() for t in line.split(",")]
-        if len(parts) != embed_dim + 1:
-            raise ValueError(
-                f"{path}: line {lineno}: expected {embed_dim + 1} comma-separated fields, "
-                f"got {len(parts)}"
-            )
+def _read_nodal_values(path, man, n_nodes: int):
+    """(nodes, values) of the CSV rows ``index, c1, ..., cN``, in file order: each index a node of
+    the grid, listed once, and each value a point of man, of shape (len(nodes), *man.point_shape)."""
+    first_line: dict[int, int] = {}     # node -> its line, in file order
+    values = []
+    for lineno, parts in _text_rows(path, ","):
+        where = f"{path}: line {lineno}"
+        if len(parts) != man.embed_dim + 1:
+            raise ValueError(f"{where}: expected {man.embed_dim + 1} comma-separated fields, got {len(parts)}")
         try:
             index = int(parts[0])
-            coords = np.array([_finite_float(t) for t in parts[1:]])
+            value = np.array([_finite_float(t) for t in parts[1:]]).reshape(man.point_shape)
         except ValueError as exc:
-            raise ValueError(f"{path}: line {lineno}: {exc}") from None
+            raise ValueError(f"{where}: {exc}") from None
         if index in first_line:
-            raise ValueError(
-                f"{path}: line {lineno}: node {index} is listed twice "
-                f"(first on line {first_line[index]})"
-            )
-        first_line[index] = lineno
-        yield lineno, index, coords
-
-
-def read_nodal_csv(path, embed_dim: int) -> dict[int, np.ndarray]:
-    """CSV rows ``index, c1, ..., cN`` -> {index: coordinates}; an index may appear once."""
-    return {index: coords for _, index, coords in _nodal_rows(path, embed_dim)}
-
-
-def _read_nodal_values(path, man, n_nodes: int) -> dict[int, np.ndarray]:
-    """read_nodal_csv, with every index a node of the grid and every value on man."""
-    data = {}
-    for lineno, index, value in _nodal_rows(path, man.embed_dim):
-        where = f"{path}: line {lineno}"
+            raise ValueError(f"{where}: node {index} is listed twice (first on line {first_line[index]})")
         if not 0 <= index < n_nodes:
             raise ValueError(f"{where}: node index {index} is outside 0..{n_nodes - 1}")
         try:
-            man.check_point(value.reshape(man.point_shape))
+            man.check_point(value)
         except ValueError as exc:
             raise ValueError(f"{where}: node {index}: {exc}") from None
-        data[index] = value
-    return data
+        first_line[index] = lineno
+        values.append(value)
+    return np.array(list(first_line), dtype=int), np.reshape(values, (len(values),) + man.point_shape)
 
 
 def _csv_lines(index, rows) -> str:
@@ -166,16 +149,17 @@ def cmd_interpolate(args) -> int:
     man = _MANIFOLDS[args.manifold]()
     try:
         grid = _read_grid(args.mesh, args.order)
-        data = _read_nodal_values(args.bc, man, grid.n_nodes)
+        nodes, values = _read_nodal_values(args.bc, man, grid.n_nodes)
     except (OSError, ValueError) as exc:
         return _error(exc)
-    missing = [i for i in range(grid.n_nodes) if i not in data]
+    missing = np.flatnonzero(np.bincount(nodes, minlength=grid.n_nodes) == 0).tolist()
     if missing:
         return _error(f"nodal values missing for nodes {missing}")
 
-    values = np.array([data[i].reshape(man.point_shape) for i in range(grid.n_nodes)])
+    by_node = np.empty_like(values)     # a scatter: the first numpy sort of a process pages in its kernels
+    by_node[nodes] = values
     try:
-        u = GFEFunction(grid, man, args.rule, values)
+        u = GFEFunction(grid, man, args.rule, by_node)
     except GFEError as exc:
         return _error(exc)
     xis = _sample_points(grid.dim)
@@ -285,10 +269,10 @@ def cmd_audit(args) -> int:
     return 0 if all(err <= tol for _, err, tol in rows) else 1
 
 
-def _relaxed_start(grid: Grid, man, fixed_values: dict[int, np.ndarray]) -> np.ndarray:
-    """Projected neighbor averaging from the Dirichlet data, in Jacobi sweeps."""
+def _relaxed_start(grid: Grid, man, fixed, data) -> np.ndarray:
+    """Projected neighbor averaging from the Dirichlet data, in Jacobi sweeps: data[r] is the value at
+    node fixed[r], for an index array fixed in any order."""
     n, k = grid.n_nodes, man.embed_dim
-    fixed = sorted(fixed_values)
     free = np.bincount(fixed, minlength=n) == 0
     # the distinct pairs (i, j != i) of nodes sharing an element, from the sorted keys i*n + j
     keys = np.sort((grid.element_nodes[:, :, None] * n + grid.element_nodes[:, None, :]).ravel())
@@ -296,10 +280,11 @@ def _relaxed_start(grid: Grid, man, fixed_values: dict[int, np.ndarray]) -> np.n
     i, j = i[i != j], j[i != j]
     slots, counts = i[:, None] * k + np.arange(k), np.bincount(i, minlength=n)[free, None]
 
-    data = np.reshape([fixed_values[f] for f in fixed], (len(fixed), k))
+    values = np.empty((n, k))
+    values[fixed] = np.reshape(data, (len(fixed), k))
+    data = values[~free]    # by node, so the start does not depend on the order of the rows
     mean = data.mean(axis=0)
-    values = np.repeat([man._flat(man.project_point(mean)) if man._projectable(mean) else data[0]], n, axis=0)
-    values[fixed] = data
+    values[free] = man._flat(man.project_point(mean)) if man._projectable(mean) else data[0]
     for _ in range(200):
         avg = _scatter(slots, values[j], n, k)[free] / counts
         ok = man._projectable(avg)
@@ -316,20 +301,20 @@ def cmd_minimize(args) -> int:
     man = _MANIFOLDS[args.manifold]()
     try:
         grid = _read_grid(args.mesh, args.order)
-        data = _read_nodal_values(args.bc, man, grid.n_nodes)
-        if not data:
+        fixed, data = _read_nodal_values(args.bc, man, grid.n_nodes)
+        if not len(fixed):
             raise ValueError(f"{args.bc}: boundary CSV fixes no nodes")
-        u0 = GFEFunction(grid, man, args.rule, _relaxed_start(grid, man, data))
+        u0 = GFEFunction(grid, man, args.rule, _relaxed_start(grid, man, fixed, data))
         dirichlet_energy(u0)    # kept with u0, so minimize solves no more
     except (OSError, ValueError, GFEError) as exc:
         return _error(exc)
     try:
-        u, report = minimize(u0, fixed=set(data), max_iter=args.max_iter, tol=args.tol)
+        u, report = minimize(u0, fixed=fixed, max_iter=args.max_iter, tol=args.tol)
     except GFEError as exc:
         return _error(exc, 3)
 
-    # the nodal basis function carrying tangent_basis(u_i)[0] at the first free node i
-    i = next((i for i in range(grid.n_nodes) if i not in data), 0)
+    # the nodal basis function carrying tangent_basis(u_i)[0] at the first free node i (node 0 if none)
+    i = int((np.bincount(fixed, minlength=grid.n_nodes) == 0).argmax())
     vecs = np.zeros_like(u.values)
     vecs[i] = man.tangent_basis(u.values[i])[0]
     phi = GlobalTestFunction(u, vecs)

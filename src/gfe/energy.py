@@ -327,10 +327,12 @@ def minimize(
         M = free_block(A)
         if J is not None:
             M -= free_block(J)
+        del J       # the per-point blocks are the step's largest arrays: none is kept into the line search
         try:
             np.linalg.cholesky(M)   # the Newton step where the index form is positive definite
         except np.linalg.LinAlgError:
             M = free_block(A)       # the H^1 step otherwise
+        del A
         try:
             c = np.linalg.solve(M, g)
             if not g @ c > 0.0:

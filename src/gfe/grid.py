@@ -21,8 +21,9 @@ at node i.
 
 Mesh files are plain text: a header line ``gfe-mesh d``, the vertex count
 followed by one coordinate line per vertex, then the element count followed
-by one line of d+1 zero-based vertex indices per element.  ``#`` starts a
-comment.
+by one line of d+1 zero-based vertex indices per element, no two with the
+same vertices.  ``#`` starts a comment; ``_text_rows`` reads the lines of
+meshes and of the CLI's CSVs alike.
 """
 
 from __future__ import annotations
@@ -53,9 +54,10 @@ def _finite_float(token: str) -> float:
     return x
 
 
-def _text_lines(path):
-    """(number, line) of each line of the UTF-8 text file path; a byte that is
-    not UTF-8 is a ValueError naming the file and the line."""
+def _text_rows(path, sep=None):
+    """(number, tokens) of each line of the UTF-8 text file path that has text before
+    its ``#``: that text split at sep (at whitespace for None), each token stripped.
+    A byte that is not UTF-8, on any line, is a ValueError naming the file and the line."""
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for n, line in enumerate(fh, 1):
             try:
@@ -63,13 +65,15 @@ def _text_lines(path):
             except UnicodeEncodeError as exc:
                 byte = ord(line[exc.start]) - 0xDC00
                 raise ValueError(f"{path}: line {n}: not UTF-8 text (byte {byte:#04x})") from None
-            yield n, line
+            text = line.split("#", 1)[0]
+            if text.strip():
+                yield n, [t.strip() for t in text.split(sep)]
 
 
 def read_mesh(path, lines: bool = False):
     """Read a mesh file; returns (dim, vertices, elements), and with ``lines``
     also the file line of each element row.  Errors name the line."""
-    rows = [(n, t) for n, line in _text_lines(path) if (t := line.split("#", 1)[0].split())]
+    rows = list(_text_rows(path))
     if not rows or not rows[0][1][0].startswith("gfe-mesh") or len(rows[0][1]) < 2:
         raise ValueError(f"{path}: missing 'gfe-mesh d' header")
     pos = 0
@@ -137,12 +141,12 @@ class Grid:
 
     Vertices must be an (nv, dim) array of finite coordinates and elements
     an (ne, dim+1) array of integers in 0..nv-1; every element must be
-    positively oriented and every vertex must belong to an element.
-    Otherwise the constructor raises ValueError, naming the file line of an
-    element with an index that is not an integer, an index out of range or
-    a degenerate one when
-    ``element_lines`` (one per element row, as ``read_mesh(path,
-    lines=True)`` returns them) is given.
+    positively oriented, no two elements may have the same vertices (in any
+    order) and every vertex must belong to an element.  Otherwise the
+    constructor raises ValueError, naming the file line of an element with an
+    index that is not an integer, an index out of range, the vertices of an
+    earlier element or a degenerate one when ``element_lines`` (one per
+    element row, as ``read_mesh(path, lines=True)`` returns them) is given.
     """
 
     def __init__(self, dim: int, vertices, elements, order: int, element_lines=None):
@@ -170,6 +174,12 @@ class Grid:
                 e = bad.any(axis=1).argmax()
                 raise ValueError(f"{where(e)}element {e} has {what}")
         self.elements = elements.astype(int)
+        # a repeated element, its vertices in any order, would count its integrals twice; a dict, as no
+        # numpy sort: the first one in a process pages in its kernels, 128-384 KB of resident memory
+        first: dict[tuple, int] = {}
+        for e, el in enumerate(self.elements.tolist()):
+            if (f := first.setdefault(tuple(sorted(el)), e)) != e:
+                raise ValueError(f"{where(e)}element {e} repeats the vertices of element {f}")
 
         # affine maps x = V0 + B xi, with positive orientation required
         self._origin = self.vertices[self.elements[:, 0]]

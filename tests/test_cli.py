@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gfe
-from gfe.cli import _csv_lines, _relaxed_start, main, read_nodal_csv, write_nodal_csv
+from gfe.cli import _csv_lines, _read_nodal_values, _relaxed_start, main, write_nodal_csv
 from gfe.grid import unit_interval_grid, unit_square_grid, write_mesh
 from gfe.sampling import random_configuration
 from helpers import corrupt_d_dv_all, gauss_seidel_start, node_neighbors
@@ -49,7 +49,7 @@ def test_nodal_csv_roundtrip(tmp_path):
     path = tmp_path / "vals.csv"
     values = np.random.default_rng(0).standard_normal((4, 3))
     write_nodal_csv(path, values)
-    data = read_nodal_csv(path, 3)
+    _, data = _read_nodal_values(path, gfe.Euclidean(3), 4)
     for i in range(4):
         assert np.array_equal(data[i], values[i])
 
@@ -337,6 +337,24 @@ def test_unused_vertex_names_the_mesh_file(tmp_path, capsys, command):
     assert not (tmp_path / "o.csv").exists()
 
 
+REPEATED_ELEMENTS = {
+    1: ("gfe-mesh 1\n3\n0\n0.5\n1\n3\n0 1\n1 2\n1 2\n", "line 9: element 2 repeats the vertices of element 1"),
+    2: ("gfe-mesh 2\n4\n0 0\n1 0\n1 1\n0 1\n3\n0 1 2\n0 2 3\n2 0 1\n",
+        "line 10: element 2 repeats the vertices of element 0"),
+}
+
+
+@pytest.mark.parametrize("command", ["interpolate", "minimize"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_repeated_element_names_its_line(tmp_path, capsys, command, dim):
+    # counted twice, the 1d element gave minimize the value pi^2/6 for pi^2/8, with exit 0
+    mesh_text, message = REPEATED_ELEMENTS[dim]
+    code, mesh, _ = run_with(tmp_path, command, mesh_text, [(0, [1.0, 0.0, 0.0]), (dim + 1, [0.0, 1.0, 0.0])])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {mesh}: {message}\n"
+    assert not (tmp_path / "o.csv").exists()
+
+
 def run_interpolate_on_text(tmp_path, mesh_text, csv_text):
     (tmp_path / "m.mesh").write_text(mesh_text)
     (tmp_path / "bc.csv").write_text(csv_text)
@@ -391,6 +409,18 @@ def test_csv_value_off_the_manifold_names_the_line(tmp_path, capsys):
     assert "line 4: node 2: sphere point is not unit length" in err
 
 
+def test_so3_value_that_is_not_orthogonal_names_its_line(tmp_path, capsys):
+    mesh = tmp_path / "m.mesh"
+    write_interval_mesh(mesh, 1)
+    bc = tmp_path / "bc.csv"
+    bc.write_text("0,1,0,0,0,1,0,0,0,1\n# stretched\n1,1,0,0,0,1,0,0,0,1.5\n")
+    code = main(["--command", "interpolate", "--manifold", "so3", "--mesh", str(mesh), "--bc", str(bc),
+                 "--out", str(tmp_path / "o.csv")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {bc}: line 3: node 1: matrix is not orthogonal within 1e-10\n"
+    assert not (tmp_path / "o.csv").exists()
+
+
 @pytest.mark.parametrize("broken, line", [("m.mesh", 2), ("bc.csv", 3)])
 def test_input_that_is_not_utf8_names_its_file_and_line(tmp_path, capsys, broken, line):
     texts = {"m.mesh": GOOD_MESH.encode(), "bc.csv": GOOD_CSV.encode()}
@@ -439,22 +469,33 @@ def test_interpolate_and_minimize_load_neither_numpy_ma_nor_numpy_random(tmp_pat
     assert proc.stdout.splitlines()[-1] == "[0, 0] []", proc.stderr
 
 
-def test_cli_outputs_tool_writes_its_inputs(tmp_path):
+def test_cli_outputs_tool_writes_its_inputs(tmp_path, capsys):
     # tools/cli_outputs.py sets sys.path and sys.dont_write_bytecode, so it runs in a child
     tools = Path(__file__).resolve().parents[1] / "tools"
     src = Path(gfe.__file__).resolve().parents[1]
-    script = (f"import sys; from pathlib import Path; sys.path.insert(0, {str(tools)!r}); "
-              f"import cli_outputs; cli_outputs.write_inputs(Path({str(tmp_path)!r}), Path({str(src)!r}))")
+    script = (f"import json, sys; from pathlib import Path; sys.path.insert(0, {str(tools)!r}); "
+              f"import cli_outputs; cli_outputs.write_inputs(Path({str(tmp_path)!r}), Path({str(src)!r})); "
+              f"print(json.dumps(cli_outputs.ERROR_CASES))")
     proc = subprocess.run([sys.executable, "-c", script], env=env_with_gfe(), capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
+    error_cases = json.loads(proc.stdout)
     names = {"square.mesh"} | {f"{kind}_{m}_{p}.csv" for kind in ("all", "bc") for m in ("sphere2", "so3")
                                for p in (1, 2)}
+    names |= {name for _, mesh, csv in error_cases.values() for name in (mesh, csv)}
     assert {p.name for p in tmp_path.iterdir()} == names
     for p in (1, 2):
         grid = gfe.Grid(*gfe.read_mesh(tmp_path / "square.mesh"), p)
-        assert len(read_nodal_csv(tmp_path / f"all_so3_{p}.csv", 9)) == grid.n_nodes
-        assert set(read_nodal_csv(tmp_path / f"bc_sphere2_{p}.csv", 3)) == grid.boundary_nodes
+        nodes, _ = _read_nodal_values(tmp_path / f"all_so3_{p}.csv", gfe.Euclidean(9), grid.n_nodes)
+        assert len(nodes) == grid.n_nodes
+        nodes, _ = _read_nodal_values(tmp_path / f"bc_sphere2_{p}.csv", gfe.Euclidean(3), grid.n_nodes)
+        assert set(nodes.tolist()) == grid.boundary_nodes
+    for command, mesh, csv in error_cases.values():     # each malformed input is refused
+        assert main(["--command", command, "--mesh", str(tmp_path / mesh), "--bc", str(tmp_path / csv),
+                     "--out", str(tmp_path / "o.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "o.csv").exists()
 
 
 def test_ab_tools_give_both_sides_paths_of_equal_length(tmp_path):
@@ -652,7 +693,7 @@ def test_minimize_flat_laplace(tmp_path, capsys):
     report = dict(line.split("=", 1) for line in stdout.splitlines() if "=" in line)
     assert abs(float(report["value"]) - 0.5) <= 1e-10
     assert report["converged"] == "true"
-    data = read_nodal_csv(out, 1)
+    _, data = _read_nodal_values(out, gfe.Euclidean(1), 5)
     for i in range(5):
         assert abs(data[i][0] - i / 4) <= 1e-6
     assert (tmp_path / "sol_u.vtk").exists()
@@ -674,7 +715,7 @@ def test_minimize_great_circle_benchmark(tmp_path, capsys):
     stdout = capsys.readouterr().out
     report = dict(line.split("=", 1) for line in stdout.splitlines() if "=" in line)
     assert abs(float(report["value"]) - 0.5 * (np.pi / 2) ** 2) <= 1e-6
-    data = read_nodal_csv(out, 3)
+    _, data = _read_nodal_values(out, gfe.Euclidean(3), 9)
     for i in range(9):
         angle = (i / 8) * (np.pi / 2)
         expected = np.array([np.cos(angle), np.sin(angle), 0.0])
@@ -706,7 +747,7 @@ def test_minimize_2d_square(tmp_path, capsys):
     assert report["converged"] == "true"
     assert float(report["gradient_norm"]) <= 1e-8
     # interior solution is a unit vector and the boundary rows round-trip
-    data = read_nodal_csv(out, 3)
+    _, data = _read_nodal_values(out, gfe.Euclidean(3), grid.n_nodes)
     for i, w in rows:
         assert np.array_equal(data[i], w)
     for i in range(grid.n_nodes):
@@ -735,7 +776,7 @@ def test_minimize_so3_line_is_constant_speed_rotation(tmp_path, capsys):
     )
     # one-parameter subgroup at constant speed sqrt(2)*1.2 over unit length
     assert abs(float(report["value"]) - 0.5 * 2.0 * 1.2**2) <= 1e-9
-    data = read_nodal_csv(out, 9)
+    _, data = _read_nodal_values(out, gfe.Euclidean(9), 5)
     for i in range(5):
         Q = data[i].reshape(3, 3)
         angle = np.arctan2(Q[1, 0], Q[0, 0])
@@ -819,7 +860,7 @@ def boundary_data(man, grid, seed=0):
 def test_start_is_a_fixed_point_of_projected_averaging(man, n_side, order):
     grid = unit_square_grid(n_side, order)
     data = boundary_data(man, grid)
-    values = _relaxed_start(grid, man, data)
+    values = _relaxed_start(grid, man, list(data), list(data.values()))
     assert values.shape == (grid.n_nodes,) + man.point_shape
     for i in set(data):
         assert np.array_equal(man._flat(values[i]), data[i])
@@ -834,15 +875,24 @@ def test_start_is_a_fixed_point_of_projected_averaging(man, n_side, order):
 def test_start_agrees_with_the_gauss_seidel_reference(man, n_side, order):
     grid = unit_square_grid(n_side, order)
     data = boundary_data(man, grid)
-    assert np.abs(_relaxed_start(grid, man, data) - gauss_seidel_start(grid, man, data)).max() <= 1e-5
+    start = _relaxed_start(grid, man, list(data), list(data.values()))
+    assert np.abs(start - gauss_seidel_start(grid, man, data)).max() <= 1e-5
 
 
 def test_start_keeps_the_value_of_a_node_whose_average_has_no_projection():
     # the mean of the ends and the middle node's average both vanish: the seed falls
     # back to the first fixed value, and the middle node keeps it on every sweep
     ex = np.array([1.0, 0.0, 0.0])
-    values = _relaxed_start(unit_interval_grid(2, 1), S2, {0: ex, 2: -ex})
+    values = _relaxed_start(unit_interval_grid(2, 1), S2, [0, 2], [ex, -ex])
     assert np.array_equal(values, [ex, ex, -ex])
+
+
+def test_start_does_not_depend_on_the_order_of_the_rows():
+    grid = unit_square_grid(4, 2)
+    nodes, values = map(np.array, zip(*boundary_data(S2, grid).items()))
+    shuffled = np.random.default_rng(1).permutation(len(nodes))
+    assert np.array_equal(_relaxed_start(grid, S2, nodes[shuffled], values[shuffled]),
+                          _relaxed_start(grid, S2, nodes, values))
 
 
 def test_start_projects_all_free_nodes_in_one_call_per_sweep(monkeypatch):
@@ -855,7 +905,8 @@ def test_start_projects_all_free_nodes_in_one_call_per_sweep(monkeypatch):
 
     monkeypatch.setattr(gfe.Sphere, "project_point", counting)
     grid = unit_square_grid(8, 2)
-    _relaxed_start(grid, S2, boundary_data(S2, grid))
+    data = boundary_data(S2, grid)
+    _relaxed_start(grid, S2, list(data), list(data.values()))
     assert 0 < len(calls) <= 201   # the seed, then at most 200 sweeps
 
 

@@ -89,6 +89,12 @@ def test_quadrature_exactness_degree_four(dim):
         assert abs(approx - exact) <= 1e-14
 
 
+@pytest.mark.parametrize("dim", [0, 3])
+def test_quadrature_refuses_other_dimensions(dim):
+    with pytest.raises(ValueError, match=f"^no quadrature for dimension {dim}$"):
+        simplex_quadrature(dim)
+
+
 # ----------------------------------------------------------------------
 # energy
 
@@ -529,6 +535,31 @@ def test_minimize_forms_the_metric_blocks_once_per_step(monkeypatch):
         formed.clear()
         _, report = minimize(u0, fixed=fixed, **kwargs)
         assert report.iterations == iterations and len(formed) == iterations
+
+
+def test_minimize_keeps_no_metric_block_into_the_line_search(monkeypatch):
+    """The per-point blocks A and J that a step formed are freed once its free
+    matrix is summed: none is alive when the step's first trial energy is evaluated."""
+    u0, _ = bumped_great_circle(4, 1)
+    real_route, real_energy, formed, alive = gfe.energy._gradient_route, gfe.energy.dirichlet_energy, [], []
+
+    def recording(u, metric):
+        coeff, blocks = real_route(u, metric)
+
+        def recorded():
+            A, J = blocks()
+            formed.append((weakref.ref(A), weakref.ref(J)))
+            return A, J
+        return coeff, recorded
+
+    def energy(u):
+        alive.append(sum(ref() is not None for refs in formed for ref in refs))
+        return real_energy(u)
+    monkeypatch.setattr(gfe.energy, "_gradient_route", recording)
+    monkeypatch.setattr(gfe.energy, "dirichlet_energy", energy)
+    _, report = minimize(u0, fixed=set(u0.grid.boundary_nodes), tol=1e-6)
+    assert report.converged and len(formed) == report.iterations > 0
+    assert len(alive) > report.iterations and not any(alive)
 
 
 def test_a_state_is_freed_without_the_cycle_collector():

@@ -153,6 +153,20 @@ def test_non_integer_index_rejected(elements, element_lines, message):
         Grid(2, SQUARE, elements, 1, element_lines=element_lines)
 
 
+@pytest.mark.parametrize("dim, vertices, elements, element_lines, message", [
+    pytest.param(1, [[0.0], [0.5], [1.0]], [[0, 1], [1, 2], [1, 2]], None,
+                 r"^element 2 repeats the vertices of element 1$", id="1d"),
+    pytest.param(2, SQUARE, [[0, 1, 2], [1, 3, 2], [2, 0, 1]], [5, 6, 8],
+                 r"^line 8: element 2 repeats the vertices of element 0$", id="2d-rotated-names-its-line"),
+    pytest.param(1, [[0.0], [0.25], [0.5], [1.0]], [[2, 3], [0, 1], [1, 2], [0, 1], [2, 3]], None,
+                 r"^element 3 repeats the vertices of element 1$", id="the-first-repeat"),
+])
+def test_repeated_element_rejected(dim, vertices, elements, element_lines, message):
+    # counted twice, an element adds its integrals twice and hides its faces from the boundary
+    with pytest.raises(ValueError, match=message):
+        Grid(dim, vertices, elements, 1, element_lines=element_lines)
+
+
 def test_integral_float_indices_build_the_integer_grid():
     grid = Grid(2, SQUARE, np.array([[0.0, 1.0, 2.0], [1.0, 3.0, 2.0]]), 1)
     assert grid.elements.dtype == int and np.array_equal(grid.elements, [[0, 1, 2], [1, 3, 2]])
@@ -168,6 +182,21 @@ def test_point_location():
 
 # ----------------------------------------------------------------------
 # global functions
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: Grid(3, np.eye(4, 3), [[0, 1, 2, 3]], 1), r"^grids support dim 1 and 2, got 3$",
+                 id="grid-dim"),
+    pytest.param(lambda: Grid(1, [[0.0], [1.0]], [[0, 1]], 3), r"^grids support order 1 and 2, got 3$",
+                 id="grid-order"),
+    pytest.param(lambda: GFEFunction(unit_interval_grid(2, 1), S2, "nearest", np.eye(3)),
+                 r"^rule must be one of \('geodesic', 'projection'\)$", id="function-rule"),
+    pytest.param(lambda: GFEFunction(unit_interval_grid(2, 1), S2, "geodesic", np.eye(3)[:2]),
+                 r"^expected 3 nodal values of shape \(3,\)$", id="function-values-shape"),
+])
+def test_unsupported_grids_and_functions_refused(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_constant_function_evaluates_constantly():

@@ -126,6 +126,16 @@ def test_non_tangent_or_misshapen_nodal_vectors_rejected(vectors):
         gfe.GlobalTestFunction(u, vectors)
 
 
+@pytest.mark.parametrize("rule", [GeodesicInterpolant, ProjectionInterpolant])
+@pytest.mark.parametrize("values, shape", [
+    ([E1], r"\(1, 3\)"),                  # one value too few
+    ([E1[:2], E2[:2]], r"\(2, 2\)"),      # values of the wrong length
+], ids=["count", "length"])
+def test_misshapen_element_values_refused(rule, values, shape):
+    with pytest.raises(ValueError, match=rf"^expected 2 values of shape \(3,\), got array of shape {shape}$"):
+        rule(ReferenceElement(1, 1), values, S2)
+
+
 def test_fields_hash_and_compare_by_identity():
     field, vecs = seeded_field(S2, 1, seed=4)
     twin = ElementTestField(field.interp, vecs)

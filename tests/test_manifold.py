@@ -519,6 +519,17 @@ def test_so3_projection_second_derivative_on_an_ill_conditioned_matrix():
     assert np.max(np.abs(D[0, :, 4] - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("Q", [
+    np.diag([1.0, 1.0, 1.5]),
+    rotation_z(0.3) + np.diag([0.0, 0.0, 1e-9]),         # off by 1e-9 in one entry
+    np.stack([np.eye(3), np.diag([1.0, 2.0, 0.5])]),     # one matrix of a stack
+    np.diag([1.0, 1.0, -1.5]),                           # tested before the determinant
+], ids=["stretched", "perturbed", "stack", "reflection"])
+def test_so3_check_point_refuses_a_matrix_that_is_not_orthogonal(Q):
+    with pytest.raises(ValueError, match="^matrix is not orthogonal within 1e-10$"):
+        gfe.Rotation3().check_point(Q)
+
+
 def test_so3_project_point_rejects_bad_determinant():
     R = gfe.Rotation3()
     with pytest.raises(ProjectionUndefinedError):

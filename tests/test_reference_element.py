@@ -29,6 +29,16 @@ def test_quadratic_1d_node_order_and_values():
     assert np.allclose(elem.shape_values([0.25]), [0.375, 0.75, -0.125], atol=1e-15)
 
 
+@pytest.mark.parametrize("dim, order, message", [
+    (4, 1, "^unsupported reference dimension 4$"),
+    (0, 1, "^unsupported reference dimension 0$"),
+    (2, 3, "^unsupported polynomial order 3$"),
+])
+def test_unsupported_elements_refused(dim, order, message):
+    with pytest.raises(ValueError, match=message):
+        ReferenceElement(dim, order)
+
+
 @pytest.mark.parametrize("dim,order", ALL_ELEMS)
 def test_node_count(dim, order):
     elem = ReferenceElement(dim, order)

@@ -12,12 +12,16 @@ grids a random configuration (``gfe.sampling.random_configuration``, radius
 0.3) of every node and its restriction to the boundary nodes.  Then 24 cases
 run from each copy with ``python -m gfe.cli`` and PYTHONDONTWRITEBYTECODE=1:
 interpolate, minimize and audit, on sphere2 and so3, with both rules, at
-orders 1 and 2.  For each case the report says "identical", with the exit
-code, when exit code, stdout, stderr and every output file agree byte for
-byte; otherwise it prints the stdout lines that differ, the files that
-differ and the largest absolute difference between the numbers of the two
-CSV outputs.  The exit code is 0 when every case is identical and 1
-otherwise.
+orders 1 and 2.  Then the error cases run, on malformed inputs that the tool
+derives as text from the sphere2 order-1 ones (``ERROR_CASES``: a byte that
+is not UTF-8, a NaN, a node listed twice, an index outside the grid, a value
+off the sphere, a missing node, a boundary CSV without rows, a repeated
+element), with the geodesic rule.  For each case the report says
+"identical", with the exit code, when exit code, stdout, stderr and every
+output file agree byte for byte; otherwise it prints the stdout lines that
+differ, the files that differ and the largest absolute difference between
+the numbers of the two CSV outputs.  It counts the two groups of cases
+apart.  The exit code is 0 when every case is identical and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -40,6 +44,17 @@ RULES = ("geodesic", "projection")
 ORDERS = (1, 2)
 SEED = 3    # of the inputs and of audit
 SIDE = 3    # cells per side of the square mesh
+# name: (command, mesh, CSV) of each case on malformed input, all written by write_inputs
+ERROR_CASES = {
+    "not UTF-8": ("interpolate", "square.mesh", "not_utf8.csv"),
+    "NaN": ("interpolate", "square.mesh", "nan.csv"),
+    "node listed twice": ("minimize", "square.mesh", "twice.csv"),
+    "index outside": ("minimize", "square.mesh", "outside.csv"),
+    "off the sphere": ("interpolate", "square.mesh", "off_sphere.csv"),
+    "missing node": ("interpolate", "square.mesh", "missing.csv"),
+    "no rows": ("minimize", "square.mesh", "no_rows.csv"),
+    "repeated element": ("minimize", "repeated.mesh", "bc_sphere2_1.csv"),
+}
 
 
 # ----------------------------------------------------------------------
@@ -53,7 +68,8 @@ def write_csv(path: Path, nodes, values) -> None:
 
 def write_inputs(root: Path, src: Path) -> None:
     """square.mesh and, per manifold and order, all_<m>_<p>.csv and bc_<m>_<p>.csv
-    under root, made with the gfe package of the source tree src."""
+    under root, made with the gfe package of the source tree src, and the
+    malformed inputs of ERROR_CASES, written as text."""
     sys.dont_write_bytecode = True     # the copy stays as exported
     sys.path.insert(0, str(src))
     from gfe import Rotation3, Sphere, unit_square_grid, write_mesh
@@ -70,6 +86,28 @@ def write_inputs(root: Path, src: Path) -> None:
         write_csv(root / f"all_{manifold}_{order}.csv", range(grid.n_nodes), values)
         write_csv(root / f"bc_{manifold}_{order}.csv", boundary, values[boundary])
 
+    rows = (root / "all_sphere2_1.csv").read_text().splitlines(keepends=True)
+    bc = (root / "bc_sphere2_1.csv").read_text().splitlines(keepends=True)
+    index, *coords = rows[4].rstrip("\n").split(",")
+    off_sphere = ",".join([index] + [f"{2.0 * float(x):.17g}" for x in coords]) + "\n"
+    malformed = {
+        "not_utf8.csv": rows[:3] + ["\udcff"] + rows[3:],     # the byte 0xff, through surrogateescape
+        "nan.csv": rows[:2] + [rows[2].rsplit(",", 1)[0] + ",nan\n"] + rows[3:],
+        "twice.csv": bc + bc[:1],
+        "outside.csv": bc + [f"{len(rows)},0,0,1\n"],
+        "off_sphere.csv": rows[:4] + [off_sphere] + rows[5:],
+        "missing.csv": rows[:5] + rows[6:],
+        "no_rows.csv": ["# no rows\n"],
+    }
+    for name, lines in malformed.items():
+        (root / name).write_bytes("".join(lines).encode("utf-8", "surrogateescape"))
+    # the mesh with its first element again, its vertices rotated, as one more row
+    mesh = (root / "square.mesh").read_text().splitlines(keepends=True)
+    at = int(mesh[1]) + 2       # the line of the element count
+    first = mesh[at + 1].split()
+    (root / "repeated.mesh").write_text("".join(mesh[:at] + [f"{int(mesh[at]) + 1}\n"] + mesh[at + 1:]
+                                                + [" ".join(first[1:] + first[:1]) + "\n"]))
+
 
 # ----------------------------------------------------------------------
 # running and comparing
@@ -82,6 +120,12 @@ def case_args(command: str, manifold: str, rule: str, order: int, inputs: Path):
     csv = "all" if command == "interpolate" else "bc"
     return args + ["--mesh", str(inputs / "square.mesh"),
                    "--bc", str(inputs / f"{csv}_{manifold}_{order}.csv"), "--out", "out.csv"]
+
+
+def error_case_args(name: str, inputs: Path):
+    command, mesh, csv = ERROR_CASES[name]
+    return ["--command", command, "--manifold", "sphere2", "--rule", "geodesic", "--order", "1",
+            "--mesh", str(inputs / mesh), "--bc", str(inputs / csv), "--out", "out.csv"]
 
 
 def run_case(copy: Path, args: list[str], workdir: Path) -> dict:
@@ -139,8 +183,8 @@ def main(argv=None) -> int:
     revs = {side: _git("rev-parse", "--verify", f"{rev}^{{commit}}")
             for side, rev in (("base", args.base), ("change", args.change))}
     print(f"base {revs['base']}  change {revs['change']}")
-    identical = 0
     cases = list(itertools.product(COMMANDS, MANIFOLDS, RULES, ORDERS))
+    identical = {"cases": 0, "error cases": 0}
     with tempfile.TemporaryDirectory(prefix="cli_outputs-") as tmp:
         tmp = Path(tmp)
         copies, runs = side_dirs(tmp), side_dirs(tmp / "runs")
@@ -149,14 +193,18 @@ def main(argv=None) -> int:
         inputs = tmp / "inputs"
         inputs.mkdir()
         write_inputs(inputs, copies["base"] / "src")
-        for k, (command, manifold, rule, order) in enumerate(cases):
-            cli_args = case_args(command, manifold, rule, order, inputs)
+        labelled = ([("cases", f"{c:<12}{m:<9}{r:<11}order {p}", case_args(c, m, r, p, inputs))
+                     for c, m, r, p in cases]
+                    + [("error cases", f"{ERROR_CASES[name][0]:<12}{name}", error_case_args(name, inputs))
+                       for name in ERROR_CASES])
+        for k, (group, label, cli_args) in enumerate(labelled):
             got = {side: run_case(copies[side], cli_args, runs[side] / str(k)) for side in revs}
             report = compare(got["base"], got["change"])
-            identical += report[0].startswith("identical")
-            print(f"{command:<12}{manifold:<9}{rule:<11}order {order}: " + "\n    ".join(report), flush=True)
-    print(f"{identical} of {len(cases)} cases identical")
-    return 0 if identical == len(cases) else 1
+            identical[group] += report[0].startswith("identical")
+            print(f"{label}: " + "\n    ".join(report), flush=True)
+    print(f"{identical['cases']} of {len(cases)} cases identical")
+    print(f"{identical['error cases']} of {len(ERROR_CASES)} error cases identical")
+    return 0 if sum(identical.values()) == len(labelled) else 1
 
 
 if __name__ == "__main__":
