@@ -37,15 +37,18 @@ Any other exception is a fault of gfe, not of its input: one
 ``error: internal: <Type>: <message>`` line and exit code 4, no traceback.
 Identical flags and seed produce byte-identical output files.  Malformed
 input (a mesh or CSV that cannot be read, is not UTF-8 text or holds a NaN
-or an infinity, a mesh without elements, with a degenerate element, with an
+or an infinity, a mesh whose header is not ``gfe-mesh d``, with a row after
+its declared elements, without elements, with a degenerate element, with an
 element that repeats the vertices of an earlier one or with a vertex that
 belongs to no element, an index out of range or listed twice, a value off
-the manifold) and an ``--out`` that cannot be written (in a missing
-directory, or a directory) are reported as one ``error: <file>: ...`` line
-with exit code 2 and no report; faults the file readers find, and a
-degenerate or repeated element, name the line as well.  Both commands read
-their CSV with one function, ``_read_nodal_values``, into an array of nodes
-and one of values, in file order.
+the manifold, nodal values missing for some nodes) and an ``--out`` that
+cannot be written (in a missing directory, or a directory) are reported as
+one ``error: <file>: ...`` line with exit code 2 and no report; faults the
+file readers find, and a degenerate or repeated element, name the line as
+well.  Both commands read their CSV with one function,
+``_read_nodal_values``, into an array of nodes and one of values, in file
+order; every row of numbers they write (CSV and VTK) is formatted from
+arrays by one function, ``grid._text_lines``.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ import numpy as np
 
 from .energy import _scatter, dirichlet_energy, equivalence_audit, minimize
 from .errors import GFEError
-from .grid import _RULES, GFEFunction, GlobalTestFunction, Grid, _finite_float, _text_rows, read_mesh
+from .grid import _RULES, GFEFunction, GlobalTestFunction, Grid, _finite_float, _text_lines, _text_rows, read_mesh
 from .jacobi import ElementTestField
 from .manifold import Euclidean, Rotation3, Sphere
 from .reference_element import ReferenceElement
@@ -78,7 +81,7 @@ _BLOCK = 4096
 
 
 # ----------------------------------------------------------------------
-# CSV helpers
+# CSV I/O
 
 
 def _read_nodal_values(path, man, n_nodes: int):
@@ -108,15 +111,9 @@ def _read_nodal_values(path, man, n_nodes: int):
     return np.array(list(first_line), dtype=int), np.reshape(values, (len(values),) + man.point_shape)
 
 
-def _csv_lines(index, rows) -> str:
-    """One line ``index,row...`` per row of the 2d float array rows, as %.17g."""
-    line = "%d" + ",%.17g" * np.shape(rows)[1] + "\n"
-    return "".join(line % (i, *row) for i, row in zip(np.asarray(index).tolist(), rows.tolist()))
-
-
 def write_nodal_csv(path, values: np.ndarray) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_csv_lines(range(len(values)), np.reshape(values, (len(values), -1))))
+        fh.write(_text_lines(np.reshape(values, (len(values), -1)), sep=",", index=np.arange(len(values))))
 
 
 def _read_grid(path, order: int) -> Grid:
@@ -152,9 +149,10 @@ def cmd_interpolate(args) -> int:
         nodes, values = _read_nodal_values(args.bc, man, grid.n_nodes)
     except (OSError, ValueError) as exc:
         return _error(exc)
-    missing = np.flatnonzero(np.bincount(nodes, minlength=grid.n_nodes) == 0).tolist()
-    if missing:
-        return _error(f"nodal values missing for nodes {missing}")
+    missing = np.flatnonzero(np.bincount(nodes, minlength=grid.n_nodes) == 0)
+    if len(missing):
+        shown = ", ".join(map(str, missing[:10].tolist())) + (", ..." if len(missing) > 10 else "")
+        return _error(f"{args.bc}: nodal values missing for {len(missing)} of {grid.n_nodes} nodes: {shown}")
 
     by_node = np.empty_like(values)     # a scatter: the first numpy sort of a process pages in its kernels
     by_node[nodes] = values
@@ -175,7 +173,7 @@ def cmd_interpolate(args) -> int:
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
             for b in blocks:
-                fh.write(_csv_lines(els[b], np.hstack([xis[k[b]], q[b]])))
+                fh.write(_text_lines(np.hstack([xis[k[b]], q[b]]), sep=",", index=els[b]))
     except OSError as exc:
         return _error(f"{exc.filename}: {exc.strerror}")
     return 0

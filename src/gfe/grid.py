@@ -19,11 +19,13 @@ the nodal value u_i, and evaluates through the element test fields; the
 nodal basis function (i, j) is the one-hot array carrying tangent_basis(u_i)[j]
 at node i.
 
-Mesh files are plain text: a header line ``gfe-mesh d``, the vertex count
-followed by one coordinate line per vertex, then the element count followed
-by one line of d+1 zero-based vertex indices per element, no two with the
-same vertices.  ``#`` starts a comment; ``_text_rows`` reads the lines of
-meshes and of the CLI's CSVs alike.
+Mesh files are plain text: a header line of exactly the two tokens
+``gfe-mesh d``, the vertex count followed by one coordinate line per vertex,
+then the element count followed by one line of d+1 zero-based vertex indices
+per element, no two with the same vertices, and no row after them.  ``#``
+starts a comment; ``_text_rows`` reads the lines of meshes and of the CLI's
+CSVs alike, and ``_text_lines`` formats the rows of every text file gfe
+writes (meshes, the CLI's CSVs, VTK).
 """
 
 from __future__ import annotations
@@ -70,11 +72,26 @@ def _text_rows(path, sep=None):
                 yield n, [t.strip() for t in text.split(sep)]
 
 
+def _text_lines(rows, fmt="%.17g", sep=" ", index=None) -> str:
+    """One line per row of the 2d array rows, its entries as fmt joined by sep, after a first column
+    index as %d when given: one format string for the whole array, so no per-row call."""
+    line = sep.join([fmt] * rows.shape[1]) + "\n"
+    if index is not None:
+        rows, line = np.column_stack([index, rows]), "%d" + sep + line
+    return (line * len(rows)) % tuple(rows.ravel().tolist())
+
+
+def _integer(token: str) -> float:
+    """An integer token as a float, ±inf beyond the float range: Grid checks the range of indices."""
+    int(token)      # refuses 1.5 and words
+    return float(token)
+
+
 def read_mesh(path, lines: bool = False):
     """Read a mesh file; returns (dim, vertices, elements), and with ``lines``
     also the file line of each element row.  Errors name the line."""
     rows = list(_text_rows(path))
-    if not rows or not rows[0][1][0].startswith("gfe-mesh") or len(rows[0][1]) < 2:
+    if not rows or rows[0][1][0] != "gfe-mesh" or len(rows[0][1]) != 2:
         raise ValueError(f"{path}: missing 'gfe-mesh d' header")
     pos = 0
 
@@ -100,7 +117,10 @@ def read_mesh(path, lines: bool = False):
         nv = count()
         vertices = np.array([numbers(_finite_float, dim) for _ in range(nv)]).reshape(nv, dim)
         ne = count()
-        elements = np.array([numbers(int, dim + 1) for _ in range(ne)], dtype=int)
+        elements = np.array([numbers(_integer, dim + 1) for _ in range(ne)])
+        if pos + 1 < len(rows):
+            pos += 1
+            raise ValueError(f"a row after the {ne} elements the file declares")
     except IndexError:
         raise ValueError(f"{path}: malformed mesh: the file ends at line {rows[-1][0]}") from None
     except ValueError as exc:
@@ -112,14 +132,10 @@ def read_mesh(path, lines: bool = False):
 
 
 def write_mesh(path, dim, vertices, elements) -> None:
+    vertices, elements = np.reshape(vertices, (len(vertices), dim)), np.reshape(elements, (len(elements), dim + 1))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"gfe-mesh {dim}\n")
-        fh.write(f"{len(vertices)}\n")
-        for v in np.atleast_2d(vertices):
-            fh.write(" ".join(f"{x:.17g}" for x in v) + "\n")
-        fh.write(f"{len(elements)}\n")
-        for el in elements:
-            fh.write(" ".join(str(int(i)) for i in el) + "\n")
+        fh.write(f"gfe-mesh {dim}\n{len(vertices)}\n" + _text_lines(vertices)
+                 + f"{len(elements)}\n" + _text_lines(elements, "%d"))
 
 
 # ----------------------------------------------------------------------

@@ -4,16 +4,19 @@ Point positions are the embedded function values mapped to three components
 (sphere values directly, rotations as axis-angle vectors, NaN within 1e-8
 of a half-turn, flat values zero padded), so a viewer shows the image of
 the function.  An optional test field is written as per-point 3-component
-vector data (rotation tangents as the axis coordinates of Q^T W).
+vector data (rotation tangents as the axis coordinates of Q^T W).  Both are
+formed as (n, 3) arrays over all nodes at once by ``_embedded3``, and every
+row of numbers is formatted by ``grid._text_lines``, the formatter of every
+text file gfe writes.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .grid import GFEFunction, GlobalTestFunction
-from .kernels import _logm_rotation, _near_cut, _vee
-from .manifold import Euclidean, Rotation3, Sphere
+from .grid import GFEFunction, GlobalTestFunction, _text_lines
+from .kernels import _logm_rotation, _near_cut, _skew_part, _vee
+from .manifold import Rotation3
 
 # (dim, order) -> VTK cell type and local-node permutation
 _CELLS = {
@@ -24,26 +27,15 @@ _CELLS = {
 }
 
 
-def _pad3(v) -> np.ndarray:
-    return np.concatenate([np.ravel(v)[:3], np.zeros(3)])[:3].astype(float)
-
-
-def _point3(manifold, value) -> np.ndarray:
-    if isinstance(manifold, (Sphere, Euclidean)):
-        return _pad3(value)
+def _embedded3(manifold, values, vectors=None) -> np.ndarray:
+    """(n, 3) VTK components of the n values, or of the n tangent vectors based at them."""
     if isinstance(manifold, Rotation3):
-        log, angle = _logm_rotation(np.asarray(value, dtype=float))
-        return np.full(3, np.nan) if _near_cut(angle) else _vee(log)
-    raise TypeError(f"no VTK embedding for manifold kind {manifold.kind!r}")
-
-
-def _vector3(manifold, base, vec) -> np.ndarray:
-    if isinstance(manifold, (Sphere, Euclidean)):
-        return _pad3(vec)
-    if isinstance(manifold, Rotation3):
-        S = np.asarray(base, dtype=float).T @ np.asarray(vec, dtype=float)
-        return _vee(0.5 * (S - S.T))
-    raise TypeError(f"no VTK embedding for manifold kind {manifold.kind!r}")
+        if vectors is not None:
+            return _vee(_skew_part(np.swapaxes(values, -1, -2) @ vectors))
+        log, angle = _logm_rotation(values)
+        return np.where(_near_cut(angle)[:, None], np.nan, _vee(log))
+    flat = manifold._flat(values if vectors is None else vectors)[:, :3]
+    return np.pad(flat, ((0, 0), (0, 3 - flat.shape[1])))
 
 
 def write_vtk(
@@ -60,17 +52,14 @@ def write_vtk(
         raise ValueError(f"no VTK cell for dim/order {key}")
     cell_type, perm = _CELLS[key]
 
-    lines = ["# vtk DataFile Version 3.0", title, "ASCII", "DATASET UNSTRUCTURED_GRID",
-             f"POINTS {grid.n_nodes} double"]
-    lines += [" ".join(f"{x:.12g}" for x in _point3(u.manifold, value)) for value in u.values]
-    ne = grid.n_elements
-    lines.append(f"CELLS {ne} {ne * (len(perm) + 1)}")
-    lines += [" ".join(map(str, [len(perm), *nodes])) for nodes in grid.element_nodes[:, perm].tolist()]
-    lines += [f"CELL_TYPES {ne}"] + [str(cell_type)] * ne
+    ne, n = grid.n_elements, grid.n_nodes
+    cells = np.column_stack([np.full(ne, len(perm)), grid.element_nodes[:, perm]])
+    text = (f"# vtk DataFile Version 3.0\n{title}\nASCII\nDATASET UNSTRUCTURED_GRID\nPOINTS {n} double\n"
+            + _text_lines(_embedded3(u.manifold, u.values), "%.12g")
+            + f"CELLS {ne} {cells.size}\n" + _text_lines(cells, "%d")
+            + f"CELL_TYPES {ne}\n" + _text_lines(np.full((ne, 1), cell_type), "%d"))
     if field is not None:
-        lines += [f"POINT_DATA {grid.n_nodes}", f"VECTORS {field_name} double"]
-        lines += [" ".join(f"{x:.12g}" for x in _vector3(u.manifold, base, vec))
-                  for base, vec in zip(field.base.values, field.vectors)]
-
+        text += (f"POINT_DATA {n}\nVECTORS {field_name} double\n"
+                 + _text_lines(_embedded3(u.manifold, field.base.values, field.vectors), "%.12g"))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(text)

@@ -14,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gfe
-from gfe.cli import _csv_lines, _read_nodal_values, _relaxed_start, main, write_nodal_csv
-from gfe.grid import unit_interval_grid, unit_square_grid, write_mesh
+from gfe.cli import _read_nodal_values, _relaxed_start, main, write_nodal_csv
+from gfe.grid import _text_lines, unit_interval_grid, unit_square_grid, write_mesh
 from gfe.sampling import random_configuration
 from helpers import corrupt_d_dv_all, gauss_seidel_start, node_neighbors
 
@@ -71,7 +71,7 @@ def test_sample_rows_match_per_scalar_formatting():
     els = np.array([0, 7, 12])
     old = "".join(",".join([str(e)] + [f"{x:.17g}" for x in row]) + "\n"
                   for e, row in zip(els, SPECIAL_VALUES))
-    assert _csv_lines(els, SPECIAL_VALUES) == old
+    assert _text_lines(SPECIAL_VALUES, sep=",", index=els) == old
 
 
 # ----------------------------------------------------------------------
@@ -194,6 +194,18 @@ def test_interpolate_missing_node_values_rejected(tmp_path, capsys):
         "--mesh", str(mesh), "--bc", str(bc), "--out", str(tmp_path / "o.csv"),
     ])
     assert code == 2
+
+
+def test_interpolate_missing_nodes_message_names_the_csv_and_caps_the_list(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_interval_mesh("m.mesh", 1000)
+    write_bc("bc.csv", [(0, [1.0, 0.0, 0.0])])
+    code = main(["--command", "interpolate", "--mesh", "m.mesh", "--bc", "bc.csv", "--out", "o.csv"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "error: bc.csv: nodal values missing for 1000 of 1001 nodes: 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, ...\n"
+    assert len(err) < 200
+    assert not (tmp_path / "o.csv").exists()
 
 
 def test_interpolate_names_the_element_whose_values_spread_too_wide(tmp_path, capsys):
@@ -350,6 +362,51 @@ def test_repeated_element_names_its_line(tmp_path, capsys, command, dim):
     # counted twice, the 1d element gave minimize the value pi^2/6 for pi^2/8, with exit 0
     mesh_text, message = REPEATED_ELEMENTS[dim]
     code, mesh, _ = run_with(tmp_path, command, mesh_text, [(0, [1.0, 0.0, 0.0]), (dim + 1, [0.0, 1.0, 0.0])])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {mesh}: {message}\n"
+    assert not (tmp_path / "o.csv").exists()
+
+
+def square_boundary_rows(order=1):
+    """The boundary nodes of the 2 x 2 square grid with the values normalize(x - 1/2, y - 1/2, 0.8)."""
+    grid = unit_square_grid(2, order)
+    rows = []
+    for i in sorted(grid.boundary_nodes):
+        v = np.array([*(grid.lagrange_nodes[i] - 0.5), 0.8])
+        rows.append((i, v / np.linalg.norm(v)))
+    return rows
+
+
+def test_minimize_refuses_a_mesh_with_more_element_rows_than_its_count(tmp_path, capsys):
+    # with the count 8 -> 7 the last triangle was dropped: exit 0, converged, value 0.995 for 1.1525
+    grid = unit_square_grid(2, 1)
+    write_mesh(tmp_path / "full.mesh", 2, grid.vertices, grid.elements)
+    text = (tmp_path / "full.mesh").read_text()
+    assert text.splitlines()[11] == "8"
+    code, mesh, _ = run_with(tmp_path, "minimize", text.replace("\n8\n", "\n7\n"), square_boundary_rows())
+    assert code == 2
+    assert capsys.readouterr().err == (f"error: {mesh}: line 20: malformed mesh: "
+                                       "a row after the 7 elements the file declares\n")
+    assert not (tmp_path / "o.csv").exists()
+    code, _, _ = run_with(tmp_path, "minimize", text, square_boundary_rows())
+    assert code == 0
+    assert capsys.readouterr().out.splitlines()[0] == "value=1.1525310550089234"
+
+
+@pytest.mark.parametrize("command", ["interpolate", "minimize"])
+@pytest.mark.parametrize("mesh_text, message", [
+    ("gfe-mesh 1\n3\n0\n0.5\n1\n2\n0 1\n1 2\n9 9\n",
+     "line 9: malformed mesh: a row after the 2 elements the file declares"),
+    ("gfe-meshy 1\n3\n0\n0.5\n1\n2\n0 1\n1 2\n", "missing 'gfe-mesh d' header"),
+    ("gfe-mesh 1 extra\n3\n0\n0.5\n1\n2\n0 1\n1 2\n", "missing 'gfe-mesh d' header"),
+    ("gfe-mesh 1\n3\n0\n0.5\n1\n2\n0 1\n1 99999999999999999999999\n",
+     "line 8: element 1 has a vertex index outside 0..2"),
+    ("gfe-mesh 1\n3\n0\n0.5\n1\n2\n0 1\n-99999999999999999999999 2\n",
+     "line 8: element 1 has a vertex index outside 0..2"),
+], ids=["extra-row", "header-word", "header-tokens", "index-beyond-int64", "negative-beyond-int64"])
+def test_malformed_mesh_rows_and_headers_exit_2(tmp_path, capsys, command, mesh_text, message):
+    rows = [(i, v) for i, v in enumerate(np.eye(3))]
+    code, mesh, _ = run_with(tmp_path, command, mesh_text, rows if command == "interpolate" else rows[::2])
     assert code == 2
     assert capsys.readouterr().err == f"error: {mesh}: {message}\n"
     assert not (tmp_path / "o.csv").exists()

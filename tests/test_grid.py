@@ -59,6 +59,59 @@ def test_mesh_comments_and_bad_header(tmp_path):
         read_mesh(bad)
 
 
+def square_mesh_text(element_count=None):
+    """The 2 x 2 criss-cross square mesh as write_mesh writes it: elements on lines 13-20,
+    their count on line 12, which element_count replaces."""
+    grid = unit_square_grid(2, 1)
+    text = (f"gfe-mesh 2\n9\n" + "".join(f"{x:.17g} {y:.17g}\n" for x, y in grid.vertices)
+            + f"{element_count or 8}\n" + "".join(f"{a} {b} {c}\n" for a, b, c in grid.elements))
+    return text
+
+
+@pytest.mark.parametrize("text, line, declared", [
+    ("gfe-mesh 1\n3\n0\n0.5\n1\n2\n0 1\n1 2\n9 9\n", 9, 2),
+    ("gfe-mesh 1\n3\n0\n0.5\n1\n2\n0 1\n# the end\n1 2\n\n0 1\n", 11, 2),
+    (square_mesh_text(7), 20, 7),
+], ids=["1d", "1d-comments", "2d"])
+def test_read_mesh_refuses_a_row_after_the_declared_elements(tmp_path, text, line, declared):
+    # the rows past the count used to be dropped: the 2d mesh lost its last triangle, a wrong answer
+    path = tmp_path / "m.mesh"
+    path.write_text(text)
+    with pytest.raises(ValueError) as info:
+        read_mesh(path)
+    message = f"line {line}: malformed mesh: a row after the {declared} elements the file declares"
+    assert str(info.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("header", ["gfe-meshy 1", "gfe-mesh 1 extra"])
+def test_read_mesh_header_is_exactly_two_tokens(tmp_path, header):
+    path = tmp_path / "m.mesh"
+    path.write_text(f"{header}\n2\n0\n1\n1\n0 1\n")
+    with pytest.raises(ValueError, match="missing 'gfe-mesh d' header"):
+        read_mesh(path)
+
+
+@pytest.mark.parametrize("index", ["99999999999999999999999", "-99999999999999999999999", "9" * 400])
+def test_read_mesh_index_beyond_int64_is_out_of_range(tmp_path, index):
+    # it used to raise OverflowError, which no caller catches as a malformed mesh
+    path = tmp_path / "m.mesh"
+    path.write_text(f"gfe-mesh 1\n3\n0\n0.5\n1\n2\n0 1\n1 {index}\n")
+    dim, vertices, elements, lines = read_mesh(path, lines=True)
+    with pytest.raises(ValueError) as info:
+        Grid(dim, vertices, elements, 1, element_lines=lines)
+    assert str(info.value) == "line 8: element 1 has a vertex index outside 0..2"
+    path.write_text("gfe-mesh 1\n3\n0\n0.5\n1\n2\n0 1\n1 1.5\n")     # still refused as a token
+    with pytest.raises(ValueError, match="line 8: malformed mesh: invalid literal for int"):
+        read_mesh(path)
+
+
+def test_mesh_text_is_formatted_by_rows(tmp_path):
+    grid = unit_square_grid(2, 1)
+    path = tmp_path / "m.mesh"
+    write_mesh(path, 2, grid.vertices, grid.elements)
+    assert path.read_text() == square_mesh_text()
+
+
 # ----------------------------------------------------------------------
 # grid construction
 
@@ -413,3 +466,41 @@ def test_vtk_rotation_axis_embedding(tmp_path):
     k = lines.index(f"POINTS {grid.n_nodes} double")
     first = np.array([float(t) for t in lines[k + 1].split()])
     assert first.shape == (3,)
+
+
+@pytest.mark.parametrize("man", [S2, gfe.Rotation3(), gfe.Euclidean(1)], ids=lambda m: m.kind)
+def test_vtk_rows_match_per_node_formatting(tmp_path, man):
+    # the node-by-node embedding and per-scalar formatting that the array writer replaced
+    from gfe.kernels import _logm_rotation, _vee
+
+    def point3(value):
+        if man.kind != "rotation3":
+            return np.concatenate([np.ravel(value), np.zeros(3)])[:3]
+        log, angle = _logm_rotation(value)
+        return np.full(3, np.nan) if angle > np.pi - 1e-8 else _vee(log)
+
+    def vector3(base, vec):
+        if man.kind != "rotation3":
+            return np.concatenate([np.ravel(vec), np.zeros(3)])[:3]
+        S = base.T @ vec
+        return _vee(0.5 * (S - S.T))
+
+    grid = unit_square_grid(2, 2)
+    rng = np.random.default_rng(16)
+    values = random_configuration(man, grid.n_nodes, rng, radius=2.5)
+    if man.kind == "rotation3":     # one node at the half-turn, written as NaN
+        t = np.pi - 1e-9
+        values[3] = [[np.cos(t), -np.sin(t), 0.0], [np.sin(t), np.cos(t), 0.0], [0.0, 0.0, 1.0]]
+    u = GFEFunction(grid, man, "projection", values)
+    vecs = np.array(random_field_vectors(man, values, rng, scale=3.0))
+    path = tmp_path / "f.vtk"
+    write_vtk(path, u, field=GlobalTestFunction(u, vecs))
+    lines = path.read_text().splitlines()
+    row = lambda v: " ".join(f"{x:.12g}" for x in v)   # noqa: E731
+    k = lines.index(f"POINTS {grid.n_nodes} double") + 1
+    assert lines[k: k + grid.n_nodes] == [row(point3(v)) for v in values]
+    k = lines.index("VECTORS testfield double") + 1
+    assert lines[k:] == [row(vector3(b, w)) for b, w in zip(values, vecs)]
+    k = lines.index(f"CELLS {grid.n_elements} {7 * grid.n_elements}") + 1
+    assert lines[k: k + grid.n_elements] == [row([6, *el[[0, 2, 5, 1, 4, 3]]]) for el in grid.element_nodes]
+    assert ("nan nan nan" in lines) == (man.kind == "rotation3")

@@ -16,11 +16,12 @@ orders 1 and 2.  Then the error cases run, on malformed inputs that the tool
 derives as text from the sphere2 order-1 ones (``ERROR_CASES``: a byte that
 is not UTF-8, a NaN, a node listed twice, an index outside the grid, a value
 off the sphere, a missing node, a boundary CSV without rows, a repeated
-element), with the geodesic rule.  For each case the report says
-"identical", with the exit code, when exit code, stdout, stderr and every
-output file agree byte for byte; otherwise it prints the stdout lines that
-differ, the files that differ and the largest absolute difference between
-the numbers of the two CSV outputs.  It counts the two groups of cases
+element, an element row past the element count, an element index beyond
+int64, the header ``gfe-meshy 2``), with the geodesic rule.  For each case
+the report says "identical", with the exit code, when exit code, stdout,
+stderr and every output file agree byte for byte; otherwise it prints the
+stdout lines that differ, the files that differ and the largest absolute
+difference between the numbers of the two CSV outputs.  It counts the two groups of cases
 apart.  The exit code is 0 when every case is identical and 1 otherwise.
 """
 
@@ -54,6 +55,9 @@ ERROR_CASES = {
     "missing node": ("interpolate", "square.mesh", "missing.csv"),
     "no rows": ("minimize", "square.mesh", "no_rows.csv"),
     "repeated element": ("minimize", "repeated.mesh", "bc_sphere2_1.csv"),
+    "extra element row": ("minimize", "miscounted.mesh", "bc_sphere2_1.csv"),
+    "index beyond int64": ("minimize", "huge_index.mesh", "bc_sphere2_1.csv"),
+    "header gfe-meshy": ("minimize", "bad_header.mesh", "bc_sphere2_1.csv"),
 }
 
 
@@ -99,14 +103,21 @@ def write_inputs(root: Path, src: Path) -> None:
         "missing.csv": rows[:5] + rows[6:],
         "no_rows.csv": ["# no rows\n"],
     }
-    for name, lines in malformed.items():
-        (root / name).write_bytes("".join(lines).encode("utf-8", "surrogateescape"))
-    # the mesh with its first element again, its vertices rotated, as one more row
     mesh = (root / "square.mesh").read_text().splitlines(keepends=True)
     at = int(mesh[1]) + 2       # the line of the element count
     first = mesh[at + 1].split()
-    (root / "repeated.mesh").write_text("".join(mesh[:at] + [f"{int(mesh[at]) + 1}\n"] + mesh[at + 1:]
-                                                + [" ".join(first[1:] + first[:1]) + "\n"]))
+    malformed |= {
+        # the first element again, its vertices rotated, as one more row
+        "repeated.mesh": (mesh[:at] + [f"{int(mesh[at]) + 1}\n"] + mesh[at + 1:]
+                          + [" ".join(first[1:] + first[:1]) + "\n"]),
+        # a count one short, so the last element row is past it
+        "miscounted.mesh": mesh[:at] + [f"{int(mesh[at]) - 1}\n"] + mesh[at + 1:],
+        # the last index of the first element row past int64
+        "huge_index.mesh": mesh[:at + 1] + [" ".join(first[:-1] + ["9" * 23]) + "\n"] + mesh[at + 2:],
+        "bad_header.mesh": ["gfe-meshy 2\n"] + mesh[1:],
+    }
+    for name, lines in malformed.items():
+        (root / name).write_bytes("".join(lines).encode("utf-8", "surrogateescape"))
 
 
 # ----------------------------------------------------------------------
