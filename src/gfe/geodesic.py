@@ -19,13 +19,12 @@ H * dq/dv_i = -phi_i(xi) * dist2_mixed(v_i, q*), everything expressed in the
 deterministic tangent bases of the manifold module.  Differentiating the
 second relation once more in xi gives the exact reference gradients G of the
 test-function fields dq/dv_i . b from the data of the solve at xi alone, kept
-by ``_center`` batch-last, as the derivatives read it (``_Center``).  H^-1 goes
-on the factors of the third derivatives of squared distance
-(``Manifold._third_factors``), so no (d, dim, dim, m, P) block but G is
-formed, and the transported frames come from nodal frames formed once per
-node.  The energy's gradient pairs G with u's gradient in reverse mode
-(``_basis_gradient_terms``) and forms no array larger than the log
-coefficients.  H is inverted by ``kernels._sym_inv`` in closed form and
+by ``_center`` batch-last, as the derivatives read it (``_Center``), and the
+blocks of the third derivatives of squared distance
+(``Manifold._third_blocks``), whose transported frames come from nodal frames
+formed once per node.  The energy's gradient pairs G with u's gradient in
+reverse mode (``_basis_gradient_terms``) and forms no array larger than the
+log coefficients.  H is inverted by ``kernels._sym_inv`` in closed form and
 certified by Sylvester's test on H - 1e-10 I.
 
 On a two-node element Newton starts at the center itself, the geodesic
@@ -355,33 +354,19 @@ class GeodesicInterpolant(Interpolant):
         """Reference gradients G of the nodal basis fields from the center c, (..., m, dim, dim, d),
         entry [i, j, a, l] the tangent_basis(q)[a] coefficient of the l-th derivative of field (i, j),
         and the fields' values V_i = dq/dv_i = -phi_i H^-1 K_i, K_i = dist2_mixed(v_i, q), (..., m, dim,
-        dim), entry [i, j, a] alike; returns (G, values).  Differentiating H V_i = -phi_i K_i along
-        xi_l, X = dq/dxi_l, with H^-1 applied to the factors of the derivatives d_X of
-        Manifold.dist2_third (in those of Manifold._mixed, and H^-1 T = (2 s H^-1 u w^T - H^-1
-        K_i)/(2 a)), so that neither d_X K_i nor d_X Hess_l is formed:
+        dim), entry [i, j, a] alike; returns (G, values).  Differentiates H V_i = -phi_i K_i along
+        xi_l, with X_l = dq/dxi_l and the derivatives d_X along X_l of Manifold.dist2_third:
 
-            dV_i = H^-1 (-dphi_il K_i - phi_i (d_X K_i) - (H_xi,l + d_X Hess_l) V_i)
-                 = (phi_i Z_l - dphi_il + phi_i g3 <u, X>/a) H^-1 K_i + 2 phi_i g1 H^-1 PX w^T
-                   - 2 phi_i g3 H^-1 u (T^T X - 2 <n, X> T^T n + (s/a) <u, X> w)^T,
+            H dV_i = -dphi_il K_i - phi_i (d_X K_i) - (H_xi,l + d_X Hess_l) V_i.
 
-        Z_l = H^-1 (H_xi,l + 2 N_l) - 2 (F_l H^-1 + H^-1 X Y^T + H^-1 Y X^T), F_l = sum_i phi_i g1 <u_i,
-        X>, with Y and N of Manifold._third_factors.  Batch-last results, [a, j, i, ...] and [l, a, j,
-        i, ...], come back reversed.
+        Batch-last results, [a, j, i, ...] and [l, a, j, i, ...], come back reversed.
         """
-        ein, phi, dphi, X, Hinv = np.einsum, c.phi, c.dphi, c.dq, c.hessian_inv
-        B, q, Eq, u = self._batch_last_center(c)
-        (a, s, g1, g3), rinv, w, _, mixed, uX, nX, TX, Y, N = self.manifold._third_factors(B, q, Eq, u, X, phi)
-        HK, Hu = ein("ac...,cj...->aj...", Hinv, mixed), ein("ac...,c...->a...", Hinv, u)
-        HX = ein("ac...,lc...->la...", Hinv, X)                               # (d, dim, 1, ...)
-        pg1, pg3 = phi * g1, phi * g3
-        Z = ein("ac...,lcb...->lab...", Hinv, c.hessian_xi + 2.0 * N) - 2.0 * (
-            (pg1 * uX).sum(1)[:, None, None, None] * Hinv + HX[:, :, None] * Y
-            + (phi * (g1 + self.manifold._model_curvature) * Hu).sum(1, keepdims=True)[:, None] * X[:, None])
-        G = phi * ein("lac...,cj...->laj...", Z, HK) - (dphi - pg3 * uX / a)[:, None, None] * HK
-        # T^T n = -w/r, as w = -T^T u
-        G -= (2.0 * pg3 * Hu)[:, None] * (TX + (s * uX / a + 2.0 * nX * rinv)[:, None] * w)[:, None]
-        G += (HX - (nX * rinv)[:, None] * Hu)[:, :, None] * (2.0 * pg1 * w)
-        return G.T, (-phi * HK).T
+        ein, phi, Hinv = np.einsum, c.phi, c.hessian_inv
+        mixed, hess_X, mixed_X = self.manifold._third_blocks(*self._batch_last_center(c), c.dq, phi)
+        V = -phi * ein("ac...,cj...->aj...", Hinv, mixed)
+        G = ein("ac...,lcj...->laj...", Hinv, -phi * mixed_X - c.dphi[:, None, None] * mixed
+                - ein("lac...,cj...->laj...", c.hessian_xi + hess_X, V))
+        return G.T, V.T
 
     def _basis_gradient_terms(self, c: _Center, C):
         """sum_{l,a} C[..., l, a] G[..., i, j, a, l], (..., m, dim): the relation of

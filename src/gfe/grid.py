@@ -22,16 +22,15 @@ at node i.
 Mesh files are plain text: a header line of exactly the two tokens
 ``gfe-mesh d``, the vertex count followed by one coordinate line per vertex,
 then the element count followed by one line of d+1 zero-based vertex indices
-per element, no two with the same vertices, and no row after them.  ``#``
-starts a comment; ``_text_rows`` reads the lines of meshes and of the CLI's
-CSVs alike, and ``_text_lines`` formats the rows of every text file gfe
-writes (meshes, the CLI's CSVs, VTK).
+per element, no two with the same vertices or on the same side of a shared
+face, and no row after them.  ``#`` starts a comment; ``_text_rows`` reads
+the lines of meshes and of the CLI's CSVs alike, and ``_text_lines`` formats
+the rows of every text file gfe writes (meshes, the CLI's CSVs, VTK).
 """
 
 from __future__ import annotations
 
 import functools
-from collections import Counter
 
 import numpy as np
 
@@ -157,12 +156,15 @@ class Grid:
 
     Vertices must be an (nv, dim) array of finite coordinates and elements
     an (ne, dim+1) array of integers in 0..nv-1; every element must be
-    positively oriented, no two elements may have the same vertices (in any
-    order) and every vertex must belong to an element.  Otherwise the
+    positively oriented, with no entry of its inverse map above 1e150, no two
+    elements may have the same vertices (in any order) or lie on the same
+    side of a shared face, and every vertex must belong to an element.
+    Overlapping elements that share no face are not detected.  Otherwise the
     constructor raises ValueError, naming the file line of an element with an
     index that is not an integer, an index out of range, the vertices of an
-    earlier element or a degenerate one when ``element_lines`` (one per
-    element row, as ``read_mesh(path, lines=True)`` returns them) is given.
+    earlier element, a degenerate or too small one, or one that overlaps an
+    earlier element across a face when ``element_lines`` (one per element
+    row, as ``read_mesh(path, lines=True)`` returns them) is given.
     """
 
     def __init__(self, dim: int, vertices, elements, order: int, element_lines=None):
@@ -205,13 +207,26 @@ class Grid:
         if len(flipped):
             e = flipped[0]
             raise ValueError(f"{where(e)}element {e} has non-positive orientation (det = {self._detB[e]:.3e})")
+        # the energy squares B^-1: entries above 1e150 < sqrt(max float) would overflow it
         self._Binv = np.linalg.inv(self._B)
+        tiny = np.flatnonzero(np.abs(self._Binv).max(axis=(1, 2)) > 1e150)
+        if len(tiny):
+            e = tiny[0]
+            raise ValueError(f"{where(e)}element {e} is too small for floating point (det = {self._detB[e]:.3e})")
+        # face k of an element, its vertices sorted, is oriented (-1)**k times the parity of that sort (of at
+        # most two vertices): positively oriented elements that orient a face alike lie on its same side
+        sides: dict[tuple, int] = {}
+        for e, el in enumerate(self.elements.tolist()):
+            for k in range(dim + 1):
+                face = el[:k] + el[k + 1:]
+                if (f := sides.setdefault((tuple(sorted(face)), (-1) ** (k + (face[0] > face[-1]))), e)) != e:
+                    raise ValueError(f"{where(e)}element {e} overlaps element {f} across the face {sorted(face)}")
         uses = np.bincount(self.elements.ravel(), minlength=nv)
         if uses.min(initial=1) == 0:
             raise ValueError(f"vertex {np.argmin(uses)} belongs to no element")
 
         self._build_nodes()
-        self._find_boundary()
+        self._find_boundary(sides)
         self._layouts = {}   # energy._layout's quadrature layouts, by intrinsic dimension
 
     # ------------------------------------------------------------------
@@ -230,12 +245,9 @@ class Grid:
         self.n_nodes = len(self.lagrange_nodes)
         self._edge_ids = edge_ids
 
-    def _find_boundary(self) -> None:
-        # faces are the (dim-1)-subsimplices opposite each local vertex; one
-        # on the boundary belongs to one element
-        count = Counter(tuple(sorted(el[:k] + el[k + 1:]))
-                        for el in self.elements.tolist() for k in range(self.dim + 1))
-        faces = [face for face, c in count.items() if c == 1]
+    def _find_boundary(self, sides) -> None:
+        # a face on the boundary belongs to one element, so it has one of its orientations in sides
+        faces = [face for face, s in sides if (face, -s) not in sides]
         nodes = {i for face in faces for i in face}
         if self.order == 2 and self.dim == 2:
             nodes.update(self._edge_ids[face] for face in faces)

@@ -81,8 +81,8 @@ These kernels, the Hessian's aside, work batch-last: component axes first,
 then the node and point axes, contiguous (q, Eq and B_v may be views), so
 the 3x3 algebra is elementwise over whole arrays of points; the transport
 kernels take B_v first, None where no transport reads it.  P is never
-formed, and ``_third_factors`` are those of ``dist2_third``'s blocks, which
-the geodesic rule applies H^-1 to instead.  All are pure functions.
+formed; ``_third_blocks`` is ``dist2_third`` batch-last, as the geodesic
+rule reads it.  All are pure functions.
 """
 
 from __future__ import annotations
@@ -342,31 +342,30 @@ class Manifold:
         """
         q = np.expand_dims(np.asarray(q, dtype=float), -len(self.point_shape) - 1)
         # per-point data is broadcast over the nodes too, so hess_X comes back once per node
-        B, q, Eq, u, X, phi = self._batch_last_args(v, q, (np.expand_dims(X, -3), 2), (weights, 0))
-        F, rinv, w, T, mixed, uX, nX, TX, Y, N = self._third_factors(B, q, Eq, u, X, phi)
-        g1, g3 = F[2], F[3]
-        # mixed_X = 2 (g3 (<u, X> P T + u (PX)^T T) - g1 PX w^T), column j, P = I - n n^T, T^T n = -w/r
-        mixed_X = 2.0 * (g3 * (uX[:, None, None] * T + u[:, None] * TX[:, None])
-                         + ((2.0 * g3 * nX * rinv)[:, None] * u - g1 * (X - (nX * rinv)[:, None] * u))[:, :, None] * w)
-        # hess_X = -2 sum_i phi_i (g1 <u, X> P + g2 (PX u^T + u PX^T)) = -2 (F I + X Y^T + Y X^T - N)
-        XY = X[:, :, None] * Y
-        hess_X = -2.0 * ((phi * g1 * uX).sum(1)[:, None, None, None] * _eye(len(u), u.ndim - 1)
-                         + XY + XY.swapaxes(1, 2) - N)
+        mixed, hess_X, mixed_X = self._third_blocks(
+            *self._batch_last_args(v, q, (np.expand_dims(X, -3), 2), (weights, 0)))
         return _batch_first(mixed, 2), _batch_first(hess_X, 3)[..., 0, :, :, :], _batch_first(mixed_X, 3)
 
-    def _third_factors(self, B, q, Eq, u, X, phi):
-        """dist2_third's factors, batch-last (node axis 1 for per-point data) as its arguments, B, q,
-        Eq and u of _mixed, X (s, dim, 1, ...), phi (m, ...): F of _curvature_ratios, 1/r (0 where
-        v = q), w, T, mixed, <u, X>, <n, X> (s, m, ...), T^T X (s, dim, m, ...), Y = sum_i phi_i (g1 +
-        K) u_i (dim, 1, ...) and N = sum_i phi_i (3 g1 + 2 K) <u_i, X> n_i n_i^T (s, dim, dim, 1, ...)."""
-        r, F = self._curvature_ratios(u)
-        g1, K, ein = F[2], self._model_curvature, np.einsum
-        rinv = 1.0 / np.where(r < 1e-15, np.inf, r)
+    def _third_blocks(self, B, q, Eq, u, X, phi):
+        """dist2_third batch-last, the node axis 1 for per-point data: from B, q, Eq and u of _mixed,
+        X (s, dim, 1, ...) and phi (m, ...), mixed (dim, dim, m, ...), hess_X (s, dim, dim, 1, ...)
+        and mixed_X (s, dim, dim, m, ...)."""
+        (r, F), K, ein = self._curvature_ratios(u), self._model_curvature, np.einsum
+        g1, g3, rinv = F[2], F[3], 1.0 / np.where(r < 1e-15, np.inf, r)
         w, T, mixed = self._mixed(B, q, Eq, u, r, F)
         uX, n = ein("la...,a...->l...", X, u), u * rinv
-        Y = ein("i...,ai...->a...", phi * (g1 + K), u)[:, None]
+        nX, TX = uX * rinv, ein("aj...,la...->lj...", T, X)
+        # mixed_X = 2 (g3 (<u, X> P T + u (PX)^T T) - g1 PX w^T), column j, P = I - n n^T, T^T n = -w/r,
+        # the scalars on the smaller operands
+        Xw = ((4.0 * g3 + 2.0 * g1) * nX * rinv)[:, None] * u - (2.0 * g1) * X
+        mixed_X = (2.0 * g3 * uX)[:, None, None] * T + u[:, None] * (2.0 * g3 * TX)[:, None] + Xw[:, :, None] * w
+        # hess_X = -2 sum_i phi_i (g1 <u, X> P + g2 (PX u^T + u PX^T)) = -2 (F I + X Y^T + Y X^T - N), g2 =
+        # g1 + K, F, Y, N the sums of phi_i g1 <u_i, X>, phi_i g2 u_i and phi_i (3 g1 + 2 K) <u_i, X> n_i n_i^T
         N = ein("li...,ai...,bi...->lab...", phi * (3.0 * g1 + 2.0 * K) * uX, n, n)[:, :, :, None]
-        return F, rinv, w, T, mixed, uX, uX * rinv, ein("aj...,la...->lj...", T, X), Y, N
+        XY = X[:, :, None] * ein("i...,ai...->a...", phi * (g1 + K), u)[:, None]
+        hess_X = -2.0 * ((phi * g1 * uX).sum(1)[:, None, None, None] * _eye(len(u), u.ndim - 1)
+                         + XY + XY.swapaxes(1, 2) - N)
+        return mixed, hess_X, mixed_X
 
 
 # ----------------------------------------------------------------------

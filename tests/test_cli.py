@@ -367,6 +367,28 @@ def test_repeated_element_names_its_line(tmp_path, capsys, command, dim):
     assert not (tmp_path / "o.csv").exists()
 
 
+# meshes that minimize solved with exit 0: converged=true over a folded element, value=inf on a 1e-300 one
+REFUSED_MESHES = {
+    "folded-2d": ("gfe-mesh 2\n4\n0 0\n1 0\n0 1\n0.2 0.2\n2\n0 1 2\n0 1 3\n", [0, 1, 2],
+                  "line 9: element 1 overlaps element 0 across the face [0, 1]"),
+    "folded-1d": ("gfe-mesh 1\n3\n0\n1\n0.5\n2\n0 1\n0 2\n", [1, 2],
+                  "line 8: element 1 overlaps element 0 across the face [0]"),
+    "tiny-1d": ("gfe-mesh 1\n3\n0\n1e-300\n1\n2\n0 1\n1 2\n", [0, 2],
+                "line 7: element 0 is too small for floating point (det = 1.000e-300)"),
+}
+
+
+@pytest.mark.parametrize("command", ["interpolate", "minimize"])
+@pytest.mark.parametrize("case", sorted(REFUSED_MESHES))
+def test_folded_or_tiny_element_names_its_line(tmp_path, capsys, command, case):
+    mesh_text, fixed, message = REFUSED_MESHES[case]
+    rows = [(i, np.eye(3)[k]) for k, i in enumerate(fixed)]
+    code, mesh, _ = run_with(tmp_path, command, mesh_text, rows)
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {mesh}: {message}\n"
+    assert not (tmp_path / "o.csv").exists()
+
+
 def square_boundary_rows(order=1):
     """The boundary nodes of the 2 x 2 square grid with the values normalize(x - 1/2, y - 1/2, 0.8)."""
     grid = unit_square_grid(2, order)

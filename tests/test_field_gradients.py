@@ -153,20 +153,23 @@ def test_gradient_terms_on_a_nodal_value(man, order):
 @pytest.mark.parametrize("man", [S2, SO3], ids=lambda m: m.kind)
 def test_gradient_terms_continuous_across_the_series_cutoff(man):
     """Nodal values within a few cutoffs of each other: the reverse-mode
-    terms agree whether every ratio of the stacked kernel takes its series
-    or its closed form, since the kernel reads _SERIES_CUTOFF at each call."""
+    terms and the forward G of _basis_gradients, which reads the blocks of
+    dist2_third, agree whether every ratio of the stacked kernel takes its
+    series or its closed form, since the kernel reads _SERIES_CUTOFF at each call."""
     elem = ReferenceElement(2, 2)
     radius = 3.0 * gfe.kernels._SERIES_CUTOFF / np.sqrt(man._model_curvature)
     values = random_configuration(man, elem.m, np.random.default_rng(22), radius=radius)
     interp = GeodesicInterpolant(elem, values, man)
     c = interp._center(np.array([[0.2, 0.3], [0.6, 0.1], [0.25, 0.25]]))
     C = np.random.default_rng(23).standard_normal((3, 2, man.intrinsic_dim))
-    terms = []
+    terms, G = [], []
     for cutoff in (8.0 * gfe.kernels._SERIES_CUTOFF, gfe.kernels._SERIES_CUTOFF / 8.0):   # all series, all closed
         with mock.patch.object(gfe.kernels, "_SERIES_CUTOFF", cutoff):
             terms.append(interp._basis_gradient_terms(c, C))
-    assert not np.array_equal(terms[0], terms[1])    # the branches did switch
-    assert np.max(np.abs(terms[0] - terms[1])) <= 1e-12 * np.max(np.abs(terms[0]))
+            G.append(interp._basis_gradients(c)[0])
+    for x in (terms, G):
+        assert not np.array_equal(x[0], x[1])    # the branches did switch
+        assert np.max(np.abs(x[0] - x[1])) <= 1e-12 * np.max(np.abs(x[0]))
 
 
 def _refuse(*args, **kwargs):

@@ -220,6 +220,41 @@ def test_repeated_element_rejected(dim, vertices, elements, element_lines, messa
         Grid(dim, vertices, elements, 1, element_lines=element_lines)
 
 
+@pytest.mark.parametrize("dim, vertices, elements, element_lines, message", [
+    pytest.param(2, [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.2, 0.2]], [[0, 1, 2], [0, 1, 3]], [6, 7],
+                 r"^line 7: element 1 overlaps element 0 across the face \[0, 1\]$", id="2d-inside-names-its-line"),
+    pytest.param(2, [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.5, 0.6]], [[0, 1, 2], [2, 0, 3]], None,
+                 r"^element 1 overlaps element 0 across the face \[0, 2\]$", id="2d-rotated"),
+    pytest.param(1, [[0.0], [1.0], [0.5]], [[0, 1], [0, 2]], None,
+                 r"^element 1 overlaps element 0 across the face \[0\]$", id="1d-left-end"),
+    pytest.param(1, [[0.0], [0.5], [1.0], [0.75]], [[0, 1], [1, 2], [3, 2]], None,
+                 r"^element 2 overlaps element 1 across the face \[2\]$", id="1d-right-end"),
+])
+def test_elements_folded_over_a_shared_face_rejected(dim, vertices, elements, element_lines, message):
+    # the second element lies on the first's side of their face: minimize counted the overlap and
+    # reported converged=true, and in 1d node 0, the domain's left end, was missing from the boundary
+    with pytest.raises(ValueError, match=message):
+        Grid(dim, vertices, elements, 1, element_lines=element_lines)
+
+
+@pytest.mark.parametrize("dim, vertices, elements, message", [
+    pytest.param(1, [[0.0], [1e-300], [1.0]], [[0, 1], [1, 2]],
+                 r"^element 0 is too small for floating point \(det = 1\.000e-300\)$", id="1d"),
+    pytest.param(2, [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1e-160]], [[0, 1, 2], [1, 3, 2]],
+                 r"^element 1 is too small for floating point \(det = 1\.000e-160\)$", id="2d-sliver"),
+])
+def test_element_too_small_for_floating_point_rejected(dim, vertices, elements, message):
+    # the energy squares B^-1: a 1e-300 element gave minimize value=inf after three RuntimeWarnings
+    with pytest.raises(ValueError, match=message):
+        Grid(dim, vertices, elements, 1)
+
+
+def test_small_elements_within_floating_point_build_a_grid():
+    # the bound 1e150 on B^-1 leaves every mesh whose squared B^-1 is finite
+    grid = Grid(1, [[0.0], [1e-140], [1.0]], [[0, 1], [1, 2]], 1)
+    assert np.isfinite(grid._Binv ** 2).all()
+
+
 def test_integral_float_indices_build_the_integer_grid():
     grid = Grid(2, SQUARE, np.array([[0.0, 1.0, 2.0], [1.0, 3.0, 2.0]]), 1)
     assert grid.elements.dtype == int and np.array_equal(grid.elements, [[0, 1, 2], [1, 3, 2]])

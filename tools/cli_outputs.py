@@ -17,7 +17,8 @@ derives as text from the sphere2 order-1 ones (``ERROR_CASES``: a byte that
 is not UTF-8, a NaN, a node listed twice, an index outside the grid, a value
 off the sphere, a missing node, a boundary CSV without rows, a repeated
 element, an element row past the element count, an element index beyond
-int64, the header ``gfe-meshy 2``), with the geodesic rule.  For each case
+int64, the header ``gfe-meshy 2``, a 2-d element folded over its neighbour's
+face, a 1-d element of length 1e-300), with the geodesic rule.  For each case
 the report says "identical", with the exit code, when exit code, stdout,
 stderr and every output file agree byte for byte; otherwise it prints the
 stdout lines that differ, the files that differ and the largest absolute
@@ -58,6 +59,8 @@ ERROR_CASES = {
     "extra element row": ("minimize", "miscounted.mesh", "bc_sphere2_1.csv"),
     "index beyond int64": ("minimize", "huge_index.mesh", "bc_sphere2_1.csv"),
     "header gfe-meshy": ("minimize", "bad_header.mesh", "bc_sphere2_1.csv"),
+    "folded element": ("minimize", "folded.mesh", "folded_bc.csv"),
+    "element of 1e-300": ("minimize", "tiny.mesh", "tiny_bc.csv"),
 }
 
 
@@ -115,6 +118,12 @@ def write_inputs(root: Path, src: Path) -> None:
         # the last index of the first element row past int64
         "huge_index.mesh": mesh[:at + 1] + [" ".join(first[:-1] + ["9" * 23]) + "\n"] + mesh[at + 2:],
         "bad_header.mesh": ["gfe-meshy 2\n"] + mesh[1:],
+        # the second triangle inside the first, on the same side of their face [0, 1]; nodes 0-2 fixed
+        "folded.mesh": ["gfe-mesh 2\n4\n0 0\n1 0\n0 1\n0.2 0.2\n2\n0 1 2\n0 1 3\n"],
+        "folded_bc.csv": rows[:3],
+        # an element [0, 1e-300], whose squared inverse map overflows; both ends fixed
+        "tiny.mesh": ["gfe-mesh 1\n3\n0\n1e-300\n1\n2\n0 1\n1 2\n"],
+        "tiny_bc.csv": [rows[0], rows[2]],
     }
     for name, lines in malformed.items():
         (root / name).write_bytes("".join(lines).encode("utf-8", "surrogateescape"))
