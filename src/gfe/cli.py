@@ -41,7 +41,9 @@ or an infinity, a mesh whose header is not ``gfe-mesh d``, with a row after
 its declared elements, without elements, with a degenerate element, with an
 element that repeats the vertices of an earlier one or with a vertex that
 belongs to no element, an index out of range or listed twice, a value off
-the manifold, nodal values missing for some nodes) and an ``--out`` that
+the manifold, nodal values missing for some nodes, nodal values too large for
+floating point, whose arithmetic overflows where ``interpolate`` evaluates
+them or ``minimize`` builds its start) and an ``--out`` that
 cannot be written (in a missing directory, or a directory) are reported as
 one ``error: <file>: ...`` line with exit code 2 and no report; faults the
 file readers find, and a degenerate or repeated element, name the line as
@@ -142,6 +144,11 @@ def _error(message, code: int = 2) -> int:
     return code
 
 
+def _too_large(path, exc: FloatingPointError) -> int:
+    """The one line for nodal values whose arithmetic overflows, or makes a NaN: exit 2."""
+    return _error(f"{path}: the nodal values are too large for floating point ({exc})")
+
+
 def cmd_interpolate(args) -> int:
     man = _MANIFOLDS[args.manifold]()
     try:
@@ -165,11 +172,14 @@ def cmd_interpolate(args) -> int:
     blocks = [slice(start, start + _BLOCK) for start in range(0, len(els), _BLOCK)]
     q = np.empty((len(els), man.embed_dim))
     try:
-        for b in blocks:    # a batch's centers are its points' bit for bit, so blocks change no byte
-            q[b] = man._flat(u.local(els[b]).eval(xis[k[b]]))
+        with np.errstate(over="raise", invalid="raise"):
+            for b in blocks:    # a batch's centers are its points' bit for bit, so blocks change no byte
+                q[b] = man._flat(u.local(els[b]).eval(xis[k[b]]))
     except GFEError as exc:
         where = "" if exc.point is None else f"element {els[b][exc.point]}: "
         return _error(f"{where}{exc}")
+    except FloatingPointError as exc:
+        return _too_large(args.bc, exc)
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
             for b in blocks:
@@ -302,8 +312,11 @@ def cmd_minimize(args) -> int:
         fixed, data = _read_nodal_values(args.bc, man, grid.n_nodes)
         if not len(fixed):
             raise ValueError(f"{args.bc}: boundary CSV fixes no nodes")
-        u0 = GFEFunction(grid, man, args.rule, _relaxed_start(grid, man, fixed, data))
-        dirichlet_energy(u0)    # kept with u0, so minimize solves no more
+        with np.errstate(over="raise", invalid="raise"):
+            u0 = GFEFunction(grid, man, args.rule, _relaxed_start(grid, man, fixed, data))
+            dirichlet_energy(u0)    # kept with u0, so minimize solves no more
+    except FloatingPointError as exc:
+        return _too_large(args.bc, exc)
     except (OSError, ValueError, GFEError) as exc:
         return _error(exc)
     try:

@@ -27,7 +27,9 @@ layout and shape tables, batch-first and batch-last, are built once per grid
 (``_assembly``), built by whichever of the energy, the gradient or the
 directional derivative comes first, and its nodal frames; later calls on
 the state make no Newton solve and no logarithm, which is how ``minimize``
-gets its gradient and metric from the accepted trial.  Per-point
+gets its gradient and metric from the accepted trial; it reads the gradient
+norm from the free coefficients and sums the index form, formed point by
+point, into its free block once per step.  Per-point
 contributions are summed with ``math.fsum``.  The gradient alone
 (``algebraic_gradient``, ``directional_derivative``, ``equivalence_audit``)
 pairs u's gradient with every nodal basis field's gradient through
@@ -279,20 +281,22 @@ def minimize(
     backtracking.
 
     Each iteration solves M_ff c = g_f on the free degrees of freedom, where
-    g holds the gradient coefficients in tangent_basis(u_i) and M is the
-    index form I = A - J of ``_gradient_terms`` where ``np.linalg.cholesky``
-    certifies it positive definite and the H^1 metric A otherwise, summed
-    from per-point blocks into the free block alone (one dense solve; memory
-    grows as its size squared), and updates the nodal values outside ``fixed`` by
+    g_f holds the gradient coefficients of the free nodes in tangent_basis(u_i)
+    (orthonormal, so |g_f| is the norm of the algebraic gradient) and M_ff is
+    the index form I = A - J of ``_gradient_terms``, formed point by point and
+    summed once into the free block, where ``np.linalg.cholesky`` certifies it
+    positive definite, and the free block of the H^1 metric A otherwise (one
+    dense solve; memory grows as its size squared), and updates the nodal
+    values outside ``fixed`` by
     v_i <- exp_{v_i}(-alpha * sum_j c_ij tangent_basis(v_i)[j]).
     The first trial step is min(1, 2 * the previous accepted step), so a
     full Newton step is tried first and never exceeded; it
     is halved until E_try <= E - 1e-4 * alpha * <g, c> and E_try < E.  A full
     step with E_try - E <= 8 * eps * |E|, at the energy's rounding floor, is
     also accepted when its gradient norm is below the current one.  Trial
-    states that fail to evaluate (admissibility, cut locus, projection) are
-    treated like an insufficient decrease.  Stops when the norm of the
-    algebraic gradient is at most ``tol``.  Returns (minimizer,
+    states that fail to evaluate (admissibility, cut locus, projection) or
+    whose energy overflows are treated like an insufficient decrease.  Stops
+    when the norm of the algebraic gradient is at most ``tol``.  Returns (minimizer,
     EnergyReport).  Raises ValueError for a NaN or negative ``tol``, a
     negative ``max_iter``, an empty ``fixed`` set (the metric is then
     singular) or a fixed index that is not an integer in 0..n-1,
@@ -304,7 +308,6 @@ def minimize(
     fixed_set = _fixed_nodes(u0.grid, fixed)
     if not fixed_set:
         raise ValueError("minimize needs at least one fixed node (the H^1 metric is singular otherwise)")
-    fixed_nodes = sorted(fixed_set)
     u = u0
     man = u.manifold
     free, free_block = _free_scatter(u.grid, man.intrinsic_dim, fixed_set)
@@ -314,19 +317,16 @@ def minimize(
 
     def gradient(u):    # the metric blocks of u are formed only if a step is taken from it
         coeff, blocks = _gradient_route(u, metric=True)
-        coeff[fixed_nodes] = 0.0
-        return coeff, float(np.linalg.norm(_embedded(u._frames(), coeff))), blocks, u._frames()[free]
+        g = coeff[free].ravel()     # in orthonormal frames: |g| is the algebraic gradient's norm
+        return g, float(np.linalg.norm(g)), blocks
 
-    coeff, gnorm, blocks, frames = gradient(u)
+    g, gnorm, blocks = gradient(u)
     if callback is not None:
         callback(iterations, energy, gnorm)
 
     while gnorm > tol and iterations < max_iter:
-        g = coeff[free].ravel()
         A, J = blocks()
-        M = free_block(A)
-        if J is not None:
-            M -= free_block(J)
+        M = free_block(A if J is None else np.subtract(A, J, out=J))   # I = A - J, formed per point
         del J       # the per-point blocks are the step's largest arrays: none is kept into the line search
         try:
             np.linalg.cholesky(M)   # the Newton step where the index form is positive definite
@@ -342,7 +342,7 @@ def minimize(
                 f"H^1 metric is singular or not positive definite at descent iteration {iterations}"
             ) from exc
         slope = float(g @ c)
-        direction = _embedded(frames, c.reshape(len(free), -1))
+        direction = _embedded(u._frames()[free], c.reshape(len(free), -1))
         alpha = min(_MAX_STEP, 2.0 * alpha_prev)
         while True:
             trial, grad_try = u.values.copy(), None
@@ -370,7 +370,7 @@ def minimize(
         u, energy, alpha_prev = u_try, e_try, alpha
         iterations += 1
         # u holds its quadrature record from the trial, so this makes no solve
-        coeff, gnorm, blocks, frames = grad_try or gradient(u)
+        g, gnorm, blocks = grad_try or gradient(u)
         if callback is not None:
             callback(iterations, energy, gnorm)
 

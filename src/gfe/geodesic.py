@@ -76,10 +76,11 @@ from .jacobi import Interpolant
 from .kernels import _near_cut, _positive_definite, _sym_inv
 from .manifold import Manifold, Sphere, _batch_last, _batch_last_view, _eye
 
-# contract bound on the stationarity residual, and the tighter target the
-# iteration aims for (quadratic convergence makes the target nearly free;
-# landing close to machine precision keeps downstream energy differences
-# smooth enough for line searches)
+# contract bound on the stationarity residual, relative to the largest nodal
+# entry where that exceeds 1 (flat-space values, whose rounding alone leaves
+# eps * |v|), and the tighter target the iteration aims for (quadratic
+# convergence makes the target nearly free; landing close to machine precision
+# keeps downstream energy differences smooth enough for line searches)
 _RESIDUAL_TOL = 1e-12
 _RESIDUAL_TARGET = 1e-14
 _MAX_NEWTON = 100
@@ -263,8 +264,9 @@ def _newton(man: Manifold, values, weights, q) -> _Solution:
         else:   # no step left: at the cut locus, or at the floating-point floor, fine if the contract holds
             cut = _near_cut(angle)
             errors.update((p, man._cut_locus_error(a)) for p, a in zip(pts[cut], angle[cut]))
+            floor = np.maximum(1.0, np.abs(_flat_rows(values[pts[~cut]], 1)).max(1))
             errors.update((p, NonConvergenceError(f"Newton cannot reduce the residual below {res[p]:.3e}"))
-                          for p in pts[~cut] if res[p] > _RESIDUAL_TOL)
+                          for p, f in zip(pts[~cut], floor) if res[p] > _RESIDUAL_TOL * f)
             active[pts] = False
 
     if lin is not None:     # not every point starts at the cut locus
@@ -325,7 +327,8 @@ class GeodesicInterpolant(Interpolant):
     # ------------------------------------------------------------------
 
     def eval(self, xi) -> np.ndarray:
-        """The interpolated point; stationarity residual is at most 1e-12."""
+        """The interpolated point; stationarity residual is at most 1e-12 times the largest
+        |entry| of the nodal values where that exceeds 1 (only in flat space)."""
         return self._solve(xi).q
 
     def _center(self, xi, shape=None) -> _Center:

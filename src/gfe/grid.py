@@ -156,15 +156,16 @@ class Grid:
 
     Vertices must be an (nv, dim) array of finite coordinates and elements
     an (ne, dim+1) array of integers in 0..nv-1; every element must be
-    positively oriented, with no entry of its inverse map above 1e150, no two
-    elements may have the same vertices (in any order) or lie on the same
-    side of a shared face, and every vertex must belong to an element.
-    Overlapping elements that share no face are not detected.  Otherwise the
-    constructor raises ValueError, naming the file line of an element with an
-    index that is not an integer, an index out of range, the vertices of an
-    earlier element, a degenerate or too small one, or one that overlaps an
-    earlier element across a face when ``element_lines`` (one per element
-    row, as ``read_mesh(path, lines=True)`` returns them) is given.
+    positively oriented, with no entry of its inverse map above 1e150 and a
+    finite determinant, no two elements may have the same vertices (in any
+    order) or lie on the same side of a shared face, and every vertex must
+    belong to an element.  Overlapping elements that share no face are not
+    detected.  Otherwise the constructor raises ValueError, naming the file
+    line of an element with an index that is not an integer, an index out of
+    range, the vertices of an earlier element, a degenerate, too small or too
+    large one, or one that overlaps an earlier element across a face when
+    ``element_lines`` (one per element row, as ``read_mesh(path, lines=True)``
+    returns them) is given.
     """
 
     def __init__(self, dim: int, vertices, elements, order: int, element_lines=None):
@@ -202,17 +203,21 @@ class Grid:
         # affine maps x = V0 + B xi, with positive orientation required
         self._origin = self.vertices[self.elements[:, 0]]
         self._B = np.swapaxes(self.vertices[self.elements[:, 1:]] - self._origin[:, None], 1, 2)
-        self._detB = np.linalg.det(self._B)
-        flipped = np.flatnonzero(self._detB <= 0.0)
+        with np.errstate(over="ignore"):    # an overflowing det B is refused below, naming its element
+            self._detB = np.linalg.det(self._B)
+        # the sign of det B from its LU factors, which no underflow of det B zeroes
+        flipped = np.flatnonzero(np.linalg.slogdet(self._B)[0] <= 0.0)
         if len(flipped):
             e = flipped[0]
             raise ValueError(f"{where(e)}element {e} has non-positive orientation (det = {self._detB[e]:.3e})")
-        # the energy squares B^-1: entries above 1e150 < sqrt(max float) would overflow it
+        # the energy squares B^-1: entries above 1e150 < sqrt(max float) would overflow it; det B
+        # scales the quadrature weights
         self._Binv = np.linalg.inv(self._B)
-        tiny = np.flatnonzero(np.abs(self._Binv).max(axis=(1, 2)) > 1e150)
-        if len(tiny):
-            e = tiny[0]
-            raise ValueError(f"{where(e)}element {e} is too small for floating point (det = {self._detB[e]:.3e})")
+        unfit = np.flatnonzero((np.abs(self._Binv).max(axis=(1, 2)) > 1e150) | np.isinf(self._detB))
+        if len(unfit):
+            e = unfit[0]
+            size = "large" if np.isinf(self._detB[e]) else "small"
+            raise ValueError(f"{where(e)}element {e} is too {size} for floating point (det = {self._detB[e]:.3e})")
         # face k of an element, its vertices sorted, is oriented (-1)**k times the parity of that sort (of at
         # most two vertices): positively oriented elements that orient a face alike lie on its same side
         sides: dict[tuple, int] = {}

@@ -389,6 +389,43 @@ def test_folded_or_tiny_element_names_its_line(tmp_path, capsys, command, case):
     assert not (tmp_path / "o.csv").exists()
 
 
+def run_euclidean(tmp_path, command, csv_text):
+    """command with --manifold euclidean on the 1-d mesh 0, 0.5, 1; returns (exit code, CSV path)."""
+    (tmp_path / "m.mesh").write_text("gfe-mesh 1\n3\n0\n0.5\n1\n2\n0 1\n1 2\n")
+    bc = tmp_path / "bc.csv"
+    bc.write_text(csv_text)
+    return main(["--command", command, "--manifold", "euclidean", "--mesh", str(tmp_path / "m.mesh"),
+                 "--bc", str(bc), "--out", str(tmp_path / "o.csv")]), bc
+
+
+@pytest.mark.parametrize("command, csv_text", [("interpolate", "0,1e5\n1,0.5\n2,0\n"),
+                                                ("minimize", "0,1e5\n2,0\n")], ids=["interpolate", "minimize"])
+def test_flat_nodal_values_of_1e5_are_evaluated(tmp_path, capsys, command, csv_text):
+    # an absolute residual bound of 1e-12 lay below the rounding of such values: both exited 2
+    # with "element 0: Newton cannot reduce the residual below 2.682e-12" (1.665e-12)
+    code, _ = run_euclidean(tmp_path, command, csv_text)
+    assert code == 0 and capsys.readouterr().err == ""
+    rows = np.loadtxt(tmp_path / "o.csv", delimiter=",")
+    if command == "interpolate":
+        ends = np.array([[1e5, 0.5], [0.5, 0.0]])[rows[:, 0].astype(int)]    # of each sample's element
+        exact = ends[:, 0] + (ends[:, 1] - ends[:, 0]) * rows[:, 1]
+        assert len(rows) == 22 and np.max(np.abs(rows[:, 2] - exact)) <= 4e-16 * 1e5
+    else:
+        assert np.array_equal(rows, [[0, 1e5], [1, 5e4], [2, 0.0]])
+
+
+@pytest.mark.parametrize("command, csv_text", [("interpolate", "0,1e200\n1,0\n2,0\n"),
+                                                ("minimize", "0,1e200\n2,0\n")], ids=["interpolate", "minimize"])
+def test_nodal_values_whose_arithmetic_overflows_exit_2(tmp_path, capsys, command, csv_text):
+    # three RuntimeWarnings, then a misdiagnosis: "Newton cannot reduce the residual below inf"
+    # (minimize) or "a critical point whose Hessian is not positive definite" (interpolate)
+    code, bc = run_euclidean(tmp_path, command, csv_text)
+    assert code == 2
+    err = assert_one_error_line(capsys, bc)
+    assert err.startswith(f"error: {bc}: the nodal values are too large for floating point (overflow ")
+    assert not (tmp_path / "o.csv").exists()
+
+
 def square_boundary_rows(order=1):
     """The boundary nodes of the 2 x 2 square grid with the values normalize(x - 1/2, y - 1/2, 0.8)."""
     grid = unit_square_grid(2, order)
@@ -561,7 +598,7 @@ def test_cli_outputs_tool_writes_its_inputs(tmp_path, capsys):
     error_cases = json.loads(proc.stdout)
     names = {"square.mesh"} | {f"{kind}_{m}_{p}.csv" for kind in ("all", "bc") for m in ("sphere2", "so3")
                                for p in (1, 2)}
-    names |= {name for _, mesh, csv in error_cases.values() for name in (mesh, csv)}
+    names |= {name for _, _, mesh, csv in error_cases.values() for name in (mesh, csv)}
     assert {p.name for p in tmp_path.iterdir()} == names
     for p in (1, 2):
         grid = gfe.Grid(*gfe.read_mesh(tmp_path / "square.mesh"), p)
@@ -569,10 +606,15 @@ def test_cli_outputs_tool_writes_its_inputs(tmp_path, capsys):
         assert len(nodes) == grid.n_nodes
         nodes, _ = _read_nodal_values(tmp_path / f"bc_sphere2_{p}.csv", gfe.Euclidean(3), grid.n_nodes)
         assert set(nodes.tolist()) == grid.boundary_nodes
-    for command, mesh, csv in error_cases.values():     # each malformed input is refused
-        assert main(["--command", command, "--mesh", str(tmp_path / mesh), "--bc", str(tmp_path / csv),
-                     "--out", str(tmp_path / "o.csv")]) == 2
+    for name, (command, manifold, mesh, csv) in error_cases.items():     # each malformed input is refused
+        code = main(["--command", command, "--manifold", manifold, "--mesh", str(tmp_path / mesh),
+                     "--bc", str(tmp_path / csv), "--out", str(tmp_path / "o.csv")])
         err = capsys.readouterr().err
+        if name == "flat values of 1e5":    # refused while the residual bound was absolute, not since
+            assert code == 0 and err == ""
+            (tmp_path / "o.csv").unlink()
+            continue
+        assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "o.csv").exists()
 

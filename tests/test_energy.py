@@ -810,6 +810,52 @@ def test_minimize_holds_no_full_metric():
     assert peak < 3 * nf * nf * 8
 
 
+@pytest.mark.parametrize("rule", ["geodesic", "projection"])
+def test_minimize_sums_one_free_matrix_per_index_form_step(monkeypatch, rule):
+    # every step on the 2x2 sigma problem is an index-form step: I = A - J is formed point by
+    # point and summed into the free block by one (nf, nf) scatter, not A and J apart
+    u0, fixed = stereographic_problem(2, 1, rule)
+    nf = (u0.grid.n_nodes - len(fixed)) * u0.manifold.intrinsic_dim
+    real_scatter, real_cholesky, sums, certified = gfe.energy._scatter, np.linalg.cholesky, [], []
+
+    def scatter(index, x, *shape):
+        sums.append(shape == (nf, nf))
+        return real_scatter(index, x, *shape)
+
+    def cholesky(M):
+        try:
+            L = real_cholesky(M)
+        except np.linalg.LinAlgError:
+            certified.append(False)
+            raise
+        certified.append(True)
+        return L
+
+    monkeypatch.setattr(gfe.energy, "_scatter", scatter)
+    monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+    _, report = minimize(u0, fixed, tol=1e-8)
+    assert report.converged and report.iterations > 1
+    assert all(certified) and len(certified) == report.iterations
+    assert sum(sums) == report.iterations
+
+
+@pytest.mark.parametrize("rule", ["geodesic", "projection"])
+@pytest.mark.parametrize("man", [S2, gfe.Rotation3()], ids=lambda m: m.kind)
+def test_reported_gradient_norm_is_the_algebraic_gradients(man, rule):
+    # minimize reads the norm from the free coefficients in tangent_basis(u_i): the
+    # frames are orthonormal, so it is the norm of the embedded algebraic gradient; that
+    # takes the other route, whose rounding is absolute, so the states are those of large gradients
+    grid = unit_square_grid(2, 2)
+    fixed = grid.boundary_nodes
+    values = random_configuration(man, grid.n_nodes, np.random.default_rng(9), radius=0.3)
+    u0 = GFEFunction(grid, man, rule, values)
+    for max_iter in (0, 1):
+        u, report = minimize(u0, fixed, max_iter=max_iter, tol=0.0)
+        assert report.iterations == max_iter
+        expected = np.linalg.norm(algebraic_gradient(u, fixed))
+        assert abs(report.gradient_norm - expected) <= 1e-13 * expected
+
+
 def stereographic_errors(u):
     """L^2 and H^1-seminorm errors against sigma, by the energy's quadrature."""
     grid = u.grid

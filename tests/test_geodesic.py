@@ -74,6 +74,22 @@ def test_seeded_configurations_meet_residual_contract(man, order):
         assert np.linalg.norm(r) <= 1e-12
 
 
+@pytest.mark.parametrize("scale", [1e5, 1e8, 1e12])
+@pytest.mark.parametrize("d, order", [(1, 1), (1, 2), (2, 2)])
+def test_flat_values_far_above_1_give_the_lagrange_interpolant(d, order, scale):
+    # rounding alone leaves a stationarity residual of about eps * |v|, above an absolute
+    # 1e-12 from |v| ~ 1e4 on: nodal values of 1e5 were refused ("Newton cannot reduce the
+    # residual below 2.682e-12") although the center was exact to rounding
+    elem = ReferenceElement(d, order)
+    rng = np.random.default_rng(5)
+    values = scale * rng.standard_normal((elem.m, 2))
+    xis = rng.dirichlet(np.ones(d + 1), size=16)[:, 1:]
+    sol = GeodesicInterpolant(elem, values, gfe.Euclidean(2))._solve(xis)
+    exact = elem.shape_values(xis) @ values
+    assert np.max(np.abs(sol.q - exact)) <= 4e-16 * np.abs(values).max()
+    assert np.all(sol.residual <= 1e-12 * np.abs(values).max())
+
+
 @pytest.mark.parametrize("man", [gfe.Euclidean(3), S2, SO3], ids=lambda m: m.kind)
 def test_linearization_node_hessians_are_dist2_hess_q(man):
     """The node Hessians a Newton linearization forms from its log coefficients

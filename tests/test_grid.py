@@ -249,6 +249,22 @@ def test_element_too_small_for_floating_point_rejected(dim, vertices, elements, 
         Grid(dim, vertices, elements, 1)
 
 
+@pytest.mark.parametrize("vertices, message", [
+    pytest.param([[0.0, 0.0], [1e-200, 0.0], [0.0, 1e-200]],
+                 r"^element 0 is too small for floating point \(det = 0\.000e\+00\)$", id="tiny"),
+    pytest.param([[0.0, 0.0], [0.0, 1e-200], [1e-200, 0.0]],
+                 r"^element 0 has non-positive orientation \(det = -0\.000e\+00\)$", id="tiny-mirrored"),
+    pytest.param([[0.0, 0.0], [1e200, 0.0], [0.0, 1e200]],
+                 r"^element 0 is too large for floating point \(det = inf\)$", id="huge"),
+])
+def test_an_element_whose_determinant_underflows_or_overflows_is_named(vertices, message):
+    # det B = 1e-400 underflowed to 0, which read as a wrong orientation, and det B = 1e400 overflowed
+    # to inf with a RuntimeWarning, to give infinite quadrature weights; the sign comes from the LU
+    # factors, so the tiny triangle is named too small, its mirror image flipped and the huge one too large
+    with pytest.raises(ValueError, match=message):
+        Grid(2, vertices, [[0, 1, 2]], 1)
+
+
 def test_small_elements_within_floating_point_build_a_grid():
     # the bound 1e150 on B^-1 leaves every mesh whose squared B^-1 is finite
     grid = Grid(1, [[0.0], [1e-140], [1.0]], [[0, 1], [1, 2]], 1)

@@ -31,7 +31,12 @@ from helpers import start_newton_at
 
 S2 = gfe.Sphere(2)
 SO3 = gfe.Rotation3()
-MANIFOLDS = [S2, SO3, gfe.Euclidean(2)]
+S4 = gfe.Sphere(4)    # intrinsic dimension 4: the Hessians leave the closed-form 2x2 and 3x3 kernels
+MANIFOLDS = [S2, SO3, gfe.Euclidean(2), S4]
+
+
+def man_id(man):
+    return "sphere4" if man is S4 else man.kind
 
 
 def two_element_function(man, rule, order, seed=3):
@@ -49,7 +54,7 @@ def all_quadrature_pairs(u):
 
 @pytest.mark.parametrize("order", [1, 2])
 @pytest.mark.parametrize("rule", ["geodesic", "projection"])
-@pytest.mark.parametrize("man", MANIFOLDS, ids=lambda m: m.kind)
+@pytest.mark.parametrize("man", MANIFOLDS, ids=man_id)
 def test_batched_results_equal_per_point_results(man, rule, order):
     u = two_element_function(man, rule, order)
     els, xis = all_quadrature_pairs(u)
@@ -69,7 +74,7 @@ def test_batched_results_equal_per_point_results(man, rule, order):
 @pytest.mark.parametrize("order", [1, 2])
 @pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize("rule", ["geodesic", "projection"])
-@pytest.mark.parametrize("man", [S2, SO3], ids=lambda m: m.kind)
+@pytest.mark.parametrize("man", [S2, SO3, S4], ids=man_id)
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 @example(seed=2302328032)   # SO(3) geodesic, 1d order 2: a one-point batch's inverse took another matmul loop
@@ -85,7 +90,7 @@ def test_stacked_values_equal_per_point_values_bit_for_bit(man, rule, d, order, 
 
 @pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize("rule", ["geodesic", "projection"])
-@pytest.mark.parametrize("man", MANIFOLDS, ids=lambda m: m.kind)
+@pytest.mark.parametrize("man", MANIFOLDS, ids=man_id)
 def test_empty_batches_give_empty_arrays(man, rule, d):
     elem = ReferenceElement(d, 2)
     interp = _RULES[rule](elem, random_configuration(man, elem.m, np.random.default_rng(0), radius=0.3), man)

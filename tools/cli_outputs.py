@@ -12,13 +12,16 @@ grids a random configuration (``gfe.sampling.random_configuration``, radius
 0.3) of every node and its restriction to the boundary nodes.  Then 24 cases
 run from each copy with ``python -m gfe.cli`` and PYTHONDONTWRITEBYTECODE=1:
 interpolate, minimize and audit, on sphere2 and so3, with both rules, at
-orders 1 and 2.  Then the error cases run, on malformed inputs that the tool
-derives as text from the sphere2 order-1 ones (``ERROR_CASES``: a byte that
-is not UTF-8, a NaN, a node listed twice, an index outside the grid, a value
-off the sphere, a missing node, a boundary CSV without rows, a repeated
-element, an element row past the element count, an element index beyond
-int64, the header ``gfe-meshy 2``, a 2-d element folded over its neighbour's
-face, a 1-d element of length 1e-300), with the geodesic rule.  For each case
+orders 1 and 2.  Then the error cases run, on malformed or extreme inputs
+that the tool derives as text from the sphere2 order-1 ones or writes as
+they are (``ERROR_CASES``, each with its manifold: a byte that is not UTF-8,
+a NaN, a node listed twice, an index outside the grid, a value off the
+sphere, a missing node, a boundary CSV without rows, a repeated element, an
+element row past the element count, an element index beyond int64, the
+header ``gfe-meshy 2``, a 2-d element folded over its neighbour's face, a
+1-d element of length 1e-300, flat values of 1e5 to interpolate and of 1e200
+to minimize on a 1-d mesh, a triangle with legs of 1e-200), with the
+geodesic rule; a case that now runs is compared all the same.  For each case
 the report says "identical", with the exit code, when exit code, stdout,
 stderr and every output file agree byte for byte; otherwise it prints the
 stdout lines that differ, the files that differ and the largest absolute
@@ -46,21 +49,24 @@ RULES = ("geodesic", "projection")
 ORDERS = (1, 2)
 SEED = 3    # of the inputs and of audit
 SIDE = 3    # cells per side of the square mesh
-# name: (command, mesh, CSV) of each case on malformed input, all written by write_inputs
+# name: (command, manifold, mesh, CSV) of each case on malformed or extreme input, all written by write_inputs
 ERROR_CASES = {
-    "not UTF-8": ("interpolate", "square.mesh", "not_utf8.csv"),
-    "NaN": ("interpolate", "square.mesh", "nan.csv"),
-    "node listed twice": ("minimize", "square.mesh", "twice.csv"),
-    "index outside": ("minimize", "square.mesh", "outside.csv"),
-    "off the sphere": ("interpolate", "square.mesh", "off_sphere.csv"),
-    "missing node": ("interpolate", "square.mesh", "missing.csv"),
-    "no rows": ("minimize", "square.mesh", "no_rows.csv"),
-    "repeated element": ("minimize", "repeated.mesh", "bc_sphere2_1.csv"),
-    "extra element row": ("minimize", "miscounted.mesh", "bc_sphere2_1.csv"),
-    "index beyond int64": ("minimize", "huge_index.mesh", "bc_sphere2_1.csv"),
-    "header gfe-meshy": ("minimize", "bad_header.mesh", "bc_sphere2_1.csv"),
-    "folded element": ("minimize", "folded.mesh", "folded_bc.csv"),
-    "element of 1e-300": ("minimize", "tiny.mesh", "tiny_bc.csv"),
+    "not UTF-8": ("interpolate", "sphere2", "square.mesh", "not_utf8.csv"),
+    "NaN": ("interpolate", "sphere2", "square.mesh", "nan.csv"),
+    "node listed twice": ("minimize", "sphere2", "square.mesh", "twice.csv"),
+    "index outside": ("minimize", "sphere2", "square.mesh", "outside.csv"),
+    "off the sphere": ("interpolate", "sphere2", "square.mesh", "off_sphere.csv"),
+    "missing node": ("interpolate", "sphere2", "square.mesh", "missing.csv"),
+    "no rows": ("minimize", "sphere2", "square.mesh", "no_rows.csv"),
+    "repeated element": ("minimize", "sphere2", "repeated.mesh", "bc_sphere2_1.csv"),
+    "extra element row": ("minimize", "sphere2", "miscounted.mesh", "bc_sphere2_1.csv"),
+    "index beyond int64": ("minimize", "sphere2", "huge_index.mesh", "bc_sphere2_1.csv"),
+    "header gfe-meshy": ("minimize", "sphere2", "bad_header.mesh", "bc_sphere2_1.csv"),
+    "folded element": ("minimize", "sphere2", "folded.mesh", "folded_bc.csv"),
+    "element of 1e-300": ("minimize", "sphere2", "tiny.mesh", "tiny_bc.csv"),
+    "flat values of 1e5": ("interpolate", "euclidean", "line.mesh", "flat_1e5.csv"),
+    "flat values of 1e200": ("minimize", "euclidean", "line.mesh", "flat_1e200_bc.csv"),
+    "triangle of 1e-200": ("minimize", "sphere2", "tiny_triangle.mesh", "tiny_bc.csv"),
 }
 
 
@@ -124,6 +130,12 @@ def write_inputs(root: Path, src: Path) -> None:
         # an element [0, 1e-300], whose squared inverse map overflows; both ends fixed
         "tiny.mesh": ["gfe-mesh 1\n3\n0\n1e-300\n1\n2\n0 1\n1 2\n"],
         "tiny_bc.csv": [rows[0], rows[2]],
+        # flat values far above 1, whose rounding once failed the residual bound, and ones that overflow
+        "line.mesh": ["gfe-mesh 1\n3\n0\n0.5\n1\n2\n0 1\n1 2\n"],
+        "flat_1e5.csv": ["0,1e5\n1,0.5\n2,0\n"],
+        "flat_1e200_bc.csv": ["0,1e200\n2,0\n"],
+        # a positively oriented triangle whose determinant, 1e-400, underflows to 0
+        "tiny_triangle.mesh": ["gfe-mesh 2\n3\n0 0\n1e-200 0\n0 1e-200\n1\n0 1 2\n"],
     }
     for name, lines in malformed.items():
         (root / name).write_bytes("".join(lines).encode("utf-8", "surrogateescape"))
@@ -143,8 +155,8 @@ def case_args(command: str, manifold: str, rule: str, order: int, inputs: Path):
 
 
 def error_case_args(name: str, inputs: Path):
-    command, mesh, csv = ERROR_CASES[name]
-    return ["--command", command, "--manifold", "sphere2", "--rule", "geodesic", "--order", "1",
+    command, manifold, mesh, csv = ERROR_CASES[name]
+    return ["--command", command, "--manifold", manifold, "--rule", "geodesic", "--order", "1",
             "--mesh", str(inputs / mesh), "--bc", str(inputs / csv), "--out", "out.csv"]
 
 
